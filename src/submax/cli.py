@@ -26,7 +26,7 @@ from . import selfcheck
 from .dmcg import DmcgConfig, reduction2, run_dmcg
 from .fixtures import random_graph_cut, random_hypergraph_cut
 from .mcg import McgConfig, run_mcg
-from .multilinear import Estimator, MultilinearEvaluator, Point
+from .multilinear import Estimator, MultilinearEvaluator, Point, backend
 from .oracle import MAX_BRUTE_N, brute_cardinality, brute_polytope_integral, brute_unconstrained
 from .pipage import pipage_round
 from .polytope import CardinalityPolytope, horizon, polytope_from_json, preprocess_reduction1
@@ -95,10 +95,12 @@ def _forbid(args, names: list[str]) -> None:
             raise FlagError(f"--{name} is not meaningful for algorithm {args.algorithm!r}")
 
 
-def _estimator(n: int, samples: int | None, seed: int) -> Estimator:
+def _estimator(f: SetFunction, samples: int | None, seed: int) -> Estimator:
+    """Sampled if --samples is given; otherwise exact whenever F has a closed
+    form or the value table fits, and sampled beyond that."""
     if samples is not None:
         return Estimator(mode="sampled", samples=samples, seed=seed)
-    if n <= 16:
+    if f.multilinear is not None or f.n <= Estimator.exact_limit:
         return Estimator(mode="exact")
     return Estimator(mode="sampled", seed=seed)
 
@@ -208,7 +210,7 @@ def _run_algorithm(args, f, polytope_obj, welfare_inst) -> dict:
         f_run = f if len(red.kept) == n else restrict_function(f, list(red.kept))
         P_run = red.polytope
         n_run = f_run.n
-        est = _estimator(n_run, args.samples, args.seed)
+        est = _estimator(f_run, args.samples, args.seed)
         T = args.T if args.T is not None else max(1.0, horizon(P_run)) if n_run else 1.0
         cfg = McgConfig(T=T, steps=args.steps, estimator=est)
         if n_run == 0:
@@ -225,7 +227,11 @@ def _run_algorithm(args, f, polytope_obj, welfare_inst) -> dict:
             y_embedded = Point(arr)
         report.update(
             {
-                "config": {"T": T, "steps": cfg.steps if cfg.steps else (100 * n_run or 1)},
+                "config": {
+                    "T": T,
+                    "steps": cfg.steps if cfg.steps else (100 * n_run or 1),
+                    "estimator": backend(f_run, est),
+                },
                 "fractional_value": frac,
                 "fractional_point": [float(v) for v in y_embedded.coords],
                 "theoretical_ratio": 0.5 * (1.0 - math.exp(-2.0 * T)),
@@ -260,7 +266,7 @@ def _run_algorithm(args, f, polytope_obj, welfare_inst) -> dict:
     symmetric = args.algorithm == "dmcg-symmetric"
     if symmetric and not f.symmetric:
         raise FlagError("dmcg-symmetric requires a symmetric instance")
-    est = _estimator(n, args.samples, args.seed)
+    est = _estimator(f, args.samples, args.seed)
     if symmetric and k == n:
         # only one feasible set; nothing to optimize
         y_final = Point.ones(n)
@@ -285,7 +291,7 @@ def _run_algorithm(args, f, polytope_obj, welfare_inst) -> dict:
         frac = _fractional_value(f, y_final, est)
     report.update(
         {
-            "config": {"k": k, "T": T, "steps": args.steps or 100 * n},
+            "config": {"k": k, "T": T, "steps": args.steps or 100 * n, "estimator": backend(f, est)},
             "fractional_value": frac,
             "fractional_mass": y_final.mass(),
             "fractional_point": [float(v) for v in y_final.coords],
@@ -408,7 +414,7 @@ def _run_sweep(argv: list[str]) -> int:
             f = make(args.n, seed=1000 + idx)
             _, opt = brute_cardinality(f, args.n, k, "eq")
             for seed in seeds:
-                est = Estimator(mode="exact") if args.n <= 16 else Estimator(mode="sampled", seed=seed)
+                est = _estimator(f, None, seed)
                 y, _ = run_dmcg(f, k, DmcgConfig(variant="symmetric", steps=args.steps, estimator=est))
                 ratio = MultilinearEvaluator(f, est).value(y) / opt if opt > 0 else float("nan")
                 rows.append(

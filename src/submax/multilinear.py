@@ -1,10 +1,19 @@
 """Multilinear extension F(x) = E[f(R(x))]: exact evaluation, seeded sampling,
 partial derivatives, and the executable lemma checks built on them.
 
-R(x) includes each element u independently with probability x_u.  Exact mode
-enumerates all 2^n subsets through a cached value table and evaluates F (and
-its gradient) by folding the table one coordinate at a time; sampled mode
-averages f over seeded draws with common random numbers for coupled queries.
+R(x) includes each element u independently with probability x_u.  F and its
+gradient come from one of three backends, picked by :func:`backend` in this
+order:
+
+* ``"sampled"`` when the estimator asks for it: f is averaged over seeded
+  draws, with common random numbers for coupled queries;
+* ``"closed_form"`` in exact mode when f carries a ``multilinear`` hook (graph
+  and hypergraph cuts, coverage, modular functions, and their sums,
+  complements and restrictions): exact F and gradient in time polynomial in
+  the instance size, with no oracle queries;
+* ``"table"`` otherwise in exact mode: all 2^n values are tabulated once
+  (2^n oracle calls, so n <= ``exact_limit``) and folded one coordinate at a
+  time.
 """
 
 from __future__ import annotations
@@ -102,7 +111,8 @@ class Point:
 
 @dataclass(frozen=True)
 class Estimator:
-    """How to evaluate F: exact enumeration (n <= exact_limit) or seeded sampling.
+    """How to evaluate F: exactly (closed form, or a value table for
+    n <= exact_limit) or by seeded sampling.
 
     ``samples`` defaults to 10*n^2 per evaluation; the paper leaves the
     sample schedule open, so this is a toolkit default, not a mandate.
@@ -129,26 +139,45 @@ def _as_array(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
+def backend(f: SetFunction, est: Estimator) -> str:
+    """The backend that evaluates F for f under est: "sampled" if est asks
+    for sampling, else "closed_form" if f has a multilinear hook, else
+    "table" (the 2^n value-table fold)."""
+    if est.mode == "sampled":
+        return "sampled"
+    return "closed_form" if f.multilinear is not None else "table"
+
+
 class MultilinearEvaluator:
     """Evaluates F, its gradient, and coupled quantities for one set function.
 
-    Exact mode caches the full value table (2^n oracle calls, paid once) and
-    then computes F(x) in O(2^n) arithmetic by folding one coordinate at a
-    time; the gradient comes from one extra backward sweep.  Sampled mode
-    derives all draws from counter-indexed substreams of the estimator seed.
+    ``backend`` names how (see :func:`backend`).  The closed form queries no
+    oracle, so a run on a family that has one counts no 2^n table in its
+    oracle calls.  The table backend caches the full value table (2^n oracle
+    calls, paid once, only when first needed) and computes F(x) in O(2^n)
+    arithmetic by folding one coordinate at a time; the gradient comes from
+    one extra backward sweep.  ``box_vertex_values`` always uses the table.
+    Sampled mode derives all draws from counter-indexed substreams of the
+    estimator seed.
     """
 
     def __init__(self, f: SetFunction, est: Estimator | None = None):
         self.f = f
         self.est = est or Estimator()
         self.n = f.n
-        if self.est.mode == "exact" and self.n > self.est.exact_limit:
-            raise ValueError(f"exact mode supports n <= {self.est.exact_limit}, got n={self.n}")
+        self.backend = backend(f, self.est)
+        if self.backend == "table":
+            self._check_table_size()
         self._table: np.ndarray | None = None
 
     # -- exact kernels ------------------------------------------------------
+    def _check_table_size(self) -> None:
+        if self.n > self.est.exact_limit:
+            raise ValueError(f"the exact value table supports n <= {self.est.exact_limit}, got n={self.n}")
+
     def table(self) -> np.ndarray:
         if self._table is None:
+            self._check_table_size()
             self._table = self.f.eval_many(np.arange(1 << self.n, dtype=np.int64))
         return self._table
 
@@ -160,6 +189,8 @@ class MultilinearEvaluator:
         return float(t[0])
 
     def _value_and_grad_exact(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        if self.backend == "closed_form":
+            return self.f.multilinear(x)
         # forward fold keeps each intermediate table, backward pass is the
         # adjoint of the fold; together they give F and the full gradient in
         # O(2^n) arithmetic.
@@ -235,30 +266,25 @@ class MultilinearEvaluator:
     # -- public -------------------------------------------------------------
     def value(self, x, stream: tuple[int, ...] = ()) -> float:
         xa = _as_array(x)
-        if self.est.mode == "exact":
-            return self._value_exact(xa)
-        return self._value_sampled(xa, stream)
+        if self.backend == "sampled":
+            return self._value_sampled(xa, stream)
+        if self.backend == "closed_form":
+            return self.f.multilinear(xa)[0]
+        return self._value_exact(xa)
 
     def value_and_partials(self, x, stream: tuple[int, ...] = ()):
         """(F(x), gradient, sigma) where sigma is None in exact mode and the
         per-coordinate standard error of the gradient estimate otherwise."""
         xa = _as_array(x)
-        if self.est.mode == "exact":
-            value, grad = self._value_and_grad_exact(xa)
-            return value, grad, None
-        return self._grad_sampled(xa, stream)
+        if self.backend == "sampled":
+            return self._grad_sampled(xa, stream)
+        value, grad = self._value_and_grad_exact(xa)
+        return value, grad, None
 
     def partial(self, x, u: int, stream: tuple[int, ...] = ()) -> float:
         xa = _as_array(x)
-        if self.est.mode == "exact":
-            t = self.table()
-            for v in range(self.n):
-                t2 = t.reshape(-1, 2)
-                if v == u:
-                    t = t2[:, 1] - t2[:, 0]
-                else:
-                    t = t2[:, 0] * (1.0 - xa[v]) + t2[:, 1] * xa[v]
-            return float(t[0])
+        if self.backend != "sampled":
+            return float(self._value_and_grad_exact(xa)[1][u])
         samples = self.est.resolved_samples(self.n)
         base = self._sample_masks(xa, self._thresholds(stream, samples))
         bit = np.int64(1 << u)
@@ -279,7 +305,8 @@ def sample_set(x, rng: np.random.Generator) -> int:
 
 
 def eval_exact(f: SetFunction, x, exact_limit: int = 16) -> float:
-    """F(x) by full enumeration; rejects ground sets beyond exact_limit."""
+    """F(x) in exact mode (closed form or value table); rejects ground sets
+    beyond exact_limit."""
     if f.n > exact_limit:
         raise ValueError(f"exact evaluation limited to n <= {exact_limit}")
     return MultilinearEvaluator(f, Estimator(mode="exact", exact_limit=exact_limit)).value(x)

@@ -3,7 +3,9 @@
 Every objective is wrapped in a :class:`SetFunction`: a value oracle over
 bitmask subsets with a declared (audited, not enforced) symmetry flag and a
 thread-safe query counter.  Batch evaluation (``eval_many``) is the fast path
-used by the exact multilinear tables and the brute-force oracles.
+used by the exact multilinear tables and the brute-force oracles.  The shipped
+families also carry a closed-form multilinear extension (``multilinear``),
+which the wrappers pass on by composition.
 """
 
 from __future__ import annotations
@@ -17,7 +19,10 @@ from itertools import combinations
 import numpy as np
 
 from .rng import substream
-from .subsets import as_mask, full_mask, indices
+from .subsets import MAX_MASK_BITS, as_mask, full_mask, indices
+
+# x -> (F(x), grad F(x)) for x in [0,1]^n
+Multilinear = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -55,7 +60,9 @@ class SetFunction:
 
     ``eval_mask`` maps a bitmask to a float; an optional vectorized
     ``eval_many_masks`` (int64 array -> float array) accelerates batch
-    queries.  The counter increases by exactly one per evaluated set.
+    queries.  The counter increases by exactly one per evaluated set.  An
+    optional ``multilinear`` hook returns the exact extension and its
+    gradient, ``(F(x), grad F(x))``, without querying the oracle.
     """
 
     def __init__(
@@ -67,6 +74,7 @@ class SetFunction:
         eval_many_masks: Callable[[np.ndarray], np.ndarray] | None = None,
         kind: str = "custom",
         source=None,
+        multilinear: Multilinear | None = None,
     ):
         self.n = int(n)
         self._eval_mask = eval_mask
@@ -74,6 +82,7 @@ class SetFunction:
         self._eval_many = eval_many_masks
         self.kind = kind
         self.source = source
+        self.multilinear = multilinear
         self._queries = _Counter()
 
     @property
@@ -91,7 +100,11 @@ class SetFunction:
         return float(self._eval_mask(mask))
 
     def eval_many(self, masks: np.ndarray) -> np.ndarray:
-        """Oracle values of a batch of bitmasks; counts one query per mask."""
+        """Oracle values of a batch of int64 bitmasks; counts one query per mask."""
+        if self.n > MAX_MASK_BITS:
+            raise ValueError(
+                f"batch queries pack sets into int64 masks: n must be <= {MAX_MASK_BITS}, got {self.n}"
+            )
         masks = np.asarray(masks, dtype=np.int64)
         self._queries.add(int(masks.size))
         if self._eval_many is not None:
@@ -100,6 +113,42 @@ class SetFunction:
 
     def __call__(self, subset: int | Iterable[int]) -> float:
         return self.eval(subset)
+
+
+def _mask_array(masks: list[int], n: int) -> np.ndarray:
+    """int64 masks; above the int64 limit, Python ints for the scalar oracle."""
+    return np.array(masks, dtype=np.int64 if n <= MAX_MASK_BITS else object)
+
+
+# ---------------------------------------------------------------------------
+# closed-form helpers: products over the rows of a padded incidence matrix
+# ---------------------------------------------------------------------------
+
+
+def _padded_incidence(rows: list[list[int]], n: int) -> np.ndarray:
+    """(len(rows), max arity) index matrix; short rows are padded with n, the
+    index of the neutral factor 1 appended to the coordinate vector."""
+    width = max([1, *(len(r) for r in rows)])
+    out = np.full((len(rows), width), n, dtype=np.int64)
+    for e, row in enumerate(rows):
+        out[e, : len(row)] = row
+    return out
+
+
+def _leave_one_out(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row products, and for each entry the product of the other entries of
+    its row, from prefix and suffix products (no division: entries may be 0)."""
+    rows, width = vals.shape
+    prefix = np.ones((rows, width + 1))
+    np.cumprod(vals, axis=1, out=prefix[:, 1:])
+    suffix = np.ones((rows, width + 1))
+    np.cumprod(vals[:, ::-1], axis=1, out=suffix[:, -2::-1])
+    return prefix[:, -1], prefix[:, :-1] * suffix[:, 1:]
+
+
+def _scatter(incidence: np.ndarray, contrib: np.ndarray, n: int) -> np.ndarray:
+    """Sum each entry's contribution into its element; padding is dropped."""
+    return np.bincount(incidence.ravel(), contrib.ravel(), n + 1)[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +194,14 @@ def graph_cut_function(instance: GraphCutInstance) -> SetFunction:
         crossing = ((masks[..., None] >> eu) ^ (masks[..., None] >> ev)) & 1
         return crossing @ ew
 
+    def multilinear(x: np.ndarray) -> tuple[float, np.ndarray]:
+        # Pr[edge uv is cut] = x_u + x_v - 2 x_u x_v
+        xu, xv = x[eu], x[ev]
+        value = float(ew @ (xu + xv - 2.0 * xu * xv))
+        grad = np.bincount(eu, ew * (1.0 - 2.0 * xv), instance.n)
+        grad += np.bincount(ev, ew * (1.0 - 2.0 * xu), instance.n)
+        return value, grad
+
     return SetFunction(
         instance.n,
         lambda m: cut_eval(instance, m),
@@ -152,6 +209,7 @@ def graph_cut_function(instance: GraphCutInstance) -> SetFunction:
         eval_many_masks=many,
         kind="graph_cut",
         source=instance,
+        multilinear=multilinear,
     )
 
 
@@ -173,9 +231,7 @@ class HypergraphCutInstance:
 
 
 def hypergraph_cut_function(instance: HypergraphCutInstance) -> SetFunction:
-    he_masks = np.array(
-        [as_mask(sorted(verts), instance.n) for verts, _ in instance.hyperedges], dtype=np.int64
-    )
+    he_masks = _mask_array([as_mask(verts, instance.n) for verts, _ in instance.hyperedges], instance.n)
     he_w = np.array([w for _, w in instance.hyperedges], dtype=float)
 
     def one(mask: int) -> float:
@@ -193,8 +249,23 @@ def hypergraph_cut_function(instance: HypergraphCutInstance) -> SetFunction:
         cut = (inter != 0) & (inter != he_masks)
         return cut @ he_w
 
+    incidence = _padded_incidence([sorted(verts) for verts, _ in instance.hyperedges], instance.n)
+
+    def multilinear(x: np.ndarray) -> tuple[float, np.ndarray]:
+        # Pr[e is cut] = 1 - prod_e x - prod_e (1 - x)
+        inside, inside_others = _leave_one_out(np.append(x, 1.0)[incidence])
+        outside, outside_others = _leave_one_out(np.append(1.0 - x, 1.0)[incidence])
+        value = float(he_w @ (1.0 - inside - outside))
+        return value, _scatter(incidence, he_w[:, None] * (outside_others - inside_others), instance.n)
+
     return SetFunction(
-        instance.n, one, symmetric=True, eval_many_masks=many, kind="hypergraph_cut", source=instance
+        instance.n,
+        one,
+        symmetric=True,
+        eval_many_masks=many,
+        kind="hypergraph_cut",
+        source=instance,
+        multilinear=multilinear,
     )
 
 
@@ -223,11 +294,12 @@ class CoverageInstance:
 
 def coverage_function(instance: CoverageInstance) -> SetFunction:
     m = len(instance.universe_weights)
-    # coverers[j] = bitmask of ground elements covering universe item j
-    coverers = np.zeros(m, dtype=np.int64)
+    # rows[j] = the ground elements covering universe item j
+    rows: list[set[int]] = [set() for _ in range(m)]
     for i, covered in enumerate(instance.membership):
         for j in covered:
-            coverers[j] |= np.int64(1 << i)
+            rows[j].add(i)
+    coverers = _mask_array([as_mask(row, instance.n) for row in rows], instance.n)
     weights = np.asarray(instance.universe_weights, dtype=float)
 
     def one(mask: int) -> float:
@@ -239,7 +311,23 @@ def coverage_function(instance: CoverageInstance) -> SetFunction:
         covered = (masks[..., None] & coverers) != 0
         return covered @ weights
 
-    return SetFunction(instance.n, one, symmetric=False, eval_many_masks=many, kind="coverage", source=instance)
+    incidence = _padded_incidence([sorted(row) for row in rows], instance.n)
+
+    def multilinear(x: np.ndarray) -> tuple[float, np.ndarray]:
+        # Pr[item j is covered] = 1 - prod_{i covers j} (1 - x_i)
+        missed, missed_others = _leave_one_out(np.append(1.0 - x, 1.0)[incidence])
+        value = float(weights @ (1.0 - missed))
+        return value, _scatter(incidence, weights[:, None] * missed_others, instance.n)
+
+    return SetFunction(
+        instance.n,
+        one,
+        symmetric=False,
+        eval_many_masks=many,
+        kind="coverage",
+        source=instance,
+        multilinear=multilinear,
+    )
 
 
 def hardness_instance(p: int, q: int) -> SetFunction:
@@ -277,6 +365,7 @@ def modular_function(n: int, coeffs) -> SetFunction:
         symmetric=False,
         eval_many_masks=many,
         kind="modular",
+        multilinear=lambda x: (float(c @ x), c.copy()),
     )
 
 
@@ -292,12 +381,17 @@ def sum_functions(fs: list[SetFunction], *, symmetric: bool = False, kind: str =
             out = out + g.eval_many(masks)
         return out
 
+    def multilinear(x: np.ndarray) -> tuple[float, np.ndarray]:
+        parts = [g.multilinear(x) for g in fs]
+        return sum(v for v, _ in parts), np.sum([grad for _, grad in parts], axis=0)
+
     return SetFunction(
         n,
         lambda m: sum(g.eval(m) for g in fs),
         symmetric=symmetric,
         eval_many_masks=many,
         kind=kind,
+        multilinear=multilinear if all(g.multilinear is not None for g in fs) else None,
     )
 
 
@@ -310,6 +404,10 @@ def complement_function(f: SetFunction) -> SetFunction:
     """Oracle for S -> f(N \\ S); preserves submodularity and the symmetry flag."""
     fm = full_mask(f.n)
 
+    def multilinear(x: np.ndarray) -> tuple[float, np.ndarray]:
+        value, grad = f.multilinear(1.0 - x)
+        return value, -grad
+
     return SetFunction(
         f.n,
         lambda m: f.eval(fm ^ m),
@@ -317,6 +415,7 @@ def complement_function(f: SetFunction) -> SetFunction:
         eval_many_masks=lambda masks: f.eval_many(np.bitwise_xor(masks, np.int64(fm))),
         kind=f"complement({f.kind})",
         source=f,
+        multilinear=multilinear if f.multilinear is not None else None,
     )
 
 
@@ -344,6 +443,12 @@ def restrict_function(f: SetFunction, kept: list[int], *, audit_symmetry_limit: 
             out |= ((masks >> np.int64(i)) & 1) << u
         return f.eval_many(out)
 
+    def multilinear(x: np.ndarray) -> tuple[float, np.ndarray]:
+        full = np.zeros(f.n)
+        full[kept_arr] = x
+        value, grad = f.multilinear(full)
+        return value, grad[kept_arr]
+
     g = SetFunction(
         n_new,
         lambda m: f.eval(embed_one(m)),
@@ -351,6 +456,7 @@ def restrict_function(f: SetFunction, kept: list[int], *, audit_symmetry_limit: 
         eval_many_masks=many,
         kind=f"restrict({f.kind})",
         source=f,
+        multilinear=multilinear if f.multilinear is not None else None,
     )
     if n_new == f.n:
         g.symmetric = f.symmetric

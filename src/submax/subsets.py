@@ -12,6 +12,9 @@ import numpy as np
 
 SubsetLike = "int | Iterable[int]"
 
+# int64 bitmask batches hold at most 62 elements: shifting 1 by 63 overflows
+MAX_MASK_BITS = 62
+
 _POP_CHUNK = 11
 _POP_LUT = np.array([bin(i).count("1") for i in range(1 << _POP_CHUNK)], dtype=np.int64)
 
@@ -49,20 +52,16 @@ def full_mask(n: int) -> int:
 
 
 def popcount_array(masks: np.ndarray) -> np.ndarray:
-    """Vectorized popcount; valid for masks below 2**44."""
+    """Vectorized popcount of non-negative int64 masks: six 11-bit table
+    lookups cover all 63 value bits."""
     m = np.asarray(masks, dtype=np.int64)
-    return (
-        _POP_LUT[m & 2047]
-        + _POP_LUT[(m >> 11) & 2047]
-        + _POP_LUT[(m >> 22) & 2047]
-        + _POP_LUT[(m >> 33) & 2047]
-    )
+    return sum(_POP_LUT[(m >> shift) & 2047] for shift in range(0, 63, _POP_CHUNK))
 
 
 def masks_from_bits(bits: np.ndarray) -> np.ndarray:
     """Pack a boolean (rows, n) matrix into int64 bitmasks, bit u = column u."""
     n = bits.shape[-1]
-    if n > 62:
-        raise ValueError("vectorized masks support at most 62 elements")
+    if n > MAX_MASK_BITS:
+        raise ValueError(f"vectorized masks support at most {MAX_MASK_BITS} elements")
     powers = np.left_shift(np.int64(1), np.arange(n, dtype=np.int64))
     return bits.astype(np.int64) @ powers

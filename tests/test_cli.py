@@ -190,3 +190,42 @@ def test_sweep_empty_grid_and_basic_run(tmp_path):
 
 def test_self_check_flag():
     assert main(["--self-check", "--trials", "4000"]) == 0
+
+
+def test_report_names_the_estimator_backend(triangle_file, tmp_path):
+    coverage = tmp_path / "coverage.json"
+    coverage.write_text(
+        json.dumps(
+            {"type": "coverage", "n": 4, "universe_weights": [1.0, 0.5, 2.0],
+             "membership": [[0], [0, 1], [2], [1, 2]]}
+        )
+    )
+    jobs = [
+        (triangle_file, ["--algorithm", "mcg", "--k", "1", "--steps", "200"], "closed_form"),
+        (str(coverage), ["--algorithm", "dmcg-general", "--k", "2", "--steps", "200"], "closed_form"),
+        (triangle_file, ["--algorithm", "dmcg-symmetric", "--k", "1", "--steps", "50", "--samples", "64"], "sampled"),
+    ]
+    out = tmp_path / "r.json"
+    for instance, flags, expected in jobs:
+        assert main(["--instance", instance, *flags, "--out", str(out)]) == 0
+        report = _read_report(out)["report"]
+        assert report["config"]["estimator"] == expected
+        if expected == "closed_form":
+            # no 2^n table: the oracle is queried only for verification and
+            # the final set (at most 2^n masks from the brute-force check)
+            assert report["oracle_calls"] <= 2 * 2 ** report["instance"]["n"]
+
+
+def test_closed_form_runs_exact_beyond_the_table_limit(tmp_path):
+    # n = 24 > 16: no value table, but the cut's closed form keeps mcg exact
+    edges = [[u, (u + 1) % 24, 1.0] for u in range(24)] + [[u, u + 12, 0.5] for u in range(12)]
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps({"type": "graph_cut", "n": 24, "edges": edges}))
+    out = tmp_path / "r.json"
+    assert main(["--instance", str(path), "--algorithm", "mcg", "--k", "6", "--steps", "100",
+                 "--out", str(out)]) == 0
+    report = _read_report(out)["report"]
+    assert report["config"]["estimator"] == "closed_form"
+    assert len(report["achieved_set"]) == 6
+    assert report["achieved_value"] >= report["fractional_value"] - 1e-9  # exact pipage never loses value
+    assert report["oracle_calls"] == 1

@@ -1,0 +1,156 @@
+"""Differential tests of the closed-form multilinear backend.
+
+The closed form of every family and wrapper must match the 2^n table fold
+within 1e-12 (value and gradient), and the seeded sampled estimator within
+4 sigma at a size the table cannot reach.
+"""
+
+import numpy as np
+import pytest
+
+from submax.fixtures import random_coverage, random_graph_cut, random_hypergraph_cut, random_offset_cut
+from submax.multilinear import Estimator, MultilinearEvaluator, backend
+from submax.rng import substream
+from submax.setfn import (
+    CoverageInstance,
+    HypergraphCutInstance,
+    SetFunction,
+    complement_function,
+    coverage_function,
+    hardness_instance,
+    hypergraph_cut_function,
+    modular_function,
+    restrict_function,
+    sum_functions,
+)
+
+TOL = 1e-12
+
+
+def _table_reference(f: SetFunction) -> SetFunction:
+    """The same oracle with no multilinear hook, so exact mode folds the table."""
+    return SetFunction(f.n, f.eval, symmetric=f.symmetric, eval_many_masks=f.eval_many)
+
+
+def _all_arities(n: int, seed: int) -> SetFunction:
+    """Hypergraph cut with hyperedges of every arity from 2 up to n."""
+    rng = substream(seed, 0xA7)
+    hyperedges = []
+    for arity in range(2, n + 1):
+        verts = frozenset(int(v) for v in rng.choice(n, size=arity, replace=False))
+        hyperedges.append((verts, float(rng.uniform(0.1, 1.0))))
+    return hypergraph_cut_function(HypergraphCutInstance(n=n, hyperedges=tuple(hyperedges)))
+
+
+def _ragged_coverage() -> SetFunction:
+    """Coverage whose universe has items no element covers (5, 6) and whose
+    membership lists repeat entries."""
+    membership = ((0, 0, 1), (1, 2, 2, 2), (), (3,), (0, 3, 3), (4, 1, 4), (2,), (0, 1, 2, 3, 4))
+    weights = (0.5, 1.0, 0.25, 2.0, 0.75, 3.0, 1.5)
+    return coverage_function(CoverageInstance(n=8, universe_weights=weights, membership=membership))
+
+
+def _families() -> dict[str, SetFunction]:
+    cut = random_graph_cut(10, seed=1)
+    hyper = _all_arities(9, seed=2)
+    coverage = random_coverage(10, seed=3)
+    modular = modular_function(7, np.linspace(-0.5, 1.5, 7))
+    return {
+        "graph_cut": cut,
+        "hypergraph_cut_all_arities": hyper,
+        "random_hypergraph_cut": random_hypergraph_cut(11, seed=5),
+        "coverage": coverage,
+        "ragged_coverage": _ragged_coverage(),
+        "hardness": hardness_instance(2, 5),
+        "modular": modular,
+        "sum": random_offset_cut(9, seed=4),
+        "sum_of_three": sum_functions(
+            [random_coverage(8, seed=6), random_graph_cut(8, seed=7), modular_function(8, np.ones(8))]
+        ),
+        "complement_cut": complement_function(cut),
+        "complement_coverage": complement_function(coverage),
+        "complement_hyper": complement_function(hyper),
+        "restrict_cut": restrict_function(cut, [0, 2, 3, 7, 9]),
+        "restrict_hyper": restrict_function(hyper, [1, 2, 4, 5, 8]),
+        "restrict_coverage": restrict_function(coverage, [9, 1, 4, 6]),
+        "complement_of_restrict": complement_function(restrict_function(coverage, [0, 3, 5, 6, 8])),
+    }
+
+
+def _points(n: int, seed: int) -> list[np.ndarray]:
+    """Interior points, cube vertices, and points with some coordinates at 0 or 1."""
+    rng = substream(seed, n)
+    points = [rng.random(n) for _ in range(4)]
+    points += [np.zeros(n), np.ones(n)]
+    points += [((m >> np.arange(n)) & 1).astype(float) for m in rng.integers(0, 1 << n, size=6)]
+    for _ in range(4):
+        x = rng.random(n)
+        pinned = rng.random(n) < 0.4
+        x[pinned] = rng.integers(0, 2, size=int(pinned.sum()))
+        points.append(x)
+    return points
+
+
+@pytest.mark.parametrize("name", sorted(_families()))
+def test_closed_form_matches_table_fold(name):
+    f = _families()[name]
+    assert f.n <= 12 and f.multilinear is not None
+    closed = MultilinearEvaluator(f)
+    table = MultilinearEvaluator(_table_reference(f))
+    assert (closed.backend, table.backend) == ("closed_form", "table")
+    for x in _points(f.n, seed=len(name)):
+        value, grad, sigma = closed.value_and_partials(x)
+        ref_value, ref_grad, _ = table.value_and_partials(x)
+        assert sigma is None
+        assert abs(value - ref_value) <= TOL
+        assert np.max(np.abs(grad - ref_grad)) <= TOL
+        assert abs(closed.value(x) - ref_value) <= TOL
+        u = int(np.argmax(np.abs(ref_grad)))
+        assert abs(closed.partial(x, u) - ref_grad[u]) <= TOL
+
+
+def test_closed_form_queries_no_oracle():
+    f = random_coverage(12, seed=8)
+    ev = MultilinearEvaluator(f)
+    ev.value_and_partials(np.full(12, 0.3))
+    ev.value(np.full(12, 0.7))
+    ev.partial(np.full(12, 0.5), 3)
+    assert f.query_count == 0
+
+
+def test_backend_choice():
+    cut = random_graph_cut(6, seed=0)
+    no_hook = _table_reference(cut)
+    assert backend(cut, Estimator()) == "closed_form"
+    assert backend(no_hook, Estimator()) == "table"
+    assert backend(cut, Estimator(mode="sampled")) == "sampled"
+    # a sum keeps the closed form only when every summand has one
+    assert sum_functions([cut, no_hook]).multilinear is None
+
+
+def test_table_limit_binds_only_the_table():
+    f = random_graph_cut(20, seed=9)
+    ev = MultilinearEvaluator(f)  # closed form: no table, so n > 16 is fine
+    value, grad, _ = ev.value_and_partials(np.full(20, 0.5))
+    assert value == pytest.approx(0.5 * sum(w for _, _, w in f.source.edges), abs=1e-12)
+    assert np.allclose(grad, 0.0)
+    with pytest.raises(ValueError):
+        ev.box_vertex_values(np.full(20, 0.5))
+    with pytest.raises(ValueError):
+        MultilinearEvaluator(_table_reference(f))
+
+
+@pytest.mark.parametrize(
+    "f",
+    [random_graph_cut(30, seed=21), random_hypergraph_cut(30, seed=22), random_coverage(30, seed=23)],
+    ids=["graph_cut", "hypergraph_cut", "coverage"],
+)
+def test_closed_form_within_4_sigma_of_sampled(f):
+    # moderate coordinates keep every marginal's events frequent, so each
+    # sample sigma is a real estimate (a never-seen event would give sigma 0);
+    # sigma is exactly 0 only for an element no edge or item touches
+    x = substream(24, f.n).uniform(0.05, 0.35, size=f.n)
+    _, grad, _ = MultilinearEvaluator(f).value_and_partials(x)
+    sampled = MultilinearEvaluator(f, Estimator(mode="sampled", samples=2000, seed=25))
+    _, est, sigma = sampled.value_and_partials(x)
+    assert np.all(np.abs(est - grad) <= 4.0 * sigma + TOL)

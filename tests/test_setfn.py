@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from submax.fixtures import random_graph_cut, random_hypergraph_cut, single_edge_cut, triangle_cut
+from submax.rng import substream
 from submax.setfn import (
     CoverageInstance,
     GraphCutInstance,
     GroundSet,
+    HypergraphCutInstance,
     SetFunction,
     audit_nonnegativity,
     audit_submodularity,
@@ -15,11 +17,14 @@ from submax.setfn import (
     complement_function,
     coverage_function,
     cut_eval,
+    graph_cut_function,
     hardness_instance,
+    hypergraph_cut_function,
     restrict_function,
     set_function_from_json,
 )
-from submax.subsets import as_mask, full_mask, indices
+from submax.subsets import as_mask, full_mask, indices, popcount_array
+from submax.welfare import tight_instance
 
 
 def square_cardinality(n):
@@ -250,3 +255,42 @@ def test_ground_set_validation():
         GroundSet(3, labels=("a",))
     gs = GroundSet(2, labels=("u", "v"))
     assert gs.n == 2
+
+
+def test_popcount_counts_all_63_bits():
+    rng = substream(4, 0x9C)
+    masks = np.concatenate(
+        [
+            rng.integers(0, 1 << 62, size=2000, dtype=np.int64),
+            np.array([0, 1, (1 << 44) - 1, 1 << 44, (1 << 50) - 1, (1 << 61) | 1, (1 << 62) - 1], dtype=np.int64),
+        ]
+    )
+    expected = np.array([bin(int(m)).count("1") for m in masks])
+    assert np.array_equal(popcount_array(masks), expected)
+
+
+def test_batch_matches_scalar_above_bit_44():
+    # masks with bits 44-49 used to be miscounted by the batch oracle
+    f = tight_instance(50).utility
+    full = (1 << 50) - 1
+    assert f.eval_many(np.array([full]))[0] == f.eval(full) == 0.0
+    rng = substream(5, 0x44)
+    masks = rng.integers(0, 1 << 50, size=500, dtype=np.int64) | (np.int64(1) << rng.integers(44, 50, size=500))
+    assert np.array_equal(f.eval_many(masks), [f.eval(int(m)) for m in masks])
+
+
+def test_batches_reject_ground_sets_beyond_int64_masks():
+    n = 70
+    cut = graph_cut_function(GraphCutInstance(n=n, edges=((0, 69, 1.0), (3, 64, 2.0), (5, 6, 0.5))))
+    hyper = hypergraph_cut_function(HypergraphCutInstance(n=n, hyperedges=((frozenset({1, 63, 68}), 1.5),)))
+    membership = ((0,),) + ((1,),) * (n - 1)
+    cover = coverage_function(CoverageInstance(n=n, universe_weights=(1.0, 2.0), membership=membership))
+    for f in (cut, hyper, cover):
+        with pytest.raises(ValueError, match="62"):
+            f.eval_many(np.array([0, 1]))
+    # the scalar oracle and the closed form still work
+    assert cut.eval({0, 64}) == 3.0
+    assert hyper.eval({63}) == 1.5 and hyper.eval({1, 63, 68}) == 0.0
+    assert cover.eval({69}) == 2.0 and cover.eval({0, 69}) == 3.0
+    value, grad = cut.multilinear(np.full(n, 0.5))
+    assert value == pytest.approx(1.75, abs=1e-12) and grad.shape == (n,)
