@@ -1,53 +1,70 @@
 """Brute-force exact solvers: the ground truth behind every approximation-ratio
-test.  All of them enumerate bitmasks vectorized in one batch (n <= 22) and
-break value ties toward the lexicographically smallest mask.
+test.  All of them walk the bitmasks of [0, 2^n) (n <= 22) in ascending blocks
+of ``MASK_BLOCK``, drop the infeasible masks of each block, evaluate the rest
+in one batch, and break value ties toward the smallest mask.  Memory stays at
+one block whatever n is.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 
 from .polytope import CardinalityPolytope, KnapsackPolytope, PartitionPolytope, Polytope
 from .setfn import SetFunction
-from .subsets import popcount_array
+from .subsets import MASK_BLOCK, popcount_array
 
 MAX_BRUTE_N = 22
 
 
-def _check_size(n: int) -> None:
-    if n > MAX_BRUTE_N:
-        raise ValueError(f"brute force limited to n <= {MAX_BRUTE_N}, got {n}")
-    if n < 0:
-        raise ValueError("n must be non-negative")
+def _ground_size(f: SetFunction, n: int | None) -> int:
+    """f.n, after checking that a given n names the same ground set and that
+    the search space is small enough."""
+    if n is not None and int(n) != f.n:
+        raise ValueError(f"n = {n} does not match the ground set of f (n = {f.n})")
+    if f.n > MAX_BRUTE_N:
+        raise ValueError(f"brute force limited to n <= {MAX_BRUTE_N}, got {f.n}")
+    return f.n
 
 
-def _argmax_lowest(masks: np.ndarray, values: np.ndarray) -> tuple[int, float]:
-    # np.argmax returns the first maximizer; masks are ascending, so the tie
-    # goes to the smallest bitmask.
-    i = int(np.argmax(values))
-    return int(masks[i]), float(values[i])
+def _argmax_blocks(
+    f: SetFunction, n: int, feasible: Callable[[np.ndarray], np.ndarray] | None = None
+) -> tuple[int, float]:
+    """(mask, value) maximizing f over the masks of [0, 2^n) that ``feasible``
+    admits.  Blocks ascend and a later block wins only on a strictly larger
+    value, so a tie goes to the smallest mask."""
+    best: tuple[int, float] | None = None
+    for start in range(0, 1 << n, MASK_BLOCK):
+        masks = np.arange(start, min(start + MASK_BLOCK, 1 << n), dtype=np.int64)
+        if feasible is not None:
+            masks = masks[feasible(masks)]
+        if masks.size == 0:
+            continue
+        values = f.eval_many(masks)
+        i = int(np.argmax(values))
+        if best is None or values[i] > best[1]:
+            best = int(masks[i]), float(values[i])
+    if best is None:
+        raise ValueError("no feasible subset")
+    return best
 
 
 def brute_unconstrained(f: SetFunction, n: int | None = None) -> tuple[int, float]:
     """argmax of f over all 2^n subsets."""
-    n = f.n if n is None else int(n)
-    _check_size(n)
-    masks = np.arange(1 << n, dtype=np.int64)
-    return _argmax_lowest(masks, f.eval_many(masks))
+    return _argmax_blocks(f, _ground_size(f, n))
 
 
 def brute_cardinality(f: SetFunction, n: int | None, k: int, mode: str = "eq") -> tuple[int, float]:
     """argmax of f over subsets with |S| = k ("eq") or |S| <= k ("le")."""
     if mode not in ("eq", "le"):
         raise ValueError("mode must be 'eq' or 'le'")
-    n = f.n if n is None else int(n)
-    _check_size(n)
+    n = _ground_size(f, n)
     if not 0 <= k <= n:
         raise ValueError("requires 0 <= k <= n")
-    masks = np.arange(1 << n, dtype=np.int64)
-    sizes = popcount_array(masks)
-    keep = masks[sizes == k] if mode == "eq" else masks[sizes <= k]
-    return _argmax_lowest(keep, f.eval_many(keep))
+    if mode == "eq":
+        return _argmax_blocks(f, n, lambda masks: popcount_array(masks) == k)
+    return _argmax_blocks(f, n, lambda masks: popcount_array(masks) <= k)
 
 
 def _integral_members(P: Polytope, masks: np.ndarray, n: int) -> np.ndarray:
@@ -74,8 +91,7 @@ def _integral_members(P: Polytope, masks: np.ndarray, n: int) -> np.ndarray:
 
 def brute_polytope_integral(f: SetFunction, P: Polytope, n: int | None = None) -> tuple[int, float]:
     """argmax of f over the integral points of P, i.e. {S : 1_S in P}."""
-    n = f.n if n is None else int(n)
-    _check_size(n)
-    masks = np.arange(1 << n, dtype=np.int64)
-    keep = masks[_integral_members(P, masks, n)]
-    return _argmax_lowest(keep, f.eval_many(keep))
+    n = _ground_size(f, n)
+    if P.n != n:
+        raise ValueError(f"polytope dimension {P.n} does not match the ground set of f (n = {n})")
+    return _argmax_blocks(f, n, lambda masks: _integral_members(P, masks, n))

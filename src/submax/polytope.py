@@ -255,8 +255,12 @@ def polytope_from_json(obj: dict, n: int) -> Polytope:
     if kind == "cardinality":
         return CardinalityPolytope(n, int(obj["k"]))
     if kind == "partition":
-        return PartitionPolytope([list(map(int, p)) for p in obj["parts"]], [int(b) for b in obj["bounds"]])
-    return KnapsackPolytope([float(v) for v in obj["a"]], float(obj["b"]))
+        P = PartitionPolytope([list(map(int, p)) for p in obj["parts"]], [int(b) for b in obj["bounds"]])
+    else:
+        P = KnapsackPolytope([float(v) for v in obj["a"]], float(obj["b"]))
+    if P.n != n:
+        raise ValueError(f"{kind} constraint covers {P.n} elements, the instance has {n}")
+    return P
 
 
 def load_polytope(path: str, n: int) -> Polytope:

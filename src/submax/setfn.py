@@ -19,7 +19,7 @@ from itertools import combinations
 import numpy as np
 
 from .rng import substream
-from .subsets import MAX_MASK_BITS, as_mask, full_mask, indices
+from .subsets import MASK_BLOCK, MAX_MASK_BITS, as_mask, full_mask, indices
 
 # x -> (F(x), grad F(x)) for x in [0,1]^n
 Multilinear = Callable[[np.ndarray], tuple[float, np.ndarray]]
@@ -60,7 +60,8 @@ class SetFunction:
 
     ``eval_mask`` maps a bitmask to a float; an optional vectorized
     ``eval_many_masks`` (int64 array -> float array) accelerates batch
-    queries.  The counter increases by exactly one per evaluated set.  An
+    queries; ``eval_many`` hands it at most ``MASK_BLOCK`` masks per call.
+    The counter increases by exactly one per evaluated set.  An
     optional ``multilinear`` hook returns the exact extension and its
     gradient, ``(F(x), grad F(x))``, without querying the oracle.
     """
@@ -100,13 +101,28 @@ class SetFunction:
         return float(self._eval_mask(mask))
 
     def eval_many(self, masks: np.ndarray) -> np.ndarray:
-        """Oracle values of a batch of int64 bitmasks; counts one query per mask."""
+        """Oracle values of a batch of int64 bitmasks (any shape); counts one
+        query per mask.
+
+        A batch of more than ``MASK_BLOCK`` masks is evaluated in consecutive
+        blocks of that many, so its temporaries stay cache-sized however
+        large the batch; each mask's value does not depend on the others.
+        """
         if self.n > MAX_MASK_BITS:
             raise ValueError(
                 f"batch queries pack sets into int64 masks: n must be <= {MAX_MASK_BITS}, got {self.n}"
             )
         masks = np.asarray(masks, dtype=np.int64)
         self._queries.add(int(masks.size))
+        if masks.size <= MASK_BLOCK:
+            return self._eval_block(masks)
+        flat = masks.ravel()
+        out = np.empty(flat.size)
+        for start in range(0, flat.size, MASK_BLOCK):
+            out[start : start + MASK_BLOCK] = self._eval_block(flat[start : start + MASK_BLOCK])
+        return out.reshape(masks.shape)
+
+    def _eval_block(self, masks: np.ndarray) -> np.ndarray:
         if self._eval_many is not None:
             return np.asarray(self._eval_many(masks), dtype=float)
         return np.array([self._eval_mask(int(m)) for m in masks.ravel()], dtype=float).reshape(masks.shape)

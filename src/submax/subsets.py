@@ -15,6 +15,11 @@ SubsetLike = "int | Iterable[int]"
 # int64 bitmask batches hold at most 62 elements: shifting 1 by 63 overflows
 MAX_MASK_BITS = 62
 
+# masks per oracle call on large batches: the family kernels build
+# (block, edges / hyperedges / items) temporaries, which stay cache-sized
+# at this length (1 << 15 was measurably slower)
+MASK_BLOCK = 1 << 12
+
 _POP_CHUNK = 11
 _POP_LUT = np.array([bin(i).count("1") for i in range(1 << _POP_CHUNK)], dtype=np.int64)
 

@@ -14,7 +14,7 @@ import numpy as np
 from .reports import CheckReport, mean_and_sigma
 from .rng import substream
 from .setfn import GroundSet, SetFunction, set_function_from_json
-from .subsets import full_mask, popcount_array
+from .subsets import MASK_BLOCK, full_mask, popcount_array
 
 MAX_WELFARE_SEARCH = 10_000_000
 
@@ -115,9 +115,8 @@ def brute_force_welfare(inst: WelfareInstance) -> tuple[Allocation, float]:
     best_total = -math.inf
     best_code = 0
     shifts = np.left_shift(np.int64(1), np.arange(n, dtype=np.int64))
-    chunk = 1 << 16
-    for start in range(0, k**n, chunk):
-        codes = np.arange(start, min(start + chunk, k**n), dtype=np.int64)
+    for start in range(0, k**n, MASK_BLOCK):
+        codes = np.arange(start, min(start + MASK_BLOCK, k**n), dtype=np.int64)
         digits = (codes[:, None] // k ** np.arange(n, dtype=np.int64)) % k
         totals = np.zeros(codes.size)
         for player in range(k):

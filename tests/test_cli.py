@@ -109,6 +109,12 @@ def test_exit_code_parse_error(tmp_path):
     strange = tmp_path / "strange.json"
     strange.write_text(json.dumps({"type": "graph_cut", "n": 2, "edges": [], "x": 1}))
     assert main(["--instance", str(strange), "--algorithm", "two-sided"]) == 1
+    # a constraint over 2 of the instance's 3 elements
+    short = tmp_path / "short.json"
+    tri = {"type": "graph_cut", "n": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0], [0, 2, 1.0]]}
+    polytope = {"type": "partition", "parts": [[0, 1]], "bounds": [1]}
+    short.write_text(json.dumps({"type": "problem", "function": tri, "polytope": polytope}))
+    assert main(["--instance", str(short), "--algorithm", "brute-polytope"]) == 1
 
 
 def test_exit_code_inconsistent_flags(triangle_file):

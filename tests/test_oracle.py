@@ -1,11 +1,17 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from submax.fixtures import random_graph_cut, triangle_cut
 from submax.oracle import brute_cardinality, brute_polytope_integral, brute_unconstrained
-from submax.polytope import CardinalityPolytope, KnapsackPolytope
-from submax.setfn import SetFunction, hardness_instance
+from submax.polytope import CardinalityPolytope, KnapsackPolytope, PartitionPolytope, Polytope
+from submax.rng import substream
+from submax.setfn import GraphCutInstance, GroundSet, SetFunction, graph_cut_function, hardness_instance
+from submax.subsets import MASK_BLOCK, indices
+from submax.welfare import WelfareInstance, brute_force_welfare
 
 
 def zero_function(n):
@@ -75,3 +81,134 @@ def test_brute_cardinality_respects_mode():
     tri = triangle_cut()
     assert brute_cardinality(tri, None, 3, "eq")[1] == 0.0
     assert brute_cardinality(tri, None, 3, "le")[1] == 2.0
+
+
+def test_oracles_reject_a_ground_set_other_than_f():
+    tri = triangle_cut()
+    # n = 5 on a 3-element cut would search masks outside its ground set
+    with pytest.raises(ValueError, match="ground set"):
+        brute_cardinality(tri, 5, 5, "eq")
+    with pytest.raises(ValueError, match="ground set"):
+        brute_unconstrained(tri, 4)
+    with pytest.raises(ValueError, match="ground set"):
+        brute_unconstrained(tri, 2)
+    with pytest.raises(ValueError, match="ground set"):
+        brute_polytope_integral(tri, CardinalityPolytope(5, 2))
+    with pytest.raises(ValueError, match="ground set"):
+        brute_polytope_integral(tri, KnapsackPolytope([1.0, 1.0], 1.0))
+    with pytest.raises(ValueError, match="ground set"):
+        brute_polytope_integral(tri, CardinalityPolytope(3, 2), 4)
+    # an explicit n equal to f.n keeps working
+    assert brute_unconstrained(tri, 3) == brute_unconstrained(tri)
+    assert brute_cardinality(tri, 3, 1, "eq") == brute_cardinality(tri, None, 1, "eq")
+    assert brute_polytope_integral(tri, CardinalityPolytope(3, 1), 3) == (1, 2.0)
+
+
+# ---------------------------------------------------------------------------
+# streamed enumeration: block boundaries against a single-pass reference
+# ---------------------------------------------------------------------------
+
+
+class BudgetPolytope(Polytope):
+    """A kind the brute force knows only through its membership oracle."""
+
+    kind = "budget"
+
+    def __init__(self, costs, budget):
+        self.costs = np.asarray(costs, dtype=float)
+        self.budget = float(budget)
+        self.n = self.costs.size
+
+    def membership(self, x, tol: float = 1e-9) -> bool:
+        return bool(np.asarray(x, dtype=float) @ self.costs <= self.budget + tol)
+
+
+def integer_cut(n, seed):
+    """Cut with small integer weights: sums are exact in any order, and
+    S and N \\ S tie, usually in different mask blocks."""
+    rng = substream(seed, 0xB10C)
+    edges = [(u, v, float(rng.integers(1, 4))) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+    return graph_cut_function(GraphCutInstance(n=n, edges=tuple(edges)))
+
+
+def reference_argmax(table, feasible):
+    """Scan every mask once in ascending order: the first maximizer wins."""
+    masks = np.array([m for m in range(table.size) if feasible(m)], dtype=np.int64)
+    i = int(np.argmax(table[masks]))
+    return int(masks[i]), float(table[masks[i]])
+
+
+def size(m):
+    return bin(m).count("1")
+
+
+@pytest.mark.parametrize("n", [13, 14])
+def test_streamed_brute_force_matches_a_single_pass(n):
+    assert (1 << n) >= 2 * MASK_BLOCK
+    f = integer_cut(n, seed=n)
+    table = np.array([f.eval(m) for m in range(1 << n)])
+    assert brute_unconstrained(f) == reference_argmax(table, lambda m: True)
+    for k in (0, 1, n // 2, n - 1, n):
+        assert brute_cardinality(f, n, k, "eq") == reference_argmax(table, lambda m: size(m) == k)
+        assert brute_cardinality(f, n, k, "le") == reference_argmax(table, lambda m: size(m) <= k)
+    # k = 0 and k = n leave one feasible mask: every other block filters to nothing
+    assert brute_cardinality(f, n, 0, "eq") == (0, 0.0)
+    assert brute_cardinality(f, n, n, "eq") == ((1 << n) - 1, 0.0)
+
+    a = np.arange(1, n + 1, dtype=float)
+    polytopes = [
+        (CardinalityPolytope(n, 3), lambda m: size(m) <= 3),
+        (PartitionPolytope([list(range(0, n, 2)), list(range(1, n, 2))], [2, 1]),
+         lambda m: size(m & 0x5555) <= 2 and size(m & 0x2AAA) <= 1),
+        (KnapsackPolytope(a, 12.0), lambda m: sum(a[u] for u in indices(m)) <= 12.0),
+        (BudgetPolytope(a[::-1], 15.0), lambda m: sum(a[::-1][u] for u in indices(m)) <= 15.0),
+    ]
+    for P, feasible in polytopes:
+        assert brute_polytope_integral(f, P) == reference_argmax(table, feasible)
+
+
+def test_streamed_brute_force_ties_go_to_the_smallest_mask():
+    n = 14
+    top = {4103: 1.0, 8195: 1.0, 12289: 1.0}  # equal maxima in blocks 1, 2 and 3
+
+    def many(masks):
+        return np.array([top.get(int(m), 0.5) for m in masks.ravel()]).reshape(masks.shape)
+
+    f = SetFunction(n, lambda m: top.get(m, 0.5), eval_many_masks=many)
+    assert brute_unconstrained(f) == (4103, 1.0)
+    # 4103 has 4 elements, 8195 and 12289 have 3
+    assert brute_cardinality(f, n, 3, "eq") == (8195, 1.0)
+    assert brute_cardinality(f, n, 3, "le") == (8195, 1.0)
+    assert brute_cardinality(f, n, 4, "le") == (4103, 1.0)
+    assert brute_polytope_integral(f, KnapsackPolytope(np.ones(n), 3.0)) == (8195, 1.0)
+
+
+def test_streamed_welfare_search_matches_a_single_pass():
+    f = integer_cut(9, seed=3)
+    inst = WelfareInstance(GroundSet(9), 3, f)
+    best, best_code = -np.inf, None
+    for code in range(3**9):
+        digits = [(code // 3**u) % 3 for u in range(9)]
+        total = sum(f.eval([u for u in range(9) if digits[u] == p]) for p in range(3))
+        if total > best:
+            best, best_code = total, code
+    alloc, opt = brute_force_welfare(inst)
+    assert 3**9 > 4 * MASK_BLOCK
+    assert opt == best
+    assert alloc.parts == tuple(
+        sum(1 << u for u in range(9) if (best_code // 3**u) % 3 == p) for p in range(3)
+    )
+
+
+def test_brute_unconstrained_memory_stays_at_one_block():
+    # 20 vertices, 40 edges: evaluated in one 2^20-mask batch, the kernel's
+    # (2^20, 40) int64 temporaries alone would take hundreds of MB
+    edges = tuple((u, (u + d) % 20, 1.0 + (u % 3)) for d in (1, 7) for u in range(20))
+    f = graph_cut_function(GraphCutInstance(n=20, edges=edges))
+    tracemalloc.start()
+    try:
+        brute_unconstrained(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

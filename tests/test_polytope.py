@@ -205,6 +205,11 @@ def test_polytope_json():
         polytope_from_json({"type": "cardinality", "k": 2, "junk": 0}, n=5)
     with pytest.raises(ValueError):
         polytope_from_json({"type": "simplex"}, n=3)
+    # a constraint over fewer or more elements than the instance is rejected
+    with pytest.raises(ValueError, match="instance has 3"):
+        polytope_from_json({"type": "partition", "parts": [[0, 1]], "bounds": [1]}, n=3)
+    with pytest.raises(ValueError, match="instance has 3"):
+        polytope_from_json({"type": "knapsack", "a": [1, 2, 1, 1], "b": 2}, n=3)
 
 
 def test_partition_validation():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from submax.fixtures import random_graph_cut, random_hypergraph_cut, single_edge_cut, triangle_cut
@@ -20,10 +20,12 @@ from submax.setfn import (
     graph_cut_function,
     hardness_instance,
     hypergraph_cut_function,
+    modular_function,
     restrict_function,
     set_function_from_json,
+    sum_functions,
 )
-from submax.subsets import as_mask, full_mask, indices, popcount_array
+from submax.subsets import MASK_BLOCK, as_mask, full_mask, indices, popcount_array
 from submax.welfare import tight_instance
 
 
@@ -294,3 +296,89 @@ def test_batches_reject_ground_sets_beyond_int64_masks():
     assert cover.eval({69}) == 2.0 and cover.eval({0, 69}) == 3.0
     value, grad = cut.multilinear(np.full(n, 0.5))
     assert value == pytest.approx(1.75, abs=1e-12) and grad.shape == (n,)
+
+
+# ---------------------------------------------------------------------------
+# batch oracle == scalar oracle, across MASK_BLOCK boundaries
+# ---------------------------------------------------------------------------
+
+
+def dyadic(rng, size):
+    """Weights in eighths: sums are exact in any order, so the batch and
+    scalar oracles must agree bit for bit."""
+    return rng.integers(1, 33, size=size) / 8.0
+
+
+def family_function(family, n, rng):
+    if family == "graph_cut":
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        picks = rng.choice(len(pairs), size=min(len(pairs), 16), replace=False)
+        edges = tuple((*pairs[i], float(w)) for i, w in zip(picks, dyadic(rng, picks.size)))
+        return graph_cut_function(GraphCutInstance(n=n, edges=edges))
+    if family == "hypergraph_cut":
+        weights = dyadic(rng, int(rng.integers(1, 12)))
+        arities = rng.integers(2, min(n, 6) + 1, size=weights.size)
+        verts = [frozenset(int(v) for v in rng.choice(n, size=a, replace=False)) for a in arities]
+        hes = tuple((vs, float(w)) for vs, w in zip(verts, weights))
+        return hypergraph_cut_function(HypergraphCutInstance(n=n, hyperedges=hes))
+    if family == "coverage":
+        items = int(rng.integers(1, 12))
+        sizes = rng.integers(0, min(items, 2) + 1, size=n)
+        membership = tuple(tuple(int(j) for j in rng.choice(items, size=int(s), replace=False)) for s in sizes)
+        weights = tuple(float(w) for w in dyadic(rng, items))
+        return coverage_function(CoverageInstance(n=n, universe_weights=weights, membership=membership))
+    if family == "modular":
+        return modular_function(n, dyadic(rng, n))
+    if family == "tight":
+        return tight_instance(n).utility
+    if family == "sum":
+        return sum_functions([family_function("graph_cut", n, rng), family_function("modular", n, rng)])
+    if family == "complement":
+        return complement_function(family_function("coverage", n, rng))
+    if family == "restrict":
+        base = family_function("hypergraph_cut", n, rng)
+        kept = sorted(int(u) for u in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        return restrict_function(base, kept, audit_symmetry_limit=0)
+    raise AssertionError(family)
+
+
+FAMILIES = ("graph_cut", "hypergraph_cut", "coverage", "modular", "tight", "sum", "complement", "restrict")
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=4, deadline=None)
+@given(
+    n=st.one_of(st.integers(min_value=2, max_value=16), st.integers(min_value=56, max_value=62)),
+    seed=st.integers(min_value=0, max_value=2**16),
+    rows=st.sampled_from([1, 2, 5]),
+)
+@example(n=62, seed=1, rows=1)
+@example(n=61, seed=2, rows=5)
+def test_batch_matches_scalar_for_every_family(family, n, seed, rows):
+    rng = substream(seed, 0xBA7C)
+    f = family_function(family, n, rng)
+    cols = -(-(3 * MASK_BLOCK + int(rng.integers(1, MASK_BLOCK))) // rows)
+    masks = rng.integers(0, 1 << f.n, size=(rows, cols) if rows > 1 else cols, dtype=np.int64)
+    masks.flat[:2] = (0, (1 << f.n) - 1)
+    before = f.query_count
+    batch = f.eval_many(masks)
+    assert f.query_count - before == masks.size
+    assert batch.shape == masks.shape
+    scalar = np.array([f.eval(int(m)) for m in masks.ravel()]).reshape(masks.shape)
+    assert np.array_equal(batch, scalar)
+
+
+def test_eval_many_feeds_the_kernel_one_block_at_a_time():
+    seen = []
+
+    def many(masks):
+        seen.append(masks.size)
+        return masks.astype(float)
+
+    f = SetFunction(20, float, eval_many_masks=many)
+    masks = np.arange(3 * MASK_BLOCK + 5, dtype=np.int64).reshape(-1, 1)
+    assert np.array_equal(f.eval_many(masks), masks)
+    assert seen == [MASK_BLOCK] * 3 + [5]
+    seen.clear()
+    f.eval_many(np.arange(MASK_BLOCK, dtype=np.int64))
+    assert seen == [MASK_BLOCK]
