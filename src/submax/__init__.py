@@ -14,9 +14,6 @@ from .multilinear import (
     Estimator,
     MultilinearEvaluator,
     Point,
-    eval_exact,
-    evaluate,
-    partial_derivative,
     sample_set,
 )
 from .oracle import brute_cardinality, brute_polytope_integral, brute_unconstrained

@@ -30,7 +30,7 @@ from .multilinear import Estimator, MultilinearEvaluator, Point, backend
 from .oracle import MAX_BRUTE_N, brute_cardinality, brute_polytope_integral, brute_unconstrained
 from .pipage import pipage_round
 from .polytope import CardinalityPolytope, horizon, polytope_from_json, preprocess_reduction1
-from .setfn import SetFunction, restrict_function, set_function_from_json
+from .setfn import SetFunction, _check_fields, restrict_function, set_function_from_json
 from .subsets import indices
 from .twosided import run_two_sided
 from .welfare import (
@@ -80,8 +80,7 @@ def _load_instance(path: str):
         if kind == "welfare":
             return None, None, welfare_from_json(obj)
         if kind == "problem":
-            if set(obj.keys()) != {"type", "function", "polytope"}:
-                raise ValueError(f"bad problem object: fields {sorted(obj.keys())}")
+            _check_fields(obj, {"type", "function", "polytope"}, "problem")
             f = set_function_from_json(obj["function"])
             return f, obj["polytope"], None
         return set_function_from_json(obj), None, None

@@ -1,9 +1,10 @@
 """Multilinear extension F(x) = E[f(R(x))]: exact evaluation, seeded sampling,
 partial derivatives, and the executable lemma checks built on them.
 
-R(x) includes each element u independently with probability x_u.  F and its
-gradient come from one of three backends, picked by :func:`backend` in this
-order:
+R(x) includes each element u independently with probability x_u.
+:class:`MultilinearEvaluator` is the one entry point: ``value`` for F and
+``value_and_partials`` for F with its gradient.  Both come from one of three
+backends, picked by :func:`backend` in this order:
 
 * ``"sampled"`` when the estimator asks for it: f is averaged over seeded
   draws, with common random numbers for coupled queries;
@@ -32,8 +33,8 @@ _CLAMP_TOL = 1e-12
 
 
 class Point:
-    """A fractional point in [0,1]^n with the coordinate algebra used here:
-    vee (coordinate max), wedge (coordinate min), +, scalar *, and mass |x|."""
+    """A fractional point in [0,1]^n (coordinates clamped within 1e-12) with
+    its mass |x|."""
 
     __slots__ = ("coords",)
 
@@ -64,46 +65,13 @@ class Point:
                 arr[u] = 1.0
         return cls(arr)
 
-    # -- algebra ------------------------------------------------------------
     @property
     def n(self) -> int:
         return self.coords.size
 
-    def vee(self, other: "Point") -> "Point":
-        return Point(np.maximum(self.coords, other.coords))
-
-    def wedge(self, other: "Point") -> "Point":
-        return Point(np.minimum(self.coords, other.coords))
-
-    def __add__(self, other: "Point") -> "Point":
-        return Point(self.coords + other.coords)
-
-    def __mul__(self, scalar: float) -> "Point":
-        return Point(self.coords * float(scalar))
-
-    __rmul__ = __mul__
-
     def mass(self) -> float:
         """|x| = sum of coordinates."""
         return float(self.coords.sum())
-
-    def __getitem__(self, u: int) -> float:
-        return float(self.coords[u])
-
-    def with_coord(self, u: int, value: float) -> "Point":
-        arr = self.coords.copy()
-        arr[u] = value
-        return Point(arr)
-
-    def is_integral(self, tol: float = 1e-12) -> bool:
-        return bool(np.all(np.minimum(self.coords, 1.0 - self.coords) <= tol))
-
-    def support_mask(self, tol: float = 1e-12) -> int:
-        mask = 0
-        for u in range(self.n):
-            if self.coords[u] > 1.0 - tol:
-                mask |= 1 << u
-        return mask
 
     def __repr__(self) -> str:
         return f"Point({np.array2string(self.coords, precision=6, separator=', ')})"
@@ -281,17 +249,6 @@ class MultilinearEvaluator:
         value, grad = self._value_and_grad_exact(xa)
         return value, grad, None
 
-    def partial(self, x, u: int, stream: tuple[int, ...] = ()) -> float:
-        xa = _as_array(x)
-        if self.backend != "sampled":
-            return float(self._value_and_grad_exact(xa)[1][u])
-        samples = self.est.resolved_samples(self.n)
-        base = self._sample_masks(xa, self._thresholds(stream, samples))
-        bit = np.int64(1 << u)
-        up = self.f.eval_many(np.bitwise_or(base, bit))
-        down = self.f.eval_many(np.bitwise_and(base, np.int64(~int(bit))))
-        return float((up - down).mean())
-
 
 # ---------------------------------------------------------------------------
 # module-level operations
@@ -302,27 +259,6 @@ def sample_set(x, rng: np.random.Generator) -> int:
     """One draw of R(x): each element included independently with prob x_u."""
     xa = _as_array(x)
     return int(masks_from_bits((rng.random(xa.size) < xa)[None, :])[0])
-
-
-def eval_exact(f: SetFunction, x, exact_limit: int = 16) -> float:
-    """F(x) in exact mode (closed form or value table); rejects ground sets
-    beyond exact_limit."""
-    if f.n > exact_limit:
-        raise ValueError(f"exact evaluation limited to n <= {exact_limit}")
-    return MultilinearEvaluator(f, Estimator(mode="exact", exact_limit=exact_limit)).value(x)
-
-
-def evaluate(f: SetFunction, x, est: Estimator | None = None, stream: tuple[int, ...] = ()) -> float:
-    """F(x) under the given estimator (exact delegation or seeded sampling)."""
-    return MultilinearEvaluator(f, est).value(x, stream)
-
-
-def partial_derivative(
-    f: SetFunction, x, u: int, est: Estimator | None = None, stream: tuple[int, ...] = ()
-) -> float:
-    """dF/dx_u = F(x v 1_u) - F(x ^ 1_{N-u}); sampled mode couples both terms
-    through one shared threshold vector (common random numbers)."""
-    return MultilinearEvaluator(f, est).partial(x, u, stream)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .setfn import GroundSet
+from .setfn import GroundSet, _check_fields
 
 
 class Polytope:
@@ -249,9 +249,7 @@ def polytope_from_json(obj: dict, n: int) -> Polytope:
     kind = obj["type"]
     if kind not in _SCHEMAS:
         raise ValueError(f"unknown polytope type {kind!r}")
-    got = set(obj.keys())
-    if got != _SCHEMAS[kind]:
-        raise ValueError(f"bad constraint object for {kind!r}: fields {sorted(got)}")
+    _check_fields(obj, _SCHEMAS[kind], f"{kind} constraint")
     if kind == "cardinality":
         return CardinalityPolytope(n, int(obj["k"]))
     if kind == "partition":

@@ -2,10 +2,13 @@
 
 Every objective is wrapped in a :class:`SetFunction`: a value oracle over
 bitmask subsets with a declared (audited, not enforced) symmetry flag and a
-thread-safe query counter.  Batch evaluation (``eval_many``) is the fast path
-used by the exact multilinear tables and the brute-force oracles.  The shipped
-families also carry a closed-form multilinear extension (``multilinear``),
-which the wrappers pass on by composition.
+thread-safe query counter.  Each shipped family and wrapper has exactly one
+oracle, a batch kernel over mask arrays.  ``eval`` is that kernel on a
+one-mask batch, so a set has one value whether an algorithm, a value table or
+a brute-force search asks for it.  Masks are int64 up to 62 elements; above
+that only ``eval`` works, on Python-int masks, and the kernels run unchanged
+on them.  The shipped families also carry a closed-form multilinear extension
+(``multilinear``), which the wrappers pass on by composition.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from itertools import combinations
 import numpy as np
 
 from .rng import substream
-from .subsets import MASK_BLOCK, MAX_MASK_BITS, as_mask, full_mask, indices
+from .subsets import MASK_BLOCK, MAX_MASK_BITS, as_mask, full_mask
 
 # x -> (F(x), grad F(x)) for x in [0,1]^n
 Multilinear = Callable[[np.ndarray], tuple[float, np.ndarray]]
@@ -58,18 +61,23 @@ class _Counter:
 class SetFunction:
     """Value oracle f: 2^N -> R with a symmetry claim and a query counter.
 
-    ``eval_mask`` maps a bitmask to a float; an optional vectorized
-    ``eval_many_masks`` (int64 array -> float array) accelerates batch
-    queries; ``eval_many`` hands it at most ``MASK_BLOCK`` masks per call.
-    The counter increases by exactly one per evaluated set.  An
-    optional ``multilinear`` hook returns the exact extension and its
-    gradient, ``(F(x), grad F(x))``, without querying the oracle.
+    The oracle is one batch kernel, ``eval_many_masks`` (mask array -> float
+    array of the same shape).  ``eval`` runs it on a one-mask array and
+    ``eval_many`` on a whole batch, handing it at most ``MASK_BLOCK`` masks
+    per call, so a set has the same value whichever entry point asks.  Masks
+    are int64 for n <= 62 and Python ints (an ``object`` array) above that;
+    only ``eval`` accepts the latter.  A user-defined scalar oracle
+    ``eval_mask`` (bitmask -> float) stands in for a missing kernel and is
+    called once per mask.  The counter increases by exactly one per
+    evaluated set.  An optional ``multilinear`` hook returns the exact
+    extension and its gradient, ``(F(x), grad F(x))``, without querying the
+    oracle.
     """
 
     def __init__(
         self,
         n: int,
-        eval_mask: Callable[[int], float],
+        eval_mask: Callable[[int], float] | None = None,
         *,
         symmetric: bool = False,
         eval_many_masks: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -77,6 +85,8 @@ class SetFunction:
         source=None,
         multilinear: Multilinear | None = None,
     ):
+        if eval_mask is None and eval_many_masks is None:
+            raise ValueError("a set function needs an oracle: eval_many_masks or eval_mask")
         self.n = int(n)
         self._eval_mask = eval_mask
         self.symmetric = bool(symmetric)
@@ -95,24 +105,25 @@ class SetFunction:
         return GroundSet(self.n)
 
     def eval(self, subset: int | Iterable[int]) -> float:
-        """Oracle value of one subset (bitmask or iterable of indices)."""
-        mask = as_mask(subset, self.n)
-        self._queries.add(1)
-        return float(self._eval_mask(mask))
+        """Oracle value of one subset (bitmask or iterable of indices): the
+        batch kernel on a one-mask array, at any n."""
+        return float(self._values(_mask_array([as_mask(subset, self.n)], self.n))[0])
 
     def eval_many(self, masks: np.ndarray) -> np.ndarray:
         """Oracle values of a batch of int64 bitmasks (any shape); counts one
-        query per mask.
-
-        A batch of more than ``MASK_BLOCK`` masks is evaluated in consecutive
-        blocks of that many, so its temporaries stay cache-sized however
-        large the batch; each mask's value does not depend on the others.
-        """
+        query per mask."""
         if self.n > MAX_MASK_BITS:
             raise ValueError(
                 f"batch queries pack sets into int64 masks: n must be <= {MAX_MASK_BITS}, got {self.n}"
             )
-        masks = np.asarray(masks, dtype=np.int64)
+        return self._values(np.asarray(masks, dtype=np.int64))
+
+    def _values(self, masks: np.ndarray) -> np.ndarray:
+        """Counted kernel values of a mask array (int64, or Python ints above
+        62 bits).  A batch of more than ``MASK_BLOCK`` masks is evaluated in
+        consecutive blocks of that many, so its temporaries stay cache-sized
+        however large the batch; each mask's value does not depend on the
+        others."""
         self._queries.add(int(masks.size))
         if masks.size <= MASK_BLOCK:
             return self._eval_block(masks)
@@ -132,8 +143,27 @@ class SetFunction:
 
 
 def _mask_array(masks: list[int], n: int) -> np.ndarray:
-    """int64 masks; above the int64 limit, Python ints for the scalar oracle."""
+    """int64 masks; above the int64 limit, Python ints in an object array."""
     return np.array(masks, dtype=np.int64 if n <= MAX_MASK_BITS else object)
+
+
+def _weighted_count(hits: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_j hits[..., j] * weights[j] over the last axis.  Each row is summed
+    in an order fixed by its length alone (a BLAS matrix-vector product
+    rounds a row differently with the batch size), so one mask has the same
+    value in every batch."""
+    return np.einsum("...j,j->...", hits, weights)
+
+
+def _cut_kernel(edge_masks: np.ndarray, weights: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Batch oracle of a graph or hypergraph cut: the weight of the edges
+    (vertex bitmasks) with a vertex on each side of each mask."""
+
+    def many(masks: np.ndarray) -> np.ndarray:
+        inter = masks[..., None] & edge_masks
+        return _weighted_count((inter != 0) & (inter != edge_masks), weights)
+
+    return many
 
 
 # ---------------------------------------------------------------------------
@@ -191,24 +221,14 @@ class GraphCutInstance:
 
 def cut_eval(instance: GraphCutInstance, subset: int | Iterable[int]) -> float:
     """Total weight of edges with exactly one endpoint in the subset."""
-    mask = as_mask(subset, instance.n)
-    total = 0.0
-    for u, v, w in instance.edges:
-        if ((mask >> u) ^ (mask >> v)) & 1:
-            total += w
-    return total
+    return graph_cut_function(instance).eval(subset)
 
 
 def graph_cut_function(instance: GraphCutInstance) -> SetFunction:
     eu = np.array([e[0] for e in instance.edges], dtype=np.int64)
     ev = np.array([e[1] for e in instance.edges], dtype=np.int64)
     ew = np.array([e[2] for e in instance.edges], dtype=float)
-
-    def many(masks: np.ndarray) -> np.ndarray:
-        if eu.size == 0:
-            return np.zeros(masks.shape, dtype=float)
-        crossing = ((masks[..., None] >> eu) ^ (masks[..., None] >> ev)) & 1
-        return crossing @ ew
+    edge_masks = _mask_array([(1 << u) | (1 << v) for u, v, _ in instance.edges], instance.n)
 
     def multilinear(x: np.ndarray) -> tuple[float, np.ndarray]:
         # Pr[edge uv is cut] = x_u + x_v - 2 x_u x_v
@@ -220,9 +240,8 @@ def graph_cut_function(instance: GraphCutInstance) -> SetFunction:
 
     return SetFunction(
         instance.n,
-        lambda m: cut_eval(instance, m),
         symmetric=True,
-        eval_many_masks=many,
+        eval_many_masks=_cut_kernel(edge_masks, ew),
         kind="graph_cut",
         source=instance,
         multilinear=multilinear,
@@ -250,21 +269,6 @@ def hypergraph_cut_function(instance: HypergraphCutInstance) -> SetFunction:
     he_masks = _mask_array([as_mask(verts, instance.n) for verts, _ in instance.hyperedges], instance.n)
     he_w = np.array([w for _, w in instance.hyperedges], dtype=float)
 
-    def one(mask: int) -> float:
-        total = 0.0
-        for hm, w in zip(he_masks, he_w):
-            inter = mask & int(hm)
-            if inter != 0 and inter != int(hm):
-                total += w
-        return total
-
-    def many(masks: np.ndarray) -> np.ndarray:
-        if he_masks.size == 0:
-            return np.zeros(masks.shape, dtype=float)
-        inter = masks[..., None] & he_masks
-        cut = (inter != 0) & (inter != he_masks)
-        return cut @ he_w
-
     incidence = _padded_incidence([sorted(verts) for verts, _ in instance.hyperedges], instance.n)
 
     def multilinear(x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -276,9 +280,8 @@ def hypergraph_cut_function(instance: HypergraphCutInstance) -> SetFunction:
 
     return SetFunction(
         instance.n,
-        one,
         symmetric=True,
-        eval_many_masks=many,
+        eval_many_masks=_cut_kernel(he_masks, he_w),
         kind="hypergraph_cut",
         source=instance,
         multilinear=multilinear,
@@ -318,14 +321,8 @@ def coverage_function(instance: CoverageInstance) -> SetFunction:
     coverers = _mask_array([as_mask(row, instance.n) for row in rows], instance.n)
     weights = np.asarray(instance.universe_weights, dtype=float)
 
-    def one(mask: int) -> float:
-        return float(weights[(mask & coverers) != 0].sum())
-
     def many(masks: np.ndarray) -> np.ndarray:
-        if m == 0:
-            return np.zeros(masks.shape, dtype=float)
-        covered = (masks[..., None] & coverers) != 0
-        return covered @ weights
+        return _weighted_count((masks[..., None] & coverers) != 0, weights)
 
     incidence = _padded_incidence([sorted(row) for row in rows], instance.n)
 
@@ -337,7 +334,6 @@ def coverage_function(instance: CoverageInstance) -> SetFunction:
 
     return SetFunction(
         instance.n,
-        one,
         symmetric=False,
         eval_many_masks=many,
         kind="coverage",
@@ -372,12 +368,10 @@ def modular_function(n: int, coeffs) -> SetFunction:
         raise ValueError("coeffs must have length n")
 
     def many(masks: np.ndarray) -> np.ndarray:
-        bits = (masks[..., None] >> np.arange(n, dtype=np.int64)) & 1
-        return bits @ c
+        return _weighted_count((masks[..., None] >> np.arange(n, dtype=np.int64)) & 1, c)
 
     return SetFunction(
         n,
-        lambda m: float(sum(c[u] for u in indices(m))),
         symmetric=False,
         eval_many_masks=many,
         kind="modular",
@@ -392,10 +386,7 @@ def sum_functions(fs: list[SetFunction], *, symmetric: bool = False, kind: str =
         raise ValueError("summands must share a ground set")
 
     def many(masks: np.ndarray) -> np.ndarray:
-        out = fs[0].eval_many(masks)
-        for g in fs[1:]:
-            out = out + g.eval_many(masks)
-        return out
+        return sum(g._values(masks) for g in fs)
 
     def multilinear(x: np.ndarray) -> tuple[float, np.ndarray]:
         parts = [g.multilinear(x) for g in fs]
@@ -403,7 +394,6 @@ def sum_functions(fs: list[SetFunction], *, symmetric: bool = False, kind: str =
 
     return SetFunction(
         n,
-        lambda m: sum(g.eval(m) for g in fs),
         symmetric=symmetric,
         eval_many_masks=many,
         kind=kind,
@@ -426,9 +416,8 @@ def complement_function(f: SetFunction) -> SetFunction:
 
     return SetFunction(
         f.n,
-        lambda m: f.eval(fm ^ m),
         symmetric=f.symmetric,
-        eval_many_masks=lambda masks: f.eval_many(np.bitwise_xor(masks, np.int64(fm))),
+        eval_many_masks=lambda masks: f._values(masks ^ fm),
         kind=f"complement({f.kind})",
         source=f,
         multilinear=multilinear if f.multilinear is not None else None,
@@ -445,19 +434,11 @@ def restrict_function(f: SetFunction, kept: list[int], *, audit_symmetry_limit: 
     kept = [int(u) for u in kept]
     n_new = len(kept)
     kept_arr = np.array(kept, dtype=np.int64)
-
-    def embed_one(mask: int) -> int:
-        out = 0
-        for i, u in enumerate(kept):
-            if (mask >> i) & 1:
-                out |= 1 << u
-        return out
+    # bit i of a mask moves to bit kept[i] of a mask over f's ground set
+    kept_bits = _mask_array([1 << u for u in kept], f.n)
 
     def many(masks: np.ndarray) -> np.ndarray:
-        out = np.zeros(masks.shape, dtype=np.int64)
-        for i, u in enumerate(kept_arr):
-            out |= ((masks >> np.int64(i)) & 1) << u
-        return f.eval_many(out)
+        return f._values(((masks[..., None] >> np.arange(n_new, dtype=np.int64)) & 1) @ kept_bits)
 
     def multilinear(x: np.ndarray) -> tuple[float, np.ndarray]:
         full = np.zeros(f.n)
@@ -467,7 +448,6 @@ def restrict_function(f: SetFunction, kept: list[int], *, audit_symmetry_limit: 
 
     g = SetFunction(
         n_new,
-        lambda m: f.eval(embed_one(m)),
         symmetric=False,
         eval_many_masks=many,
         kind=f"restrict({f.kind})",
@@ -492,7 +472,6 @@ def _value_table(f: SetFunction) -> np.ndarray:
 
 def audit_submodularity(
     f: SetFunction,
-    gs: GroundSet | None = None,
     *,
     exhaustive_limit: int = 14,
     trials: int = 2000,
@@ -506,7 +485,7 @@ def audit_submodularity(
     which implies the inequality for all (A, B).  Larger n samples random
     (A, B) pairs.
     """
-    n = gs.n if gs is not None else f.n
+    n = f.n
     if n <= exhaustive_limit:
         table = _value_table(f)
         all_masks = np.arange(1 << n, dtype=np.int64)
@@ -529,7 +508,6 @@ def audit_submodularity(
 
 def audit_symmetry(
     f: SetFunction,
-    gs: GroundSet | None = None,
     *,
     exhaustive_limit: int = 14,
     trials: int = 2000,
@@ -537,7 +515,7 @@ def audit_symmetry(
     tol: float = 0.0,
 ) -> bool:
     """True iff f(S) = f(N\\S) on all audited sets (exact by default)."""
-    n = gs.n if gs is not None else f.n
+    n = f.n
     fm = full_mask(n)
     if n <= exhaustive_limit:
         table = _value_table(f)
@@ -553,14 +531,13 @@ def audit_symmetry(
 
 def audit_nonnegativity(
     f: SetFunction,
-    gs: GroundSet | None = None,
     *,
     exhaustive_limit: int = 14,
     trials: int = 2000,
     seed: int = 0,
     tol: float = 1e-9,
 ) -> bool:
-    n = gs.n if gs is not None else f.n
+    n = f.n
     if n <= exhaustive_limit:
         return bool(_value_table(f).min() >= -tol)
     rng = substream(seed, 0x2B3F)
@@ -579,7 +556,9 @@ _SCHEMAS = {
 }
 
 
-def _check_fields(obj: dict, expected: set[str]) -> None:
+def _check_fields(obj: dict, expected: set[str], what: str = "instance") -> None:
+    """Strict JSON fields: raise ValueError naming every missing and every
+    unknown field of ``obj``."""
     got = set(obj.keys())
     if got != expected:
         missing = expected - got
@@ -589,7 +568,7 @@ def _check_fields(obj: dict, expected: set[str]) -> None:
             parts.append(f"missing fields {sorted(missing)}")
         if unknown:
             parts.append(f"unknown fields {sorted(unknown)}")
-        raise ValueError(f"bad instance object: {'; '.join(parts)}")
+        raise ValueError(f"bad {what} object: {'; '.join(parts)}")
 
 
 def set_function_from_json(obj: dict) -> SetFunction:

@@ -58,8 +58,12 @@ def full_mask(n: int) -> int:
 
 def popcount_array(masks: np.ndarray) -> np.ndarray:
     """Vectorized popcount of non-negative int64 masks: six 11-bit table
-    lookups cover all 63 value bits."""
-    m = np.asarray(masks, dtype=np.int64)
+    lookups cover all 63 value bits.  Python-int masks (an object array, for
+    sets beyond 62 elements) are counted one by one."""
+    m = np.asarray(masks)
+    if m.dtype == object:
+        return np.array([bin(v).count("1") for v in m.ravel()], dtype=np.int64).reshape(m.shape)
+    m = m.astype(np.int64, copy=False)
     return sum(_POP_LUT[(m >> shift) & 2047] for shift in range(0, 63, _POP_CHUNK))
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .reports import CheckReport
-from .setfn import GroundSet, SetFunction
+from .setfn import SetFunction
 from .subsets import as_mask, full_mask
 
 
@@ -40,12 +40,12 @@ class GreedyTrace:
 
 def run_two_sided(
     f: SetFunction,
-    gs: GroundSet | None = None,
+    *,
     order: list[int] | None = None,
 ) -> tuple[int, GreedyTrace]:
-    """Run the greedy over the elements in the given order (default natural);
-    returns (X_n bitmask, trace)."""
-    n = gs.n if gs is not None else f.n
+    """Run the greedy over the elements of f's ground set in the given order
+    (default natural); returns (X_n bitmask, trace)."""
+    n = f.n
     if order is None:
         order = list(range(n))
     if sorted(order) != list(range(n)):

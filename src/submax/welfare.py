@@ -13,7 +13,7 @@ import numpy as np
 
 from .reports import CheckReport, mean_and_sigma
 from .rng import substream
-from .setfn import GroundSet, SetFunction, set_function_from_json
+from .setfn import GroundSet, SetFunction, _check_fields, set_function_from_json
 from .subsets import MASK_BLOCK, full_mask, popcount_array
 
 MAX_WELFARE_SEARCH = 10_000_000
@@ -97,7 +97,6 @@ def tight_instance(k: int) -> WelfareInstance:
 
     utility = SetFunction(
         k,
-        lambda m: float(value_of_size(bin(m).count("1"))),
         symmetric=False,
         eval_many_masks=lambda masks: value_of_size(popcount_array(masks)),
         kind="welfare_tight",
@@ -281,8 +280,7 @@ def check_sampled_union_bounds(f: SetFunction, trials: int = 100_000, seed: int 
 def welfare_from_json(obj: dict) -> WelfareInstance:
     if not isinstance(obj, dict) or obj.get("type") != "welfare":
         raise ValueError("welfare instance object must have type 'welfare'")
-    if set(obj.keys()) != {"type", "k", "utility"}:
-        raise ValueError(f"bad welfare object: fields {sorted(obj.keys())}")
+    _check_fields(obj, {"type", "k", "utility"}, "welfare")
     utility = set_function_from_json(obj["utility"])
     return WelfareInstance(GroundSet(utility.n), int(obj["k"]), utility)
 

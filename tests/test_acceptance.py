@@ -35,7 +35,6 @@ from submax.multilinear import (
     check_lemma_general_properties,
     check_linearization_bound,
     check_union_bound_symmetric,
-    eval_exact,
 )
 from submax.oracle import brute_cardinality, brute_polytope_integral, brute_unconstrained
 from submax.pipage import pipage_round
@@ -285,11 +284,12 @@ def test_criterion_9_hardness_fixture():
         f = hardness_instance(1, 2)
         _, opt = brute_cardinality(f, 4, 2, "eq")
         assert opt == 1.0
+        ev = MultilinearEvaluator(f)
         rng = substream(909, 0)
         for z in np.linspace(0.0, 1.0, 101):
             x = rng.random(4)
             x[0] = x[3] = z
-            value = eval_exact(f, x)
+            value = ev.value(x)
             assert value <= 0.5 + EXACT_TOL
             assert abs(value - 2 * z * (1 - z)) <= EXACT_TOL
 

@@ -3,7 +3,11 @@ import math
 
 import pytest
 
+from submax import cli
 from submax.cli import main
+from submax.polytope import polytope_from_json
+from submax.setfn import set_function_from_json
+from submax.welfare import welfare_from_json
 
 
 @pytest.fixture
@@ -115,6 +119,44 @@ def test_exit_code_parse_error(tmp_path):
     polytope = {"type": "partition", "parts": [[0, 1]], "bounds": [1]}
     short.write_text(json.dumps({"type": "problem", "function": tri, "polytope": polytope}))
     assert main(["--instance", str(short), "--algorithm", "brute-polytope"]) == 1
+
+
+TRIANGLE = {"type": "graph_cut", "n": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0], [0, 2, 1.0]]}
+
+
+def _load_problem_file(obj, tmp_path):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(obj))
+    return cli._load_instance(str(path))
+
+
+# loader(obj, tmp_path), a valid object, and one of its required fields
+LOADERS = {
+    "set_function": (lambda obj, _: set_function_from_json(obj), TRIANGLE, "edges"),
+    "polytope": (
+        lambda obj, _: polytope_from_json(obj, 3),
+        {"type": "partition", "parts": [[0, 1, 2]], "bounds": [1]},
+        "bounds",
+    ),
+    "welfare": (lambda obj, _: welfare_from_json(obj), {"type": "welfare", "k": 2, "utility": TRIANGLE}, "utility"),
+    "problem": (
+        _load_problem_file,
+        {"type": "problem", "function": TRIANGLE, "polytope": {"type": "cardinality", "k": 1}},
+        "polytope",
+    ),
+}
+
+
+@pytest.mark.parametrize("loader", sorted(LOADERS))
+def test_json_loaders_name_missing_and_unknown_fields(loader, tmp_path):
+    load, obj, required = LOADERS[loader]
+    load(obj, tmp_path)
+    extra = {**obj, "extra": 1}
+    with pytest.raises((ValueError, cli.ParseError), match=r"unknown fields \['extra'\]"):
+        load(extra, tmp_path)
+    short = {key: value for key, value in obj.items() if key != required}
+    with pytest.raises((ValueError, cli.ParseError), match=rf"missing fields \['{required}'\]"):
+        load(short, tmp_path)
 
 
 def test_exit_code_inconsistent_flags(triangle_file):

@@ -105,8 +105,6 @@ def test_closed_form_matches_table_fold(name):
         assert abs(value - ref_value) <= TOL
         assert np.max(np.abs(grad - ref_grad)) <= TOL
         assert abs(closed.value(x) - ref_value) <= TOL
-        u = int(np.argmax(np.abs(ref_grad)))
-        assert abs(closed.partial(x, u) - ref_grad[u]) <= TOL
 
 
 def test_closed_form_queries_no_oracle():
@@ -114,7 +112,6 @@ def test_closed_form_queries_no_oracle():
     ev = MultilinearEvaluator(f)
     ev.value_and_partials(np.full(12, 0.3))
     ev.value(np.full(12, 0.7))
-    ev.partial(np.full(12, 0.5), 3)
     assert f.query_count == 0
 
 

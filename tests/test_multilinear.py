@@ -15,9 +15,6 @@ from submax.multilinear import (
     check_linearization_bound,
     check_random_subset_bound,
     check_union_bound_symmetric,
-    eval_exact,
-    evaluate,
-    partial_derivative,
     sample_set,
 )
 from submax.rng import substream
@@ -31,17 +28,13 @@ from submax.setfn import hardness_instance
 
 def test_point_algebra():
     x = Point([0.2, 0.8])
-    y = Point([0.5, 0.1])
-    assert np.allclose(x.vee(y).coords, [0.5, 0.8])
-    assert np.allclose(x.wedge(y).coords, [0.2, 0.1])
-    assert np.allclose((x + y).coords, [0.7, 0.9])
-    assert np.allclose((0.5 * x).coords, [0.1, 0.4])
+    assert x.n == 2
     assert x.mass() == pytest.approx(1.0)
 
 
 def test_point_clamps_noise_but_rejects_garbage():
     p = Point([1.0 + 5e-13, -5e-13])
-    assert p[0] == 1.0 and p[1] == 0.0
+    assert p.coords[0] == 1.0 and p.coords[1] == 0.0
     with pytest.raises(ValueError):
         Point([1.1, 0.0])
     with pytest.raises(ValueError):
@@ -51,8 +44,6 @@ def test_point_clamps_noise_but_rejects_garbage():
 def test_point_indicator_and_support():
     p = Point.indicator([0, 2], 3)
     assert np.allclose(p.coords, [1, 0, 1])
-    assert p.is_integral()
-    assert p.support_mask() == 0b101
 
 
 # ---------------------------------------------------------------------------
@@ -75,41 +66,36 @@ def test_sample_set_binomial_mean():
 
 
 # ---------------------------------------------------------------------------
-# eval_exact / evaluate
+# F(x): MultilinearEvaluator.value
 # ---------------------------------------------------------------------------
 
 
 def test_eval_exact_single_edge():
     f = single_edge_cut()
-    assert eval_exact(f, [0.5, 0.5]) == pytest.approx(0.5, abs=1e-12)
+    assert MultilinearEvaluator(f).value([0.5, 0.5]) == pytest.approx(0.5, abs=1e-12)
 
 
 @given(mask=st.integers(min_value=0, max_value=7))
 def test_eval_exact_agrees_on_vertices(mask):
     f = triangle_cut()
     x = Point.indicator(mask, 3)
-    assert eval_exact(f, x) == pytest.approx(f.eval(mask), abs=1e-12)
+    assert MultilinearEvaluator(f).value(x) == pytest.approx(f.eval(mask), abs=1e-12)
 
 
 def test_eval_exact_hardness_closed_form():
     f = hardness_instance(1, 2)
+    ev = MultilinearEvaluator(f)
     rng = substream(3, 0)
     for z in np.linspace(0, 1, 11):
         x = rng.random(4)
         x[0] = x[3] = z
-        assert eval_exact(f, x) == pytest.approx(2 * z * (1 - z), abs=1e-12)
-
-
-def test_eval_exact_rejects_large_ground_sets():
-    f = random_graph_cut(18, seed=0)
-    with pytest.raises(ValueError):
-        eval_exact(f, np.full(18, 0.5))
+        assert ev.value(x) == pytest.approx(2 * z * (1 - z), abs=1e-12)
 
 
 def test_evaluate_sampled_close_to_exact():
     f = single_edge_cut()
     est = Estimator(mode="sampled", samples=1_000_000, seed=11)
-    got = evaluate(f, Point([0.5, 0.5]), est)
+    got = MultilinearEvaluator(f, est).value(Point([0.5, 0.5]))
     assert abs(got - 0.5) <= 0.002  # 4 sigma at sigma = 0.5/sqrt(samples)
 
 
@@ -117,7 +103,7 @@ def test_evaluate_integral_points_short_circuit():
     f = triangle_cut()
     est = Estimator(mode="sampled", samples=1000, seed=0)
     before = f.query_count
-    got = evaluate(f, Point.indicator([0], 3), est)
+    got = MultilinearEvaluator(f, est).value(Point.indicator([0], 3))
     assert got == f.eval([0])
     assert f.query_count == before + 2  # one short-circuit call + the reference eval
 
@@ -126,7 +112,7 @@ def test_sampled_estimates_match_exact_within_4_sigma():
     for f in (triangle_cut(), random_graph_cut(8, seed=4), random_coverage(6, seed=5)):
         rng = substream(9, f.n)
         x = rng.random(f.n)
-        exact = eval_exact(f, x)
+        exact = MultilinearEvaluator(f).value(x)
         samples = 100_000
         est = Estimator(mode="sampled", samples=samples, seed=21)
         ev = MultilinearEvaluator(f, est)
@@ -138,14 +124,18 @@ def test_sampled_estimates_match_exact_within_4_sigma():
 
 
 # ---------------------------------------------------------------------------
-# partial derivatives
+# partial derivatives: MultilinearEvaluator.value_and_partials
 # ---------------------------------------------------------------------------
+
+
+def partial(f, x, u, est=None, stream=()):
+    return MultilinearEvaluator(f, est).value_and_partials(x, stream)[1][u]
 
 
 def test_partial_derivative_single_edge():
     f = single_edge_cut()
-    assert partial_derivative(f, [0.3, 0.5], 0) == pytest.approx(0.0, abs=1e-12)
-    assert partial_derivative(f, [0.3, 0.0], 0) == pytest.approx(1.0, abs=1e-12)
+    assert partial(f, [0.3, 0.5], 0) == pytest.approx(0.0, abs=1e-12)
+    assert partial(f, [0.3, 0.0], 0) == pytest.approx(1.0, abs=1e-12)
 
 
 @given(mask=st.integers(min_value=0, max_value=7), u=st.integers(min_value=0, max_value=2))
@@ -153,7 +143,7 @@ def test_partial_derivative_vertex_marginals(mask, u):
     f = triangle_cut()
     x = Point.indicator(mask, 3)
     expected = f.eval(mask | (1 << u)) - f.eval(mask & ~(1 << u))
-    assert partial_derivative(f, x, u) == pytest.approx(expected, abs=1e-12)
+    assert partial(f, x, u) == pytest.approx(expected, abs=1e-12)
 
 
 def test_partial_derivative_matches_finite_difference():
@@ -162,11 +152,12 @@ def test_partial_derivative_matches_finite_difference():
     x = rng.random(6) * 0.9  # keep room for +h
     h = 1e-6
     ev = MultilinearEvaluator(f)
+    grad = ev.value_and_partials(x)[1]
     for u in range(6):
         xp = x.copy()
         xp[u] += h
         fd = (ev.value(xp) - ev.value(x)) / h
-        assert ev.partial(x, u) == pytest.approx(fd, abs=1e-7)
+        assert grad[u] == pytest.approx(fd, abs=1e-7)
 
 
 def test_finite_difference_exactness_on_unit_scale_fixture():
@@ -175,12 +166,13 @@ def test_finite_difference_exactness_on_unit_scale_fixture():
     f = single_edge_cut()
     ev = MultilinearEvaluator(f)
     x = np.array([0.3, 0.4])
+    grad = ev.value_and_partials(x)[1]
     h = 1e-6
     for u in range(2):
         xp = x.copy()
         xp[u] += h
         fd = (ev.value(xp) - ev.value(x)) / h
-        assert ev.partial(x, u) == pytest.approx(fd, abs=1e-9)
+        assert grad[u] == pytest.approx(fd, abs=1e-9)
 
 
 def test_value_and_partials_consistent_with_partial():
@@ -191,8 +183,11 @@ def test_value_and_partials_consistent_with_partial():
     value, grad, sigma = ev.value_and_partials(x)
     assert sigma is None
     assert value == pytest.approx(ev.value(x), abs=1e-12)
+    # F is affine in each coordinate: dF/dx_u = F(x, x_u = 1) - F(x, x_u = 0)
     for u in range(6):
-        assert grad[u] == pytest.approx(ev.partial(x, u), abs=1e-9)
+        up, down = x.copy(), x.copy()
+        up[u], down[u] = 1.0, 0.0
+        assert grad[u] == pytest.approx(ev.value(up) - ev.value(down), abs=1e-9)
 
 
 def test_sampled_partial_uses_common_random_numbers():
@@ -200,7 +195,7 @@ def test_sampled_partial_uses_common_random_numbers():
     # draw; the estimate must land within 4 sigma of 1 - 2 x1
     f = single_edge_cut()
     est = Estimator(mode="sampled", samples=40_000, seed=3)
-    got = partial_derivative(f, [0.2, 0.3], 0, est)
+    got = partial(f, [0.2, 0.3], 0, est)
     sigma = 1.0 / math.sqrt(40_000)
     assert abs(got - 0.4) <= 4 * sigma
 

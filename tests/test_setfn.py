@@ -146,6 +146,15 @@ def test_audit_sampled_mode_used_beyond_exhaustive_limit():
     assert audit_symmetry(f, exhaustive_limit=10, trials=200)
 
 
+def test_audits_take_the_ground_set_from_f():
+    # a ground set of another size than f's gives wrong answers or misleading
+    # errors, so the audits accept none
+    f = random_graph_cut(5, seed=3)
+    for audit, size in ((audit_submodularity, 5), (audit_symmetry, 3), (audit_nonnegativity, 40)):
+        with pytest.raises(TypeError):
+            audit(f, GroundSet(size))
+
+
 # ---------------------------------------------------------------------------
 # oracle bookkeeping
 # ---------------------------------------------------------------------------
@@ -290,12 +299,30 @@ def test_batches_reject_ground_sets_beyond_int64_masks():
     for f in (cut, hyper, cover):
         with pytest.raises(ValueError, match="62"):
             f.eval_many(np.array([0, 1]))
-    # the scalar oracle and the closed form still work
+    # single-set evaluation and the closed form still work
     assert cut.eval({0, 64}) == 3.0
     assert hyper.eval({63}) == 1.5 and hyper.eval({1, 63, 68}) == 0.0
     assert cover.eval({69}) == 2.0 and cover.eval({0, 69}) == 3.0
     value, grad = cut.multilinear(np.full(n, 0.5))
     assert value == pytest.approx(1.75, abs=1e-12) and grad.shape == (n,)
+    # so do the wrappers and the other families, through the same kernels
+    modular = modular_function(n, np.arange(n) / 4.0)
+    assert modular.eval({1, 64, 69}) == 33.5
+    assert sum_functions([cut, modular]).eval({0, 64}) == 19.0
+    complement = complement_function(cover)
+    assert complement.eval(set(range(1, n))) == 1.0 and complement.eval({0}) == 2.0
+    assert complement.eval(set()) == 3.0
+    small = restrict_function(cut, [0, 3, 64, 69])  # 4 elements embedded beyond bit 62
+    assert small.eval({1}) == 2.0 and small.eval({0, 3}) == 0.0 and small.eval({0, 2}) == 3.0
+    wide = restrict_function(hyper, list(range(2, n)))
+    assert wide.n == 68 and wide.eval({61}) == 1.5 and wide.eval({61, 66}) == 1.5
+    tight = tight_instance(n).utility
+    assert tight.eval(set()) == 0.0 and tight.eval({67}) == 1.0
+    assert tight.eval(set(range(n))) == 0.0 and tight.eval({0, 68}) == pytest.approx(1 - 1 / 69, abs=1e-15)
+    for f in (modular, complement, small, tight):
+        assert f.query_count > 0
+    with pytest.raises(ValueError, match="62"):
+        wide.eval_many(np.array([0]))
 
 
 # ---------------------------------------------------------------------------
@@ -304,19 +331,28 @@ def test_batches_reject_ground_sets_beyond_int64_masks():
 
 
 def dyadic(rng, size):
-    """Weights in eighths: sums are exact in any order, so the batch and
-    scalar oracles must agree bit for bit."""
+    """Weights in eighths: sums are exact in any order."""
     return rng.integers(1, 33, size=size) / 8.0
 
 
-def family_function(family, n, rng):
+def uniform(rng, size):
+    """Non-dyadic weights: sums round, so batch and scalar values agree bit
+    for bit only when both come from the same kernel."""
+    return rng.uniform(0.1, 4.0, size=size)
+
+
+WEIGHTS = {"dyadic": dyadic, "uniform": uniform}
+
+
+def family_function(family, n, rng, weights="dyadic"):
+    draw = WEIGHTS[weights]
     if family == "graph_cut":
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         picks = rng.choice(len(pairs), size=min(len(pairs), 16), replace=False)
-        edges = tuple((*pairs[i], float(w)) for i, w in zip(picks, dyadic(rng, picks.size)))
+        edges = tuple((*pairs[i], float(w)) for i, w in zip(picks, draw(rng, picks.size)))
         return graph_cut_function(GraphCutInstance(n=n, edges=edges))
     if family == "hypergraph_cut":
-        weights = dyadic(rng, int(rng.integers(1, 12)))
+        weights = draw(rng, int(rng.integers(1, 12)))
         arities = rng.integers(2, min(n, 6) + 1, size=weights.size)
         verts = [frozenset(int(v) for v in rng.choice(n, size=a, replace=False)) for a in arities]
         hes = tuple((vs, float(w)) for vs, w in zip(verts, weights))
@@ -325,18 +361,19 @@ def family_function(family, n, rng):
         items = int(rng.integers(1, 12))
         sizes = rng.integers(0, min(items, 2) + 1, size=n)
         membership = tuple(tuple(int(j) for j in rng.choice(items, size=int(s), replace=False)) for s in sizes)
-        weights = tuple(float(w) for w in dyadic(rng, items))
+        weights = tuple(float(w) for w in draw(rng, items))
         return coverage_function(CoverageInstance(n=n, universe_weights=weights, membership=membership))
     if family == "modular":
-        return modular_function(n, dyadic(rng, n))
+        return modular_function(n, draw(rng, n))
     if family == "tight":
         return tight_instance(n).utility
     if family == "sum":
-        return sum_functions([family_function("graph_cut", n, rng), family_function("modular", n, rng)])
+        parts = [family_function("graph_cut", n, rng, weights), family_function("modular", n, rng, weights)]
+        return sum_functions(parts)
     if family == "complement":
-        return complement_function(family_function("coverage", n, rng))
+        return complement_function(family_function("coverage", n, rng, weights))
     if family == "restrict":
-        base = family_function("hypergraph_cut", n, rng)
+        base = family_function("hypergraph_cut", n, rng, weights)
         kept = sorted(int(u) for u in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
         return restrict_function(base, kept, audit_symmetry_limit=0)
     raise AssertionError(family)
@@ -351,12 +388,15 @@ FAMILIES = ("graph_cut", "hypergraph_cut", "coverage", "modular", "tight", "sum"
     n=st.one_of(st.integers(min_value=2, max_value=16), st.integers(min_value=56, max_value=62)),
     seed=st.integers(min_value=0, max_value=2**16),
     rows=st.sampled_from([1, 2, 5]),
+    weights=st.sampled_from(sorted(WEIGHTS)),
 )
-@example(n=62, seed=1, rows=1)
-@example(n=61, seed=2, rows=5)
-def test_batch_matches_scalar_for_every_family(family, n, seed, rows):
+@example(n=62, seed=1, rows=1, weights="dyadic")
+@example(n=61, seed=2, rows=5, weights="dyadic")
+@example(n=62, seed=3, rows=1, weights="uniform")
+@example(n=14, seed=4, rows=2, weights="uniform")
+def test_batch_matches_scalar_for_every_family(family, n, seed, rows, weights):
     rng = substream(seed, 0xBA7C)
-    f = family_function(family, n, rng)
+    f = family_function(family, n, rng, weights)
     cols = -(-(3 * MASK_BLOCK + int(rng.integers(1, MASK_BLOCK))) // rows)
     masks = rng.integers(0, 1 << f.n, size=(rows, cols) if rows > 1 else cols, dtype=np.int64)
     masks.flat[:2] = (0, (1 << f.n) - 1)
@@ -366,6 +406,35 @@ def test_batch_matches_scalar_for_every_family(family, n, seed, rows):
     assert batch.shape == masks.shape
     scalar = np.array([f.eval(int(m)) for m in masks.ravel()]).reshape(masks.shape)
     assert np.array_equal(batch, scalar)
+
+
+def definition_value(f, mask):
+    """f(mask) from the instance definition, one edge or item at a time: the
+    reference the batch kernels are checked against."""
+    inst = f.source
+    if f.kind == "graph_cut":
+        return sum(w for u, v, w in inst.edges if ((mask >> u) ^ (mask >> v)) & 1)
+    if f.kind == "hypergraph_cut":
+        return sum(w for verts, w in inst.hyperedges if 0 < sum((mask >> v) & 1 for v in verts) < len(verts))
+    covered = {j for i in range(inst.n) if (mask >> i) & 1 for j in inst.membership[i]}
+    return sum(w for j, w in enumerate(inst.universe_weights) if j in covered)
+
+
+@pytest.mark.parametrize("n", [12, 70])
+def test_family_kernels_match_their_definitions(n):
+    rng = substream(n, 0xDEF)
+    masks = [0, (1 << n) - 1] + [sum(1 << u for u in range(n) if rng.random() < 0.5) for _ in range(200)]
+    coeffs = uniform(rng, n)
+    modular = modular_function(n, coeffs)
+    tight = tight_instance(n).utility
+    for family in ("graph_cut", "hypergraph_cut", "coverage"):
+        f = family_function(family, n, rng, "uniform")
+        for mask in masks:
+            assert f.eval(mask) == pytest.approx(definition_value(f, mask), rel=1e-12, abs=1e-12)
+    for mask in masks:
+        assert modular.eval(mask) == pytest.approx(sum(coeffs[u] for u in indices(mask)), rel=1e-12)
+        size = bin(mask).count("1")
+        assert tight.eval(mask) == (1.0 - (size - 1) / (n - 1) if size else 0.0)
 
 
 def test_eval_many_feeds_the_kernel_one_block_at_a_time():

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from submax.fixtures import random_coverage, random_graph_cut, single_edge_cut, triangle_cut
 from submax.oracle import brute_unconstrained
-from submax.setfn import SetFunction
+from submax.setfn import GroundSet, SetFunction
 from submax.twosided import check_loss_gain, run_two_sided, trace_csv
 
 
@@ -42,6 +42,15 @@ def test_oracle_call_budget():
     used = f.query_count - before
     assert used == 2 * 10 + 2  # two fresh marginal evals per element
     assert used <= 4 * 10 + 2
+
+
+def test_ground_set_comes_from_f():
+    # a ground set of 3 would run the greedy over 3 of f's 5 elements (mask 3
+    # instead of 19), so run_two_sided accepts none
+    f = random_graph_cut(5, seed=3)
+    with pytest.raises(TypeError):
+        run_two_sided(f, GroundSet(3))
+    assert run_two_sided(f)[0] == 19
 
 
 def test_trace_nesting_invariants():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from submax.fixtures import random_graph_cut, single_edge_cut
-from submax.multilinear import eval_exact
+from submax.multilinear import MultilinearEvaluator
 from submax.setfn import GroundSet, audit_nonnegativity, audit_submodularity
 from submax.welfare import (
     Allocation,
@@ -71,7 +71,7 @@ def test_two_player_equivalence_with_unconstrained():
     inst = WelfareInstance(GroundSet(6), 2, f)
     totals = simulate_random_assign(inst, 60_000, seed=9)
     sigma = totals.std(ddof=1) / math.sqrt(totals.size)
-    expect = 2 * eval_exact(f, np.full(6, 0.5))
+    expect = 2 * MultilinearEvaluator(f).value(np.full(6, 0.5))
     assert abs(totals.mean() - expect) <= 4 * sigma
 
 
