@@ -29,7 +29,7 @@ from .mcg import McgConfig, run_mcg
 from .multilinear import Estimator, MultilinearEvaluator, Point, backend
 from .oracle import MAX_BRUTE_N, brute_cardinality, brute_polytope_integral, brute_unconstrained
 from .pipage import pipage_round
-from .polytope import CardinalityPolytope, horizon, polytope_from_json, preprocess_reduction1
+from .polytope import CardinalityPolytope, polytope_from_json, preprocess_reduction1
 from .setfn import SetFunction, _check_fields, restrict_function, set_function_from_json
 from .subsets import indices
 from .twosided import run_two_sided
@@ -210,15 +210,13 @@ def _run_algorithm(args, f, polytope_obj, welfare_inst) -> dict:
         P_run = red.polytope
         n_run = f_run.n
         est = _estimator(f_run, args.samples, args.seed)
-        T = args.T if args.T is not None else max(1.0, horizon(P_run)) if n_run else 1.0
-        cfg = McgConfig(T=T, steps=args.steps, estimator=est)
+        cfg = McgConfig(T=args.T, steps=args.steps, estimator=est)
+        T, steps, _, regime = _schedule(cfg, n_run, P_run)
         if n_run == 0:
             y_embedded = Point.zeros(n)
             frac = f.eval(0)
-            traj_regime = True
         else:
-            y, traj = run_mcg(f_run, P_run, cfg)
-            traj_regime = traj.theoretical_regime
+            y, _ = run_mcg(f_run, P_run, cfg)
             frac = _fractional_value(f_run, y, est)
             arr = np.zeros(n)
             for i, u in enumerate(red.kept):
@@ -226,15 +224,11 @@ def _run_algorithm(args, f, polytope_obj, welfare_inst) -> dict:
             y_embedded = Point(arr)
         report.update(
             {
-                "config": {
-                    "T": T,
-                    "steps": cfg.steps if cfg.steps else (100 * n_run or 1),
-                    "estimator": backend(f_run, est),
-                },
+                "config": {"T": T, "steps": steps, "estimator": backend(f_run, est)},
                 "fractional_value": frac,
                 "fractional_point": [float(v) for v in y_embedded.coords],
                 "theoretical_ratio": 0.5 * (1.0 - math.exp(-2.0 * T)),
-                "theoretical_regime": traj_regime,
+                "theoretical_regime": regime,
             }
         )
         achieved = frac
@@ -266,23 +260,23 @@ def _run_algorithm(args, f, polytope_obj, welfare_inst) -> dict:
     if symmetric and not f.symmetric:
         raise FlagError("dmcg-symmetric requires a symmetric instance")
     est = _estimator(f, args.samples, args.seed)
+    cfg = DmcgConfig(
+        variant="symmetric" if symmetric else "general",
+        steps=args.steps,
+        estimator=est,
+        T=args.T,
+    )
     if symmetric and k == n:
-        # only one feasible set; nothing to optimize
+        # only one feasible set; nothing to optimize, so no ascent runs
+        _, steps, _, _ = _schedule(cfg, n, k)
         y_final = Point.ones(n)
         frac = f.eval((1 << n) - 1)
         theoretical_regime = True
         T = 0.0
     else:
         k_run, f_run = reduction2(k, n, f) if symmetric else (k, f)
-        cfg = DmcgConfig(
-            variant="symmetric" if symmetric else "general",
-            steps=args.steps,
-            estimator=est,
-            T=args.T,
-        )
-        y, traj = run_dmcg(f_run, k_run, cfg)
-        theoretical_regime = traj.theoretical_regime
-        T = traj.T
+        T, steps, _, theoretical_regime = _schedule(cfg, n, k_run)
+        y, _ = run_dmcg(f_run, k_run, cfg)
         if symmetric and k_run != k:
             y_final = Point(1.0 - y.coords)  # complement: same value for symmetric f
         else:
@@ -290,7 +284,7 @@ def _run_algorithm(args, f, polytope_obj, welfare_inst) -> dict:
         frac = _fractional_value(f, y_final, est)
     report.update(
         {
-            "config": {"k": k, "T": T, "steps": args.steps or 100 * n, "estimator": backend(f, est)},
+            "config": {"k": k, "T": T, "steps": steps, "estimator": backend(f, est)},
             "fractional_value": frac,
             "fractional_mass": y_final.mass(),
             "fractional_point": [float(v) for v in y_final.coords],
@@ -309,6 +303,15 @@ def _run_algorithm(args, f, polytope_obj, welfare_inst) -> dict:
         raise OracleUnavailable(f"n = {n} exceeds the brute-force limit {MAX_BRUTE_N}")
     report["oracle_calls"] = f.query_count
     return report
+
+
+def _schedule(cfg, n: int, bound) -> tuple[float, int, float, bool]:
+    """The ascent's resolved (T, steps, delta, theoretical_regime); a bad
+    --T or --steps is a flag error."""
+    try:
+        return cfg.resolve(n, bound)
+    except ValueError as exc:
+        raise FlagError(str(exc)) from exc
 
 
 def _materialize_polytope(args, polytope_obj, n: int):

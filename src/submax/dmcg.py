@@ -1,12 +1,13 @@
 """Double measured continuous greedy for the equality constraint |S| = k.
 
-Two coupled ascents run in lockstep: y1 grows from the empty set under
-sum(x) <= k, y2 shrinks from the full set under sum(1 - x) <= n - k, and the
-shared direction pair (I1, I2 = 1 - I1) is chosen to protect whichever side
-is currently worse off.  The symmetric variant adds the two-sided derivative
-cleanup and runs to the cardinality horizon; the general variant runs to
-T = 1 with no cleanup.  The final point is y1, y2, or the unique convex
-combination of the two with mass exactly k.
+:func:`run_dmcg` drives the measured-ascent kernel ``mcg.ascend`` with two
+coupled sides in lockstep: y1 grows from the empty set under sum(x) <= k, y2
+shrinks from the full set under sum(1 - x) <= n - k, and the shared direction
+pair (I1, I2 = 1 - I1) from :func:`solve_direction` protects whichever side is
+currently worse off.  The symmetric variant turns on the kernel's derivative
+cleanup on both sides and runs to the cardinality horizon; the general
+variant runs to T = 1 with no cleanup.  The final point is y1, y2, or the
+unique convex combination of the two with mass exactly k.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mcg import _negative
+from .mcg import ascend, schedule
 from .multilinear import Estimator, MultilinearEvaluator, Point
 from .reports import CheckReport
 from .setfn import SetFunction, complement_function
@@ -29,27 +30,23 @@ _BISECT_GAP = 1e-12
 class DmcgConfig:
     """variant "symmetric" runs Algorithm-2 style (coeff 2, cleanup,
     T = -(n/k) ln(1 - k/n + n^-4)); variant "general" runs the
-    general-objective twin (coeff 1, no cleanup, T = 1)."""
+    general-objective twin (coeff 1, no cleanup, T = 1).  steps defaults to
+    100 n; see ``mcg.schedule``."""
 
     variant: str = "symmetric"
     steps: int | None = None
     estimator: Estimator = field(default_factory=Estimator)
     T: float | None = None
-    record_trajectory: bool = True
 
     def __post_init__(self):
         if self.variant not in ("symmetric", "general"):
             raise ValueError("variant must be 'symmetric' or 'general'")
 
-    def resolve(self, n: int, k: int) -> tuple[float, int, float]:
-        if self.T is not None:
-            T = float(self.T)
-        elif self.variant == "symmetric":
-            T = -(n / k) * math.log(1.0 - k / n + n ** -4.0)
-        else:
-            T = 1.0
-        steps = self.steps if self.steps is not None else max(1, 100 * n)
-        return T, steps, T / steps
+    def resolve(self, n: int, k: int) -> tuple[float, int, float, bool]:
+        def default_T() -> float:
+            return -(n / k) * math.log(1.0 - k / n + n ** -4.0) if self.variant == "symmetric" else 1.0
+
+        return schedule(n, self.T, self.steps, default_T)
 
 
 def reduction2(k: int, n: int, f: SetFunction) -> tuple[int, SetFunction]:
@@ -147,27 +144,25 @@ def solve_direction(
 
 @dataclass(frozen=True)
 class DualStep:
-    t_start: float
+    """Both sides after one step at t_end, the direction solver's lambda and
+    max-min objective, and how many coordinates the cleanup reset (y1 to 0,
+    y2 to 1)."""
+
     t_end: float
     y1_end: np.ndarray
     y2_end: np.ndarray
     value1_end: float
     value2_end: float
-    w1: np.ndarray
-    w2: np.ndarray
-    i1: np.ndarray
-    i2: np.ndarray
     lam: float
     direction_objective: float
+    zeroed: int
 
 
 @dataclass
 class DualTrajectory:
     T: float
     delta: float
-    n: int
     k: int
-    variant: str
     theoretical_regime: bool
     steps: list[DualStep] = field(default_factory=list)
 
@@ -177,57 +172,30 @@ def run_dmcg(f: SetFunction, k: int, cfg: DmcgConfig | None = None) -> tuple[Poi
     with |y| = k.
 
     The symmetric variant requires 2k <= n; apply :func:`reduction2` first
-    and complement the answer when k > n/2.
+    and complement the answer when k > n/2.  Raises ``ValueError`` for
+    T <= 0 or steps < 1.
     """
     cfg = cfg or DmcgConfig()
     n = f.n
     if not 1 <= k <= n:
         raise ValueError("requires 1 <= k <= n")
-    if cfg.variant == "symmetric" and not f.symmetric:
+    symmetric = cfg.variant == "symmetric"
+    if symmetric and not f.symmetric:
         raise ValueError("symmetric variant requires an objective flagged symmetric")
-    if cfg.variant == "symmetric" and 2 * k > n:
+    if symmetric and 2 * k > n:
         raise ValueError("symmetric variant requires 2k <= n; apply reduction2 first")
-    T, steps, delta = cfg.resolve(n, k)
-    coeff = 2.0 if cfg.variant == "symmetric" else 1.0
-    ev = MultilinearEvaluator(f, cfg.estimator)
-    sampled = cfg.estimator.mode == "sampled"
+    T, steps, delta, regime = cfg.resolve(n, k)
+    coeff = 2.0 if symmetric else 1.0
 
-    y1 = np.zeros(n)
-    y2 = np.ones(n)
-    v1, g1, s1 = ev.value_and_partials(y1, stream=(0, 0))
-    v2, g2, s2 = ev.value_and_partials(y2, stream=(0, 1))
-    traj = DualTrajectory(T, delta, n, k, cfg.variant, delta <= n ** -5.0)
+    def max_min(weights, values):
+        i1, i2, info = solve_direction(weights[0], weights[1], values[0], values[1], k, coeff)
+        return (i1, i2), info
 
-    for i in range(steps):
-        if sampled and i > 0:
-            v1, g1, s1 = ev.value_and_partials(y1, stream=(i, 0))
-            v2, g2, s2 = ev.value_and_partials(y2, stream=(i, 1))
-        w1 = (1.0 - y1) * g1  # F(y1 v 1_u) - F(y1)
-        w2 = -y2 * g2  # F(y2 ^ 1_{N-u}) - F(y2)
-        i1, i2, info = solve_direction(w1, w2, v1, v2, k, coeff)
-        y1 = y1 + delta * i1 * (1.0 - y1)
-        y2 = y2 - delta * i2 * y2
-        v1, g1, s1 = ev.value_and_partials(y1, stream=(i, 2))
-        v2, g2, s2 = ev.value_and_partials(y2, stream=(i, 3))
-        if cfg.variant == "symmetric":
-            for u in range(n):
-                # both derivative tests read the state at loop entry for u;
-                # they touch disjoint vectors, so the order within u is moot
-                drop1 = y1[u] > 0.0 and _negative(g1[u], None if s1 is None else s1[u])
-                raise2 = y2[u] < 1.0 and _negative(-g2[u], None if s2 is None else s2[u])
-                if drop1:
-                    y1[u] = 0.0
-                    v1, g1, s1 = ev.value_and_partials(y1, stream=(i, 4, u))
-                if raise2:
-                    y2[u] = 1.0
-                    v2, g2, s2 = ev.value_and_partials(y2, stream=(i, 5, u))
-        if cfg.record_trajectory:
-            traj.steps.append(
-                DualStep(
-                    delta * i, delta * (i + 1), y1.copy(), y2.copy(), v1, v2,
-                    w1, w2, i1, i2, info.lam, info.objective,
-                )
-            )
+    run = ascend(MultilinearEvaluator(f, cfg.estimator), (0, 1), max_min, steps, delta, cleanup=symmetric)
+    (y1, y2), _, _, _ = next(run)
+    traj = DualTrajectory(T, delta, k, regime)
+    for i, ((y1, y2), (v1, v2), zeroed, info) in enumerate(run, start=1):
+        traj.steps.append(DualStep(delta * i, y1, y2, v1, v2, info.lam, info.objective, zeroed))
 
     m1 = float(y1.sum())
     m2 = float(y2.sum())

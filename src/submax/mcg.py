@@ -1,16 +1,23 @@
-"""Measured continuous greedy ascent for symmetric objectives over a
-down-monotone polytope.
+"""Measured continuous greedy: the ascent kernel of both continuous solvers,
+and its one-sided driver for down-monotone polytopes.
 
-Each discrete step of width delta moves y along the best feasible direction
-scaled per coordinate by (1 - y_u), then zeroes any coordinate whose partial
-derivative has turned negative; zeroing can only increase F and restores the
-"nothing below y is better" condition the symmetric value analysis leans on.
+:func:`ascend` moves *sides*: a side starts at the constant vector s in
+{0, 1} and moves toward 1 - s.  Each step of width delta weighs coordinate u
+by (1 - s - y_u) dF/dy_u, the gain of moving y_u all the way to 1 - s; takes
+one direction per side from the driver's rule; applies the measured update
+y + delta d (1 - s - y); and optionally resets to s every coordinate whose
+signed derivative (1 - 2s) dF/dy_u has turned negative.  A reset can only
+increase F and restores the "nothing below y is better" condition the
+symmetric value analysis leans on.  :func:`run_mcg` is one side from 0 along
+the best vertex of P, with cleanup; ``dmcg.run_dmcg`` is the coupled pair.
 """
 
 from __future__ import annotations
 
 import io
+import math
 import warnings
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,43 +29,84 @@ from .setfn import SetFunction
 
 # strict-negativity margin for the cleanup test in exact mode; sampled mode
 # compares against -2 sigma of the derivative estimate instead, so that noise
-# alone cannot zero a coordinate
+# alone cannot reset a coordinate
 EXACT_NEGATIVE_MARGIN = 1e-12
+
+
+def schedule(n: int, T: float | None, steps: int | None, default_T: Callable[[], float]):
+    """(T, steps, delta, theoretical_regime) of an ascent over n elements.
+
+    T defaults to ``default_T()``, steps to 100 n (at least 1); a given T
+    must be positive and finite, and steps at least 1.  The theoretical step
+    size T/ceil(n^5 T) is infeasible beyond tiny n, so the regime records
+    whether delta = T/steps <= n^-5 held."""
+    if T is None:
+        T = default_T()
+    elif not 0.0 < T < math.inf:
+        raise ValueError(f"time horizon T must be positive and finite, got {T!r}")
+    steps = max(1, 100 * n) if steps is None else steps
+    if steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
+    delta = float(T) / steps
+    return float(T), steps, delta, n == 0 or delta <= n ** -5.0
+
+
+def ascend(ev: MultilinearEvaluator, starts: tuple[int, ...], choose: Callable, steps: int, delta: float,
+           cleanup: bool) -> Iterator[tuple[list[np.ndarray], list[float], int, object]]:
+    """Run the sides that start at ``starts``.  ``choose(weights, values)``
+    gets one weight vector and one F(y) per side and returns one direction
+    per side plus a note.  Yields (points, values, resets, note) once for
+    the start (0 resets, note None), then after every step; yielded arrays
+    are never written again.  Side j of m samples from stream (i, j) before
+    step i, (i, m + j) after its update and (i, 2m + j, u) after resetting
+    coordinate u."""
+    m = len(starts)
+    ys = [np.full(ev.n, float(s)) for s in starts]
+    evals = [ev.value_and_partials(y, stream=(0, j)) for j, y in enumerate(ys)]
+    yield ys, [e[0] for e in evals], 0, None
+    for i in range(steps):
+        if i > 0 and ev.backend == "sampled":
+            evals = [ev.value_and_partials(y, stream=(i, j)) for j, y in enumerate(ys)]
+        weights = [(1.0 - s - y) * e[1] for s, y, e in zip(starts, ys, evals)]
+        directions, note = choose(weights, [e[0] for e in evals])
+        ys = [y + delta * d * (1.0 - s - y) for s, y, d in zip(starts, ys, directions)]
+        evals = [ev.value_and_partials(y, stream=(i, m + j)) for j, y in enumerate(ys)]
+        resets = 0
+        for j in range(m if cleanup else 0):
+            s, y, sign = starts[j], ys[j], 1.0 - 2.0 * starts[j]
+            _, grad, sigma = evals[j]
+            for u, y_u in enumerate(y.tolist()):  # a reset at u changes no later y_u
+                noise = EXACT_NEGATIVE_MARGIN if sigma is None else 2.0 * sigma[u]
+                # y_u has moved off s, and moving it further loses value
+                if sign * (y_u - s) > 0.0 and sign * grad[u] < -noise:
+                    y[u] = s
+                    resets += 1
+                    # the reset moves y, so later coordinates see fresh derivatives
+                    _, grad, sigma = evals[j] = ev.value_and_partials(y, stream=(i, 2 * m + j, u))
+        yield ys, [e[0] for e in evals], resets, note
 
 
 @dataclass(frozen=True)
 class McgConfig:
     """T defaults to horizon(P) but never below 1 (the value bound needs
-    T >= 1; membership of the output is then only guaranteed up to T_P).
-    steps defaults to 100 n; the theoretical step size T/ceil(n^5 T) is
-    admissible but infeasible beyond tiny n, so runs record whether the
-    theoretical regime held."""
+    T >= 1; membership of the output is then only guaranteed up to T_P);
+    steps defaults to 100 n.  See :func:`schedule`."""
 
     T: float | None = None
     steps: int | None = None
     estimator: Estimator = field(default_factory=Estimator)
-    record_trajectory: bool = True
 
-    def resolve(self, n: int, P: Polytope) -> tuple[float, int, float]:
-        T = self.T if self.T is not None else max(1.0, horizon(P))
-        if T <= 0:
-            raise ValueError("time horizon must be positive")
-        steps = self.steps if self.steps is not None else max(1, 100 * n)
-        if steps < 1:
-            raise ValueError("steps must be at least 1")
-        return T, steps, T / steps
+    def resolve(self, n: int, P: Polytope) -> tuple[float, int, float, bool]:
+        return schedule(n, self.T, self.steps, lambda: max(1.0, horizon(P)) if n else 1.0)
 
 
 @dataclass(frozen=True)
 class TrajectoryStep:
-    """State produced by one step: weights/direction seen at t_start, the
-    point and value after the update and cleanup at t_end."""
+    """The point and value after one step's update and cleanup at t_end,
+    and how many coordinates the cleanup zeroed."""
 
-    t_start: float
     t_end: float
     y_end: np.ndarray
-    w: np.ndarray
-    direction: np.ndarray
     value_end: float
     zeroed: int
 
@@ -67,7 +115,6 @@ class TrajectoryStep:
 class Trajectory:
     T: float
     delta: float
-    n: int
     theoretical_regime: bool
     y_start: np.ndarray
     value_start: float
@@ -77,53 +124,27 @@ class Trajectory:
         return self.steps[-1].value_end if self.steps else self.value_start
 
 
-def _negative(grad_u: float, sigma_u: float | None) -> bool:
-    if sigma_u is None:
-        return grad_u < -EXACT_NEGATIVE_MARGIN
-    return grad_u < -2.0 * sigma_u
-
-
 def run_mcg(f: SetFunction, P: Polytope, cfg: McgConfig | None = None) -> tuple[Point, Trajectory]:
     """Run the ascent and return (y(T), trajectory).
 
     Expects the singleton-feasibility reduction to have been applied (drop
     every u with 1_u not in P) -- see ``preprocess_reduction1``.  A
     non-symmetric objective only voids the value guarantee, so it warns and
-    proceeds.
+    proceeds.  Raises ``ValueError`` for T <= 0 or steps < 1.
     """
     cfg = cfg or McgConfig()
-    n = f.n
-    if n == 0:
-        traj = Trajectory(0.0, 0.0, 0, True, np.zeros(0), 0.0)
-        return Point.zeros(0), traj
+    T, steps, delta, regime = cfg.resolve(f.n, P)
     if not f.symmetric:
         warnings.warn("objective not flagged symmetric: the value guarantee is void", stacklevel=2)
-    T, steps, delta = cfg.resolve(n, P)
-    ev = MultilinearEvaluator(f, cfg.estimator)
-    sampled = cfg.estimator.mode == "sampled"
 
-    y = np.zeros(n)
-    value, grad, sigma = ev.value_and_partials(y, stream=(0, 0))
-    traj = Trajectory(T, delta, n, delta <= n ** -5.0, y.copy(), value)
+    def best_vertex(weights, _values):
+        return (P.linear_maximize(weights[0]),), None
 
-    for i in range(steps):
-        if sampled and i > 0:
-            value, grad, sigma = ev.value_and_partials(y, stream=(i, 0))
-        w = (1.0 - y) * grad  # w_u = F(y v 1_u) - F(y) by multilinearity
-        direction = P.linear_maximize(w)
-        y = y + delta * direction * (1.0 - y)
-        value, grad, sigma = ev.value_and_partials(y, stream=(i, 1))
-        zeroed = 0
-        for u in range(n):
-            if y[u] > 0.0 and _negative(grad[u], None if sigma is None else sigma[u]):
-                y[u] = 0.0
-                zeroed += 1
-                # the zeroing moves y, so later coordinates see fresh derivatives
-                value, grad, sigma = ev.value_and_partials(y, stream=(i, 2, u))
-        if cfg.record_trajectory:
-            traj.steps.append(
-                TrajectoryStep(delta * i, delta * (i + 1), y.copy(), w, direction, value, zeroed)
-            )
+    run = ascend(MultilinearEvaluator(f, cfg.estimator), (0,), best_vertex, steps, delta, cleanup=True)
+    (y,), (value,), _, _ = next(run)
+    traj = Trajectory(T, delta, regime, y, value)
+    for i, ((y,), (value,), zeroed, _) in enumerate(run, start=1):
+        traj.steps.append(TrajectoryStep(delta * i, y, value, zeroed))
     return Point(y), traj
 
 

@@ -2,10 +2,13 @@
 
 One pass over the elements maintains a growing set X and a shrinking set Y
 (X_i subseteq Y_i throughout).  Element u_i joins X when its add-marginal
-a_i beats its remove-marginal b_i from Y, otherwise it leaves Y; ties go to
-the X branch.  Two fresh oracle marginals per element, so the whole run costs
-2n + 2 oracle calls.  For symmetric objectives the output is a
-1/2-approximation; for general non-negative submodular objectives it is 1/3.
+a_i is at least its remove-marginal b_i from Y, otherwise it leaves Y.  The
+two tie when they differ by at most TIE_TOL times the largest of the four
+values they come from, and ties go to the X branch, so the last bits of how
+an oracle sums its weights cannot decide the branch.  Two fresh oracle
+marginals per element, so the whole run costs 2n + 2 oracle calls.  For
+symmetric objectives the output is a 1/2-approximation; for general
+non-negative submodular objectives it is 1/3.
 """
 
 from __future__ import annotations
@@ -18,6 +21,9 @@ import numpy as np
 from .reports import CheckReport
 from .setfn import SetFunction
 from .subsets import as_mask, full_mask
+
+# relative width of the a == b band that counts as a tie
+TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -61,7 +67,8 @@ def run_two_sided(
         fyu = f.eval(y_mask & ~bit)
         a = fxu - fx
         b = fyu - fy
-        if a >= b:
+        tie_band = TIE_TOL * max(abs(fx), abs(fy), abs(fxu), abs(fyu))
+        if a >= b - tie_band:
             x_mask |= bit
             fx = fxu
             branch = "X"

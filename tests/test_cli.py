@@ -164,6 +164,13 @@ def test_exit_code_inconsistent_flags(triangle_file):
     assert main(["--instance", triangle_file, "--algorithm", "two-sided", "--k", "1"]) == 2
     assert main(["--instance", triangle_file, "--algorithm", "welfare-random"]) == 2
     assert main(["--instance", triangle_file, "--algorithm", "brute-unconstrained", "--k", "2"]) == 2
+    # an ascent needs a positive horizon and at least one step, whatever the
+    # algorithm, k, or whether reduction leaves anything to run
+    for algorithm, k in (("mcg", "1"), ("mcg", "0"), ("dmcg-symmetric", "1"), ("dmcg-symmetric", "3"),
+                         ("dmcg-general", "1")):
+        for flags in (["--steps", "0"], ["--steps", "-3"], ["--T", "0"], ["--T", "-1"]):
+            argv = ["--instance", triangle_file, "--algorithm", algorithm, "--k", k, *flags]
+            assert main(argv) == 2, argv
 
 
 def test_exit_code_oracle_unavailable(tmp_path):

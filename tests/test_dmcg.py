@@ -169,6 +169,14 @@ def test_symmetric_variant_requires_symmetric_objective():
         run_dmcg(f, 2, DmcgConfig(variant="symmetric", steps=10))
 
 
+@pytest.mark.parametrize("variant", ["symmetric", "general"])
+@pytest.mark.parametrize("steps, T", [(0, None), (-3, None), (10, 0.0), (10, -1.0)])
+def test_run_rejects_empty_schedule(variant, steps, T):
+    f = random_graph_cut(4, seed=4)
+    with pytest.raises(ValueError):
+        run_dmcg(f, 2, DmcgConfig(variant=variant, steps=steps, T=T))
+
+
 def test_y_properties_hold_per_step():
     for seed in range(4):
         f = random_graph_cut(7, seed=seed)

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from submax.fixtures import random_coverage, random_graph_cut, single_edge_cut, triangle_cut
 from submax.oracle import brute_unconstrained
-from submax.setfn import GroundSet, SetFunction
+from submax.setfn import GroundSet, SetFunction, set_function_from_json
 from submax.twosided import check_loss_gain, run_two_sided, trace_csv
 
 
@@ -88,6 +88,19 @@ def test_branches_invariant_under_positive_scaling():
     _, trace = run_two_sided(f)
     _, trace_scaled = run_two_sided(scaled)
     assert [s.branch for s in trace.steps] == [s.branch for s in trace_scaled.steps]
+
+
+def test_edge_order_cannot_decide_a_tie():
+    # at element 1 (X = {0}, Y = N) both marginals are exactly 0.4, the
+    # weight of its edges to 2 and 4; summed in these two edge orders they
+    # differ in the last bit, which decided the branch before ties got a band
+    edges = [[0, 4, 0.7], [0, 5, 0.3], [2, 5, 0.2], [2, 4, 0.7], [1, 4, 0.2], [0, 3, 0.3], [1, 2, 0.2]]
+    outs = set()
+    for listed in (edges, edges[::-1]):
+        out, trace = run_two_sided(set_function_from_json({"type": "graph_cut", "n": 6, "edges": listed}))
+        assert trace.steps[1].branch == "X"
+        outs.add(out)
+    assert outs == {0b0011}
 
 
 def test_custom_order_changes_output_not_guarantee():
