@@ -1,11 +1,15 @@
 """Experiment runner: load an instance, run an algorithm, compare against the
 brute-force oracle, and emit a reproducible report.
 
+Every algorithm takes one path: :func:`_check` validates all flags before any
+work starts and binds the algorithm's solver, the solver runs, and
+:func:`_run_algorithm` verifies the result against the brute-force optimum.
+
 Reports are JSON with a deterministic ``report`` block (hashed) and a
 ``metadata`` block (timestamp, wall time, host) excluded from determinism;
 ``--format csv`` writes a flat projection of the report block.  Exit codes:
 0 success, 1 instance parse error, 2 inconsistent flags, 3 oracle required
-but unavailable.
+(by --require-oracle, or by a brute-force algorithm) but unavailable.
 """
 
 from __future__ import annotations
@@ -17,8 +21,11 @@ import math
 import platform
 import sys
 import time
+from collections.abc import Callable
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -31,7 +38,7 @@ from .oracle import MAX_BRUTE_N, brute_cardinality, brute_polytope_integral, bru
 from .pipage import pipage_round
 from .polytope import CardinalityPolytope, polytope_from_json, preprocess_reduction1
 from .setfn import SetFunction, _check_fields, restrict_function, set_function_from_json
-from .subsets import indices
+from .subsets import MAX_MASK_BITS, as_mask, indices
 from .twosided import run_two_sided
 from .welfare import (
     MAX_WELFARE_SEARCH,
@@ -88,12 +95,6 @@ def _load_instance(path: str):
         raise ParseError(str(exc)) from exc
 
 
-def _forbid(args, names: list[str]) -> None:
-    for name in names:
-        if getattr(args, name.replace("-", "_")) is not None:
-            raise FlagError(f"--{name} is not meaningful for algorithm {args.algorithm!r}")
-
-
 def _estimator(f: SetFunction, samples: int | None, seed: int) -> Estimator:
     """Sampled if --samples is given; otherwise exact whenever F has a closed
     form or the value table fits, and sampled beyond that."""
@@ -115,196 +116,6 @@ def _theoretical_curve(k: int, n: int) -> float:
     return 0.5 * (1.0 - (1.0 - kk / n) ** (2 * n / kk))
 
 
-def _run_algorithm(args, f, polytope_obj, welfare_inst) -> dict:
-    report: dict = {"algorithm": args.algorithm, "seed": args.seed}
-    require = bool(args.require_oracle)
-
-    if args.algorithm == "welfare-random":
-        _forbid(args, ["k", "T", "steps"])
-        if welfare_inst is None:
-            raise FlagError("welfare-random needs a welfare instance file")
-        inst = welfare_inst
-        trials = args.samples if args.samples is not None else 100_000
-        totals = simulate_random_assign(inst, trials, seed=args.seed)
-        mean = float(totals.mean())
-        sigma = float(totals.std(ddof=1) / math.sqrt(totals.size)) if totals.size > 1 else 0.0
-        report.update(
-            {
-                "instance": {"type": "welfare", "n": inst.items.n, "k": inst.k},
-                "trials": trials,
-                "achieved_value": mean,
-                "achieved_sigma": sigma,
-                "theoretical_ratio": welfare_ratio(inst.k),
-                "theoretical_regime": True,
-            }
-        )
-        if inst.k**inst.items.n <= MAX_WELFARE_SEARCH and inst.items.n <= MAX_BRUTE_N:
-            _, opt = brute_force_welfare(inst)
-            report["oracle_opt"] = opt
-            report["achieved_ratio"] = mean / opt if opt > 0 else None
-        elif require:
-            raise OracleUnavailable("welfare search space too large for the exact oracle")
-        report["oracle_calls"] = inst.utility.query_count
-        return report
-
-    if welfare_inst is not None:
-        raise FlagError(f"algorithm {args.algorithm!r} cannot run on a welfare instance")
-    assert f is not None
-    n = f.n
-    report["instance"] = {"type": f.kind, "n": n, "symmetric": f.symmetric}
-
-    if args.algorithm == "two-sided":
-        _forbid(args, ["k", "T", "steps", "samples"])
-        out, _ = run_two_sided(f)
-        value = f.eval(out)
-        report.update(
-            {
-                "achieved_value": value,
-                "achieved_set": indices(out),
-                "theoretical_ratio": 0.5 if f.symmetric else 1.0 / 3.0,
-                "theoretical_regime": True,
-            }
-        )
-        if n <= MAX_BRUTE_N:
-            opt_mask, opt = brute_unconstrained(f)
-            report["oracle_opt"] = opt
-            report["oracle_opt_set"] = indices(opt_mask)
-            report["achieved_ratio"] = value / opt if opt > 0 else None
-        elif require:
-            raise OracleUnavailable(f"n = {n} exceeds the brute-force limit {MAX_BRUTE_N}")
-        report["oracle_calls"] = f.query_count
-        return report
-
-    if args.algorithm.startswith("brute-"):
-        _forbid(args, ["T", "steps", "samples"])
-        if args.algorithm == "brute-unconstrained":
-            _forbid(args, ["k"])
-            mask, opt = brute_unconstrained(f)
-        elif args.algorithm in ("brute-cardinality-eq", "brute-cardinality-le"):
-            if args.k is None:
-                raise FlagError(f"{args.algorithm} requires --k")
-            mode = "eq" if args.algorithm.endswith("eq") else "le"
-            mask, opt = brute_cardinality(f, n, args.k, mode)
-        else:  # brute-polytope
-            P = _materialize_polytope(args, polytope_obj, n)
-            mask, opt = brute_polytope_integral(f, P, n)
-        report.update(
-            {
-                "achieved_value": opt,
-                "achieved_set": indices(mask),
-                "oracle_opt": opt,
-                "achieved_ratio": 1.0 if opt > 0 else None,
-                "theoretical_ratio": 1.0,
-                "theoretical_regime": True,
-                "oracle_calls": f.query_count,
-            }
-        )
-        return report
-
-    if args.algorithm == "mcg":
-        P = _materialize_polytope(args, polytope_obj, n)
-        red = preprocess_reduction1(P, f.ground_set)
-        if red.warning:
-            report["reduction1_warning"] = red.warning
-        f_run = f if len(red.kept) == n else restrict_function(f, list(red.kept))
-        P_run = red.polytope
-        n_run = f_run.n
-        est = _estimator(f_run, args.samples, args.seed)
-        cfg = McgConfig(T=args.T, steps=args.steps, estimator=est)
-        T, steps, _, regime = _schedule(cfg, n_run, P_run)
-        if n_run == 0:
-            y_embedded = Point.zeros(n)
-            frac = f.eval(0)
-        else:
-            y, _ = run_mcg(f_run, P_run, cfg)
-            frac = _fractional_value(f_run, y, est)
-            arr = np.zeros(n)
-            for i, u in enumerate(red.kept):
-                arr[u] = y.coords[i]
-            y_embedded = Point(arr)
-        report.update(
-            {
-                "config": {"T": T, "steps": steps, "estimator": backend(f_run, est)},
-                "fractional_value": frac,
-                "fractional_point": [float(v) for v in y_embedded.coords],
-                "theoretical_ratio": 0.5 * (1.0 - math.exp(-2.0 * T)),
-                "theoretical_regime": regime,
-            }
-        )
-        achieved = frac
-        if n_run and P_run.kind in ("cardinality", "partition"):
-            mask_local = pipage_round(f_run, Point(y_embedded.coords[list(red.kept)]), P_run, est, seed=args.seed)
-            mask = 0
-            for i, u in enumerate(red.kept):
-                if (mask_local >> i) & 1:
-                    mask |= 1 << u
-            achieved = f.eval(mask)
-            report["achieved_set"] = indices(mask)
-        report["achieved_value"] = achieved
-        if n <= MAX_BRUTE_N:
-            _, opt = brute_polytope_integral(f_run if n_run else f, P_run if n_run else P, None)
-            report["oracle_opt"] = opt
-            report["achieved_ratio"] = frac / opt if opt > 0 else None
-        elif require:
-            raise OracleUnavailable(f"n = {n} exceeds the brute-force limit {MAX_BRUTE_N}")
-        report["oracle_calls"] = f.query_count
-        return report
-
-    # dmcg variants
-    if args.k is None:
-        raise FlagError(f"{args.algorithm} requires --k")
-    k = args.k
-    if not 1 <= k <= n:
-        raise FlagError(f"--k must be between 1 and n = {n}")
-    symmetric = args.algorithm == "dmcg-symmetric"
-    if symmetric and not f.symmetric:
-        raise FlagError("dmcg-symmetric requires a symmetric instance")
-    est = _estimator(f, args.samples, args.seed)
-    cfg = DmcgConfig(
-        variant="symmetric" if symmetric else "general",
-        steps=args.steps,
-        estimator=est,
-        T=args.T,
-    )
-    if symmetric and k == n:
-        # only one feasible set; nothing to optimize, so no ascent runs
-        _, steps, _, _ = _schedule(cfg, n, k)
-        y_final = Point.ones(n)
-        frac = f.eval((1 << n) - 1)
-        theoretical_regime = True
-        T = 0.0
-    else:
-        k_run, f_run = reduction2(k, n, f) if symmetric else (k, f)
-        T, steps, _, theoretical_regime = _schedule(cfg, n, k_run)
-        y, _ = run_dmcg(f_run, k_run, cfg)
-        if symmetric and k_run != k:
-            y_final = Point(1.0 - y.coords)  # complement: same value for symmetric f
-        else:
-            y_final = y
-        frac = _fractional_value(f, y_final, est)
-    report.update(
-        {
-            "config": {"k": k, "T": T, "steps": steps, "estimator": backend(f, est)},
-            "fractional_value": frac,
-            "fractional_mass": y_final.mass(),
-            "fractional_point": [float(v) for v in y_final.coords],
-            "theoretical_ratio": _theoretical_curve(k, n) if symmetric else math.exp(-1.0),
-            "theoretical_regime": theoretical_regime,
-        }
-    )
-    mask = pipage_round(f, y_final, CardinalityPolytope(n, k), est, seed=args.seed)
-    report["achieved_value"] = f.eval(mask)
-    report["achieved_set"] = indices(mask)
-    if n <= MAX_BRUTE_N:
-        _, opt = brute_cardinality(f, n, k, "eq")
-        report["oracle_opt"] = opt
-        report["achieved_ratio"] = frac / opt if opt > 0 else None
-    elif require:
-        raise OracleUnavailable(f"n = {n} exceeds the brute-force limit {MAX_BRUTE_N}")
-    report["oracle_calls"] = f.query_count
-    return report
-
-
 def _schedule(cfg, n: int, bound) -> tuple[float, int, float, bool]:
     """The ascent's resolved (T, steps, delta, theoretical_regime); a bad
     --T or --steps is a flag error."""
@@ -314,18 +125,211 @@ def _schedule(cfg, n: int, bound) -> tuple[float, int, float, bool]:
         raise FlagError(str(exc)) from exc
 
 
-def _materialize_polytope(args, polytope_obj, n: int):
-    if polytope_obj is not None:
-        _forbid(args, ["k"])
-        try:
-            return polytope_from_json(polytope_obj, n)
-        except (ValueError, TypeError) as exc:
-            raise ParseError(str(exc)) from exc
-    if args.k is None:
-        raise FlagError(f"{args.algorithm} needs --k or an instance with an embedded polytope")
-    if not 0 <= args.k <= n:
-        raise FlagError(f"--k must be between 0 and n = {n}")
-    return CardinalityPolytope(n, args.k)
+# A solver returns its report fields, the value its ratio is measured on, and
+# a thunk that returns the brute-force oracle's fields, "oracle_opt" among them.
+Solved = tuple[dict, float, Callable[[], dict]]
+
+
+@dataclass(frozen=True)
+class _Job:
+    """A run whose flags all checked out; ``unverifiable`` says why the
+    brute-force oracle is out of reach, and is None when it is not."""
+
+    instance: dict
+    oracle: SetFunction  # its query count is the report's oracle_calls
+    unverifiable: str | None
+    solve: Callable[[], Solved]
+
+
+def _check(args, f, polytope_obj, welfare_inst) -> _Job:
+    """Validate every flag against the algorithm and the instance before any
+    work starts (FlagError; ParseError for a bad embedded polytope) and bind
+    the algorithm's solver."""
+    algorithm, k, samples, seed = args.algorithm, args.k, args.samples, args.seed
+    welfare = algorithm == "welfare-random"
+    ascent = algorithm in ("mcg", "dmcg-symmetric", "dmcg-general")
+    takes_polytope = algorithm in ("mcg", "brute-polytope")
+    # --k is required where it sets the constraint, and meaningless elsewhere
+    needs_k = algorithm.startswith(("dmcg-", "brute-cardinality-")) or (takes_polytope and polytope_obj is None)
+    used = {"k": needs_k, "T": ascent, "steps": ascent, "samples": ascent or welfare}
+    for name, use in used.items():
+        if not use and getattr(args, name) is not None:
+            raise FlagError(f"--{name} is not meaningful for algorithm {algorithm!r}")
+    if seed < 0:
+        raise FlagError(f"--seed must be non-negative, got {seed}")
+    if samples is not None and samples < 1:
+        raise FlagError(f"--samples must be at least 1, got {samples}")
+    if welfare and welfare_inst is None:
+        raise FlagError("welfare-random needs a welfare instance file")
+    if not welfare and welfare_inst is not None:
+        raise FlagError(f"algorithm {algorithm!r} cannot run on a welfare instance")
+    n = welfare_inst.items.n if welfare else f.n
+    if n > MAX_MASK_BITS and (welfare or samples is not None):
+        what = "welfare-random" if welfare else "--samples"
+        raise FlagError(f"{what} packs sets into int64 masks of at most {MAX_MASK_BITS} elements, got n = {n}")
+    if needs_k:
+        if k is None:
+            also = " or an instance with an embedded polytope" if takes_polytope else ""
+            raise FlagError(f"{algorithm} requires --k{also}")
+        low = 1 if algorithm.startswith("dmcg-") else 0
+        if not low <= k <= n:
+            raise FlagError(f"--k must be between {low} and n = {n}")
+    unverifiable = None if n <= MAX_BRUTE_N else f"n = {n} exceeds the brute-force limit {MAX_BRUTE_N}"
+
+    if welfare:
+        k = welfare_inst.k
+        if unverifiable is None and k**n > MAX_WELFARE_SEARCH:
+            unverifiable = f"welfare search space k^n = {k**n} exceeds {MAX_WELFARE_SEARCH}"
+        solve = partial(_solve_welfare, welfare_inst, 100_000 if samples is None else samples, seed)
+        return _Job({"type": "welfare", "n": n, "k": k}, welfare_inst.utility, unverifiable, solve)
+
+    P = _polytope(polytope_obj, n, k) if takes_polytope else None
+    if algorithm == "two-sided":
+        solve = partial(_solve_two_sided, f)
+    elif algorithm == "brute-unconstrained":
+        solve = partial(_solve_brute, brute_unconstrained, f)
+    elif algorithm.startswith("brute-cardinality-"):
+        solve = partial(_solve_brute, brute_cardinality, f, n, k, algorithm[-2:])
+    elif algorithm == "brute-polytope":
+        solve = partial(_solve_brute, brute_polytope_integral, f, P, n)
+    elif algorithm == "mcg":
+        red = preprocess_reduction1(P, f.ground_set)
+        f_run = f if len(red.kept) == n else restrict_function(f, list(red.kept))
+        cfg = McgConfig(T=args.T, steps=args.steps, estimator=_estimator(f_run, samples, seed))
+        solve = partial(_solve_mcg, f, P, red, f_run, cfg, _schedule(cfg, f_run.n, red.polytope), seed)
+    else:
+        symmetric = algorithm == "dmcg-symmetric"
+        if symmetric and not f.symmetric:
+            raise FlagError("dmcg-symmetric requires a symmetric instance")
+        cfg = DmcgConfig(variant=algorithm[5:], steps=args.steps, estimator=_estimator(f, samples, seed), T=args.T)
+        k_run, f_run = reduction2(k, n, f) if symmetric else (k, f)
+        # k_run = 0 (symmetric, k = n) runs no ascent; --T and --steps are checked at k all the same
+        solve = partial(_solve_dmcg, f, k, f_run, k_run, cfg, _schedule(cfg, n, k_run or k), seed)
+    return _Job({"type": f.kind, "n": n, "symmetric": f.symmetric}, f, unverifiable, solve)
+
+
+def _polytope(polytope_obj, n: int, k: int | None):
+    """The instance's embedded polytope, else |S| <= k."""
+    if polytope_obj is None:
+        return CardinalityPolytope(n, k)
+    try:
+        return polytope_from_json(polytope_obj, n)
+    except (ValueError, TypeError) as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def _solve_welfare(inst, trials: int, seed: int) -> Solved:
+    totals = simulate_random_assign(inst, trials, seed=seed)
+    mean = float(totals.mean())
+    sigma = float(totals.std(ddof=1) / math.sqrt(totals.size)) if totals.size > 1 else 0.0
+    fields = {
+        "trials": trials,
+        "achieved_value": mean,
+        "achieved_sigma": sigma,
+        "theoretical_ratio": welfare_ratio(inst.k),
+        "theoretical_regime": True,
+    }
+    return fields, mean, lambda: {"oracle_opt": brute_force_welfare(inst)[1]}
+
+
+def _solve_two_sided(f: SetFunction) -> Solved:
+    out, _ = run_two_sided(f)
+    value = f.eval(out)
+    fields = {
+        "achieved_value": value,
+        "achieved_set": indices(out),
+        "theoretical_ratio": 0.5 if f.symmetric else 1.0 / 3.0,
+        "theoretical_regime": True,
+    }
+
+    def optimum() -> dict:
+        mask, opt = brute_unconstrained(f)
+        return {"oracle_opt": opt, "oracle_opt_set": indices(mask)}
+
+    return fields, value, optimum
+
+
+def _solve_brute(search: Callable[..., tuple[int, float]], *args) -> Solved:
+    """The search is the oracle: its optimum is the achieved set."""
+    mask, opt = search(*args)
+    fields = {"achieved_value": opt, "achieved_set": indices(mask), "theoretical_ratio": 1.0, "theoretical_regime": True}
+    return fields, opt, lambda: {"oracle_opt": opt}
+
+
+def _solve_mcg(f, P, red, f_run, cfg: McgConfig, schedule, seed: int) -> Solved:
+    """MCG on the reduced problem; the point and the rounded set are embedded
+    back into f's ground set."""
+    T, steps, _, regime = schedule
+    fields = {"reduction1_warning": red.warning} if red.warning else {}
+    kept = np.array(red.kept, dtype=np.int64)
+    y = np.zeros(f.n)
+    if kept.size == 0:
+        frac = achieved = f.eval(0)
+    else:
+        y_run, _ = run_mcg(f_run, red.polytope, cfg)
+        y[kept] = y_run.coords
+        frac = achieved = _fractional_value(f_run, y_run, cfg.estimator)
+        if red.polytope.kind in ("cardinality", "partition"):
+            local = pipage_round(f_run, y_run, red.polytope, cfg.estimator, seed=seed)
+            mask = as_mask(kept[indices(local)], f.n)
+            achieved = f.eval(mask)
+            fields["achieved_set"] = indices(mask)
+    fields.update(
+        {
+            "config": {"T": T, "steps": steps, "estimator": backend(f_run, cfg.estimator)},
+            "fractional_value": frac,
+            "fractional_point": y.tolist(),
+            "theoretical_ratio": 0.5 * (1.0 - math.exp(-2.0 * T)),
+            "theoretical_regime": regime,
+            "achieved_value": achieved,
+        }
+    )
+    f_opt, P_opt = (f_run, red.polytope) if kept.size else (f, P)
+    return fields, frac, lambda: {"oracle_opt": brute_polytope_integral(f_opt, P_opt, None)[1]}
+
+
+def _solve_dmcg(f, k: int, f_run, k_run: int, cfg: DmcgConfig, schedule, seed: int) -> Solved:
+    """DMCG on the reduction2 problem (k_run <= n/2 for the symmetric
+    variant), complemented back to |y| = k, then rounded."""
+    n, est = f.n, cfg.estimator
+    T, steps, _, regime = schedule
+    if k_run == 0:  # only one feasible set; nothing to optimize, so no ascent runs
+        T, regime = 0.0, True
+        y, frac = Point.ones(n), f.eval((1 << n) - 1)
+    else:
+        y, _ = run_dmcg(f_run, k_run, cfg)
+        if k_run != k:
+            y = Point(1.0 - y.coords)  # complement: same value for symmetric f
+        frac = _fractional_value(f, y, est)
+    mask = pipage_round(f, y, CardinalityPolytope(n, k), est, seed=seed)
+    fields = {
+        "config": {"k": k, "T": T, "steps": steps, "estimator": backend(f, est)},
+        "fractional_value": frac,
+        "fractional_mass": y.mass(),
+        "fractional_point": y.coords.tolist(),
+        "theoretical_ratio": _theoretical_curve(k, n) if cfg.variant == "symmetric" else math.exp(-1.0),
+        "theoretical_regime": regime,
+        "achieved_value": f.eval(mask),
+        "achieved_set": indices(mask),
+    }
+    return fields, frac, lambda: {"oracle_opt": brute_cardinality(f, n, k, "eq")[1]}
+
+
+def _run_algorithm(args, f, polytope_obj, welfare_inst) -> dict:
+    """Check every flag, solve, then verify once against the brute-force
+    optimum.  The brute-force algorithms are the oracle, so beyond its reach
+    they fail as if --require-oracle were set."""
+    job = _check(args, f, polytope_obj, welfare_inst)
+    if job.unverifiable and (args.require_oracle or args.algorithm.startswith("brute-")):
+        raise OracleUnavailable(job.unverifiable)
+    fields, measured, optimum = job.solve()
+    report = {"algorithm": args.algorithm, "seed": args.seed, "instance": job.instance, **fields}
+    if job.unverifiable is None:
+        report.update(optimum())
+        opt = report["oracle_opt"]
+        report["achieved_ratio"] = measured / opt if opt > 0 else None
+    report["oracle_calls"] = job.oracle.query_count
+    return report
 
 
 def _flatten(obj, prefix: str = "") -> dict[str, str]:
@@ -401,15 +405,20 @@ def _run_sweep(argv: list[str]) -> int:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     args = p.parse_args(argv)
 
-    if args.n > MAX_BRUTE_N:
-        print(f"sweep ratio columns need n <= {MAX_BRUTE_N}", file=sys.stderr)
+    if not 2 <= args.n <= MAX_BRUTE_N:
+        print(f"sweep ratio columns need 2 <= n <= {MAX_BRUTE_N}", file=sys.stderr)
         return 2
     grid = _parse_kn(args.kn)
+    ks = [min(max(1, round(float(kn) * args.n)), args.n // 2) for kn in grid]
+    try:
+        for k in ks:
+            _schedule(DmcgConfig(steps=args.steps), args.n, k)
+    except FlagError as exc:
+        print(f"inconsistent flags: {exc}", file=sys.stderr)
+        return 2
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()] or [0]
     rows = []
-    for kn in grid:
-        k = max(1, round(float(kn) * args.n))
-        k = min(k, args.n // 2)
+    for kn, k in zip(grid, ks):
         curve = _theoretical_curve(k, args.n)
         for idx in range(args.count):
             make = random_graph_cut if args.family == "cut" else random_hypergraph_cut

@@ -82,9 +82,3 @@ def random_offset_cut(n: int, seed: int) -> SetFunction:
     rng = substream(seed, 0x0FF)
     offset = modular_function(n, rng.uniform(0.05, 0.6, size=n))
     return sum_functions([cut, offset], symmetric=False, kind="offset_cut")
-
-
-def random_nonsymmetric_instance(n: int, seed: int) -> SetFunction:
-    if seed % 2 == 0:
-        return random_coverage(n, seed)
-    return random_offset_cut(n, seed)

@@ -9,7 +9,6 @@ deterministic.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -259,8 +258,3 @@ def polytope_from_json(obj: dict, n: int) -> Polytope:
     if P.n != n:
         raise ValueError(f"{kind} constraint covers {P.n} elements, the instance has {n}")
     return P
-
-
-def load_polytope(path: str, n: int) -> Polytope:
-    with open(path) as fh:
-        return polytope_from_json(json.load(fh), n)

@@ -13,7 +13,6 @@ on them.  The shipped families also carry a closed-form multilinear extension
 
 from __future__ import annotations
 
-import json
 import threading
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
@@ -593,8 +592,3 @@ def set_function_from_json(obj: dict) -> SetFunction:
         )
         return coverage_function(inst)
     return hardness_instance(int(obj["p"]), int(obj["q"]))
-
-
-def load_set_function(path: str) -> SetFunction:
-    with open(path) as fh:
-        return set_function_from_json(json.load(fh))

@@ -5,7 +5,6 @@ bounds behind the 1 - (1 - 1/k)^(k-1) guarantee.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -283,8 +282,3 @@ def welfare_from_json(obj: dict) -> WelfareInstance:
     _check_fields(obj, {"type", "k", "utility"}, "welfare")
     utility = set_function_from_json(obj["utility"])
     return WelfareInstance(GroundSet(utility.n), int(obj["k"]), utility)
-
-
-def load_welfare(path: str) -> WelfareInstance:
-    with open(path) as fh:
-        return welfare_from_json(json.load(fh))

@@ -159,7 +159,15 @@ def test_json_loaders_name_missing_and_unknown_fields(loader, tmp_path):
         load(short, tmp_path)
 
 
-def test_exit_code_inconsistent_flags(triangle_file):
+def _chain_file(tmp_path, n, welfare_k=None):
+    chain = {"type": "graph_cut", "n": n, "edges": [[u, u + 1, 1.0] for u in range(n - 1)]}
+    obj = chain if welfare_k is None else {"type": "welfare", "k": welfare_k, "utility": chain}
+    path = tmp_path / f"chain{n}-{welfare_k}.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def test_exit_code_inconsistent_flags(triangle_file, welfare_file, tmp_path):
     assert main(["--instance", triangle_file, "--algorithm", "dmcg-general"]) == 2  # --k missing
     assert main(["--instance", triangle_file, "--algorithm", "two-sided", "--k", "1"]) == 2
     assert main(["--instance", triangle_file, "--algorithm", "welfare-random"]) == 2
@@ -171,6 +179,24 @@ def test_exit_code_inconsistent_flags(triangle_file):
         for flags in (["--steps", "0"], ["--steps", "-3"], ["--T", "0"], ["--T", "-1"]):
             argv = ["--instance", triangle_file, "--algorithm", algorithm, "--k", k, *flags]
             assert main(argv) == 2, argv
+    # every flag is checked before any work starts: none of these may end in
+    # a traceback, or (welfare with no trials) in a NaN report
+    chain64, welfare64 = _chain_file(tmp_path, 64), _chain_file(tmp_path, 64, welfare_k=2)
+    for argv in (
+        [triangle_file, "mcg", "--k", "1", "--samples", "0"],
+        [triangle_file, "dmcg-symmetric", "--k", "1", "--samples", "0"],
+        [triangle_file, "dmcg-general", "--k", "1", "--samples", "-2"],
+        [welfare_file, "welfare-random", "--samples", "0"],
+        [welfare_file, "welfare-random", "--samples", "-1"],
+        [triangle_file, "brute-cardinality-eq", "--k", "4"],
+        [triangle_file, "brute-cardinality-le", "--k", "-1"],
+        [chain64, "mcg", "--k", "2", "--steps", "2", "--samples", "10"],
+        [chain64, "dmcg-general", "--k", "2", "--steps", "2", "--samples", "10"],
+        [welfare64, "welfare-random", "--samples", "10"],
+        [welfare_file, "welfare-random", "--seed", "-1"],
+    ):
+        instance, algorithm, *flags = argv
+        assert main(["--instance", instance, "--algorithm", algorithm, *flags]) == 2, argv
 
 
 def test_exit_code_oracle_unavailable(tmp_path):
@@ -179,10 +205,45 @@ def test_exit_code_oracle_unavailable(tmp_path):
     path = tmp_path / "chain.json"
     path.write_text(json.dumps({"type": "graph_cut", "n": 24, "edges": edges}))
     assert main(["--instance", str(path), "--algorithm", "two-sided", "--require-oracle"]) == 3
+    # the brute-force algorithms are the oracle, so they stop before any work
+    assert main(["--instance", str(path), "--algorithm", "brute-unconstrained"]) == 3
+    assert main(["--instance", str(path), "--algorithm", "brute-cardinality-le", "--k", "2"]) == 3
     # without the flag the run succeeds, just without a ratio
     out = tmp_path / "r.json"
     assert main(["--instance", str(path), "--algorithm", "two-sided", "--out", str(out)]) == 0
     assert "oracle_opt" not in _read_report(out)["report"]
+
+
+ASCENT_KEYS = {"config", "fractional_value", "fractional_point", "theoretical_ratio", "theoretical_regime"}
+VERIFIED_KEYS = {"algorithm", "seed", "instance", "achieved_value", "oracle_opt", "achieved_ratio", "oracle_calls"}
+REPORT_KEYS = {
+    "mcg": ASCENT_KEYS | {"achieved_set"},
+    "dmcg-symmetric": ASCENT_KEYS | {"achieved_set", "fractional_mass"},
+    "dmcg-general": ASCENT_KEYS | {"achieved_set", "fractional_mass"},
+    "two-sided": {"achieved_set", "oracle_opt_set", "theoretical_ratio", "theoretical_regime"},
+    "welfare-random": {"trials", "achieved_sigma", "theoretical_ratio", "theoretical_regime"},
+    "brute-unconstrained": {"achieved_set", "theoretical_ratio", "theoretical_regime"},
+    "brute-cardinality-eq": {"achieved_set", "theoretical_ratio", "theoretical_regime"},
+    "brute-cardinality-le": {"achieved_set", "theoretical_ratio", "theoretical_regime"},
+    "brute-polytope": {"achieved_set", "theoretical_ratio", "theoretical_regime"},
+}
+
+
+@pytest.mark.parametrize("algorithm", cli.ALGORITHMS)
+def test_report_key_set_per_algorithm(algorithm, triangle_file, welfare_file, tmp_path):
+    flags = {
+        "mcg": ["--k", "1", "--steps", "50"],
+        "dmcg-symmetric": ["--k", "2", "--steps", "50"],
+        "dmcg-general": ["--k", "1", "--steps", "50"],
+        "welfare-random": ["--samples", "500"],
+        "brute-cardinality-eq": ["--k", "1"],
+        "brute-cardinality-le": ["--k", "1"],
+        "brute-polytope": ["--k", "2"],
+    }.get(algorithm, [])
+    instance = welfare_file if algorithm == "welfare-random" else triangle_file
+    out = tmp_path / "r.json"
+    assert main(["--instance", instance, "--algorithm", algorithm, *flags, "--out", str(out)]) == 0
+    assert set(_read_report(out)["report"]) == VERIFIED_KEYS | REPORT_KEYS[algorithm]
 
 
 def test_report_determinism(triangle_file, tmp_path):
@@ -225,11 +286,32 @@ def test_problem_composite_instance(tmp_path):
     assert main(["--instance", str(path), "--algorithm", "mcg", "--steps", "300", "--out", str(out2)]) == 0
 
 
+def test_mcg_embeds_the_reduced_point_and_set(tmp_path):
+    # a zero-bound part drops elements 0-2 in reduction 1; the reduced run's
+    # point and rounded set come back on the instance's own indices
+    edges = [[u, v, 1.0 + 0.1 * u] for u in range(6) for v in range(u + 1, 6)]
+    polytope = {"type": "partition", "parts": [[0, 1, 2], [3, 4, 5]], "bounds": [0, 2]}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"type": "problem", "function": {"type": "graph_cut", "n": 6, "edges": edges},
+                                "polytope": polytope}))
+    out = tmp_path / "r.json"
+    assert main(["--instance", str(path), "--algorithm", "mcg", "--steps", "100", "--out", str(out)]) == 0
+    report = _read_report(out)["report"]
+    assert report["fractional_point"][:3] == [0.0, 0.0, 0.0]
+    assert 0.0 < sum(report["fractional_point"][3:]) <= 2.0 + 1e-9
+    achieved = report["achieved_set"]
+    assert len(achieved) == 2 and set(achieved) <= {3, 4, 5}
+    f = set_function_from_json({"type": "graph_cut", "n": 6, "edges": edges})
+    assert report["achieved_value"] == f.eval(achieved)
+
+
 def test_sweep_empty_grid_and_basic_run(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--kn", "", "--out", str(out)]) == 0
     lines = out.read_text().strip().split("\n")
     assert len(lines) == 1  # header only
+    assert main(["sweep", "--n", "4", "--kn", "1/4", "--steps", "0", "--out", str(out)]) == 2
+    assert main(["sweep", "--n", "1", "--kn", "1/4", "--out", str(out)]) == 2
     assert main(
         ["sweep", "--kn", "1/4,1/2", "--n", "6", "--count", "1", "--seeds", "0",
          "--steps", "150", "--out", str(out)]

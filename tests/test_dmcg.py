@@ -1,11 +1,11 @@
 import math
-from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import brute_direction_value
 from submax.dmcg import (
     DmcgConfig,
     check_concave_segment,
@@ -55,31 +55,6 @@ def test_reduction2_validates_k():
 # ---------------------------------------------------------------------------
 # direction solver
 # ---------------------------------------------------------------------------
-
-
-def brute_direction_value(w1, w2, c1, c2, k, coeff):
-    """Exhaustive oracle: max of min(A, B) over hypersimplex vertices and all
-    pairwise equalizing mixes."""
-    n = len(w1)
-    base1 = coeff * c1
-    base2 = coeff * c2 + float(np.sum(w2))
-    verts = []
-    for comb in combinations(range(n), k):
-        I = np.zeros(n)
-        I[list(comb)] = 1.0
-        a = base1 + float(w1 @ I)
-        b = base2 - float(w2 @ I)
-        verts.append((a, b))
-    best = max(min(a, b) for a, b in verts)
-    for (a1, b1), (a2, b2) in combinations(verts, 2):
-        d1, d2 = a1 - b1, a2 - b2
-        if d1 == d2:
-            continue
-        theta = d1 / (d1 - d2)  # mix where A = B
-        if 0.0 <= theta <= 1.0:
-            mixed = (1 - theta) * a1 + theta * a2
-            best = max(best, mixed)
-    return best
 
 
 def test_solve_direction_constant_objectives():
