@@ -33,12 +33,12 @@ from . import selfcheck
 from .dmcg import DmcgConfig, reduction2, run_dmcg
 from .fixtures import random_graph_cut, random_hypergraph_cut
 from .mcg import McgConfig, run_mcg
-from .multilinear import Estimator, MultilinearEvaluator, Point, backend
+from .multilinear import EXACT_TABLE_LIMIT, Estimator, MultilinearEvaluator, Point, backend
 from .oracle import MAX_BRUTE_N, brute_cardinality, brute_polytope_integral, brute_unconstrained
 from .pipage import pipage_round
 from .polytope import CardinalityPolytope, polytope_from_json, preprocess_reduction1
 from .setfn import SetFunction, _check_fields, restrict_function, set_function_from_json
-from .subsets import MAX_MASK_BITS, as_mask, indices
+from .subsets import MAX_MASK_BITS, as_mask, full_mask, indices
 from .twosided import run_two_sided
 from .welfare import (
     MAX_WELFARE_SEARCH,
@@ -100,7 +100,7 @@ def _estimator(f: SetFunction, samples: int | None, seed: int) -> Estimator:
     form or the value table fits, and sampled beyond that."""
     if samples is not None:
         return Estimator(mode="sampled", samples=samples, seed=seed)
-    if f.multilinear is not None or f.n <= Estimator.exact_limit:
+    if f.multilinear is not None or f.n <= EXACT_TABLE_LIMIT:
         return Estimator(mode="exact")
     return Estimator(mode="sampled", seed=seed)
 
@@ -196,7 +196,7 @@ def _check(args, f, polytope_obj, welfare_inst) -> _Job:
         red = preprocess_reduction1(P, f.ground_set)
         f_run = f if len(red.kept) == n else restrict_function(f, list(red.kept))
         cfg = McgConfig(T=args.T, steps=args.steps, estimator=_estimator(f_run, samples, seed))
-        solve = partial(_solve_mcg, f, P, red, f_run, cfg, _schedule(cfg, f_run.n, red.polytope), seed)
+        solve = partial(_solve_mcg, f, P, red, f_run, cfg, _schedule(cfg, f_run.n, red.polytope))
     else:
         symmetric = algorithm == "dmcg-symmetric"
         if symmetric and not f.symmetric:
@@ -204,7 +204,7 @@ def _check(args, f, polytope_obj, welfare_inst) -> _Job:
         cfg = DmcgConfig(variant=algorithm[5:], steps=args.steps, estimator=_estimator(f, samples, seed), T=args.T)
         k_run, f_run = reduction2(k, n, f) if symmetric else (k, f)
         # k_run = 0 (symmetric, k = n) runs no ascent; --T and --steps are checked at k all the same
-        solve = partial(_solve_dmcg, f, k, f_run, k_run, cfg, _schedule(cfg, n, k_run or k), seed)
+        solve = partial(_solve_dmcg, f, k, f_run, k_run, cfg, _schedule(cfg, n, k_run or k))
     return _Job({"type": f.kind, "n": n, "symmetric": f.symmetric}, f, unverifiable, solve)
 
 
@@ -256,7 +256,7 @@ def _solve_brute(search: Callable[..., tuple[int, float]], *args) -> Solved:
     return fields, opt, lambda: {"oracle_opt": opt}
 
 
-def _solve_mcg(f, P, red, f_run, cfg: McgConfig, schedule, seed: int) -> Solved:
+def _solve_mcg(f, P, red, f_run, cfg: McgConfig, schedule) -> Solved:
     """MCG on the reduced problem; the point and the rounded set are embedded
     back into f's ground set."""
     T, steps, _, regime = schedule
@@ -270,7 +270,7 @@ def _solve_mcg(f, P, red, f_run, cfg: McgConfig, schedule, seed: int) -> Solved:
         y[kept] = y_run.coords
         frac = achieved = _fractional_value(f_run, y_run, cfg.estimator)
         if red.polytope.kind in ("cardinality", "partition"):
-            local = pipage_round(f_run, y_run, red.polytope, cfg.estimator, seed=seed)
+            local = pipage_round(f_run, y_run, red.polytope, cfg.estimator)
             mask = as_mask(kept[indices(local)], f.n)
             achieved = f.eval(mask)
             fields["achieved_set"] = indices(mask)
@@ -288,20 +288,20 @@ def _solve_mcg(f, P, red, f_run, cfg: McgConfig, schedule, seed: int) -> Solved:
     return fields, frac, lambda: {"oracle_opt": brute_polytope_integral(f_opt, P_opt, None)[1]}
 
 
-def _solve_dmcg(f, k: int, f_run, k_run: int, cfg: DmcgConfig, schedule, seed: int) -> Solved:
+def _solve_dmcg(f, k: int, f_run, k_run: int, cfg: DmcgConfig, schedule) -> Solved:
     """DMCG on the reduction2 problem (k_run <= n/2 for the symmetric
     variant), complemented back to |y| = k, then rounded."""
     n, est = f.n, cfg.estimator
     T, steps, _, regime = schedule
     if k_run == 0:  # only one feasible set; nothing to optimize, so no ascent runs
         T, regime = 0.0, True
-        y, frac = Point.ones(n), f.eval((1 << n) - 1)
+        y, frac = Point.ones(n), f.eval(full_mask(n))
     else:
         y, _ = run_dmcg(f_run, k_run, cfg)
         if k_run != k:
             y = Point(1.0 - y.coords)  # complement: same value for symmetric f
         frac = _fractional_value(f, y, est)
-    mask = pipage_round(f, y, CardinalityPolytope(n, k), est, seed=seed)
+    mask = pipage_round(f, y, CardinalityPolytope(n, k), est)
     fields = {
         "config": {"k": k, "T": T, "steps": steps, "estimator": backend(f, est)},
         "fractional_value": frac,

@@ -20,6 +20,7 @@ import numpy as np
 
 from .mcg import ascend, schedule
 from .multilinear import Estimator, MultilinearEvaluator, Point
+from .polytope import CardinalityPolytope
 from .reports import CheckReport
 from .setfn import SetFunction, complement_function
 
@@ -28,8 +29,8 @@ _BISECT_GAP = 1e-12
 
 @dataclass(frozen=True)
 class DmcgConfig:
-    """variant "symmetric" runs Algorithm-2 style (coeff 2, cleanup,
-    T = -(n/k) ln(1 - k/n + n^-4)); variant "general" runs the
+    """variant "symmetric" runs Algorithm-2 style (coeff 2, cleanup, T the
+    discrete horizon of |S| <= k); variant "general" runs the
     general-objective twin (coeff 1, no cleanup, T = 1).  steps defaults to
     100 n; see ``mcg.schedule``."""
 
@@ -43,10 +44,8 @@ class DmcgConfig:
             raise ValueError("variant must be 'symmetric' or 'general'")
 
     def resolve(self, n: int, k: int) -> tuple[float, int, float, bool]:
-        def default_T() -> float:
-            return -(n / k) * math.log(1.0 - k / n + n ** -4.0) if self.variant == "symmetric" else 1.0
-
-        return schedule(n, self.T, self.steps, default_T)
+        bound = CardinalityPolytope(n, k) if self.variant == "symmetric" else None
+        return schedule(n, self.T, self.steps, bound)
 
 
 def reduction2(k: int, n: int, f: SetFunction) -> tuple[int, SetFunction]:

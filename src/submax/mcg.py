@@ -33,20 +33,23 @@ from .setfn import SetFunction
 EXACT_NEGATIVE_MARGIN = 1e-12
 
 
-def schedule(n: int, T: float | None, steps: int | None, default_T: Callable[[], float]):
+def schedule(n: int, T: float | None, steps: int | None, P: Polytope | None = None):
     """(T, steps, delta, theoretical_regime) of an ascent over n elements.
 
-    T defaults to ``default_T()``, steps to 100 n (at least 1); a given T
-    must be positive and finite, and steps at least 1.  The theoretical step
-    size T/ceil(n^5 T) is infeasible beyond tiny n, so the regime records
-    whether delta = T/steps <= n^-5 held."""
-    if T is None:
-        T = default_T()
-    elif not 0.0 < T < math.inf:
+    steps defaults to 100 n (at least 1).  T defaults to the discrete horizon
+    ``horizon(P, steps)`` of the polytope the output must stay in, but never
+    below 1 (up to T = 1 every ascent stays inside P: y(t) / t is in P), and
+    to 1 without a polytope.  A given T must be positive and finite, and
+    steps at least 1.  The theoretical step size T/ceil(n^5 T) is infeasible
+    beyond tiny n, so the regime records whether delta = T/steps <= n^-5
+    held."""
+    if T is not None and not 0.0 < T < math.inf:
         raise ValueError(f"time horizon T must be positive and finite, got {T!r}")
     steps = max(1, 100 * n) if steps is None else steps
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
+    if T is None:
+        T = 1.0 if P is None else max(1.0, horizon(P, steps))
     delta = float(T) / steps
     return float(T), steps, delta, n == 0 or delta <= n ** -5.0
 
@@ -88,16 +91,15 @@ def ascend(ev: MultilinearEvaluator, starts: tuple[int, ...], choose: Callable, 
 
 @dataclass(frozen=True)
 class McgConfig:
-    """T defaults to horizon(P) but never below 1 (the value bound needs
-    T >= 1; membership of the output is then only guaranteed up to T_P);
-    steps defaults to 100 n.  See :func:`schedule`."""
+    """T defaults to the discrete horizon of P but never below 1 (the value
+    bound needs T >= 1); steps defaults to 100 n.  See :func:`schedule`."""
 
     T: float | None = None
     steps: int | None = None
     estimator: Estimator = field(default_factory=Estimator)
 
     def resolve(self, n: int, P: Polytope) -> tuple[float, int, float, bool]:
-        return schedule(n, self.T, self.steps, lambda: max(1.0, horizon(P)) if n else 1.0)
+        return schedule(n, self.T, self.steps, P if n else None)
 
 
 @dataclass(frozen=True)
@@ -152,19 +154,20 @@ def check_feasibility_invariants(
     traj: Trajectory, P: Polytope, T: float | None = None, tol: float = 1e-9
 ) -> CheckReport:
     """Scaled membership y(t)/t in P at every recorded step, plus plain
-    membership y(t) in P whenever t <= T_P."""
-    t_p = horizon(P)
+    membership y(t) in P after step i whenever t <= horizon(P, i), the
+    discrete horizon of i steps (steps of width delta <= horizon(P, i) / i
+    keep y inside P)."""
     bad: dict[str, float] = {}
-    for step in traj.steps:
+    for i, step in enumerate(traj.steps, start=1):
         t = step.t_end
         if not P.membership(step.y_end / t, tol):
             bad.setdefault("scaled_membership_t", t)
-        if t <= t_p + 1e-15 and not P.membership(step.y_end, tol):
+        if t <= horizon(P, i) + 1e-15 and not P.membership(step.y_end, tol):
             bad.setdefault("membership_t", t)
     return CheckReport(
         "trajectory feasibility",
         not bad,
-        details={"horizon": t_p, "T": T if T is not None else traj.T, **bad},
+        details={"horizon": horizon(P, len(traj.steps)), "T": T if T is not None else traj.T, **bad},
     )
 
 

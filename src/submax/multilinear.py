@@ -13,8 +13,8 @@ backends, picked by :func:`backend` in this order:
   complements and restrictions): exact F and gradient in time polynomial in
   the instance size, with no oracle queries;
 * ``"table"`` otherwise in exact mode: all 2^n values are tabulated once
-  (2^n oracle calls, so n <= ``exact_limit``) and folded one coordinate at a
-  time.
+  (2^n oracle calls, so n <= ``EXACT_TABLE_LIMIT``) and folded one
+  coordinate at a time.
 """
 
 from __future__ import annotations
@@ -27,9 +27,12 @@ import numpy as np
 from .reports import CheckReport, mean_and_sigma
 from .rng import substream
 from .setfn import SetFunction, complement_function
-from .subsets import as_mask, full_mask, masks_from_bits
+from .subsets import as_mask, bits_from_masks, full_mask, masks_from_bits
 
 _CLAMP_TOL = 1e-12
+
+# largest n whose 2^n value table the exact backend builds
+EXACT_TABLE_LIMIT = 16
 
 
 class Point:
@@ -58,12 +61,7 @@ class Point:
 
     @classmethod
     def indicator(cls, subset, n: int) -> "Point":
-        mask = as_mask(subset, n)
-        arr = np.zeros(n)
-        for u in range(n):
-            if (mask >> u) & 1:
-                arr[u] = 1.0
-        return cls(arr)
+        return cls(bits_from_masks(as_mask(subset, n), n))
 
     @property
     def n(self) -> int:
@@ -80,7 +78,7 @@ class Point:
 @dataclass(frozen=True)
 class Estimator:
     """How to evaluate F: exactly (closed form, or a value table for
-    n <= exact_limit) or by seeded sampling.
+    n <= EXACT_TABLE_LIMIT) or by seeded sampling.
 
     ``samples`` defaults to 10*n^2 per evaluation; the paper leaves the
     sample schedule open, so this is a toolkit default, not a mandate.
@@ -89,7 +87,6 @@ class Estimator:
     mode: str = "exact"
     samples: int | None = None
     seed: int = 0
-    exact_limit: int = 16
 
     def __post_init__(self):
         if self.mode not in ("exact", "sampled"):
@@ -140,8 +137,8 @@ class MultilinearEvaluator:
 
     # -- exact kernels ------------------------------------------------------
     def _check_table_size(self) -> None:
-        if self.n > self.est.exact_limit:
-            raise ValueError(f"the exact value table supports n <= {self.est.exact_limit}, got n={self.n}")
+        if self.n > EXACT_TABLE_LIMIT:
+            raise ValueError(f"the exact value table supports n <= {EXACT_TABLE_LIMIT}, got n={self.n}")
 
     def table(self) -> np.ndarray:
         if self._table is None:
@@ -210,26 +207,21 @@ class MultilinearEvaluator:
     def _value_sampled(self, x: np.ndarray, stream: tuple[int, ...]) -> float:
         if np.all(np.minimum(x, 1.0 - x) <= _CLAMP_TOL):
             # integral point: F(1_S) = f(S), no sampling needed
-            return self.f.eval(int(masks_from_bits((x > 0.5)[None, :])[0]))
+            return self.f.eval(int(masks_from_bits(x > 0.5)))
         samples = self.est.resolved_samples(self.n)
         masks = self._sample_masks(x, self._thresholds(stream, samples))
         return float(self.f.eval_many(masks).mean())
 
     def _grad_sampled(self, x: np.ndarray, stream: tuple[int, ...]) -> tuple[float, np.ndarray, np.ndarray]:
-        samples = self.est.resolved_samples(self.n)
-        thresholds = self._thresholds(stream, samples)
-        base = self._sample_masks(x, thresholds)
-        base_vals = self.f.eval_many(base)
-        grad = np.empty(self.n)
-        sigma = np.empty(self.n)
-        for u in range(self.n):
-            bit = np.int64(1 << u)
-            up = self.f.eval_many(np.bitwise_or(base, bit))
-            down = self.f.eval_many(np.bitwise_and(base, np.int64(~int(bit))))
-            diffs = up - down
-            grad[u] = float(diffs.mean())
-            sigma[u] = float(diffs.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-        return float(base_vals.mean()), grad, sigma
+        """F from the sampled sets R, and dF/dx_u from f(R + u) - f(R - u),
+        all evaluated as one (2n + 1, samples) oracle batch."""
+        n, samples = self.n, self.est.resolved_samples(self.n)
+        base = self._sample_masks(x, self._thresholds(stream, samples))
+        unit = masks_from_bits(np.eye(n, dtype=bool))[:, None]  # row u is the set {u}
+        vals = self.f.eval_many(np.concatenate([base[None, :], base | unit, base & ~unit]))
+        diffs = vals[1 : n + 1] - vals[n + 1 :]
+        sigma = diffs.std(axis=1, ddof=1) / math.sqrt(samples) if samples > 1 else np.zeros(n)
+        return float(vals[0].mean()), diffs.mean(axis=1), sigma
 
     # -- public -------------------------------------------------------------
     def value(self, x, stream: tuple[int, ...] = ()) -> float:
@@ -258,7 +250,7 @@ class MultilinearEvaluator:
 def sample_set(x, rng: np.random.Generator) -> int:
     """One draw of R(x): each element included independently with prob x_u."""
     xa = _as_array(x)
-    return int(masks_from_bits((rng.random(xa.size) < xa)[None, :])[0])
+    return int(masks_from_bits(rng.random(xa.size) < xa))
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +351,10 @@ def check_random_subset_bound(
     each element of A independently with probability p."""
     n = f.n
     mask = full_mask(n) if A is None else as_mask(A, n)
-    members = np.array([u for u in range(n) if (mask >> u) & 1], dtype=np.int64)
-    rng = substream(seed, 0xE0)
-    keep = rng.random((trials, members.size)) < p
-    masks = (keep.astype(np.int64) << members).sum(axis=1) if members.size else np.zeros(trials, dtype=np.int64)
+    members = np.flatnonzero(bits_from_masks(mask, n))
+    keep = np.zeros((trials, n), dtype=bool)
+    keep[:, members] = substream(seed, 0xE0).random((trials, members.size)) < p
+    masks = masks_from_bits(keep)
     est, sigma = mean_and_sigma(f.eval_many(masks))
     bound = (1.0 - p) * f.eval(0) + p * f.eval(mask)
     return CheckReport(

@@ -13,7 +13,7 @@ import numpy as np
 
 from .polytope import CardinalityPolytope, KnapsackPolytope, PartitionPolytope, Polytope
 from .setfn import SetFunction
-from .subsets import MASK_BLOCK, popcount_array
+from .subsets import MASK_BLOCK, as_mask, bits_from_masks, popcount_array
 
 MAX_BRUTE_N = 22
 
@@ -73,20 +73,12 @@ def _integral_members(P: Polytope, masks: np.ndarray, n: int) -> np.ndarray:
     if isinstance(P, PartitionPolytope):
         ok = np.ones(masks.size, dtype=bool)
         for part, b in zip(P.parts, P.bounds):
-            part_mask = np.int64(sum(1 << u for u in part))
-            ok &= popcount_array(masks & part_mask) <= b
+            ok &= popcount_array(masks & as_mask(part, n)) <= b
         return ok
     if isinstance(P, KnapsackPolytope):
-        load = np.zeros(masks.size)
-        for u in range(n):
-            load += P.a[u] * ((masks >> np.int64(u)) & 1)
-        return load <= P.b + 1e-9
+        return bits_from_masks(masks, n) @ P.a <= P.b + 1e-9
     # generic fallback through the membership oracle
-    out = np.empty(masks.size, dtype=bool)
-    for i, m in enumerate(masks):
-        x = np.array([(int(m) >> u) & 1 for u in range(n)], dtype=float)
-        out[i] = P.membership(x)
-    return out
+    return np.array([P.membership(x) for x in bits_from_masks(masks, n).astype(float)], dtype=bool)
 
 
 def brute_polytope_integral(f: SetFunction, P: Polytope, n: int | None = None) -> tuple[int, float]:

@@ -37,7 +37,6 @@ def pipage_round(
     x: Point,
     P: Polytope,
     est: Estimator | None = None,
-    seed: int = 0,
 ) -> int:
     """Round x in P to a set S with f(S) >= F(x) (exact mode); returns a bitmask.
 
@@ -46,10 +45,8 @@ def pipage_round(
     endpoint.  When a single fractional coordinate is left in a group (the
     group's constraint is slack), it is rounded to the better feasible bound.
     In sampled mode endpoint comparisons share one threshold stream per move
-    (common random numbers)."""
+    (common random numbers) drawn from the estimator's seed."""
     est = est or Estimator()
-    if est.mode == "sampled":
-        est = Estimator(mode="sampled", samples=est.samples, seed=seed, exact_limit=est.exact_limit)
     groups = _groups(P)
     if not P.membership(x.coords):
         raise ValueError("point is not inside the polytope")
@@ -109,7 +106,7 @@ def pipage_round(
     off = np.minimum(y, 1.0 - y)
     if off.max() > _FRAC_TOL:
         raise ArithmeticError("rounding left a fractional coordinate")
-    mask = int(masks_from_bits((y > 0.5)[None, :])[0])
+    mask = int(masks_from_bits(y > 0.5))
     if not P.membership(Point.indicator(mask, f.n).coords):
         raise ArithmeticError("rounded set left the polytope")
     return mask

@@ -199,13 +199,20 @@ class KnapsackPolytope(Polytope):
         return f"KnapsackPolytope(a={self.a.tolist()}, b={self.b})"
 
 
-def horizon(P: Polytope) -> float:
-    """T_P = -ln(1 - d(P) + n^-4) / d(P): running the measured ascent up to
-    T_P keeps the output inside P."""
-    d = P.density
+def horizon(P: Polytope, steps: int | None = None) -> float:
+    """How long the measured ascent may run and keep its output inside P.
+
+    The continuous flow (steps None) may run to T_P = -ln(1 - d + n^-4) / d,
+    d = d(P).  The discrete updates y + delta v (1 - y) grow mass faster, so
+    s steps may run only to T_s = s (1 - (1 - d + n^-4)^(1/(d s))): by
+    1 - delta d <= (1 - delta)^d, the output then stays inside P.  T_s tends
+    to T_P as s grows and always keeps delta = T_s / s below 1.  A density
+    above 1 (a constraint the whole cube satisfies) counts as 1."""
+    d = min(P.density, 1.0)
     if d <= 0:
         raise ValueError("horizon requires positive density")
-    return -math.log(1.0 - d + P.n ** -4.0) / d
+    log_slack = math.log(1.0 - d + P.n ** -4.0)
+    return -log_slack / d if steps is None else -steps * math.expm1(log_slack / (d * steps))
 
 
 @dataclass(frozen=True)

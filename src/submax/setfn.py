@@ -21,7 +21,7 @@ from itertools import combinations
 import numpy as np
 
 from .rng import substream
-from .subsets import MASK_BLOCK, MAX_MASK_BITS, as_mask, full_mask
+from .subsets import MASK_BLOCK, MAX_MASK_BITS, as_mask, bits_from_masks, full_mask, mask_array, masks_from_bits
 
 # x -> (F(x), grad F(x)) for x in [0,1]^n
 Multilinear = Callable[[np.ndarray], tuple[float, np.ndarray]]
@@ -106,7 +106,7 @@ class SetFunction:
     def eval(self, subset: int | Iterable[int]) -> float:
         """Oracle value of one subset (bitmask or iterable of indices): the
         batch kernel on a one-mask array, at any n."""
-        return float(self._values(_mask_array([as_mask(subset, self.n)], self.n))[0])
+        return float(self._values(mask_array([as_mask(subset, self.n)], self.n))[0])
 
     def eval_many(self, masks: np.ndarray) -> np.ndarray:
         """Oracle values of a batch of int64 bitmasks (any shape); counts one
@@ -139,11 +139,6 @@ class SetFunction:
 
     def __call__(self, subset: int | Iterable[int]) -> float:
         return self.eval(subset)
-
-
-def _mask_array(masks: list[int], n: int) -> np.ndarray:
-    """int64 masks; above the int64 limit, Python ints in an object array."""
-    return np.array(masks, dtype=np.int64 if n <= MAX_MASK_BITS else object)
 
 
 def _weighted_count(hits: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -227,7 +222,7 @@ def graph_cut_function(instance: GraphCutInstance) -> SetFunction:
     eu = np.array([e[0] for e in instance.edges], dtype=np.int64)
     ev = np.array([e[1] for e in instance.edges], dtype=np.int64)
     ew = np.array([e[2] for e in instance.edges], dtype=float)
-    edge_masks = _mask_array([(1 << u) | (1 << v) for u, v, _ in instance.edges], instance.n)
+    edge_masks = mask_array([as_mask((u, v), instance.n) for u, v, _ in instance.edges], instance.n)
 
     def multilinear(x: np.ndarray) -> tuple[float, np.ndarray]:
         # Pr[edge uv is cut] = x_u + x_v - 2 x_u x_v
@@ -265,7 +260,7 @@ class HypergraphCutInstance:
 
 
 def hypergraph_cut_function(instance: HypergraphCutInstance) -> SetFunction:
-    he_masks = _mask_array([as_mask(verts, instance.n) for verts, _ in instance.hyperedges], instance.n)
+    he_masks = mask_array([as_mask(verts, instance.n) for verts, _ in instance.hyperedges], instance.n)
     he_w = np.array([w for _, w in instance.hyperedges], dtype=float)
 
     incidence = _padded_incidence([sorted(verts) for verts, _ in instance.hyperedges], instance.n)
@@ -317,7 +312,7 @@ def coverage_function(instance: CoverageInstance) -> SetFunction:
     for i, covered in enumerate(instance.membership):
         for j in covered:
             rows[j].add(i)
-    coverers = _mask_array([as_mask(row, instance.n) for row in rows], instance.n)
+    coverers = mask_array([as_mask(row, instance.n) for row in rows], instance.n)
     weights = np.asarray(instance.universe_weights, dtype=float)
 
     def many(masks: np.ndarray) -> np.ndarray:
@@ -367,7 +362,7 @@ def modular_function(n: int, coeffs) -> SetFunction:
         raise ValueError("coeffs must have length n")
 
     def many(masks: np.ndarray) -> np.ndarray:
-        return _weighted_count((masks[..., None] >> np.arange(n, dtype=np.int64)) & 1, c)
+        return _weighted_count(bits_from_masks(masks, n), c)
 
     return SetFunction(
         n,
@@ -433,11 +428,12 @@ def restrict_function(f: SetFunction, kept: list[int], *, audit_symmetry_limit: 
     kept = [int(u) for u in kept]
     n_new = len(kept)
     kept_arr = np.array(kept, dtype=np.int64)
-    # bit i of a mask moves to bit kept[i] of a mask over f's ground set
-    kept_bits = _mask_array([1 << u for u in kept], f.n)
 
     def many(masks: np.ndarray) -> np.ndarray:
-        return f._values(((masks[..., None] >> np.arange(n_new, dtype=np.int64)) & 1) @ kept_bits)
+        # bit i of a mask moves to bit kept[i] of a mask over f's ground set
+        bits = np.zeros((*masks.shape, f.n), dtype=np.int64)
+        bits[..., kept_arr] = bits_from_masks(masks, n_new)
+        return f._values(masks_from_bits(bits))
 
     def multilinear(x: np.ndarray) -> tuple[float, np.ndarray]:
         full = np.zeros(f.n)

@@ -1,7 +1,11 @@
-"""Bitmask helpers for subsets of a ground set {0, ..., n-1}.
+"""The set codec: bitmasks for subsets of a ground set {0, ..., n-1}.
 
-Subsets travel through the toolkit as Python int bitmasks (bit u set means
-element u is in the set); every oracle also accepts an iterable of indices.
+Subsets travel through the toolkit as bitmasks, bit u set meaning element u
+is in the set; every oracle also accepts an iterable of indices.  A mask
+array is int64 up to ``MAX_MASK_BITS`` elements and holds Python ints (an
+``object`` array) above that.  This module alone converts between sets and
+bit rows: :func:`masks_from_bits` packs, :func:`bits_from_masks` unpacks,
+both at any n.
 """
 
 from __future__ import annotations
@@ -9,8 +13,6 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 import numpy as np
-
-SubsetLike = "int | Iterable[int]"
 
 # int64 bitmask batches hold at most 62 elements: shifting 1 by 63 overflows
 MAX_MASK_BITS = 62
@@ -42,14 +44,7 @@ def as_mask(subset: int | Iterable[int], n: int) -> int:
 
 def indices(mask: int) -> list[int]:
     """Sorted element indices of a bitmask."""
-    out = []
-    u = 0
-    while mask:
-        if mask & 1:
-            out.append(u)
-        mask >>= 1
-        u += 1
-    return out
+    return np.flatnonzero(bits_from_masks(mask, int(mask).bit_length())).tolist()
 
 
 def full_mask(n: int) -> int:
@@ -67,10 +62,22 @@ def popcount_array(masks: np.ndarray) -> np.ndarray:
     return sum(_POP_LUT[(m >> shift) & 2047] for shift in range(0, 63, _POP_CHUNK))
 
 
+def mask_array(masks, n: int) -> np.ndarray:
+    """Masks over n elements as an array: int64 up to ``MAX_MASK_BITS``
+    elements, Python ints in an object array above."""
+    return np.asarray(masks, dtype=np.int64 if n <= MAX_MASK_BITS else object)
+
+
 def masks_from_bits(bits: np.ndarray) -> np.ndarray:
-    """Pack a boolean (rows, n) matrix into int64 bitmasks, bit u = column u."""
+    """Pack boolean rows (..., n) into masks, bit u = column u, at any n (see
+    :func:`mask_array`); a 1-D row gives one mask."""
     n = bits.shape[-1]
-    if n > MAX_MASK_BITS:
-        raise ValueError(f"vectorized masks support at most {MAX_MASK_BITS} elements")
-    powers = np.left_shift(np.int64(1), np.arange(n, dtype=np.int64))
-    return bits.astype(np.int64) @ powers
+    powers = mask_array([1 << u for u in range(n)], n)
+    return bits.astype(np.int64).astype(powers.dtype, copy=False) @ powers
+
+
+def bits_from_masks(masks, n: int) -> np.ndarray:
+    """0/1 int64 rows (..., n) of masks over n elements, column u = bit u:
+    the inverse of :func:`masks_from_bits`, at any n."""
+    bits = (mask_array(masks, n)[..., None] >> np.arange(n, dtype=np.int64)) & 1
+    return bits.astype(np.int64, copy=False)

@@ -13,7 +13,7 @@ import numpy as np
 from .reports import CheckReport, mean_and_sigma
 from .rng import substream
 from .setfn import GroundSet, SetFunction, _check_fields, set_function_from_json
-from .subsets import MASK_BLOCK, full_mask, popcount_array
+from .subsets import MASK_BLOCK, as_mask, bits_from_masks, full_mask, masks_from_bits, popcount_array
 
 MAX_WELFARE_SEARCH = 10_000_000
 
@@ -64,10 +64,12 @@ def random_assign(inst: WelfareInstance, seed: int = 0) -> Allocation:
     n = inst.items.n
     rng = substream(seed, 0x5A)
     choice = rng.integers(0, inst.k, size=n)
-    parts = [0] * inst.k
-    for u in range(n):
-        parts[int(choice[u])] |= 1 << u
-    return Allocation(tuple(parts), inst)
+    return Allocation(_bundles(choice, inst.k), inst)
+
+
+def _bundles(choice: np.ndarray, k: int) -> tuple[int, ...]:
+    """The k player bundles of one assignment (player index per item)."""
+    return tuple(int(m) for m in masks_from_bits(choice == np.arange(k)[:, None]))
 
 
 def simulate_random_assign(inst: WelfareInstance, trials: int, seed: int = 0) -> np.ndarray:
@@ -76,11 +78,9 @@ def simulate_random_assign(inst: WelfareInstance, trials: int, seed: int = 0) ->
     n = inst.items.n
     rng = substream(seed, 0x5A)
     choice = rng.integers(0, inst.k, size=(trials, n))
-    shifts = np.left_shift(np.int64(1), np.arange(n, dtype=np.int64))
     totals = np.zeros(trials)
     for player in range(inst.k):
-        masks = ((choice == player) * shifts).sum(axis=1)
-        totals += inst.utility.eval_many(masks)
+        totals += inst.utility.eval_many(masks_from_bits(choice == player))
     return totals
 
 
@@ -111,25 +111,18 @@ def brute_force_welfare(inst: WelfareInstance) -> tuple[Allocation, float]:
     if k**n > MAX_WELFARE_SEARCH:
         raise ValueError(f"search space k^n = {k**n} exceeds {MAX_WELFARE_SEARCH}")
     best_total = -math.inf
-    best_code = 0
-    shifts = np.left_shift(np.int64(1), np.arange(n, dtype=np.int64))
+    best_digits = np.zeros(n, dtype=np.int64)
     for start in range(0, k**n, MASK_BLOCK):
         codes = np.arange(start, min(start + MASK_BLOCK, k**n), dtype=np.int64)
         digits = (codes[:, None] // k ** np.arange(n, dtype=np.int64)) % k
         totals = np.zeros(codes.size)
         for player in range(k):
-            masks = ((digits == player) * shifts).sum(axis=1)
-            totals += inst.utility.eval_many(masks)
+            totals += inst.utility.eval_many(masks_from_bits(digits == player))
         i = int(np.argmax(totals))
         if totals[i] > best_total:
             best_total = float(totals[i])
-            best_code = int(codes[i])
-    parts = [0] * k
-    code = best_code
-    for u in range(n):
-        parts[code % k] |= 1 << u
-        code //= k
-    return Allocation(tuple(parts), inst), best_total
+            best_digits = digits[i]
+    return Allocation(_bundles(best_digits, k), inst), best_total
 
 
 # ---------------------------------------------------------------------------
@@ -152,21 +145,16 @@ def check_partial_union_bounds(
         raise ValueError("requires k >= 2")
     opt_value = optimal.total
     # player owning each item under the optimal allocation
-    owner = np.zeros(n, dtype=np.int64)
-    for player, part in enumerate(optimal.parts):
-        for u in range(n):
-            if (part >> u) & 1:
-                owner[u] = player
+    owner = np.argmax(bits_from_masks(optimal.parts, n), axis=0)
     rng = substream(seed, 0x9C)
     ranks = np.argsort(rng.random((trials, k)), axis=1).argsort(axis=1)  # rank of each player
     keep = rng.random((trials, n)) < (1.0 / k)
-    shifts = np.left_shift(np.int64(1), np.arange(n, dtype=np.int64))
     item_rank = ranks[:, owner]  # (trials, n)
 
     results = {}
     passed = True
     for i in range(k + 1):
-        masks = (((item_rank < i) & keep) * shifts).sum(axis=1)
+        masks = masks_from_bits((item_rank < i) & keep)
         est, sigma = mean_and_sigma(inst.utility.eval_many(masks))
         bound = ((k**2 - i) / (k * (k - 1)) - (1.0 - 1.0 / k) ** (i - 1)) * opt_value / k
         ok = est >= bound - 4.0 * sigma - 1e-12
@@ -224,22 +212,16 @@ def check_repeated_subsample_union(
     ell = len(family)
     n = f.n
     rng = substream(seed, 0x4E9)
-    members = [np.array([u for u in range(n) if (m >> u) & 1], dtype=np.int64) for m in family]
-    masks = np.zeros(trials, dtype=np.int64)
-    for mem in members:
-        if mem.size == 0:
-            continue
-        keep = rng.random((trials, mem.size)) < p
-        masks |= (keep * np.left_shift(np.int64(1), mem)).sum(axis=1)
-    est, sigma = mean_and_sigma(f.eval_many(masks))
+    members = bits_from_masks(family, n).astype(bool)
+    kept = np.zeros((trials, n), dtype=bool)
+    for row in members:
+        kept[:, row] |= rng.random((trials, int(row.sum()))) < p
+    est, sigma = mean_and_sigma(f.eval_many(masks_from_bits(kept)))
     bound = 0.0
-    for idx in range(1 << ell):
-        union = 0
-        for i in range(ell):
-            if (idx >> i) & 1:
-                union |= family[i]
-        size = bin(idx).count("1")
-        bound += p**size * (1.0 - p) ** (ell - size) * f.eval(union)
+    for chosen in bits_from_masks(np.arange(1 << ell), ell).astype(bool):
+        size = int(chosen.sum())
+        union = masks_from_bits(members[chosen].any(axis=0))
+        bound += p**size * (1.0 - p) ** (ell - size) * f.eval(int(union))
     return CheckReport(
         "independent-subsample union bound",
         est >= bound - 4.0 * sigma - 1e-12,
@@ -259,7 +241,7 @@ def check_sampled_union_bounds(f: SetFunction, trials: int = 100_000, seed: int 
     ell = int(rng.integers(2, min(4, n // 2) + 1))
     perm = rng.permutation(n)
     chunks = np.array_split(perm[: 2 * (n // 2)], ell)
-    disjoint = [int(sum(1 << int(u) for u in chunk)) for chunk in chunks if len(chunk)]
+    disjoint = [as_mask(chunk, n) for chunk in chunks if len(chunk)]
     overlapping = [int(rng.integers(1, 1 << n)) for _ in range(int(rng.integers(2, 4)))]
     parts = [check_disjoint_unions(f, disjoint, trials, seed + 1)]
     for i, p in enumerate((0.25, 0.5)):

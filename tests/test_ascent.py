@@ -2,7 +2,10 @@
 separate step loops of run_mcg and run_dmcg produced before they became
 drivers of one kernel (mcg.ascend).  Every case runs 40 steps; the cleanup
 fires in the mcg and symmetric cases, and in the sampled symmetric case it
-resets one coordinate of y1 and three of y2."""
+resets one coordinate of y1 and three of y2.  Each case fixes its T, so the
+pins hold the step loop, not the default horizon."""
+
+import math
 
 import numpy as np
 import pytest
@@ -11,10 +14,13 @@ from submax.dmcg import DmcgConfig, run_dmcg
 from submax.fixtures import random_coverage, random_graph_cut
 from submax.mcg import McgConfig, run_mcg, schedule
 from submax.multilinear import Estimator
-from submax.polytope import CardinalityPolytope
+from submax.polytope import CardinalityPolytope, horizon
 
 SAMPLED = Estimator(mode="sampled", samples=64, seed=5)
 ESTIMATORS = {"exact": Estimator(), "sampled": SAMPLED}
+
+# the symmetric cases run to the continuous horizon of |S| <= 2 over 7 elements
+SYMMETRIC_T = -(7 / 2) * math.log(1.0 - 2 / 7 + 7**-4.0)
 
 # (final point, final values, steps, coordinates the cleanup reset)
 PINNED = {
@@ -57,7 +63,8 @@ def _run(solver: str, mode: str):
                           McgConfig(T=2.0, steps=40, estimator=est))
         return y, (traj.final_value(),), traj
     f, k = (random_graph_cut(7, seed=7), 2) if solver == "symmetric" else (random_coverage(7, seed=3), 3)
-    y, traj = run_dmcg(f, k, DmcgConfig(variant=solver, steps=40, estimator=est))
+    T = SYMMETRIC_T if solver == "symmetric" else 1.0
+    y, traj = run_dmcg(f, k, DmcgConfig(variant=solver, steps=40, estimator=est, T=T))
     last = traj.steps[-1]
     return y, (last.value1_end, last.value2_end), traj
 
@@ -76,10 +83,15 @@ def test_seeded_ascent_matches_pinned_outputs(solver, mode):
                                       (1.0, 0), (1.0, -3)])
 def test_schedule_rejects_empty_or_degenerate_runs(T, steps):
     with pytest.raises(ValueError):
-        schedule(4, T, steps, lambda: 1.0)
+        schedule(4, T, steps, CardinalityPolytope(4, 2))
 
 
 def test_schedule_defaults():
-    assert schedule(4, None, None, lambda: 0.75) == (0.75, 400, 0.75 / 400, False)
-    assert schedule(2, 1.0, 64, lambda: 0.0) == (1.0, 64, 1.0 / 64, True)  # 1/64 <= 2^-5
-    assert schedule(0, None, None, lambda: 1.0) == (1.0, 1, 1.0, True)
+    P = CardinalityPolytope(4, 3)
+    T_s = horizon(P, 400)
+    assert 1.0 < T_s < horizon(P)
+    assert schedule(4, None, None, P) == (T_s, 400, T_s / 400, False)
+    assert horizon(P, 1) < 1.0 and schedule(4, None, 1, P) == (1.0, 1, 1.0, False)  # never below 1
+    assert schedule(4, None, None) == (1.0, 400, 1.0 / 400, False)
+    assert schedule(2, 1.0, 64) == (1.0, 64, 1.0 / 64, True)  # 1/64 <= 2^-5
+    assert schedule(0, None, None) == (1.0, 1, 1.0, True)

@@ -1,11 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from submax import cli
 from submax.cli import main
-from submax.polytope import polytope_from_json
+from submax.polytope import CardinalityPolytope, horizon, polytope_from_json
 from submax.setfn import set_function_from_json
 from submax.welfare import welfare_from_json
 
@@ -366,3 +367,44 @@ def test_closed_form_runs_exact_beyond_the_table_limit(tmp_path):
     assert len(report["achieved_set"]) == 6
     assert report["achieved_value"] >= report["fractional_value"] - 1e-9  # exact pipage never loses value
     assert report["oracle_calls"] == 1
+
+
+def _large_cut_file(tmp_path, family, n=70):
+    rng = np.random.default_rng(n)
+    if family == "graph_cut":
+        edges = [[u, v, 1.0] for u in range(n) for v in range(u + 1, n) if rng.random() < 0.08]
+        obj = {"type": "graph_cut", "n": n, "edges": edges}
+    else:
+        hyperedges = [[sorted(rng.choice(n, size=3, replace=False).tolist()), 1.0] for _ in range(2 * n)]
+        obj = {"type": "hypergraph_cut", "n": n, "hyperedges": hyperedges}
+    path = tmp_path / f"{family}{n}.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize("family", ["graph_cut", "hypergraph_cut"])
+@pytest.mark.parametrize("algorithm", ["mcg", "dmcg-symmetric", "dmcg-general"])
+def test_ascents_round_sets_beyond_62_elements(algorithm, family, tmp_path):
+    # 70 elements do not fit an int64 mask; pipage packs the set as a Python int
+    out = tmp_path / "r.json"
+    argv = ["--instance", _large_cut_file(tmp_path, family), "--algorithm", algorithm, "--k", "17", "--steps", "20"]
+    assert main([*argv, "--out", str(out)]) == 0
+    report = _read_report(out)["report"]
+    assert report["config"]["estimator"] == "closed_form" and "oracle_opt" not in report
+    # the dmcg variants round onto |S| = k, mcg onto |S| <= k
+    size = len(report["achieved_set"])
+    assert size == 17 if algorithm.startswith("dmcg-") else 1 <= size <= 17
+    assert report["achieved_value"] >= report["fractional_value"] - 1e-9  # exact pipage never loses value
+
+
+@pytest.mark.parametrize("algorithm", ["mcg", "dmcg-symmetric"])
+def test_coarse_ascent_on_the_64_vertex_path_stays_feasible(algorithm, tmp_path):
+    # at the continuous horizon, 20 steps overshot |S| <= 4: mcg's point left
+    # the polytope and dmcg-symmetric's y1 passed k
+    out = tmp_path / "r.json"
+    argv = ["--instance", _chain_file(tmp_path, 64), "--algorithm", algorithm, "--k", "4", "--steps", "20"]
+    assert main([*argv, "--out", str(out)]) == 0
+    report = _read_report(out)["report"]
+    assert report["config"]["T"] == max(1.0, horizon(CardinalityPolytope(64, 4), 20))
+    assert sum(report["fractional_point"]) <= 4 + 1e-9
+    assert len(report["achieved_set"]) == 4

@@ -152,6 +152,27 @@ def test_run_rejects_empty_schedule(variant, steps, T):
         run_dmcg(f, 2, DmcgConfig(variant=variant, steps=steps, T=T))
 
 
+@pytest.mark.parametrize("variant", ["symmetric", "general"])
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_coarse_steps_bracket_k(variant, seed):
+    # the default T is the discrete horizon of the step count, so even a
+    # handful of steps ends with |y1| <= k <= |y2| and a point of mass k
+    rng = substream(seed, 0xB4C)
+    n = int(rng.integers(4, 41))
+    k = int(rng.integers(1, n // 2 + 1))
+    steps = int(rng.integers(1, 31))
+    y, traj = run_dmcg(random_graph_cut(n, seed, edge_prob=0.3), k, DmcgConfig(variant=variant, steps=steps))
+    assert check_y_properties(traj).passed, check_y_properties(traj).details
+    assert y.mass() == pytest.approx(k, abs=1e-9)
+
+
+@pytest.mark.parametrize("n, k, steps", [(40, 10, 4), (300, 75, 50)])
+def test_symmetric_variant_brackets_k_where_the_continuous_horizon_overshot(n, k, steps):
+    y, traj = run_dmcg(random_graph_cut(n, seed=0), k, DmcgConfig(steps=steps))
+    assert check_y_properties(traj).passed and y.mass() == pytest.approx(k, abs=1e-9)
+
+
 def test_y_properties_hold_per_step():
     for seed in range(4):
         f = random_graph_cut(7, seed=seed)

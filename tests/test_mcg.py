@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import POLYTOPE_KINDS, random_polytope
 from submax.fixtures import random_coverage, random_graph_cut, single_edge_cut, triangle_cut
 from submax.mcg import McgConfig, check_feasibility_invariants, run_mcg, trajectory_csv
 from submax.multilinear import Estimator, MultilinearEvaluator, Point
 from submax.oracle import brute_polytope_integral
-from submax.polytope import CardinalityPolytope, KnapsackPolytope, PartitionPolytope, horizon
-from submax.setfn import restrict_function
+from submax.polytope import CardinalityPolytope, KnapsackPolytope, PartitionPolytope, horizon, preprocess_reduction1
+from submax.rng import substream
+from submax.setfn import GroundSet, restrict_function
 
 
 def test_zero_budget_returns_origin():
@@ -44,6 +48,24 @@ def test_feasibility_invariants_across_polytopes():
     ):
         _, traj = run_mcg(f, P, McgConfig(T=min(1.0, horizon(P)), steps=400))
         assert check_feasibility_invariants(traj, P).passed
+
+
+@pytest.mark.parametrize("kind", POLYTOPE_KINDS)
+@pytest.mark.filterwarnings("ignore:objective not flagged symmetric")  # a restricted cut may be asymmetric
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_default_horizon_keeps_coarse_runs_inside_the_polytope(kind, seed):
+    # at the continuous horizon, 1 to 16 steps overshot P (a coordinate could
+    # even pass 1); the discrete horizon keeps every step count inside
+    rng = substream(seed, 0xFEA5)
+    n = int(rng.integers(2, 11))
+    red = preprocess_reduction1(random_polytope(n, rng, kind), GroundSet(n))
+    if not red.kept:
+        return
+    f = restrict_function(random_graph_cut(n, seed), list(red.kept))
+    y, traj = run_mcg(f, red.polytope, McgConfig(steps=int(rng.integers(1, 17))))
+    assert red.polytope.membership(y.coords)
+    assert check_feasibility_invariants(traj, red.polytope).passed
 
 
 def test_scaled_membership_holds_beyond_horizon():

@@ -105,8 +105,8 @@ def test_sampled_mode_rounds_with_common_random_numbers():
     P = CardinalityPolytope(6, 3)
     rng = substream(1, 5)
     x = Point(_random_point_in_cardinality(rng, 6, 3))
-    est = Estimator(mode="sampled", samples=4000)
-    mask_a = pipage_round(f, x, P, est, seed=7)
-    mask_b = pipage_round(f, x, P, est, seed=7)
+    est = Estimator(mode="sampled", samples=4000, seed=7)
+    mask_a = pipage_round(f, x, P, est)
+    mask_b = pipage_round(f, x, P, est)
     assert mask_a == mask_b  # deterministic given the seed
     assert int(popcount_array(np.array([mask_a]))[0]) == 3

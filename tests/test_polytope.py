@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_polytope
 from submax.polytope import (
     CardinalityPolytope,
     KnapsackPolytope,
@@ -96,6 +97,26 @@ def test_horizon_formula():
     assert horizon(P) == pytest.approx(4 * math.log(5), abs=1e-12)
 
 
+def test_discrete_horizon_grows_to_the_continuous_one():
+    P = CardinalityPolytope(4, 3)  # d = 3/4, n = 4
+    assert horizon(P, 1) == pytest.approx(1.0 - (0.25 + 4**-4.0) ** (4 / 3), abs=1e-12)
+    T = [horizon(P, s) for s in (1, 2, 5, 40, 1000, 10**6)]
+    assert all(a < b for a, b in zip(T, T[1:])) and T[-1] < horizon(P)
+    assert T[-1] == pytest.approx(horizon(P), rel=1e-5)
+    # s steps of width T_s / s end exactly at the slack the continuous flow ends at
+    for s, T_s in zip((1, 2, 5, 40), T):
+        assert T_s / s < 1.0
+        assert (1.0 - T_s / s) ** (0.75 * s) == pytest.approx(0.25 + 4**-4.0, rel=1e-12)
+
+
+def test_slack_constraints_get_the_horizon_of_the_cube():
+    # b >= sum(a): density 5/2, but no point of the cube leaves P
+    P = KnapsackPolytope([0.5, 0.5, 0.5, 0.5], 5.0)
+    assert horizon(P) == horizon(CardinalityPolytope(4, 4)) == pytest.approx(4 * math.log(4), abs=1e-12)
+    assert horizon(P, 7) == horizon(CardinalityPolytope(4, 4), 7)
+    assert horizon(PartitionPolytope([[0, 1], [2]], [3, 1])) == horizon(CardinalityPolytope(3, 3))
+
+
 def test_horizon_requires_positive_density():
     with pytest.raises(ValueError):
         horizon(CardinalityPolytope(3, 0))
@@ -135,26 +156,12 @@ def test_reduction1_degenerate_empty():
 # ---------------------------------------------------------------------------
 
 
-def _random_polytope(n, rng):
-    kind = rng.integers(0, 3)
-    if kind == 0:
-        return CardinalityPolytope(n, int(rng.integers(1, n + 1)))
-    if kind == 1:
-        cuts = sorted(rng.choice(np.arange(1, n), size=min(2, n - 1), replace=False).tolist())
-        edges = [0, *cuts, n]
-        parts = [list(range(edges[i], edges[i + 1])) for i in range(len(edges) - 1)]
-        bounds = [int(rng.integers(1, len(p) + 1)) for p in parts]
-        return PartitionPolytope(parts, bounds)
-    a = rng.uniform(0.2, 1.5, size=n)
-    return KnapsackPolytope(a, float(rng.uniform(0.5, a.sum())))
-
-
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_linear_maximize_beats_every_integral_point(seed):
     rng = substream(seed, 0)
     n = int(rng.integers(2, 8))
-    P = _random_polytope(n, rng)
+    P = random_polytope(n, rng)
     w = rng.uniform(-1, 2, size=n)
     I = P.linear_maximize(w)
     assert P.membership(I)
@@ -170,7 +177,7 @@ def test_linear_maximize_beats_every_integral_point(seed):
 def test_down_monotonicity(seed):
     rng = substream(seed, 1)
     n = int(rng.integers(2, 8))
-    P = _random_polytope(n, rng)
+    P = random_polytope(n, rng)
     x = P.linear_maximize(rng.uniform(0, 1, size=n)) * rng.uniform(0, 1, size=n)
     assert P.membership(x)
     y = x * rng.uniform(0, 1, size=n)

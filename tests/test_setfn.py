@@ -25,7 +25,16 @@ from submax.setfn import (
     set_function_from_json,
     sum_functions,
 )
-from submax.subsets import MASK_BLOCK, as_mask, full_mask, indices, popcount_array
+from submax.subsets import (
+    MASK_BLOCK,
+    MAX_MASK_BITS,
+    as_mask,
+    bits_from_masks,
+    full_mask,
+    indices,
+    masks_from_bits,
+    popcount_array,
+)
 from submax.welfare import tight_instance
 
 
@@ -278,6 +287,21 @@ def test_popcount_counts_all_63_bits():
     )
     expected = np.array([bin(int(m)).count("1") for m in masks])
     assert np.array_equal(popcount_array(masks), expected)
+
+
+@pytest.mark.parametrize("n", [1, 62, 63, 100])
+def test_bit_rows_round_trip_through_masks(n):
+    rng = substream(n, 0xB175)
+    bits = rng.random((3, 5, n)) < 0.5
+    bits[0, 0], bits[0, 1] = False, True
+    masks = masks_from_bits(bits)
+    assert masks.shape == (3, 5) and masks.dtype == (np.int64 if n <= MAX_MASK_BITS else object)
+    assert np.array_equal(bits_from_masks(masks, n), bits)
+    assert [int(m) for m in masks.ravel()] == [as_mask(np.flatnonzero(row), n) for row in bits.reshape(-1, n)]
+    assert int(masks[0, 1]) == full_mask(n)
+    # one row packs to one mask, and one mask unpacks to one row
+    assert int(masks_from_bits(bits[2, 3])) == int(masks[2, 3])
+    assert np.array_equal(bits_from_masks(int(masks[2, 3]), n), bits[2, 3])
 
 
 def test_batch_matches_scalar_above_bit_44():
