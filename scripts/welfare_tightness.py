@@ -10,9 +10,9 @@ Usage: python scripts/welfare_tightness.py [--kmax 8] [--trials 100000]
 """
 
 import argparse
-import math
 import sys
 
+from submax.reports import mean_and_sigma
 from submax.welfare import simulate_random_assign, tight_instance, welfare_ratio
 
 
@@ -27,9 +27,7 @@ def main():
     worst_z = 0.0
     for k in range(2, args.kmax + 1):
         inst = tight_instance(k)
-        totals = simulate_random_assign(inst, args.trials, seed=args.seed + k)
-        mean = totals.mean()
-        sigma = totals.std(ddof=1) / math.sqrt(totals.size)
+        mean, sigma = mean_and_sigma(simulate_random_assign(inst, args.trials, seed=args.seed + k))
         expect = k * welfare_ratio(k)
         z = (mean - expect) / sigma if sigma else 0.0
         worst_z = max(worst_z, abs(z))

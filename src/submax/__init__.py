@@ -7,8 +7,8 @@ welfare, multilinear-extension machinery, pipage rounding, and brute-force
 oracles that make every guarantee checkable at desk scale.
 """
 
-from .dmcg import DmcgConfig, dual_trajectory_csv, reduction2, run_dmcg, solve_direction
-from .mcg import McgConfig, check_feasibility_invariants, run_mcg, trajectory_csv
+from .dmcg import reduction2, run_dmcg, solve_direction
+from .mcg import AscentConfig, Trajectory, check_feasibility_invariants, run_mcg, trajectory_csv
 from .reports import CheckReport
 from .multilinear import (
     Estimator,

@@ -29,14 +29,15 @@ from functools import partial
 
 import numpy as np
 
-from . import selfcheck
-from .dmcg import DmcgConfig, reduction2, run_dmcg
+from . import mcg, selfcheck
+from .dmcg import reduction2, run_dmcg
 from .fixtures import random_graph_cut, random_hypergraph_cut
-from .mcg import McgConfig, run_mcg
+from .mcg import AscentConfig, run_mcg
 from .multilinear import EXACT_TABLE_LIMIT, Estimator, MultilinearEvaluator, Point, backend
 from .oracle import MAX_BRUTE_N, brute_cardinality, brute_polytope_integral, brute_unconstrained
 from .pipage import pipage_round
 from .polytope import CardinalityPolytope, polytope_from_json, preprocess_reduction1
+from .reports import mean_and_sigma
 from .setfn import SetFunction, _check_fields, restrict_function, set_function_from_json
 from .subsets import MAX_MASK_BITS, as_mask, full_mask, indices
 from .twosided import run_two_sided
@@ -116,11 +117,12 @@ def _theoretical_curve(k: int, n: int) -> float:
     return 0.5 * (1.0 - (1.0 - kk / n) ** (2 * n / kk))
 
 
-def _schedule(cfg, n: int, bound) -> tuple[float, int, float, bool]:
-    """The ascent's resolved (T, steps, delta, theoretical_regime); a bad
-    --T or --steps is a flag error."""
+def _schedule(cfg: AscentConfig, n: int, bound) -> tuple[float, int, float, bool]:
+    """The ascent's resolved (T, steps, delta, theoretical_regime) over the
+    polytope ``bound`` (None: T defaults to 1); a bad --T or --steps is a
+    flag error."""
     try:
-        return cfg.resolve(n, bound)
+        return mcg.schedule(n, cfg.T, cfg.steps, bound)
     except ValueError as exc:
         raise FlagError(str(exc)) from exc
 
@@ -195,16 +197,17 @@ def _check(args, f, polytope_obj, welfare_inst) -> _Job:
     elif algorithm == "mcg":
         red = preprocess_reduction1(P, f.ground_set)
         f_run = f if len(red.kept) == n else restrict_function(f, list(red.kept))
-        cfg = McgConfig(T=args.T, steps=args.steps, estimator=_estimator(f_run, samples, seed))
+        cfg = AscentConfig(args.T, args.steps, _estimator(f_run, samples, seed))
         solve = partial(_solve_mcg, f, P, red, f_run, cfg, _schedule(cfg, f_run.n, red.polytope))
     else:
         symmetric = algorithm == "dmcg-symmetric"
         if symmetric and not f.symmetric:
             raise FlagError("dmcg-symmetric requires a symmetric instance")
-        cfg = DmcgConfig(variant=algorithm[5:], steps=args.steps, estimator=_estimator(f, samples, seed), T=args.T)
+        cfg = AscentConfig(args.T, args.steps, _estimator(f, samples, seed))
         k_run, f_run = reduction2(k, n, f) if symmetric else (k, f)
         # k_run = 0 (symmetric, k = n) runs no ascent; --T and --steps are checked at k all the same
-        solve = partial(_solve_dmcg, f, k, f_run, k_run, cfg, _schedule(cfg, n, k_run or k))
+        bound = CardinalityPolytope(n, k_run or k) if symmetric else None
+        solve = partial(_solve_dmcg, f, k, f_run, k_run, cfg, algorithm[5:], _schedule(cfg, n, bound))
     return _Job({"type": f.kind, "n": n, "symmetric": f.symmetric}, f, unverifiable, solve)
 
 
@@ -219,9 +222,7 @@ def _polytope(polytope_obj, n: int, k: int | None):
 
 
 def _solve_welfare(inst, trials: int, seed: int) -> Solved:
-    totals = simulate_random_assign(inst, trials, seed=seed)
-    mean = float(totals.mean())
-    sigma = float(totals.std(ddof=1) / math.sqrt(totals.size)) if totals.size > 1 else 0.0
+    mean, sigma = mean_and_sigma(simulate_random_assign(inst, trials, seed=seed))
     fields = {
         "trials": trials,
         "achieved_value": mean,
@@ -256,7 +257,7 @@ def _solve_brute(search: Callable[..., tuple[int, float]], *args) -> Solved:
     return fields, opt, lambda: {"oracle_opt": opt}
 
 
-def _solve_mcg(f, P, red, f_run, cfg: McgConfig, schedule) -> Solved:
+def _solve_mcg(f, P, red, f_run, cfg: AscentConfig, schedule) -> Solved:
     """MCG on the reduced problem; the point and the rounded set are embedded
     back into f's ground set."""
     T, steps, _, regime = schedule
@@ -288,7 +289,7 @@ def _solve_mcg(f, P, red, f_run, cfg: McgConfig, schedule) -> Solved:
     return fields, frac, lambda: {"oracle_opt": brute_polytope_integral(f_opt, P_opt, None)[1]}
 
 
-def _solve_dmcg(f, k: int, f_run, k_run: int, cfg: DmcgConfig, schedule) -> Solved:
+def _solve_dmcg(f, k: int, f_run, k_run: int, cfg: AscentConfig, variant: str, schedule) -> Solved:
     """DMCG on the reduction2 problem (k_run <= n/2 for the symmetric
     variant), complemented back to |y| = k, then rounded."""
     n, est = f.n, cfg.estimator
@@ -297,7 +298,7 @@ def _solve_dmcg(f, k: int, f_run, k_run: int, cfg: DmcgConfig, schedule) -> Solv
         T, regime = 0.0, True
         y, frac = Point.ones(n), f.eval(full_mask(n))
     else:
-        y, _ = run_dmcg(f_run, k_run, cfg)
+        y, _ = run_dmcg(f_run, k_run, cfg, variant)
         if k_run != k:
             y = Point(1.0 - y.coords)  # complement: same value for symmetric f
         frac = _fractional_value(f, y, est)
@@ -307,7 +308,7 @@ def _solve_dmcg(f, k: int, f_run, k_run: int, cfg: DmcgConfig, schedule) -> Solv
         "fractional_value": frac,
         "fractional_mass": y.mass(),
         "fractional_point": y.coords.tolist(),
-        "theoretical_ratio": _theoretical_curve(k, n) if cfg.variant == "symmetric" else math.exp(-1.0),
+        "theoretical_ratio": _theoretical_curve(k, n) if variant == "symmetric" else math.exp(-1.0),
         "theoretical_regime": regime,
         "achieved_value": f.eval(mask),
         "achieved_set": indices(mask),
@@ -412,7 +413,7 @@ def _run_sweep(argv: list[str]) -> int:
     ks = [min(max(1, round(float(kn) * args.n)), args.n // 2) for kn in grid]
     try:
         for k in ks:
-            _schedule(DmcgConfig(steps=args.steps), args.n, k)
+            _schedule(AscentConfig(steps=args.steps), args.n, CardinalityPolytope(args.n, k))
     except FlagError as exc:
         print(f"inconsistent flags: {exc}", file=sys.stderr)
         return 2
@@ -426,7 +427,7 @@ def _run_sweep(argv: list[str]) -> int:
             _, opt = brute_cardinality(f, args.n, k, "eq")
             for seed in seeds:
                 est = _estimator(f, None, seed)
-                y, _ = run_dmcg(f, k, DmcgConfig(variant="symmetric", steps=args.steps, estimator=est))
+                y, _ = run_dmcg(f, k, AscentConfig(steps=args.steps, estimator=est))
                 ratio = MultilinearEvaluator(f, est).value(y) / opt if opt > 0 else float("nan")
                 rows.append(
                     {

@@ -6,46 +6,26 @@ shrinks from the full set under sum(1 - x) <= n - k, and the shared direction
 pair (I1, I2 = 1 - I1) from :func:`solve_direction` protects whichever side is
 currently worse off.  The symmetric variant turns on the kernel's derivative
 cleanup on both sides and runs to the cardinality horizon; the general
-variant runs to T = 1 with no cleanup.  The final point is y1, y2, or the
-unique convex combination of the two with mass exactly k.
+variant runs to T = 1 with no cleanup.  The run is recorded as an
+``mcg.Trajectory`` whose sides are (y1, y2) and whose step notes are the
+solver's :class:`DirectionInfo`.  The final point is y1, y2, or the unique
+convex combination of the two with mass exactly k.
 """
 
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .mcg import ascend, schedule
-from .multilinear import Estimator, MultilinearEvaluator, Point
+from .mcg import AscentConfig, Trajectory, ascend
+from .multilinear import MultilinearEvaluator, Point
 from .polytope import CardinalityPolytope
 from .reports import CheckReport
 from .setfn import SetFunction, complement_function
 
 _BISECT_GAP = 1e-12
-
-
-@dataclass(frozen=True)
-class DmcgConfig:
-    """variant "symmetric" runs Algorithm-2 style (coeff 2, cleanup, T the
-    discrete horizon of |S| <= k); variant "general" runs the
-    general-objective twin (coeff 1, no cleanup, T = 1).  steps defaults to
-    100 n; see ``mcg.schedule``."""
-
-    variant: str = "symmetric"
-    steps: int | None = None
-    estimator: Estimator = field(default_factory=Estimator)
-    T: float | None = None
-
-    def __post_init__(self):
-        if self.variant not in ("symmetric", "general"):
-            raise ValueError("variant must be 'symmetric' or 'general'")
-
-    def resolve(self, n: int, k: int) -> tuple[float, int, float, bool]:
-        bound = CardinalityPolytope(n, k) if self.variant == "symmetric" else None
-        return schedule(n, self.T, self.steps, bound)
 
 
 def reduction2(k: int, n: int, f: SetFunction) -> tuple[int, SetFunction]:
@@ -64,6 +44,9 @@ def reduction2(k: int, n: int, f: SetFunction) -> tuple[int, SetFunction]:
 
 @dataclass(frozen=True)
 class DirectionInfo:
+    """The direction solver's lambda and max-min objective: the note of
+    every DMCG step."""
+
     lam: float
     objective: float
 
@@ -141,61 +124,38 @@ def solve_direction(
     return I, 1.0 - I, DirectionInfo(lam, min(a, b))
 
 
-@dataclass(frozen=True)
-class DualStep:
-    """Both sides after one step at t_end, the direction solver's lambda and
-    max-min objective, and how many coordinates the cleanup reset (y1 to 0,
-    y2 to 1)."""
+def run_dmcg(f: SetFunction, k: int, cfg: AscentConfig | None = None,
+             variant: str = "symmetric") -> tuple[Point, Trajectory]:
+    """Run the coupled ascent/descent pair and return (y, trajectory) with
+    |y| = k; side 0 is y1, side 1 is y2, and each step's note is the
+    direction solver's :class:`DirectionInfo`.
 
-    t_end: float
-    y1_end: np.ndarray
-    y2_end: np.ndarray
-    value1_end: float
-    value2_end: float
-    lam: float
-    direction_objective: float
-    zeroed: int
-
-
-@dataclass
-class DualTrajectory:
-    T: float
-    delta: float
-    k: int
-    theoretical_regime: bool
-    steps: list[DualStep] = field(default_factory=list)
-
-
-def run_dmcg(f: SetFunction, k: int, cfg: DmcgConfig | None = None) -> tuple[Point, DualTrajectory]:
-    """Run the coupled ascent/descent pair and return (y, dual trajectory)
-    with |y| = k.
-
-    The symmetric variant requires 2k <= n; apply :func:`reduction2` first
-    and complement the answer when k > n/2.  Raises ``ValueError`` for
-    T <= 0 or steps < 1.
+    Variant "symmetric" runs Algorithm-2 style (coeff 2, cleanup, T the
+    discrete horizon of |S| <= k) and requires 2k <= n: apply
+    :func:`reduction2` first and complement the answer when k > n/2.
+    Variant "general" runs the general-objective twin (coeff 1, no cleanup,
+    T = 1).  Raises ``ValueError`` for an unknown variant, T <= 0 or
+    steps < 1.
     """
-    cfg = cfg or DmcgConfig()
+    if variant not in ("symmetric", "general"):
+        raise ValueError("variant must be 'symmetric' or 'general'")
     n = f.n
     if not 1 <= k <= n:
         raise ValueError("requires 1 <= k <= n")
-    symmetric = cfg.variant == "symmetric"
+    symmetric = variant == "symmetric"
     if symmetric and not f.symmetric:
         raise ValueError("symmetric variant requires an objective flagged symmetric")
     if symmetric and 2 * k > n:
         raise ValueError("symmetric variant requires 2k <= n; apply reduction2 first")
-    T, steps, delta, regime = cfg.resolve(n, k)
     coeff = 2.0 if symmetric else 1.0
 
     def max_min(weights, values):
         i1, i2, info = solve_direction(weights[0], weights[1], values[0], values[1], k, coeff)
         return (i1, i2), info
 
-    run = ascend(MultilinearEvaluator(f, cfg.estimator), (0, 1), max_min, steps, delta, cleanup=symmetric)
-    (y1, y2), _, _, _ = next(run)
-    traj = DualTrajectory(T, delta, k, regime)
-    for i, ((y1, y2), (v1, v2), zeroed, info) in enumerate(run, start=1):
-        traj.steps.append(DualStep(delta * i, y1, y2, v1, v2, info.lam, info.objective, zeroed))
-
+    bound = CardinalityPolytope(n, k) if symmetric else None
+    traj = ascend(f, cfg or AscentConfig(), (0, 1), max_min, symmetric, bound)
+    y1, y2 = traj.last.ys
     m1 = float(y1.sum())
     m2 = float(y2.sum())
     if abs(m2 - m1) <= 1e-12:
@@ -244,45 +204,34 @@ def check_concave_segment(
     )
 
 
-def check_y_properties(traj: DualTrajectory, k: int | None = None, tol: float = 1e-9) -> CheckReport:
-    """Coupled-state invariants: both points stay in the cube, y1 <= y2 at
-    every step, and at t = T the masses bracket k."""
-    k = traj.k if k is None else k
+def check_y_properties(traj: Trajectory, k: int, tol: float = 1e-9) -> CheckReport:
+    """Coupled-state invariants of a :func:`run_dmcg` trajectory: both points
+    stay in the cube, y1 <= y2 at every step, and at t = T the masses
+    bracket k."""
     bad: dict[str, float] = {}
     for step in traj.steps:
-        if step.y1_end.min() < -tol or step.y1_end.max() > 1 + tol:
+        y1, y2 = step.ys
+        if y1.min() < -tol or y1.max() > 1 + tol:
             bad.setdefault("y1_outside_cube_t", step.t_end)
-        if step.y2_end.min() < -tol or step.y2_end.max() > 1 + tol:
+        if y2.min() < -tol or y2.max() > 1 + tol:
             bad.setdefault("y2_outside_cube_t", step.t_end)
-        if (step.y1_end > step.y2_end + tol).any():
+        if (y1 > y2 + tol).any():
             bad.setdefault("ordering_violated_t", step.t_end)
-    if traj.steps:
-        last = traj.steps[-1]
-        m1, m2 = float(last.y1_end.sum()), float(last.y2_end.sum())
-        if m1 > k + tol:
-            bad["final_mass1"] = m1
-        if m2 < k - tol:
-            bad["final_mass2"] = m2
+    y1, y2 = traj.last.ys
+    m1, m2 = float(y1.sum()), float(y2.sum())
+    if m1 > k + tol:
+        bad["final_mass1"] = m1
+    if m2 < k - tol:
+        bad["final_mass2"] = m2
     return CheckReport("dual state invariants", not bad, details=bad)
 
 
-def check_max_y(traj: DualTrajectory, tol: float = 1e-9) -> CheckReport:
+def check_max_y(traj: Trajectory, tol: float = 1e-9) -> CheckReport:
     """Per-coordinate cap max(y1_u, 1 - y2_u) <= 1 - (1 - delta)^(t/delta)."""
     worst = -math.inf
     for idx, step in enumerate(traj.steps, start=1):
         cap = 1.0 - (1.0 - traj.delta) ** idx
-        reach = max(float(step.y1_end.max()), float(1.0 - step.y2_end.min()))
+        y1, y2 = step.ys
+        reach = max(float(y1.max()), float(1.0 - y2.min()))
         worst = max(worst, reach - cap)
     return CheckReport("coordinate growth cap", worst <= tol, details={"worst_excess": worst})
-
-
-def dual_trajectory_csv(traj: DualTrajectory) -> str:
-    """Columns: t, |y1|, |y2|, F(y1), F(y2), lambda, direction_objective."""
-    buf = io.StringIO()
-    buf.write("t,mass1,mass2,F1,F2,lambda,direction_objective\n")
-    for s in traj.steps:
-        buf.write(
-            f"{s.t_end!r},{s.y1_end.sum()!r},{s.y2_end.sum()!r},"
-            f"{s.value1_end!r},{s.value2_end!r},{s.lam!r},{s.direction_objective!r}\n"
-        )
-    return buf.getvalue()

@@ -8,17 +8,20 @@ one direction per side from the driver's rule; applies the measured update
 y + delta d (1 - s - y); and optionally resets to s every coordinate whose
 signed derivative (1 - 2s) dF/dy_u has turned negative.  A reset can only
 increase F and restores the "nothing below y is better" condition the
-symmetric value analysis leans on.  :func:`run_mcg` is one side from 0 along
-the best vertex of P, with cleanup; ``dmcg.run_dmcg`` is the coupled pair.
+symmetric value analysis leans on.  One :class:`AscentConfig` sets T, steps
+and the estimator of every ascent, and every ascent records one
+:class:`Trajectory` of :class:`AscentStep` (one point and one F per side),
+which :func:`trajectory_csv` writes.  :func:`run_mcg` is one side from 0
+along the best vertex of P, with cleanup; ``dmcg.run_dmcg`` is the coupled
+pair.
 """
 
 from __future__ import annotations
 
-import io
 import math
 import warnings
-from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -39,34 +42,76 @@ def schedule(n: int, T: float | None, steps: int | None, P: Polytope | None = No
     steps defaults to 100 n (at least 1).  T defaults to the discrete horizon
     ``horizon(P, steps)`` of the polytope the output must stay in, but never
     below 1 (up to T = 1 every ascent stays inside P: y(t) / t is in P), and
-    to 1 without a polytope.  A given T must be positive and finite, and
-    steps at least 1.  The theoretical step size T/ceil(n^5 T) is infeasible
-    beyond tiny n, so the regime records whether delta = T/steps <= n^-5
-    held."""
+    to 1 without a polytope or without elements.  A given T must be positive
+    and finite, and steps at least 1.  The theoretical step size
+    T/ceil(n^5 T) is infeasible beyond tiny n, so the regime records whether
+    delta = T/steps <= n^-5 held."""
     if T is not None and not 0.0 < T < math.inf:
         raise ValueError(f"time horizon T must be positive and finite, got {T!r}")
     steps = max(1, 100 * n) if steps is None else steps
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
     if T is None:
-        T = 1.0 if P is None else max(1.0, horizon(P, steps))
+        T = 1.0 if P is None or n == 0 else max(1.0, horizon(P, steps))
     delta = float(T) / steps
     return float(T), steps, delta, n == 0 or delta <= n ** -5.0
 
 
-def ascend(ev: MultilinearEvaluator, starts: tuple[int, ...], choose: Callable, steps: int, delta: float,
-           cleanup: bool) -> Iterator[tuple[list[np.ndarray], list[float], int, object]]:
-    """Run the sides that start at ``starts``.  ``choose(weights, values)``
-    gets one weight vector and one F(y) per side and returns one direction
-    per side plus a note.  Yields (points, values, resets, note) once for
-    the start (0 resets, note None), then after every step; yielded arrays
-    are never written again.  Side j of m samples from stream (i, j) before
-    step i, (i, m + j) after its update and (i, 2m + j, u) after resetting
-    coordinate u."""
+@dataclass(frozen=True)
+class AscentConfig:
+    """T defaults to the discrete horizon of the run's polytope but never
+    below 1 (the value bound needs T >= 1); steps defaults to 100 n.  See
+    :func:`schedule`."""
+
+    T: float | None = None
+    steps: int | None = None
+    estimator: Estimator = field(default_factory=Estimator)
+
+
+@dataclass(frozen=True)
+class AscentStep:
+    """Every side's point and F after one step's update and cleanup at t_end,
+    how many coordinates the cleanup reset, and the direction rule's note
+    (None at the start and for MCG)."""
+
+    t_end: float
+    ys: tuple[np.ndarray, ...]
+    values: tuple[float, ...]
+    zeroed: int = 0
+    note: object = None
+
+
+@dataclass
+class Trajectory:
+    """One ascent: its resolved schedule, the start at t = 0, and the record
+    of every step."""
+
+    T: float
+    delta: float
+    theoretical_regime: bool
+    start: AscentStep
+    steps: list[AscentStep] = field(default_factory=list)
+
+    @property
+    def last(self) -> AscentStep:
+        return self.steps[-1] if self.steps else self.start
+
+
+def ascend(f: SetFunction, cfg: AscentConfig, starts: tuple[int, ...], choose: Callable, cleanup: bool,
+           P: Polytope | None = None) -> Trajectory:
+    """Run the sides that start at ``starts`` on the schedule of ``cfg`` over
+    P (see :func:`schedule`).  ``choose(weights, values)`` gets one weight
+    vector and one F(y) per side and returns one direction per side plus a
+    note.  Recorded arrays are never written again.  Side j of m samples
+    from stream (i, j) before step i, (i, m + j) after its update and
+    (i, 2m + j, u) after resetting coordinate u.  Raises ``ValueError`` for
+    T <= 0 or steps < 1."""
+    T, steps, delta, regime = schedule(f.n, cfg.T, cfg.steps, P)
+    ev = MultilinearEvaluator(f, cfg.estimator)
     m = len(starts)
     ys = [np.full(ev.n, float(s)) for s in starts]
     evals = [ev.value_and_partials(y, stream=(0, j)) for j, y in enumerate(ys)]
-    yield ys, [e[0] for e in evals], 0, None
+    traj = Trajectory(T, delta, regime, AscentStep(0.0, tuple(ys), tuple(e[0] for e in evals)))
     for i in range(steps):
         if i > 0 and ev.backend == "sampled":
             evals = [ev.value_and_partials(y, stream=(i, j)) for j, y in enumerate(ys)]
@@ -86,47 +131,11 @@ def ascend(ev: MultilinearEvaluator, starts: tuple[int, ...], choose: Callable, 
                     resets += 1
                     # the reset moves y, so later coordinates see fresh derivatives
                     _, grad, sigma = evals[j] = ev.value_and_partials(y, stream=(i, 2 * m + j, u))
-        yield ys, [e[0] for e in evals], resets, note
+        traj.steps.append(AscentStep(delta * (i + 1), tuple(ys), tuple(e[0] for e in evals), resets, note))
+    return traj
 
 
-@dataclass(frozen=True)
-class McgConfig:
-    """T defaults to the discrete horizon of P but never below 1 (the value
-    bound needs T >= 1); steps defaults to 100 n.  See :func:`schedule`."""
-
-    T: float | None = None
-    steps: int | None = None
-    estimator: Estimator = field(default_factory=Estimator)
-
-    def resolve(self, n: int, P: Polytope) -> tuple[float, int, float, bool]:
-        return schedule(n, self.T, self.steps, P if n else None)
-
-
-@dataclass(frozen=True)
-class TrajectoryStep:
-    """The point and value after one step's update and cleanup at t_end,
-    and how many coordinates the cleanup zeroed."""
-
-    t_end: float
-    y_end: np.ndarray
-    value_end: float
-    zeroed: int
-
-
-@dataclass
-class Trajectory:
-    T: float
-    delta: float
-    theoretical_regime: bool
-    y_start: np.ndarray
-    value_start: float
-    steps: list[TrajectoryStep] = field(default_factory=list)
-
-    def final_value(self) -> float:
-        return self.steps[-1].value_end if self.steps else self.value_start
-
-
-def run_mcg(f: SetFunction, P: Polytope, cfg: McgConfig | None = None) -> tuple[Point, Trajectory]:
+def run_mcg(f: SetFunction, P: Polytope, cfg: AscentConfig | None = None) -> tuple[Point, Trajectory]:
     """Run the ascent and return (y(T), trajectory).
 
     Expects the singleton-feasibility reduction to have been applied (drop
@@ -134,20 +143,14 @@ def run_mcg(f: SetFunction, P: Polytope, cfg: McgConfig | None = None) -> tuple[
     non-symmetric objective only voids the value guarantee, so it warns and
     proceeds.  Raises ``ValueError`` for T <= 0 or steps < 1.
     """
-    cfg = cfg or McgConfig()
-    T, steps, delta, regime = cfg.resolve(f.n, P)
     if not f.symmetric:
         warnings.warn("objective not flagged symmetric: the value guarantee is void", stacklevel=2)
 
     def best_vertex(weights, _values):
         return (P.linear_maximize(weights[0]),), None
 
-    run = ascend(MultilinearEvaluator(f, cfg.estimator), (0,), best_vertex, steps, delta, cleanup=True)
-    (y,), (value,), _, _ = next(run)
-    traj = Trajectory(T, delta, regime, y, value)
-    for i, ((y,), (value,), zeroed, _) in enumerate(run, start=1):
-        traj.steps.append(TrajectoryStep(delta * i, y, value, zeroed))
-    return Point(y), traj
+    traj = ascend(f, cfg or AscentConfig(), (0,), best_vertex, True, P)
+    return Point(traj.last.ys[0]), traj
 
 
 def check_feasibility_invariants(
@@ -160,9 +163,9 @@ def check_feasibility_invariants(
     bad: dict[str, float] = {}
     for i, step in enumerate(traj.steps, start=1):
         t = step.t_end
-        if not P.membership(step.y_end / t, tol):
+        if not P.membership(step.ys[0] / t, tol):
             bad.setdefault("scaled_membership_t", t)
-        if t <= horizon(P, i) + 1e-15 and not P.membership(step.y_end, tol):
+        if t <= horizon(P, i) + 1e-15 and not P.membership(step.ys[0], tol):
             bad.setdefault("membership_t", t)
     return CheckReport(
         "trajectory feasibility",
@@ -172,10 +175,15 @@ def check_feasibility_invariants(
 
 
 def trajectory_csv(traj: Trajectory) -> str:
-    """Columns: t, |y|, F_estimate, zeroed_coordinate_count."""
-    buf = io.StringIO()
-    buf.write("t,mass,F_estimate,zeroed_coordinate_count\n")
-    buf.write(f"{0.0!r},{traj.y_start.sum()!r},{traj.value_start!r},0\n")
-    for s in traj.steps:
-        buf.write(f"{s.t_end!r},{s.y_end.sum()!r},{s.value_end!r},{s.zeroed}\n")
-    return buf.getvalue()
+    """One row per recorded point, the start first: t, each side's mass and
+    F, how many coordinates the cleanup reset, and the numeric fields of the
+    direction rule's note (empty at t = 0)."""
+    sides = range(len(traj.start.ys))
+    notes = [f.name for f in fields(traj.last.note)] if is_dataclass(traj.last.note) else []
+    rows = [",".join(["t", *(f"mass{j}" for j in sides), *(f"F{j}" for j in sides), "zeroed", *notes])]
+    for s in (traj.start, *traj.steps):
+        cells = [repr(float(v)) for v in (s.t_end, *(y.sum() for y in s.ys), *s.values)]
+        cells.append(str(s.zeroed))
+        cells += ["" if s.note is None else repr(float(getattr(s.note, name))) for name in notes]
+        rows.append(",".join(cells))
+    return "\n".join(rows) + "\n"

@@ -146,9 +146,13 @@ class MultilinearEvaluator:
             self._table = self.f.eval_many(np.arange(1 << self.n, dtype=np.int64))
         return self._table
 
-    def _value_exact(self, x: np.ndarray) -> float:
+    def _value_exact(self, x: np.ndarray, stages: list | None = None) -> float:
+        """F(x) by folding the value table one coordinate at a time; each
+        intermediate table is appended to ``stages`` when given."""
         t = self.table()
         for xu in x:
+            if stages is not None:
+                stages.append(t)
             t2 = t.reshape(-1, 2)
             t = t2[:, 0] * (1.0 - xu) + t2[:, 1] * xu
         return float(t[0])
@@ -159,13 +163,8 @@ class MultilinearEvaluator:
         # forward fold keeps each intermediate table, backward pass is the
         # adjoint of the fold; together they give F and the full gradient in
         # O(2^n) arithmetic.
-        stages = []
-        t = self.table()
-        for xu in x:
-            stages.append(t)
-            t2 = t.reshape(-1, 2)
-            t = t2[:, 0] * (1.0 - xu) + t2[:, 1] * xu
-        value = float(t[0])
+        stages: list[np.ndarray] = []
+        value = self._value_exact(x, stages)
         grad = np.empty(self.n)
         adj = np.ones(1)
         for u in range(self.n - 1, -1, -1):

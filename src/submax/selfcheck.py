@@ -4,11 +4,9 @@ per check."""
 
 from __future__ import annotations
 
-import numpy as np
-
-from .dmcg import DmcgConfig, check_concave_segment, check_max_y, check_y_properties, run_dmcg
+from .dmcg import check_concave_segment, check_max_y, check_y_properties, run_dmcg
 from .fixtures import random_coverage, random_graph_cut, single_edge_cut, triangle_cut
-from .mcg import McgConfig, check_feasibility_invariants, run_mcg
+from .mcg import AscentConfig, check_feasibility_invariants, run_mcg
 from .multilinear import (
     Point,
     check_correlated_marginals_bound,
@@ -19,7 +17,7 @@ from .multilinear import (
 )
 from .oracle import brute_unconstrained
 from .polytope import CardinalityPolytope
-from .reports import CheckReport
+from .reports import CheckReport, mean_and_sigma
 from .twosided import check_loss_gain, run_two_sided
 from .welfare import (
     brute_force_welfare,
@@ -43,21 +41,20 @@ def run_all(trials: int = 20_000, seed: int = 0) -> list[CheckReport]:
     reports.append(check_lemma_general_properties(cov6, trials=20, seed=seed + 1))
 
     reports.append(check_union_bound_symmetric(edge, Point([0.5, 0.0]), [0]))
-    y_mid, _ = run_mcg(tri, CardinalityPolytope(3, 1), McgConfig(T=0.5, steps=200))
+    y_mid, _ = run_mcg(tri, CardinalityPolytope(3, 1), AscentConfig(T=0.5, steps=200))
     opt_mask, _ = brute_unconstrained(tri)
     reports.append(check_union_bound_symmetric(tri, y_mid, opt_mask))
 
     reports.append(check_linearization_bound(cut8, trials=30, seed=seed))
 
-    _, traj = run_mcg(tri, CardinalityPolytope(3, 1), McgConfig(T=1.0, steps=400))
+    _, traj = run_mcg(tri, CardinalityPolytope(3, 1), AscentConfig(T=1.0, steps=400))
     reports.append(check_feasibility_invariants(traj, CardinalityPolytope(3, 1)))
 
     cut6 = random_graph_cut(6, seed=seed + 13)
-    _, dual = run_dmcg(cut6, 2, DmcgConfig(variant="symmetric", steps=600))
-    reports.append(check_y_properties(dual))
-    last = dual.steps[-1]
-    reports.append(check_concave_segment(cut6, last.y1_end, last.y2_end))
-    _, dual_g = run_dmcg(cov6, 3, DmcgConfig(variant="general", steps=600))
+    _, dual = run_dmcg(cut6, 2, AscentConfig(steps=600))
+    reports.append(check_y_properties(dual, 2))
+    reports.append(check_concave_segment(cut6, *dual.last.ys))
+    _, dual_g = run_dmcg(cov6, 3, AscentConfig(steps=600), "general")
     reports.append(check_max_y(dual_g))
 
     _, trace = run_two_sided(cut8)
@@ -65,14 +62,13 @@ def run_all(trials: int = 20_000, seed: int = 0) -> list[CheckReport]:
     reports.append(check_loss_gain(cut8, trace, opt8))
 
     inst = tight_instance(3)
-    totals = simulate_random_assign(inst, trials, seed=seed)
     expect = 3 * welfare_ratio(3)
-    sigma = float(totals.std(ddof=1) / np.sqrt(totals.size))
+    mean, sigma = mean_and_sigma(simulate_random_assign(inst, trials, seed=seed))
     reports.append(
         CheckReport(
             "tight-instance expected welfare",
-            abs(float(totals.mean()) - expect) <= 4.0 * sigma,
-            details={"mean": float(totals.mean()), "expected": expect, "sigma": sigma},
+            abs(mean - expect) <= 4.0 * sigma,
+            details={"mean": mean, "expected": expect, "sigma": sigma},
         )
     )
     alloc, _ = brute_force_welfare(inst)

@@ -46,4 +46,6 @@ def random_polytope(n, rng, kind=None):
         bounds = [int(rng.integers(1, len(p) + 1)) for p in parts]
         return PartitionPolytope(parts, bounds)
     a = rng.uniform(0.2, 1.5, size=n)
-    return KnapsackPolytope(a, float(rng.uniform(0.5, a.sum())))
+    # two light items can weigh less than 0.5 in all; the capacity then
+    # admits both
+    return KnapsackPolytope(a, float(rng.uniform(min(0.5, a.sum()), a.sum())))

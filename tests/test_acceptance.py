@@ -12,7 +12,6 @@ import numpy as np
 from conftest import brute_direction_value
 from submax.cli import main as cli_main
 from submax.dmcg import (
-    DmcgConfig,
     check_concave_segment,
     check_max_y,
     check_y_properties,
@@ -27,7 +26,7 @@ from submax.fixtures import (
     single_edge_cut,
     triangle_cut,
 )
-from submax.mcg import McgConfig, check_feasibility_invariants, run_mcg
+from submax.mcg import AscentConfig, check_feasibility_invariants, run_mcg
 from submax.multilinear import (
     Estimator,
     MultilinearEvaluator,
@@ -123,7 +122,7 @@ def test_criterion_3_mcg_ratio_and_feasibility():
             f = random_symmetric_instance(n, 300 + i)
             P = _mcg_polytopes(n, i)
             T = min(1.0, horizon(P))
-            y, traj = run_mcg(f, P, McgConfig(T=T, steps=2000))
+            y, traj = run_mcg(f, P, AscentConfig(T=T, steps=2000))
             _, opt = brute_polytope_integral(f, P)
             value = MultilinearEvaluator(f).value(y)
             bound = (0.5 * (1.0 - math.exp(-2.0 * T)) - 0.02) * opt
@@ -145,7 +144,7 @@ def test_criterion_4_dmcg_symmetric():
             n = 4 + (i % 7)
             k = 1 + i % max(1, n // 2)
             f = random_symmetric_instance(n, 400 + i)
-            y, _ = run_dmcg(f, k, DmcgConfig(variant="symmetric", steps=2000))
+            y, _ = run_dmcg(f, k, AscentConfig(steps=2000), "symmetric")
             assert abs(y.mass() - k) <= EXACT_TOL, (i, y.mass(), k)
             value = MultilinearEvaluator(f).value(y)
             _, opt = brute_cardinality(f, n, k, "eq")
@@ -167,7 +166,7 @@ def test_criterion_5_dmcg_general():
             n = 4 + (i % 7)
             k = 1 + i % (n - 1)
             f = random_coverage(n, 500 + i) if i % 2 == 0 else random_offset_cut(n, 500 + i)
-            y, _ = run_dmcg(f, k, DmcgConfig(variant="general", steps=2000))
+            y, _ = run_dmcg(f, k, AscentConfig(steps=2000), "general")
             assert abs(y.mass() - k) <= EXACT_TOL, (i, y.mass(), k)
             value = MultilinearEvaluator(f).value(y)
             _, opt = brute_cardinality(f, n, k, "eq")
@@ -230,13 +229,13 @@ def test_criterion_8_lemma_suite():
         assert check_union_bound_symmetric(edge, Point([0.5, 0.0]), [0]).passed
         tri = triangle_cut()
         opt_mask, _ = brute_unconstrained(tri)
-        y_mid, _ = run_mcg(tri, CardinalityPolytope(3, 1), McgConfig(T=0.6, steps=500))
+        y_mid, _ = run_mcg(tri, CardinalityPolytope(3, 1), AscentConfig(T=0.6, steps=500))
         rep = check_union_bound_symmetric(tri, y_mid, opt_mask)
         assert rep.passed and rep.status == "ok", rep.details
         for seed in range(4):
             f = random_graph_cut(7, seed=810 + seed)
             P = CardinalityPolytope(7, 3)
-            y, _ = run_mcg(f, P, McgConfig(T=1.0, steps=600))
+            y, _ = run_mcg(f, P, AscentConfig(T=1.0, steps=600))
             om, _ = brute_polytope_integral(f, P)
             rep = check_union_bound_symmetric(f, y, om)
             assert rep.passed and rep.status == "ok", rep.details
@@ -254,13 +253,13 @@ def test_criterion_8_lemma_suite():
         # dual-state invariants, segment concavity, coordinate caps
         for seed in range(3):
             f = random_graph_cut(8, seed=820 + seed)
-            _, traj = run_dmcg(f, 2 + seed, DmcgConfig(variant="symmetric", steps=1200))
-            assert check_y_properties(traj).passed, check_y_properties(traj).details
+            _, traj = run_dmcg(f, 2 + seed, AscentConfig(steps=1200), "symmetric")
+            assert check_y_properties(traj, 2 + seed).passed, check_y_properties(traj, 2 + seed).details
             last = traj.steps[-1]
-            assert check_concave_segment(f, last.y1_end, last.y2_end).passed
+            assert check_concave_segment(f, last.ys[0], last.ys[1]).passed
         for seed in range(3):
             f = random_offset_cut(7, seed=830 + seed)
-            _, traj = run_dmcg(f, 3, DmcgConfig(variant="general", steps=1200))
+            _, traj = run_dmcg(f, 3, AscentConfig(steps=1200), "general")
             assert check_max_y(traj).passed
 
         # statistical sampling bounds at 1e5 trials / 4 sigma
@@ -326,8 +325,8 @@ def test_criterion_10_determinism(tmp_path):
         # direct API double-run with the sampled estimator
         f = random_graph_cut(6, seed=1001)
         est = Estimator(mode="sampled", samples=300, seed=99)
-        cfg = DmcgConfig(variant="symmetric", steps=80, estimator=est)
-        ya, ta = run_dmcg(f, 2, cfg)
-        yb, tb = run_dmcg(f, 2, cfg)
+        cfg = AscentConfig(steps=80, estimator=est)
+        ya, ta = run_dmcg(f, 2, cfg, "symmetric")
+        yb, tb = run_dmcg(f, 2, cfg, "symmetric")
         assert np.array_equal(ya.coords, yb.coords)
-        assert all(np.array_equal(a.y1_end, b.y1_end) for a, b in zip(ta.steps, tb.steps))
+        assert all(np.array_equal(a.ys[0], b.ys[0]) for a, b in zip(ta.steps, tb.steps))

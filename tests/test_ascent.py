@@ -10,9 +10,9 @@ import math
 import numpy as np
 import pytest
 
-from submax.dmcg import DmcgConfig, run_dmcg
+from submax.dmcg import run_dmcg
 from submax.fixtures import random_coverage, random_graph_cut
-from submax.mcg import McgConfig, run_mcg, schedule
+from submax.mcg import AscentConfig, run_mcg, schedule
 from submax.multilinear import Estimator
 from submax.polytope import CardinalityPolytope, horizon
 
@@ -60,13 +60,13 @@ def _run(solver: str, mode: str):
     est = ESTIMATORS[mode]
     if solver == "mcg":
         y, traj = run_mcg(random_graph_cut(8, seed=5), CardinalityPolytope(8, 4),
-                          McgConfig(T=2.0, steps=40, estimator=est))
-        return y, (traj.final_value(),), traj
+                          AscentConfig(T=2.0, steps=40, estimator=est))
+        return y, (traj.last.values[0],), traj
     f, k = (random_graph_cut(7, seed=7), 2) if solver == "symmetric" else (random_coverage(7, seed=3), 3)
     T = SYMMETRIC_T if solver == "symmetric" else 1.0
-    y, traj = run_dmcg(f, k, DmcgConfig(variant=solver, steps=40, estimator=est, T=T))
+    y, traj = run_dmcg(f, k, AscentConfig(T=T, steps=40, estimator=est), solver)
     last = traj.steps[-1]
-    return y, (last.value1_end, last.value2_end), traj
+    return y, (last.values[0], last.values[1]), traj
 
 
 @pytest.mark.parametrize("solver, mode", sorted(PINNED))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,11 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import brute_direction_value
 from submax.dmcg import (
-    DmcgConfig,
     check_concave_segment,
     check_max_y,
     check_y_properties,
-    dual_trajectory_csv,
     reduction2,
     run_dmcg,
     solve_direction,
@@ -22,6 +21,7 @@ from submax.fixtures import (
     random_offset_cut,
     single_edge_cut,
 )
+from submax.mcg import AscentConfig, trajectory_csv
 from submax.multilinear import MultilinearEvaluator
 from submax.oracle import brute_cardinality
 from submax.rng import substream
@@ -111,7 +111,7 @@ def test_solve_direction_matches_enumeration(seed):
 
 def test_symmetric_single_edge_guarantee():
     f = single_edge_cut()
-    y, traj = run_dmcg(f, 1, DmcgConfig(variant="symmetric", steps=2000))
+    y, traj = run_dmcg(f, 1, AscentConfig(steps=2000), "symmetric")
     assert abs(y.mass() - 1.0) <= 1e-9
     value = MultilinearEvaluator(f).value(y)
     assert value >= 0.5 * (1 - 0.5**4) - 0.01  # OPT = 1, k/n = 1/2 curve
@@ -119,7 +119,7 @@ def test_symmetric_single_edge_guarantee():
 
 def test_general_hardness_guarantee():
     f = hardness_instance(1, 2)
-    y, traj = run_dmcg(f, 2, DmcgConfig(variant="general", steps=2000))
+    y, traj = run_dmcg(f, 2, AscentConfig(steps=2000), "general")
     assert abs(y.mass() - 2.0) <= 1e-9
     value = MultilinearEvaluator(f).value(y)
     assert value >= math.exp(-1) - 0.01  # OPT = 1
@@ -127,7 +127,7 @@ def test_general_hardness_guarantee():
 
 def test_general_full_cardinality_returns_everything():
     f = random_coverage(4, seed=3)
-    y, _ = run_dmcg(f, 4, DmcgConfig(variant="general", steps=500))
+    y, _ = run_dmcg(f, 4, AscentConfig(steps=500), "general")
     assert np.allclose(y.coords, 1.0)
     assert MultilinearEvaluator(f).value(y) == pytest.approx(f.eval([0, 1, 2, 3]))
 
@@ -135,13 +135,18 @@ def test_general_full_cardinality_returns_everything():
 def test_symmetric_variant_requires_reduced_k():
     f = random_graph_cut(4, seed=4)
     with pytest.raises(ValueError):
-        run_dmcg(f, 3, DmcgConfig(variant="symmetric", steps=10))
+        run_dmcg(f, 3, AscentConfig(steps=10), "symmetric")
 
 
 def test_symmetric_variant_requires_symmetric_objective():
     f = random_coverage(4, seed=4)
     with pytest.raises(ValueError):
-        run_dmcg(f, 2, DmcgConfig(variant="symmetric", steps=10))
+        run_dmcg(f, 2, AscentConfig(steps=10), "symmetric")
+
+
+def test_run_rejects_unknown_variant():
+    with pytest.raises(ValueError, match="variant"):
+        run_dmcg(random_graph_cut(4, seed=4), 2, AscentConfig(steps=10), "asymmetric")
 
 
 @pytest.mark.parametrize("variant", ["symmetric", "general"])
@@ -149,7 +154,7 @@ def test_symmetric_variant_requires_symmetric_objective():
 def test_run_rejects_empty_schedule(variant, steps, T):
     f = random_graph_cut(4, seed=4)
     with pytest.raises(ValueError):
-        run_dmcg(f, 2, DmcgConfig(variant=variant, steps=steps, T=T))
+        run_dmcg(f, 2, AscentConfig(T=T, steps=steps), variant)
 
 
 @pytest.mark.parametrize("variant", ["symmetric", "general"])
@@ -162,28 +167,49 @@ def test_coarse_steps_bracket_k(variant, seed):
     n = int(rng.integers(4, 41))
     k = int(rng.integers(1, n // 2 + 1))
     steps = int(rng.integers(1, 31))
-    y, traj = run_dmcg(random_graph_cut(n, seed, edge_prob=0.3), k, DmcgConfig(variant=variant, steps=steps))
-    assert check_y_properties(traj).passed, check_y_properties(traj).details
+    y, traj = run_dmcg(random_graph_cut(n, seed, edge_prob=0.3), k, AscentConfig(steps=steps), variant)
+    assert check_y_properties(traj, k).passed, check_y_properties(traj, k).details
     assert y.mass() == pytest.approx(k, abs=1e-9)
 
 
 @pytest.mark.parametrize("n, k, steps", [(40, 10, 4), (300, 75, 50)])
 def test_symmetric_variant_brackets_k_where_the_continuous_horizon_overshot(n, k, steps):
-    y, traj = run_dmcg(random_graph_cut(n, seed=0), k, DmcgConfig(steps=steps))
-    assert check_y_properties(traj).passed and y.mass() == pytest.approx(k, abs=1e-9)
+    y, traj = run_dmcg(random_graph_cut(n, seed=0), k, AscentConfig(steps=steps))
+    assert check_y_properties(traj, k).passed and y.mass() == pytest.approx(k, abs=1e-9)
 
 
 def test_y_properties_hold_per_step():
     for seed in range(4):
         f = random_graph_cut(7, seed=seed)
         k = 1 + seed % 3
-        _, traj = run_dmcg(f, k, DmcgConfig(variant="symmetric", steps=800))
-        assert check_y_properties(traj).passed, check_y_properties(traj).details
+        _, traj = run_dmcg(f, k, AscentConfig(steps=800), "symmetric")
+        assert check_y_properties(traj, k).passed, check_y_properties(traj, k).details
+
+
+def test_y_properties_flag_swapped_sides():
+    f = random_graph_cut(6, seed=3)
+    _, traj = run_dmcg(f, 2, AscentConfig(steps=50), "symmetric")
+    assert check_y_properties(traj, 2).passed
+    step = traj.steps[4]
+    traj.steps[4] = replace(step, ys=step.ys[::-1])
+    rep = check_y_properties(traj, 2)
+    assert rep.passed is False
+    assert rep.details["ordering_violated_t"] == step.t_end
+
+
+def test_max_y_flags_a_coordinate_past_the_growth_cap():
+    f = random_offset_cut(6, seed=5)
+    _, traj = run_dmcg(f, 3, AscentConfig(steps=50), "general")
+    assert check_max_y(traj).passed
+    traj.steps[0].ys[0][1] = 0.5  # the cap after one step is delta = 1/50
+    rep = check_max_y(traj)
+    assert rep.passed is False
+    assert rep.details["worst_excess"] > 0
 
 
 def test_max_y_cap_general_variant():
     f = random_offset_cut(6, seed=5)
-    _, traj = run_dmcg(f, 3, DmcgConfig(variant="general", steps=600))
+    _, traj = run_dmcg(f, 3, AscentConfig(steps=600), "general")
     rep = check_max_y(traj)
     assert rep.passed, rep.details
 
@@ -193,16 +219,16 @@ def test_step_bound_symmetric_variant():
     # n^3 delta^2 second-order budget (c = 1)
     f = random_graph_cut(6, seed=6)
     k = 2
-    cfg = DmcgConfig(variant="symmetric", steps=400)
-    _, traj = run_dmcg(f, k, cfg)
+    cfg = AscentConfig(steps=400)
+    _, traj = run_dmcg(f, k, cfg, "symmetric")
     _, opt = brute_cardinality(f, 6, k, "eq")
     budget = 6**3 * traj.delta**2 * opt + 1e-9
     prev1 = prev2 = None
     for step in traj.steps:
         if prev1 is not None:
-            assert step.value1_end - prev1 >= traj.delta * (opt - 2 * prev1) - budget
-            assert step.value2_end - prev2 >= traj.delta * (opt - 2 * prev2) - budget
-        prev1, prev2 = step.value1_end, step.value2_end
+            assert step.values[0] - prev1 >= traj.delta * (opt - 2 * prev1) - budget
+            assert step.values[1] - prev2 >= traj.delta * (opt - 2 * prev2) - budget
+        prev1, prev2 = step.values[0], step.values[1]
 
 
 def test_concave_segment_checks():
@@ -220,25 +246,25 @@ def test_concave_segment_checks():
 def test_concave_segment_on_terminal_states():
     for seed in range(3):
         f = random_graph_cut(6, seed=20 + seed)
-        _, traj = run_dmcg(f, 2, DmcgConfig(variant="symmetric", steps=500))
+        _, traj = run_dmcg(f, 2, AscentConfig(steps=500), "symmetric")
         last = traj.steps[-1]
-        rep = check_concave_segment(f, last.y1_end, last.y2_end)
+        rep = check_concave_segment(f, last.ys[0], last.ys[1])
         assert rep.passed, rep.details
 
 
 def test_determinism():
     f = random_graph_cut(6, seed=8)
-    cfg = DmcgConfig(variant="symmetric", steps=120)
-    ya, ta = run_dmcg(f, 2, cfg)
-    yb, tb = run_dmcg(f, 2, cfg)
+    cfg = AscentConfig(steps=120)
+    ya, ta = run_dmcg(f, 2, cfg, "symmetric")
+    yb, tb = run_dmcg(f, 2, cfg, "symmetric")
     assert np.array_equal(ya.coords, yb.coords)
     for a, b in zip(ta.steps, tb.steps):
-        assert a.lam == b.lam and a.direction_objective == b.direction_objective
+        assert a.note.lam == b.note.lam and a.note.objective == b.note.objective
 
 
 def test_dual_trajectory_csv():
     f = single_edge_cut()
-    _, traj = run_dmcg(f, 1, DmcgConfig(variant="symmetric", steps=4))
-    lines = dual_trajectory_csv(traj).strip().split("\n")
-    assert lines[0] == "t,mass1,mass2,F1,F2,lambda,direction_objective"
-    assert len(lines) == 5
+    _, traj = run_dmcg(f, 1, AscentConfig(steps=4), "symmetric")
+    lines = trajectory_csv(traj).strip().split("\n")
+    assert lines[0] == "t,mass0,mass1,F0,F1,zeroed,lam,objective"
+    assert len(lines) == 6  # header + t=0 row + 4 steps
