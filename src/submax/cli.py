@@ -385,10 +385,12 @@ def _build_run_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _parse_kn(text: str) -> list[Fraction]:
-    if not text.strip():
-        return []
-    return [Fraction(part.strip()) for part in text.split(",")]
+def _parse_list(flag: str, text: str, parse: Callable) -> list:
+    """The comma-separated values of a sweep flag; a bad entry is a FlagError."""
+    try:
+        return [parse(part.strip()) for part in text.split(",") if part.strip()]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise FlagError(f"--{flag} {text!r}: {exc}") from exc
 
 
 def _run_sweep(argv: list[str]) -> int:
@@ -409,15 +411,15 @@ def _run_sweep(argv: list[str]) -> int:
     if not 2 <= args.n <= MAX_BRUTE_N:
         print(f"sweep ratio columns need 2 <= n <= {MAX_BRUTE_N}", file=sys.stderr)
         return 2
-    grid = _parse_kn(args.kn)
-    ks = [min(max(1, round(float(kn) * args.n)), args.n // 2) for kn in grid]
     try:
+        grid = _parse_list("kn", args.kn, Fraction)
+        seeds = _parse_list("seeds", args.seeds, int) or [0]
+        ks = [min(max(1, round(float(kn) * args.n)), args.n // 2) for kn in grid]
         for k in ks:
             _schedule(AscentConfig(steps=args.steps), args.n, CardinalityPolytope(args.n, k))
     except FlagError as exc:
         print(f"inconsistent flags: {exc}", file=sys.stderr)
         return 2
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()] or [0]
     rows = []
     for kn, k in zip(grid, ks):
         curve = _theoretical_curve(k, args.n)

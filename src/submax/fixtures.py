@@ -30,6 +30,8 @@ def random_graph_cut(
     n: int, seed: int, edge_prob: float = 0.6, wmin: float = 0.1, wmax: float = 1.0
 ) -> SetFunction:
     """Random weighted graph with at least one edge (so OPT > 0)."""
+    if n < 2:
+        raise ValueError(f"random_graph_cut needs n >= 2 for an edge, got n = {n}")
     rng = substream(seed, 0x6C)
     edges = []
     for u in range(n):
@@ -45,6 +47,8 @@ def random_graph_cut(
 def random_hypergraph_cut(
     n: int, seed: int, m: int | None = None, max_arity: int = 4
 ) -> SetFunction:
+    if n < 2:
+        raise ValueError(f"random_hypergraph_cut needs n >= 2 for a hyperedge, got n = {n}")
     rng = substream(seed, 0x47)
     m = m if m is not None else max(2, n)
     hyperedges = []

@@ -118,7 +118,10 @@ def ascend(f: SetFunction, cfg: AscentConfig, starts: tuple[int, ...], choose: C
         weights = [(1.0 - s - y) * e[1] for s, y, e in zip(starts, ys, evals)]
         directions, note = choose(weights, [e[0] for e in evals])
         ys = [y + delta * d * (1.0 - s - y) for s, y, d in zip(starts, ys, directions)]
-        evals = [ev.value_and_partials(y, stream=(i, m + j)) for j, y in enumerate(ys)]
+        # F alone where no cleanup reads the gradient and the next step samples a fresh one
+        needs_grad = cleanup or ev.backend != "sampled"
+        evals = [ev.value_and_partials(y, stream=(i, m + j)) if needs_grad else (ev.value(y, stream=(i, m + j)),)
+                 for j, y in enumerate(ys)]
         resets = 0
         for j in range(m if cleanup else 0):
             s, y, sign = starts[j], ys[j], 1.0 - 2.0 * starts[j]

@@ -7,7 +7,8 @@ R(x) includes each element u independently with probability x_u.
 backends, picked by :func:`backend` in this order:
 
 * ``"sampled"`` when the estimator asks for it: f is averaged over seeded
-  draws, with common random numbers for coupled queries;
+  draws R, with common random numbers for coupled queries; a gradient reads
+  R and each R with one element flipped, one (n + 1, samples) oracle batch;
 * ``"closed_form"`` in exact mode when f carries a ``multilinear`` hook (graph
   and hypergraph cuts, coverage, modular functions, and their sums,
   complements and restrictions): exact F and gradient in time polynomial in
@@ -212,13 +213,13 @@ class MultilinearEvaluator:
         return float(self.f.eval_many(masks).mean())
 
     def _grad_sampled(self, x: np.ndarray, stream: tuple[int, ...]) -> tuple[float, np.ndarray, np.ndarray]:
-        """F from the sampled sets R, and dF/dx_u from f(R + u) - f(R - u),
-        all evaluated as one (2n + 1, samples) oracle batch."""
+        """F and dF/dx_u = mean f(R + u) - f(R - u) over the sampled sets R; one of
+        the two is R, so one (n + 1, samples) batch holds R and R with u flipped in row u."""
         n, samples = self.n, self.est.resolved_samples(self.n)
         base = self._sample_masks(x, self._thresholds(stream, samples))
         unit = masks_from_bits(np.eye(n, dtype=bool))[:, None]  # row u is the set {u}
-        vals = self.f.eval_many(np.concatenate([base[None, :], base | unit, base & ~unit]))
-        diffs = vals[1 : n + 1] - vals[n + 1 :]
+        vals = self.f.eval_many(np.concatenate([base[None, :], base ^ unit]))
+        diffs = np.where((base & unit) != 0, vals[0] - vals[1:], vals[1:] - vals[0])  # a set has one value
         sigma = diffs.std(axis=1, ddof=1) / math.sqrt(samples) if samples > 1 else np.zeros(n)
         return float(vals[0].mean()), diffs.mean(axis=1), sigma
 

@@ -326,6 +326,14 @@ def test_sweep_empty_grid_and_basic_run(tmp_path):
         assert ratio >= curve - 0.02
 
 
+@pytest.mark.parametrize("flags", [["--kn", "abc"], ["--kn", "1/0"], ["--kn", "1/4", "--seeds", "abc"]])
+def test_sweep_rejects_unparsable_lists_as_flag_errors(flags, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--n", "4", *flags, "--out", str(out)]) == 2
+    assert "inconsistent flags: --" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_self_check_flag():
     assert main(["--self-check", "--trials", "4000"]) == 0
 
@@ -352,6 +360,11 @@ def test_report_names_the_estimator_backend(triangle_file, tmp_path):
             # no 2^n table: the oracle is queried only for verification and
             # the final set (at most 2^n masks from the brute-force check)
             assert report["oracle_calls"] <= 2 * 2 ** report["instance"]["n"]
+        else:
+            # 50 steps x 2 sides x 2 gradients (before and after each update),
+            # each one batch of (n + 1) x 64 sets, plus 198 calls outside the
+            # ascent (fractional value, rounding, brute-force check)
+            assert report["oracle_calls"] == 50 * 2 * 2 * 4 * 64 + 198
 
 
 def test_closed_form_runs_exact_beyond_the_table_limit(tmp_path):

@@ -22,7 +22,7 @@ from submax.fixtures import (
     single_edge_cut,
 )
 from submax.mcg import AscentConfig, trajectory_csv
-from submax.multilinear import MultilinearEvaluator
+from submax.multilinear import Estimator, MultilinearEvaluator
 from submax.oracle import brute_cardinality
 from submax.rng import substream
 from submax.setfn import hardness_instance
@@ -260,6 +260,17 @@ def test_determinism():
     assert np.array_equal(ya.coords, yb.coords)
     for a, b in zip(ta.steps, tb.steps):
         assert a.note.lam == b.note.lam and a.note.objective == b.note.objective
+
+
+def test_sampled_general_variant_spends_one_gradient_per_side_and_step():
+    # each step draws one (n + 1) x samples gradient batch per side before the
+    # update and one F (samples masks) per side after it: no cleanup reads a
+    # gradient there
+    n, steps, samples = 6, 5, 32
+    f = random_graph_cut(n, seed=1)
+    est = Estimator(mode="sampled", samples=samples, seed=3)
+    run_dmcg(f, 2, AscentConfig(steps=steps, estimator=est), "general")
+    assert f.query_count == 2 * steps * samples * (n + 2)
 
 
 def test_dual_trajectory_csv():

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from submax.fixtures import random_coverage, random_graph_cut, single_edge_cut, triangle_cut
+from submax.fixtures import (
+    random_coverage,
+    random_graph_cut,
+    random_hypergraph_cut,
+    single_edge_cut,
+    triangle_cut,
+)
 from submax.multilinear import (
     Estimator,
     MultilinearEvaluator,
@@ -18,7 +24,7 @@ from submax.multilinear import (
     sample_set,
 )
 from submax.rng import substream
-from submax.setfn import hardness_instance
+from submax.setfn import SetFunction, complement_function, hardness_instance
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +194,45 @@ def test_value_and_partials_consistent_with_partial():
         up, down = x.copy(), x.copy()
         up[u], down[u] = 1.0, 0.0
         assert grad[u] == pytest.approx(ev.value(up) - ev.value(down), abs=1e-9)
+
+
+def _scalar_oracle(n: int) -> SetFunction:
+    weights = substream(2, n).uniform(0.5, 2.0, size=n)
+    return SetFunction(n, lambda mask: math.sqrt(sum(w for u, w in enumerate(weights) if mask >> u & 1)))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: random_graph_cut(7, seed=3),
+        lambda: random_hypergraph_cut(7, seed=4),
+        lambda: random_coverage(7, seed=5),
+        lambda: complement_function(random_coverage(7, seed=6)),
+        lambda: _scalar_oracle(7),
+    ],
+    ids=["cut", "hypergraph", "coverage", "complement", "scalar"],
+)
+@pytest.mark.parametrize("pinned", [False, True], ids=["interior", "pinned"])
+@pytest.mark.parametrize("samples", [1, 64, 600])  # 8 x 600 masks span two eval_many blocks
+def test_sampled_gradient_matches_plus_minus_reference_bit_for_bit(make, pinned, samples):
+    f = make()
+    n = f.n
+    x = substream(11, n).random(n)
+    if pinned:
+        x[[0, 3]], x[[1, 5]] = 0.0, 1.0
+    ev = MultilinearEvaluator(f, Estimator(mode="sampled", samples=samples, seed=17))
+    stream = (4, 1)
+    base = ev._sample_masks(x, ev._thresholds(stream, samples))
+    unit = (np.int64(1) << np.arange(n, dtype=np.int64))[:, None]
+    diffs = f.eval_many(base | unit) - f.eval_many(base & ~unit)
+    sigma = diffs.std(axis=1, ddof=1) / math.sqrt(samples) if samples > 1 else np.zeros(n)
+    reference = float(f.eval_many(base).mean()), diffs.mean(axis=1), sigma
+    before = f.query_count
+    value, grad, got_sigma = ev.value_and_partials(x, stream=stream)
+    assert f.query_count - before == (n + 1) * samples
+    assert value == reference[0]
+    assert np.array_equal(grad, reference[1])
+    assert np.array_equal(got_sigma, reference[2])
 
 
 def test_sampled_partial_uses_common_random_numbers():

@@ -149,6 +149,14 @@ def test_random_hypergraph_instances_are_symmetric_submodular(n, seed):
     assert audit_submodularity(f)
 
 
+@pytest.mark.parametrize("make", [random_graph_cut, random_hypergraph_cut])
+@pytest.mark.parametrize("n", [0, 1])
+def test_random_cut_fixtures_reject_fewer_than_two_vertices(make, n):
+    with pytest.raises(ValueError, match="n >= 2"):
+        make(n, seed=0)
+    assert make(2, seed=0).n == 2  # the smallest ground set with an edge
+
+
 def test_audit_sampled_mode_used_beyond_exhaustive_limit():
     f = random_graph_cut(16, seed=1)
     assert audit_submodularity(f, exhaustive_limit=10, trials=200)
