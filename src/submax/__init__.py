@@ -10,12 +10,7 @@ oracles that make every guarantee checkable at desk scale.
 from .dmcg import reduction2, run_dmcg, solve_direction
 from .mcg import AscentConfig, Trajectory, check_feasibility_invariants, run_mcg, trajectory_csv
 from .reports import CheckReport
-from .multilinear import (
-    Estimator,
-    MultilinearEvaluator,
-    Point,
-    sample_set,
-)
+from .multilinear import Estimator, MultilinearEvaluator, Point
 from .oracle import brute_cardinality, brute_polytope_integral, brute_unconstrained
 from .pipage import pipage_round
 from .polytope import (
@@ -32,11 +27,8 @@ from .setfn import (
     GroundSet,
     HypergraphCutInstance,
     SetFunction,
-    audit_nonnegativity,
-    audit_submodularity,
     audit_symmetry,
     complement_function,
-    cut_eval,
     graph_cut_function,
     hardness_instance,
     restrict_function,
@@ -46,7 +38,7 @@ from .welfare import (
     Allocation,
     WelfareInstance,
     brute_force_welfare,
-    random_assign,
+    simulate_random_assign,
     tight_instance,
     welfare_ratio,
 )

@@ -29,11 +29,11 @@ from functools import partial
 
 import numpy as np
 
-from . import mcg, selfcheck
+from . import mcg
 from .dmcg import reduction2, run_dmcg
 from .fixtures import random_graph_cut, random_hypergraph_cut
 from .mcg import AscentConfig, run_mcg
-from .multilinear import EXACT_TABLE_LIMIT, Estimator, MultilinearEvaluator, Point, backend
+from .multilinear import Estimator, MultilinearEvaluator, Point, backend
 from .oracle import MAX_BRUTE_N, brute_cardinality, brute_polytope_integral, brute_unconstrained
 from .pipage import pipage_round
 from .polytope import CardinalityPolytope, polytope_from_json, preprocess_reduction1
@@ -96,14 +96,12 @@ def _load_instance(path: str):
         raise ParseError(str(exc)) from exc
 
 
-def _estimator(f: SetFunction, samples: int | None, seed: int) -> Estimator:
-    """Sampled if --samples is given; otherwise exact whenever F has a closed
-    form or the value table fits, and sampled beyond that."""
+def _estimator(samples: int | None, seed: int) -> Estimator:
+    """Sampled if --samples is given, else exact: every family an instance
+    file can name has a closed form."""
     if samples is not None:
         return Estimator(mode="sampled", samples=samples, seed=seed)
-    if f.multilinear is not None or f.n <= EXACT_TABLE_LIMIT:
-        return Estimator(mode="exact")
-    return Estimator(mode="sampled", seed=seed)
+    return Estimator()
 
 
 def _fractional_value(f: SetFunction, y: Point, est: Estimator) -> float:
@@ -197,13 +195,13 @@ def _check(args, f, polytope_obj, welfare_inst) -> _Job:
     elif algorithm == "mcg":
         red = preprocess_reduction1(P, f.ground_set)
         f_run = f if len(red.kept) == n else restrict_function(f, list(red.kept))
-        cfg = AscentConfig(args.T, args.steps, _estimator(f_run, samples, seed))
+        cfg = AscentConfig(args.T, args.steps, _estimator(samples, seed))
         solve = partial(_solve_mcg, f, P, red, f_run, cfg, _schedule(cfg, f_run.n, red.polytope))
     else:
         symmetric = algorithm == "dmcg-symmetric"
         if symmetric and not f.symmetric:
             raise FlagError("dmcg-symmetric requires a symmetric instance")
-        cfg = AscentConfig(args.T, args.steps, _estimator(f, samples, seed))
+        cfg = AscentConfig(args.T, args.steps, _estimator(samples, seed))
         k_run, f_run = reduction2(k, n, f) if symmetric else (k, f)
         # k_run = 0 (symmetric, k = n) runs no ascent; --T and --steps are checked at k all the same
         bound = CardinalityPolytope(n, k_run or k) if symmetric else None
@@ -380,8 +378,6 @@ def _build_run_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--require-oracle", action="store_true", default=False)
-    p.add_argument("--self-check", action="store_true", default=False)
-    p.add_argument("--trials", type=int, default=20_000, help="trial count for --self-check")
     return p
 
 
@@ -401,25 +397,33 @@ def _run_sweep(argv: list[str]) -> int:
     p.add_argument("--family", choices=("cut", "hypergraph"), default="cut")
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--count", type=int, default=3, help="instances per grid point")
-    p.add_argument("--kn", default="", help="comma-separated k/n fractions, e.g. 1/4,1/2")
+    p.add_argument("--kn", default="", help="comma-separated k/n fractions in [0, 1], e.g. 1/4,1/2")
     p.add_argument("--seeds", default="0", help="comma-separated run seeds")
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     args = p.parse_args(argv)
 
-    if not 2 <= args.n <= MAX_BRUTE_N:
-        print(f"sweep ratio columns need 2 <= n <= {MAX_BRUTE_N}", file=sys.stderr)
-        return 2
     try:
+        if not 2 <= args.n <= MAX_BRUTE_N:
+            raise FlagError(f"sweep ratio columns need 2 <= n <= {MAX_BRUTE_N}, got --n {args.n}")
+        if args.count < 1:
+            raise FlagError(f"--count must be at least 1, got {args.count}")
         grid = _parse_list("kn", args.kn, Fraction)
+        if not grid:
+            raise FlagError("--kn names no k/n fraction")
+        if not all(0 <= kn <= 1 for kn in grid):
+            raise FlagError(f"--kn entries must lie in [0, 1], got {args.kn!r}")
         seeds = _parse_list("seeds", args.seeds, int) or [0]
+        if min(seeds) < 0:
+            raise FlagError(f"--seeds must be non-negative, got {args.seeds!r}")
         ks = [min(max(1, round(float(kn) * args.n)), args.n // 2) for kn in grid]
         for k in ks:
             _schedule(AscentConfig(steps=args.steps), args.n, CardinalityPolytope(args.n, k))
     except FlagError as exc:
         print(f"inconsistent flags: {exc}", file=sys.stderr)
         return 2
+    est = Estimator()
     rows = []
     for kn, k in zip(grid, ks):
         curve = _theoretical_curve(k, args.n)
@@ -428,7 +432,6 @@ def _run_sweep(argv: list[str]) -> int:
             f = make(args.n, seed=1000 + idx)
             _, opt = brute_cardinality(f, args.n, k, "eq")
             for seed in seeds:
-                est = _estimator(f, None, seed)
                 y, _ = run_dmcg(f, k, AscentConfig(steps=args.steps, estimator=est))
                 ratio = MultilinearEvaluator(f, est).value(y) / opt if opt > 0 else float("nan")
                 rows.append(
@@ -469,11 +472,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_run_parser()
     args = parser.parse_args(argv)
 
-    if args.self_check:
-        return 0 if selfcheck.main(trials=args.trials, seed=args.seed) else 1
-
     if not args.instance or not args.algorithm:
-        print("--instance and --algorithm are required (or use --self-check)", file=sys.stderr)
+        print("--instance and --algorithm are required", file=sys.stderr)
         return 2
 
     start = time.perf_counter()

@@ -1,5 +1,5 @@
 """Built-in and randomly generated desk-scale instances used by the test
-suites, the self-check, and the sweep runner."""
+suites and the sweep runner."""
 
 from __future__ import annotations
 

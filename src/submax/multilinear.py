@@ -1,5 +1,5 @@
-"""Multilinear extension F(x) = E[f(R(x))]: exact evaluation, seeded sampling,
-partial derivatives, and the executable lemma checks built on them.
+"""Multilinear extension F(x) = E[f(R(x))]: exact evaluation, seeded sampling
+and partial derivatives.
 
 R(x) includes each element u independently with probability x_u.
 :class:`MultilinearEvaluator` is the one entry point: ``value`` for F and
@@ -25,10 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reports import CheckReport, mean_and_sigma
 from .rng import substream
-from .setfn import SetFunction, complement_function
-from .subsets import as_mask, bits_from_masks, full_mask, masks_from_bits
+from .setfn import SetFunction
+from .subsets import as_mask, bits_from_masks, masks_from_bits
 
 _CLAMP_TOL = 1e-12
 
@@ -122,7 +121,8 @@ class MultilinearEvaluator:
     oracle calls.  The table backend caches the full value table (2^n oracle
     calls, paid once, only when first needed) and computes F(x) in O(2^n)
     arithmetic by folding one coordinate at a time; the gradient comes from
-    one extra backward sweep.  ``box_vertex_values`` always uses the table.
+    one extra backward sweep.  ``table`` builds that table on any backend
+    (n <= EXACT_TABLE_LIMIT), for callers that need every value of f.
     Sampled mode derives all draws from counter-indexed substreams of the
     estimator seed.
     """
@@ -177,26 +177,6 @@ class MultilinearEvaluator:
             adj = nxt.reshape(-1)
         return value, grad
 
-    def box_vertex_values(self, x) -> np.ndarray:
-        """F at every vertex of the box {y : y <= x}; entry S is F(x * 1_S).
-
-        Exact mode only.  The transform consumes one mask bit and emits one
-        choice bit per coordinate, so the table stays at 2^n entries.
-        """
-        if self.est.mode != "exact":
-            raise ValueError("box vertex enumeration requires the exact estimator")
-        xa = _as_array(x)
-        t = self.table()
-        for u in range(self.n):
-            low = 1 << u
-            t3 = t.reshape(-1, 2, low)
-            active = t3[:, 0, :] * (1.0 - xa[u]) + t3[:, 1, :] * xa[u]
-            t = np.stack([t3[:, 0, :], active], axis=1).reshape(-1)
-        return t
-
-    def box_vertex_max(self, x) -> float:
-        return float(self.box_vertex_values(x).max())
-
     # -- sampled kernels ----------------------------------------------------
     def _thresholds(self, stream: tuple[int, ...], samples: int) -> np.ndarray:
         return substream(self.est.seed, *stream).random((samples, self.n))
@@ -240,148 +220,3 @@ class MultilinearEvaluator:
             return self._grad_sampled(xa, stream)
         value, grad = self._value_and_grad_exact(xa)
         return value, grad, None
-
-
-# ---------------------------------------------------------------------------
-# module-level operations
-# ---------------------------------------------------------------------------
-
-
-def sample_set(x, rng: np.random.Generator) -> int:
-    """One draw of R(x): each element included independently with prob x_u."""
-    xa = _as_array(x)
-    return int(masks_from_bits(rng.random(xa.size) < xa))
-
-
-# ---------------------------------------------------------------------------
-# executable lemma checks (exact mode, desk scale)
-# ---------------------------------------------------------------------------
-
-
-def check_lemma_general_properties(
-    f: SetFunction, trials: int = 25, seed: int = 0, tol: float = 1e-9
-) -> CheckReport:
-    """Complement/multilinear identities on random points:
-
-    (a) the extension of the complement oracle equals F(1_N - x);
-    (b) for symmetric f, F(x) = F(1_N - x);
-    (c) for z <= y <= x, F(x) - F(y) <= F(x-z) - F(y-z).
-    """
-    n = f.n
-    ev = MultilinearEvaluator(f)
-    ev_bar = MultilinearEvaluator(complement_function(f))
-    rng = substream(seed, 0x1E44)
-    worst = {"complement": 0.0, "symmetry": 0.0, "shift": 0.0}
-    for _ in range(trials):
-        x = rng.random(n)
-        worst["complement"] = max(worst["complement"], abs(ev_bar.value(x) - ev.value(1.0 - x)))
-        if f.symmetric:
-            worst["symmetry"] = max(worst["symmetry"], abs(ev.value(x) - ev.value(1.0 - x)))
-        trio = np.sort(rng.random((3, n)), axis=0)
-        z, y, xx = trio[0], trio[1], trio[2]
-        gap = (ev.value(xx) - ev.value(y)) - (ev.value(xx - z) - ev.value(y - z))
-        worst["shift"] = max(worst["shift"], gap)
-    passed = worst["complement"] <= tol and worst["symmetry"] <= tol and worst["shift"] <= tol
-    details = dict(worst)
-    details["symmetry_checked"] = f.symmetric
-    return CheckReport("complement/shift identities", passed, details=details)
-
-
-def check_union_bound_symmetric(f: SetFunction, x, S, tol: float = 1e-9) -> CheckReport:
-    """F(1_S v x) >= f(S) - F(x), asserted only when x dominates its down-box:
-    the precondition F(y) <= F(x) for all y <= x is verified at the box
-    vertices, where a multilinear function attains its box extrema."""
-    if not f.symmetric:
-        raise ValueError("the union bound is stated for symmetric objectives")
-    ev = MultilinearEvaluator(f)
-    fx = ev.value(x)
-    if ev.box_vertex_max(x) > fx + tol:
-        return CheckReport(
-            "symmetric union bound",
-            True,
-            status="precondition_unmet",
-            details={"F(x)": fx, "box_max": ev.box_vertex_max(x)},
-        )
-    mask = as_mask(S, f.n)
-    lhs = ev.value(np.maximum(_as_array(x), Point.indicator(mask, f.n).coords))
-    rhs = f.eval(mask) - fx
-    return CheckReport(
-        "symmetric union bound",
-        lhs >= rhs - tol,
-        details={"lhs": lhs, "rhs": rhs, "slack": lhs - rhs},
-    )
-
-
-def check_linearization_bound(
-    f: SetFunction,
-    trials: int = 50,
-    delta: float = 1e-3,
-    c: float = 1.0,
-    seed: int = 0,
-) -> CheckReport:
-    """First-order bound for nearby points |x_u - x'_u| <= delta:
-    F(x') - F(x) >= grad(x) . (x' - x) - c n^3 delta^2 max_u f({u})."""
-    n = f.n
-    ev = MultilinearEvaluator(f)
-    max_singleton = max(f.eval(1 << u) for u in range(n))
-    budget = c * n**3 * delta**2 * max_singleton
-    rng = substream(seed, 0x713)
-    worst = -math.inf
-    for _ in range(trials):
-        x = rng.random(n)
-        xp = np.clip(x + rng.uniform(-delta, delta, size=n), 0.0, 1.0)
-        fx, grad, _ = ev.value_and_partials(x)
-        deficit = grad @ (xp - x) - (ev.value(xp) - fx)  # must stay below budget
-        worst = max(worst, deficit)
-    return CheckReport(
-        "linearization bound",
-        worst <= budget + 1e-12,
-        details={"worst_deficit": worst, "budget": budget, "delta": delta},
-    )
-
-
-def check_random_subset_bound(
-    f: SetFunction,
-    A=None,
-    p: float = 0.5,
-    trials: int = 100_000,
-    seed: int = 0,
-) -> CheckReport:
-    """E[f(A(p))] >= (1-p) f(empty) + p f(A) within 4 sigma, where A(p) keeps
-    each element of A independently with probability p."""
-    n = f.n
-    mask = full_mask(n) if A is None else as_mask(A, n)
-    members = np.flatnonzero(bits_from_masks(mask, n))
-    keep = np.zeros((trials, n), dtype=bool)
-    keep[:, members] = substream(seed, 0xE0).random((trials, members.size)) < p
-    masks = masks_from_bits(keep)
-    est, sigma = mean_and_sigma(f.eval_many(masks))
-    bound = (1.0 - p) * f.eval(0) + p * f.eval(mask)
-    return CheckReport(
-        "random subset value bound",
-        est >= bound - 4.0 * sigma - 1e-12,
-        details={"estimate": est, "bound": bound, "sigma": sigma, "p": p},
-    )
-
-
-def check_correlated_marginals_bound(
-    f: SetFunction,
-    p: float = 0.5,
-    trials: int = 100_000,
-    seed: int = 0,
-) -> CheckReport:
-    """E[f(R)] >= (1-p) f(empty) within 4 sigma for R with per-element
-    marginals <= p.  R is built maximally correlated on purpose: one shared
-    uniform threshold activates every element whose marginal exceeds it."""
-    n = f.n
-    rng = substream(seed, 0xC0 + 1)
-    marginals = rng.random(n) * p  # each <= p
-    shared = rng.random((trials, 1))
-    masks = masks_from_bits(shared < marginals[None, :])
-    est, sigma = mean_and_sigma(f.eval_many(masks))
-    bound = (1.0 - p) * f.eval(0)
-    return CheckReport(
-        "correlated marginals bound",
-        est >= bound - 4.0 * sigma - 1e-12,
-        details={"estimate": est, "bound": bound, "sigma": sigma, "p": p},
-    )

@@ -1,4 +1,4 @@
-"""Shared result type for the executable lemma/property checks."""
+"""Shared result type for the executable invariant and lemma checks."""
 
 from __future__ import annotations
 
@@ -22,11 +22,6 @@ class CheckReport:
 
     def __bool__(self) -> bool:
         return self.passed
-
-    def summary(self) -> str:
-        flag = "PASS" if self.passed else "FAIL"
-        extra = f" [{self.status}]" if self.status != "ok" else ""
-        return f"{flag}{extra} {self.name}"
 
     def to_json(self) -> str:
         import json

@@ -16,7 +16,6 @@ from __future__ import annotations
 import threading
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -211,11 +210,6 @@ class GraphCutInstance:
                 raise ValueError("edge endpoint out of range")
             if w < 0:
                 raise ValueError("edge weights must be non-negative")
-
-
-def cut_eval(instance: GraphCutInstance, subset: int | Iterable[int]) -> float:
-    """Total weight of edges with exactly one endpoint in the subset."""
-    return graph_cut_function(instance).eval(subset)
 
 
 def graph_cut_function(instance: GraphCutInstance) -> SetFunction:
@@ -457,48 +451,8 @@ def restrict_function(f: SetFunction, kept: list[int], *, audit_symmetry_limit: 
 
 
 # ---------------------------------------------------------------------------
-# audits
+# symmetry audit
 # ---------------------------------------------------------------------------
-
-
-def _value_table(f: SetFunction) -> np.ndarray:
-    return f.eval_many(np.arange(1 << f.n, dtype=np.int64))
-
-
-def audit_submodularity(
-    f: SetFunction,
-    *,
-    exhaustive_limit: int = 14,
-    trials: int = 2000,
-    seed: int = 0,
-    tol: float = 1e-9,
-) -> bool:
-    """True iff f(A) + f(B) >= f(A|B) + f(A&B) on all audited pairs.
-
-    At n <= exhaustive_limit this checks the equivalent diminishing-returns
-    condition f(S+u) + f(S+v) >= f(S+u+v) + f(S) for every S and pair u != v,
-    which implies the inequality for all (A, B).  Larger n samples random
-    (A, B) pairs.
-    """
-    n = f.n
-    if n <= exhaustive_limit:
-        table = _value_table(f)
-        all_masks = np.arange(1 << n, dtype=np.int64)
-        for u, v in combinations(range(n), 2):
-            bu, bv = 1 << u, 1 << v
-            base = all_masks[(all_masks & (bu | bv)) == 0]
-            lhs = table[base | bu] + table[base | bv]
-            rhs = table[base | bu | bv] + table[base]
-            if (lhs + tol < rhs).any():
-                return False
-        return True
-    rng = substream(seed, 0xA0D17)
-    for _ in range(trials):
-        a = int(rng.integers(0, 1 << n))
-        b = int(rng.integers(0, 1 << n))
-        if f.eval(a) + f.eval(b) + tol < f.eval(a | b) + f.eval(a & b):
-            return False
-    return True
 
 
 def audit_symmetry(
@@ -513,7 +467,7 @@ def audit_symmetry(
     n = f.n
     fm = full_mask(n)
     if n <= exhaustive_limit:
-        table = _value_table(f)
+        table = f.eval_many(np.arange(1 << n, dtype=np.int64))
         comp = table[np.bitwise_xor(np.arange(1 << n, dtype=np.int64), np.int64(fm))]
         return bool(np.max(np.abs(table - comp)) <= tol)
     rng = substream(seed, 0x5D33)
@@ -522,21 +476,6 @@ def audit_symmetry(
         if abs(f.eval(m) - f.eval(fm ^ m)) > tol:
             return False
     return True
-
-
-def audit_nonnegativity(
-    f: SetFunction,
-    *,
-    exhaustive_limit: int = 14,
-    trials: int = 2000,
-    seed: int = 0,
-    tol: float = 1e-9,
-) -> bool:
-    n = f.n
-    if n <= exhaustive_limit:
-        return bool(_value_table(f).min() >= -tol)
-    rng = substream(seed, 0x2B3F)
-    return all(f.eval(int(rng.integers(0, 1 << n))) >= -tol for _ in range(trials))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,13 @@ from contextlib import contextmanager
 import numpy as np
 
 from conftest import brute_direction_value
+from lemmas import (
+    check_disjoint_unions,
+    check_lemma_general_properties,
+    check_linearization_bound,
+    check_repeated_subsample_union,
+    check_union_bound_symmetric,
+)
 from submax.cli import main as cli_main
 from submax.dmcg import (
     check_concave_segment,
@@ -31,9 +38,6 @@ from submax.multilinear import (
     Estimator,
     MultilinearEvaluator,
     Point,
-    check_lemma_general_properties,
-    check_linearization_bound,
-    check_union_bound_symmetric,
 )
 from submax.oracle import brute_cardinality, brute_polytope_integral, brute_unconstrained
 from submax.pipage import pipage_round
@@ -45,8 +49,6 @@ from submax.twosided import check_loss_gain, run_two_sided
 from submax.welfare import (
     WelfareInstance,
     brute_force_welfare,
-    check_disjoint_unions,
-    check_repeated_subsample_union,
     simulate_random_assign,
     tight_instance,
     welfare_ratio,

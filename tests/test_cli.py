@@ -306,11 +306,8 @@ def test_mcg_embeds_the_reduced_point_and_set(tmp_path):
     assert report["achieved_value"] == f.eval(achieved)
 
 
-def test_sweep_empty_grid_and_basic_run(tmp_path):
+def test_sweep_basic_run(tmp_path):
     out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--kn", "", "--out", str(out)]) == 0
-    lines = out.read_text().strip().split("\n")
-    assert len(lines) == 1  # header only
     assert main(["sweep", "--n", "4", "--kn", "1/4", "--steps", "0", "--out", str(out)]) == 2
     assert main(["sweep", "--n", "1", "--kn", "1/4", "--out", str(out)]) == 2
     assert main(
@@ -334,8 +331,31 @@ def test_sweep_rejects_unparsable_lists_as_flag_errors(flags, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_self_check_flag():
-    assert main(["--self-check", "--trials", "4000"]) == 0
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--kn", "1e400"],  # k = round(kn * n) would overflow a float
+        ["--kn", "3/2"],
+        ["--kn=-1/4"],
+        ["--kn", ""],
+        ["--kn", "1/4", "--seeds=-3"],
+        ["--kn", "1/4", "--count", "0"],
+    ],
+    ids=["kn-huge", "kn-above-1", "kn-negative", "kn-empty", "seed-negative", "count-0"],
+)
+def test_sweep_rejects_out_of_range_flags_before_any_work(flags, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--n", "4", *flags, "--out", str(out)]) == 2
+    assert "inconsistent flags: --" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--self-check"], ["--trials", "4000"]])
+def test_removed_self_check_options_are_rejected(flags, triangle_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--instance", triangle_file, "--algorithm", "two-sided", *flags])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_report_names_the_estimator_backend(triangle_file, tmp_path):

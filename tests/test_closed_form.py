@@ -132,7 +132,7 @@ def test_table_limit_binds_only_the_table():
     assert value == pytest.approx(0.5 * sum(w for _, _, w in f.source.edges), abs=1e-12)
     assert np.allclose(grad, 0.0)
     with pytest.raises(ValueError):
-        ev.box_vertex_values(np.full(20, 0.5))
+        ev.table()
     with pytest.raises(ValueError):
         MultilinearEvaluator(_table_reference(f))
 

@@ -5,6 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lemmas import (
+    box_vertex_values,
+    check_correlated_marginals_bound,
+    check_lemma_general_properties,
+    check_linearization_bound,
+    check_random_subset_bound,
+    check_union_bound_symmetric,
+)
 from submax.fixtures import (
     random_coverage,
     random_graph_cut,
@@ -12,19 +20,10 @@ from submax.fixtures import (
     single_edge_cut,
     triangle_cut,
 )
-from submax.multilinear import (
-    Estimator,
-    MultilinearEvaluator,
-    Point,
-    check_correlated_marginals_bound,
-    check_lemma_general_properties,
-    check_linearization_bound,
-    check_random_subset_bound,
-    check_union_bound_symmetric,
-    sample_set,
-)
+from submax.multilinear import Estimator, MultilinearEvaluator, Point
 from submax.rng import substream
 from submax.setfn import SetFunction, complement_function, hardness_instance
+from submax.subsets import popcount_array
 
 
 # ---------------------------------------------------------------------------
@@ -53,21 +52,23 @@ def test_point_indicator_and_support():
 
 
 # ---------------------------------------------------------------------------
-# sample_set
+# sampled sets R(x)
 # ---------------------------------------------------------------------------
 
 
+def _sampled_sets(x, samples, seed):
+    ev = MultilinearEvaluator(single_edge_cut(len(x)), Estimator(mode="sampled", seed=seed))
+    return ev._sample_masks(np.asarray(x, dtype=float), ev._thresholds((), samples))
+
+
 def test_sample_set_degenerate_points():
-    rng = substream(0, 1)
-    assert sample_set(Point.ones(4), rng) == 0b1111
-    assert sample_set(Point.zeros(4), rng) == 0
+    assert (_sampled_sets(Point.ones(4).coords, 100, seed=0) == 0b1111).all()
+    assert (_sampled_sets(Point.zeros(4).coords, 100, seed=0) == 0).all()
 
 
 def test_sample_set_binomial_mean():
-    rng = substream(7, 2)
-    x = Point([0.5] * 4)
-    sizes = [bin(sample_set(x, rng)).count("1") for _ in range(100_000)]
-    sigma = 1.0 / math.sqrt(len(sizes))  # std of |R| is 1 at p=1/2, n=4
+    sizes = popcount_array(_sampled_sets([0.5] * 4, 100_000, seed=7))
+    sigma = 1.0 / math.sqrt(sizes.size)  # std of |R| is 1 at p=1/2, n=4
     assert abs(np.mean(sizes) - 2.0) <= 3 * sigma
 
 
@@ -254,7 +255,7 @@ def test_box_vertex_values_enumerates_scaled_indicators():
     f = triangle_cut()
     ev = MultilinearEvaluator(f)
     x = np.array([0.3, 0.6, 0.9])
-    values = ev.box_vertex_values(x)
+    values = box_vertex_values(f, x)
     for mask in range(8):
         scaled = np.array([x[u] if (mask >> u) & 1 else 0.0 for u in range(3)])
         assert values[mask] == pytest.approx(ev.value(scaled), abs=1e-12)

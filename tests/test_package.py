@@ -1,0 +1,37 @@
+"""Layout guard: the library ships the solvers and the invariants a run can
+check; the lemma checks and oracle audits that only tests call live in
+``tests/lemmas.py``."""
+
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import submax
+
+RUN_TIME_INVARIANTS = {
+    "check_feasibility_invariants",
+    "check_y_properties",
+    "check_max_y",
+    "check_concave_segment",
+    "check_loss_gain",
+}
+TEST_ONLY = {"box_vertex_values", "box_vertex_max", "sample_set", "cut_eval", "random_assign",
+             "audit_submodularity", "audit_nonnegativity"}
+
+
+def test_library_defines_only_the_run_time_checks():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("submax.selfcheck")
+    defined = {}
+    for info in pkgutil.iter_modules(submax.__path__, "submax."):
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) == module.__name__:
+                defined[name] = module.__name__
+                for attr in vars(obj) if inspect.isclass(obj) else ():
+                    defined[attr] = f"{module.__name__}.{name}"
+    checks = {name for name in defined if name.startswith("check_")}
+    assert checks == RUN_TIME_INVARIANTS
+    assert not TEST_ONLY & defined.keys(), {name: defined[name] for name in TEST_ONLY & defined.keys()}

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lemmas import audit_nonnegativity, audit_submodularity
 from submax.fixtures import random_graph_cut, random_hypergraph_cut, single_edge_cut, triangle_cut
 from submax.rng import substream
 from submax.setfn import (
@@ -11,12 +12,9 @@ from submax.setfn import (
     GroundSet,
     HypergraphCutInstance,
     SetFunction,
-    audit_nonnegativity,
-    audit_submodularity,
     audit_symmetry,
     complement_function,
     coverage_function,
-    cut_eval,
     graph_cut_function,
     hardness_instance,
     hypergraph_cut_function,
@@ -44,21 +42,21 @@ def square_cardinality(n):
 
 
 # ---------------------------------------------------------------------------
-# cut_eval
+# graph cut values
 # ---------------------------------------------------------------------------
 
 
 def test_cut_eval_triangle():
-    inst = GraphCutInstance(n=3, edges=((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)))
-    assert cut_eval(inst, []) == 0.0
-    assert cut_eval(inst, [0]) == 2.0
+    f = graph_cut_function(GraphCutInstance(n=3, edges=((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0))))
+    assert f.eval([]) == 0.0
+    assert f.eval([0]) == 2.0
 
 
 def test_cut_eval_single_edge_all_subsets():
-    inst = GraphCutInstance(n=2, edges=((0, 1, 1.0),))
+    f = graph_cut_function(GraphCutInstance(n=2, edges=((0, 1, 1.0),)))
     values = {0b00: 0.0, 0b01: 1.0, 0b10: 1.0, 0b11: 0.0}
     for mask, expected in values.items():
-        assert cut_eval(inst, mask) == expected
+        assert f.eval(mask) == expected
 
 
 def test_graph_cut_rejects_bad_edges():
