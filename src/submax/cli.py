@@ -397,8 +397,7 @@ def _run_sweep(argv: list[str]) -> int:
     p.add_argument("--family", choices=("cut", "hypergraph"), default="cut")
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--count", type=int, default=3, help="instances per grid point")
-    p.add_argument("--kn", default="", help="comma-separated k/n fractions in [0, 1], e.g. 1/4,1/2")
-    p.add_argument("--seeds", default="0", help="comma-separated run seeds")
+    p.add_argument("--kn", default="", help="comma-separated k/n fractions, e.g. 1/4,1/2; 1 <= round(kn * n) <= n // 2")
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -414,11 +413,10 @@ def _run_sweep(argv: list[str]) -> int:
             raise FlagError("--kn names no k/n fraction")
         if not all(0 <= kn <= 1 for kn in grid):
             raise FlagError(f"--kn entries must lie in [0, 1], got {args.kn!r}")
-        seeds = _parse_list("seeds", args.seeds, int) or [0]
-        if min(seeds) < 0:
-            raise FlagError(f"--seeds must be non-negative, got {args.seeds!r}")
-        ks = [min(max(1, round(float(kn) * args.n)), args.n // 2) for kn in grid]
-        for k in ks:
+        ks = [round(kn * args.n) for kn in grid]
+        for kn, k in zip(grid, ks):
+            if not 1 <= k <= args.n // 2:
+                raise FlagError(f"--kn entry {kn} gives k = {k} at n = {args.n}; k must lie in [1, {args.n // 2}]")
             _schedule(AscentConfig(steps=args.steps), args.n, CardinalityPolytope(args.n, k))
     except FlagError as exc:
         print(f"inconsistent flags: {exc}", file=sys.stderr)
@@ -431,23 +429,21 @@ def _run_sweep(argv: list[str]) -> int:
             make = random_graph_cut if args.family == "cut" else random_hypergraph_cut
             f = make(args.n, seed=1000 + idx)
             _, opt = brute_cardinality(f, args.n, k, "eq")
-            for seed in seeds:
-                y, _ = run_dmcg(f, k, AscentConfig(steps=args.steps, estimator=est))
-                ratio = MultilinearEvaluator(f, est).value(y) / opt if opt > 0 else float("nan")
-                rows.append(
-                    {
-                        "family": args.family,
-                        "n": args.n,
-                        "instance": idx,
-                        "kn": str(kn),
-                        "k": k,
-                        "seed": seed,
-                        "ratio": ratio,
-                        "curve": curve,
-                        "margin": ratio - curve,
-                    }
-                )
-    header = ["family", "n", "instance", "kn", "k", "seed", "ratio", "curve", "margin"]
+            y, _ = run_dmcg(f, k, AscentConfig(steps=args.steps, estimator=est))
+            ratio = MultilinearEvaluator(f, est).value(y) / opt if opt > 0 else float("nan")
+            rows.append(
+                {
+                    "family": args.family,
+                    "n": args.n,
+                    "instance": idx,
+                    "kn": str(kn),
+                    "k": k,
+                    "ratio": ratio,
+                    "curve": curve,
+                    "margin": ratio - curve,
+                }
+            )
+    header = ["family", "n", "instance", "kn", "k", "ratio", "curve", "margin"]
     if args.format == "csv":
         lines = [",".join(header)]
         for row in rows:

@@ -1,6 +1,9 @@
 """Submodular welfare with k identical utilities: the random-assignment
 algorithm behind the 1 - (1 - 1/k)^(k-1) guarantee, its tight instance, and
-an exhaustive solver.
+an exhaustive solver.  Identical utilities make every bundle one of the 2^n
+subsets, so the solver asks the oracle for each subset once (2^n calls, a
+table of 8 * 2^n bytes) and walks the k^n assignments as table lookups; ties
+go to the smallest assignment code.
 """
 
 from __future__ import annotations
@@ -92,24 +95,51 @@ def tight_instance(k: int) -> WelfareInstance:
 
 def brute_force_welfare(inst: WelfareInstance) -> tuple[Allocation, float]:
     """Exhaustive search over all k^n assignments; ties go to the smallest
-    assignment code (player index per item, item 0 least significant)."""
-    n, k = inst.items.n, inst.k
+    assignment code (player index per item, item 0 least significant).
+
+    Every bundle is one of the 2^n subsets, so for k >= 2 the oracle is asked
+    once for all of them, in one ``eval_many`` batch: 2^n oracle calls and a
+    value table of 8 * 2^n bytes (64 MB at the largest admitted case, k = 2,
+    n = 23; building it holds as many bytes again for the masks).  The k^n
+    codes are then walked in ascending blocks of table lookups, which is the
+    search's time.  A code's total is the sum of its bundles' values in
+    player order, and a later block wins only on a strictly larger total.
+    ``MAX_WELFARE_SEARCH`` bounds k^n.  k = 1 has one allocation: f(N) is
+    asked once and no table is built, at any n.
+    """
+    n, k, f = inst.items.n, inst.k, inst.utility
+    if k == 1:
+        everything = full_mask(n)
+        return Allocation((everything,), inst), 0.0 + f.eval(everything)  # summed from 0.0, as below
     if k**n > MAX_WELFARE_SEARCH:
         raise ValueError(f"search space k^n = {k**n} exceeds {MAX_WELFARE_SEARCH}")
-    best_total = -math.inf
-    best_digits = np.zeros(n, dtype=np.int64)
-    for start in range(0, k**n, MASK_BLOCK):
-        codes = np.arange(start, min(start + MASK_BLOCK, k**n), dtype=np.int64)
-        digits = (codes[:, None] // k ** np.arange(n, dtype=np.int64)) % k
-        totals = np.zeros(codes.size)
+    table = f.eval_many(np.arange(1 << n, dtype=np.int64))
+    # code = high * k^low_n + low: the low items' bundles are precomputed once
+    low_n = 0
+    while low_n < n and k ** (low_n + 1) <= MASK_BLOCK:
+        low_n += 1
+    low, high = _bundle_masks(k, low_n, 0), _bundle_masks(k, n - low_n, low_n)
+    width = k**low_n
+    rows = max(1, MASK_BLOCK // width)
+    best_total, best_code = -math.inf, 0
+    for start in range(0, high.shape[1], rows):
+        totals = np.zeros(min(rows, high.shape[1] - start) * width)
         for player in range(k):
-            totals += inst.utility.eval_many(masks_from_bits(digits == player))
+            totals += table[high[player, start : start + rows, None] | low[player, None, :]].ravel()
         i = int(np.argmax(totals))
         if totals[i] > best_total:
-            best_total = float(totals[i])
-            best_digits = digits[i]
-    bundles = masks_from_bits(best_digits == np.arange(k)[:, None])
-    return Allocation(tuple(int(m) for m in bundles), inst), best_total
+            best_total, best_code = float(totals[i]), start * width + i
+    hi, lo = divmod(best_code, width)
+    parts = tuple(int(high[p, hi] | low[p, lo]) for p in range(k))
+    return Allocation(parts, inst), best_total
+
+
+def _bundle_masks(k: int, items: int, shift: int) -> np.ndarray:
+    """(k, k^items) masks: entry [p, c] holds the items among
+    shift..shift+items-1 that code c's base-k digits give to player p."""
+    codes = np.arange(k**items, dtype=np.int64)
+    digits = (codes[:, None] // k ** np.arange(items, dtype=np.int64)) % k
+    return masks_from_bits(digits[None] == np.arange(k)[:, None, None]) << shift
 
 
 # ---------------------------------------------------------------------------

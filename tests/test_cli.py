@@ -95,6 +95,8 @@ def test_run_welfare_random(welfare_file, tmp_path):
     ratio = 1 - (1 - 1 / 3) ** 2
     assert report["theoretical_ratio"] == pytest.approx(ratio, abs=1e-12)
     assert report["achieved_ratio"] >= ratio - 4 * report["achieved_sigma"] / report["oracle_opt"]
+    # one query per player and trial, then the search's one per subset of the n = 3 items
+    assert report["oracle_calls"] == 3 * 30000 + 2**3
 
 
 def test_run_brute_algorithms(triangle_file, tmp_path):
@@ -310,20 +312,34 @@ def test_sweep_basic_run(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--n", "4", "--kn", "1/4", "--steps", "0", "--out", str(out)]) == 2
     assert main(["sweep", "--n", "1", "--kn", "1/4", "--out", str(out)]) == 2
-    assert main(
-        ["sweep", "--kn", "1/4,1/2", "--n", "6", "--count", "1", "--seeds", "0",
-         "--steps", "150", "--out", str(out)]
-    ) == 0
+    assert main(["sweep", "--kn", "1/4,1/2", "--n", "6", "--count", "1", "--steps", "150", "--out", str(out)]) == 0
     lines = out.read_text().strip().split("\n")
-    assert lines[0].startswith("family,")
-    assert len(lines) == 3
+    assert lines[0] == "family,n,instance,kn,k,ratio,curve,margin"
+    assert [line.split(",")[3:5] for line in lines[1:]] == [["1/4", "2"], ["1/2", "3"]]
     for line in lines[1:]:
         fields = line.split(",")
-        ratio, curve = float(fields[6]), float(fields[7])
+        ratio, curve = float(fields[5]), float(fields[6])
         assert ratio >= curve - 0.02
 
 
-@pytest.mark.parametrize("flags", [["--kn", "abc"], ["--kn", "1/0"], ["--kn", "1/4", "--seeds", "abc"]])
+@pytest.mark.parametrize("entry", ["0", "3/4"])
+def test_sweep_rejects_a_kn_entry_outside_the_k_range(entry, tmp_path, capsys):
+    # at n = 8, kn = 0 would give k = 0 and kn = 3/4 would give k = 6 > n // 2
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--n", "8", "--kn", f"1/4,{entry}", "--count", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"--kn entry {entry} gives k" in err and "[1, 4]" in err
+    assert not out.exists()
+
+
+def test_sweep_seeds_option_is_removed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--n", "6", "--kn", "1/4", "--seeds", "0,1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--kn", "abc"], ["--kn", "1/0"]])
 def test_sweep_rejects_unparsable_lists_as_flag_errors(flags, tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--n", "4", *flags, "--out", str(out)]) == 2
@@ -338,10 +354,9 @@ def test_sweep_rejects_unparsable_lists_as_flag_errors(flags, tmp_path, capsys):
         ["--kn", "3/2"],
         ["--kn=-1/4"],
         ["--kn", ""],
-        ["--kn", "1/4", "--seeds=-3"],
         ["--kn", "1/4", "--count", "0"],
     ],
-    ids=["kn-huge", "kn-above-1", "kn-negative", "kn-empty", "seed-negative", "count-0"],
+    ids=["kn-huge", "kn-above-1", "kn-negative", "kn-empty", "count-0"],
 )
 def test_sweep_rejects_out_of_range_flags_before_any_work(flags, tmp_path, capsys):
     out = tmp_path / "sweep.csv"

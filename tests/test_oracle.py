@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -183,21 +184,33 @@ def test_streamed_brute_force_ties_go_to_the_smallest_mask():
     assert brute_polytope_integral(f, KnapsackPolytope(np.ones(n), 3.0)) == (8195, 1.0)
 
 
-def test_streamed_welfare_search_matches_a_single_pass():
-    f = integer_cut(9, seed=3)
-    inst = WelfareInstance(GroundSet(9), 3, f)
+@pytest.mark.parametrize("k, n", [(2, 13), (3, 9), (4, 7), (5, 6)])
+def test_streamed_welfare_search_matches_a_single_pass(k, n):
+    f = integer_cut(n, seed=3)
+    inst = WelfareInstance(GroundSet(n), k, f)
+    value = functools.cache(f.eval)
     best, best_code = -np.inf, None
-    for code in range(3**9):
-        digits = [(code // 3**u) % 3 for u in range(9)]
-        total = sum(f.eval([u for u in range(9) if digits[u] == p]) for p in range(3))
+    for code in range(k**n):
+        digits = [(code // k**u) % k for u in range(n)]
+        total = sum(value(sum(1 << u for u in range(n) if digits[u] == p)) for p in range(k))
         if total > best:
             best, best_code = total, code
     alloc, opt = brute_force_welfare(inst)
-    assert 3**9 > 4 * MASK_BLOCK
-    assert opt == best
+    assert k**n > MASK_BLOCK
+    assert np.float64(opt).tobytes() == np.float64(best).tobytes()
     assert alloc.parts == tuple(
-        sum(1 << u for u in range(9) if (best_code // 3**u) % 3 == p) for p in range(3)
+        sum(1 << u for u in range(n) if (best_code // k**u) % k == p) for p in range(k)
     )
+
+
+@pytest.mark.parametrize("k, n", [(2, 10), (3, 7), (5, 4), (1, 12), (1, 40)])
+def test_welfare_search_queries_each_set_once(k, n):
+    # k = 1 asks for f(N) alone, so n = 40 builds no 2^40 table
+    f = integer_cut(n, seed=5)
+    alloc, _ = brute_force_welfare(WelfareInstance(GroundSet(n), k, f))
+    assert f.query_count == (1 if k == 1 else 2**n)
+    if k == 1:
+        assert alloc.parts == ((1 << n) - 1,)
 
 
 def test_brute_unconstrained_memory_stays_at_one_block():
