@@ -24,7 +24,6 @@ from .polytope import (
 from .setfn import (
     CoverageInstance,
     GraphCutInstance,
-    GroundSet,
     HypergraphCutInstance,
     SetFunction,
     audit_symmetry,

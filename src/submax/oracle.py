@@ -18,11 +18,8 @@ from .subsets import MASK_BLOCK, as_mask, bits_from_masks, popcount_array
 MAX_BRUTE_N = 22
 
 
-def _ground_size(f: SetFunction, n: int | None) -> int:
-    """f.n, after checking that a given n names the same ground set and that
-    the search space is small enough."""
-    if n is not None and int(n) != f.n:
-        raise ValueError(f"n = {n} does not match the ground set of f (n = {f.n})")
+def _ground_size(f: SetFunction) -> int:
+    """f.n, after checking that the search space is small enough."""
     if f.n > MAX_BRUTE_N:
         raise ValueError(f"brute force limited to n <= {MAX_BRUTE_N}, got {f.n}")
     return f.n
@@ -50,21 +47,18 @@ def _argmax_blocks(
     return best
 
 
-def brute_unconstrained(f: SetFunction, n: int | None = None) -> tuple[int, float]:
+def brute_unconstrained(f: SetFunction) -> tuple[int, float]:
     """argmax of f over all 2^n subsets."""
-    return _argmax_blocks(f, _ground_size(f, n))
+    return _argmax_blocks(f, _ground_size(f))
 
 
-def brute_cardinality(f: SetFunction, n: int | None, k: int, mode: str = "eq") -> tuple[int, float]:
-    """argmax of f over subsets with |S| = k ("eq") or |S| <= k ("le")."""
-    if mode not in ("eq", "le"):
-        raise ValueError("mode must be 'eq' or 'le'")
-    n = _ground_size(f, n)
+def brute_cardinality(f: SetFunction, k: int) -> tuple[int, float]:
+    """argmax of f over subsets with |S| = k; |S| <= k is the integral
+    points of ``CardinalityPolytope(n, k)`` (:func:`brute_polytope_integral`)."""
+    n = _ground_size(f)
     if not 0 <= k <= n:
         raise ValueError("requires 0 <= k <= n")
-    if mode == "eq":
-        return _argmax_blocks(f, n, lambda masks: popcount_array(masks) == k)
-    return _argmax_blocks(f, n, lambda masks: popcount_array(masks) <= k)
+    return _argmax_blocks(f, n, lambda masks: popcount_array(masks) == k)
 
 
 def _integral_members(P: Polytope, masks: np.ndarray, n: int) -> np.ndarray:
@@ -81,9 +75,9 @@ def _integral_members(P: Polytope, masks: np.ndarray, n: int) -> np.ndarray:
     return np.array([P.membership(x) for x in bits_from_masks(masks, n).astype(float)], dtype=bool)
 
 
-def brute_polytope_integral(f: SetFunction, P: Polytope, n: int | None = None) -> tuple[int, float]:
+def brute_polytope_integral(f: SetFunction, P: Polytope) -> tuple[int, float]:
     """argmax of f over the integral points of P, i.e. {S : 1_S in P}."""
-    n = _ground_size(f, n)
+    n = _ground_size(f)
     if P.n != n:
         raise ValueError(f"polytope dimension {P.n} does not match the ground set of f (n = {n})")
     return _argmax_blocks(f, n, lambda masks: _integral_members(P, masks, n))

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .setfn import GroundSet, _check_fields
-
 
 class Polytope:
     """Interface shared by the shipped kinds; immutable after construction."""
@@ -218,50 +216,17 @@ def horizon(P: Polytope, steps: int | None = None) -> float:
 @dataclass(frozen=True)
 class Reduction1Result:
     polytope: Polytope
-    ground_set: GroundSet
     kept: tuple[int, ...]
     warning: str | None = None
 
 
-def preprocess_reduction1(P: Polytope, gs: GroundSet) -> Reduction1Result:
+def preprocess_reduction1(P: Polytope) -> Reduction1Result:
     """Drop every element whose singleton is infeasible: such elements appear
     in no integral solution, and removing them can only raise the density."""
-    kept = tuple(u for u in range(gs.n) if P.singleton_feasible(u))
-    if len(kept) == gs.n:
-        return Reduction1Result(P, gs, kept)
-    labels = tuple(gs.labels[u] for u in kept) if gs.labels else None
+    kept = tuple(u for u in range(P.n) if P.singleton_feasible(u))
+    if len(kept) == P.n:
+        return Reduction1Result(P, kept)
     if not kept:
         empty = CardinalityPolytope(0, 0)
-        return Reduction1Result(empty, GroundSet(0), kept, "all singletons infeasible; ground set is empty")
-    return Reduction1Result(P.restrict(list(kept)), GroundSet(len(kept), labels), kept, None)
-
-
-# ---------------------------------------------------------------------------
-# JSON constraint files
-# ---------------------------------------------------------------------------
-
-_SCHEMAS = {
-    "cardinality": {"type", "k"},
-    "partition": {"type", "parts", "bounds"},
-    "knapsack": {"type", "a", "b"},
-}
-
-
-def polytope_from_json(obj: dict, n: int) -> Polytope:
-    """Build a polytope from a parsed constraint object (strict field names);
-    n is the ground-set size of the instance it constrains."""
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise ValueError("constraint object must be a dict with a 'type' field")
-    kind = obj["type"]
-    if kind not in _SCHEMAS:
-        raise ValueError(f"unknown polytope type {kind!r}")
-    _check_fields(obj, _SCHEMAS[kind], f"{kind} constraint")
-    if kind == "cardinality":
-        return CardinalityPolytope(n, int(obj["k"]))
-    if kind == "partition":
-        P = PartitionPolytope([list(map(int, p)) for p in obj["parts"]], [int(b) for b in obj["bounds"]])
-    else:
-        P = KnapsackPolytope([float(v) for v in obj["a"]], float(obj["b"]))
-    if P.n != n:
-        raise ValueError(f"{kind} constraint covers {P.n} elements, the instance has {n}")
-    return P
+        return Reduction1Result(empty, kept, "all singletons infeasible; ground set is empty")
+    return Reduction1Result(P.restrict(list(kept)), kept, None)

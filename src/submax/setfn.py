@@ -1,4 +1,4 @@
-"""Ground sets, set-function value oracles, and the shipped instance families.
+"""Set-function value oracles and the shipped instance families.
 
 Every objective is wrapped in a :class:`SetFunction`: a value oracle over
 bitmask subsets with a declared (audited, not enforced) symmetry flag and a
@@ -24,20 +24,6 @@ from .subsets import MASK_BLOCK, MAX_MASK_BITS, as_mask, bits_from_masks, full_m
 
 # x -> (F(x), grad F(x)) for x in [0,1]^n
 Multilinear = Callable[[np.ndarray], tuple[float, np.ndarray]]
-
-
-@dataclass(frozen=True)
-class GroundSet:
-    """Elements are the indices 0..n-1; labels are display-only."""
-
-    n: int
-    labels: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("ground set size must be non-negative")
-        if self.labels is not None and len(self.labels) != self.n:
-            raise ValueError("labels length must equal n")
 
 
 class _Counter:
@@ -97,10 +83,6 @@ class SetFunction:
     @property
     def query_count(self) -> int:
         return self._queries.value
-
-    @property
-    def ground_set(self) -> GroundSet:
-        return GroundSet(self.n)
 
     def eval(self, subset: int | Iterable[int]) -> float:
         """Oracle value of one subset (bitmask or iterable of indices): the
@@ -476,54 +458,3 @@ def audit_symmetry(
         if abs(f.eval(m) - f.eval(fm ^ m)) > tol:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# JSON instance files
-# ---------------------------------------------------------------------------
-
-_SCHEMAS = {
-    "graph_cut": {"type", "n", "edges"},
-    "hypergraph_cut": {"type", "n", "hyperedges"},
-    "coverage": {"type", "n", "universe_weights", "membership"},
-    "hardness": {"type", "p", "q"},
-}
-
-
-def _check_fields(obj: dict, expected: set[str], what: str = "instance") -> None:
-    """Strict JSON fields: raise ValueError naming every missing and every
-    unknown field of ``obj``."""
-    got = set(obj.keys())
-    if got != expected:
-        missing = expected - got
-        unknown = got - expected
-        parts = []
-        if missing:
-            parts.append(f"missing fields {sorted(missing)}")
-        if unknown:
-            parts.append(f"unknown fields {sorted(unknown)}")
-        raise ValueError(f"bad {what} object: {'; '.join(parts)}")
-
-
-def set_function_from_json(obj: dict) -> SetFunction:
-    """Build a SetFunction from a parsed instance object (strict field names)."""
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise ValueError("instance object must be a dict with a 'type' field")
-    kind = obj["type"]
-    if kind not in _SCHEMAS:
-        raise ValueError(f"unknown instance type {kind!r}")
-    _check_fields(obj, _SCHEMAS[kind])
-    if kind == "graph_cut":
-        edges = tuple((int(u), int(v), float(w)) for u, v, w in obj["edges"])
-        return graph_cut_function(GraphCutInstance(n=int(obj["n"]), edges=edges))
-    if kind == "hypergraph_cut":
-        hes = tuple((frozenset(int(v) for v in verts), float(w)) for verts, w in obj["hyperedges"])
-        return hypergraph_cut_function(HypergraphCutInstance(n=int(obj["n"]), hyperedges=hes))
-    if kind == "coverage":
-        inst = CoverageInstance(
-            n=int(obj["n"]),
-            universe_weights=tuple(float(w) for w in obj["universe_weights"]),
-            membership=tuple(tuple(int(j) for j in row) for row in obj["membership"]),
-        )
-        return coverage_function(inst)
-    return hardness_instance(int(obj["p"]), int(obj["q"]))

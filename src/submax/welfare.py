@@ -3,7 +3,8 @@ algorithm behind the 1 - (1 - 1/k)^(k-1) guarantee, its tight instance, and
 an exhaustive solver.  Identical utilities make every bundle one of the 2^n
 subsets, so the solver asks the oracle for each subset once (2^n calls, a
 table of 8 * 2^n bytes) and walks the k^n assignments as table lookups; ties
-go to the smallest assignment code.
+go to the smallest assignment code.  The n items are the ground set of the
+shared utility; ``cli`` reads an instance from a ``welfare`` instance file.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import substream
-from .setfn import GroundSet, SetFunction, _check_fields, set_function_from_json
+from .setfn import SetFunction
 from .subsets import MASK_BLOCK, full_mask, masks_from_bits, popcount_array
 
 MAX_WELFARE_SEARCH = 10_000_000
@@ -27,15 +28,14 @@ def welfare_ratio(k: int) -> float:
 
 @dataclass(frozen=True)
 class WelfareInstance:
-    items: GroundSet
+    """k players sharing one utility over its ground set, the items."""
+
     k: int
     utility: SetFunction
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("at least one player required")
-        if self.utility.n != self.items.n:
-            raise ValueError("utility ground set must match the item set")
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class Allocation:
             if union & part:
                 raise ValueError("player bundles must be disjoint")
             union |= part
-        if union != full_mask(self.instance.items.n):
+        if union != full_mask(self.instance.utility.n):
             raise ValueError("player bundles must cover every item")
 
     @property
@@ -64,7 +64,7 @@ def simulate_random_assign(inst: WelfareInstance, trials: int, seed: int = 0) ->
     """Totals of ``trials`` independent runs of random assignment (each item to
     a uniformly random player), vectorized through the batch oracle; row t of
     the seeded (trials, n) player draw is trial t's assignment."""
-    n = inst.items.n
+    n = inst.utility.n
     rng = substream(seed, 0x5A)
     choice = rng.integers(0, inst.k, size=(trials, n))
     totals = np.zeros(trials)
@@ -90,7 +90,7 @@ def tight_instance(k: int) -> WelfareInstance:
         kind="welfare_tight",
         source={"k": k},
     )
-    return WelfareInstance(GroundSet(k), k, utility)
+    return WelfareInstance(k, utility)
 
 
 def brute_force_welfare(inst: WelfareInstance) -> tuple[Allocation, float]:
@@ -107,7 +107,7 @@ def brute_force_welfare(inst: WelfareInstance) -> tuple[Allocation, float]:
     ``MAX_WELFARE_SEARCH`` bounds k^n.  k = 1 has one allocation: f(N) is
     asked once and no table is built, at any n.
     """
-    n, k, f = inst.items.n, inst.k, inst.utility
+    n, k, f = inst.utility.n, inst.k, inst.utility
     if k == 1:
         everything = full_mask(n)
         return Allocation((everything,), inst), 0.0 + f.eval(everything)  # summed from 0.0, as below
@@ -140,16 +140,3 @@ def _bundle_masks(k: int, items: int, shift: int) -> np.ndarray:
     codes = np.arange(k**items, dtype=np.int64)
     digits = (codes[:, None] // k ** np.arange(items, dtype=np.int64)) % k
     return masks_from_bits(digits[None] == np.arange(k)[:, None, None]) << shift
-
-
-# ---------------------------------------------------------------------------
-# JSON
-# ---------------------------------------------------------------------------
-
-
-def welfare_from_json(obj: dict) -> WelfareInstance:
-    if not isinstance(obj, dict) or obj.get("type") != "welfare":
-        raise ValueError("welfare instance object must have type 'welfare'")
-    _check_fields(obj, {"type", "k", "utility"}, "welfare")
-    utility = set_function_from_json(obj["utility"])
-    return WelfareInstance(GroundSet(utility.n), int(obj["k"]), utility)

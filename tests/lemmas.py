@@ -202,7 +202,7 @@ def check_partial_union_bounds(
     union of i optimal bundles in random order, each prefix subsampled at
     rate 1/k satisfies E[f(T_i(1/k))] >= [(k^2-i)/(k(k-1)) - (1-1/k)^(i-1)]
     * opt/k, for every 0 <= i <= k, within 4 sigma."""
-    n, k = inst.items.n, inst.k
+    n, k = inst.utility.n, inst.k
     if k < 2:
         raise ValueError("requires k >= 2")
     opt_value = optimal.total

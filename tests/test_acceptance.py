@@ -43,7 +43,7 @@ from submax.oracle import brute_cardinality, brute_polytope_integral, brute_unco
 from submax.pipage import pipage_round
 from submax.polytope import CardinalityPolytope, PartitionPolytope, horizon
 from submax.rng import substream
-from submax.setfn import GroundSet, hardness_instance
+from submax.setfn import hardness_instance
 from submax.subsets import popcount_array
 from submax.twosided import check_loss_gain, run_two_sided
 from submax.welfare import (
@@ -149,7 +149,7 @@ def test_criterion_4_dmcg_symmetric():
             y, _ = run_dmcg(f, k, AscentConfig(steps=2000), "symmetric")
             assert abs(y.mass() - k) <= EXACT_TOL, (i, y.mass(), k)
             value = MultilinearEvaluator(f).value(y)
-            _, opt = brute_cardinality(f, n, k, "eq")
+            _, opt = brute_cardinality(f, k)
             curve = 0.5 * (1.0 - (1.0 - k / n) ** (2 * n / k))
             assert value >= (curve - 0.02) * opt - EXACT_TOL, (i, value, curve * opt)
             mask = pipage_round(f, y, CardinalityPolytope(n, k))
@@ -171,7 +171,7 @@ def test_criterion_5_dmcg_general():
             y, _ = run_dmcg(f, k, AscentConfig(steps=2000), "general")
             assert abs(y.mass() - k) <= EXACT_TOL, (i, y.mass(), k)
             value = MultilinearEvaluator(f).value(y)
-            _, opt = brute_cardinality(f, n, k, "eq")
+            _, opt = brute_cardinality(f, k)
             assert value >= (math.exp(-1.0) - 0.02) * opt - EXACT_TOL, (i, value / opt)
 
 
@@ -212,7 +212,7 @@ def test_criterion_7_welfare_ratio():
             n = 4 + (i % 3)
             k = 2 + (i % 2)
             f = random_symmetric_instance(n, 750 + i)
-            inst = WelfareInstance(GroundSet(n), k, f)
+            inst = WelfareInstance(k, f)
             _, opt = brute_force_welfare(inst)
             totals = simulate_random_assign(inst, 20_000, seed=i)
             sigma = float(totals.std(ddof=1) / math.sqrt(totals.size))
@@ -283,7 +283,7 @@ def test_criterion_8_lemma_suite():
 def test_criterion_9_hardness_fixture():
     with criterion(9, "symmetry-gap fixture: eq-2 optimum is 1, symmetry-fixed extension capped at 1/2"):
         f = hardness_instance(1, 2)
-        _, opt = brute_cardinality(f, 4, 2, "eq")
+        _, opt = brute_cardinality(f, 2)
         assert opt == 1.0
         ev = MultilinearEvaluator(f)
         rng = substream(909, 0)

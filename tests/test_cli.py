@@ -1,14 +1,17 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from submax import cli
 from submax.cli import main
-from submax.polytope import CardinalityPolytope, horizon, polytope_from_json
-from submax.setfn import set_function_from_json
-from submax.welfare import welfare_from_json
+from submax.polytope import CardinalityPolytope, KnapsackPolytope, PartitionPolytope, horizon
+from submax.setfn import GraphCutInstance, graph_cut_function
+from submax.welfare import WelfareInstance
 
 
 @pytest.fixture
@@ -127,39 +130,140 @@ def test_exit_code_parse_error(tmp_path):
 TRIANGLE = {"type": "graph_cut", "n": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0], [0, 2, 1.0]]}
 
 
-def _load_problem_file(obj, tmp_path):
-    path = tmp_path / "problem.json"
+def _load(obj, tmp_path):
+    path = tmp_path / "instance.json"
     path.write_text(json.dumps(obj))
     return cli._load_instance(str(path))
 
 
-# loader(obj, tmp_path), a valid object, and one of its required fields
+def _problem(polytope, function=TRIANGLE):
+    return {"type": "problem", "function": function, "polytope": polytope}
+
+
+# a valid instance file, the field holding the object under test (None: the
+# file's own object), and one of that object's required fields
 LOADERS = {
-    "set_function": (lambda obj, _: set_function_from_json(obj), TRIANGLE, "edges"),
-    "polytope": (
-        lambda obj, _: polytope_from_json(obj, 3),
-        {"type": "partition", "parts": [[0, 1, 2]], "bounds": [1]},
-        "bounds",
-    ),
-    "welfare": (lambda obj, _: welfare_from_json(obj), {"type": "welfare", "k": 2, "utility": TRIANGLE}, "utility"),
-    "problem": (
-        _load_problem_file,
-        {"type": "problem", "function": TRIANGLE, "polytope": {"type": "cardinality", "k": 1}},
-        "polytope",
-    ),
+    "set_function": (TRIANGLE, None, "edges"),
+    "polytope": (_problem({"type": "partition", "parts": [[0, 1, 2]], "bounds": [1]}), "polytope", "bounds"),
+    "welfare": ({"type": "welfare", "k": 2, "utility": TRIANGLE}, None, "utility"),
+    "problem": (_problem({"type": "cardinality", "k": 1}), None, "polytope"),
 }
 
 
 @pytest.mark.parametrize("loader", sorted(LOADERS))
 def test_json_loaders_name_missing_and_unknown_fields(loader, tmp_path):
-    load, obj, required = LOADERS[loader]
-    load(obj, tmp_path)
-    extra = {**obj, "extra": 1}
-    with pytest.raises((ValueError, cli.ParseError), match=r"unknown fields \['extra'\]"):
-        load(extra, tmp_path)
-    short = {key: value for key, value in obj.items() if key != required}
-    with pytest.raises((ValueError, cli.ParseError), match=rf"missing fields \['{required}'\]"):
-        load(short, tmp_path)
+    obj, field, required = LOADERS[loader]
+    _load(obj, tmp_path)
+    part = obj if field is None else obj[field]
+
+    def with_part(changed):
+        return changed if field is None else {**obj, field: changed}
+
+    with pytest.raises(cli.ParseError, match=r"unknown fields \['extra'\]"):
+        _load(with_part({**part, "extra": 1}), tmp_path)
+    short = {key: value for key, value in part.items() if key != required}
+    with pytest.raises(cli.ParseError, match=rf"missing fields \['{required}'\]"):
+        _load(with_part(short), tmp_path)
+
+
+def test_loader_builds_every_type(tmp_path):
+    f, P, welfare = _load({"type": "graph_cut", "n": 3, "edges": [[0, 1, 1.0], [1, 2, 2.0]]}, tmp_path)
+    assert (P, welfare) == (None, None)
+    assert f.eval([1]) == 3.0 and f.symmetric
+    f, _, _ = _load({"type": "hardness", "p": 1, "q": 2}, tmp_path)
+    assert f.eval([0]) == 1.0
+    coverage = {"type": "coverage", "n": 2, "universe_weights": [1.0, 0.5], "membership": [[0], [0, 1]]}
+    f, _, _ = _load(coverage, tmp_path)
+    assert (f.eval([0]), f.eval([1])) == (1.0, 1.5)
+    hypergraph = {"type": "hypergraph_cut", "n": 3, "hyperedges": [[[0, 1, 2], 0.5]]}
+    f, _, _ = _load(hypergraph, tmp_path)
+    assert (f.eval([0]), f.eval([0, 1, 2])) == (0.5, 0.0)
+    f, P, welfare = _load({"type": "welfare", "k": 2, "utility": {**TRIANGLE, "n": 4}}, tmp_path)
+    assert f is None and P is None
+    assert isinstance(welfare, WelfareInstance) and welfare.k == 2 and welfare.utility.n == 4
+    _, P, _ = _load(_problem({"type": "cardinality", "k": 2}, {**TRIANGLE, "n": 5}), tmp_path)
+    assert isinstance(P, CardinalityPolytope) and (P.n, P.k) == (5, 2)
+    _, P, _ = _load(_problem({"type": "partition", "parts": [[0, 1], [2]], "bounds": [1, 1]}), tmp_path)
+    assert isinstance(P, PartitionPolytope) and P.bounds == [1, 1]
+    _, P, _ = _load(_problem({"type": "knapsack", "a": [1, 2, 1], "b": 2}), tmp_path)
+    assert isinstance(P, KnapsackPolytope) and P.b == 2.0
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"type": "mystery", "n": 2}, "got type 'mystery'"),
+        ([1, 2], "got type None"),
+        ({"type": "welfare", "k": 2, "utility": {"type": "welfare", "k": 2, "utility": TRIANGLE}}, "'welfare'"),
+        (_problem({"type": "simplex"}), "got type 'simplex'"),
+        (_problem({"type": "graph_cut", "n": 3, "edges": []}), "got type 'graph_cut'"),
+        (_problem(TRIANGLE, {"type": "cardinality", "k": 1}), "got type 'cardinality'"),
+        # a constraint over fewer or more elements than the instance
+        (_problem({"type": "partition", "parts": [[0, 1]], "bounds": [1]}), "instance has 3"),
+        (_problem({"type": "knapsack", "a": [1, 2, 1, 1], "b": 2}), "instance has 3"),
+        (_problem({"type": "cardinality", "k": 4}), "0 <= k <= n"),
+    ],
+    ids=["unknown", "not-an-object", "nested-welfare", "unknown-polytope", "function-as-polytope",
+         "polytope-as-function", "partition-short", "knapsack-long", "k-above-n"],
+)
+def test_loader_rejects_objects_out_of_place(obj, message, tmp_path):
+    with pytest.raises(cli.ParseError, match=message):
+        _load(obj, tmp_path)
+
+
+# the algorithms that take no polytope, with the flags each needs on the triangle
+NO_POLYTOPE = [
+    ("two-sided", []),
+    ("brute-unconstrained", []),
+    ("brute-cardinality-eq", ["--k", "1"]),
+    ("brute-cardinality-le", ["--k", "1"]),
+    ("dmcg-symmetric", ["--k", "1"]),
+    ("dmcg-general", ["--k", "1"]),
+]
+
+
+@pytest.mark.parametrize(
+    "polytope",
+    [{"type": "bogus"}, {"type": "cardinality", "k": 4}, {"type": "knapsack", "a": [1, 1, 1]}],
+    ids=["bogus", "k-above-n", "knapsack-no-b"],
+)
+@pytest.mark.parametrize("algorithm, flags", [*NO_POLYTOPE, ("mcg", []), ("brute-polytope", [])])
+def test_a_bad_polytope_is_a_parse_error_under_every_algorithm(polytope, algorithm, flags, tmp_path):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(_problem(polytope)))
+    assert main(["--instance", str(path), "--algorithm", algorithm, *flags]) == 1
+
+
+@pytest.mark.parametrize("algorithm, flags", [*NO_POLYTOPE, ("welfare-random", [])])
+def test_a_problem_file_needs_an_algorithm_that_takes_its_polytope(algorithm, flags, tmp_path, capsys):
+    # running without the constraint would report a set that may violate it,
+    # measured against the unconstrained optimum
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(_problem({"type": "cardinality", "k": 1})))
+    out = tmp_path / "r.json"
+    assert main(["--instance", str(path), "--algorithm", algorithm, *flags, "--out", str(out)]) == 2
+    assert "inconsistent flags" in capsys.readouterr().err
+    assert not out.exists()
+
+
+EXAMPLE_RUNS = {
+    "triangle.json": ["--algorithm", "two-sided"],
+    "hypergraph.json": ["--algorithm", "dmcg-symmetric", "--k", "2", "--steps", "50"],
+    "coverage.json": ["--algorithm", "dmcg-general", "--k", "2", "--steps", "50"],
+    "hardness.json": ["--algorithm", "brute-cardinality-eq", "--k", "2"],
+    "welfare_tight3.json": ["--algorithm", "welfare-random", "--samples", "500"],
+    "knapsack_problem.json": ["--algorithm", "mcg", "--steps", "50"],
+}
+
+
+def test_generated_examples_run(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "generate_instances.py"
+    subprocess.run([sys.executable, str(script), "--dir", str(tmp_path)], check=True, capture_output=True)
+    assert sorted(p.name for p in tmp_path.glob("*.json")) == sorted(EXAMPLE_RUNS)
+    out = tmp_path / "r.out"
+    for name, flags in EXAMPLE_RUNS.items():
+        assert main(["--instance", str(tmp_path / name), *flags, "--out", str(out)]) == 0, name
+        assert "oracle_opt" in _read_report(out)["report"]
 
 
 def _chain_file(tmp_path, n, welfare_k=None):
@@ -304,7 +408,7 @@ def test_mcg_embeds_the_reduced_point_and_set(tmp_path):
     assert 0.0 < sum(report["fractional_point"][3:]) <= 2.0 + 1e-9
     achieved = report["achieved_set"]
     assert len(achieved) == 2 and set(achieved) <= {3, 4, 5}
-    f = set_function_from_json({"type": "graph_cut", "n": 6, "edges": edges})
+    f = graph_cut_function(GraphCutInstance(6, tuple(map(tuple, edges))))
     assert report["achieved_value"] == f.eval(achieved)
 
 

@@ -221,7 +221,7 @@ def test_step_bound_symmetric_variant():
     k = 2
     cfg = AscentConfig(steps=400)
     _, traj = run_dmcg(f, k, cfg, "symmetric")
-    _, opt = brute_cardinality(f, 6, k, "eq")
+    _, opt = brute_cardinality(f, k)
     budget = 6**3 * traj.delta**2 * opt + 1e-9
     prev1 = prev2 = None
     for step in traj.steps:

@@ -11,7 +11,7 @@ from submax.multilinear import Estimator, MultilinearEvaluator, Point
 from submax.oracle import brute_polytope_integral
 from submax.polytope import CardinalityPolytope, KnapsackPolytope, PartitionPolytope, horizon, preprocess_reduction1
 from submax.rng import substream
-from submax.setfn import GroundSet, restrict_function
+from submax.setfn import restrict_function
 
 
 def test_zero_budget_returns_origin():
@@ -72,7 +72,7 @@ def test_default_horizon_keeps_coarse_runs_inside_the_polytope(kind, seed):
     # even pass 1); the discrete horizon keeps every step count inside
     rng = substream(seed, 0xFEA5)
     n = int(rng.integers(2, 11))
-    red = preprocess_reduction1(random_polytope(n, rng, kind), GroundSet(n))
+    red = preprocess_reduction1(random_polytope(n, rng, kind))
     if not red.kept:
         return
     f = restrict_function(random_graph_cut(n, seed), list(red.kept))
@@ -173,10 +173,9 @@ def test_reduction_pipeline_with_knapsack():
     # the plain single edge
     f = single_edge_cut(n=3)  # edge (0,1); element 2 ['irrelevant'] too heavy
     from submax.polytope import preprocess_reduction1
-    from submax.setfn import GroundSet
 
     P = KnapsackPolytope([1.0, 1.0, 9.0], 2.0)
-    red = preprocess_reduction1(P, GroundSet(3))
+    red = preprocess_reduction1(P)
     assert red.kept == (0, 1)
     g = restrict_function(f, list(red.kept))
     y, traj = run_mcg(g, red.polytope, AscentConfig(T=1.0, steps=400))

@@ -10,7 +10,7 @@ from submax.fixtures import random_graph_cut, triangle_cut
 from submax.oracle import brute_cardinality, brute_polytope_integral, brute_unconstrained
 from submax.polytope import CardinalityPolytope, KnapsackPolytope, PartitionPolytope, Polytope
 from submax.rng import substream
-from submax.setfn import GraphCutInstance, GroundSet, SetFunction, graph_cut_function, hardness_instance
+from submax.setfn import GraphCutInstance, SetFunction, graph_cut_function, hardness_instance
 from submax.subsets import MASK_BLOCK, indices
 from submax.welfare import WelfareInstance, brute_force_welfare
 
@@ -30,10 +30,10 @@ def test_brute_unconstrained_examples():
 
 
 def test_brute_cardinality_examples():
-    assert brute_cardinality(triangle_cut(), None, 1, "eq")[1] == 2.0
-    mask, value = brute_cardinality(triangle_cut(), None, 0, "eq")
+    assert brute_cardinality(triangle_cut(), 1)[1] == 2.0
+    mask, value = brute_cardinality(triangle_cut(), 0)
     assert (mask, value) == (0, 0.0)
-    assert brute_cardinality(hardness_instance(1, 2), None, 2, "eq")[1] == 1.0
+    assert brute_cardinality(hardness_instance(1, 2), 2)[1] == 1.0
 
 
 def test_brute_polytope_examples():
@@ -44,9 +44,9 @@ def test_brute_polytope_examples():
     # a polytope admitting every subset reproduces the unconstrained optimum
     P_all = CardinalityPolytope(3, 3)
     assert brute_polytope_integral(tri, P_all) == brute_unconstrained(tri)
-    # and the cardinality polytope matches the le-mode cardinality oracle
+    # and |S| <= 1 on the triangle peaks at the |S| = 1 optimum
     P_k = CardinalityPolytope(3, 1)
-    assert brute_polytope_integral(tri, P_k) == brute_cardinality(tri, None, 1, "le")
+    assert brute_polytope_integral(tri, P_k) == brute_cardinality(tri, 1)
 
 
 @settings(max_examples=25, deadline=None)
@@ -54,8 +54,8 @@ def test_brute_polytope_examples():
 def test_oracle_ordering_chain(n, seed):
     f = random_graph_cut(n, seed)
     k = max(1, n // 2)
-    eq = brute_cardinality(f, n, k, "eq")[1]
-    le = brute_cardinality(f, n, k, "le")[1]
+    eq = brute_cardinality(f, k)[1]
+    le = brute_polytope_integral(f, CardinalityPolytope(n, k))[1]
     un = brute_unconstrained(f)[1]
     assert eq <= le + 1e-12 <= un + 1e-12
 
@@ -65,11 +65,9 @@ def test_oracle_rejects_oversized_ground_sets():
     with pytest.raises(ValueError):
         brute_unconstrained(f)
     with pytest.raises(ValueError):
-        brute_cardinality(f, 23, 2, "eq")
+        brute_cardinality(f, 2)
     with pytest.raises(ValueError):
         brute_polytope_integral(f, CardinalityPolytope(23, 2))
-    with pytest.raises(ValueError):
-        brute_cardinality(triangle_cut(), None, 1, "exact")
 
 
 def test_oracle_determinism():
@@ -78,31 +76,20 @@ def test_oracle_determinism():
 
 
 def test_brute_cardinality_respects_mode():
-    # value at |S| = 3 on the triangle is 0 (full set), le mode keeps the max
+    # value at |S| = 3 on the triangle is 0 (full set), |S| <= 3 keeps the max
     tri = triangle_cut()
-    assert brute_cardinality(tri, None, 3, "eq")[1] == 0.0
-    assert brute_cardinality(tri, None, 3, "le")[1] == 2.0
+    assert brute_cardinality(tri, 3)[1] == 0.0
+    assert brute_polytope_integral(tri, CardinalityPolytope(3, 3))[1] == 2.0
 
 
 def test_oracles_reject_a_ground_set_other_than_f():
     tri = triangle_cut()
-    # n = 5 on a 3-element cut would search masks outside its ground set
-    with pytest.raises(ValueError, match="ground set"):
-        brute_cardinality(tri, 5, 5, "eq")
-    with pytest.raises(ValueError, match="ground set"):
-        brute_unconstrained(tri, 4)
-    with pytest.raises(ValueError, match="ground set"):
-        brute_unconstrained(tri, 2)
+    # a 5-element polytope on a 3-element cut would search masks outside its ground set
     with pytest.raises(ValueError, match="ground set"):
         brute_polytope_integral(tri, CardinalityPolytope(5, 2))
     with pytest.raises(ValueError, match="ground set"):
         brute_polytope_integral(tri, KnapsackPolytope([1.0, 1.0], 1.0))
-    with pytest.raises(ValueError, match="ground set"):
-        brute_polytope_integral(tri, CardinalityPolytope(3, 2), 4)
-    # an explicit n equal to f.n keeps working
-    assert brute_unconstrained(tri, 3) == brute_unconstrained(tri)
-    assert brute_cardinality(tri, 3, 1, "eq") == brute_cardinality(tri, None, 1, "eq")
-    assert brute_polytope_integral(tri, CardinalityPolytope(3, 1), 3) == (1, 2.0)
+    assert brute_polytope_integral(tri, CardinalityPolytope(3, 1)) == (1, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -150,11 +137,12 @@ def test_streamed_brute_force_matches_a_single_pass(n):
     table = np.array([f.eval(m) for m in range(1 << n)])
     assert brute_unconstrained(f) == reference_argmax(table, lambda m: True)
     for k in (0, 1, n // 2, n - 1, n):
-        assert brute_cardinality(f, n, k, "eq") == reference_argmax(table, lambda m: size(m) == k)
-        assert brute_cardinality(f, n, k, "le") == reference_argmax(table, lambda m: size(m) <= k)
+        assert brute_cardinality(f, k) == reference_argmax(table, lambda m: size(m) == k)
+        le = brute_polytope_integral(f, CardinalityPolytope(n, k))
+        assert le == reference_argmax(table, lambda m: size(m) <= k)
     # k = 0 and k = n leave one feasible mask: every other block filters to nothing
-    assert brute_cardinality(f, n, 0, "eq") == (0, 0.0)
-    assert brute_cardinality(f, n, n, "eq") == ((1 << n) - 1, 0.0)
+    assert brute_cardinality(f, 0) == (0, 0.0)
+    assert brute_cardinality(f, n) == ((1 << n) - 1, 0.0)
 
     a = np.arange(1, n + 1, dtype=float)
     polytopes = [
@@ -178,16 +166,16 @@ def test_streamed_brute_force_ties_go_to_the_smallest_mask():
     f = SetFunction(n, lambda m: top.get(m, 0.5), eval_many_masks=many)
     assert brute_unconstrained(f) == (4103, 1.0)
     # 4103 has 4 elements, 8195 and 12289 have 3
-    assert brute_cardinality(f, n, 3, "eq") == (8195, 1.0)
-    assert brute_cardinality(f, n, 3, "le") == (8195, 1.0)
-    assert brute_cardinality(f, n, 4, "le") == (4103, 1.0)
+    assert brute_cardinality(f, 3) == (8195, 1.0)
+    assert brute_polytope_integral(f, CardinalityPolytope(n, 3)) == (8195, 1.0)
+    assert brute_polytope_integral(f, CardinalityPolytope(n, 4)) == (4103, 1.0)
     assert brute_polytope_integral(f, KnapsackPolytope(np.ones(n), 3.0)) == (8195, 1.0)
 
 
 @pytest.mark.parametrize("k, n", [(2, 13), (3, 9), (4, 7), (5, 6)])
 def test_streamed_welfare_search_matches_a_single_pass(k, n):
     f = integer_cut(n, seed=3)
-    inst = WelfareInstance(GroundSet(n), k, f)
+    inst = WelfareInstance(k, f)
     value = functools.cache(f.eval)
     best, best_code = -np.inf, None
     for code in range(k**n):
@@ -207,7 +195,7 @@ def test_streamed_welfare_search_matches_a_single_pass(k, n):
 def test_welfare_search_queries_each_set_once(k, n):
     # k = 1 asks for f(N) alone, so n = 40 builds no 2^40 table
     f = integer_cut(n, seed=5)
-    alloc, _ = brute_force_welfare(WelfareInstance(GroundSet(n), k, f))
+    alloc, _ = brute_force_welfare(WelfareInstance(k, f))
     assert f.query_count == (1 if k == 1 else 2**n)
     if k == 1:
         assert alloc.parts == ((1 << n) - 1,)

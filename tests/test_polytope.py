@@ -11,11 +11,9 @@ from submax.polytope import (
     KnapsackPolytope,
     PartitionPolytope,
     horizon,
-    polytope_from_json,
     preprocess_reduction1,
 )
 from submax.rng import substream
-from submax.setfn import GroundSet
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +127,7 @@ def test_horizon_requires_positive_density():
 
 def test_reduction1_identity_for_cardinality():
     P = CardinalityPolytope(4, 2)
-    red = preprocess_reduction1(P, GroundSet(4))
+    red = preprocess_reduction1(P)
     assert red.kept == (0, 1, 2, 3)
     assert red.polytope is P
     assert red.warning is None
@@ -137,18 +135,18 @@ def test_reduction1_identity_for_cardinality():
 
 def test_reduction1_drops_oversized_knapsack_items():
     P = KnapsackPolytope([1.0, 5.0], 2.0)
-    red = preprocess_reduction1(P, GroundSet(2))
+    red = preprocess_reduction1(P)
     assert red.kept == (0,)
-    assert red.ground_set.n == 1
+    assert red.polytope.n == 1
     assert red.polytope.membership([1.0])
 
 
 def test_reduction1_degenerate_empty():
     P = KnapsackPolytope([5.0, 7.0], 2.0)
-    red = preprocess_reduction1(P, GroundSet(2))
+    red = preprocess_reduction1(P)
     assert red.kept == ()
     assert red.warning is not None
-    assert red.ground_set.n == 0
+    assert red.polytope.n == 0
 
 
 # ---------------------------------------------------------------------------
@@ -196,29 +194,6 @@ def test_zero_budget_polytope():
     assert P.membership([0.0, 0.0, 0.0])
     assert not P.membership([0.1, 0.0, 0.0])
     assert np.allclose(P.linear_maximize([5.0, 1.0, 1.0]), 0.0)
-
-
-# ---------------------------------------------------------------------------
-# JSON
-# ---------------------------------------------------------------------------
-
-
-def test_polytope_json():
-    P = polytope_from_json({"type": "cardinality", "k": 2}, n=5)
-    assert isinstance(P, CardinalityPolytope) and P.k == 2 and P.n == 5
-    P = polytope_from_json({"type": "partition", "parts": [[0, 1], [2]], "bounds": [1, 1]}, n=3)
-    assert isinstance(P, PartitionPolytope)
-    P = polytope_from_json({"type": "knapsack", "a": [1, 2], "b": 2}, n=2)
-    assert isinstance(P, KnapsackPolytope)
-    with pytest.raises(ValueError):
-        polytope_from_json({"type": "cardinality", "k": 2, "junk": 0}, n=5)
-    with pytest.raises(ValueError):
-        polytope_from_json({"type": "simplex"}, n=3)
-    # a constraint over fewer or more elements than the instance is rejected
-    with pytest.raises(ValueError, match="instance has 3"):
-        polytope_from_json({"type": "partition", "parts": [[0, 1]], "bounds": [1]}, n=3)
-    with pytest.raises(ValueError, match="instance has 3"):
-        polytope_from_json({"type": "knapsack", "a": [1, 2, 1, 1], "b": 2}, n=3)
 
 
 def test_partition_validation():

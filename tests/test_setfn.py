@@ -9,7 +9,6 @@ from submax.rng import substream
 from submax.setfn import (
     CoverageInstance,
     GraphCutInstance,
-    GroundSet,
     HypergraphCutInstance,
     SetFunction,
     audit_symmetry,
@@ -20,7 +19,6 @@ from submax.setfn import (
     hypergraph_cut_function,
     modular_function,
     restrict_function,
-    set_function_from_json,
     sum_functions,
 )
 from submax.subsets import (
@@ -167,7 +165,7 @@ def test_audits_take_the_ground_set_from_f():
     f = random_graph_cut(5, seed=3)
     for audit, size in ((audit_submodularity, 5), (audit_symmetry, 3), (audit_nonnegativity, 40)):
         with pytest.raises(TypeError):
-            audit(f, GroundSet(size))
+            audit(f, size)
 
 
 # ---------------------------------------------------------------------------
@@ -234,37 +232,6 @@ def test_restriction_reaudits_symmetry():
 
 
 # ---------------------------------------------------------------------------
-# JSON
-# ---------------------------------------------------------------------------
-
-
-def test_json_graph_cut_roundtrip():
-    obj = {"type": "graph_cut", "n": 3, "edges": [[0, 1, 1.0], [1, 2, 2.0]]}
-    f = set_function_from_json(obj)
-    assert f.eval([1]) == 3.0
-    assert f.symmetric
-
-
-def test_json_rejects_unknown_fields_and_types():
-    with pytest.raises(ValueError):
-        set_function_from_json({"type": "graph_cut", "n": 2, "edges": [], "extra": 1})
-    with pytest.raises(ValueError):
-        set_function_from_json({"type": "graph_cut", "n": 2})
-    with pytest.raises(ValueError):
-        set_function_from_json({"type": "mystery", "n": 2})
-
-
-def test_json_hardness_and_coverage():
-    f = set_function_from_json({"type": "hardness", "p": 1, "q": 2})
-    assert f.eval([0]) == 1.0
-    g = set_function_from_json(
-        {"type": "coverage", "n": 2, "universe_weights": [1.0, 0.5], "membership": [[0], [0, 1]]}
-    )
-    assert g.eval([0]) == 1.0
-    assert g.eval([1]) == 1.5
-
-
-# ---------------------------------------------------------------------------
 # subset helpers
 # ---------------------------------------------------------------------------
 
@@ -274,13 +241,6 @@ def test_mask_helpers():
     assert as_mask(0b011, 3) == 3
     assert indices(0b1010) == [1, 3]
     assert full_mask(3) == 7
-
-
-def test_ground_set_validation():
-    with pytest.raises(ValueError):
-        GroundSet(3, labels=("a",))
-    gs = GroundSet(2, labels=("u", "v"))
-    assert gs.n == 2
 
 
 def test_popcount_counts_all_63_bits():

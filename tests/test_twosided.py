@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from submax.fixtures import random_coverage, random_graph_cut, single_edge_cut, triangle_cut
 from submax.oracle import brute_unconstrained
-from submax.setfn import GroundSet, SetFunction, set_function_from_json
+from submax.setfn import GraphCutInstance, SetFunction, graph_cut_function
 from submax.twosided import check_loss_gain, run_two_sided, trace_csv
 
 
@@ -49,7 +49,7 @@ def test_ground_set_comes_from_f():
     # instead of 19), so run_two_sided accepts none
     f = random_graph_cut(5, seed=3)
     with pytest.raises(TypeError):
-        run_two_sided(f, GroundSet(3))
+        run_two_sided(f, 3)
     assert run_two_sided(f)[0] == 19
 
 
@@ -97,7 +97,7 @@ def test_edge_order_cannot_decide_a_tie():
     edges = [[0, 4, 0.7], [0, 5, 0.3], [2, 5, 0.2], [2, 4, 0.7], [1, 4, 0.2], [0, 3, 0.3], [1, 2, 0.2]]
     outs = set()
     for listed in (edges, edges[::-1]):
-        out, trace = run_two_sided(set_function_from_json({"type": "graph_cut", "n": 6, "edges": listed}))
+        out, trace = run_two_sided(graph_cut_function(GraphCutInstance(6, tuple(map(tuple, listed)))))
         assert trace.steps[1].branch == "X"
         outs.add(out)
     assert outs == {0b0011}

@@ -13,21 +13,20 @@ from lemmas import (
 )
 from submax.fixtures import random_graph_cut, single_edge_cut
 from submax.multilinear import MultilinearEvaluator
-from submax.setfn import GroundSet, modular_function
+from submax.setfn import modular_function
 from submax.welfare import (
     Allocation,
     WelfareInstance,
     brute_force_welfare,
     simulate_random_assign,
     tight_instance,
-    welfare_from_json,
     welfare_ratio,
 )
 
 
 def test_single_player_gets_everything():
     f = modular_function(2, [1.0, 2.0])  # f(N) = 3 is the value of no other set
-    inst = WelfareInstance(GroundSet(2), 1, f)
+    inst = WelfareInstance(1, f)
     totals = simulate_random_assign(inst, 100, seed=0)
     assert (totals == f.eval([0, 1])).all()
 
@@ -71,7 +70,7 @@ def test_tight_instance_matches_ratio_curve(k):
 def test_two_player_equivalence_with_unconstrained():
     # k = 2 random assignment has expected total 2 E[f(N(1/2))]
     f = random_graph_cut(6, seed=3)
-    inst = WelfareInstance(GroundSet(6), 2, f)
+    inst = WelfareInstance(2, f)
     totals = simulate_random_assign(inst, 60_000, seed=9)
     sigma = totals.std(ddof=1) / math.sqrt(totals.size)
     expect = 2 * MultilinearEvaluator(f).value(np.full(6, 0.5))
@@ -81,11 +80,11 @@ def test_two_player_equivalence_with_unconstrained():
 def test_brute_force_welfare_examples():
     assert brute_force_welfare(tight_instance(2))[1] == 2.0
     f = single_edge_cut()
-    inst = WelfareInstance(GroundSet(2), 1, f)
+    inst = WelfareInstance(1, f)
     assert brute_force_welfare(inst)[1] == f.eval([0, 1])
-    inst2 = WelfareInstance(GroundSet(2), 2, f)
+    inst2 = WelfareInstance(2, f)
     assert brute_force_welfare(inst2)[1] == 2.0  # split the edge
-    big = WelfareInstance(GroundSet(20), 5, random_graph_cut(20, seed=0))
+    big = WelfareInstance(5, random_graph_cut(20, seed=0))
     with pytest.raises(ValueError):
         brute_force_welfare(big)
 
@@ -95,7 +94,7 @@ def test_random_assignment_ratio_floor():
         n = 4 + seed % 3
         k = 2 + seed % 2
         f = random_graph_cut(n, seed=seed)
-        inst = WelfareInstance(GroundSet(n), k, f)
+        inst = WelfareInstance(k, f)
         _, opt = brute_force_welfare(inst)
         totals = simulate_random_assign(inst, 30_000, seed=seed)
         sigma = totals.std(ddof=1) / math.sqrt(totals.size)
@@ -134,7 +133,7 @@ def test_partial_union_bounds_tight_instance():
 
 def test_partial_union_bounds_cut_instance():
     f = random_graph_cut(6, seed=4)
-    inst = WelfareInstance(GroundSet(6), 3, f)
+    inst = WelfareInstance(3, f)
     alloc, _ = brute_force_welfare(inst)
     rep = check_partial_union_bounds(inst, alloc, trials=40_000, seed=3)
     assert rep.passed, rep.details
@@ -181,17 +180,3 @@ def test_check_reports_serialize_to_json():
     assert decoded["passed"] is True
     assert "estimate" in decoded["details"]["i=1"]
     assert "sigma" in decoded["details"]["i=1"]
-
-
-def test_welfare_json():
-    obj = {
-        "type": "welfare",
-        "k": 2,
-        "utility": {"type": "graph_cut", "n": 2, "edges": [[0, 1, 1.0]]},
-    }
-    inst = welfare_from_json(obj)
-    assert inst.k == 2 and inst.items.n == 2
-    with pytest.raises(ValueError):
-        welfare_from_json({"type": "welfare", "k": 2})
-    with pytest.raises(ValueError):
-        welfare_from_json({"type": "welfare", "k": 2, "utility": {}, "extra": 1})
