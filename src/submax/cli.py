@@ -97,27 +97,46 @@ _FUNCTIONS = ("graph_cut", "hypergraph_cut", "coverage", "hardness")
 _POLYTOPES = ("cardinality", "partition", "knapsack")
 
 
+def _int(value, field: str) -> int:
+    """A count or index.  int() would read true as 1 and 3.7 as 3, so a bool
+    or a fractional number is an error naming the field."""
+    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"field {field!r}: expected an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value, field: str) -> float:
+    """A weight or capacity.  Python's json reads NaN, Infinity and 1e400, so
+    these are an error naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"field {field!r}: expected a finite number, got {value!r}")
+    return float(value)
+
+
 def _graph_cut(obj: dict, _) -> SetFunction:
-    edges = tuple((int(u), int(v), float(w)) for u, v, w in obj["edges"])
-    return graph_cut_function(GraphCutInstance(n=int(obj["n"]), edges=edges))
+    edges = tuple((_int(u, "edges"), _int(v, "edges"), _real(w, "edges")) for u, v, w in obj["edges"])
+    return graph_cut_function(GraphCutInstance(n=_int(obj["n"], "n"), edges=edges))
 
 
 def _hypergraph_cut(obj: dict, _) -> SetFunction:
-    hes = tuple((frozenset(int(v) for v in verts), float(w)) for verts, w in obj["hyperedges"])
-    return hypergraph_cut_function(HypergraphCutInstance(n=int(obj["n"]), hyperedges=hes))
+    hes = tuple(
+        (frozenset(_int(v, "hyperedges") for v in verts), _real(w, "hyperedges")) for verts, w in obj["hyperedges"]
+    )
+    return hypergraph_cut_function(HypergraphCutInstance(n=_int(obj["n"], "n"), hyperedges=hes))
 
 
 def _coverage(obj: dict, _) -> SetFunction:
     inst = CoverageInstance(
-        n=int(obj["n"]),
-        universe_weights=tuple(float(w) for w in obj["universe_weights"]),
-        membership=tuple(tuple(int(j) for j in row) for row in obj["membership"]),
+        n=_int(obj["n"], "n"),
+        universe_weights=tuple(_real(w, "universe_weights") for w in obj["universe_weights"]),
+        membership=tuple(tuple(_int(j, "membership") for j in row) for row in obj["membership"]),
     )
     return coverage_function(inst)
 
 
 def _partition(obj: dict, _) -> PartitionPolytope:
-    return PartitionPolytope([list(map(int, p)) for p in obj["parts"]], [int(b) for b in obj["bounds"]])
+    parts = [[_int(u, "parts") for u in part] for part in obj["parts"]]
+    return PartitionPolytope(parts, [_int(b, "bounds") for b in obj["bounds"]])
 
 
 def _problem(obj: dict, _) -> tuple[SetFunction, Polytope]:
@@ -134,11 +153,14 @@ _FORMAT: dict[str, tuple[tuple[str, ...], Callable]] = {
     "graph_cut": (("n", "edges"), _graph_cut),
     "hypergraph_cut": (("n", "hyperedges"), _hypergraph_cut),
     "coverage": (("n", "universe_weights", "membership"), _coverage),
-    "hardness": (("p", "q"), lambda obj, _: hardness_instance(int(obj["p"]), int(obj["q"]))),
-    "cardinality": (("k",), lambda obj, n: CardinalityPolytope(n, int(obj["k"]))),
+    "hardness": (("p", "q"), lambda obj, _: hardness_instance(_int(obj["p"], "p"), _int(obj["q"], "q"))),
+    "cardinality": (("k",), lambda obj, n: CardinalityPolytope(n, _int(obj["k"], "k"))),
     "partition": (("parts", "bounds"), _partition),
-    "knapsack": (("a", "b"), lambda obj, _: KnapsackPolytope([float(v) for v in obj["a"]], float(obj["b"]))),
-    "welfare": (("k", "utility"), lambda obj, _: WelfareInstance(int(obj["k"]), _parse(obj["utility"], _FUNCTIONS))),
+    "knapsack": (("a", "b"), lambda obj, _: KnapsackPolytope([_real(v, "a") for v in obj["a"]], _real(obj["b"], "b"))),
+    "welfare": (
+        ("k", "utility"),
+        lambda obj, _: WelfareInstance(_int(obj["k"], "k"), _parse(obj["utility"], _FUNCTIONS)),
+    ),
     "problem": (("function", "polytope"), _problem),
 }
 
@@ -173,21 +195,13 @@ def _load_instance(path: str) -> tuple[SetFunction | None, Polytope | None, Welf
         raise ParseError(f"cannot read instance file: {exc}") from exc
     try:
         inst = _parse(obj, (*_FUNCTIONS, "welfare", "problem"))
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, OverflowError) as exc:
         raise ParseError(str(exc)) from exc
     if isinstance(inst, WelfareInstance):
         return None, None, inst
     if isinstance(inst, SetFunction):
         return inst, None, None
     return (*inst, None)
-
-
-def _estimator(samples: int | None, seed: int) -> Estimator:
-    """Sampled if --samples is given, else exact: every family an instance
-    file can name has a closed form."""
-    if samples is not None:
-        return Estimator(mode="sampled", samples=samples, seed=seed)
-    return Estimator()
 
 
 def _fractional_value(f: SetFunction, y: Point, est: Estimator) -> float:
@@ -285,13 +299,13 @@ def _check(args, f, P, welfare_inst) -> _Job:
     elif algorithm == "mcg":
         red = preprocess_reduction1(P)
         f_run = f if len(red.kept) == n else restrict_function(f, list(red.kept))
-        cfg = AscentConfig(args.T, args.steps, _estimator(samples, seed))
+        cfg = AscentConfig(args.T, args.steps, Estimator(samples, seed))
         solve = partial(_solve_mcg, f, P, red, f_run, cfg, _schedule(cfg, f_run.n, red.polytope))
     else:
         symmetric = algorithm == "dmcg-symmetric"
         if symmetric and not f.symmetric:
             raise FlagError("dmcg-symmetric requires a symmetric instance")
-        cfg = AscentConfig(args.T, args.steps, _estimator(samples, seed))
+        cfg = AscentConfig(args.T, args.steps, Estimator(samples, seed))
         k_run, f_run = reduction2(k, n, f) if symmetric else (k, f)
         # k_run = 0 (symmetric, k = n) runs no ascent; --T and --steps are checked at k all the same
         bound = CardinalityPolytope(n, k_run or k) if symmetric else None

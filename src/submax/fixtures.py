@@ -17,8 +17,8 @@ from .setfn import (
 )
 
 
-def single_edge_cut(n: int = 2, u: int = 0, v: int = 1, w: float = 1.0) -> SetFunction:
-    return graph_cut_function(GraphCutInstance(n=n, edges=((u, v, w),)))
+def single_edge_cut(n: int = 2) -> SetFunction:
+    return graph_cut_function(GraphCutInstance(n=n, edges=((0, 1, 1.0),)))
 
 
 def triangle_cut() -> SetFunction:
@@ -26,9 +26,7 @@ def triangle_cut() -> SetFunction:
     return graph_cut_function(GraphCutInstance(n=3, edges=edges))
 
 
-def random_graph_cut(
-    n: int, seed: int, edge_prob: float = 0.6, wmin: float = 0.1, wmax: float = 1.0
-) -> SetFunction:
+def random_graph_cut(n: int, seed: int, edge_prob: float = 0.6) -> SetFunction:
     """Random weighted graph with at least one edge (so OPT > 0)."""
     if n < 2:
         raise ValueError(f"random_graph_cut needs n >= 2 for an edge, got n = {n}")
@@ -37,23 +35,20 @@ def random_graph_cut(
     for u in range(n):
         for v in range(u + 1, n):
             if rng.random() < edge_prob:
-                edges.append((u, v, float(rng.uniform(wmin, wmax))))
+                edges.append((u, v, float(rng.uniform(0.1, 1.0))))
     if not edges:
         u, v = sorted(rng.choice(n, size=2, replace=False).tolist())
-        edges.append((u, v, float(rng.uniform(wmin, wmax))))
+        edges.append((u, v, float(rng.uniform(0.1, 1.0))))
     return graph_cut_function(GraphCutInstance(n=n, edges=tuple(edges)))
 
 
-def random_hypergraph_cut(
-    n: int, seed: int, m: int | None = None, max_arity: int = 4
-) -> SetFunction:
+def random_hypergraph_cut(n: int, seed: int) -> SetFunction:
     if n < 2:
         raise ValueError(f"random_hypergraph_cut needs n >= 2 for a hyperedge, got n = {n}")
     rng = substream(seed, 0x47)
-    m = m if m is not None else max(2, n)
     hyperedges = []
-    for _ in range(m):
-        arity = int(rng.integers(2, min(max_arity, n) + 1))
+    for _ in range(max(2, n)):
+        arity = int(rng.integers(2, min(4, n) + 1))
         verts = frozenset(int(v) for v in rng.choice(n, size=arity, replace=False))
         hyperedges.append((verts, float(rng.uniform(0.1, 1.0))))
     return hypergraph_cut_function(HypergraphCutInstance(n=n, hyperedges=tuple(hyperedges)))
@@ -66,9 +61,9 @@ def random_symmetric_instance(n: int, seed: int) -> SetFunction:
     return random_graph_cut(n, seed)
 
 
-def random_coverage(n: int, seed: int, universe: int | None = None) -> SetFunction:
+def random_coverage(n: int, seed: int) -> SetFunction:
     rng = substream(seed, 0xC07)
-    universe = universe if universe is not None else 2 * n
+    universe = 2 * n
     weights = tuple(float(w) for w in rng.uniform(0.1, 1.0, size=universe))
     membership = []
     for _ in range(n):
@@ -85,4 +80,4 @@ def random_offset_cut(n: int, seed: int) -> SetFunction:
     cut = random_graph_cut(n, seed)
     rng = substream(seed, 0x0FF)
     offset = modular_function(n, rng.uniform(0.05, 0.6, size=n))
-    return sum_functions([cut, offset], symmetric=False, kind="offset_cut")
+    return sum_functions([cut, offset])

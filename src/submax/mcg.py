@@ -30,9 +30,9 @@ from .polytope import Polytope, horizon
 from .reports import CheckReport
 from .setfn import SetFunction
 
-# strict-negativity margin for the cleanup test in exact mode; sampled mode
-# compares against -2 sigma of the derivative estimate instead, so that noise
-# alone cannot reset a coordinate
+# strict-negativity margin for the cleanup test when F is exact; the sampled
+# backend compares against -2 sigma of the derivative estimate instead, so
+# that noise alone cannot reset a coordinate
 EXACT_NEGATIVE_MARGIN = 1e-12
 
 

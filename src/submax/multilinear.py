@@ -6,14 +6,15 @@ R(x) includes each element u independently with probability x_u.
 ``value_and_partials`` for F with its gradient.  Both come from one of three
 backends, picked by :func:`backend` in this order:
 
-* ``"sampled"`` when the estimator asks for it: f is averaged over seeded
-  draws R, with common random numbers for coupled queries; a gradient reads
-  R and each R with one element flipped, one (n + 1, samples) oracle batch;
-* ``"closed_form"`` in exact mode when f carries a ``multilinear`` hook (graph
-  and hypergraph cuts, coverage, modular functions, and their sums,
-  complements and restrictions): exact F and gradient in time polynomial in
-  the instance size, with no oracle queries;
-* ``"table"`` otherwise in exact mode: all 2^n values are tabulated once
+* ``"sampled"`` when the estimator sets ``samples``: f is averaged over that
+  many seeded draws R, with common random numbers for coupled queries; a
+  gradient reads R and each R with one element flipped, one
+  (n + 1, samples) oracle batch;
+* ``"closed_form"`` when F is exact (``samples`` is None) and f carries a
+  ``multilinear`` hook (graph and hypergraph cuts, coverage, modular
+  functions, and their sums, complements and restrictions): exact F and
+  gradient in time polynomial in the instance size, with no oracle queries;
+* ``"table"`` otherwise when F is exact: all 2^n values are tabulated once
   (2^n oracle calls, so n <= ``EXACT_TABLE_LIMIT``) and folded one
   coordinate at a time.
 """
@@ -77,25 +78,17 @@ class Point:
 
 @dataclass(frozen=True)
 class Estimator:
-    """How to evaluate F: exactly (closed form, or a value table for
-    n <= EXACT_TABLE_LIMIT) or by seeded sampling.
+    """How to evaluate F: exactly when ``samples`` is None (closed form, or a
+    value table for n <= EXACT_TABLE_LIMIT), else as the mean of f over
+    ``samples`` draws seeded by ``seed``.  The paper leaves the sample
+    schedule open, so the caller sets it."""
 
-    ``samples`` defaults to 10*n^2 per evaluation; the paper leaves the
-    sample schedule open, so this is a toolkit default, not a mandate.
-    """
-
-    mode: str = "exact"
     samples: int | None = None
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("exact", "sampled"):
-            raise ValueError("mode must be 'exact' or 'sampled'")
         if self.samples is not None and self.samples < 1:
             raise ValueError("samples must be at least 1")
-
-    def resolved_samples(self, n: int) -> int:
-        return self.samples if self.samples is not None else max(1, 10 * n * n)
 
 
 def _as_array(x) -> np.ndarray:
@@ -105,10 +98,11 @@ def _as_array(x) -> np.ndarray:
 
 
 def backend(f: SetFunction, est: Estimator) -> str:
-    """The backend that evaluates F for f under est: "sampled" if est asks
-    for sampling, else "closed_form" if f has a multilinear hook, else
-    "table" (the 2^n value-table fold)."""
-    if est.mode == "sampled":
+    """The backend that evaluates F for f under est: "sampled" if est sets
+    ``samples``, else "closed_form" if f has a multilinear hook, else "table"
+    (the 2^n value-table fold).  This is the one place that reads
+    ``est.samples`` to choose."""
+    if est.samples is not None:
         return "sampled"
     return "closed_form" if f.multilinear is not None else "table"
 
@@ -123,8 +117,8 @@ class MultilinearEvaluator:
     arithmetic by folding one coordinate at a time; the gradient comes from
     one extra backward sweep.  ``table`` builds that table on any backend
     (n <= EXACT_TABLE_LIMIT), for callers that need every value of f.
-    Sampled mode derives all draws from counter-indexed substreams of the
-    estimator seed.
+    The sampled backend derives all draws from counter-indexed substreams of
+    the estimator seed.
     """
 
     def __init__(self, f: SetFunction, est: Estimator | None = None):
@@ -188,14 +182,13 @@ class MultilinearEvaluator:
         if np.all(np.minimum(x, 1.0 - x) <= _CLAMP_TOL):
             # integral point: F(1_S) = f(S), no sampling needed
             return self.f.eval(int(masks_from_bits(x > 0.5)))
-        samples = self.est.resolved_samples(self.n)
-        masks = self._sample_masks(x, self._thresholds(stream, samples))
+        masks = self._sample_masks(x, self._thresholds(stream, self.est.samples))
         return float(self.f.eval_many(masks).mean())
 
     def _grad_sampled(self, x: np.ndarray, stream: tuple[int, ...]) -> tuple[float, np.ndarray, np.ndarray]:
         """F and dF/dx_u = mean f(R + u) - f(R - u) over the sampled sets R; one of
         the two is R, so one (n + 1, samples) batch holds R and R with u flipped in row u."""
-        n, samples = self.n, self.est.resolved_samples(self.n)
+        n, samples = self.n, self.est.samples
         base = self._sample_masks(x, self._thresholds(stream, samples))
         unit = masks_from_bits(np.eye(n, dtype=bool))[:, None]  # row u is the set {u}
         vals = self.f.eval_many(np.concatenate([base[None, :], base ^ unit]))
@@ -213,7 +206,7 @@ class MultilinearEvaluator:
         return self._value_exact(xa)
 
     def value_and_partials(self, x, stream: tuple[int, ...] = ()):
-        """(F(x), gradient, sigma) where sigma is None in exact mode and the
+        """(F(x), gradient, sigma) where sigma is None when F is exact and the
         per-coordinate standard error of the gradient estimate otherwise."""
         xa = _as_array(x)
         if self.backend == "sampled":

@@ -3,8 +3,8 @@ polytope into an integral set without losing multilinear value.
 
 Along the direction 1_u - 1_v the multilinear extension is a quadratic whose
 curvature is -2 d2F/du dv >= 0 by submodularity, so one of the two endpoint
-moves cannot decrease F.  The curvature is not assumed here: in exact mode
-every move audits it from three evaluations and fails loudly on
+moves cannot decrease F.  The curvature is not assumed here: when F is
+exact every move audits it from three evaluations and fails loudly on
 non-submodular inputs.
 """
 
@@ -38,20 +38,20 @@ def pipage_round(
     P: Polytope,
     est: Estimator | None = None,
 ) -> int:
-    """Round x in P to a set S with f(S) >= F(x) (exact mode); returns a bitmask.
+    """Round x in P to a set S with f(S) >= F(x) (F exact); returns a bitmask.
 
     Repeatedly takes the two lowest-indexed fractional coordinates sharing a
     constraint and pushes their sum-preserving direction to the better
     endpoint.  When a single fractional coordinate is left in a group (the
     group's constraint is slack), it is rounded to the better feasible bound.
-    In sampled mode endpoint comparisons share one threshold stream per move
-    (common random numbers) drawn from the estimator's seed."""
-    est = est or Estimator()
+    On the sampled backend endpoint comparisons share one threshold stream
+    per move (common random numbers) drawn from the estimator's seed, and
+    the curvature audit is skipped."""
     groups = _groups(P)
     if not P.membership(x.coords):
         raise ValueError("point is not inside the polytope")
     ev = MultilinearEvaluator(f, est)
-    exact = est.mode == "exact"
+    exact = ev.backend != "sampled"
     y = x.coords.copy()
     move = 0
 

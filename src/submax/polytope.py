@@ -188,7 +188,7 @@ class KnapsackPolytope(Polytope):
         return out
 
     def singleton_feasible(self, u: int) -> bool:
-        return self.a[u] <= self.b
+        return self.a[u] <= self.b + 1e-9  # membership's tolerance
 
     def restrict(self, kept: list[int]) -> "KnapsackPolytope":
         return KnapsackPolytope(self.a[list(kept)], self.b)

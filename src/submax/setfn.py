@@ -19,11 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import substream
 from .subsets import MASK_BLOCK, MAX_MASK_BITS, as_mask, bits_from_masks, full_mask, mask_array, masks_from_bits
 
 # x -> (F(x), grad F(x)) for x in [0,1]^n
 Multilinear = Callable[[np.ndarray], tuple[float, np.ndarray]]
+
+# largest n whose 2^n sets the symmetry audit evaluates
+SYMMETRY_AUDIT_LIMIT = 14
+# largest restricted ground set whose symmetry flag restrict_function re-audits
+RESTRICT_AUDIT_LIMIT = 12
 
 
 class _Counter:
@@ -349,8 +353,10 @@ def modular_function(n: int, coeffs) -> SetFunction:
     )
 
 
-def sum_functions(fs: list[SetFunction], *, symmetric: bool = False, kind: str = "sum") -> SetFunction:
-    """Pointwise sum of oracles; submodularity is closed under addition."""
+def sum_functions(fs: list[SetFunction]) -> SetFunction:
+    """Pointwise sum of oracles, of kind "sum".  Submodularity and symmetry
+    are closed under addition, so the sum is flagged symmetric when every
+    summand is."""
     n = fs[0].n
     if any(g.n != n for g in fs):
         raise ValueError("summands must share a ground set")
@@ -364,9 +370,9 @@ def sum_functions(fs: list[SetFunction], *, symmetric: bool = False, kind: str =
 
     return SetFunction(
         n,
-        symmetric=symmetric,
+        symmetric=all(g.symmetric for g in fs),
         eval_many_masks=many,
-        kind=kind,
+        kind="sum",
         multilinear=multilinear if all(g.multilinear is not None for g in fs) else None,
     )
 
@@ -394,12 +400,12 @@ def complement_function(f: SetFunction) -> SetFunction:
     )
 
 
-def restrict_function(f: SetFunction, kept: list[int], *, audit_symmetry_limit: int = 12) -> SetFunction:
+def restrict_function(f: SetFunction, kept: list[int]) -> SetFunction:
     """Restriction of f to a sub-ground-set (subsets embed into the original N).
 
     Restriction preserves submodularity but generally breaks symmetry, so the
-    flag is re-audited exhaustively when the restricted ground set is small
-    enough, and dropped otherwise.
+    flag of a symmetric f is re-audited exhaustively when at most
+    ``RESTRICT_AUDIT_LIMIT`` elements are kept, and dropped otherwise.
     """
     kept = [int(u) for u in kept]
     n_new = len(kept)
@@ -427,7 +433,7 @@ def restrict_function(f: SetFunction, kept: list[int], *, audit_symmetry_limit: 
     )
     if n_new == f.n:
         g.symmetric = f.symmetric
-    elif f.symmetric and 1 <= n_new <= audit_symmetry_limit:
+    elif f.symmetric and 1 <= n_new <= RESTRICT_AUDIT_LIMIT:
         g.symmetric = audit_symmetry(g)
     return g
 
@@ -437,24 +443,12 @@ def restrict_function(f: SetFunction, kept: list[int], *, audit_symmetry_limit: 
 # ---------------------------------------------------------------------------
 
 
-def audit_symmetry(
-    f: SetFunction,
-    *,
-    exhaustive_limit: int = 14,
-    trials: int = 2000,
-    seed: int = 0,
-    tol: float = 0.0,
-) -> bool:
-    """True iff f(S) = f(N\\S) on all audited sets (exact by default)."""
+def audit_symmetry(f: SetFunction) -> bool:
+    """True iff f(S) = f(N\\S) exactly on every set S: one batch of all 2^n
+    masks, so n <= ``SYMMETRY_AUDIT_LIMIT``."""
     n = f.n
-    fm = full_mask(n)
-    if n <= exhaustive_limit:
-        table = f.eval_many(np.arange(1 << n, dtype=np.int64))
-        comp = table[np.bitwise_xor(np.arange(1 << n, dtype=np.int64), np.int64(fm))]
-        return bool(np.max(np.abs(table - comp)) <= tol)
-    rng = substream(seed, 0x5D33)
-    for _ in range(trials):
-        m = int(rng.integers(0, 1 << n))
-        if abs(f.eval(m) - f.eval(fm ^ m)) > tol:
-            return False
-    return True
+    if n > SYMMETRY_AUDIT_LIMIT:
+        raise ValueError(f"the symmetry audit reads all 2^n sets: n must be <= {SYMMETRY_AUDIT_LIMIT}, got {n}")
+    masks = np.arange(1 << n, dtype=np.int64)
+    table = f.eval_many(masks)
+    return bool(np.array_equal(table, table[masks ^ np.int64(full_mask(n))]))

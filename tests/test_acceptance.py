@@ -326,7 +326,7 @@ def test_criterion_10_determinism(tmp_path):
 
         # direct API double-run with the sampled estimator
         f = random_graph_cut(6, seed=1001)
-        est = Estimator(mode="sampled", samples=300, seed=99)
+        est = Estimator(samples=300, seed=99)
         cfg = AscentConfig(steps=80, estimator=est)
         ya, ta = run_dmcg(f, 2, cfg, "symmetric")
         yb, tb = run_dmcg(f, 2, cfg, "symmetric")

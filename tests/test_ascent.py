@@ -16,7 +16,7 @@ from submax.mcg import AscentConfig, run_mcg, schedule
 from submax.multilinear import Estimator
 from submax.polytope import CardinalityPolytope, horizon
 
-SAMPLED = Estimator(mode="sampled", samples=64, seed=5)
+SAMPLED = Estimator(samples=64, seed=5)
 ESTIMATORS = {"exact": Estimator(), "sampled": SAMPLED}
 
 # the symmetric cases run to the continuous horizon of |S| <= 2 over 7 elements

@@ -211,6 +211,73 @@ def test_loader_rejects_objects_out_of_place(obj, message, tmp_path):
         _load(obj, tmp_path)
 
 
+@pytest.mark.parametrize(
+    "obj, field",
+    [
+        ({**TRIANGLE, "n": 3.7}, "n"),
+        ({**TRIANGLE, "n": True}, "n"),
+        ({"type": "graph_cut", "n": 3, "edges": [[1, 2.9, 1.0]]}, "edges"),
+        ({"type": "graph_cut", "n": 3, "edges": [[False, 1, 1.0]]}, "edges"),
+        ({"type": "hypergraph_cut", "n": 3, "hyperedges": [[[0, 1.5], 1.0]]}, "hyperedges"),
+        ({"type": "coverage", "n": 1, "universe_weights": [1.0], "membership": [[0.5]]}, "membership"),
+        ({"type": "hardness", "p": 1, "q": 2.5}, "q"),
+        ({"type": "hardness", "p": True, "q": 2}, "p"),
+        ({"type": "welfare", "k": 2.5, "utility": TRIANGLE}, "k"),
+        (_problem({"type": "cardinality", "k": 1.9}), "k"),
+        (_problem({"type": "cardinality", "k": True}), "k"),
+        (_problem({"type": "partition", "parts": [[0, 1, 2.5]], "bounds": [1]}), "parts"),
+        (_problem({"type": "partition", "parts": [[0, 1, 2]], "bounds": [1.5]}), "bounds"),
+    ],
+)
+def test_integer_fields_reject_bools_and_fractions(obj, field, tmp_path):
+    # int() would truncate 3.7 to 3 and read true as 1
+    with pytest.raises(cli.ParseError, match=f"^field '{field}': expected an integer"):
+        _load(obj, tmp_path)
+
+
+def test_integral_floats_still_load(tmp_path):
+    f, P, _ = _load(_problem({"type": "cardinality", "k": 2.0}, {**TRIANGLE, "n": 3.0}), tmp_path)
+    assert (f.n, P.k) == (3, 2) and isinstance(P.k, int)
+    f, _, _ = _load({"type": "graph_cut", "n": 2, "edges": [[0.0, 1.0, 2]]}, tmp_path)
+    assert f.eval([0]) == 2.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda w: {"type": "graph_cut", "n": 2, "edges": [[0, 1, w]]}, "edges"),
+        (lambda w: {"type": "hypergraph_cut", "n": 3, "hyperedges": [[[0, 1], w]]}, "hyperedges"),
+        (lambda w: {"type": "coverage", "n": 1, "universe_weights": [w], "membership": [[0]]}, "universe_weights"),
+        (lambda w: _problem({"type": "knapsack", "a": [1, w, 1], "b": 2}), "a"),
+        (lambda w: _problem({"type": "knapsack", "a": [1, 1, 1], "b": w}), "b"),
+    ],
+    ids=["edge", "hyperedge", "universe", "knapsack-a", "knapsack-b"],
+)
+def test_weights_and_capacities_must_be_finite(make, field, bad, tmp_path):
+    # Python's json reads NaN and Infinity, and the runs then report NaN or crash
+    with pytest.raises(cli.ParseError, match=f"^field '{field}': expected a finite number"):
+        _load(make(bad), tmp_path)
+
+
+@pytest.mark.parametrize(
+    "text, flags",
+    [
+        ('{"type": "graph_cut", "n": 3.7, "edges": [[1, 2.9, 1.0]]}', ["brute-polytope", "--k", "1"]),
+        ('{"type": "graph_cut", "n": 2, "edges": [[0, 1, NaN]]}', ["two-sided"]),
+        ('{"type": "graph_cut", "n": 2, "edges": [[0, 1, Infinity]]}', ["dmcg-symmetric", "--k", "1", "--steps", "20"]),
+        ('{"type": "graph_cut", "n": 2, "edges": [[0, 1, 1e400]]}', ["two-sided"]),
+        ('{"type": "graph_cut", "n": 2, "edges": [[0, 1, 1%s]]}' % ("0" * 400), ["two-sided"]),
+    ],
+    ids=["fractional-n", "nan-weight", "infinite-weight", "overflowing-weight", "overflowing-integer-weight"],
+)
+def test_non_integral_or_non_finite_fields_exit_1(text, flags, tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    path.write_text(text)
+    assert main(["--instance", str(path), "--algorithm", *flags]) == 1
+    assert "instance parse error" in capsys.readouterr().err
+
+
 # the algorithms that take no polytope, with the flags each needs on the triangle
 NO_POLYTOPE = [
     ("two-sided", []),
@@ -391,6 +458,20 @@ def test_problem_composite_instance(tmp_path):
     assert main(["--instance", str(path), "--algorithm", "mcg", "--k", "1"]) == 2
     out2 = tmp_path / "r2.json"
     assert main(["--instance", str(path), "--algorithm", "mcg", "--steps", "300", "--out", str(out2)]) == 0
+
+
+def test_knapsack_singleton_within_the_tolerance_is_kept(tmp_path):
+    # a_0 exceeds b by one ulp: membership and the brute-force search admit {0}
+    # (tolerance 1e-9), so reduction 1 must keep element 0 as well
+    polytope = {"type": "knapsack", "a": [0.30000000000000004, 0.3, 0.3], "b": 0.3}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(_problem(polytope, {"type": "graph_cut", "n": 3, "edges": [[0, 1, 1.0], [0, 2, 1.0]]})))
+    opts = []
+    for flags in (["brute-polytope"], ["mcg", "--steps", "200"]):
+        out = tmp_path / "r.json"
+        assert main(["--instance", str(path), "--algorithm", *flags, "--out", str(out)]) == 0
+        opts.append(_read_report(out)["report"]["oracle_opt"])
+    assert opts == [2.0, 2.0]
 
 
 def test_mcg_embeds_the_reduced_point_and_set(tmp_path):

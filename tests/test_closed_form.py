@@ -28,7 +28,7 @@ TOL = 1e-12
 
 
 def _table_reference(f: SetFunction) -> SetFunction:
-    """The same oracle with no multilinear hook, so exact mode folds the table."""
+    """The same oracle with no multilinear hook, so exact F folds the table."""
     return SetFunction(f.n, f.eval, symmetric=f.symmetric, eval_many_masks=f.eval_many)
 
 
@@ -120,7 +120,7 @@ def test_backend_choice():
     no_hook = _table_reference(cut)
     assert backend(cut, Estimator()) == "closed_form"
     assert backend(no_hook, Estimator()) == "table"
-    assert backend(cut, Estimator(mode="sampled")) == "sampled"
+    assert backend(cut, Estimator(samples=1)) == "sampled"
     # a sum keeps the closed form only when every summand has one
     assert sum_functions([cut, no_hook]).multilinear is None
 
@@ -148,6 +148,6 @@ def test_closed_form_within_4_sigma_of_sampled(f):
     # sigma is exactly 0 only for an element no edge or item touches
     x = substream(24, f.n).uniform(0.05, 0.35, size=f.n)
     _, grad, _ = MultilinearEvaluator(f).value_and_partials(x)
-    sampled = MultilinearEvaluator(f, Estimator(mode="sampled", samples=2000, seed=25))
+    sampled = MultilinearEvaluator(f, Estimator(samples=2000, seed=25))
     _, est, sigma = sampled.value_and_partials(x)
     assert np.all(np.abs(est - grad) <= 4.0 * sigma + TOL)

@@ -268,7 +268,7 @@ def test_sampled_general_variant_spends_one_gradient_per_side_and_step():
     # gradient there
     n, steps, samples = 6, 5, 32
     f = random_graph_cut(n, seed=1)
-    est = Estimator(mode="sampled", samples=samples, seed=3)
+    est = Estimator(samples=samples, seed=3)
     run_dmcg(f, 2, AscentConfig(steps=steps, estimator=est), "general")
     assert f.query_count == 2 * steps * samples * (n + 2)
 

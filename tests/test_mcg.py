@@ -143,7 +143,7 @@ def test_coordinates_stay_in_cube():
 def test_determinism_exact_and_sampled():
     f = random_graph_cut(5, seed=13)
     P = CardinalityPolytope(5, 2)
-    for est in (Estimator(), Estimator(mode="sampled", samples=300, seed=42)):
+    for est in (Estimator(), Estimator(samples=300, seed=42)):
         cfg = AscentConfig(T=1.0, steps=60, estimator=est)
         y1, t1 = run_mcg(f, P, cfg)
         y2, t2 = run_mcg(f, P, cfg)

@@ -57,7 +57,7 @@ def test_point_indicator_and_support():
 
 
 def _sampled_sets(x, samples, seed):
-    ev = MultilinearEvaluator(single_edge_cut(len(x)), Estimator(mode="sampled", seed=seed))
+    ev = MultilinearEvaluator(single_edge_cut(len(x)), Estimator(samples, seed))
     return ev._sample_masks(np.asarray(x, dtype=float), ev._thresholds((), samples))
 
 
@@ -101,14 +101,14 @@ def test_eval_exact_hardness_closed_form():
 
 def test_evaluate_sampled_close_to_exact():
     f = single_edge_cut()
-    est = Estimator(mode="sampled", samples=1_000_000, seed=11)
+    est = Estimator(samples=1_000_000, seed=11)
     got = MultilinearEvaluator(f, est).value(Point([0.5, 0.5]))
     assert abs(got - 0.5) <= 0.002  # 4 sigma at sigma = 0.5/sqrt(samples)
 
 
 def test_evaluate_integral_points_short_circuit():
     f = triangle_cut()
-    est = Estimator(mode="sampled", samples=1000, seed=0)
+    est = Estimator(samples=1000, seed=0)
     before = f.query_count
     got = MultilinearEvaluator(f, est).value(Point.indicator([0], 3))
     assert got == f.eval([0])
@@ -121,7 +121,7 @@ def test_sampled_estimates_match_exact_within_4_sigma():
         x = rng.random(f.n)
         exact = MultilinearEvaluator(f).value(x)
         samples = 100_000
-        est = Estimator(mode="sampled", samples=samples, seed=21)
+        est = Estimator(samples=samples, seed=21)
         ev = MultilinearEvaluator(f, est)
         got = ev.value(x, stream=(0,))
         # bound the deviation by 4 sigma of the empirical draw
@@ -221,7 +221,7 @@ def test_sampled_gradient_matches_plus_minus_reference_bit_for_bit(make, pinned,
     x = substream(11, n).random(n)
     if pinned:
         x[[0, 3]], x[[1, 5]] = 0.0, 1.0
-    ev = MultilinearEvaluator(f, Estimator(mode="sampled", samples=samples, seed=17))
+    ev = MultilinearEvaluator(f, Estimator(samples=samples, seed=17))
     stream = (4, 1)
     base = ev._sample_masks(x, ev._thresholds(stream, samples))
     unit = (np.int64(1) << np.arange(n, dtype=np.int64))[:, None]
@@ -240,7 +240,7 @@ def test_sampled_partial_uses_common_random_numbers():
     # with CRN the u-derivative of the single edge is exactly 1 - 2 b1 per
     # draw; the estimate must land within 4 sigma of 1 - 2 x1
     f = single_edge_cut()
-    est = Estimator(mode="sampled", samples=40_000, seed=3)
+    est = Estimator(samples=40_000, seed=3)
     got = partial(f, [0.2, 0.3], 0, est)
     sigma = 1.0 / math.sqrt(40_000)
     assert abs(got - 0.4) <= 4 * sigma
@@ -322,7 +322,4 @@ def test_statistical_subset_bounds():
 
 def test_estimator_validation():
     with pytest.raises(ValueError):
-        Estimator(mode="other")
-    with pytest.raises(ValueError):
-        Estimator(mode="sampled", samples=0)
-    assert Estimator().resolved_samples(5) == 250
+        Estimator(samples=0)

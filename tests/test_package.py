@@ -1,7 +1,8 @@
 """Layout guard: the library ships the solvers and the invariants a run can
 check; the lemma checks and oracle audits that only tests call live in
-``tests/lemmas.py``."""
+``tests/lemmas.py``; and the library takes no option that no caller sets."""
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -9,6 +10,9 @@ import pkgutil
 import pytest
 
 import submax
+from submax import fixtures
+from submax.multilinear import Estimator
+from submax.setfn import audit_symmetry, restrict_function, sum_functions
 
 RUN_TIME_INVARIANTS = {
     "check_feasibility_invariants",
@@ -35,3 +39,23 @@ def test_library_defines_only_the_run_time_checks():
     checks = {name for name in defined if name.startswith("check_")}
     assert checks == RUN_TIME_INVARIANTS
     assert not TEST_ONLY & defined.keys(), {name: defined[name] for name in TEST_ONLY & defined.keys()}
+
+
+# every parameter of these; an option that only tests set, or that the code
+# can derive from its inputs, is a constant or a derived value instead
+PARAMETERS = {
+    audit_symmetry: ["f"],
+    restrict_function: ["f", "kept"],
+    sum_functions: ["fs"],
+    fixtures.single_edge_cut: ["n"],
+    fixtures.random_graph_cut: ["n", "seed", "edge_prob"],
+    fixtures.random_hypergraph_cut: ["n", "seed"],
+    fixtures.random_coverage: ["n", "seed"],
+}
+
+
+def test_library_takes_only_the_options_its_callers_set():
+    # F is exact when samples is None: no second field says so
+    assert [field.name for field in dataclasses.fields(Estimator)] == ["samples", "seed"]
+    for fn, names in PARAMETERS.items():
+        assert list(inspect.signature(fn).parameters) == names, fn.__name__

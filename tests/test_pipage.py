@@ -105,7 +105,7 @@ def test_sampled_mode_rounds_with_common_random_numbers():
     P = CardinalityPolytope(6, 3)
     rng = substream(1, 5)
     x = Point(_random_point_in_cardinality(rng, 6, 3))
-    est = Estimator(mode="sampled", samples=4000, seed=7)
+    est = Estimator(samples=4000, seed=7)
     mask_a = pipage_round(f, x, P, est)
     mask_b = pipage_round(f, x, P, est)
     assert mask_a == mask_b  # deterministic given the seed

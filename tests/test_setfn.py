@@ -156,7 +156,8 @@ def test_random_cut_fixtures_reject_fewer_than_two_vertices(make, n):
 def test_audit_sampled_mode_used_beyond_exhaustive_limit():
     f = random_graph_cut(16, seed=1)
     assert audit_submodularity(f, exhaustive_limit=10, trials=200)
-    assert audit_symmetry(f, exhaustive_limit=10, trials=200)
+    with pytest.raises(ValueError, match="n must be <= 14"):
+        audit_symmetry(f)  # the symmetry audit is exhaustive only
 
 
 def test_audits_take_the_ground_set_from_f():
@@ -229,6 +230,14 @@ def test_restriction_reaudits_symmetry():
     assert g.symmetric
     h = restrict_function(f, [0, 2])  # edge endpoint + isolated: not symmetric
     assert not h.symmetric
+
+
+def test_sum_is_flagged_symmetric_iff_every_summand_is():
+    cut, hyper = random_graph_cut(6, seed=1), random_hypergraph_cut(6, seed=2)
+    both = sum_functions([cut, hyper])
+    assert both.symmetric and audit_symmetry(both) and both.kind == "sum"
+    offset = sum_functions([cut, hyper, modular_function(6, np.ones(6))])  # f(S) = |S| is not symmetric
+    assert not offset.symmetric and not audit_symmetry(offset)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +374,7 @@ def family_function(family, n, rng, weights="dyadic"):
     if family == "restrict":
         base = family_function("hypergraph_cut", n, rng, weights)
         kept = sorted(int(u) for u in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
-        return restrict_function(base, kept, audit_symmetry_limit=0)
+        return restrict_function(base, kept)
     raise AssertionError(family)
 
 
