@@ -7,7 +7,7 @@ welfare, multilinear-extension machinery, pipage rounding, and brute-force
 oracles that make every guarantee checkable at desk scale.
 """
 
-from .dmcg import reduction2, run_dmcg, solve_direction
+from .dmcg import run_dmcg, solve_direction
 from .mcg import AscentConfig, Trajectory, check_feasibility_invariants, run_mcg, trajectory_csv
 from .reports import CheckReport
 from .multilinear import Estimator, MultilinearEvaluator, Point

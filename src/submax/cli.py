@@ -35,7 +35,7 @@ from functools import partial
 import numpy as np
 
 from . import mcg
-from .dmcg import reduction2, run_dmcg
+from .dmcg import run_dmcg
 from .fixtures import random_graph_cut, random_hypergraph_cut
 from .mcg import AscentConfig, run_mcg
 from .multilinear import Estimator, MultilinearEvaluator, Point, backend
@@ -54,7 +54,7 @@ from .setfn import (
     hypergraph_cut_function,
     restrict_function,
 )
-from .subsets import MAX_MASK_BITS, as_mask, full_mask, indices
+from .subsets import MAX_MASK_BITS, as_mask, indices
 from .twosided import run_two_sided
 from .welfare import (
     MAX_WELFARE_SEARCH,
@@ -215,12 +215,11 @@ def _theoretical_curve(k: int, n: int) -> float:
     return 0.5 * (1.0 - (1.0 - kk / n) ** (2 * n / kk))
 
 
-def _schedule(cfg: AscentConfig, n: int, bound) -> tuple[float, int, float, bool]:
-    """The ascent's resolved (T, steps, delta, theoretical_regime) over the
-    polytope ``bound`` (None: T defaults to 1); a bad --T or --steps is a
-    flag error."""
+def _check_schedule(cfg: AscentConfig, n: int, P: Polytope | None = None) -> None:
+    """A --T or --steps that ``mcg.schedule`` rejects is a flag error (P only
+    moves the default T, which needs a positive density)."""
     try:
-        return mcg.schedule(n, cfg.T, cfg.steps, bound)
+        mcg.schedule(n, cfg.T, cfg.steps, P)
     except ValueError as exc:
         raise FlagError(str(exc)) from exc
 
@@ -245,7 +244,9 @@ def _check(args, f, P, welfare_inst) -> _Job:
     """Validate every flag against the algorithm and the parsed instance
     before any work starts (FlagError) and bind the algorithm's solver.  Only
     ``mcg`` and ``brute-polytope`` take a problem file's polytope P; any
-    other algorithm would drop its constraint, so it may not run on one."""
+    other algorithm would drop its constraint, so it may not run on one.
+    --T and --steps are checked on every ascent, for ``dmcg-symmetric`` at
+    k = n too, where no step runs."""
     algorithm, k, samples, seed = args.algorithm, args.k, args.samples, args.seed
     welfare = algorithm == "welfare-random"
     ascent = algorithm in ("mcg", "dmcg-symmetric", "dmcg-general")
@@ -300,16 +301,14 @@ def _check(args, f, P, welfare_inst) -> _Job:
         red = preprocess_reduction1(P)
         f_run = f if len(red.kept) == n else restrict_function(f, list(red.kept))
         cfg = AscentConfig(args.T, args.steps, Estimator(samples, seed))
-        solve = partial(_solve_mcg, f, P, red, f_run, cfg, _schedule(cfg, f_run.n, red.polytope))
+        _check_schedule(cfg, f_run.n, red.polytope)
+        solve = partial(_solve_mcg, f, P, red, f_run, cfg)
     else:
-        symmetric = algorithm == "dmcg-symmetric"
-        if symmetric and not f.symmetric:
+        if algorithm == "dmcg-symmetric" and not f.symmetric:
             raise FlagError("dmcg-symmetric requires a symmetric instance")
         cfg = AscentConfig(args.T, args.steps, Estimator(samples, seed))
-        k_run, f_run = reduction2(k, n, f) if symmetric else (k, f)
-        # k_run = 0 (symmetric, k = n) runs no ascent; --T and --steps are checked at k all the same
-        bound = CardinalityPolytope(n, k_run or k) if symmetric else None
-        solve = partial(_solve_dmcg, f, k, f_run, k_run, cfg, algorithm[5:], _schedule(cfg, n, bound))
+        _check_schedule(cfg, n)
+        solve = partial(_solve_dmcg, f, k, cfg, algorithm[5:])
     return _Job({"type": f.kind, "n": n, "symmetric": f.symmetric}, f, unverifiable, solve)
 
 
@@ -349,20 +348,23 @@ def _solve_brute(search: Callable[..., tuple[int, float]], *args) -> Solved:
     return fields, opt, lambda: {"oracle_opt": opt}
 
 
-def _solve_mcg(f, P, red, f_run, cfg: AscentConfig, schedule) -> Solved:
-    """MCG on the reduced problem; the point and the rounded set are embedded
-    back into f's ground set."""
-    T, steps, _, regime = schedule
+def _solve_mcg(f, P, red, f_run, cfg: AscentConfig) -> Solved:
+    """MCG on the Reduction 1 problem; the point and the rounded set (on a
+    polytope with parts) are embedded back into f's ground set.  T, steps
+    and the regime are the trajectory's; with no element kept, no ascent
+    runs and they are the schedule of an empty ground set."""
     fields = {"reduction1_warning": red.warning} if red.warning else {}
     kept = np.array(red.kept, dtype=np.int64)
     y = np.zeros(f.n)
     if kept.size == 0:
+        T, steps, _, regime = mcg.schedule(0, cfg.T, cfg.steps)
         frac = achieved = f.eval(0)
     else:
-        y_run, _ = run_mcg(f_run, red.polytope, cfg)
+        y_run, traj = run_mcg(f_run, red.polytope, cfg)
+        T, steps, regime = traj.T, len(traj.steps), traj.theoretical_regime
         y[kept] = y_run.coords
         frac = achieved = _fractional_value(f_run, y_run, cfg.estimator)
-        if red.polytope.kind in ("cardinality", "partition"):
+        if red.polytope.parts is not None:
             local = pipage_round(f_run, y_run, red.polytope, cfg.estimator)
             mask = as_mask(kept[indices(local)], f.n)
             achieved = f.eval(mask)
@@ -381,27 +383,20 @@ def _solve_mcg(f, P, red, f_run, cfg: AscentConfig, schedule) -> Solved:
     return fields, frac, lambda: {"oracle_opt": brute_polytope_integral(f_opt, P_opt)[1]}
 
 
-def _solve_dmcg(f, k: int, f_run, k_run: int, cfg: AscentConfig, variant: str, schedule) -> Solved:
-    """DMCG on the reduction2 problem (k_run <= n/2 for the symmetric
-    variant), complemented back to |y| = k, then rounded."""
+def _solve_dmcg(f, k: int, cfg: AscentConfig, variant: str) -> Solved:
+    """DMCG's point of mass k (``run_dmcg`` applies Reduction 2), rounded
+    onto |S| = k; T, steps and the regime are its trajectory's."""
     n, est = f.n, cfg.estimator
-    T, steps, _, regime = schedule
-    if k_run == 0:  # only one feasible set; nothing to optimize, so no ascent runs
-        T, regime = 0.0, True
-        y, frac = Point.ones(n), f.eval(full_mask(n))
-    else:
-        y, _ = run_dmcg(f_run, k_run, cfg, variant)
-        if k_run != k:
-            y = Point(1.0 - y.coords)  # complement: same value for symmetric f
-        frac = _fractional_value(f, y, est)
+    y, traj = run_dmcg(f, k, cfg, variant)
+    frac = _fractional_value(f, y, est)
     mask = pipage_round(f, y, CardinalityPolytope(n, k), est)
     fields = {
-        "config": {"k": k, "T": T, "steps": steps, "estimator": backend(f, est)},
+        "config": {"k": k, "T": traj.T, "steps": len(traj.steps), "estimator": backend(f, est)},
         "fractional_value": frac,
         "fractional_mass": y.mass(),
         "fractional_point": y.coords.tolist(),
         "theoretical_ratio": _theoretical_curve(k, n) if variant == "symmetric" else math.exp(-1.0),
-        "theoretical_regime": regime,
+        "theoretical_regime": traj.theoretical_regime,
         "achieved_value": f.eval(mask),
         "achieved_set": indices(mask),
     }

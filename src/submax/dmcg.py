@@ -9,7 +9,8 @@ cleanup on both sides and runs to the cardinality horizon; the general
 variant runs to T = 1 with no cleanup.  The run is recorded as an
 ``mcg.Trajectory`` whose sides are (y1, y2) and whose step notes are the
 solver's :class:`DirectionInfo`.  The final point is y1, y2, or the unique
-convex combination of the two with mass exactly k.
+convex combination of the two with mass exactly k.  For 2k > n the symmetric
+variant runs the pair for n - k and complements its point (Reduction 2).
 """
 
 from __future__ import annotations
@@ -19,27 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mcg import AscentConfig, Trajectory, ascend
+from .mcg import AscentConfig, AscentStep, Trajectory, ascend, schedule
 from .multilinear import MultilinearEvaluator, Point
 from .polytope import CardinalityPolytope
 from .reports import CheckReport
-from .setfn import SetFunction, complement_function
+from .setfn import SetFunction
+from .subsets import full_mask
 
 _BISECT_GAP = 1e-12
-
-
-def reduction2(k: int, n: int, f: SetFunction) -> tuple[int, SetFunction]:
-    """Normalize the equality constraint so that 2k <= n.
-
-    max{f(S) : |S| = k} and max{f(N\\S) : |S| = n-k} have the same value, so
-    when 2k > n the problem is restated with k' = n - k and the complement
-    oracle; a symmetric f equals its complement, so it is kept as is.
-    """
-    if not 1 <= k <= n:
-        raise ValueError("requires 1 <= k <= n")
-    if 2 * k <= n:
-        return k, f
-    return n - k, (f if f.symmetric else complement_function(f))
 
 
 @dataclass(frozen=True)
@@ -127,15 +115,18 @@ def solve_direction(
 def run_dmcg(f: SetFunction, k: int, cfg: AscentConfig | None = None,
              variant: str = "symmetric") -> tuple[Point, Trajectory]:
     """Run the coupled ascent/descent pair and return (y, trajectory) with
-    |y| = k; side 0 is y1, side 1 is y2, and each step's note is the
-    direction solver's :class:`DirectionInfo`.
+    |y| = k, for any 1 <= k <= n; side 0 is y1, side 1 is y2, and each
+    step's note is the direction solver's :class:`DirectionInfo`.
 
     Variant "symmetric" runs Algorithm-2 style (coeff 2, cleanup, T the
-    discrete horizon of |S| <= k) and requires 2k <= n: apply
-    :func:`reduction2` first and complement the answer when k > n/2.
+    discrete horizon of |S| <= k) for 2k <= n.  For 2k > n it applies
+    Reduction 2: a symmetric f has the same optimum at k and at n - k, so it
+    runs the pair for n - k and returns 1 - y with that run's trajectory; at
+    k = n that is 1_N with a trajectory of no steps (T = 0).
     Variant "general" runs the general-objective twin (coeff 1, no cleanup,
-    T = 1).  Raises ``ValueError`` for an unknown variant, T <= 0 or
-    steps < 1.
+    T = 1).  Raises ``ValueError`` for an unknown variant, a k outside
+    [1, n], a symmetric variant on an f not flagged symmetric, and a bad
+    schedule (see ``mcg.schedule``).
     """
     if variant not in ("symmetric", "general"):
         raise ValueError("variant must be 'symmetric' or 'general'")
@@ -146,7 +137,15 @@ def run_dmcg(f: SetFunction, k: int, cfg: AscentConfig | None = None,
     if symmetric and not f.symmetric:
         raise ValueError("symmetric variant requires an objective flagged symmetric")
     if symmetric and 2 * k > n:
-        raise ValueError("symmetric variant requires 2k <= n; apply reduction2 first")
+        if k < n:
+            y, traj = run_dmcg(f, n - k, cfg, variant)
+        else:  # the empty set is the one set of size n - k = 0: no step runs
+            cfg = cfg or AscentConfig()
+            schedule(n, cfg.T, cfg.steps)  # a bad schedule raises all the same
+            F = f.eval(full_mask(n))  # = f(empty set), as f is symmetric
+            start = AscentStep(0.0, (np.zeros(n), np.ones(n)), (F, F))
+            y, traj = Point.zeros(n), Trajectory(0.0, 0.0, True, start)
+        return Point(1.0 - y.coords), traj
     coeff = 2.0 if symmetric else 1.0
 
     def max_min(weights, values):

@@ -43,9 +43,11 @@ def schedule(n: int, T: float | None, steps: int | None, P: Polytope | None = No
     ``horizon(P, steps)`` of the polytope the output must stay in, but never
     below 1 (up to T = 1 every ascent stays inside P: y(t) / t is in P), and
     to 1 without a polytope or without elements.  A given T must be positive
-    and finite, and steps at least 1.  The theoretical step size
-    T/ceil(n^5 T) is infeasible beyond tiny n, so the regime records whether
-    delta = T/steps <= n^-5 held."""
+    and finite, steps at least 1, and delta = T/steps at most 1 if there is
+    an element: only then does every update y + delta d (1 - s - y) stay in
+    the cube.  The
+    theoretical step size T/ceil(n^5 T) is infeasible beyond tiny n, so the
+    regime records whether delta <= n^-5 held."""
     if T is not None and not 0.0 < T < math.inf:
         raise ValueError(f"time horizon T must be positive and finite, got {T!r}")
     steps = max(1, 100 * n) if steps is None else steps
@@ -54,6 +56,8 @@ def schedule(n: int, T: float | None, steps: int | None, P: Polytope | None = No
     if T is None:
         T = 1.0 if P is None or n == 0 else max(1.0, horizon(P, steps))
     delta = float(T) / steps
+    if delta > 1.0 and n:
+        raise ValueError(f"step width T/steps = {delta!r} exceeds 1: the ascent would leave the cube")
     return float(T), steps, delta, n == 0 or delta <= n ** -5.0
 
 
@@ -105,7 +109,7 @@ def ascend(f: SetFunction, cfg: AscentConfig, starts: tuple[int, ...], choose: C
     note.  Recorded arrays are never written again.  Side j of m samples
     from stream (i, j) before step i, (i, m + j) after its update and
     (i, 2m + j, u) after resetting coordinate u.  Raises ``ValueError`` for
-    T <= 0 or steps < 1."""
+    T <= 0, steps < 1 or T/steps > 1."""
     T, steps, delta, regime = schedule(f.n, cfg.T, cfg.steps, P)
     ev = MultilinearEvaluator(f, cfg.estimator)
     m = len(starts)
@@ -144,7 +148,7 @@ def run_mcg(f: SetFunction, P: Polytope, cfg: AscentConfig | None = None) -> tup
     Expects the singleton-feasibility reduction to have been applied (drop
     every u with 1_u not in P) -- see ``preprocess_reduction1``.  A
     non-symmetric objective only voids the value guarantee, so it warns and
-    proceeds.  Raises ``ValueError`` for T <= 0 or steps < 1.
+    proceeds.  Raises ``ValueError`` for T <= 0, steps < 1 or T/steps > 1.
     """
     if not f.symmetric:
         warnings.warn("objective not flagged symmetric: the value guarantee is void", stacklevel=2)

@@ -11,9 +11,9 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .polytope import CardinalityPolytope, KnapsackPolytope, PartitionPolytope, Polytope
+from .polytope import Polytope
 from .setfn import SetFunction
-from .subsets import MASK_BLOCK, as_mask, bits_from_masks, popcount_array
+from .subsets import MASK_BLOCK, popcount_array
 
 MAX_BRUTE_N = 22
 
@@ -61,23 +61,10 @@ def brute_cardinality(f: SetFunction, k: int) -> tuple[int, float]:
     return _argmax_blocks(f, n, lambda masks: popcount_array(masks) == k)
 
 
-def _integral_members(P: Polytope, masks: np.ndarray, n: int) -> np.ndarray:
-    if isinstance(P, CardinalityPolytope):
-        return popcount_array(masks) <= P.k
-    if isinstance(P, PartitionPolytope):
-        ok = np.ones(masks.size, dtype=bool)
-        for part, b in zip(P.parts, P.bounds):
-            ok &= popcount_array(masks & as_mask(part, n)) <= b
-        return ok
-    if isinstance(P, KnapsackPolytope):
-        return bits_from_masks(masks, n) @ P.a <= P.b + 1e-9
-    # generic fallback through the membership oracle
-    return np.array([P.membership(x) for x in bits_from_masks(masks, n).astype(float)], dtype=bool)
-
-
 def brute_polytope_integral(f: SetFunction, P: Polytope) -> tuple[int, float]:
-    """argmax of f over the integral points of P, i.e. {S : 1_S in P}."""
+    """argmax of f over the integral points of P, i.e. {S : 1_S in P}, which
+    ``P.integral`` picks out of each block."""
     n = _ground_size(f)
     if P.n != n:
         raise ValueError(f"polytope dimension {P.n} does not match the ground set of f (n = {n})")
-    return _argmax_blocks(f, n, lambda masks: _integral_members(P, masks, n))
+    return _argmax_blocks(f, n, P.integral)

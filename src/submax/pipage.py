@@ -1,5 +1,6 @@
-"""Pipage rounding: turn a fractional point of a cardinality or partition
-polytope into an integral set without losing multilinear value.
+"""Pipage rounding: turn a fractional point of a matroid polytope (one with
+``parts``: cardinality or partition) into an integral set without losing
+multilinear value.
 
 Along the direction 1_u - 1_v the multilinear extension is a quadratic whose
 curvature is -2 d2F/du dv >= 0 by submodularity, so one of the two endpoint
@@ -13,23 +14,15 @@ from __future__ import annotations
 import numpy as np
 
 from .multilinear import Estimator, MultilinearEvaluator, Point
-from .polytope import CardinalityPolytope, PartitionPolytope, Polytope
+from .polytope import Polytope
 from .setfn import SetFunction
 from .subsets import masks_from_bits
 
 _FRAC_TOL = 1e-9
 
 
-def _groups(P: Polytope) -> list[list[int]]:
-    if isinstance(P, CardinalityPolytope):
-        return [list(range(P.n))]
-    if isinstance(P, PartitionPolytope):
-        return [list(part) for part in P.parts]
-    raise ValueError(f"pipage rounding supports cardinality and partition polytopes, not {P.kind!r}")
-
-
-def _fractional(y: np.ndarray, group: list[int]) -> list[int]:
-    return [u for u in group if _FRAC_TOL < y[u] < 1.0 - _FRAC_TOL]
+def _fractional(y: np.ndarray, part: list[int]) -> list[int]:
+    return [u for u in part if _FRAC_TOL < y[u] < 1.0 - _FRAC_TOL]
 
 
 def pipage_round(
@@ -41,13 +34,14 @@ def pipage_round(
     """Round x in P to a set S with f(S) >= F(x) (F exact); returns a bitmask.
 
     Repeatedly takes the two lowest-indexed fractional coordinates sharing a
-    constraint and pushes their sum-preserving direction to the better
-    endpoint.  When a single fractional coordinate is left in a group (the
-    group's constraint is slack), it is rounded to the better feasible bound.
+    part of ``P.parts`` and pushes their sum-preserving direction to the better
+    endpoint.  When a single fractional coordinate is left in a part (the
+    part's constraint is slack), it is rounded to the better feasible bound.
     On the sampled backend endpoint comparisons share one threshold stream
     per move (common random numbers) drawn from the estimator's seed, and
     the curvature audit is skipped."""
-    groups = _groups(P)
+    if P.parts is None:
+        raise ValueError(f"pipage rounding needs a polytope with parts (cardinality, partition), not {P.kind!r}")
     if not P.membership(x.coords):
         raise ValueError("point is not inside the polytope")
     ev = MultilinearEvaluator(f, est)
@@ -55,9 +49,9 @@ def pipage_round(
     y = x.coords.copy()
     move = 0
 
-    for group in groups:
+    for part in P.parts:
         while True:
-            frac = _fractional(y, group)
+            frac = _fractional(y, part)
             if len(frac) < 2:
                 break
             u, v = frac[0], frac[1]
@@ -89,7 +83,7 @@ def pipage_round(
                     )
             y = up if f_up >= f_down else down
             move += 1
-        frac = _fractional(y, group)
+        frac = _fractional(y, part)
         if frac:
             (u,) = frac
             up = y.copy()

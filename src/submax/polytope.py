@@ -1,10 +1,12 @@
 """Down-monotone solvable polytopes: membership, a linear-maximization oracle,
 and the density that governs how long the continuous ascent may run.
 
-Three kinds ship (cardinality, partition matroid, single knapsack); anything
-exposing the (membership, linear_maximize, density) triple plugs in the same
-way.  All tie-breaking is by lowest element index so trajectories are
-deterministic.
+Three kinds ship: the partition matroid, cardinality (its one-part case) and
+the single knapsack.  A kind plugs in through :class:`Polytope`: ``n``,
+``kind``, ``density``, ``membership``, ``linear_maximize``, and for
+Reduction 1 ``singleton_feasible`` and ``restrict``; ``integral`` (the
+brute-force filter) and ``parts`` (pipage's) have defaults.  All tie-breaking
+is by lowest element index so trajectories are deterministic.
 """
 
 from __future__ import annotations
@@ -14,18 +16,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .subsets import as_mask, bits_from_masks, popcount_array
+
+SLACK = 1e-9  # of every feasibility test: membership, a knapsack's singletons and its integral points
+
 
 class Polytope:
     """Interface shared by the shipped kinds; immutable after construction."""
 
     kind: str = "abstract"
     n: int
+    parts: list[list[int]] | None = None  # a matroid kind's parts, the only sets pipage rounds within
 
     @property
     def density(self) -> float:
         raise NotImplementedError
 
-    def membership(self, x, tol: float = 1e-9) -> bool:
+    def membership(self, x, tol: float = SLACK) -> bool:
         raise NotImplementedError
 
     def linear_maximize(self, w) -> np.ndarray:
@@ -39,45 +46,12 @@ class Polytope:
         """The polytope over the kept elements (indices remapped in order)."""
         raise NotImplementedError
 
+    def integral(self, masks: np.ndarray) -> np.ndarray:
+        """Which int64 bitmasks S have 1_S in P, by one membership test each."""
+        return np.array([self.membership(x) for x in bits_from_masks(masks, self.n).astype(float)], dtype=bool)
+
     def _box_ok(self, x: np.ndarray, tol: float) -> bool:
         return bool((x >= -tol).all() and (x <= 1.0 + tol).all())
-
-
-class CardinalityPolytope(Polytope):
-    """{x in [0,1]^n : sum x_u <= k}; density k/n."""
-
-    kind = "cardinality"
-
-    def __init__(self, n: int, k: int):
-        if not 0 <= k <= n:
-            raise ValueError("requires 0 <= k <= n")
-        self.n = int(n)
-        self.k = int(k)
-
-    @property
-    def density(self) -> float:
-        return self.k / self.n if self.n else 0.0
-
-    def membership(self, x, tol: float = 1e-9) -> bool:
-        xa = np.asarray(x, dtype=float)
-        return self._box_ok(xa, tol) and float(xa.sum()) <= self.k + tol
-
-    def linear_maximize(self, w) -> np.ndarray:
-        wa = np.asarray(w, dtype=float)
-        out = np.zeros(self.n)
-        order = np.argsort(-wa, kind="stable")
-        take = [u for u in order[: self.k] if wa[u] > 0.0]
-        out[take] = 1.0
-        return out
-
-    def singleton_feasible(self, u: int) -> bool:
-        return self.k >= 1
-
-    def restrict(self, kept: list[int]) -> "CardinalityPolytope":
-        return CardinalityPolytope(len(kept), min(self.k, len(kept)))
-
-    def __repr__(self):
-        return f"CardinalityPolytope(n={self.n}, k={self.k})"
 
 
 class PartitionPolytope(Polytope):
@@ -106,9 +80,9 @@ class PartitionPolytope(Polytope):
 
     @property
     def density(self) -> float:
-        return min(b / len(part) for part, b in zip(self.parts, self.bounds))
+        return min((b / len(part) for part, b in zip(self.parts, self.bounds)), default=0.0)
 
-    def membership(self, x, tol: float = 1e-9) -> bool:
+    def membership(self, x, tol: float = SLACK) -> bool:
         xa = np.asarray(x, dtype=float)
         if not self._box_ok(xa, tol):
             return False
@@ -140,8 +114,38 @@ class PartitionPolytope(Polytope):
                 bounds.append(b)
         return PartitionPolytope(parts, bounds)
 
+    def integral(self, masks: np.ndarray) -> np.ndarray:
+        ok = np.ones(masks.size, dtype=bool)
+        for part, b in zip(self.parts, self.bounds):
+            ok &= popcount_array(masks & as_mask(part, self.n)) <= b
+        return ok
+
     def __repr__(self):
         return f"PartitionPolytope(parts={self.parts}, bounds={self.bounds})"
+
+
+class CardinalityPolytope(PartitionPolytope):
+    """{x in [0,1]^n : sum x_u <= k}: the partition matroid of the one part
+    range(n) with bound k (no part when n = 0); density k/n."""
+
+    kind = "cardinality"
+
+    def __init__(self, n: int, k: int):
+        if not 0 <= k <= n:
+            raise ValueError("requires 0 <= k <= n")
+        super().__init__([list(range(n))] if n else [], [k] if n else [])
+        self.k = int(k)
+
+    def linear_maximize(self, w) -> np.ndarray:
+        wa = np.asarray(w, dtype=float)
+        out = np.zeros(self.n)
+        order = np.argsort(-wa, kind="stable")
+        take = [u for u in order[: self.k] if wa[u] > 0.0]
+        out[take] = 1.0
+        return out
+
+    def __repr__(self):
+        return f"CardinalityPolytope(n={self.n}, k={self.k})"
 
 
 class KnapsackPolytope(Polytope):
@@ -164,7 +168,7 @@ class KnapsackPolytope(Polytope):
     def density(self) -> float:
         return self.b / float(self.a.sum())
 
-    def membership(self, x, tol: float = 1e-9) -> bool:
+    def membership(self, x, tol: float = SLACK) -> bool:
         xa = np.asarray(x, dtype=float)
         return self._box_ok(xa, tol) and float(self.a @ xa) <= self.b + tol
 
@@ -188,10 +192,13 @@ class KnapsackPolytope(Polytope):
         return out
 
     def singleton_feasible(self, u: int) -> bool:
-        return self.a[u] <= self.b + 1e-9  # membership's tolerance
+        return self.a[u] <= self.b + SLACK
 
     def restrict(self, kept: list[int]) -> "KnapsackPolytope":
         return KnapsackPolytope(self.a[list(kept)], self.b)
+
+    def integral(self, masks: np.ndarray) -> np.ndarray:
+        return bits_from_masks(masks, self.n) @ self.a <= self.b + SLACK
 
     def __repr__(self):
         return f"KnapsackPolytope(a={self.a.tolist()}, b={self.b})"

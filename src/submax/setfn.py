@@ -189,6 +189,8 @@ class GraphCutInstance:
     edges: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"the ground set size n must be non-negative, got {self.n}")
         for u, v, w in self.edges:
             if u == v:
                 raise ValueError("self-loops are not allowed")
@@ -230,6 +232,8 @@ class HypergraphCutInstance:
     hyperedges: tuple[tuple[frozenset[int], float], ...]
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"the ground set size n must be non-negative, got {self.n}")
         for verts, w in self.hyperedges:
             if len(verts) < 2:
                 raise ValueError("hyperedges need at least 2 distinct vertices")
@@ -275,6 +279,8 @@ class CoverageInstance:
     membership: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"the ground set size n must be non-negative, got {self.n}")
         if len(self.membership) != self.n:
             raise ValueError("membership must list covered items for each of the n sets")
         m = len(self.universe_weights)

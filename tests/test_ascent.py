@@ -86,6 +86,21 @@ def test_schedule_rejects_empty_or_degenerate_runs(T, steps):
         schedule(4, T, steps, CardinalityPolytope(4, 2))
 
 
+@pytest.mark.parametrize("T, steps", [(1.5, 1), (5.0, 2), (100.0, 10), (1.0 + 1e-12, 1), (401.0, None)])
+def test_schedule_rejects_a_step_wider_than_1(T, steps):
+    # y + delta d (1 - s - y) stays in [0, 1] exactly when delta = T/steps <= 1
+    with pytest.raises(ValueError, match="exceeds 1"):
+        schedule(4, T, steps, CardinalityPolytope(4, 2))
+
+
+def test_a_step_of_width_1_stays_in_the_cube():
+    assert schedule(4, 1.0, 1) == (1.0, 1, 1.0, False)
+    assert schedule(4, 400.0, None) == (400.0, 400, 1.0, False)
+    assert schedule(0, 5.0, None) == (5.0, 1, 5.0, True)  # no element, so no update can leave the cube
+    y, traj = run_dmcg(random_graph_cut(4, seed=2), 1, AscentConfig(T=2.0, steps=2), "general")
+    assert all(0.0 <= side.min() and side.max() <= 1.0 for step in traj.steps for side in step.ys)
+
+
 def test_schedule_defaults():
     P = CardinalityPolytope(4, 3)
     T_s = horizon(P, 400)

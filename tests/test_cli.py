@@ -278,6 +278,23 @@ def test_non_integral_or_non_finite_fields_exit_1(text, flags, tmp_path, capsys)
     assert "instance parse error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("algorithm", ["two-sided", "brute-unconstrained"])
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"type": "graph_cut", "n": -1, "edges": []},
+        {"type": "hypergraph_cut", "n": -2, "hyperedges": []},
+        {"type": "coverage", "n": -1, "universe_weights": [], "membership": []},
+    ],
+    ids=["graph_cut", "hypergraph_cut", "coverage"],
+)
+def test_a_negative_ground_set_size_is_a_parse_error(obj, algorithm, tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(obj))
+    assert main(["--instance", str(path), "--algorithm", algorithm]) == 1
+    assert "must be non-negative" in capsys.readouterr().err
+
+
 # the algorithms that take no polytope, with the flags each needs on the triangle
 NO_POLYTOPE = [
     ("two-sided", []),
@@ -371,6 +388,44 @@ def test_exit_code_inconsistent_flags(triangle_file, welfare_file, tmp_path):
     ):
         instance, algorithm, *flags = argv
         assert main(["--instance", instance, "--algorithm", algorithm, *flags]) == 2, argv
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["mcg", "--k", "1", "--T", "1.5", "--steps", "1"],
+        ["dmcg-general", "--k", "1", "--T", "5", "--steps", "2"],
+        ["dmcg-symmetric", "--k", "1", "--T", "1.2", "--steps", "1"],
+        ["dmcg-symmetric", "--k", "1", "--T", "100", "--steps", "10"],
+        ["dmcg-symmetric", "--k", "3", "--T", "2", "--steps", "1"],
+    ],
+)
+def test_a_step_wider_than_1_is_a_flag_error(flags, triangle_file, capsys):
+    # y + delta d (1 - s - y) leaves the cube for delta = T/steps > 1
+    assert main(["--instance", triangle_file, "--algorithm", *flags]) == 2
+    assert "exceeds 1" in capsys.readouterr().err
+
+
+def test_a_step_of_width_1_runs(triangle_file, tmp_path):
+    out = tmp_path / "r.json"
+    argv = ["--instance", triangle_file, "--algorithm", "mcg", "--k", "1", "--T", "1", "--steps", "1"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert _read_report(out)["report"]["config"] == {"T": 1.0, "steps": 1, "estimator": "closed_form"}
+    # when Reduction 1 keeps no element no step runs, and the report keeps the given T
+    argv = ["--instance", triangle_file, "--algorithm", "mcg", "--k", "0", "--T", "5"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert _read_report(out)["report"]["config"] == {"T": 5.0, "steps": 1, "estimator": "closed_form"}
+
+
+@pytest.mark.parametrize("samples", [None, "16"])
+def test_dmcg_symmetric_at_k_equal_n_takes_everything_in_no_step(samples, triangle_file, tmp_path):
+    out = tmp_path / "r.json"
+    argv = ["--instance", triangle_file, "--algorithm", "dmcg-symmetric", "--k", "3"]
+    assert main([*argv, *(["--samples", samples] if samples else []), "--out", str(out)]) == 0
+    report = _read_report(out)["report"]
+    assert report["config"]["T"] == 0.0 and report["config"]["steps"] == 0 and report["theoretical_regime"]
+    assert report["fractional_point"] == [1.0, 1.0, 1.0] and report["achieved_set"] == [0, 1, 2]
+    assert report["fractional_value"] == report["achieved_value"] == 0.0
 
 
 def test_exit_code_oracle_unavailable(tmp_path):

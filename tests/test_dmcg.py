@@ -11,7 +11,6 @@ from submax.dmcg import (
     check_concave_segment,
     check_max_y,
     check_y_properties,
-    reduction2,
     run_dmcg,
     solve_direction,
 )
@@ -26,30 +25,6 @@ from submax.multilinear import Estimator, MultilinearEvaluator
 from submax.oracle import brute_cardinality
 from submax.rng import substream
 from submax.setfn import hardness_instance
-
-
-# ---------------------------------------------------------------------------
-# reduction
-# ---------------------------------------------------------------------------
-
-
-def test_reduction2_cases():
-    f = random_graph_cut(6, seed=0)
-    assert reduction2(2, 6, f) == (2, f)
-    k2, f2 = reduction2(5, 6, f)
-    assert k2 == 1 and f2 is f  # symmetric objectives keep their oracle
-    cov = random_coverage(4, seed=1)
-    k3, f3 = reduction2(3, 4, cov)
-    assert k3 == 1 and f3 is not cov
-    assert f3.eval([0]) == cov.eval([1, 2, 3])
-
-
-def test_reduction2_validates_k():
-    f = random_graph_cut(4, seed=0)
-    with pytest.raises(ValueError):
-        reduction2(0, 4, f)
-    with pytest.raises(ValueError):
-        reduction2(5, 4, f)
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +107,40 @@ def test_general_full_cardinality_returns_everything():
     assert MultilinearEvaluator(f).value(y) == pytest.approx(f.eval([0, 1, 2, 3]))
 
 
-def test_symmetric_variant_requires_reduced_k():
-    f = random_graph_cut(4, seed=4)
-    with pytest.raises(ValueError):
-        run_dmcg(f, 3, AscentConfig(steps=10), "symmetric")
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000), sampled=st.booleans())
+def test_symmetric_variant_complements_the_run_for_n_minus_k(seed, sampled):
+    # Reduction 2: a symmetric f has the same optimum at k and n - k, so for
+    # 2k > n the pair runs for n - k and the point is complemented
+    rng = substream(seed, 0x2ED)
+    n = int(rng.integers(3, 13))
+    k = int(rng.integers(n // 2 + 1, n))
+    cfg = AscentConfig(steps=int(rng.integers(1, 60)), estimator=Estimator(32 if sampled else None, seed))
+    f = random_graph_cut(n, seed, edge_prob=0.4)
+    y, traj = run_dmcg(f, k, cfg)
+    y_low, traj_low = run_dmcg(f, n - k, cfg)
+    assert (1.0 - y_low.coords).tobytes() == y.coords.tobytes()
+    assert (traj.T, len(traj.steps)) == (traj_low.T, len(traj_low.steps))
+    assert all(a.ys[0].tobytes() == b.ys[0].tobytes() for a, b in zip(traj.steps, traj_low.steps))
+    assert y.mass() == pytest.approx(k, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_symmetric_variant_at_k_equal_n_takes_everything_in_no_step(n):
+    f = random_graph_cut(n, seed=n)
+    y, traj = run_dmcg(f, n, AscentConfig(steps=40))
+    assert y.coords.tolist() == [1.0] * n
+    assert traj.steps == [] and traj.T == 0.0 and traj.theoretical_regime
+    assert check_y_properties(traj, 0).passed
+    with pytest.raises(ValueError):  # the schedule is checked all the same
+        run_dmcg(f, n, AscentConfig(T=3.0, steps=2))
+
+
+@pytest.mark.parametrize("variant", ["symmetric", "general"])
+@pytest.mark.parametrize("k", [0, 5, -1])
+def test_run_rejects_k_outside_1_to_n(variant, k):
+    with pytest.raises(ValueError, match="1 <= k <= n"):
+        run_dmcg(random_graph_cut(4, seed=0), k, AscentConfig(steps=10), variant)
 
 
 def test_symmetric_variant_requires_symmetric_objective():

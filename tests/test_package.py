@@ -1,6 +1,8 @@
 """Layout guard: the library ships the solvers and the invariants a run can
 check; the lemma checks and oracle audits that only tests call live in
-``tests/lemmas.py``; and the library takes no option that no caller sets."""
+``tests/lemmas.py``; the library takes no option that no caller sets; and
+each decision lives in the module that owns it (polytope kinds in
+``polytope``, Reduction 2 in ``run_dmcg``)."""
 
 import dataclasses
 import importlib
@@ -10,7 +12,7 @@ import pkgutil
 import pytest
 
 import submax
-from submax import fixtures
+from submax import dmcg, fixtures, oracle, pipage, polytope
 from submax.multilinear import Estimator
 from submax.setfn import audit_symmetry, restrict_function, sum_functions
 
@@ -59,3 +61,18 @@ def test_library_takes_only_the_options_its_callers_set():
     assert [field.name for field in dataclasses.fields(Estimator)] == ["samples", "seed"]
     for fn, names in PARAMETERS.items():
         assert list(inspect.signature(fn).parameters) == names, fn.__name__
+
+
+def test_only_the_polytope_module_knows_the_polytope_kinds():
+    kinds = {name for name, obj in vars(polytope).items()
+             if inspect.isclass(obj) and issubclass(obj, polytope.Polytope) and obj is not polytope.Polytope}
+    assert kinds == {"CardinalityPolytope", "PartitionPolytope", "KnapsackPolytope"}
+    for module in (oracle, pipage):
+        assert not kinds & vars(module).keys(), module.__name__
+    # the benchmark tracer wraps each kind's own linear_maximize
+    for name in kinds:
+        assert "linear_maximize" in vars(getattr(polytope, name)), name
+
+
+def test_run_dmcg_alone_applies_reduction_2():
+    assert not hasattr(dmcg, "reduction2") and not hasattr(submax, "reduction2")

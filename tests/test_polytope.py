@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_polytope
+from conftest import POLYTOPE_KINDS, random_polytope
 from submax.polytope import (
     CardinalityPolytope,
     KnapsackPolytope,
@@ -14,6 +14,7 @@ from submax.polytope import (
     preprocess_reduction1,
 )
 from submax.rng import substream
+from submax.subsets import bits_from_masks
 
 
 # ---------------------------------------------------------------------------
@@ -203,3 +204,51 @@ def test_partition_validation():
         PartitionPolytope([[0, 2]], [1])  # gap
     with pytest.raises(ValueError):
         PartitionPolytope([[0], []], [1, 1])  # empty part
+
+
+# ---------------------------------------------------------------------------
+# cardinality is the partition matroid of one part
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(min_value=1, max_value=10), seed=st.integers(min_value=0, max_value=10_000))
+def test_cardinality_agrees_with_the_one_part_partition(n, seed):
+    rng = substream(seed, 0xCA7)
+    k = int(rng.integers(0, n + 1))
+    card, part = CardinalityPolytope(n, k), PartitionPolytope([list(range(n))], [k])
+    assert card.parts == part.parts and card.density == part.density
+    masks = np.arange(1 << n, dtype=np.int64)
+    assert np.array_equal(card.integral(masks), part.integral(masks))
+    assert [card.singleton_feasible(u) for u in range(n)] == [part.singleton_feasible(u) for u in range(n)]
+    for _ in range(5):
+        w = rng.uniform(-1, 2, size=n)
+        w[rng.integers(0, n)] = w[0]  # a tie, broken toward the lowest index by both
+        assert np.array_equal(card.linear_maximize(w), part.linear_maximize(w))
+        x = rng.uniform(0, 1, size=n) * rng.uniform(0, 2 * k / n if k else 0.01)
+        assert card.membership(x) == part.membership(x)
+
+
+def test_empty_cardinality_polytope_has_no_part():
+    P = CardinalityPolytope(0, 0)
+    assert P.parts == [] and P.n == 0 and P.density == 0.0
+    assert P.integral(np.zeros(1, dtype=np.int64)).tolist() == [True]
+
+
+@pytest.mark.parametrize("kind", POLYTOPE_KINDS)
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_integral_agrees_with_membership_of_every_indicator(kind, seed):
+    rng = substream(seed, 0x1D7)
+    n = int(rng.integers(2, 13))
+    P = random_polytope(n, rng, kind)
+    masks = np.arange(1 << n, dtype=np.int64)
+    expected = [P.membership(x) for x in bits_from_masks(masks, n).astype(float)]
+    assert P.integral(masks).tolist() == expected
+
+
+def test_knapsack_integral_and_singletons_share_the_membership_slack():
+    # 0.1 + 0.2 exceeds 0.3 by 5.6e-17, well inside the slack
+    P = KnapsackPolytope([0.1, 0.2, 0.30000000000000004], 0.3)
+    assert P.integral(np.array([0b011, 0b100, 0b101], dtype=np.int64)).tolist() == [True, True, False]
+    assert P.singleton_feasible(2) and P.membership([0.0, 0.0, 1.0]) and P.membership([1.0, 1.0, 0.0])

@@ -66,6 +66,21 @@ def test_graph_cut_rejects_bad_edges():
         GraphCutInstance(n=2, edges=((0, 2, 1.0),))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda n: GraphCutInstance(n=n, edges=()),
+        lambda n: HypergraphCutInstance(n=n, hyperedges=()),
+        lambda n: CoverageInstance(n=n, universe_weights=(), membership=()),
+    ],
+    ids=["graph_cut", "hypergraph_cut", "coverage"],
+)
+def test_instances_reject_a_negative_ground_set_size(make):
+    with pytest.raises(ValueError, match="non-negative"):
+        make(-1)
+    assert make(0).n == 0
+
+
 # ---------------------------------------------------------------------------
 # complement wrapper
 # ---------------------------------------------------------------------------
