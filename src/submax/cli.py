@@ -41,7 +41,7 @@ from .mcg import AscentConfig, run_mcg
 from .multilinear import Estimator, MultilinearEvaluator, Point, backend
 from .oracle import MAX_BRUTE_N, brute_cardinality, brute_polytope_integral, brute_unconstrained
 from .pipage import pipage_round
-from .polytope import CardinalityPolytope, KnapsackPolytope, PartitionPolytope, Polytope, preprocess_reduction1
+from .polytope import CardinalityPolytope, KnapsackPolytope, PartitionPolytope, Polytope, horizon, preprocess_reduction1
 from .reports import mean_and_sigma
 from .setfn import (
     CoverageInstance,
@@ -216,12 +216,17 @@ def _theoretical_curve(k: int, n: int) -> float:
 
 
 def _check_schedule(cfg: AscentConfig, n: int, P: Polytope | None = None) -> None:
-    """A --T or --steps that ``mcg.schedule`` rejects is a flag error (P only
-    moves the default T, which needs a positive density)."""
+    """A --T or --steps that ``mcg.schedule`` rejects is a flag error, and so
+    is a --T beyond max(1, horizon(P, steps)) over the n elements of the
+    polytope P the ascent must stay in: past that T its point may leave P."""
     try:
-        mcg.schedule(n, cfg.T, cfg.steps, P)
+        T, steps, _, _ = mcg.schedule(n, cfg.T, cfg.steps, P)
+        limit = max(1.0, horizon(P, steps)) if P is not None and n else math.inf
     except ValueError as exc:
         raise FlagError(str(exc)) from exc
+    if T > limit:
+        raise FlagError(f"--T {T!r} exceeds max(1, horizon) = {limit!r} of {steps} steps over the {P.kind} "
+                        "polytope: the point would leave it")
 
 
 # A solver returns its report fields, the value its ratio is measured on, and
@@ -307,7 +312,9 @@ def _check(args, f, P, welfare_inst) -> _Job:
         if algorithm == "dmcg-symmetric" and not f.symmetric:
             raise FlagError("dmcg-symmetric requires a symmetric instance")
         cfg = AscentConfig(args.T, args.steps, Estimator(samples, seed))
-        _check_schedule(cfg, n)
+        # the symmetric pair runs under |S| <= min(k, n - k) (Reduction 2); at k = n it takes no step
+        low = min(k, n - k) if algorithm == "dmcg-symmetric" else 0
+        _check_schedule(cfg, n, CardinalityPolytope(n, low) if low else None)
         solve = partial(_solve_dmcg, f, k, cfg, algorithm[5:])
     return _Job({"type": f.kind, "n": n, "symmetric": f.symmetric}, f, unverifiable, solve)
 

@@ -3,10 +3,11 @@
 :func:`run_dmcg` drives the measured-ascent kernel ``mcg.ascend`` with two
 coupled sides in lockstep: y1 grows from the empty set under sum(x) <= k, y2
 shrinks from the full set under sum(1 - x) <= n - k, and the shared direction
-pair (I1, I2 = 1 - I1) from :func:`solve_direction` protects whichever side is
-currently worse off.  The symmetric variant turns on the kernel's derivative
-cleanup on both sides and runs to the cardinality horizon; the general
-variant runs to T = 1 with no cleanup.  The run is recorded as an
+pair (I1, I2 = 1 - I1) protects whichever side is currently worse off: it
+solves a max-min LP over the hypersimplex, which :func:`solve_direction`
+answers exactly by cutting planes on the dual lines.  The symmetric variant
+turns on the kernel's derivative cleanup on both sides and runs to the
+cardinality horizon; the general variant runs to T = 1 with no cleanup.  The run is recorded as an
 ``mcg.Trajectory`` whose sides are (y1, y2) and whose step notes are the
 solver's :class:`DirectionInfo`.  The final point is y1, y2, or the unique
 convex combination of the two with mass exactly k.  For 2k > n the symmetric
@@ -27,8 +28,6 @@ from .reports import CheckReport
 from .setfn import SetFunction
 from .subsets import full_mask
 
-_BISECT_GAP = 1e-12
-
 
 @dataclass(frozen=True)
 class DirectionInfo:
@@ -47,14 +46,37 @@ def solve_direction(
     k: int,
     coeff: float = 2.0,
 ) -> tuple[np.ndarray, np.ndarray, DirectionInfo]:
-    """Maximize min(w1 . I1 + coeff*c1, w2 . I2 + coeff*c2) over I1 in [0,1]^n
-    with |I1| = k and I2 = 1 - I1.
+    """Maximize min(A, B), A = w1 . I1 + coeff*c1 and B = w2 . I2 + coeff*c2,
+    over I1 in [0,1]^n with |I1| = k and I2 = 1 - I1.
 
-    Solved through the dual parametric form: for lam in [0,1] the best vertex
-    takes the k largest scores lam*w1_u - (1-lam)*w2_u (ties to the lowest
-    index); the vertex objective is convex piecewise-linear in lam with
-    subgradient A - B, so the equalizing lam is located by bisection and the
-    two bracketing vertices are mixed to balance the two objectives exactly.
+    Solved exactly through the dual parametric form, by cutting planes
+    (Eisner & Severance 1976).  A vertex I of the hypersimplex has the dual
+    line B + lam*(A - B), which at lam exceeds a constant by s(lam) . I, with
+    scores s(lam) = lam*w1 - (1-lam)*w2; so the best vertex at lam takes the
+    k largest scores (ties to the lowest index), and the upper envelope of
+    the lines is convex piecewise-linear with minimum the max-min.  If the
+    vertex at lam = 0 already has d = A - B >= 0, or the one at lam = 1 has
+    d <= 0, it is the answer.  Otherwise the search keeps a bracket of
+    vertices I_lo (d < 0) and I_hi (d > 0) and cuts where their lines cross,
+    at lam_x, with the vertex I there:
+    - if I does not rise above the line of either end (s(lam_x) . I is no
+      larger), or its d is not strictly between d_lo and d_hi (which in exact
+      arithmetic follows from a rise), lam_x is the envelope's minimum, and
+      I1 mixes I_lo and I_hi with weight theta = -d_lo/(d_hi - d_lo) on I_hi,
+      which makes A = B;
+    - else if its d is exactly 0, I is the answer;
+    - else I replaces the bracket end whose d has its sign.
+    Each cut raises d_lo or lowers d_hi, so the search ends after at most one
+    cut per breakpoint of the envelope.  ``DirectionInfo.lam`` is the lam of
+    the answer: 0, 1 or the last lam_x.
+
+    Ties: a vertex that only ties with the bracket lines at lam_x never
+    replaces an end.  So when several vertices are optimal at the minimum,
+    I1 mixes the last ends the search found on either side of it; these are
+    the vertices optimal just left and just right of it, unless a cut landed
+    exactly on it.  On the first step of a symmetric run (w1 = w2, every
+    vertex ties at lam = 1/2) that is the mix of the bottom-k and the top-k
+    vertices of w1.
     """
     w1 = np.asarray(w1, dtype=float)
     w2 = np.asarray(w2, dtype=float)
@@ -66,50 +88,49 @@ def solve_direction(
     base1 = coeff * c1
     base2 = coeff * c2 + float(w2.sum())
 
-    def vertex(lam: float) -> np.ndarray:
-        scores = lam * w1 - (1.0 - lam) * w2
-        order = np.argsort(-scores, kind="stable")
+    def vertex(scores: np.ndarray) -> np.ndarray:
         out = np.zeros(n)
-        out[order[:k]] = 1.0
+        out[np.argsort(-scores, kind="stable")[:k]] = 1.0
         return out
 
     def objectives(I: np.ndarray) -> tuple[float, float]:
         return base1 + float(w1 @ I), base2 - float(w2 @ I)
 
-    def finish(I: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray, DirectionInfo]:
+    def line(I: np.ndarray) -> tuple[float, float]:
+        """The dual line B + lam*(A - B) of I, as (B, A - B)."""
         a, b = objectives(I)
-        return I, 1.0 - I, DirectionInfo(lam, min(a, b))
+        return b, a - b
 
-    lo, hi = 0.0, 1.0
-    I_lo = vertex(lo)
-    a, b = objectives(I_lo)
-    d_lo = a - b
+    def finish(I: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray, DirectionInfo]:
+        return I, 1.0 - I, DirectionInfo(lam, min(objectives(I)))
+
+    I_lo = vertex(-w2)
+    b_lo, d_lo = line(I_lo)
     if d_lo >= 0.0:
         # the best-for-side-2 vertex already favors side 1
-        return finish(I_lo, lo)
-    I_hi = vertex(hi)
-    a, b = objectives(I_hi)
-    d_hi = a - b
+        return finish(I_lo, 0.0)
+    I_hi = vertex(w1)
+    b_hi, d_hi = line(I_hi)
     if d_hi <= 0.0:
-        return finish(I_hi, hi)
+        return finish(I_hi, 1.0)
 
-    while hi - lo > _BISECT_GAP:
-        mid = 0.5 * (lo + hi)
-        I_mid = vertex(mid)
-        a, b = objectives(I_mid)
-        d_mid = a - b
-        if d_mid == 0.0:
-            return finish(I_mid, mid)
-        if d_mid < 0.0:
-            lo, I_lo, d_lo = mid, I_mid, d_mid
+    while True:
+        lam = (b_lo - b_hi) / (d_hi - d_lo)
+        scores = lam * w1 - (1.0 - lam) * w2
+        I = vertex(scores)
+        b, d = line(I)
+        rise = min(scores @ (I - I_lo), scores @ (I - I_hi))
+        if rise <= 0.0 or not d_lo < d < d_hi:
+            break
+        if d == 0.0:
+            return finish(I, lam)
+        if d < 0.0:
+            I_lo, b_lo, d_lo = I, b, d
         else:
-            hi, I_hi, d_hi = mid, I_mid, d_mid
+            I_hi, b_hi, d_hi = I, b, d
 
     theta = -d_lo / (d_hi - d_lo)
-    I = theta * I_hi + (1.0 - theta) * I_lo
-    a, b = objectives(I)
-    lam = 0.5 * (lo + hi)
-    return I, 1.0 - I, DirectionInfo(lam, min(a, b))
+    return finish(theta * I_hi + (1.0 - theta) * I_lo, lam)
 
 
 def run_dmcg(f: SetFunction, k: int, cfg: AscentConfig | None = None,

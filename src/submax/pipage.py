@@ -19,6 +19,7 @@ from .setfn import SetFunction
 from .subsets import masks_from_bits
 
 _FRAC_TOL = 1e-9
+_AUDIT_RTOL = 1e-9  # of the curvature audit, relative to the scale of F
 
 
 def _fractional(y: np.ndarray, part: list[int]) -> list[int]:
@@ -73,11 +74,13 @@ def pipage_round(
             f_down = ev.value(down, stream=(move, 0))
             if exact:
                 # direction-convexity audit: F at the interior point must not
-                # exceed the chord between the two endpoints
+                # exceed the chord between the two endpoints, up to rounding
+                # relative to the largest |F| of the three points
                 eps_up = up[u] - y[u]
                 eps_down = y[u] - down[u]
                 chord = (f_up * eps_down + f_down * eps_up) / (eps_up + eps_down)
-                if ev.value(y) > chord + 1e-9:
+                f_y = ev.value(y)
+                if f_y > chord + _AUDIT_RTOL * max(abs(f_up), abs(f_down), abs(f_y)):
                     raise ArithmeticError(
                         f"direction ({u},{v}) is concave: the objective is not submodular"
                     )

@@ -194,8 +194,11 @@ class KnapsackPolytope(Polytope):
     def singleton_feasible(self, u: int) -> bool:
         return self.a[u] <= self.b + SLACK
 
-    def restrict(self, kept: list[int]) -> "KnapsackPolytope":
-        return KnapsackPolytope(self.a[list(kept)], self.b)
+    def restrict(self, kept: list[int]) -> Polytope:
+        """The knapsack over the kept items; if all their coefficients are 0
+        they face no constraint, and the result is the cube (density 1)."""
+        a = self.a[list(kept)]
+        return KnapsackPolytope(a, self.b) if a.sum() > 0 else CardinalityPolytope(a.size, a.size)
 
     def integral(self, masks: np.ndarray) -> np.ndarray:
         return bits_from_masks(masks, self.n) @ self.a <= self.b + SLACK

@@ -33,6 +33,51 @@ def brute_direction_value(w1, w2, c1, c2, k, coeff):
     return best
 
 
+def bisect_direction(w1, w2, c1, c2, k, coeff=2.0):
+    """Reference max-min direction solver: bisects the dual parameter lam to
+    a gap of 1e-12 and mixes the two bracketing vertices so that A = B.
+    Returns (I1, objective); ``dmcg.solve_direction`` must match its
+    objective."""
+    w1 = np.asarray(w1, dtype=float)
+    w2 = np.asarray(w2, dtype=float)
+    n = w1.size
+    base1 = coeff * c1
+    base2 = coeff * c2 + float(w2.sum())
+
+    def vertex(lam):
+        scores = lam * w1 - (1.0 - lam) * w2
+        out = np.zeros(n)
+        out[np.argsort(-scores, kind="stable")[:k]] = 1.0
+        return out
+
+    def gap(I):
+        a, b = base1 + float(w1 @ I), base2 - float(w2 @ I)
+        return a - b, min(a, b)
+
+    lo, hi = 0.0, 1.0
+    I_lo = vertex(lo)
+    d_lo, obj = gap(I_lo)
+    if d_lo >= 0.0:
+        return I_lo, obj
+    I_hi = vertex(hi)
+    d_hi, obj = gap(I_hi)
+    if d_hi <= 0.0:
+        return I_hi, obj
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        I_mid = vertex(mid)
+        d_mid, obj_mid = gap(I_mid)
+        if d_mid == 0.0:
+            return I_mid, obj_mid
+        if d_mid < 0.0:
+            lo, I_lo, d_lo = mid, I_mid, d_mid
+        else:
+            hi, I_hi, d_hi = mid, I_mid, d_mid
+    theta = -d_lo / (d_hi - d_lo)
+    I = theta * I_hi + (1.0 - theta) * I_lo
+    return I, gap(I)[1]
+
+
 def random_polytope(n, rng, kind=None):
     """A random cardinality, partition (up to three parts) or knapsack
     polytope over n >= 2 elements; the kind is drawn from rng unless given."""

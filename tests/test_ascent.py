@@ -1,9 +1,12 @@
 """Seeded outputs of the measured ascent, pinned to the values that the two
 separate step loops of run_mcg and run_dmcg produced before they became
-drivers of one kernel (mcg.ascend).  Every case runs 40 steps; the cleanup
-fires in the mcg and symmetric cases, and in the sampled symmetric case it
-resets one coordinate of y1 and three of y2.  Each case fixes its T, so the
-pins hold the step loop, not the default horizon."""
+drivers of one kernel (mcg.ascend).  The symmetric cases are pinned to the
+exact direction solver instead: its first step, where w1 = w2 and every
+vertex ties, mixes the bottom-2 and the top-2 vertices (see the tie rule of
+dmcg.solve_direction).  Every case runs 40 steps; the cleanup fires in the
+mcg and symmetric cases, and in the sampled symmetric case it resets one
+coordinate of y1 and four of y2.  Each case fixes its T, so the pins hold
+the step loop, not the default horizon."""
 
 import math
 
@@ -33,14 +36,14 @@ PINNED = {
         (6.700698872297796,), 40, 4,
     ),
     ("symmetric", "exact"): (
-        [0.056323972810363714, 0.055903036064962795, 0.055873331549575966, 0.5091263546975405,
-         0.055873331549575966, 0.7525029886054609, 0.5143969847225199],
-        (2.4076442178569555, 2.561137332452519), 40, 3,
+        [0.05618843889809341, 0.055829591173467925, 0.05618843889809341, 0.5091573540021395,
+         0.055829591173467925, 0.7524860294756475, 0.5143205563790905],
+        (2.407733727872871, 2.561285258951286), 40, 2,
     ),
     ("symmetric", "sampled"): (
-        [0.20693408351788406, 0.050429133916989805, 0.05040233800231639, 0.5674372804022929,
-         0.05040233800231639, 0.7405262169202058, 0.3338686092379945],
-        (2.347289023374978, 2.3394309472144954), 40, 4,
+        [0.2045762835366733, 0.050590172702593396, 0.05061158750100819, 0.569687797745566,
+         0.050590172702593396, 0.7409463679249331, 0.3329976178866328],
+        (2.3562074120235064, 2.3394309472144954), 40, 5,
     ),
     ("general", "exact"): (
         [0.7890790787396528, 0.15231151862753342, 0.15231151862753342, 0.15231151862753342,

@@ -417,6 +417,65 @@ def test_a_step_of_width_1_runs(triangle_file, tmp_path):
     assert _read_report(out)["report"]["config"] == {"T": 5.0, "steps": 1, "estimator": "closed_form"}
 
 
+FOUR_CYCLE = {"type": "graph_cut", "n": 4, "edges": [[0, 1, 1.0], [1, 2, 1.0], [2, 3, 1.0], [0, 3, 1.0]]}
+
+
+@pytest.mark.parametrize(
+    "instance, flags",
+    [
+        # past the horizon the knapsack point left P: exit 0 with a ratio above 1
+        (_problem({"type": "knapsack", "a": [0.3] * 4, "b": 0.3}, FOUR_CYCLE), ["mcg", "--T", "5"]),
+        # ... and the partition point could not be rounded: a ValueError traceback
+        (_problem({"type": "partition", "parts": [[0, 2], [1, 3]], "bounds": [1, 1]}, FOUR_CYCLE), ["mcg", "--T", "5"]),
+        # the pair overshot |S| = 1: an ArithmeticError traceback
+        (TRIANGLE, ["dmcg-symmetric", "--k", "1", "--T", "3"]),
+        # the pair for k = 2 runs under |S| <= n - k = 1
+        (TRIANGLE, ["dmcg-symmetric", "--k", "2", "--T", "3"]),
+    ],
+    ids=["mcg-knapsack", "mcg-partition", "symmetric-k1", "symmetric-k2"],
+)
+def test_a_T_beyond_the_horizon_is_a_flag_error(instance, flags, tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance))
+    assert main(["--instance", str(path), "--algorithm", *flags]) == 2
+    assert "exceeds max(1, horizon)" in capsys.readouterr().err
+
+
+def test_a_T_at_the_horizon_runs(triangle_file, tmp_path):
+    # T = 1 is allowed where the horizon is shorter; a T up to the horizon runs
+    steps = 300
+    T_s = horizon(CardinalityPolytope(3, 1), steps)
+    assert T_s > 1.0
+    for algorithm, T in (("dmcg-symmetric", 1.0), ("dmcg-symmetric", T_s), ("mcg", T_s)):
+        argv = ["--instance", triangle_file, "--algorithm", algorithm, "--k", "1", "--T", repr(T), "--steps", str(steps)]
+        assert main([*argv, "--out", str(tmp_path / "r.json")]) == 0, argv
+
+
+def test_a_knapsack_reduced_to_zero_coefficients_runs_on_the_cube(tmp_path):
+    # Reduction 1 drops item 1 (a = 5 > b) and keeps item 0 (a = 0), which no
+    # constraint binds
+    path = tmp_path / "problem.json"
+    function = {"type": "graph_cut", "n": 2, "edges": [[0, 1, 1.0]]}
+    path.write_text(json.dumps(_problem({"type": "knapsack", "a": [0, 5], "b": 1}, function)))
+    out = tmp_path / "r.json"
+    assert main(["--instance", str(path), "--algorithm", "mcg", "--out", str(out)]) == 0
+    report = _read_report(out)["report"]
+    assert report["fractional_point"][1] == 0.0 and report["achieved_set"] == [0]
+    assert report["achieved_value"] == report["oracle_opt"] == 1.0
+
+
+def test_the_pipage_audit_is_relative_to_the_scale_of_f(tmp_path):
+    # a submodular coverage whose weights span 1e-300 to 1e300: rounding error
+    # in F dwarfs an absolute tolerance of 1e-9
+    path = tmp_path / "coverage.json"
+    path.write_text(json.dumps({"type": "coverage", "n": 3, "universe_weights": [1, 0.5, 1e-300, 1e300],
+                                "membership": [[2], [2, 1], [3, 2, 0]]}))
+    out = tmp_path / "r.json"
+    assert main(["--instance", str(path), "--algorithm", "dmcg-general", "--k", "2", "--out", str(out)]) == 0
+    report = _read_report(out)["report"]
+    assert len(report["achieved_set"]) == 2 and report["achieved_value"] == report["oracle_opt"] == 1e300
+
+
 @pytest.mark.parametrize("samples", [None, "16"])
 def test_dmcg_symmetric_at_k_equal_n_takes_everything_in_no_step(samples, triangle_file, tmp_path):
     out = tmp_path / "r.json"

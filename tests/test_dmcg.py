@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_direction_value
+from conftest import bisect_direction, brute_direction_value
 from submax.dmcg import (
     check_concave_segment,
     check_max_y,
@@ -77,6 +77,49 @@ def test_solve_direction_matches_enumeration(seed):
     a = coeff * c1 + float(w1 @ i1)
     b = coeff * c2 + float(w2 @ i2)
     assert min(a, b) == pytest.approx(info.objective, abs=1e-9)
+
+
+# weights drawn as floats or as small integers, so that breakpoints of the
+# dual envelope coincide and vertices tie
+_WEIGHTS = st.one_of(st.floats(-2.0, 2.0, allow_nan=False), st.integers(-3, 3).map(float))
+
+
+@st.composite
+def _direction_problems(draw):
+    """(w1, w2, c1, c2, k, coeff) with ties: coordinates repeat a few
+    (w1_u, w2_u) pairs, and w1 == w2 in about half the cases."""
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(0, n))
+    pool = draw(st.lists(st.tuples(_WEIGHTS, _WEIGHTS), min_size=1, max_size=n))
+    pairs = [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(n)]
+    w1 = np.array([p[0] for p in pairs])
+    w2 = w1.copy() if draw(st.booleans()) else np.array([p[1] for p in pairs])
+    return w1, w2, draw(_WEIGHTS), draw(_WEIGHTS), k, draw(st.sampled_from([1.0, 2.0]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(problem=_direction_problems())
+def test_solve_direction_matches_bisection_and_enumeration(problem):
+    w1, w2, c1, c2, k, coeff = problem
+    i1, i2, info = solve_direction(w1, w2, c1, c2, k, coeff)
+    assert abs(info.objective - bisect_direction(w1, w2, c1, c2, k, coeff)[1]) <= 1e-12
+    assert abs(info.objective - brute_direction_value(w1, w2, c1, c2, k, coeff)) <= 1e-12
+    assert abs(i1.sum() - k) <= 1e-12
+    assert i1.min() >= -1e-12 and i1.max() <= 1.0 + 1e-12
+    assert np.array_equal(i2, 1.0 - i1)
+
+
+def test_solve_direction_mixes_the_vertices_left_and_right_of_an_all_way_tie():
+    # w1 = w2 and c1 = c2: every dual line passes through lam = 1/2, where a
+    # stable argsort alone picks the first k indices; the tie rule mixes the
+    # bottom-2 vertex {1, 2} of w (d = -7.5) with the top-2 vertex {0, 4}
+    # (d = 3.5), so that A = B = sum(w) / 2
+    w = np.array([3.0, 1.0, 0.5, 2.0, 4.0])
+    i1, _, info = solve_direction(w, w, 0.0, 0.0, 2)
+    theta = 7.5 / 11.0
+    assert info.lam == 0.5
+    assert np.allclose(i1, [theta, 1 - theta, 1 - theta, 0.0, theta], rtol=0.0, atol=1e-15)
+    assert info.objective == pytest.approx(w.sum() / 2, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -94,9 +94,11 @@ def test_rejects_unsupported_polytope_kind():
         pipage_round(f, Point([0.5, 0.5]), KnapsackPolytope([1.0, 1.0], 1.0))
 
 
-def test_non_submodular_input_fails_loudly():
-    f = SetFunction(3, lambda m: float(bin(m).count("1") ** 2))  # supermodular
-    with pytest.raises(ArithmeticError):
+@pytest.mark.parametrize("scale", [1.0, 1e-20, 1e300])
+def test_non_submodular_input_fails_loudly(scale):
+    # the audit's tolerance is relative, so it flags the curvature at any scale
+    f = SetFunction(3, lambda m: scale * float(bin(m).count("1") ** 2))  # supermodular
+    with pytest.raises(ArithmeticError, match="not submodular"):
         pipage_round(f, Point([0.5, 0.5, 0.0]), CardinalityPolytope(3, 1))
 
 

@@ -142,6 +142,15 @@ def test_reduction1_drops_oversized_knapsack_items():
     assert red.polytope.membership([1.0])
 
 
+@pytest.mark.parametrize("a, b", [([0.0, 5.0], 1.0), ([0.0, 1.0, 0.0], 0.0)])
+def test_reduction1_to_zero_coefficients_leaves_the_cube(a, b):
+    red = preprocess_reduction1(KnapsackPolytope(a, b))
+    kept = [u for u, a_u in enumerate(a) if a_u == 0.0]
+    assert red.kept == tuple(kept)
+    assert red.polytope.density == 1.0 and red.polytope.membership(np.ones(len(kept)))
+    assert red.polytope.linear_maximize(np.ones(len(kept))).tolist() == [1.0] * len(kept)
+
+
 def test_reduction1_degenerate_empty():
     P = KnapsackPolytope([5.0, 7.0], 2.0)
     red = preprocess_reduction1(P)
