@@ -312,8 +312,10 @@ def _check(args, f, P, welfare_inst) -> _Job:
         if algorithm == "dmcg-symmetric" and not f.symmetric:
             raise FlagError("dmcg-symmetric requires a symmetric instance")
         cfg = AscentConfig(args.T, args.steps, Estimator(samples, seed))
-        # the symmetric pair runs under |S| <= min(k, n - k) (Reduction 2); at k = n it takes no step
-        low = min(k, n - k) if algorithm == "dmcg-symmetric" else 0
+        # the symmetric pair runs under |S| <= min(k, n - k) (Reduction 2), and
+        # the general pair keeps y1 under |S| <= k and 1 - y2 under
+        # |S| <= n - k, the tighter of which is min(k, n - k); at k = n no limit applies
+        low = min(k, n - k)
         _check_schedule(cfg, n, CardinalityPolytope(n, low) if low else None)
         solve = partial(_solve_dmcg, f, k, cfg, algorithm[5:])
     return _Job({"type": f.kind, "n": n, "symmetric": f.symmetric}, f, unverifiable, solve)

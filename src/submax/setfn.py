@@ -5,10 +5,13 @@ bitmask subsets with a declared (audited, not enforced) symmetry flag and a
 thread-safe query counter.  Each shipped family and wrapper has exactly one
 oracle, a batch kernel over mask arrays.  ``eval`` is that kernel on a
 one-mask batch, so a set has one value whether an algorithm, a value table or
-a brute-force search asks for it.  Masks are int64 up to 62 elements; above
-that only ``eval`` works, on Python-int masks, and the kernels run unchanged
-on them.  The shipped families also carry a closed-form multilinear extension
-(``multilinear``), which the wrappers pass on by composition.
+a brute-force search asks for it.  Masks are int64 up to 62 elements at the
+API; above that only ``eval`` works, on Python-int masks.  The cut and
+coverage kernels narrow each batch to ``subsets.word(n)`` (uint8, uint16 or
+uint32 up to 32 elements) with one expression for every width, so their
+temporaries are word-sized.  The shipped families also carry a closed-form
+multilinear extension (``multilinear``), which the wrappers pass on by
+composition.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .subsets import MASK_BLOCK, MAX_MASK_BITS, as_mask, bits_from_masks, full_mask, mask_array, masks_from_bits
+from .subsets import MASK_BLOCK, MAX_MASK_BITS, as_mask, bits_from_masks, full_mask, mask_array, masks_from_bits, word
 
 # x -> (F(x), grad F(x)) for x in [0,1]^n
 Multilinear = Callable[[np.ndarray], tuple[float, np.ndarray]]
@@ -54,9 +57,10 @@ class SetFunction:
     ``eval_many`` on a whole batch, handing it at most ``MASK_BLOCK`` masks
     per call, so a set has the same value whichever entry point asks.  Masks
     are int64 for n <= 62 and Python ints (an ``object`` array) above that;
-    only ``eval`` accepts the latter.  A user-defined scalar oracle
-    ``eval_mask`` (bitmask -> float) stands in for a missing kernel and is
-    called once per mask.  The counter increases by exactly one per
+    only ``eval`` accepts the latter.  A kernel may narrow them internally
+    (the shipped ones cast to ``subsets.word(n)``).  A user-defined scalar
+    oracle ``eval_mask`` (bitmask -> float) stands in for a missing kernel
+    and is called once per mask.  The counter increases by exactly one per
     evaluated set.  An optional ``multilinear`` hook returns the exact
     extension and its gradient, ``(F(x), grad F(x))``, without querying the
     oracle.
@@ -134,13 +138,18 @@ def _weighted_count(hits: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.einsum("...j,j->...", hits, weights)
 
 
-def _cut_kernel(edge_masks: np.ndarray, weights: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Batch oracle of a graph or hypergraph cut: the weight of the edges
-    (vertex bitmasks) with a vertex on each side of each mask."""
+def _cut_kernel(edge_masks: np.ndarray, weights: np.ndarray, n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Batch oracle of a graph or hypergraph cut over n elements: the weight
+    of the edges (vertex bitmasks) with a vertex on each side of each mask.
+    Masks are cast to ``word(n)``, which keeps the n bits the AND sees."""
+    w = word(n)
+    edge_masks = edge_masks.astype(w)
 
     def many(masks: np.ndarray) -> np.ndarray:
-        inter = masks[..., None] & edge_masks
-        return _weighted_count((inter != 0) & (inter != edge_masks), weights)
+        inter = masks.astype(w, copy=False)[..., None] & edge_masks
+        hits = inter != 0
+        hits &= inter != edge_masks
+        return _weighted_count(hits, weights)
 
     return many
 
@@ -217,7 +226,7 @@ def graph_cut_function(instance: GraphCutInstance) -> SetFunction:
     return SetFunction(
         instance.n,
         symmetric=True,
-        eval_many_masks=_cut_kernel(edge_masks, ew),
+        eval_many_masks=_cut_kernel(edge_masks, ew, instance.n),
         kind="graph_cut",
         source=instance,
         multilinear=multilinear,
@@ -259,7 +268,7 @@ def hypergraph_cut_function(instance: HypergraphCutInstance) -> SetFunction:
     return SetFunction(
         instance.n,
         symmetric=True,
-        eval_many_masks=_cut_kernel(he_masks, he_w),
+        eval_many_masks=_cut_kernel(he_masks, he_w, instance.n),
         kind="hypergraph_cut",
         source=instance,
         multilinear=multilinear,
@@ -298,11 +307,12 @@ def coverage_function(instance: CoverageInstance) -> SetFunction:
     for i, covered in enumerate(instance.membership):
         for j in covered:
             rows[j].add(i)
-    coverers = mask_array([as_mask(row, instance.n) for row in rows], instance.n)
+    w = word(instance.n)
+    coverers = mask_array([as_mask(row, instance.n) for row in rows], instance.n).astype(w)
     weights = np.asarray(instance.universe_weights, dtype=float)
 
     def many(masks: np.ndarray) -> np.ndarray:
-        return _weighted_count((masks[..., None] & coverers) != 0, weights)
+        return _weighted_count((masks.astype(w, copy=False)[..., None] & coverers) != 0, weights)
 
     incidence = _padded_incidence([sorted(row) for row in rows], instance.n)
 

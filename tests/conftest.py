@@ -5,6 +5,8 @@ from itertools import combinations
 import numpy as np
 
 from submax.polytope import CardinalityPolytope, KnapsackPolytope, PartitionPolytope
+from submax.setfn import CoverageInstance, GraphCutInstance
+from submax.subsets import as_mask, mask_array
 
 POLYTOPE_KINDS = ("cardinality", "partition", "knapsack")
 
@@ -76,6 +78,28 @@ def bisect_direction(w1, w2, c1, c2, k, coeff=2.0):
     theta = -d_lo / (d_hi - d_lo)
     I = theta * I_hi + (1.0 - theta) * I_lo
     return I, gap(I)[1]
+
+
+def reference_kernel(instance):
+    """Reference batch oracle of a GraphCutInstance, HypergraphCutInstance or
+    CoverageInstance: the kernel expression on int64 masks (Python ints above
+    62 elements) with no narrowing, summed over the last axis in the same
+    einsum.  The shipped kernels must equal it bit for bit."""
+    n = instance.n
+    if isinstance(instance, CoverageInstance):
+        rows = [{i for i in range(n) if j in instance.membership[i]} for j in range(len(instance.universe_weights))]
+        coverers = mask_array([as_mask(row, n) for row in rows], n)
+        weights = np.asarray(instance.universe_weights, dtype=float)
+        return lambda masks: np.einsum("...j,j->...", (masks[..., None] & coverers) != 0, weights)
+    edges = [((u, v), w) for u, v, w in instance.edges] if isinstance(instance, GraphCutInstance) else instance.hyperedges
+    edge_masks = mask_array([as_mask(verts, n) for verts, _ in edges], n)
+    weights = np.array([w for _, w in edges], dtype=float)
+
+    def many(masks):
+        inter = masks[..., None] & edge_masks
+        return np.einsum("...j,j->...", (inter != 0) & (inter != edge_masks), weights)
+
+    return many
 
 
 def random_polytope(n, rng, kind=None):

@@ -431,8 +431,12 @@ FOUR_CYCLE = {"type": "graph_cut", "n": 4, "edges": [[0, 1, 1.0], [1, 2, 1.0], [
         (TRIANGLE, ["dmcg-symmetric", "--k", "1", "--T", "3"]),
         # the pair for k = 2 runs under |S| <= n - k = 1
         (TRIANGLE, ["dmcg-symmetric", "--k", "2", "--T", "3"]),
+        # the general pair overshot too: an ArithmeticError traceback (exit 1)
+        (TRIANGLE, ["dmcg-general", "--k", "1", "--T", "3", "--steps", "100"]),
+        # ... and under |S| <= n - k = 1 for k = 2
+        (TRIANGLE, ["dmcg-general", "--k", "2", "--T", "1.5", "--steps", "100"]),
     ],
-    ids=["mcg-knapsack", "mcg-partition", "symmetric-k1", "symmetric-k2"],
+    ids=["mcg-knapsack", "mcg-partition", "symmetric-k1", "symmetric-k2", "general-k1", "general-k2"],
 )
 def test_a_T_beyond_the_horizon_is_a_flag_error(instance, flags, tmp_path, capsys):
     path = tmp_path / "instance.json"
@@ -446,7 +450,8 @@ def test_a_T_at_the_horizon_runs(triangle_file, tmp_path):
     steps = 300
     T_s = horizon(CardinalityPolytope(3, 1), steps)
     assert T_s > 1.0
-    for algorithm, T in (("dmcg-symmetric", 1.0), ("dmcg-symmetric", T_s), ("mcg", T_s)):
+    runs = [("dmcg-symmetric", 1.0), ("dmcg-symmetric", T_s), ("mcg", T_s), ("dmcg-general", 1.0), ("dmcg-general", T_s)]
+    for algorithm, T in runs:
         argv = ["--instance", triangle_file, "--algorithm", algorithm, "--k", "1", "--T", repr(T), "--steps", str(steps)]
         assert main([*argv, "--out", str(tmp_path / "r.json")]) == 0, argv
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_kernel
 from lemmas import audit_nonnegativity, audit_submodularity
 from submax.fixtures import random_graph_cut, random_hypergraph_cut, single_edge_cut, triangle_cut
 from submax.rng import substream
@@ -28,8 +29,10 @@ from submax.subsets import (
     bits_from_masks,
     full_mask,
     indices,
+    mask_array,
     masks_from_bits,
     popcount_array,
+    word,
 )
 from submax.welfare import tight_instance
 
@@ -279,6 +282,32 @@ def test_popcount_counts_all_63_bits():
     assert np.array_equal(popcount_array(masks), expected)
 
 
+@pytest.mark.parametrize("top", [0, 1, 11, 12, 22, 23, 62])
+def test_popcount_reads_every_chunk_up_to_the_largest_mask(top):
+    # the batch's largest mask has bit length top; the chunks above it are skipped
+    rng = substream(top, 0x9C)
+    masks = rng.integers(0, 1 << top, size=(40, 5), dtype=np.int64)
+    if top:
+        masks[0, :3] = ((1 << top) - 1, 1 << (top - 1), (1 << top) - 1 - (1 << (top - 1)))
+    assert int(masks.max()).bit_length() == top
+    count = popcount_array(masks)
+    assert count.dtype == np.int64 and count.shape == masks.shape
+    assert count.tolist() == [[bin(int(m)).count("1") for m in row] for row in masks]
+
+
+def test_popcount_of_empty_and_zero_batches():
+    for masks in (np.array([], dtype=np.int64), np.zeros((2, 3), dtype=np.int64), np.zeros((0, 4), dtype=np.int64)):
+        count = popcount_array(masks)
+        assert count.dtype == np.int64 and count.shape == masks.shape and not count.any()
+
+
+def test_word_is_the_narrowest_type_that_holds_n_bits():
+    widths = {0: np.uint8, 8: np.uint8, 9: np.uint16, 16: np.uint16, 17: np.uint32, 32: np.uint32}
+    widths.update({33: np.int64, 62: np.int64, 63: object, 70: object})
+    for n, dtype in widths.items():
+        assert word(n) == np.dtype(dtype), n
+
+
 @pytest.mark.parametrize("n", [1, 62, 63, 100])
 def test_bit_rows_round_trip_through_masks(n):
     rng = substream(n, 0xB175)
@@ -399,7 +428,7 @@ FAMILIES = ("graph_cut", "hypergraph_cut", "coverage", "modular", "tight", "sum"
 @pytest.mark.parametrize("family", FAMILIES)
 @settings(max_examples=4, deadline=None)
 @given(
-    n=st.one_of(st.integers(min_value=2, max_value=16), st.integers(min_value=56, max_value=62)),
+    n=st.integers(min_value=2, max_value=62),
     seed=st.integers(min_value=0, max_value=2**16),
     rows=st.sampled_from([1, 2, 5]),
     weights=st.sampled_from(sorted(WEIGHTS)),
@@ -408,6 +437,9 @@ FAMILIES = ("graph_cut", "hypergraph_cut", "coverage", "modular", "tight", "sum"
 @example(n=61, seed=2, rows=5, weights="dyadic")
 @example(n=62, seed=3, rows=1, weights="uniform")
 @example(n=14, seed=4, rows=2, weights="uniform")
+@example(n=17, seed=5, rows=2, weights="uniform")
+@example(n=32, seed=6, rows=1, weights="uniform")
+@example(n=33, seed=7, rows=5, weights="uniform")
 def test_batch_matches_scalar_for_every_family(family, n, seed, rows, weights):
     rng = substream(seed, 0xBA7C)
     f = family_function(family, n, rng, weights)
@@ -434,7 +466,7 @@ def definition_value(f, mask):
     return sum(w for j, w in enumerate(inst.universe_weights) if j in covered)
 
 
-@pytest.mark.parametrize("n", [12, 70])
+@pytest.mark.parametrize("n", [8, 9, 12, 16, 17, 32, 33, 62, 70])
 def test_family_kernels_match_their_definitions(n):
     rng = substream(n, 0xDEF)
     masks = [0, (1 << n) - 1] + [sum(1 << u for u in range(n) if rng.random() < 0.5) for _ in range(200)]
@@ -449,6 +481,67 @@ def test_family_kernels_match_their_definitions(n):
         assert modular.eval(mask) == pytest.approx(sum(coeffs[u] for u in indices(mask)), rel=1e-12)
         size = bin(mask).count("1")
         assert tight.eval(mask) == (1.0 - (size - 1) / (n - 1) if size else 0.0)
+
+
+def boundary_functions(n, rng):
+    """Graph cut, hypergraph cut and coverage over n elements with uniform
+    weights, each with an edge or a covering set on the top element n - 1 (so
+    a mask word too narrow for n changes a value), and their int64 reference
+    kernels."""
+    top = n - 1
+    pairs, verts = [], []
+    if n > 1:
+        pairs = [(0, top)] + [tuple(int(u) for u in rng.choice(n, 2, replace=False)) for _ in range(23)]
+        arities = rng.integers(2, min(n, 6) + 1, size=11)
+        verts = [frozenset({0, top})] + [frozenset(int(v) for v in rng.choice(n, a, replace=False)) for a in arities]
+    cut = GraphCutInstance(n, tuple((u, v, float(w)) for (u, v), w in zip(pairs, uniform(rng, len(pairs)))))
+    hyper = HypergraphCutInstance(n, tuple(zip(verts, map(float, uniform(rng, len(verts))))))
+    membership = [tuple(int(j) for j in rng.choice(10, int(rng.integers(0, 3)), replace=False)) for _ in range(n)]
+    membership[top] = tuple(sorted({0, *membership[top]}))
+    cover = CoverageInstance(n, tuple(map(float, uniform(rng, 10))), tuple(membership))
+    return {
+        "graph_cut": (graph_cut_function(cut), reference_kernel(cut)),
+        "hypergraph_cut": (hypergraph_cut_function(hyper), reference_kernel(hyper)),
+        "coverage": (coverage_function(cover), reference_kernel(cover)),
+    }
+
+
+def boundary_wrappers(n, rng, kernels):
+    """The sum, complement and restrict wrappers over ``boundary_functions``,
+    with the reference kernels composed the same way."""
+    (cut, cut_ref), (hyper, hyper_ref), (cover, cover_ref) = kernels.values()
+    kept = sorted({0, n - 1, *(int(u) for u in rng.choice(n, int(rng.integers(0, n + 1)), replace=False))})
+
+    def restricted_ref(masks):
+        bits = np.zeros((*masks.shape, n), dtype=np.int64)
+        bits[..., kept] = bits_from_masks(masks, len(kept))
+        return hyper_ref(masks_from_bits(bits))
+
+    return {
+        "sum": (sum_functions([cut, hyper, cover]), lambda masks: cut_ref(masks) + hyper_ref(masks) + cover_ref(masks)),
+        "complement": (complement_function(cover), lambda masks: cover_ref(masks ^ full_mask(n))),
+        "restrict": (restrict_function(hyper, kept), restricted_ref),
+    }
+
+
+@pytest.mark.parametrize("n", [1, 8, 9, 16, 17, 32, 33, 62, 63, 70])
+def test_word_sized_kernels_equal_the_int64_reference(n):
+    # == on non-dyadic weights: narrowing the masks may not move a single bit
+    # of any value, at each width's boundary; above 62 elements through eval
+    rng = substream(n, 0x30D)
+    kernels = boundary_functions(n, rng)
+    kernels.update(boundary_wrappers(n, rng, kernels))
+    for name, (f, ref) in kernels.items():
+        special = [0, full_mask(f.n), 1 << (f.n - 1), full_mask(f.n) >> 1]
+        if f.n > MAX_MASK_BITS:
+            masks = special + [sum(1 << u for u in range(f.n) if rng.random() < 0.5) for _ in range(60)]
+            for m in masks:
+                assert f.eval(m) == ref(mask_array([m], f.n))[0], (name, m)
+            continue
+        masks = rng.integers(0, 1 << f.n, size=2 * MASK_BLOCK + 7, dtype=np.int64)
+        masks[: len(special)] = special
+        assert np.array_equal(f.eval_many(masks), ref(masks)), name
+        assert [f.eval(int(m)) for m in masks[:20]] == ref(masks[:20]).tolist(), name
 
 
 def test_eval_many_feeds_the_kernel_one_block_at_a_time():
