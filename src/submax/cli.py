@@ -43,6 +43,7 @@ from .oracle import MAX_BRUTE_N, brute_cardinality, brute_polytope_integral, bru
 from .pipage import pipage_round
 from .polytope import CardinalityPolytope, KnapsackPolytope, PartitionPolytope, Polytope, horizon, preprocess_reduction1
 from .reports import mean_and_sigma
+from .rng import VALUE_STREAM
 from .setfn import (
     CoverageInstance,
     GraphCutInstance,
@@ -205,7 +206,7 @@ def _load_instance(path: str) -> tuple[SetFunction | None, Polytope | None, Welf
 
 
 def _fractional_value(f: SetFunction, y: Point, est: Estimator) -> float:
-    return MultilinearEvaluator(f, est).value(y, stream=(999, 0))
+    return MultilinearEvaluator(f, est).value(y, stream=(VALUE_STREAM,))
 
 
 def _theoretical_curve(k: int, n: int) -> float:

@@ -8,8 +8,11 @@ one direction per side from the driver's rule; applies the measured update
 y + delta d (1 - s - y); and optionally resets to s every coordinate whose
 signed derivative (1 - 2s) dF/dy_u has turned negative.  A reset can only
 increase F and restores the "nothing below y is better" condition the
-symmetric value analysis leans on.  One :class:`AscentConfig` sets T, steps
-and the estimator of every ascent, and every ascent records one
+symmetric value analysis leans on.  The gradient a step weighs is the one
+evaluated after the previous step's update and cleanup, at the point the
+step moves from, so a side pays one gradient per step plus one per reset
+(see :func:`ascend` for the sampled streams).  One :class:`AscentConfig`
+sets T, steps and the estimator of every ascent, and every ascent records one
 :class:`Trajectory` of :class:`AscentStep` (one point and one F per side),
 which :func:`trajectory_csv` writes.  :func:`run_mcg` is one side from 0
 along the best vertex of P, with cleanup; ``dmcg.run_dmcg`` is the coupled
@@ -28,6 +31,7 @@ import numpy as np
 from .multilinear import Estimator, MultilinearEvaluator, Point
 from .polytope import Polytope, horizon
 from .reports import CheckReport
+from .rng import ASCENT_STREAM
 from .setfn import SetFunction
 
 # strict-negativity margin for the cleanup test when F is exact; the sampled
@@ -106,26 +110,34 @@ def ascend(f: SetFunction, cfg: AscentConfig, starts: tuple[int, ...], choose: C
     """Run the sides that start at ``starts`` on the schedule of ``cfg`` over
     P (see :func:`schedule`).  ``choose(weights, values)`` gets one weight
     vector and one F(y) per side and returns one direction per side plus a
-    note.  Recorded arrays are never written again.  Side j of m samples
-    from stream (i, j) before step i, (i, m + j) after its update and
-    (i, 2m + j, u) after resetting coordinate u.  Raises ``ValueError`` for
-    T <= 0, steps < 1 or T/steps > 1."""
+    note.  Recorded arrays are never written again.
+
+    Every side evaluates F and its gradient once at its start, once after
+    each update and once after each reset, on every backend, and the next
+    step's direction reads the latest of them: the gradient after a step's
+    update and cleanup is the one at the point the next step moves from.
+    Only after the last update of a run without cleanup is F evaluated
+    alone, since nothing reads that gradient.  Sampled, side j of m draws
+    stream (``ASCENT_STREAM``, 0, j) at its start, (``ASCENT_STREAM``,
+    i + 1, j) after step i's update and (``ASCENT_STREAM``, i + 1, m + j, u)
+    after resetting coordinate u in step i, so a cleanup run costs
+    (1 + steps + resets) (n + 1) samples oracle queries per side, and a run
+    without cleanup steps (n + 1) samples + samples.  Raises ``ValueError``
+    for T <= 0, steps < 1 or T/steps > 1."""
     T, steps, delta, regime = schedule(f.n, cfg.T, cfg.steps, P)
     ev = MultilinearEvaluator(f, cfg.estimator)
     m = len(starts)
     ys = [np.full(ev.n, float(s)) for s in starts]
-    evals = [ev.value_and_partials(y, stream=(0, j)) for j, y in enumerate(ys)]
+    evals = [ev.value_and_partials(y, stream=(ASCENT_STREAM, 0, j)) for j, y in enumerate(ys)]
     traj = Trajectory(T, delta, regime, AscentStep(0.0, tuple(ys), tuple(e[0] for e in evals)))
     for i in range(steps):
-        if i > 0 and ev.backend == "sampled":
-            evals = [ev.value_and_partials(y, stream=(i, j)) for j, y in enumerate(ys)]
         weights = [(1.0 - s - y) * e[1] for s, y, e in zip(starts, ys, evals)]
         directions, note = choose(weights, [e[0] for e in evals])
         ys = [y + delta * d * (1.0 - s - y) for s, y, d in zip(starts, ys, directions)]
-        # F alone where no cleanup reads the gradient and the next step samples a fresh one
-        needs_grad = cleanup or ev.backend != "sampled"
-        evals = [ev.value_and_partials(y, stream=(i, m + j)) if needs_grad else (ev.value(y, stream=(i, m + j)),)
-                 for j, y in enumerate(ys)]
+        # the next step or the cleanup reads this gradient; after the last update without cleanup, nothing does
+        value_only = not cleanup and i == steps - 1
+        evals = [(ev.value(y, stream=(ASCENT_STREAM, i + 1, j)),) if value_only
+                 else ev.value_and_partials(y, stream=(ASCENT_STREAM, i + 1, j)) for j, y in enumerate(ys)]
         resets = 0
         for j in range(m if cleanup else 0):
             s, y, sign = starts[j], ys[j], 1.0 - 2.0 * starts[j]
@@ -136,8 +148,8 @@ def ascend(f: SetFunction, cfg: AscentConfig, starts: tuple[int, ...], choose: C
                 if sign * (y_u - s) > 0.0 and sign * grad[u] < -noise:
                     y[u] = s
                     resets += 1
-                    # the reset moves y, so later coordinates see fresh derivatives
-                    _, grad, sigma = evals[j] = ev.value_and_partials(y, stream=(i, 2 * m + j, u))
+                    # the reset moves y, so later coordinates and the next step see fresh derivatives
+                    _, grad, sigma = evals[j] = ev.value_and_partials(y, stream=(ASCENT_STREAM, i + 1, m + j, u))
         traj.steps.append(AscentStep(delta * (i + 1), tuple(ys), tuple(e[0] for e in evals), resets, note))
     return traj
 

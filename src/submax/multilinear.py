@@ -9,7 +9,11 @@ backends, picked by :func:`backend` in this order:
 * ``"sampled"`` when the estimator sets ``samples``: f is averaged over that
   many seeded draws R, with common random numbers for coupled queries; a
   gradient reads R and each R with one element flipped, one
-  (n + 1, samples) oracle batch;
+  (n + 1, samples) oracle batch.  Each query names its stream, a path under
+  the estimator's seed that each caller leads with its own tag from
+  ``rng``.  The ascent evaluates one gradient per side at the start, after
+  each step's update and after each reset, and the next step reads the
+  latest (see ``mcg.ascend``);
 * ``"closed_form"`` when F is exact (``samples`` is None) and f carries a
   ``multilinear`` hook (graph and hypergraph cuts, coverage, modular
   functions, and their sums, complements and restrictions): exact F and
@@ -118,7 +122,7 @@ class MultilinearEvaluator:
     one extra backward sweep.  ``table`` builds that table on any backend
     (n <= EXACT_TABLE_LIMIT), for callers that need every value of f.
     The sampled backend derives all draws from counter-indexed substreams of
-    the estimator seed.
+    the estimator seed, on the path the caller passes as ``stream``.
     """
 
     def __init__(self, f: SetFunction, est: Estimator | None = None):

@@ -15,6 +15,7 @@ import numpy as np
 
 from .multilinear import Estimator, MultilinearEvaluator, Point
 from .polytope import Polytope
+from .rng import PIPAGE_STREAM
 from .setfn import SetFunction
 from .subsets import masks_from_bits
 
@@ -39,8 +40,8 @@ def pipage_round(
     endpoint.  When a single fractional coordinate is left in a part (the
     part's constraint is slack), it is rounded to the better feasible bound.
     On the sampled backend endpoint comparisons share one threshold stream
-    per move (common random numbers) drawn from the estimator's seed, and
-    the curvature audit is skipped."""
+    per move (common random numbers), (``PIPAGE_STREAM``, move) of the
+    estimator's seed, and the curvature audit is skipped."""
     if P.parts is None:
         raise ValueError(f"pipage rounding needs a polytope with parts (cardinality, partition), not {P.kind!r}")
     if not P.membership(x.coords):
@@ -70,8 +71,8 @@ def pipage_round(
             else:
                 down[v] = 1.0
                 down[u] = y[u] - (1.0 - y[v])
-            f_up = ev.value(up, stream=(move, 0))
-            f_down = ev.value(down, stream=(move, 0))
+            f_up = ev.value(up, stream=(PIPAGE_STREAM, move))
+            f_down = ev.value(down, stream=(PIPAGE_STREAM, move))
             if exact:
                 # direction-convexity audit: F at the interior point must not
                 # exceed the chord between the two endpoints, up to rounding
@@ -96,7 +97,7 @@ def pipage_round(
             candidates = [down]  # rounding down is always feasible (down-monotone)
             if P.membership(up):
                 candidates.append(up)
-            vals = [ev.value(c, stream=(move, 0)) for c in candidates]
+            vals = [ev.value(c, stream=(PIPAGE_STREAM, move)) for c in candidates]
             y = candidates[int(np.argmax(vals))]
             move += 1
 

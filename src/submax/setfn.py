@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .subsets import MASK_BLOCK, MAX_MASK_BITS, as_mask, bits_from_masks, full_mask, mask_array, masks_from_bits, word
+from .subsets import MASK_BLOCK, MAX_MASK_BITS, as_mask, bits_from_masks, full_mask, mask_array, word
 
 # x -> (F(x), grad F(x)) for x in [0,1]^n
 Multilinear = Callable[[np.ndarray], tuple[float, np.ndarray]]
@@ -426,12 +426,18 @@ def restrict_function(f: SetFunction, kept: list[int]) -> SetFunction:
     kept = [int(u) for u in kept]
     n_new = len(kept)
     kept_arr = np.array(kept, dtype=np.int64)
+    # bit i of a mask moves to bit kept[i] of a mask over f's ground set: table
+    # b maps byte b of a mask to the embedded mask of the elements it holds
+    byte_bits = bits_from_masks(np.arange(256), 8)
+    tables = [byte_bits[:, : len(chunk)] @ mask_array([1 << u for u in chunk], f.n)
+              for chunk in (kept[b : b + 8] for b in range(0, n_new, 8))]
+    dtype = mask_array([], f.n).dtype
 
     def many(masks: np.ndarray) -> np.ndarray:
-        # bit i of a mask moves to bit kept[i] of a mask over f's ground set
-        bits = np.zeros((*masks.shape, f.n), dtype=np.int64)
-        bits[..., kept_arr] = bits_from_masks(masks, n_new)
-        return f._values(masks_from_bits(bits))
+        embedded = np.zeros(masks.shape, dtype=dtype)
+        for b, table in enumerate(tables):
+            embedded |= table[((masks >> 8 * b) & 255).astype(np.intp, copy=False)]
+        return f._values(embedded)
 
     def multilinear(x: np.ndarray) -> tuple[float, np.ndarray]:
         full = np.zeros(f.n)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import substream
+from .rng import WELFARE_STREAM, substream
 from .setfn import SetFunction
 from .subsets import MASK_BLOCK, full_mask, masks_from_bits, popcount_array
 
@@ -65,7 +65,7 @@ def simulate_random_assign(inst: WelfareInstance, trials: int, seed: int = 0) ->
     a uniformly random player), vectorized through the batch oracle; row t of
     the seeded (trials, n) player draw is trial t's assignment."""
     n = inst.utility.n
-    rng = substream(seed, 0x5A)
+    rng = substream(seed, WELFARE_STREAM)
     choice = rng.integers(0, inst.k, size=(trials, n))
     totals = np.zeros(trials)
     for player in range(inst.k):

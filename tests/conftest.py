@@ -6,7 +6,7 @@ import numpy as np
 
 from submax.polytope import CardinalityPolytope, KnapsackPolytope, PartitionPolytope
 from submax.setfn import CoverageInstance, GraphCutInstance
-from submax.subsets import as_mask, mask_array
+from submax.subsets import as_mask, bits_from_masks, mask_array, masks_from_bits
 
 POLYTOPE_KINDS = ("cardinality", "partition", "knapsack")
 
@@ -100,6 +100,16 @@ def reference_kernel(instance):
         return np.einsum("...j,j->...", (inter != 0) & (inter != edge_masks), weights)
 
     return many
+
+
+def embed_by_bit_rows(masks, kept, n):
+    """Reference embedding of masks over len(kept) elements into masks over
+    n: unpack each mask into a bit row, move column i to column kept[i] and
+    pack the row again.  ``restrict_function`` must hand its inner function
+    exactly these masks."""
+    bits = np.zeros((*masks.shape, n), dtype=np.int64)
+    bits[..., list(kept)] = bits_from_masks(masks, len(kept))
+    return masks_from_bits(bits)
 
 
 def random_polytope(n, rng, kind=None):

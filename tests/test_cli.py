@@ -2,14 +2,16 @@ import json
 import math
 import subprocess
 import sys
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from submax import cli
+from submax import cli, multilinear
 from submax.cli import main
 from submax.polytope import CardinalityPolytope, KnapsackPolytope, PartitionPolytope, horizon
+from submax.rng import substream
 from submax.setfn import GraphCutInstance, graph_cut_function
 from submax.welfare import WelfareInstance
 
@@ -700,10 +702,35 @@ def test_report_names_the_estimator_backend(triangle_file, tmp_path):
             # the final set (at most 2^n masks from the brute-force check)
             assert report["oracle_calls"] <= 2 * 2 ** report["instance"]["n"]
         else:
-            # 50 steps x 2 sides x 2 gradients (before and after each update),
-            # each one batch of (n + 1) x 64 sets, plus 198 calls outside the
-            # ascent (fractional value, rounding, brute-force check)
-            assert report["oracle_calls"] == 50 * 2 * 2 * 4 * 64 + 198
+            # 2 sides x (1 + 50 steps) gradients (at the start and after each
+            # update) plus 1 after the one reset the cleanup makes, each one
+            # batch of (n + 1) x 64 sets, plus 198 calls outside the ascent
+            # (fractional value, rounding, brute-force check)
+            assert report["oracle_calls"] == (2 * (1 + 50) + 1) * 4 * 64 + 198
+
+
+@pytest.mark.parametrize("algorithm", ["mcg", "dmcg-symmetric", "dmcg-general"])
+def test_consumers_of_the_run_seed_draw_disjoint_streams(algorithm, triangle_file, tmp_path, monkeypatch):
+    # the ascent, pipage rounding and the reported fractional value each lead
+    # their substream paths with their own element, so none of them reads
+    # another's draws, also in runs of 1,000 steps and more
+    drawn = defaultdict(list)
+
+    def recording(seed, *path):
+        frame = sys._getframe(1)
+        while frame.f_globals["__name__"] == "submax.multilinear":
+            frame = frame.f_back
+        drawn[frame.f_globals["__name__"]].append(path)
+        return substream(seed, *path)
+
+    monkeypatch.setattr(multilinear, "substream", recording)
+    flags = ["--algorithm", algorithm, "--k", "1", "--steps", "1000", "--samples", "4"]
+    assert main(["--instance", triangle_file, *flags, "--out", str(tmp_path / "r.json")]) == 0
+    assert set(drawn) == {"submax.mcg", "submax.pipage", "submax.cli"}
+    leads = {consumer: {path[0] for path in paths} for consumer, paths in drawn.items()}
+    assert all(len(lead) == 1 for lead in leads.values())
+    assert len(set().union(*leads.values())) == len(leads)
+    assert max(Counter(drawn["submax.mcg"]).values()) == 1  # the ascent draws each stream once
 
 
 def test_closed_form_runs_exact_beyond_the_table_limit(tmp_path):

@@ -311,14 +311,14 @@ def test_determinism():
 
 
 def test_sampled_general_variant_spends_one_gradient_per_side_and_step():
-    # each step draws one (n + 1) x samples gradient batch per side before the
-    # update and one F (samples masks) per side after it: no cleanup reads a
-    # gradient there
+    # each side draws one (n + 1) x samples gradient batch at the start and
+    # after every update but the last, which the next step reads; after the
+    # last update only F (samples masks), since no cleanup reads a gradient
     n, steps, samples = 6, 5, 32
     f = random_graph_cut(n, seed=1)
     est = Estimator(samples=samples, seed=3)
     run_dmcg(f, 2, AscentConfig(steps=steps, estimator=est), "general")
-    assert f.query_count == 2 * steps * samples * (n + 2)
+    assert f.query_count == 2 * (steps * (n + 1) * samples + samples)
 
 
 def test_dual_trajectory_csv():

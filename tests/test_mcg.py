@@ -153,6 +153,19 @@ def test_determinism_exact_and_sampled():
             assert a.values[0] == b.values[0]
 
 
+def test_sampled_cleanup_run_spends_one_gradient_per_step_and_reset():
+    # one (n + 1) x samples gradient batch at the start, one after each
+    # update and one after each of the cleanup's resets; each step's
+    # direction reads the last of them instead of drawing its own
+    n, steps, samples = 8, 40, 64
+    f = random_graph_cut(n, seed=5)
+    cfg = AscentConfig(T=2.0, steps=steps, estimator=Estimator(samples=samples, seed=5))
+    _, traj = run_mcg(f, CardinalityPolytope(n, 4), cfg)
+    resets = sum(s.zeroed for s in traj.steps)
+    assert resets == 4
+    assert f.query_count == (1 + steps + resets) * (n + 1) * samples
+
+
 def test_nonsymmetric_objective_warns():
     f = random_coverage(4, seed=1)
     with pytest.warns(UserWarning):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_kernel
+from conftest import embed_by_bit_rows, reference_kernel
 from lemmas import audit_nonnegativity, audit_submodularity
 from submax.fixtures import random_graph_cut, random_hypergraph_cut, single_edge_cut, triangle_cut
 from submax.rng import substream
@@ -240,6 +240,33 @@ def test_restriction_embeds_subsets():
     assert g.eval([0]) == f.eval([0])
     assert g.eval([1]) == f.eval([2])
     assert g.eval([0, 1]) == f.eval([0, 2])
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 9, 12, 20, 33, 62])
+def test_restriction_embeds_masks_like_the_bit_row_reference(n):
+    # f receives exactly the masks of the bit-row embedding: every mask of
+    # up to 12 kept elements, random ones (and the extremes) above, with
+    # kept sets at the low end, the high end and both ends of f's ground set
+    rng = substream(n, 0xE3B)
+    seen = []
+
+    def capture(masks):
+        seen.append(masks.copy())
+        return np.zeros(masks.shape)
+
+    f = SetFunction(n, eval_many_masks=capture)
+    half = (n + 1) // 2
+    both = sorted({0, n - 1, *(int(u) for u in rng.choice(n, int(rng.integers(0, n + 1)), replace=False))})
+    for kept in ([], list(range(half)), list(range(n - half, n)), both, list(range(n))):
+        m = len(kept)
+        if m <= 12:
+            masks = np.arange(1 << m, dtype=np.int64)
+        else:
+            masks = rng.integers(0, 1 << m, size=MASK_BLOCK + 5, dtype=np.int64)
+            masks[:3] = [0, full_mask(m), 1 << (m - 1)]
+        seen.clear()
+        restrict_function(f, kept).eval_many(masks)
+        assert np.array_equal(np.concatenate(seen), embed_by_bit_rows(masks, kept, n)), kept
 
 
 def test_restriction_reaudits_symmetry():
@@ -512,15 +539,10 @@ def boundary_wrappers(n, rng, kernels):
     (cut, cut_ref), (hyper, hyper_ref), (cover, cover_ref) = kernels.values()
     kept = sorted({0, n - 1, *(int(u) for u in rng.choice(n, int(rng.integers(0, n + 1)), replace=False))})
 
-    def restricted_ref(masks):
-        bits = np.zeros((*masks.shape, n), dtype=np.int64)
-        bits[..., kept] = bits_from_masks(masks, len(kept))
-        return hyper_ref(masks_from_bits(bits))
-
     return {
         "sum": (sum_functions([cut, hyper, cover]), lambda masks: cut_ref(masks) + hyper_ref(masks) + cover_ref(masks)),
         "complement": (complement_function(cover), lambda masks: cover_ref(masks ^ full_mask(n))),
-        "restrict": (restrict_function(hyper, kept), restricted_ref),
+        "restrict": (restrict_function(hyper, kept), lambda masks: hyper_ref(embed_by_bit_rows(masks, kept, n))),
     }
 
 
