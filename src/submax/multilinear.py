@@ -18,9 +18,9 @@ backends, picked by :func:`backend` in this order:
   ``multilinear`` hook (graph and hypergraph cuts, coverage, modular
   functions, and their sums, complements and restrictions): exact F and
   gradient in time polynomial in the instance size, with no oracle queries;
-* ``"table"`` otherwise when F is exact: all 2^n values are tabulated once
-  (2^n oracle calls, so n <= ``EXACT_TABLE_LIMIT``) and folded one
-  coordinate at a time.
+* ``"table"`` otherwise when F is exact: f's value table
+  (``SetFunction.table``, 2^n oracle calls once per set function, so
+  n <= ``EXACT_TABLE_LIMIT``) is folded one coordinate at a time.
 """
 
 from __future__ import annotations
@@ -116,10 +116,11 @@ class MultilinearEvaluator:
 
     ``backend`` names how (see :func:`backend`).  The closed form queries no
     oracle, so a run on a family that has one counts no 2^n table in its
-    oracle calls.  The table backend caches the full value table (2^n oracle
-    calls, paid once, only when first needed) and computes F(x) in O(2^n)
-    arithmetic by folding one coordinate at a time; the gradient comes from
-    one extra backward sweep.  ``table`` builds that table on any backend
+    oracle calls.  The table backend reads f's value table (2^n oracle calls,
+    paid once per set function, only when first needed, and shared with every
+    other evaluator and search on f) and computes F(x) in O(2^n) arithmetic by
+    folding one coordinate at a time; the gradient comes from one extra
+    backward sweep.  ``table`` returns that table on any backend
     (n <= EXACT_TABLE_LIMIT), for callers that need every value of f.
     The sampled backend derives all draws from counter-indexed substreams of
     the estimator seed, on the path the caller passes as ``stream``.
@@ -132,7 +133,6 @@ class MultilinearEvaluator:
         self.backend = backend(f, self.est)
         if self.backend == "table":
             self._check_table_size()
-        self._table: np.ndarray | None = None
 
     # -- exact kernels ------------------------------------------------------
     def _check_table_size(self) -> None:
@@ -140,10 +140,8 @@ class MultilinearEvaluator:
             raise ValueError(f"the exact value table supports n <= {EXACT_TABLE_LIMIT}, got n={self.n}")
 
     def table(self) -> np.ndarray:
-        if self._table is None:
-            self._check_table_size()
-            self._table = self.f.eval_many(np.arange(1 << self.n, dtype=np.int64))
-        return self._table
+        self._check_table_size()
+        return self.f.table()
 
     def _value_exact(self, x: np.ndarray, stages: list | None = None) -> float:
         """F(x) by folding the value table one coordinate at a time; each

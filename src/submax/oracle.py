@@ -3,6 +3,15 @@ test.  All of them walk the bitmasks of [0, 2^n) (n <= 22) in ascending blocks
 of ``MASK_BLOCK``, drop the infeasible masks of each block, evaluate the rest
 in one batch, and break value ties toward the smallest mask.  Memory stays at
 one block whatever n is.
+
+A symmetric f (``f.symmetric``) is searched over the masks without element
+n - 1 only, half the cube.  Its maximizers are closed under complement, and
+of S and N \\ S the one without element n - 1 is the smaller mask, so the
+smallest maximizer lies in that half.  The search trusts the flag, which the
+shipped families set when they are built and ``audit_symmetry`` sets for a
+restriction.  The cut kernels give S and N \\ S bit-identical values (an edge
+crosses S exactly when it crosses N \\ S), so the half search returns the
+full search's set and value exactly.
 """
 
 from __future__ import annotations
@@ -48,8 +57,11 @@ def _argmax_blocks(
 
 
 def brute_unconstrained(f: SetFunction) -> tuple[int, float]:
-    """argmax of f over all 2^n subsets."""
-    return _argmax_blocks(f, _ground_size(f))
+    """argmax of f over all 2^n subsets: 2^n oracle calls, or 2^(n-1) over
+    the masks without element n - 1 when f is flagged symmetric (see the
+    module docstring; the flag is trusted, not checked)."""
+    n = _ground_size(f)
+    return _argmax_blocks(f, max(n - 1, 0) if f.symmetric else n)
 
 
 def brute_cardinality(f: SetFunction, k: int) -> tuple[int, float]:

@@ -27,6 +27,9 @@ from .subsets import MASK_BLOCK, MAX_MASK_BITS, as_mask, bits_from_masks, full_m
 # x -> (F(x), grad F(x)) for x in [0,1]^n
 Multilinear = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
+# largest n whose value table SetFunction.table builds: 2^23 float64 values,
+# 64 MB, the welfare search's largest case (k = 2 players, k^n <= 10^7)
+TABLE_LIMIT = 23
 # largest n whose 2^n sets the symmetry audit evaluates
 SYMMETRY_AUDIT_LIMIT = 14
 # largest restricted ground set whose symmetry flag restrict_function re-audits
@@ -61,9 +64,11 @@ class SetFunction:
     (the shipped ones cast to ``subsets.word(n)``).  A user-defined scalar
     oracle ``eval_mask`` (bitmask -> float) stands in for a missing kernel
     and is called once per mask.  The counter increases by exactly one per
-    evaluated set.  An optional ``multilinear`` hook returns the exact
-    extension and its gradient, ``(F(x), grad F(x))``, without querying the
-    oracle.
+    evaluated set.  ``table`` holds f's value on every set once it has been
+    asked for: the exact table fold, the welfare search, the welfare
+    simulation and the symmetry audit all read that one array.  An optional
+    ``multilinear`` hook returns the exact extension and its gradient,
+    ``(F(x), grad F(x))``, without querying the oracle.
     """
 
     def __init__(
@@ -87,6 +92,7 @@ class SetFunction:
         self.source = source
         self.multilinear = multilinear
         self._queries = _Counter()
+        self._table: np.ndarray | None = None
 
     @property
     def query_count(self) -> int:
@@ -105,6 +111,20 @@ class SetFunction:
                 f"batch queries pack sets into int64 masks: n must be <= {MAX_MASK_BITS}, got {self.n}"
             )
         return self._values(np.asarray(masks, dtype=np.int64))
+
+    def table(self) -> np.ndarray:
+        """f on every set, entry m the value of mask m: the first call asks
+        the oracle for all 2^n sets in one ``eval_many`` batch, later calls
+        return the same read-only array and ask for nothing.  The table is
+        kept for f's lifetime (8 * 2^n bytes, so n <= ``TABLE_LIMIT``).
+        Entries are the values ``eval`` and ``eval_many`` give, bit for bit."""
+        if self.n > TABLE_LIMIT:
+            raise ValueError(f"the value table holds all 2^n sets: n must be <= {TABLE_LIMIT}, got {self.n}")
+        if self._table is None:
+            table = self.eval_many(np.arange(1 << self.n, dtype=np.int64))
+            table.flags.writeable = False
+            self._table = table
+        return self._table
 
     def _values(self, masks: np.ndarray) -> np.ndarray:
         """Counted kernel values of a mask array (int64, or Python ints above
@@ -466,11 +486,10 @@ def restrict_function(f: SetFunction, kept: list[int]) -> SetFunction:
 
 
 def audit_symmetry(f: SetFunction) -> bool:
-    """True iff f(S) = f(N\\S) exactly on every set S: one batch of all 2^n
-    masks, so n <= ``SYMMETRY_AUDIT_LIMIT``."""
+    """True iff f(S) = f(N\\S) exactly on every set S: it reads f's value
+    table (``SetFunction.table``), so n <= ``SYMMETRY_AUDIT_LIMIT``."""
     n = f.n
     if n > SYMMETRY_AUDIT_LIMIT:
         raise ValueError(f"the symmetry audit reads all 2^n sets: n must be <= {SYMMETRY_AUDIT_LIMIT}, got {n}")
-    masks = np.arange(1 << n, dtype=np.int64)
-    table = f.eval_many(masks)
-    return bool(np.array_equal(table, table[masks ^ np.int64(full_mask(n))]))
+    table = f.table()
+    return bool(np.array_equal(table, table[np.arange(1 << n, dtype=np.int64) ^ np.int64(full_mask(n))]))

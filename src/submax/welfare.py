@@ -1,10 +1,14 @@
 """Submodular welfare with k identical utilities: the random-assignment
 algorithm behind the 1 - (1 - 1/k)^(k-1) guarantee, its tight instance, and
 an exhaustive solver.  Identical utilities make every bundle one of the 2^n
-subsets, so the solver asks the oracle for each subset once (2^n calls, a
-table of 8 * 2^n bytes) and walks the k^n assignments as table lookups; ties
-go to the smallest assignment code.  The n items are the ground set of the
-shared utility; ``cli`` reads an instance from a ``welfare`` instance file.
+subsets, whose values the utility tabulates once (``SetFunction.table``:
+2^n oracle calls, 8 * 2^n bytes).  The solver walks the k^n assignments as
+lookups in that table, ties going to the smallest assignment code; the
+simulation looks its k * trials bundles up in it too whenever there are
+more of them than subsets, so a simulation and a search on one utility ask
+the oracle for each subset once between them.  The n items are the ground
+set of the shared utility; ``cli`` reads an instance from a ``welfare``
+instance file.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import WELFARE_STREAM, substream
-from .setfn import SetFunction
+from .setfn import TABLE_LIMIT, SetFunction
 from .subsets import MASK_BLOCK, full_mask, masks_from_bits, popcount_array
 
 MAX_WELFARE_SEARCH = 10_000_000
@@ -62,14 +66,21 @@ class Allocation:
 
 def simulate_random_assign(inst: WelfareInstance, trials: int, seed: int = 0) -> np.ndarray:
     """Totals of ``trials`` independent runs of random assignment (each item to
-    a uniformly random player), vectorized through the batch oracle; row t of
-    the seeded (trials, n) player draw is trial t's assignment."""
-    n = inst.utility.n
+    a uniformly random player); row t of the seeded (trials, n) player draw
+    is trial t's assignment, and a total sums its bundles in player order.
+
+    The k * trials bundles are valued by lookups in the utility's table when
+    2^n < k * trials and n <= ``TABLE_LIMIT`` (2^n oracle calls, once per
+    utility; the table is then smaller than the bundles), and else through
+    the batch oracle (k * trials calls).  A set has one value whichever way
+    it is read, so the totals are the same bit for bit either way."""
+    n, k, f = inst.utility.n, inst.k, inst.utility
     rng = substream(seed, WELFARE_STREAM)
-    choice = rng.integers(0, inst.k, size=(trials, n))
+    choice = rng.integers(0, k, size=(trials, n))
+    value = f.table().__getitem__ if n <= TABLE_LIMIT and (1 << n) < k * trials else f.eval_many
     totals = np.zeros(trials)
-    for player in range(inst.k):
-        totals += inst.utility.eval_many(masks_from_bits(choice == player))
+    for player in range(k):
+        totals += value(masks_from_bits(choice == player))
     return totals
 
 
@@ -97,14 +108,15 @@ def brute_force_welfare(inst: WelfareInstance) -> tuple[Allocation, float]:
     """Exhaustive search over all k^n assignments; ties go to the smallest
     assignment code (player index per item, item 0 least significant).
 
-    Every bundle is one of the 2^n subsets, so for k >= 2 the oracle is asked
-    once for all of them, in one ``eval_many`` batch: 2^n oracle calls and a
-    value table of 8 * 2^n bytes (64 MB at the largest admitted case, k = 2,
-    n = 23; building it holds as many bytes again for the masks).  The k^n
-    codes are then walked in ascending blocks of table lookups, which is the
-    search's time.  A code's total is the sum of its bundles' values in
-    player order, and a later block wins only on a strictly larger total.
-    ``MAX_WELFARE_SEARCH`` bounds k^n.  k = 1 has one allocation: f(N) is
+    Every bundle is one of the 2^n subsets, so for k >= 2 the search reads
+    the utility's value table (``SetFunction.table``): 2^n oracle calls,
+    none if a simulation or an earlier search already built it, and 8 * 2^n
+    bytes kept as long as the utility (64 MB at the largest admitted case,
+    k = 2, n = 23; building it holds as many bytes again for the masks).
+    The k^n codes are then walked in ascending blocks of table lookups,
+    which is the search's time.  A code's total is the sum of its bundles'
+    values in player order, and a later block wins only on a strictly larger
+    total.  ``MAX_WELFARE_SEARCH`` bounds k^n.  k = 1 has one allocation: f(N) is
     asked once and no table is built, at any n.
     """
     n, k, f = inst.utility.n, inst.k, inst.utility
@@ -113,7 +125,7 @@ def brute_force_welfare(inst: WelfareInstance) -> tuple[Allocation, float]:
         return Allocation((everything,), inst), 0.0 + f.eval(everything)  # summed from 0.0, as below
     if k**n > MAX_WELFARE_SEARCH:
         raise ValueError(f"search space k^n = {k**n} exceeds {MAX_WELFARE_SEARCH}")
-    table = f.eval_many(np.arange(1 << n, dtype=np.int64))
+    table = f.table()
     # code = high * k^low_n + low: the low items' bundles are precomputed once
     low_n = 0
     while low_n < n and k ** (low_n + 1) <= MASK_BLOCK:

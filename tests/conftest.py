@@ -5,6 +5,7 @@ from itertools import combinations
 import numpy as np
 
 from submax.polytope import CardinalityPolytope, KnapsackPolytope, PartitionPolytope
+from submax.rng import WELFARE_STREAM, substream
 from submax.setfn import CoverageInstance, GraphCutInstance
 from submax.subsets import as_mask, bits_from_masks, mask_array, masks_from_bits
 
@@ -110,6 +111,18 @@ def embed_by_bit_rows(masks, kept, n):
     bits = np.zeros((*masks.shape, n), dtype=np.int64)
     bits[..., list(kept)] = bits_from_masks(masks, len(kept))
     return masks_from_bits(bits)
+
+
+def simulate_by_draws(inst, trials, seed):
+    """Reference random assignment: the seeded (trials, n) player draw of
+    ``simulate_random_assign``, with every bundle of every trial valued by
+    the batch oracle (k * trials queries).  ``simulate_random_assign`` must
+    return these totals bit for bit, whether it reads the table or not."""
+    choice = substream(seed, WELFARE_STREAM).integers(0, inst.k, size=(trials, inst.utility.n))
+    totals = np.zeros(trials)
+    for player in range(inst.k):
+        totals += inst.utility.eval_many(masks_from_bits(choice == player))
+    return totals
 
 
 def random_polytope(n, rng, kind=None):

@@ -10,7 +10,17 @@ from submax.fixtures import random_graph_cut, triangle_cut
 from submax.oracle import brute_cardinality, brute_polytope_integral, brute_unconstrained
 from submax.polytope import CardinalityPolytope, KnapsackPolytope, PartitionPolytope, Polytope
 from submax.rng import substream
-from submax.setfn import GraphCutInstance, SetFunction, graph_cut_function, hardness_instance
+from submax.setfn import (
+    GraphCutInstance,
+    HypergraphCutInstance,
+    SetFunction,
+    complement_function,
+    graph_cut_function,
+    hardness_instance,
+    hypergraph_cut_function,
+    restrict_function,
+    sum_functions,
+)
 from submax.subsets import MASK_BLOCK, indices
 from submax.welfare import WelfareInstance, brute_force_welfare
 
@@ -154,6 +164,46 @@ def test_streamed_brute_force_matches_a_single_pass(n):
     ]
     for P, feasible in polytopes:
         assert brute_polytope_integral(f, P) == reference_argmax(table, feasible)
+
+
+def integer_hypergraph_cut(n, seed):
+    """Hypergraph cut with small integer weights on 2-4 vertices per edge."""
+    rng = substream(seed, 0x4E7)
+    hyperedges = []
+    for _ in range(n if n >= 2 else 0):
+        verts = rng.choice(n, size=int(rng.integers(2, min(4, n) + 1)), replace=False)
+        hyperedges.append((frozenset(int(v) for v in verts), float(rng.integers(1, 4))))
+    return hypergraph_cut_function(HypergraphCutInstance(n=n, hyperedges=tuple(hyperedges)))
+
+
+SYMMETRIC_FAMILIES = {
+    "cut": integer_cut,
+    "hypergraph": integer_hypergraph_cut,
+    "sum": lambda n, seed: sum_functions([integer_cut(n, seed), integer_hypergraph_cut(n, seed + 1)]),
+    "complement": lambda n, seed: complement_function(integer_hypergraph_cut(n, seed)),
+    "restriction": lambda n, seed: restrict_function(
+        integer_cut(n, seed), substream(seed, 0x9E4).permutation(n).tolist()
+    ),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=14),
+    seed=st.integers(min_value=0, max_value=10_000),
+    family=st.sampled_from(sorted(SYMMETRIC_FAMILIES)),
+)
+def test_symmetric_search_scans_half_the_cube_and_matches_a_full_pass(n, seed, family):
+    f = SYMMETRIC_FAMILIES[family](n, seed)
+    assert f.symmetric
+    got = brute_unconstrained(f)
+    assert f.query_count == 1 << max(n - 1, 0)
+    table = f.eval_many(np.arange(1 << n, dtype=np.int64))
+    assert got == reference_argmax(table, lambda m: True)
+    # the same oracle without the flag reads the whole cube to the same answer
+    plain = SetFunction(n, eval_many_masks=f._values)
+    assert brute_unconstrained(plain) == got
+    assert plain.query_count == 1 << n
 
 
 def test_streamed_brute_force_ties_go_to_the_smallest_mask():

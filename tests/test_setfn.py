@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 from conftest import embed_by_bit_rows, reference_kernel
 from lemmas import audit_nonnegativity, audit_submodularity
 from submax.fixtures import random_graph_cut, random_hypergraph_cut, single_edge_cut, triangle_cut
+from submax.multilinear import MultilinearEvaluator
 from submax.rng import substream
 from submax.setfn import (
+    TABLE_LIMIT,
     CoverageInstance,
     GraphCutInstance,
     HypergraphCutInstance,
@@ -275,6 +277,25 @@ def test_restriction_reaudits_symmetry():
     assert g.symmetric
     h = restrict_function(f, [0, 2])  # edge endpoint + isolated: not symmetric
     assert not h.symmetric
+
+
+def test_a_restriction_audit_and_its_exact_values_share_one_table():
+    # a symmetric oracle with no closed form, so the exact backend reads the table
+    cut = random_hypergraph_cut(12, seed=5)
+    f = SetFunction(12, symmetric=True, eval_many_masks=cut.eval_many, kind="opaque")
+    g = restrict_function(f, list(range(10)))
+    assert g.query_count == 2**10  # the audit built g's table
+    ev = MultilinearEvaluator(g)
+    assert ev.backend == "table"
+    ev.value(np.full(10, 0.5))
+    assert g.query_count == 2**10
+
+
+def test_the_table_refuses_a_ground_set_above_its_limit():
+    f = SetFunction(TABLE_LIMIT + 1, eval_many_masks=lambda masks: np.zeros(masks.shape))
+    with pytest.raises(ValueError, match=f"n must be <= {TABLE_LIMIT}"):
+        f.table()
+    assert f.query_count == 0
 
 
 def test_sum_is_flagged_symmetric_iff_every_summand_is():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import simulate_by_draws
 from lemmas import (
     audit_nonnegativity,
     audit_submodularity,
@@ -11,8 +12,9 @@ from lemmas import (
     check_repeated_subsample_union,
     check_sampled_union_bounds,
 )
-from submax.fixtures import random_graph_cut, single_edge_cut
+from submax.fixtures import random_coverage, random_graph_cut, random_hypergraph_cut, single_edge_cut
 from submax.multilinear import MultilinearEvaluator
+from submax import welfare
 from submax.setfn import modular_function
 from submax.welfare import (
     Allocation,
@@ -99,6 +101,54 @@ def test_random_assignment_ratio_floor():
         totals = simulate_random_assign(inst, 30_000, seed=seed)
         sigma = totals.std(ddof=1) / math.sqrt(totals.size)
         assert totals.mean() / opt >= welfare_ratio(k) - 4 * sigma / opt
+
+
+FAMILIES = {"cut": random_graph_cut, "hypergraph": random_hypergraph_cut, "coverage": random_coverage}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("k, n, trials", [(1, 2, 100), (3, 3, 50), (2, 6, 5000), (4, 8, 100), (3, 12, 2000)])
+def test_simulation_reads_the_table_bit_for_bit(family, k, n, trials):
+    assert 2**n < k * trials
+    f = FAMILIES[family](n, seed=n)
+    totals = simulate_random_assign(WelfareInstance(k, f), trials, seed=k)
+    assert f.query_count == 2**n  # one query per subset, not one per bundle
+    reference = simulate_by_draws(WelfareInstance(k, FAMILIES[family](n, seed=n)), trials, seed=k)
+    assert totals.tobytes() == reference.tobytes()
+    # the search reads the same table (k = 1 asks for f(N) alone instead)
+    brute_force_welfare(WelfareInstance(k, f))
+    assert f.query_count == 2**n + (k == 1)
+
+
+@pytest.mark.parametrize("k, n, trials", [(2, 10, 512), (3, 12, 40), (5, 8, 3)])
+def test_simulation_draws_when_the_table_is_not_smaller(k, n, trials):
+    assert 2**n >= k * trials
+    f = random_hypergraph_cut(n, seed=1)
+    totals = simulate_random_assign(WelfareInstance(k, f), trials, seed=2)
+    assert f.query_count == k * trials
+    reference = simulate_by_draws(WelfareInstance(k, random_hypergraph_cut(n, seed=1)), trials, seed=2)
+    assert totals.tobytes() == reference.tobytes()
+    f.table()  # no table was built on the way
+    assert f.query_count == k * trials + 2**n
+
+
+def test_simulation_draws_above_the_table_limit(monkeypatch):
+    monkeypatch.setattr(welfare, "TABLE_LIMIT", 3)
+    f = random_hypergraph_cut(4, seed=1)
+    totals = simulate_random_assign(WelfareInstance(2, f), 100, seed=2)
+    assert f.query_count == 2 * 100
+    reference = simulate_by_draws(WelfareInstance(2, random_hypergraph_cut(4, seed=1)), 100, seed=2)
+    assert totals.tobytes() == reference.tobytes()
+
+
+def test_a_second_table_makes_no_query():
+    f = random_coverage(9, seed=4)
+    table = f.table()
+    assert f.query_count == 2**9
+    assert f.table() is table and not table.flags.writeable
+    MultilinearEvaluator(f).table()
+    assert f.query_count == 2**9
+    assert table.tobytes() == np.array([f.eval(m) for m in range(2**9)]).tobytes()
 
 
 def test_allocation_invariants():
