@@ -27,7 +27,7 @@ EXAMPLES = {
         "membership": [[0, 1], [1, 2], [2, 3], [0, 3]],
     },
     "hardness.json": {"type": "hardness", "p": 1, "q": 2},
-    "welfare_tight3.json": {
+    "welfare_triangle3.json": {
         "type": "welfare",
         "k": 3,
         "utility": {

@@ -27,7 +27,6 @@ from .setfn import (
     HypergraphCutInstance,
     SetFunction,
     audit_symmetry,
-    complement_function,
     graph_cut_function,
     hardness_instance,
     restrict_function,

@@ -12,6 +12,9 @@ cardinality horizon; the general variant runs to T = 1 with no cleanup.  The run
 solver's :class:`DirectionInfo`.  The final point is y1, y2, or the unique
 convex combination of the two with mass exactly k.  For 2k > n the symmetric
 variant runs the pair for n - k and complements its point (Reduction 2).
+The trajectory invariants a run can check, :func:`check_y_properties` and
+:func:`check_max_y`, live here; the segment-concavity lemma is checked with
+the other lemmas in ``tests/lemmas.py``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mcg import AscentConfig, AscentStep, Trajectory, ascend, schedule
-from .multilinear import MultilinearEvaluator, Point
+from .multilinear import Point
 from .polytope import CardinalityPolytope
 from .reports import CheckReport
 from .setfn import SetFunction
@@ -196,32 +199,6 @@ def run_dmcg(f: SetFunction, k: int, cfg: AscentConfig | None = None,
 # ---------------------------------------------------------------------------
 # executable checks
 # ---------------------------------------------------------------------------
-
-
-def check_concave_segment(
-    f: SetFunction, y1, y2, grid: int = 101, tol: float = 1e-9
-) -> CheckReport:
-    """Samples r(x) = F(y1 + x (y2 - y1)) on a grid: r must be concave
-    (second differences <= tol) and everywhere >= min(r(0), r(1)) - tol."""
-    a = np.asarray(y1 if not isinstance(y1, Point) else y1.coords, dtype=float)
-    b = np.asarray(y2 if not isinstance(y2, Point) else y2.coords, dtype=float)
-    if (a > b + 1e-12).any():
-        raise ValueError("requires y1 <= y2 coordinate-wise")
-    ev = MultilinearEvaluator(f)
-    ts = np.linspace(0.0, 1.0, grid)
-    r = np.array([ev.value(a + t * (b - a)) for t in ts])
-    second = r[:-2] - 2.0 * r[1:-1] + r[2:]
-    concave_ok = bool((second <= tol).all()) if grid >= 3 else True
-    floor = min(r[0], r[-1])
-    floor_ok = bool((r >= floor - tol).all())
-    return CheckReport(
-        "segment concavity",
-        concave_ok and floor_ok,
-        details={
-            "max_second_difference": float(second.max()) if grid >= 3 else 0.0,
-            "min_vs_endpoints": float((r - floor).min()),
-        },
-    )
 
 
 def check_y_properties(traj: Trajectory, k: int, tol: float = 1e-9) -> CheckReport:

@@ -15,9 +15,9 @@ backends, picked by :func:`backend` in this order:
   each step's update and after each reset, and the next step reads the
   latest (see ``mcg.ascend``);
 * ``"closed_form"`` when F is exact (``samples`` is None) and f carries a
-  ``multilinear`` hook (graph and hypergraph cuts, coverage, modular
-  functions, and their sums, complements and restrictions): exact F and
-  gradient in time polynomial in the instance size, with no oracle queries;
+  ``multilinear`` hook (graph and hypergraph cuts, coverage, and their
+  restrictions): exact F and gradient in time polynomial in the instance
+  size, with no oracle queries;
 * ``"table"`` otherwise when F is exact: f's value table
   (``SetFunction.table``, 2^n oracle calls once per set function, so
   n <= ``EXACT_TABLE_LIMIT``) is folded one coordinate at a time.

@@ -14,7 +14,6 @@ import numpy as np
 # leading path elements of the consumers of a run's seed
 ASCENT_STREAM = 0xA5C  # mcg.ascend: (tag, step, side) and (tag, step, m + side, u)
 PIPAGE_STREAM = 0x919  # pipage_round: (tag, move), shared by a move's two endpoints
-VALUE_STREAM = 0xF7  # the reported fractional value F(y): (tag,)
 WELFARE_STREAM = 0x5A  # simulate_random_assign: (tag,)
 
 

@@ -2,16 +2,16 @@
 
 Every objective is wrapped in a :class:`SetFunction`: a value oracle over
 bitmask subsets with a declared (audited, not enforced) symmetry flag and a
-thread-safe query counter.  Each shipped family and wrapper has exactly one
-oracle, a batch kernel over mask arrays.  ``eval`` is that kernel on a
-one-mask batch, so a set has one value whether an algorithm, a value table or
-a brute-force search asks for it.  Masks are int64 up to 62 elements at the
-API; above that only ``eval`` works, on Python-int masks.  The cut and
-coverage kernels narrow each batch to ``subsets.word(n)`` (uint8, uint16 or
-uint32 up to 32 elements) with one expression for every width, so their
-temporaries are word-sized.  The shipped families also carry a closed-form
-multilinear extension (``multilinear``), which the wrappers pass on by
-composition.
+thread-safe query counter.  Every set function has exactly one oracle, a
+batch kernel over mask arrays.  ``eval`` is that kernel on a one-mask batch,
+so a set has one value whether an algorithm, a value table or a brute-force
+search asks for it.  Masks are int64 up to 62 elements at the API; above
+that only ``eval`` works, on Python-int masks.  The cut and coverage kernels
+narrow each batch to ``subsets.word(n)`` (uint8, uint16 or uint32 up to 32
+elements) with one expression for every width, so their temporaries are
+word-sized.  The shipped families also carry a closed-form
+multilinear extension (``multilinear``), which ``restrict_function`` passes
+on by composition.
 """
 
 from __future__ import annotations
@@ -56,17 +56,16 @@ class SetFunction:
     """Value oracle f: 2^N -> R with a symmetry claim and a query counter.
 
     The oracle is one batch kernel, ``eval_many_masks`` (mask array -> float
-    array of the same shape).  ``eval`` runs it on a one-mask array and
-    ``eval_many`` on a whole batch, handing it at most ``MASK_BLOCK`` masks
-    per call, so a set has the same value whichever entry point asks.  Masks
-    are int64 for n <= 62 and Python ints (an ``object`` array) above that;
-    only ``eval`` accepts the latter.  A kernel may narrow them internally
-    (the shipped ones cast to ``subsets.word(n)``).  A user-defined scalar
-    oracle ``eval_mask`` (bitmask -> float) stands in for a missing kernel
-    and is called once per mask.  The counter increases by exactly one per
-    evaluated set.  ``table`` holds f's value on every set once it has been
-    asked for: the exact table fold, the welfare search, the welfare
-    simulation and the symmetry audit all read that one array.  An optional
+    array of the same shape), the one argument every set function needs.
+    ``eval`` runs it on a one-mask array and ``eval_many`` on a whole batch,
+    handing it at most ``MASK_BLOCK`` masks per call, so a set has the same
+    value whichever entry point asks.  Masks are int64 for n <= 62 and
+    Python ints (an ``object`` array) above that; only ``eval`` accepts the
+    latter.  A kernel may narrow them internally (the shipped ones cast to
+    ``subsets.word(n)``).  The counter increases by exactly one per evaluated
+    set.  ``table`` holds f's value on every set once it has been asked for:
+    the exact table fold, the welfare search, the welfare simulation and the
+    symmetry audit all read that one array.  An optional
     ``multilinear`` hook returns the exact extension and its gradient,
     ``(F(x), grad F(x))``, without querying the oracle.
     """
@@ -74,18 +73,14 @@ class SetFunction:
     def __init__(
         self,
         n: int,
-        eval_mask: Callable[[int], float] | None = None,
+        eval_many_masks: Callable[[np.ndarray], np.ndarray],
         *,
         symmetric: bool = False,
-        eval_many_masks: Callable[[np.ndarray], np.ndarray] | None = None,
         kind: str = "custom",
         source=None,
         multilinear: Multilinear | None = None,
     ):
-        if eval_mask is None and eval_many_masks is None:
-            raise ValueError("a set function needs an oracle: eval_many_masks or eval_mask")
         self.n = int(n)
-        self._eval_mask = eval_mask
         self.symmetric = bool(symmetric)
         self._eval_many = eval_many_masks
         self.kind = kind
@@ -134,20 +129,12 @@ class SetFunction:
         others."""
         self._queries.add(int(masks.size))
         if masks.size <= MASK_BLOCK:
-            return self._eval_block(masks)
+            return np.asarray(self._eval_many(masks), dtype=float)
         flat = masks.ravel()
         out = np.empty(flat.size)
         for start in range(0, flat.size, MASK_BLOCK):
-            out[start : start + MASK_BLOCK] = self._eval_block(flat[start : start + MASK_BLOCK])
+            out[start : start + MASK_BLOCK] = self._eval_many(flat[start : start + MASK_BLOCK])
         return out.reshape(masks.shape)
-
-    def _eval_block(self, masks: np.ndarray) -> np.ndarray:
-        if self._eval_many is not None:
-            return np.asarray(self._eval_many(masks), dtype=float)
-        return np.array([self._eval_mask(int(m)) for m in masks.ravel()], dtype=float).reshape(masks.shape)
-
-    def __call__(self, subset: int | Iterable[int]) -> float:
-        return self.eval(subset)
 
 
 def _weighted_count(hits: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -371,69 +358,9 @@ def hardness_instance(p: int, q: int) -> SetFunction:
     return f
 
 
-def modular_function(n: int, coeffs) -> SetFunction:
-    """Additive f(S) = sum of coeffs over S (plumbing for offset instances)."""
-    c = np.asarray(coeffs, dtype=float)
-    if c.shape != (n,):
-        raise ValueError("coeffs must have length n")
-
-    def many(masks: np.ndarray) -> np.ndarray:
-        return _weighted_count(bits_from_masks(masks, n), c)
-
-    return SetFunction(
-        n,
-        symmetric=False,
-        eval_many_masks=many,
-        kind="modular",
-        multilinear=lambda x: (float(c @ x), c.copy()),
-    )
-
-
-def sum_functions(fs: list[SetFunction]) -> SetFunction:
-    """Pointwise sum of oracles, of kind "sum".  Submodularity and symmetry
-    are closed under addition, so the sum is flagged symmetric when every
-    summand is."""
-    n = fs[0].n
-    if any(g.n != n for g in fs):
-        raise ValueError("summands must share a ground set")
-
-    def many(masks: np.ndarray) -> np.ndarray:
-        return sum(g._values(masks) for g in fs)
-
-    def multilinear(x: np.ndarray) -> tuple[float, np.ndarray]:
-        parts = [g.multilinear(x) for g in fs]
-        return sum(v for v, _ in parts), np.sum([grad for _, grad in parts], axis=0)
-
-    return SetFunction(
-        n,
-        symmetric=all(g.symmetric for g in fs),
-        eval_many_masks=many,
-        kind="sum",
-        multilinear=multilinear if all(g.multilinear is not None for g in fs) else None,
-    )
-
-
 # ---------------------------------------------------------------------------
-# wrappers
+# restriction
 # ---------------------------------------------------------------------------
-
-
-def complement_function(f: SetFunction) -> SetFunction:
-    """Oracle for S -> f(N \\ S); preserves submodularity and the symmetry flag."""
-    fm = full_mask(f.n)
-
-    def multilinear(x: np.ndarray) -> tuple[float, np.ndarray]:
-        value, grad = f.multilinear(1.0 - x)
-        return value, -grad
-
-    return SetFunction(
-        f.n,
-        symmetric=f.symmetric,
-        eval_many_masks=lambda masks: f._values(masks ^ fm),
-        kind=f"complement({f.kind})",
-        source=f,
-        multilinear=multilinear if f.multilinear is not None else None,
-    )
 
 
 def restrict_function(f: SetFunction, kept: list[int]) -> SetFunction:

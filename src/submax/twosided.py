@@ -40,28 +40,20 @@ class GreedyStep:
 @dataclass
 class GreedyTrace:
     n: int
-    order: tuple[int, ...]
     steps: list[GreedyStep] = field(default_factory=list)
 
 
-def run_two_sided(
-    f: SetFunction,
-    *,
-    order: list[int] | None = None,
-) -> tuple[int, GreedyTrace]:
-    """Run the greedy over the elements of f's ground set in the given order
-    (default natural); returns (X_n bitmask, trace)."""
+def run_two_sided(f: SetFunction) -> tuple[int, GreedyTrace]:
+    """Run the greedy over the elements 0, ..., n-1 of f's ground set;
+    returns (X_n bitmask, trace).  To walk another order, relabel f first
+    (``restrict_function(f, order)`` keeping all n elements)."""
     n = f.n
-    if order is None:
-        order = list(range(n))
-    if sorted(order) != list(range(n)):
-        raise ValueError("order must be a permutation of 0..n-1")
     x_mask = 0
     y_mask = full_mask(n)
     fx = f.eval(x_mask)
     fy = f.eval(y_mask)
-    trace = GreedyTrace(n, tuple(order))
-    for i, u in enumerate(order, start=1):
+    trace = GreedyTrace(n)
+    for u in range(n):
         bit = 1 << u
         fxu = f.eval(x_mask | bit)
         fyu = f.eval(y_mask & ~bit)
@@ -76,7 +68,7 @@ def run_two_sided(
             y_mask &= ~bit
             fy = fyu
             branch = "Y"
-        trace.steps.append(GreedyStep(i, u, a, b, branch, x_mask, y_mask))
+        trace.steps.append(GreedyStep(u + 1, u, a, b, branch, x_mask, y_mask))
     return x_mask, trace
 
 

@@ -1,15 +1,136 @@
-"""Shared helpers for the test suites."""
+"""Shared helpers for the test suites: small and random instances beyond
+the sweep's two families, the oracle wrappers that build them (modular
+terms, sums, complements), and reference solvers the library must match."""
 
 from itertools import combinations
 
 import numpy as np
 
+from submax.fixtures import random_graph_cut, random_hypergraph_cut
 from submax.polytope import CardinalityPolytope, KnapsackPolytope, PartitionPolytope
 from submax.rng import WELFARE_STREAM, substream
-from submax.setfn import CoverageInstance, GraphCutInstance
-from submax.subsets import as_mask, bits_from_masks, mask_array, masks_from_bits
+from submax.setfn import (
+    CoverageInstance,
+    GraphCutInstance,
+    SetFunction,
+    coverage_function,
+    graph_cut_function,
+)
+from submax.subsets import as_mask, bits_from_masks, full_mask, mask_array, masks_from_bits
 
 POLYTOPE_KINDS = ("cardinality", "partition", "knapsack")
+
+
+# ---------------------------------------------------------------------------
+# oracles and wrappers
+# ---------------------------------------------------------------------------
+
+
+def per_mask(value):
+    """Batch kernel of a scalar oracle (bitmask -> float), called once per mask."""
+
+    def many(masks):
+        return np.array([value(int(m)) for m in masks.ravel()], dtype=float).reshape(masks.shape)
+
+    return many
+
+
+def modular_function(n, coeffs):
+    """Additive f(S) = sum of coeffs over S."""
+    c = np.asarray(coeffs, dtype=float)
+    if c.shape != (n,):
+        raise ValueError("coeffs must have length n")
+    return SetFunction(
+        n,
+        lambda masks: np.einsum("...j,j->...", bits_from_masks(masks, n), c),
+        kind="modular",
+        multilinear=lambda x: (float(c @ x), c.copy()),
+    )
+
+
+def sum_functions(fs):
+    """Pointwise sum of oracles, of kind "sum".  Submodularity and symmetry
+    are closed under addition, so the sum is flagged symmetric when every
+    summand is."""
+    n = fs[0].n
+    if any(g.n != n for g in fs):
+        raise ValueError("summands must share a ground set")
+
+    def multilinear(x):
+        parts = [g.multilinear(x) for g in fs]
+        return sum(v for v, _ in parts), np.sum([grad for _, grad in parts], axis=0)
+
+    return SetFunction(
+        n,
+        lambda masks: sum(g._values(masks) for g in fs),
+        symmetric=all(g.symmetric for g in fs),
+        kind="sum",
+        multilinear=multilinear if all(g.multilinear is not None for g in fs) else None,
+    )
+
+
+def complement_function(f):
+    """Oracle for S -> f(N \\ S); preserves submodularity and the symmetry flag."""
+    fm = full_mask(f.n)
+
+    def multilinear(x):
+        value, grad = f.multilinear(1.0 - x)
+        return value, -grad
+
+    return SetFunction(
+        f.n,
+        lambda masks: f._values(masks ^ fm),
+        symmetric=f.symmetric,
+        kind=f"complement({f.kind})",
+        source=f,
+        multilinear=multilinear if f.multilinear is not None else None,
+    )
+
+
+# ---------------------------------------------------------------------------
+# instances
+# ---------------------------------------------------------------------------
+
+
+def single_edge_cut(n=2):
+    return graph_cut_function(GraphCutInstance(n=n, edges=((0, 1, 1.0),)))
+
+
+def triangle_cut():
+    edges = ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0))
+    return graph_cut_function(GraphCutInstance(n=3, edges=edges))
+
+
+def random_symmetric_instance(n, seed):
+    """Mix of graph and hypergraph cuts, all symmetric submodular."""
+    if seed % 3 == 2 and n >= 3:
+        return random_hypergraph_cut(n, seed)
+    return random_graph_cut(n, seed)
+
+
+def random_coverage(n, seed):
+    rng = substream(seed, 0xC07)
+    universe = 2 * n
+    weights = tuple(float(w) for w in rng.uniform(0.1, 1.0, size=universe))
+    membership = []
+    for _ in range(n):
+        size = int(rng.integers(1, max(2, universe // 2)))
+        membership.append(tuple(int(j) for j in rng.choice(universe, size=size, replace=False)))
+    return coverage_function(CoverageInstance(n=n, universe_weights=weights, membership=tuple(membership)))
+
+
+def random_offset_cut(n, seed):
+    """Graph cut plus a non-negative additive term: still non-negative
+    submodular, no longer symmetric."""
+    cut = random_graph_cut(n, seed)
+    rng = substream(seed, 0x0FF)
+    offset = modular_function(n, rng.uniform(0.05, 0.6, size=n))
+    return sum_functions([cut, offset])
+
+
+# ---------------------------------------------------------------------------
+# reference solvers
+# ---------------------------------------------------------------------------
 
 
 def brute_direction_value(w1, w2, c1, c2, k, coeff):

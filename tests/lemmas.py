@@ -3,13 +3,15 @@ facts the guarantees rest on, each returning a :class:`CheckReport`.
 
 * multilinear extension: complement and shift identities, the symmetric
   union bound (with its down-box precondition checked at the box vertices),
-  the first-order linearization bound, and the random-subset sampling bounds;
+  the first-order linearization bound, the random-subset sampling bounds, and
+  the concavity of F along a nonnegative direction (the segment between the
+  two points of a DMCG run);
 * welfare: the subsampled prefix-union bounds and the union-sampling bounds;
 * oracle audits: submodularity and non-negativity, exhaustive at desk scale.
 
 None of these runs at run time; the invariants a run can afford
 (``check_feasibility_invariants``, ``check_y_properties``, ``check_max_y``,
-``check_concave_segment``, ``check_loss_gain``) stay in the library.
+``check_loss_gain``) stay in the library.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ from itertools import combinations
 
 import numpy as np
 
+from conftest import complement_function
 from submax.multilinear import MultilinearEvaluator, Point, _as_array
 from submax.reports import CheckReport, mean_and_sigma
 from submax.rng import substream
-from submax.setfn import SetFunction, complement_function
+from submax.setfn import SetFunction
 from submax.subsets import as_mask, bits_from_masks, full_mask, masks_from_bits
 from submax.welfare import Allocation, WelfareInstance
 
@@ -184,6 +187,29 @@ def check_correlated_marginals_bound(
         "correlated marginals bound",
         est >= bound - 4.0 * sigma - 1e-12,
         details={"estimate": est, "bound": bound, "sigma": sigma, "p": p},
+    )
+
+
+def check_concave_segment(f: SetFunction, y1, y2, grid: int = 101, tol: float = 1e-9) -> CheckReport:
+    """Samples r(x) = F(y1 + x (y2 - y1)) on a grid: r must be concave
+    (second differences <= tol) and everywhere >= min(r(0), r(1)) - tol."""
+    a, b = _as_array(y1), _as_array(y2)
+    if (a > b + 1e-12).any():
+        raise ValueError("requires y1 <= y2 coordinate-wise")
+    ev = MultilinearEvaluator(f)
+    ts = np.linspace(0.0, 1.0, grid)
+    r = np.array([ev.value(a + t * (b - a)) for t in ts])
+    second = r[:-2] - 2.0 * r[1:-1] + r[2:]
+    concave_ok = bool((second <= tol).all()) if grid >= 3 else True
+    floor = min(r[0], r[-1])
+    floor_ok = bool((r >= floor - tol).all())
+    return CheckReport(
+        "segment concavity",
+        concave_ok and floor_ok,
+        details={
+            "max_second_difference": float(second.max()) if grid >= 3 else 0.0,
+            "min_vs_endpoints": float((r - floor).min()),
+        },
     )
 
 

@@ -9,8 +9,16 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from conftest import brute_direction_value
+from conftest import (
+    brute_direction_value,
+    random_coverage,
+    random_offset_cut,
+    random_symmetric_instance,
+    single_edge_cut,
+    triangle_cut,
+)
 from lemmas import (
+    check_concave_segment,
     check_disjoint_unions,
     check_lemma_general_properties,
     check_linearization_bound,
@@ -19,20 +27,12 @@ from lemmas import (
 )
 from submax.cli import main as cli_main
 from submax.dmcg import (
-    check_concave_segment,
     check_max_y,
     check_y_properties,
     run_dmcg,
     solve_direction,
 )
-from submax.fixtures import (
-    random_coverage,
-    random_graph_cut,
-    random_offset_cut,
-    random_symmetric_instance,
-    single_edge_cut,
-    triangle_cut,
-)
+from submax.fixtures import random_graph_cut
 from submax.mcg import AscentConfig, check_feasibility_invariants, run_mcg
 from submax.multilinear import (
     Estimator,

@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from submax.dmcg import run_dmcg
-from submax.fixtures import random_coverage, random_graph_cut
+from conftest import random_coverage
+from submax.fixtures import random_graph_cut
 from submax.mcg import AscentConfig, run_mcg, schedule
 from submax.multilinear import Estimator
 from submax.polytope import CardinalityPolytope, horizon

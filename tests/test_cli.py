@@ -338,7 +338,7 @@ EXAMPLE_RUNS = {
     "hypergraph.json": ["--algorithm", "dmcg-symmetric", "--k", "2", "--steps", "50"],
     "coverage.json": ["--algorithm", "dmcg-general", "--k", "2", "--steps", "50"],
     "hardness.json": ["--algorithm", "brute-cardinality-eq", "--k", "2"],
-    "welfare_tight3.json": ["--algorithm", "welfare-random", "--samples", "500"],
+    "welfare_triangle3.json": ["--algorithm", "welfare-random", "--samples", "500"],
     "knapsack_problem.json": ["--algorithm", "mcg", "--steps", "50"],
 }
 
@@ -705,16 +705,16 @@ def test_report_names_the_estimator_backend(triangle_file, tmp_path):
         else:
             # 2 sides x (1 + 50 steps) gradients (at the start and after each
             # update) plus 1 after the one reset the cleanup makes, each one
-            # batch of (n + 1) x 64 sets, plus 198 calls outside the ascent
-            # (fractional value, rounding, brute-force check)
-            assert report["oracle_calls"] == (2 * (1 + 50) + 1) * 4 * 64 + 198
+            # batch of (n + 1) x 64 sets, plus 134 calls outside the ascent
+            # (rounding, brute-force check); the fractional value is exact
+            assert report["oracle_calls"] == (2 * (1 + 50) + 1) * 4 * 64 + 134
 
 
 @pytest.mark.parametrize("algorithm", ["mcg", "dmcg-symmetric", "dmcg-general"])
 def test_consumers_of_the_run_seed_draw_disjoint_streams(algorithm, triangle_file, tmp_path, monkeypatch):
-    # the ascent, pipage rounding and the reported fractional value each lead
-    # their substream paths with their own element, so none of them reads
-    # another's draws, also in runs of 1,000 steps and more
+    # the ascent and pipage rounding each lead their substream paths with
+    # their own element, so neither reads the other's draws, also in runs of
+    # 1,000 steps and more; the reported fractional value draws nothing
     drawn = defaultdict(list)
 
     def recording(seed, *path):
@@ -727,11 +727,30 @@ def test_consumers_of_the_run_seed_draw_disjoint_streams(algorithm, triangle_fil
     monkeypatch.setattr(multilinear, "substream", recording)
     flags = ["--algorithm", algorithm, "--k", "1", "--steps", "1000", "--samples", "4"]
     assert main(["--instance", triangle_file, *flags, "--out", str(tmp_path / "r.json")]) == 0
-    assert set(drawn) == {"submax.mcg", "submax.pipage", "submax.cli"}
+    assert set(drawn) == {"submax.mcg", "submax.pipage"}
     leads = {consumer: {path[0] for path in paths} for consumer, paths in drawn.items()}
     assert all(len(lead) == 1 for lead in leads.values())
     assert len(set().union(*leads.values())) == len(leads)
     assert max(Counter(drawn["submax.mcg"]).values()) == 1  # the ascent draws each stream once
+
+
+@pytest.mark.parametrize("algorithm", ["mcg", "dmcg-symmetric", "dmcg-general"])
+def test_a_sampled_run_reports_the_exact_fractional_value(algorithm, tmp_path):
+    # the ascent samples F, but the reported F(y) is the closed form at the
+    # reported point, so the achieved ratio carries no estimator noise
+    edges = [[u, v, 0.25 + (3 * u + v) % 5 / 4] for u in range(8) for v in range(u + 1, 8) if (u + v) % 3]
+    path = tmp_path / "cut.json"
+    path.write_text(json.dumps({"type": "graph_cut", "n": 8, "edges": edges}))
+    out = tmp_path / "r.json"
+    argv = ["--instance", str(path), "--algorithm", algorithm, "--k", "3", "--steps", "40", "--samples", "16"]
+    assert main([*argv, "--out", str(out)]) == 0
+    report = _read_report(out)["report"]
+    assert report["config"]["estimator"] == "sampled"
+    point = np.array(report["fractional_point"])
+    assert np.minimum(point, 1.0 - point).max() > 0.0  # an interior point, where sampling would differ
+    f = graph_cut_function(GraphCutInstance(8, tuple(map(tuple, edges))))
+    assert report["fractional_value"] == f.multilinear(point)[0]
+    assert report["achieved_ratio"] == report["fractional_value"] / report["oracle_opt"]
 
 
 def test_closed_form_runs_exact_beyond_the_table_limit(tmp_path):

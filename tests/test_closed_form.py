@@ -8,20 +8,18 @@ within 1e-12 (value and gradient), and the seeded sampled estimator within
 import numpy as np
 import pytest
 
-from submax.fixtures import random_coverage, random_graph_cut, random_hypergraph_cut, random_offset_cut
+from conftest import complement_function, modular_function, random_coverage, random_offset_cut, sum_functions
+from submax.fixtures import random_graph_cut, random_hypergraph_cut
 from submax.multilinear import Estimator, MultilinearEvaluator, backend
 from submax.rng import substream
 from submax.setfn import (
     CoverageInstance,
     HypergraphCutInstance,
     SetFunction,
-    complement_function,
     coverage_function,
     hardness_instance,
     hypergraph_cut_function,
-    modular_function,
     restrict_function,
-    sum_functions,
 )
 
 TOL = 1e-12
@@ -29,7 +27,7 @@ TOL = 1e-12
 
 def _table_reference(f: SetFunction) -> SetFunction:
     """The same oracle with no multilinear hook, so exact F folds the table."""
-    return SetFunction(f.n, f.eval, symmetric=f.symmetric, eval_many_masks=f.eval_many)
+    return SetFunction(f.n, f.eval_many, symmetric=f.symmetric)
 
 
 def _all_arities(n: int, seed: int) -> SetFunction:

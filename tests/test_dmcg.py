@@ -6,20 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bisect_direction, brute_direction_value
+from conftest import bisect_direction, brute_direction_value, random_coverage, random_offset_cut, single_edge_cut
+from lemmas import check_concave_segment
 from submax.dmcg import (
-    check_concave_segment,
     check_max_y,
     check_y_properties,
     run_dmcg,
     solve_direction,
 )
-from submax.fixtures import (
-    random_coverage,
-    random_graph_cut,
-    random_offset_cut,
-    single_edge_cut,
-)
+from submax.fixtures import random_graph_cut
 from submax.mcg import AscentConfig, trajectory_csv
 from submax.multilinear import Estimator, MultilinearEvaluator
 from submax.oracle import brute_cardinality

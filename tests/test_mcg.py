@@ -3,9 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import POLYTOPE_KINDS, random_polytope
+from conftest import POLYTOPE_KINDS, random_coverage, random_polytope, single_edge_cut, triangle_cut
 from lemmas import box_vertex_max
-from submax.fixtures import random_coverage, random_graph_cut, single_edge_cut, triangle_cut
+from submax.fixtures import random_graph_cut
 from submax.mcg import AscentConfig, check_feasibility_invariants, run_mcg, trajectory_csv
 from submax.multilinear import Estimator, MultilinearEvaluator, Point
 from submax.oracle import brute_polytope_integral

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import complement_function, per_mask, random_coverage, single_edge_cut, triangle_cut
 from lemmas import (
     box_vertex_values,
     check_correlated_marginals_bound,
@@ -13,16 +14,10 @@ from lemmas import (
     check_random_subset_bound,
     check_union_bound_symmetric,
 )
-from submax.fixtures import (
-    random_coverage,
-    random_graph_cut,
-    random_hypergraph_cut,
-    single_edge_cut,
-    triangle_cut,
-)
+from submax.fixtures import random_graph_cut, random_hypergraph_cut
 from submax.multilinear import Estimator, MultilinearEvaluator, Point
 from submax.rng import substream
-from submax.setfn import SetFunction, complement_function, hardness_instance
+from submax.setfn import SetFunction, hardness_instance
 from submax.subsets import popcount_array
 
 
@@ -199,7 +194,7 @@ def test_value_and_partials_consistent_with_partial():
 
 def _scalar_oracle(n: int) -> SetFunction:
     weights = substream(2, n).uniform(0.5, 2.0, size=n)
-    return SetFunction(n, lambda mask: math.sqrt(sum(w for u, w in enumerate(weights) if mask >> u & 1)))
+    return SetFunction(n, per_mask(lambda mask: math.sqrt(sum(w for u, w in enumerate(weights) if mask >> u & 1))))
 
 
 @pytest.mark.parametrize(

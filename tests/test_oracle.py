@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from submax.fixtures import random_graph_cut, triangle_cut
+from conftest import complement_function, per_mask, sum_functions, triangle_cut
+from submax.fixtures import random_graph_cut
 from submax.oracle import brute_cardinality, brute_polytope_integral, brute_unconstrained
 from submax.polytope import CardinalityPolytope, KnapsackPolytope, PartitionPolytope, Polytope
 from submax.rng import substream
@@ -14,19 +15,17 @@ from submax.setfn import (
     GraphCutInstance,
     HypergraphCutInstance,
     SetFunction,
-    complement_function,
     graph_cut_function,
     hardness_instance,
     hypergraph_cut_function,
     restrict_function,
-    sum_functions,
 )
 from submax.subsets import MASK_BLOCK, indices
 from submax.welfare import WelfareInstance, brute_force_welfare
 
 
 def zero_function(n):
-    return SetFunction(n, lambda m: 0.0)
+    return SetFunction(n, per_mask(lambda m: 0.0))
 
 
 def test_brute_unconstrained_examples():
@@ -71,7 +70,7 @@ def test_oracle_ordering_chain(n, seed):
 
 
 def test_oracle_rejects_oversized_ground_sets():
-    f = SetFunction(23, lambda m: 0.0)
+    f = SetFunction(23, per_mask(lambda m: 0.0))
     with pytest.raises(ValueError):
         brute_unconstrained(f)
     with pytest.raises(ValueError):
@@ -213,7 +212,7 @@ def test_streamed_brute_force_ties_go_to_the_smallest_mask():
     def many(masks):
         return np.array([top.get(int(m), 0.5) for m in masks.ravel()]).reshape(masks.shape)
 
-    f = SetFunction(n, lambda m: top.get(m, 0.5), eval_many_masks=many)
+    f = SetFunction(n, many)
     assert brute_unconstrained(f) == (4103, 1.0)
     # 4103 has 4 elements, 8195 and 12289 have 3
     assert brute_cardinality(f, 3) == (8195, 1.0)

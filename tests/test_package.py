@@ -1,28 +1,36 @@
-"""Layout guard: the library ships the solvers and the invariants a run can
-check; the lemma checks and oracle audits that only tests call live in
-``tests/lemmas.py``; the library takes no option that no caller sets; and
-each decision lives in the module that owns it (polytope kinds in
-``polytope``, Reduction 2 in ``run_dmcg``)."""
+"""Layout guard: the library ships what a run, the benchmark or a script
+calls, plus the invariants a run can check; the lemma checks, oracle audits,
+instances and wrappers that only tests call live in ``tests/``; the library
+takes no option that no caller sets; and each decision lives in the module
+that owns it (polytope kinds in ``polytope``, Reduction 2 in ``run_dmcg``)."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import submax
 from submax import dmcg, fixtures, oracle, pipage, polytope
 from submax.multilinear import Estimator
-from submax.setfn import audit_symmetry, restrict_function, sum_functions
+from submax.setfn import SetFunction, audit_symmetry, restrict_function
+from submax.twosided import run_two_sided
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = Path(submax.__file__).resolve().parent
 
 RUN_TIME_INVARIANTS = {
     "check_feasibility_invariants",
     "check_y_properties",
     "check_max_y",
-    "check_concave_segment",
     "check_loss_gain",
 }
+# public names no run calls yet: the run-time invariants and the per-step
+# trace writers, kept for the run to report and write
+AWAITING_A_CALLER = RUN_TIME_INVARIANTS | {"trajectory_csv", "trace_csv"}
 TEST_ONLY = {"box_vertex_values", "box_vertex_max", "sample_set", "cut_eval", "random_assign",
              "audit_submodularity", "audit_nonnegativity"}
 
@@ -43,16 +51,50 @@ def test_library_defines_only_the_run_time_checks():
     assert not TEST_ONLY & defined.keys(), {name: defined[name] for name in TEST_ONLY & defined.keys()}
 
 
+def _defines(stmt: ast.stmt) -> set[str]:
+    """The names a module-level statement binds: a def, a class or an assignment."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, ast.Assign):
+        return {t.id for t in stmt.targets if isinstance(t, ast.Name)}
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return {stmt.target.id}
+    return set()
+
+
+def _reads(stmt: ast.stmt) -> set[str]:
+    """The names and attributes a statement reads in code (not in strings)."""
+    names = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_public_library_name_has_a_caller_outside_the_tests():
+    defined = {}
+    for path in PACKAGE.glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            defined.update((name, path.stem) for name in _defines(stmt) if not name.startswith("_"))
+    used = set()
+    for path in [p for top in ("src", "bench", "scripts") for p in (ROOT / top).rglob("*.py")]:
+        for stmt in ast.parse(path.read_text()).body:
+            used |= _reads(stmt) - _defines(stmt)  # a recursive call is no caller
+    unused = {name: module for name, module in defined.items() if name not in used}
+    assert unused.keys() == AWAITING_A_CALLER, unused
+
+
 # every parameter of these; an option that only tests set, or that the code
 # can derive from its inputs, is a constant or a derived value instead
 PARAMETERS = {
+    SetFunction: ["n", "eval_many_masks", "symmetric", "kind", "source", "multilinear"],
     audit_symmetry: ["f"],
     restrict_function: ["f", "kept"],
-    sum_functions: ["fs"],
-    fixtures.single_edge_cut: ["n"],
+    run_two_sided: ["f"],
     fixtures.random_graph_cut: ["n", "seed", "edge_prob"],
     fixtures.random_hypergraph_cut: ["n", "seed"],
-    fixtures.random_coverage: ["n", "seed"],
 }
 
 

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from submax.fixtures import random_coverage, random_graph_cut, single_edge_cut, triangle_cut
+from conftest import per_mask, random_coverage, single_edge_cut, triangle_cut
+from submax.fixtures import random_graph_cut
 from submax.multilinear import Estimator, MultilinearEvaluator, Point
 from submax.pipage import pipage_round
 from submax.polytope import CardinalityPolytope, KnapsackPolytope, PartitionPolytope
@@ -97,7 +98,7 @@ def test_rejects_unsupported_polytope_kind():
 @pytest.mark.parametrize("scale", [1.0, 1e-20, 1e300])
 def test_non_submodular_input_fails_loudly(scale):
     # the audit's tolerance is relative, so it flags the curvature at any scale
-    f = SetFunction(3, lambda m: scale * float(bin(m).count("1") ** 2))  # supermodular
+    f = SetFunction(3, per_mask(lambda m: scale * float(bin(m).count("1") ** 2)))  # supermodular
     with pytest.raises(ArithmeticError, match="not submodular"):
         pipage_round(f, Point([0.5, 0.5, 0.0]), CardinalityPolytope(3, 1))
 

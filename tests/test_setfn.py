@@ -3,9 +3,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import embed_by_bit_rows, reference_kernel
+from conftest import (
+    complement_function,
+    embed_by_bit_rows,
+    modular_function,
+    per_mask,
+    reference_kernel,
+    single_edge_cut,
+    sum_functions,
+    triangle_cut,
+)
 from lemmas import audit_nonnegativity, audit_submodularity
-from submax.fixtures import random_graph_cut, random_hypergraph_cut, single_edge_cut, triangle_cut
+from submax.fixtures import random_graph_cut, random_hypergraph_cut
 from submax.multilinear import MultilinearEvaluator
 from submax.rng import substream
 from submax.setfn import (
@@ -15,14 +24,11 @@ from submax.setfn import (
     HypergraphCutInstance,
     SetFunction,
     audit_symmetry,
-    complement_function,
     coverage_function,
     graph_cut_function,
     hardness_instance,
     hypergraph_cut_function,
-    modular_function,
     restrict_function,
-    sum_functions,
 )
 from submax.subsets import (
     MASK_BLOCK,
@@ -41,7 +47,7 @@ from submax.welfare import tight_instance
 
 def square_cardinality(n):
     """f(S) = |S|^2: supermodular, used as a negative control."""
-    return SetFunction(n, lambda m: float(bin(m).count("1") ** 2))
+    return SetFunction(n, per_mask(lambda m: float(bin(m).count("1") ** 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +600,7 @@ def test_eval_many_feeds_the_kernel_one_block_at_a_time():
         seen.append(masks.size)
         return masks.astype(float)
 
-    f = SetFunction(20, float, eval_many_masks=many)
+    f = SetFunction(20, many)
     masks = np.arange(3 * MASK_BLOCK + 5, dtype=np.int64).reshape(-1, 1)
     assert np.array_equal(f.eval_many(masks), masks)
     assert seen == [MASK_BLOCK] * 3 + [5]

@@ -2,14 +2,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from submax.fixtures import random_coverage, random_graph_cut, single_edge_cut, triangle_cut
+from conftest import per_mask, random_coverage, single_edge_cut, triangle_cut
+from submax.fixtures import random_graph_cut
 from submax.oracle import brute_unconstrained
-from submax.setfn import GraphCutInstance, SetFunction, graph_cut_function
+from submax.setfn import GraphCutInstance, SetFunction, graph_cut_function, restrict_function
+from submax.subsets import indices
 from submax.twosided import check_loss_gain, run_two_sided, trace_csv
 
 
 def zero_function(n):
-    return SetFunction(n, lambda m: 0.0)
+    return SetFunction(n, per_mask(lambda m: 0.0))
 
 
 def test_single_edge_hand_trace():
@@ -84,7 +86,7 @@ def test_general_third_guarantee(n, seed):
 
 def test_branches_invariant_under_positive_scaling():
     f = random_graph_cut(8, seed=3)
-    scaled = SetFunction(8, lambda m: 7.5 * f.eval(m), symmetric=True)
+    scaled = SetFunction(8, per_mask(lambda m: 7.5 * f.eval(m)), symmetric=True)
     _, trace = run_two_sided(f)
     _, trace_scaled = run_two_sided(scaled)
     assert [s.branch for s in trace.steps] == [s.branch for s in trace_scaled.steps]
@@ -104,13 +106,17 @@ def test_edge_order_cannot_decide_a_tie():
 
 
 def test_custom_order_changes_output_not_guarantee():
+    # keeping all n elements in another order relabels f: the greedy on the
+    # relabelled f walks f's elements in that order
     f = random_graph_cut(7, seed=4)
     _, opt = brute_unconstrained(f)
     for order in ([6, 5, 4, 3, 2, 1, 0], [3, 0, 6, 2, 5, 1, 4]):
-        out, _ = run_two_sided(f, order=order)
-        assert f.eval(out) >= 0.5 * opt - 1e-9
-    with pytest.raises(ValueError):
-        run_two_sided(f, order=[0, 0, 1, 2, 3, 4, 5])
+        g = restrict_function(f, order)
+        assert g.symmetric
+        out, _ = run_two_sided(g)
+        value = f.eval({order[i] for i in indices(out)})
+        assert value == g.eval(out)
+        assert value >= 0.5 * opt - 1e-9
 
 
 def test_loss_gain_ledger_examples():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import simulate_by_draws
+from conftest import modular_function, random_coverage, simulate_by_draws, single_edge_cut
 from lemmas import (
     audit_nonnegativity,
     audit_submodularity,
@@ -12,10 +12,9 @@ from lemmas import (
     check_repeated_subsample_union,
     check_sampled_union_bounds,
 )
-from submax.fixtures import random_coverage, random_graph_cut, random_hypergraph_cut, single_edge_cut
+from submax.fixtures import random_graph_cut, random_hypergraph_cut
 from submax.multilinear import MultilinearEvaluator
 from submax import welfare
-from submax.setfn import modular_function
 from submax.welfare import (
     Allocation,
     WelfareInstance,
