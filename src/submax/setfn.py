@@ -6,12 +6,16 @@ thread-safe query counter.  Every set function has exactly one oracle, a
 batch kernel over mask arrays.  ``eval`` is that kernel on a one-mask batch,
 so a set has one value whether an algorithm, a value table or a brute-force
 search asks for it.  Masks are int64 up to 62 elements at the API; above
-that only ``eval`` works, on Python-int masks.  The cut and coverage kernels
-narrow each batch to ``subsets.word(n)`` (uint8, uint16 or uint32 up to 32
-elements) with one expression for every width, so their temporaries are
-word-sized.  The shipped families also carry a closed-form
-multilinear extension (``multilinear``), which ``restrict_function`` passes
-on by composition.
+that only ``eval`` works, on Python-int masks.
+
+The shipped families are one row family: weighted rows over the elements,
+each row paying its weight when the set meets it (coverage, a row per
+universe item) or meets it without containing it (graph and hypergraph
+cuts, a row per edge, and the one-edge hardness fixture).  One builder gives
+them one kernel, which narrows int64 masks to ``subsets.word(n)`` and counts
+the members of each row of a Python-int mask (a set above 62 elements) from
+its bit vector, and one closed-form multilinear extension
+(``multilinear``), which ``restrict_function`` passes on by composition.
 """
 
 from __future__ import annotations
@@ -61,9 +65,9 @@ class SetFunction:
     handing it at most ``MASK_BLOCK`` masks per call, so a set has the same
     value whichever entry point asks.  Masks are int64 for n <= 62 and
     Python ints (an ``object`` array) above that; only ``eval`` accepts the
-    latter.  A kernel may narrow them internally (the shipped ones cast to
-    ``subsets.word(n)``).  The counter increases by exactly one per evaluated
-    set.  ``table`` holds f's value on every set once it has been asked for:
+    latter.  A kernel may narrow int64 masks internally (the row family
+    casts them to ``subsets.word(n)``).  The counter increases by exactly
+    one per evaluated set.  ``table`` holds f's value on every set once it has been asked for:
     the exact table fold, the welfare search, the welfare simulation and the
     symmetry audit all read that one array.  An optional
     ``multilinear`` hook returns the exact extension and its gradient,
@@ -145,35 +149,9 @@ def _weighted_count(hits: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.einsum("...j,j->...", hits, weights)
 
 
-def _cut_kernel(edge_masks: np.ndarray, weights: np.ndarray, n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Batch oracle of a graph or hypergraph cut over n elements: the weight
-    of the edges (vertex bitmasks) with a vertex on each side of each mask.
-    Masks are cast to ``word(n)``, which keeps the n bits the AND sees."""
-    w = word(n)
-    edge_masks = edge_masks.astype(w)
-
-    def many(masks: np.ndarray) -> np.ndarray:
-        inter = masks.astype(w, copy=False)[..., None] & edge_masks
-        hits = inter != 0
-        hits &= inter != edge_masks
-        return _weighted_count(hits, weights)
-
-    return many
-
-
 # ---------------------------------------------------------------------------
-# closed-form helpers: products over the rows of a padded incidence matrix
+# the row family: weighted rows over the elements
 # ---------------------------------------------------------------------------
-
-
-def _padded_incidence(rows: list[list[int]], n: int) -> np.ndarray:
-    """(len(rows), max arity) index matrix; short rows are padded with n, the
-    index of the neutral factor 1 appended to the coordinate vector."""
-    width = max([1, *(len(r) for r in rows)])
-    out = np.full((len(rows), width), n, dtype=np.int64)
-    for e, row in enumerate(rows):
-        out[e, : len(row)] = row
-    return out
 
 
 def _leave_one_out(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -187,9 +165,76 @@ def _leave_one_out(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return prefix[:, -1], prefix[:, :-1] * suffix[:, 1:]
 
 
-def _scatter(incidence: np.ndarray, contrib: np.ndarray, n: int) -> np.ndarray:
-    """Sum each entry's contribution into its element; padding is dropped."""
-    return np.bincount(incidence.ravel(), contrib.ravel(), n + 1)[:n]
+def _row_family(n: int, rows: list, weights, *, cut: bool, kind: str, source) -> SetFunction:
+    """f(S) = total weight of the rows S meets, and under the cut rule
+    (``cut``) does not contain; each row lists distinct elements, and cut
+    rows make f symmetric.  The rows are held as an incidence matrix as
+    wide as the longest row but at least 2, short rows padded with n.
+
+    The oracle is one kernel: int64 masks are narrowed to ``word(n)`` and
+    ANDed with the row masks, and a Python-int mask (a set above 62
+    elements) is unpacked to a bit vector whose members are counted per
+    row, one gather per incidence column.  Both sum the same hits in
+    ``_weighted_count``, so they agree bit for bit.  The closed form is
+    ``x_u + x_v - c x_u x_v`` (c = 2 cut, 1 meets, padding x = 0) when rows
+    hold at most two elements, and else 1 - prod(1 - x), less prod(x) for a
+    cut, with leave-one-out products for the gradient."""
+    weights = np.asarray(weights, dtype=float)
+    width = max([2, *map(len, rows)])
+    incidence = np.full((len(rows), width), n, dtype=np.int64)
+    for e, row in enumerate(rows):
+        incidence[e, : len(row)] = row
+    sizes = (incidence < n).sum(axis=1)
+    columns = list(incidence.T.copy())  # contiguous columns gather faster
+    if n <= MAX_MASK_BITS:  # the only ground sets whose masks come as int64 arrays
+        bit = np.where(incidence < n, np.int64(1) << incidence, 0)
+        row_masks = np.bitwise_or.reduce(bit, axis=1).astype(word(n))
+    count_type = np.min_scalar_type(width)
+
+    def value_of_int(mask: int) -> float:
+        member = np.zeros(n + 1, dtype=count_type)  # member[n] = 0 reads the padding
+        member[:n] = np.unpackbits(np.frombuffer(mask.to_bytes(-(-n // 8), "little"), np.uint8), count=n,
+                                   bitorder="little")
+        count = member[columns[0]]
+        for column in columns[1:]:
+            count += member[column]
+        hits = count != 0
+        if cut:
+            hits &= count != sizes
+        return _weighted_count(hits, weights)
+
+    def many(masks: np.ndarray) -> np.ndarray:
+        if masks.dtype == object:
+            return np.array([value_of_int(int(m)) for m in masks.ravel()]).reshape(masks.shape)
+        inter = masks.astype(row_masks.dtype, copy=False)[..., None] & row_masks
+        hits = inter != 0
+        if cut:
+            hits &= inter != row_masks
+        return _weighted_count(hits, weights)
+
+    c = 2.0 if cut else 1.0
+
+    def multilinear(x: np.ndarray) -> tuple[float, np.ndarray]:
+        if width == 2:
+            # Pr[row uv pays] = x_u + x_v - c x_u x_v
+            u, v = columns
+            xp = np.zeros(n + 1)
+            xp[:n] = x
+            xu, xv = xp[u], xp[v]
+            grad = np.bincount(u, weights * (1.0 - c * xv), n + 1)
+            grad += np.bincount(v, weights * (1.0 - c * xu), n + 1)
+            return float(weights @ (xu + xv - c * xu * xv)), grad[:n]
+        # Pr[row pays] = 1 - prod (1 - x) [- prod x under the cut rule]
+        outside, others = _leave_one_out(np.append(1.0 - x, 1.0)[incidence])
+        if cut:
+            inside, inside_others = _leave_one_out(np.append(x, 1.0)[incidence])
+            pays, others = 1.0 - inside - outside, others - inside_others
+        else:
+            pays = 1.0 - outside
+        grad = np.bincount(incidence.ravel(), (weights[:, None] * others).ravel(), n + 1)
+        return float(weights @ pays), grad[:n]
+
+    return SetFunction(n, many, symmetric=cut, kind=kind, source=source, multilinear=multilinear)
 
 
 # ---------------------------------------------------------------------------
@@ -217,27 +262,9 @@ class GraphCutInstance:
 
 
 def graph_cut_function(instance: GraphCutInstance) -> SetFunction:
-    eu = np.array([e[0] for e in instance.edges], dtype=np.int64)
-    ev = np.array([e[1] for e in instance.edges], dtype=np.int64)
-    ew = np.array([e[2] for e in instance.edges], dtype=float)
-    edge_masks = mask_array([as_mask((u, v), instance.n) for u, v, _ in instance.edges], instance.n)
-
-    def multilinear(x: np.ndarray) -> tuple[float, np.ndarray]:
-        # Pr[edge uv is cut] = x_u + x_v - 2 x_u x_v
-        xu, xv = x[eu], x[ev]
-        value = float(ew @ (xu + xv - 2.0 * xu * xv))
-        grad = np.bincount(eu, ew * (1.0 - 2.0 * xv), instance.n)
-        grad += np.bincount(ev, ew * (1.0 - 2.0 * xu), instance.n)
-        return value, grad
-
-    return SetFunction(
-        instance.n,
-        symmetric=True,
-        eval_many_masks=_cut_kernel(edge_masks, ew, instance.n),
-        kind="graph_cut",
-        source=instance,
-        multilinear=multilinear,
-    )
+    rows = [(u, v) for u, v, _ in instance.edges]
+    weights = [w for _, _, w in instance.edges]
+    return _row_family(instance.n, rows, weights, cut=True, kind="graph_cut", source=instance)
 
 
 @dataclass(frozen=True)
@@ -260,26 +287,9 @@ class HypergraphCutInstance:
 
 
 def hypergraph_cut_function(instance: HypergraphCutInstance) -> SetFunction:
-    he_masks = mask_array([as_mask(verts, instance.n) for verts, _ in instance.hyperedges], instance.n)
-    he_w = np.array([w for _, w in instance.hyperedges], dtype=float)
-
-    incidence = _padded_incidence([sorted(verts) for verts, _ in instance.hyperedges], instance.n)
-
-    def multilinear(x: np.ndarray) -> tuple[float, np.ndarray]:
-        # Pr[e is cut] = 1 - prod_e x - prod_e (1 - x)
-        inside, inside_others = _leave_one_out(np.append(x, 1.0)[incidence])
-        outside, outside_others = _leave_one_out(np.append(1.0 - x, 1.0)[incidence])
-        value = float(he_w @ (1.0 - inside - outside))
-        return value, _scatter(incidence, he_w[:, None] * (outside_others - inside_others), instance.n)
-
-    return SetFunction(
-        instance.n,
-        symmetric=True,
-        eval_many_masks=_cut_kernel(he_masks, he_w, instance.n),
-        kind="hypergraph_cut",
-        source=instance,
-        multilinear=multilinear,
-    )
+    rows = [sorted(verts) for verts, _ in instance.hyperedges]
+    weights = [w for _, w in instance.hyperedges]
+    return _row_family(instance.n, rows, weights, cut=True, kind="hypergraph_cut", source=instance)
 
 
 @dataclass(frozen=True)
@@ -308,35 +318,13 @@ class CoverageInstance:
 
 
 def coverage_function(instance: CoverageInstance) -> SetFunction:
-    m = len(instance.universe_weights)
     # rows[j] = the ground elements covering universe item j
-    rows: list[set[int]] = [set() for _ in range(m)]
+    rows: list[set[int]] = [set() for _ in instance.universe_weights]
     for i, covered in enumerate(instance.membership):
         for j in covered:
             rows[j].add(i)
-    w = word(instance.n)
-    coverers = mask_array([as_mask(row, instance.n) for row in rows], instance.n).astype(w)
-    weights = np.asarray(instance.universe_weights, dtype=float)
-
-    def many(masks: np.ndarray) -> np.ndarray:
-        return _weighted_count((masks.astype(w, copy=False)[..., None] & coverers) != 0, weights)
-
-    incidence = _padded_incidence([sorted(row) for row in rows], instance.n)
-
-    def multilinear(x: np.ndarray) -> tuple[float, np.ndarray]:
-        # Pr[item j is covered] = 1 - prod_{i covers j} (1 - x_i)
-        missed, missed_others = _leave_one_out(np.append(1.0 - x, 1.0)[incidence])
-        value = float(weights @ (1.0 - missed))
-        return value, _scatter(incidence, weights[:, None] * missed_others, instance.n)
-
-    return SetFunction(
-        instance.n,
-        symmetric=False,
-        eval_many_masks=many,
-        kind="coverage",
-        source=instance,
-        multilinear=multilinear,
-    )
+    return _row_family(instance.n, [sorted(row) for row in rows], instance.universe_weights, cut=False,
+                       kind="coverage", source=instance)
 
 
 def hardness_instance(p: int, q: int) -> SetFunction:
@@ -352,10 +340,7 @@ def hardness_instance(p: int, q: int) -> SetFunction:
         raise ValueError("requires p < q")
     n = 2 * q
     inst = GraphCutInstance(n=n, edges=((0, n - 1, 1.0),))
-    f = graph_cut_function(inst)
-    f.kind = "hardness"
-    f.source = {"p": p, "q": q, "instance": inst}
-    return f
+    return _row_family(n, [(0, n - 1)], [1.0], cut=True, kind="hardness", source={"p": p, "q": q, "instance": inst})
 
 
 # ---------------------------------------------------------------------------

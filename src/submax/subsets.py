@@ -5,7 +5,7 @@ is in the set; every oracle also accepts an iterable of indices.  A mask
 array is int64 up to ``MAX_MASK_BITS`` elements and holds Python ints (an
 ``object`` array) above that.  This module alone converts between sets and
 bit rows: :func:`masks_from_bits` packs, :func:`bits_from_masks` unpacks,
-both at any n.  Inside a batch kernel, masks may be narrowed to
+both at any n.  Inside a batch kernel, int64 masks may be narrowed to
 :func:`word`, the smallest integer type that holds n bits, so that the
 kernel's temporaries take 1, 2 or 4 bytes per entry instead of 8.
 """
@@ -19,10 +19,10 @@ import numpy as np
 # int64 bitmask batches hold at most 62 elements: shifting 1 by 63 overflows
 MAX_MASK_BITS = 62
 
-# masks per oracle call on large batches: the family kernels build
-# (block, edges / hyperedges / items) temporaries of word(n) entries, which
-# stay cache-sized at this length (with word-sized temporaries, 1 << 11 to
-# 1 << 13 tie and 1 << 14 is slower at n = 16)
+# masks per oracle call on large batches: the row family's kernel builds
+# (block, rows) temporaries of word(n) entries, which stay cache-sized at
+# this length (with word-sized temporaries, 1 << 11 to 1 << 13 tie and
+# 1 << 14 is slower at n = 16)
 MASK_BLOCK = 1 << 12
 
 _POP_CHUNK = 11
@@ -55,24 +55,20 @@ def full_mask(n: int) -> int:
 
 
 def word(n: int) -> np.dtype:
-    """The narrowest mask type that holds n bits: uint8, uint16 or uint32 up
-    to 32 elements, int64 up to ``MAX_MASK_BITS`` and ``object`` above.
-    Casting masks over n elements to it keeps every bit."""
+    """The narrowest mask type that holds n <= ``MAX_MASK_BITS`` bits: uint8,
+    uint16 or uint32 up to 32 elements, int64 above.  Casting int64 masks
+    over n elements to it keeps every bit."""
     for dtype in (np.uint8, np.uint16, np.uint32):
         if n <= np.iinfo(dtype).bits:
             return np.dtype(dtype)
-    return np.dtype(np.int64 if n <= MAX_MASK_BITS else object)
+    return np.dtype(np.int64)
 
 
 def popcount_array(masks: np.ndarray) -> np.ndarray:
     """Vectorized popcount of non-negative int64 masks: one 11-bit table
     lookup per chunk up to the bit length of the largest mask (six cover all
-    63 value bits).  Python-int masks (an object array, for sets beyond 62
-    elements) are counted one by one."""
-    m = np.asarray(masks)
-    if m.dtype == object:
-        return np.array([bin(v).count("1") for v in m.ravel()], dtype=np.int64).reshape(m.shape)
-    m = m.astype(np.int64, copy=False)
+    63 value bits)."""
+    m = np.asarray(masks).astype(np.int64, copy=False)
     count = np.zeros(m.shape, dtype=np.int64)
     for shift in range(0, int(m.max(initial=0)).bit_length(), _POP_CHUNK):
         count += _POP_LUT[(m >> shift) & 2047]

@@ -28,8 +28,7 @@ TIE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class GreedyStep:
-    i: int
-    element: int
+    i: int  # the step's element is i - 1
     a: float
     b: float
     branch: str  # "X" or "Y"
@@ -68,7 +67,7 @@ def run_two_sided(f: SetFunction) -> tuple[int, GreedyTrace]:
             y_mask &= ~bit
             fy = fyu
             branch = "Y"
-        trace.steps.append(GreedyStep(u + 1, u, a, b, branch, x_mask, y_mask))
+        trace.steps.append(GreedyStep(u + 1, a, b, branch, x_mask, y_mask))
     return x_mask, trace
 
 

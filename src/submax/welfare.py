@@ -20,7 +20,7 @@ import numpy as np
 
 from .rng import WELFARE_STREAM, substream
 from .setfn import TABLE_LIMIT, SetFunction
-from .subsets import MASK_BLOCK, full_mask, masks_from_bits, popcount_array
+from .subsets import MASK_BLOCK, MAX_MASK_BITS, full_mask, masks_from_bits, popcount_array
 
 MAX_WELFARE_SEARCH = 10_000_000
 
@@ -58,11 +58,6 @@ class Allocation:
         if union != full_mask(self.instance.utility.n):
             raise ValueError("player bundles must cover every item")
 
-    @property
-    def total(self) -> float:
-        """Sum of utilities, recomputed from the oracle on access."""
-        return float(sum(self.instance.utility.eval(p) for p in self.parts))
-
 
 def simulate_random_assign(inst: WelfareInstance, trials: int, seed: int = 0) -> np.ndarray:
     """Totals of ``trials`` independent runs of random assignment (each item to
@@ -86,9 +81,10 @@ def simulate_random_assign(inst: WelfareInstance, trials: int, seed: int = 0) ->
 
 def tight_instance(k: int) -> WelfareInstance:
     """The k-item instance on which random assignment is exactly tight:
-    utility 1 - (|S| - 1)/(k - 1) for non-empty S, 0 for the empty set."""
-    if k < 2:
-        raise ValueError("requires k >= 2")
+    utility 1 - (|S| - 1)/(k - 1) for non-empty S, 0 for the empty set.
+    The utility counts int64 masks, so k <= ``MAX_MASK_BITS``."""
+    if not 2 <= k <= MAX_MASK_BITS:
+        raise ValueError(f"requires 2 <= k <= {MAX_MASK_BITS}, got {k}")
 
     def value_of_size(sizes):
         sizes = np.asarray(sizes, dtype=float)

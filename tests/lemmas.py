@@ -218,6 +218,11 @@ def check_concave_segment(f: SetFunction, y1, y2, grid: int = 101, tol: float = 
 # ---------------------------------------------------------------------------
 
 
+def allocation_total(allocation: Allocation) -> float:
+    """Sum of the players' utilities, one oracle call per bundle."""
+    return float(sum(allocation.instance.utility.eval(p) for p in allocation.parts))
+
+
 def check_partial_union_bounds(
     inst: WelfareInstance,
     optimal: Allocation,
@@ -231,7 +236,7 @@ def check_partial_union_bounds(
     n, k = inst.utility.n, inst.k
     if k < 2:
         raise ValueError("requires k >= 2")
-    opt_value = optimal.total
+    opt_value = allocation_total(optimal)
     # player owning each item under the optimal allocation
     owner = np.argmax(bits_from_masks(optimal.parts, n), axis=0)
     rng = substream(seed, 0x9C)

@@ -40,6 +40,24 @@ def _all_arities(n: int, seed: int) -> SetFunction:
     return hypergraph_cut_function(HypergraphCutInstance(n=n, hyperedges=tuple(hyperedges)))
 
 
+def _all_pairs(n: int, seed: int) -> SetFunction:
+    """Hypergraph cut whose hyperedges are all the pairs: rows of width 2."""
+    rng = substream(seed, 0xA2)
+    pairs = [frozenset({u, v}) for u in range(n) for v in range(u + 1, n)]
+    weights = map(float, rng.uniform(0.1, 1.0, len(pairs)))
+    return hypergraph_cut_function(HypergraphCutInstance(n, tuple(zip(pairs, weights))))
+
+
+def _narrow_coverage(n: int, width: int, seed: int) -> SetFunction:
+    """Coverage in which each of 2n items has at most ``width`` coverers (and
+    some have none)."""
+    rng = substream(seed, 0xC2)
+    coverers = [rng.choice(n, size=int(rng.integers(0, width + 1)), replace=False) for _ in range(2 * n)]
+    membership = tuple(tuple(j for j, row in enumerate(coverers) if u in row) for u in range(n))
+    weights = tuple(map(float, rng.uniform(0.1, 1.0, 2 * n)))
+    return coverage_function(CoverageInstance(n=n, universe_weights=weights, membership=membership))
+
+
 def _ragged_coverage() -> SetFunction:
     """Coverage whose universe has items no element covers (5, 6) and whose
     membership lists repeat entries."""
@@ -57,7 +75,10 @@ def _families() -> dict[str, SetFunction]:
         "graph_cut": cut,
         "hypergraph_cut_all_arities": hyper,
         "random_hypergraph_cut": random_hypergraph_cut(11, seed=5),
+        "hypergraph_cut_all_pairs": _all_pairs(7, seed=9),
         "coverage": coverage,
+        "coverage_width_1": _narrow_coverage(9, 1, seed=10),
+        "coverage_width_2": _narrow_coverage(10, 2, seed=11),
         "ragged_coverage": _ragged_coverage(),
         "hardness": hardness_instance(2, 5),
         "modular": modular,

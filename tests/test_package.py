@@ -28,9 +28,9 @@ RUN_TIME_INVARIANTS = {
     "check_max_y",
     "check_loss_gain",
 }
-# public names no run calls yet: the run-time invariants and the per-step
-# trace writers, kept for the run to report and write
-AWAITING_A_CALLER = RUN_TIME_INVARIANTS | {"trajectory_csv", "trace_csv"}
+# public names no run calls yet: the run-time invariants, the per-step
+# trace writers and the check serializer, kept for the run to report and write
+AWAITING_A_CALLER = RUN_TIME_INVARIANTS | {"trajectory_csv", "trace_csv", "CheckReport.to_json"}
 TEST_ONLY = {"box_vertex_values", "box_vertex_max", "sample_set", "cut_eval", "random_assign",
              "audit_submodularity", "audit_nonnegativity"}
 
@@ -49,6 +49,14 @@ def test_library_defines_only_the_run_time_checks():
     checks = {name for name in defined if name.startswith("check_")}
     assert checks == RUN_TIME_INVARIANTS
     assert not TEST_ONLY & defined.keys(), {name: defined[name] for name in TEST_ONLY & defined.keys()}
+
+
+def _methods(stmt: ast.stmt) -> set[str]:
+    """``Class.method`` for each public method or property of a public class."""
+    if not isinstance(stmt, ast.ClassDef) or stmt.name.startswith("_"):
+        return set()
+    return {f"{stmt.name}.{item.name}" for item in stmt.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_")}
 
 
 def _defines(stmt: ast.stmt) -> set[str]:
@@ -74,15 +82,18 @@ def _reads(stmt: ast.stmt) -> set[str]:
 
 
 def test_every_public_library_name_has_a_caller_outside_the_tests():
+    # module-level names, and the public methods and properties of public
+    # classes, which a caller reads as an attribute
     defined = {}
     for path in PACKAGE.glob("*.py"):
         for stmt in ast.parse(path.read_text()).body:
-            defined.update((name, path.stem) for name in _defines(stmt) if not name.startswith("_"))
+            public = {name for name in _defines(stmt) if not name.startswith("_")} | _methods(stmt)
+            defined.update((name, path.stem) for name in public)
     used = set()
     for path in [p for top in ("src", "bench", "scripts") for p in (ROOT / top).rglob("*.py")]:
         for stmt in ast.parse(path.read_text()).body:
             used |= _reads(stmt) - _defines(stmt)  # a recursive call is no caller
-    unused = {name: module for name, module in defined.items() if name not in used}
+    unused = {name: module for name, module in defined.items() if name.rpartition(".")[2] not in used}
     assert unused.keys() == AWAITING_A_CALLER, unused
 
 

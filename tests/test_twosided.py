@@ -61,7 +61,7 @@ def test_trace_nesting_invariants():
     x_prev, y_prev = 0, (1 << 8) - 1
     for s in trace.steps:
         assert s.x_mask & ~s.y_mask == 0  # X_i subseteq Y_i
-        assert s.x_mask & ~x_prev in (0, 1 << s.element)
+        assert s.x_mask & ~x_prev in (0, 1 << (s.i - 1))
         x_prev, y_prev = s.x_mask, s.y_mask
     assert trace.steps[-1].x_mask == trace.steps[-1].y_mask == out
 

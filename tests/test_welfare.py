@@ -5,6 +5,7 @@ import pytest
 
 from conftest import modular_function, random_coverage, simulate_by_draws, single_edge_cut
 from lemmas import (
+    allocation_total,
     audit_nonnegativity,
     audit_submodularity,
     check_disjoint_unions,
@@ -157,7 +158,7 @@ def test_allocation_invariants():
     with pytest.raises(ValueError):
         Allocation((0b001, 0b010, 0b000), inst)  # does not cover
     alloc = Allocation((0b001, 0b010, 0b100), inst)
-    assert alloc.total == 3.0
+    assert allocation_total(alloc) == 3.0
 
 
 def test_random_assign_is_seed_deterministic():
