@@ -10,7 +10,7 @@ oracles that make every guarantee checkable at desk scale.
 from .dmcg import run_dmcg, solve_direction
 from .mcg import AscentConfig, Trajectory, check_feasibility_invariants, run_mcg, trajectory_csv
 from .reports import CheckReport
-from .multilinear import Estimator, MultilinearEvaluator, Point
+from .multilinear import Estimator, MultilinearEvaluator
 from .oracle import brute_cardinality, brute_polytope_integral, brute_unconstrained
 from .pipage import pipage_round
 from .polytope import (
@@ -22,9 +22,6 @@ from .polytope import (
     preprocess_reduction1,
 )
 from .setfn import (
-    CoverageInstance,
-    GraphCutInstance,
-    HypergraphCutInstance,
     SetFunction,
     audit_symmetry,
     graph_cut_function,
@@ -37,7 +34,6 @@ from .welfare import (
     WelfareInstance,
     brute_force_welfare,
     simulate_random_assign,
-    tight_instance,
     welfare_ratio,
 )
 

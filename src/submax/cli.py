@@ -46,9 +46,6 @@ from .pipage import pipage_round
 from .polytope import CardinalityPolytope, KnapsackPolytope, PartitionPolytope, Polytope, horizon, preprocess_reduction1
 from .reports import mean_and_sigma
 from .setfn import (
-    CoverageInstance,
-    GraphCutInstance,
-    HypergraphCutInstance,
     SetFunction,
     coverage_function,
     graph_cut_function,
@@ -116,24 +113,22 @@ def _real(value, field: str) -> float:
 
 
 def _graph_cut(obj: dict, _) -> SetFunction:
-    edges = tuple((_int(u, "edges"), _int(v, "edges"), _real(w, "edges")) for u, v, w in obj["edges"])
-    return graph_cut_function(GraphCutInstance(n=_int(obj["n"], "n"), edges=edges))
+    edges = [(_int(u, "edges"), _int(v, "edges"), _real(w, "edges")) for u, v, w in obj["edges"]]
+    return graph_cut_function(_int(obj["n"], "n"), edges)
 
 
 def _hypergraph_cut(obj: dict, _) -> SetFunction:
-    hes = tuple(
-        (frozenset(_int(v, "hyperedges") for v in verts), _real(w, "hyperedges")) for verts, w in obj["hyperedges"]
-    )
-    return hypergraph_cut_function(HypergraphCutInstance(n=_int(obj["n"], "n"), hyperedges=hes))
+    """A hyperedge is its set of vertices: one listed twice counts once."""
+    hes = [({_int(v, "hyperedges") for v in verts}, _real(w, "hyperedges")) for verts, w in obj["hyperedges"]]
+    return hypergraph_cut_function(_int(obj["n"], "n"), hes)
 
 
 def _coverage(obj: dict, _) -> SetFunction:
-    inst = CoverageInstance(
-        n=_int(obj["n"], "n"),
-        universe_weights=tuple(_real(w, "universe_weights") for w in obj["universe_weights"]),
-        membership=tuple(tuple(_int(j, "membership") for j in row) for row in obj["membership"]),
+    return coverage_function(
+        _int(obj["n"], "n"),
+        [_real(w, "universe_weights") for w in obj["universe_weights"]],
+        [[_int(j, "membership") for j in row] for row in obj["membership"]],
     )
-    return coverage_function(inst)
 
 
 def _partition(obj: dict, _) -> PartitionPolytope:
@@ -369,7 +364,7 @@ def _solve_mcg(f, P, red, f_run, cfg: AscentConfig) -> Solved:
     else:
         y_run, traj = run_mcg(f_run, red.polytope, cfg)
         T, steps, regime = traj.T, len(traj.steps), traj.theoretical_regime
-        y[kept] = y_run.coords
+        y[kept] = y_run
         frac = achieved = MultilinearEvaluator(f_run).value(y_run)
         if red.polytope.parts is not None:
             local = pipage_round(f_run, y_run, red.polytope, cfg.estimator)
@@ -400,8 +395,8 @@ def _solve_dmcg(f, k: int, cfg: AscentConfig, variant: str) -> Solved:
     fields = {
         "config": {"k": k, "T": traj.T, "steps": len(traj.steps), "estimator": backend(f, est)},
         "fractional_value": frac,
-        "fractional_mass": y.mass(),
-        "fractional_point": y.coords.tolist(),
+        "fractional_mass": float(y.sum()),
+        "fractional_point": y.tolist(),
         "theoretical_ratio": _theoretical_curve(k, n) if variant == "symmetric" else math.exp(-1.0),
         "theoretical_regime": traj.theoretical_regime,
         "achieved_value": f.eval(mask),

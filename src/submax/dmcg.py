@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mcg import AscentConfig, AscentStep, Trajectory, ascend, schedule
-from .multilinear import Point
 from .polytope import CardinalityPolytope
 from .reports import CheckReport
 from .setfn import SetFunction
@@ -137,10 +136,11 @@ def solve_direction(
 
 
 def run_dmcg(f: SetFunction, k: int, cfg: AscentConfig | None = None,
-             variant: str = "symmetric") -> tuple[Point, Trajectory]:
+             variant: str = "symmetric") -> tuple[np.ndarray, Trajectory]:
     """Run the coupled ascent/descent pair and return (y, trajectory) with
-    |y| = k, for any 1 <= k <= n; side 0 is y1, side 1 is y2, and each
-    step's note is the direction solver's :class:`DirectionInfo`.
+    |y| = k, for any 1 <= k <= n; y is a new float array, clipped to [0,1]
+    against rounding.  Side 0 is y1, side 1 is y2, and each step's note is
+    the direction solver's :class:`DirectionInfo`.
 
     Variant "symmetric" runs Algorithm-2 style (coeff 2, cleanup, T the
     discrete horizon of |S| <= k) for 2k <= n.  For 2k > n it applies
@@ -168,8 +168,8 @@ def run_dmcg(f: SetFunction, k: int, cfg: AscentConfig | None = None,
             schedule(n, cfg.T, cfg.steps)  # a bad schedule raises all the same
             F = f.eval(full_mask(n))  # = f(empty set), as f is symmetric
             start = AscentStep(0.0, (np.zeros(n), np.ones(n)), (F, F))
-            y, traj = Point.zeros(n), Trajectory(0.0, 0.0, True, start)
-        return Point(1.0 - y.coords), traj
+            y, traj = np.zeros(n), Trajectory(0.0, 0.0, True, start)
+        return np.clip(1.0 - y, 0.0, 1.0), traj
     coeff = 2.0 if symmetric else 1.0
 
     def max_min(weights, values):
@@ -186,14 +186,14 @@ def run_dmcg(f: SetFunction, k: int, cfg: AscentConfig | None = None,
             raise ArithmeticError(
                 f"degenerate finish: |y1| = |y2| = {m1!r} but k = {k}; invariants violated"
             )
-        return Point(y1), traj
+        return np.clip(y1, 0.0, 1.0), traj
     alpha = (m2 - k) / (m2 - m1)
     beta = (k - m1) / (m2 - m1)
     if alpha < -1e-9 or beta < -1e-9:
         raise ArithmeticError(
             f"mass invariant violated: |y1| = {m1!r}, |y2| = {m2!r} do not bracket k = {k}"
         )
-    return Point(alpha * y1 + beta * y2), traj
+    return np.clip(alpha * y1 + beta * y2, 0.0, 1.0), traj
 
 
 # ---------------------------------------------------------------------------

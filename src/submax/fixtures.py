@@ -4,7 +4,7 @@ hypergraph cuts."""
 from __future__ import annotations
 
 from .rng import substream
-from .setfn import GraphCutInstance, HypergraphCutInstance, SetFunction, graph_cut_function, hypergraph_cut_function
+from .setfn import SetFunction, graph_cut_function, hypergraph_cut_function
 
 
 def random_graph_cut(n: int, seed: int, edge_prob: float = 0.6) -> SetFunction:
@@ -20,7 +20,7 @@ def random_graph_cut(n: int, seed: int, edge_prob: float = 0.6) -> SetFunction:
     if not edges:
         u, v = sorted(rng.choice(n, size=2, replace=False).tolist())
         edges.append((u, v, float(rng.uniform(0.1, 1.0))))
-    return graph_cut_function(GraphCutInstance(n=n, edges=tuple(edges)))
+    return graph_cut_function(n, edges)
 
 
 def random_hypergraph_cut(n: int, seed: int) -> SetFunction:
@@ -30,6 +30,6 @@ def random_hypergraph_cut(n: int, seed: int) -> SetFunction:
     hyperedges = []
     for _ in range(max(2, n)):
         arity = int(rng.integers(2, min(4, n) + 1))
-        verts = frozenset(int(v) for v in rng.choice(n, size=arity, replace=False))
+        verts = rng.choice(n, size=arity, replace=False).tolist()
         hyperedges.append((verts, float(rng.uniform(0.1, 1.0))))
-    return hypergraph_cut_function(HypergraphCutInstance(n=n, hyperedges=tuple(hyperedges)))
+    return hypergraph_cut_function(n, hyperedges)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .multilinear import Estimator, MultilinearEvaluator, Point
+from .multilinear import Estimator, MultilinearEvaluator
 from .polytope import Polytope, horizon
 from .reports import CheckReport
 from .rng import ASCENT_STREAM
@@ -154,8 +154,9 @@ def ascend(f: SetFunction, cfg: AscentConfig, starts: tuple[int, ...], choose: C
     return traj
 
 
-def run_mcg(f: SetFunction, P: Polytope, cfg: AscentConfig | None = None) -> tuple[Point, Trajectory]:
-    """Run the ascent and return (y(T), trajectory).
+def run_mcg(f: SetFunction, P: Polytope, cfg: AscentConfig | None = None) -> tuple[np.ndarray, Trajectory]:
+    """Run the ascent and return (y(T), trajectory); y(T) is a new float
+    array, clipped to [0,1] against rounding.
 
     Expects the singleton-feasibility reduction to have been applied (drop
     every u with 1_u not in P) -- see ``preprocess_reduction1``.  A
@@ -169,7 +170,7 @@ def run_mcg(f: SetFunction, P: Polytope, cfg: AscentConfig | None = None) -> tup
         return (P.linear_maximize(weights[0]),), None
 
     traj = ascend(f, cfg or AscentConfig(), (0,), best_vertex, True, P)
-    return Point(traj.last.ys[0]), traj
+    return np.clip(traj.last.ys[0], 0.0, 1.0), traj
 
 
 def check_feasibility_invariants(

@@ -1,10 +1,11 @@
 """Multilinear extension F(x) = E[f(R(x))]: exact evaluation, seeded sampling
 and partial derivatives.
 
-R(x) includes each element u independently with probability x_u.
-:class:`MultilinearEvaluator` is the one entry point: ``value`` for F and
-``value_and_partials`` for F with its gradient.  Both come from one of three
-backends, picked by :func:`backend` in this order:
+R(x) includes each element u independently with probability x_u; a point x
+is a plain float array of length n.  :class:`MultilinearEvaluator` is the
+one entry point: ``value`` for F and ``value_and_partials`` for F with its
+gradient.  Both come from one of three backends, picked by :func:`backend`
+in this order:
 
 * ``"sampled"`` when the estimator sets ``samples``: f is averaged over that
   many seeded draws R, with common random numbers for coupled queries; a
@@ -32,52 +33,13 @@ import numpy as np
 
 from .rng import substream
 from .setfn import SetFunction
-from .subsets import as_mask, bits_from_masks, masks_from_bits
+from .subsets import masks_from_bits
 
-_CLAMP_TOL = 1e-12
+# a point whose every coordinate lies this close to 0 or 1 is a set
+_INTEGRAL_TOL = 1e-12
 
 # largest n whose 2^n value table the exact backend builds
 EXACT_TABLE_LIMIT = 16
-
-
-class Point:
-    """A fractional point in [0,1]^n (coordinates clamped within 1e-12) with
-    its mass |x|."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        arr = np.array(coords, dtype=float)
-        if arr.ndim != 1:
-            raise ValueError("a point is a flat coordinate vector")
-        if arr.size and (arr.min() < -_CLAMP_TOL or arr.max() > 1 + _CLAMP_TOL):
-            raise ValueError("coordinates must lie in [0,1] (tolerance 1e-12)")
-        np.clip(arr, 0.0, 1.0, out=arr)
-        self.coords = arr
-
-    # -- constructors -------------------------------------------------------
-    @classmethod
-    def zeros(cls, n: int) -> "Point":
-        return cls(np.zeros(n))
-
-    @classmethod
-    def ones(cls, n: int) -> "Point":
-        return cls(np.ones(n))
-
-    @classmethod
-    def indicator(cls, subset, n: int) -> "Point":
-        return cls(bits_from_masks(as_mask(subset, n), n))
-
-    @property
-    def n(self) -> int:
-        return self.coords.size
-
-    def mass(self) -> float:
-        """|x| = sum of coordinates."""
-        return float(self.coords.sum())
-
-    def __repr__(self) -> str:
-        return f"Point({np.array2string(self.coords, precision=6, separator=', ')})"
 
 
 @dataclass(frozen=True)
@@ -93,12 +55,6 @@ class Estimator:
     def __post_init__(self):
         if self.samples is not None and self.samples < 1:
             raise ValueError("samples must be at least 1")
-
-
-def _as_array(x) -> np.ndarray:
-    if isinstance(x, Point):
-        return x.coords
-    return np.asarray(x, dtype=float)
 
 
 def backend(f: SetFunction, est: Estimator) -> str:
@@ -181,7 +137,7 @@ class MultilinearEvaluator:
         return masks_from_bits(thresholds < x[None, :])
 
     def _value_sampled(self, x: np.ndarray, stream: tuple[int, ...]) -> float:
-        if np.all(np.minimum(x, 1.0 - x) <= _CLAMP_TOL):
+        if np.all(np.minimum(x, 1.0 - x) <= _INTEGRAL_TOL):
             # integral point: F(1_S) = f(S), no sampling needed
             return self.f.eval(int(masks_from_bits(x > 0.5)))
         masks = self._sample_masks(x, self._thresholds(stream, self.est.samples))
@@ -200,18 +156,19 @@ class MultilinearEvaluator:
 
     # -- public -------------------------------------------------------------
     def value(self, x, stream: tuple[int, ...] = ()) -> float:
-        xa = _as_array(x)
+        """F(x) at a point x of [0,1]^n (an array or a sequence)."""
+        x = np.asarray(x, dtype=float)
         if self.backend == "sampled":
-            return self._value_sampled(xa, stream)
+            return self._value_sampled(x, stream)
         if self.backend == "closed_form":
-            return self.f.multilinear(xa)[0]
-        return self._value_exact(xa)
+            return self.f.multilinear(x)[0]
+        return self._value_exact(x)
 
     def value_and_partials(self, x, stream: tuple[int, ...] = ()):
         """(F(x), gradient, sigma) where sigma is None when F is exact and the
         per-coordinate standard error of the gradient estimate otherwise."""
-        xa = _as_array(x)
+        x = np.asarray(x, dtype=float)
         if self.backend == "sampled":
-            return self._grad_sampled(xa, stream)
-        value, grad = self._value_and_grad_exact(xa)
+            return self._grad_sampled(x, stream)
+        value, grad = self._value_and_grad_exact(x)
         return value, grad, None

@@ -1,6 +1,6 @@
-"""Pipage rounding: turn a fractional point of a matroid polytope (one with
-``parts``: cardinality or partition) into an integral set without losing
-multilinear value.
+"""Pipage rounding: turn a fractional point, a float array in a matroid
+polytope (one with ``parts``: cardinality or partition), into an integral
+set without losing multilinear value.
 
 Along the direction 1_u - 1_v the multilinear extension is a quadratic whose
 curvature is -2 d2F/du dv >= 0 by submodularity, so one of the two endpoint
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .multilinear import Estimator, MultilinearEvaluator, Point
+from .multilinear import Estimator, MultilinearEvaluator
 from .polytope import Polytope
 from .rng import PIPAGE_STREAM
 from .setfn import SetFunction
@@ -29,11 +29,12 @@ def _fractional(y: np.ndarray, part: list[int]) -> list[int]:
 
 def pipage_round(
     f: SetFunction,
-    x: Point,
+    x: np.ndarray,
     P: Polytope,
     est: Estimator | None = None,
 ) -> int:
-    """Round x in P to a set S with f(S) >= F(x) (F exact); returns a bitmask.
+    """Round a point x of P (a float array) to a set S with f(S) >= F(x)
+    (F exact); returns a bitmask.  A point outside P is a ValueError.
 
     Repeatedly takes the two lowest-indexed fractional coordinates sharing a
     part of ``P.parts`` and pushes their sum-preserving direction to the better
@@ -44,11 +45,11 @@ def pipage_round(
     estimator's seed, and the curvature audit is skipped."""
     if P.parts is None:
         raise ValueError(f"pipage rounding needs a polytope with parts (cardinality, partition), not {P.kind!r}")
-    if not P.membership(x.coords):
+    if not P.membership(x):
         raise ValueError("point is not inside the polytope")
     ev = MultilinearEvaluator(f, est)
     exact = ev.backend != "sampled"
-    y = x.coords.copy()
+    y = np.array(x, dtype=float)
     move = 0
 
     for part in P.parts:
@@ -104,7 +105,7 @@ def pipage_round(
     off = np.minimum(y, 1.0 - y)
     if off.max() > _FRAC_TOL:
         raise ArithmeticError("rounding left a fractional coordinate")
-    mask = int(masks_from_bits(y > 0.5))
-    if not P.membership(Point.indicator(mask, f.n).coords):
+    chosen = y > 0.5
+    if not P.membership(chosen):
         raise ArithmeticError("rounded set left the polytope")
-    return mask
+    return int(masks_from_bits(chosen))

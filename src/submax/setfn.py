@@ -11,18 +11,20 @@ that only ``eval`` works, on Python-int masks.
 The shipped families are one row family: weighted rows over the elements,
 each row paying its weight when the set meets it (coverage, a row per
 universe item) or meets it without containing it (graph and hypergraph
-cuts, a row per edge, and the one-edge hardness fixture).  One builder gives
-them one kernel, which narrows int64 masks to ``subsets.word(n)`` and counts
-the members of each row of a Python-int mask (a set above 62 elements) from
-its bit vector, and one closed-form multilinear extension
-(``multilinear``), which ``restrict_function`` passes on by composition.
+cuts, a row per edge, and the one-edge hardness fixture).  Each family's
+builder takes its fields as plain sequences, as the instance files list
+them, and turns them into rows.  One builder checks every family's rows and
+weights and gives them one kernel, which narrows int64 masks to
+``subsets.word(n)`` and counts the members of each row of a Python-int mask
+(a set above 62 elements) from its bit vector, and one closed-form
+multilinear extension (``multilinear``), which ``restrict_function`` passes
+on by composition.
 """
 
 from __future__ import annotations
 
 import threading
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,14 +83,12 @@ class SetFunction:
         *,
         symmetric: bool = False,
         kind: str = "custom",
-        source=None,
         multilinear: Multilinear | None = None,
     ):
         self.n = int(n)
         self.symmetric = bool(symmetric)
         self._eval_many = eval_many_masks
         self.kind = kind
-        self.source = source
         self.multilinear = multilinear
         self._queries = _Counter()
         self._table: np.ndarray | None = None
@@ -165,11 +165,13 @@ def _leave_one_out(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return prefix[:, -1], prefix[:, :-1] * suffix[:, 1:]
 
 
-def _row_family(n: int, rows: list, weights, *, cut: bool, kind: str, source) -> SetFunction:
+def _row_family(n: int, rows: list, weights, *, cut: bool, kind: str) -> SetFunction:
     """f(S) = total weight of the rows S meets, and under the cut rule
-    (``cut``) does not contain; each row lists distinct elements, and cut
-    rows make f symmetric.  The rows are held as an incidence matrix as
-    wide as the longest row but at least 2, short rows padded with n.
+    (``cut``) does not contain; cut rows make f symmetric.  This is the one
+    check of every family's input: n >= 0, each row lists distinct elements
+    of range(n), a cut row at least 2, and each weight is finite and
+    non-negative.  The rows are held as an incidence matrix as wide as the
+    longest row but at least 2, short rows padded with n.
 
     The oracle is one kernel: int64 masks are narrowed to ``word(n)`` and
     ANDed with the row masks, and a Python-int mask (a set above 62
@@ -179,12 +181,32 @@ def _row_family(n: int, rows: list, weights, *, cut: bool, kind: str, source) ->
     ``x_u + x_v - c x_u x_v`` (c = 2 cut, 1 meets, padding x = 0) when rows
     hold at most two elements, and else 1 - prod(1 - x), less prod(x) for a
     cut, with leave-one-out products for the gradient."""
+    if n < 0:
+        raise ValueError(f"the ground set size n must be non-negative, got {n}")
     weights = np.asarray(weights, dtype=float)
-    width = max([2, *map(len, rows)])
+    bad = ~np.isfinite(weights) | (weights < 0.0)
+    if bad.any():
+        e = int(np.argmax(bad))
+        raise ValueError(f"{kind} row {e} has weight {float(weights[e])!r}: weights must be finite and non-negative")
+
+    def malformed(e: int) -> ValueError:
+        return ValueError(f"{kind} row {e} is {tuple(rows[e])!r}: a row lists distinct elements of range({n})"
+                          + (", at least 2 of them" if cut else ""))
+
+    lengths = np.array([len(row) for row in rows], dtype=np.int64)
+    width = max(2, int(lengths.max(initial=0)))
     incidence = np.full((len(rows), width), n, dtype=np.int64)
     for e, row in enumerate(rows):
-        incidence[e, : len(row)] = row
-    sizes = (incidence < n).sum(axis=1)
+        try:
+            incidence[e, : len(row)] = row
+        except OverflowError:  # an element beyond int64 is out of range too
+            raise malformed(e) from None
+    sizes = (incidence < n).sum(axis=1)  # an element >= n is not counted, as padding is not
+    ordered = np.sort(incidence, axis=1)
+    bad = (sizes != lengths) | (ordered[:, 0] < 0) | (lengths < (2 if cut else 0))
+    bad |= ((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] < n)).any(axis=1)
+    if bad.any():
+        raise malformed(int(np.argmax(bad)))
     columns = list(incidence.T.copy())  # contiguous columns gather faster
     if n <= MAX_MASK_BITS:  # the only ground sets whose masks come as int64 arrays
         bit = np.where(incidence < n, np.int64(1) << incidence, 0)
@@ -234,7 +256,7 @@ def _row_family(n: int, rows: list, weights, *, cut: bool, kind: str, source) ->
         grad = np.bincount(incidence.ravel(), (weights[:, None] * others).ravel(), n + 1)
         return float(weights @ pays), grad[:n]
 
-    return SetFunction(n, many, symmetric=cut, kind=kind, source=source, multilinear=multilinear)
+    return SetFunction(n, many, symmetric=cut, kind=kind, multilinear=multilinear)
 
 
 # ---------------------------------------------------------------------------
@@ -242,89 +264,34 @@ def _row_family(n: int, rows: list, weights, *, cut: bool, kind: str, source) ->
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GraphCutInstance:
-    """Weighted undirected graph; f(S) = total weight of edges crossing S."""
-
-    n: int
-    edges: tuple[tuple[int, int, float], ...]
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"the ground set size n must be non-negative, got {self.n}")
-        for u, v, w in self.edges:
-            if u == v:
-                raise ValueError("self-loops are not allowed")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError("edge endpoint out of range")
-            if w < 0:
-                raise ValueError("edge weights must be non-negative")
+def graph_cut_function(n: int, edges) -> SetFunction:
+    """Weighted undirected graph given as ``(u, v, w)`` edges; f(S) = total
+    weight of the edges crossing S."""
+    return _row_family(n, [(u, v) for u, v, _ in edges], [w for _, _, w in edges], cut=True, kind="graph_cut")
 
 
-def graph_cut_function(instance: GraphCutInstance) -> SetFunction:
-    rows = [(u, v) for u, v, _ in instance.edges]
-    weights = [w for _, _, w in instance.edges]
-    return _row_family(instance.n, rows, weights, cut=True, kind="graph_cut", source=instance)
+def hypergraph_cut_function(n: int, hyperedges) -> SetFunction:
+    """Hyperedges given as ``(vertices, w)``; f(S) = total weight of the
+    hyperedges with a vertex on each side of (S, N\\S)."""
+    rows = [sorted(verts) for verts, _ in hyperedges]
+    return _row_family(n, rows, [w for _, w in hyperedges], cut=True, kind="hypergraph_cut")
 
 
-@dataclass(frozen=True)
-class HypergraphCutInstance:
-    """f(S) = total weight of hyperedges with a vertex on each side of (S, N\\S)."""
-
-    n: int
-    hyperedges: tuple[tuple[frozenset[int], float], ...]
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"the ground set size n must be non-negative, got {self.n}")
-        for verts, w in self.hyperedges:
-            if len(verts) < 2:
-                raise ValueError("hyperedges need at least 2 distinct vertices")
-            if any(not 0 <= v < self.n for v in verts):
-                raise ValueError("hyperedge vertex out of range")
-            if w < 0:
-                raise ValueError("hyperedge weights must be non-negative")
-
-
-def hypergraph_cut_function(instance: HypergraphCutInstance) -> SetFunction:
-    rows = [sorted(verts) for verts, _ in instance.hyperedges]
-    weights = [w for _, w in instance.hyperedges]
-    return _row_family(instance.n, rows, weights, cut=True, kind="hypergraph_cut", source=instance)
-
-
-@dataclass(frozen=True)
-class CoverageInstance:
-    """Weighted coverage: f(S) = weight of universe items covered by the sets in S.
-
-    ``membership[i]`` lists the universe items covered by ground element i.
-    Monotone submodular and (generically) non-symmetric.
-    """
-
-    n: int
-    universe_weights: tuple[float, ...]
-    membership: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"the ground set size n must be non-negative, got {self.n}")
-        if len(self.membership) != self.n:
-            raise ValueError("membership must list covered items for each of the n sets")
-        m = len(self.universe_weights)
-        if any(w < 0 for w in self.universe_weights):
-            raise ValueError("universe weights must be non-negative")
-        for covered in self.membership:
-            if any(not 0 <= j < m for j in covered):
-                raise ValueError("universe item index out of range")
-
-
-def coverage_function(instance: CoverageInstance) -> SetFunction:
-    # rows[j] = the ground elements covering universe item j
-    rows: list[set[int]] = [set() for _ in instance.universe_weights]
-    for i, covered in enumerate(instance.membership):
+def coverage_function(n: int, universe_weights, membership) -> SetFunction:
+    """Weighted coverage: f(S) = weight of the universe items covered by the
+    elements of S, where ``membership[i]`` lists the items element i covers.
+    Monotone submodular and (generically) non-symmetric."""
+    rows: list[set[int]] = [set() for _ in universe_weights]  # rows[j] = the elements covering item j
+    for i, covered in enumerate(membership):
         for j in covered:
+            if not 0 <= j < len(rows):
+                raise ValueError(f"element {i} covers item {j!r}, outside the {len(rows)} universe items")
             rows[j].add(i)
-    return _row_family(instance.n, [sorted(row) for row in rows], instance.universe_weights, cut=False,
-                       kind="coverage", source=instance)
+    f = _row_family(n, [sorted(row) for row in rows], universe_weights, cut=False, kind="coverage")
+    if len(membership) != n:  # checked after n >= 0, so a negative n is named as such
+        raise ValueError(f"membership must list the covered items of each of the n = {n} elements, "
+                         f"got {len(membership)} lists")
+    return f
 
 
 def hardness_instance(p: int, q: int) -> SetFunction:
@@ -338,9 +305,7 @@ def hardness_instance(p: int, q: int) -> SetFunction:
         raise ValueError("p and q must be positive")
     if p >= q:
         raise ValueError("requires p < q")
-    n = 2 * q
-    inst = GraphCutInstance(n=n, edges=((0, n - 1, 1.0),))
-    return _row_family(n, [(0, n - 1)], [1.0], cut=True, kind="hardness", source={"p": p, "q": q, "instance": inst})
+    return _row_family(2 * q, [(0, 2 * q - 1)], [1.0], cut=True, kind="hardness")
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +347,6 @@ def restrict_function(f: SetFunction, kept: list[int]) -> SetFunction:
         symmetric=False,
         eval_many_masks=many,
         kind=f"restrict({f.kind})",
-        source=f,
         multilinear=multilinear if f.multilinear is not None else None,
     )
     if n_new == f.n:

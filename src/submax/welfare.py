@@ -1,6 +1,6 @@
 """Submodular welfare with k identical utilities: the random-assignment
-algorithm behind the 1 - (1 - 1/k)^(k-1) guarantee, its tight instance, and
-an exhaustive solver.  Identical utilities make every bundle one of the 2^n
+algorithm behind the 1 - (1 - 1/k)^(k-1) guarantee and an exhaustive
+solver.  Identical utilities make every bundle one of the 2^n
 subsets, whose values the utility tabulates once (``SetFunction.table``:
 2^n oracle calls, 8 * 2^n bytes).  The solver walks the k^n assignments as
 lookups in that table, ties going to the smallest assignment code; the
@@ -20,7 +20,7 @@ import numpy as np
 
 from .rng import WELFARE_STREAM, substream
 from .setfn import TABLE_LIMIT, SetFunction
-from .subsets import MASK_BLOCK, MAX_MASK_BITS, full_mask, masks_from_bits, popcount_array
+from .subsets import MASK_BLOCK, full_mask, masks_from_bits
 
 MAX_WELFARE_SEARCH = 10_000_000
 
@@ -77,27 +77,6 @@ def simulate_random_assign(inst: WelfareInstance, trials: int, seed: int = 0) ->
     for player in range(k):
         totals += value(masks_from_bits(choice == player))
     return totals
-
-
-def tight_instance(k: int) -> WelfareInstance:
-    """The k-item instance on which random assignment is exactly tight:
-    utility 1 - (|S| - 1)/(k - 1) for non-empty S, 0 for the empty set.
-    The utility counts int64 masks, so k <= ``MAX_MASK_BITS``."""
-    if not 2 <= k <= MAX_MASK_BITS:
-        raise ValueError(f"requires 2 <= k <= {MAX_MASK_BITS}, got {k}")
-
-    def value_of_size(sizes):
-        sizes = np.asarray(sizes, dtype=float)
-        return np.where(sizes > 0, 1.0 - (sizes - 1.0) / (k - 1.0), 0.0)
-
-    utility = SetFunction(
-        k,
-        symmetric=False,
-        eval_many_masks=lambda masks: value_of_size(popcount_array(masks)),
-        kind="welfare_tight",
-        source={"k": k},
-    )
-    return WelfareInstance(k, utility)
 
 
 def brute_force_welfare(inst: WelfareInstance) -> tuple[Allocation, float]:

@@ -9,14 +9,9 @@ import numpy as np
 from submax.fixtures import random_graph_cut, random_hypergraph_cut
 from submax.polytope import CardinalityPolytope, KnapsackPolytope, PartitionPolytope
 from submax.rng import WELFARE_STREAM, substream
-from submax.setfn import (
-    CoverageInstance,
-    GraphCutInstance,
-    SetFunction,
-    coverage_function,
-    graph_cut_function,
-)
-from submax.subsets import as_mask, bits_from_masks, full_mask, mask_array, masks_from_bits
+from submax.setfn import SetFunction, coverage_function, graph_cut_function
+from submax.subsets import MAX_MASK_BITS, as_mask, bits_from_masks, full_mask, mask_array, masks_from_bits, popcount_array
+from submax.welfare import WelfareInstance
 
 POLYTOPE_KINDS = ("cardinality", "partition", "knapsack")
 
@@ -33,6 +28,11 @@ def per_mask(value):
         return np.array([value(int(m)) for m in masks.ravel()], dtype=float).reshape(masks.shape)
 
     return many
+
+
+def indicator(subset, n):
+    """The point 1_S of [0,1]^n of a set S (bitmask or iterable of indices)."""
+    return bits_from_masks(as_mask(subset, n), n).astype(float)
 
 
 def modular_function(n, coeffs):
@@ -82,7 +82,6 @@ def complement_function(f):
         lambda masks: f._values(masks ^ fm),
         symmetric=f.symmetric,
         kind=f"complement({f.kind})",
-        source=f,
         multilinear=multilinear if f.multilinear is not None else None,
     )
 
@@ -93,12 +92,11 @@ def complement_function(f):
 
 
 def single_edge_cut(n=2):
-    return graph_cut_function(GraphCutInstance(n=n, edges=((0, 1, 1.0),)))
+    return graph_cut_function(n, [(0, 1, 1.0)])
 
 
 def triangle_cut():
-    edges = ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0))
-    return graph_cut_function(GraphCutInstance(n=3, edges=edges))
+    return graph_cut_function(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
 
 
 def random_symmetric_instance(n, seed):
@@ -116,7 +114,7 @@ def random_coverage(n, seed):
     for _ in range(n):
         size = int(rng.integers(1, max(2, universe // 2)))
         membership.append(tuple(int(j) for j in rng.choice(universe, size=size, replace=False)))
-    return coverage_function(CoverageInstance(n=n, universe_weights=weights, membership=tuple(membership)))
+    return coverage_function(n, weights, membership)
 
 
 def random_offset_cut(n, seed):
@@ -126,6 +124,21 @@ def random_offset_cut(n, seed):
     rng = substream(seed, 0x0FF)
     offset = modular_function(n, rng.uniform(0.05, 0.6, size=n))
     return sum_functions([cut, offset])
+
+
+def tight_instance(k):
+    """The k-item welfare instance on which random assignment is exactly
+    tight: utility 1 - (|S| - 1)/(k - 1) for non-empty S, 0 for the empty
+    set.  The utility counts int64 masks, so k <= ``MAX_MASK_BITS``."""
+    if not 2 <= k <= MAX_MASK_BITS:
+        raise ValueError(f"requires 2 <= k <= {MAX_MASK_BITS}, got {k}")
+
+    def value_of_size(sizes):
+        sizes = np.asarray(sizes, dtype=float)
+        return np.where(sizes > 0, 1.0 - (sizes - 1.0) / (k - 1.0), 0.0)
+
+    utility = SetFunction(k, lambda masks: value_of_size(popcount_array(masks)), kind="welfare_tight")
+    return WelfareInstance(k, utility)
 
 
 # ---------------------------------------------------------------------------
@@ -202,18 +215,21 @@ def bisect_direction(w1, w2, c1, c2, k, coeff=2.0):
     return I, gap(I)[1]
 
 
-def reference_kernel(instance):
-    """Reference batch oracle of a GraphCutInstance, HypergraphCutInstance or
-    CoverageInstance: the kernel expression on int64 masks (Python ints above
-    62 elements) with no narrowing, summed over the last axis in the same
-    einsum.  The shipped kernels must equal it bit for bit."""
-    n = instance.n
-    if isinstance(instance, CoverageInstance):
-        rows = [{i for i in range(n) if j in instance.membership[i]} for j in range(len(instance.universe_weights))]
+def reference_kernel(family, n, *fields):
+    """Reference batch oracle of the graph cut, hypergraph cut or coverage
+    function over n elements whose builder takes ``fields`` after n: the
+    kernel expression on int64 masks (Python ints above 62 elements) with no
+    narrowing, summed over the last axis in the same einsum.  The shipped
+    kernels must equal it bit for bit."""
+    if family == "coverage":
+        universe_weights, membership = fields
+        rows = [{i for i in range(n) if j in membership[i]} for j in range(len(universe_weights))]
         coverers = mask_array([as_mask(row, n) for row in rows], n)
-        weights = np.asarray(instance.universe_weights, dtype=float)
+        weights = np.asarray(universe_weights, dtype=float)
         return lambda masks: np.einsum("...j,j->...", (masks[..., None] & coverers) != 0, weights)
-    edges = [((u, v), w) for u, v, w in instance.edges] if isinstance(instance, GraphCutInstance) else instance.hyperedges
+    (edges,) = fields
+    if family == "graph_cut":
+        edges = [((u, v), w) for u, v, w in edges]
     edge_masks = mask_array([as_mask(verts, n) for verts, _ in edges], n)
     weights = np.array([w for _, w in edges], dtype=float)
 

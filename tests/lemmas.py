@@ -21,8 +21,8 @@ from itertools import combinations
 
 import numpy as np
 
-from conftest import complement_function
-from submax.multilinear import MultilinearEvaluator, Point, _as_array
+from conftest import complement_function, indicator
+from submax.multilinear import MultilinearEvaluator
 from submax.reports import CheckReport, mean_and_sigma
 from submax.rng import substream
 from submax.setfn import SetFunction
@@ -41,7 +41,7 @@ def box_vertex_values(f: SetFunction, x) -> np.ndarray:
     transform consumes one mask bit and emits one choice bit per coordinate,
     so the table stays at 2^n entries.
     """
-    xa = _as_array(x)
+    xa = np.asarray(x, dtype=float)
     t = MultilinearEvaluator(f).table()
     for u in range(f.n):
         low = 1 << u
@@ -106,7 +106,7 @@ def check_union_bound_symmetric(f: SetFunction, x, S, tol: float = 1e-9) -> Chec
             details={"F(x)": fx, "box_max": box_max},
         )
     mask = as_mask(S, f.n)
-    lhs = ev.value(np.maximum(_as_array(x), Point.indicator(mask, f.n).coords))
+    lhs = ev.value(np.maximum(np.asarray(x, dtype=float), indicator(mask, f.n)))
     rhs = f.eval(mask) - fx
     return CheckReport(
         "symmetric union bound",
@@ -193,7 +193,7 @@ def check_correlated_marginals_bound(
 def check_concave_segment(f: SetFunction, y1, y2, grid: int = 101, tol: float = 1e-9) -> CheckReport:
     """Samples r(x) = F(y1 + x (y2 - y1)) on a grid: r must be concave
     (second differences <= tol) and everywhere >= min(r(0), r(1)) - tol."""
-    a, b = _as_array(y1), _as_array(y2)
+    a, b = np.asarray(y1, dtype=float), np.asarray(y2, dtype=float)
     if (a > b + 1e-12).any():
         raise ValueError("requires y1 <= y2 coordinate-wise")
     ev = MultilinearEvaluator(f)

@@ -15,6 +15,7 @@ from conftest import (
     random_offset_cut,
     random_symmetric_instance,
     single_edge_cut,
+    tight_instance,
     triangle_cut,
 )
 from lemmas import (
@@ -34,11 +35,7 @@ from submax.dmcg import (
 )
 from submax.fixtures import random_graph_cut
 from submax.mcg import AscentConfig, check_feasibility_invariants, run_mcg
-from submax.multilinear import (
-    Estimator,
-    MultilinearEvaluator,
-    Point,
-)
+from submax.multilinear import Estimator, MultilinearEvaluator
 from submax.oracle import brute_cardinality, brute_polytope_integral, brute_unconstrained
 from submax.pipage import pipage_round
 from submax.polytope import CardinalityPolytope, PartitionPolytope, horizon
@@ -50,7 +47,6 @@ from submax.welfare import (
     WelfareInstance,
     brute_force_welfare,
     simulate_random_assign,
-    tight_instance,
     welfare_ratio,
 )
 
@@ -147,7 +143,7 @@ def test_criterion_4_dmcg_symmetric():
             k = 1 + i % max(1, n // 2)
             f = random_symmetric_instance(n, 400 + i)
             y, _ = run_dmcg(f, k, AscentConfig(steps=2000), "symmetric")
-            assert abs(y.mass() - k) <= EXACT_TOL, (i, y.mass(), k)
+            assert abs(y.sum() - k) <= EXACT_TOL, (i, y.sum(), k)
             value = MultilinearEvaluator(f).value(y)
             _, opt = brute_cardinality(f, k)
             curve = 0.5 * (1.0 - (1.0 - k / n) ** (2 * n / k))
@@ -169,7 +165,7 @@ def test_criterion_5_dmcg_general():
             k = 1 + i % (n - 1)
             f = random_coverage(n, 500 + i) if i % 2 == 0 else random_offset_cut(n, 500 + i)
             y, _ = run_dmcg(f, k, AscentConfig(steps=2000), "general")
-            assert abs(y.mass() - k) <= EXACT_TOL, (i, y.mass(), k)
+            assert abs(y.sum() - k) <= EXACT_TOL, (i, y.sum(), k)
             value = MultilinearEvaluator(f).value(y)
             _, opt = brute_cardinality(f, k)
             assert value >= (math.exp(-1.0) - 0.02) * opt - EXACT_TOL, (i, value / opt)
@@ -228,7 +224,7 @@ def test_criterion_8_lemma_suite():
     with criterion(8, "lemma suite: union bound, extension identities, linearization, dual-state, concavity, caps, sampling bounds"):
         # union bound with the vertex-checked precondition (Lemma 1 shape)
         edge = single_edge_cut()
-        assert check_union_bound_symmetric(edge, Point([0.5, 0.0]), [0]).passed
+        assert check_union_bound_symmetric(edge, np.array([0.5, 0.0]), [0]).passed
         tri = triangle_cut()
         opt_mask, _ = brute_unconstrained(tri)
         y_mid, _ = run_mcg(tri, CardinalityPolytope(3, 1), AscentConfig(T=0.6, steps=500))
@@ -330,5 +326,5 @@ def test_criterion_10_determinism(tmp_path):
         cfg = AscentConfig(steps=80, estimator=est)
         ya, ta = run_dmcg(f, 2, cfg, "symmetric")
         yb, tb = run_dmcg(f, 2, cfg, "symmetric")
-        assert np.array_equal(ya.coords, yb.coords)
+        assert np.array_equal(ya, yb)
         assert all(np.array_equal(a.ys[0], b.ys[0]) for a, b in zip(ta.steps, tb.steps))

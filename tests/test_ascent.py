@@ -80,7 +80,7 @@ def _run(solver: str, mode: str):
 def test_seeded_ascent_matches_pinned_outputs(solver, mode):
     point, values, steps, resets = PINNED[(solver, mode)]
     y, got_values, traj = _run(solver, mode)
-    assert np.allclose(y.coords, point, rtol=0.0, atol=1e-12)
+    assert np.allclose(y, point, rtol=0.0, atol=1e-12)
     assert np.allclose(got_values, values, rtol=0.0, atol=1e-12)
     assert len(traj.steps) == steps
     assert sum(s.zeroed for s in traj.steps) == resets

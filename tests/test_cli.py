@@ -12,7 +12,7 @@ from submax import cli, multilinear
 from submax.cli import main
 from submax.polytope import CardinalityPolytope, KnapsackPolytope, PartitionPolytope, horizon
 from submax.rng import substream
-from submax.setfn import GraphCutInstance, graph_cut_function
+from submax.setfn import graph_cut_function
 from submax.welfare import WelfareInstance
 
 
@@ -296,6 +296,17 @@ def test_a_negative_ground_set_size_is_a_parse_error(obj, algorithm, tmp_path, c
     path.write_text(json.dumps(obj))
     assert main(["--instance", str(path), "--algorithm", algorithm]) == 1
     assert "must be non-negative" in capsys.readouterr().err
+
+
+def test_a_hyperedge_is_its_set_of_vertices(tmp_path, capsys):
+    # a vertex listed twice counts once: [0, 0, 1] is the hyperedge {0, 1},
+    # and [0, 0] is a one-vertex hyperedge, which no cut can split
+    f, _, _ = _load({"type": "hypergraph_cut", "n": 3, "hyperedges": [[[0, 0, 1], 0.5]]}, tmp_path)
+    assert (f.eval([0]), f.eval([0, 1]), f.eval([2])) == (0.5, 0.0, 0.0)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"type": "hypergraph_cut", "n": 3, "hyperedges": [[[0, 0], 0.5]]}))
+    assert main(["--instance", str(path), "--algorithm", "two-sided"]) == 1
+    assert "at least 2" in capsys.readouterr().err
 
 
 # the algorithms that take no polytope, with the flags each needs on the triangle
@@ -611,7 +622,7 @@ def test_mcg_embeds_the_reduced_point_and_set(tmp_path):
     assert 0.0 < sum(report["fractional_point"][3:]) <= 2.0 + 1e-9
     achieved = report["achieved_set"]
     assert len(achieved) == 2 and set(achieved) <= {3, 4, 5}
-    f = graph_cut_function(GraphCutInstance(6, tuple(map(tuple, edges))))
+    f = graph_cut_function(6, edges)
     assert report["achieved_value"] == f.eval(achieved)
 
 
@@ -748,7 +759,7 @@ def test_a_sampled_run_reports_the_exact_fractional_value(algorithm, tmp_path):
     assert report["config"]["estimator"] == "sampled"
     point = np.array(report["fractional_point"])
     assert np.minimum(point, 1.0 - point).max() > 0.0  # an interior point, where sampling would differ
-    f = graph_cut_function(GraphCutInstance(8, tuple(map(tuple, edges))))
+    f = graph_cut_function(8, edges)
     assert report["fractional_value"] == f.multilinear(point)[0]
     assert report["achieved_ratio"] == report["fractional_value"] / report["oracle_opt"]
 

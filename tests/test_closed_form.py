@@ -13,8 +13,6 @@ from submax.fixtures import random_graph_cut, random_hypergraph_cut
 from submax.multilinear import Estimator, MultilinearEvaluator, backend
 from submax.rng import substream
 from submax.setfn import (
-    CoverageInstance,
-    HypergraphCutInstance,
     SetFunction,
     coverage_function,
     hardness_instance,
@@ -37,7 +35,7 @@ def _all_arities(n: int, seed: int) -> SetFunction:
     for arity in range(2, n + 1):
         verts = frozenset(int(v) for v in rng.choice(n, size=arity, replace=False))
         hyperedges.append((verts, float(rng.uniform(0.1, 1.0))))
-    return hypergraph_cut_function(HypergraphCutInstance(n=n, hyperedges=tuple(hyperedges)))
+    return hypergraph_cut_function(n, hyperedges)
 
 
 def _all_pairs(n: int, seed: int) -> SetFunction:
@@ -45,7 +43,7 @@ def _all_pairs(n: int, seed: int) -> SetFunction:
     rng = substream(seed, 0xA2)
     pairs = [frozenset({u, v}) for u in range(n) for v in range(u + 1, n)]
     weights = map(float, rng.uniform(0.1, 1.0, len(pairs)))
-    return hypergraph_cut_function(HypergraphCutInstance(n, tuple(zip(pairs, weights))))
+    return hypergraph_cut_function(n, list(zip(pairs, weights)))
 
 
 def _narrow_coverage(n: int, width: int, seed: int) -> SetFunction:
@@ -55,7 +53,7 @@ def _narrow_coverage(n: int, width: int, seed: int) -> SetFunction:
     coverers = [rng.choice(n, size=int(rng.integers(0, width + 1)), replace=False) for _ in range(2 * n)]
     membership = tuple(tuple(j for j, row in enumerate(coverers) if u in row) for u in range(n))
     weights = tuple(map(float, rng.uniform(0.1, 1.0, 2 * n)))
-    return coverage_function(CoverageInstance(n=n, universe_weights=weights, membership=membership))
+    return coverage_function(n, weights, membership)
 
 
 def _ragged_coverage() -> SetFunction:
@@ -63,7 +61,7 @@ def _ragged_coverage() -> SetFunction:
     membership lists repeat entries."""
     membership = ((0, 0, 1), (1, 2, 2, 2), (), (3,), (0, 3, 3), (4, 1, 4), (2,), (0, 1, 2, 3, 4))
     weights = (0.5, 1.0, 0.25, 2.0, 0.75, 3.0, 1.5)
-    return coverage_function(CoverageInstance(n=8, universe_weights=weights, membership=membership))
+    return coverage_function(8, weights, membership)
 
 
 def _families() -> dict[str, SetFunction]:
@@ -148,7 +146,8 @@ def test_table_limit_binds_only_the_table():
     f = random_graph_cut(20, seed=9)
     ev = MultilinearEvaluator(f)  # closed form: no table, so n > 16 is fine
     value, grad, _ = ev.value_and_partials(np.full(20, 0.5))
-    assert value == pytest.approx(0.5 * sum(w for _, _, w in f.source.edges), abs=1e-12)
+    # F(1/2) = half the total weight, and the singleton cuts count each edge twice
+    assert value == pytest.approx(0.25 * sum(f.eval([u]) for u in range(20)), abs=1e-12)
     assert np.allclose(grad, 0.0)
     with pytest.raises(ValueError):
         ev.table()

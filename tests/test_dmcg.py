@@ -125,7 +125,7 @@ def test_solve_direction_mixes_the_vertices_left_and_right_of_an_all_way_tie():
 def test_symmetric_single_edge_guarantee():
     f = single_edge_cut()
     y, traj = run_dmcg(f, 1, AscentConfig(steps=2000), "symmetric")
-    assert abs(y.mass() - 1.0) <= 1e-9
+    assert abs(y.sum() - 1.0) <= 1e-9
     value = MultilinearEvaluator(f).value(y)
     assert value >= 0.5 * (1 - 0.5**4) - 0.01  # OPT = 1, k/n = 1/2 curve
 
@@ -133,7 +133,7 @@ def test_symmetric_single_edge_guarantee():
 def test_general_hardness_guarantee():
     f = hardness_instance(1, 2)
     y, traj = run_dmcg(f, 2, AscentConfig(steps=2000), "general")
-    assert abs(y.mass() - 2.0) <= 1e-9
+    assert abs(y.sum() - 2.0) <= 1e-9
     value = MultilinearEvaluator(f).value(y)
     assert value >= math.exp(-1) - 0.01  # OPT = 1
 
@@ -141,7 +141,7 @@ def test_general_hardness_guarantee():
 def test_general_full_cardinality_returns_everything():
     f = random_coverage(4, seed=3)
     y, _ = run_dmcg(f, 4, AscentConfig(steps=500), "general")
-    assert np.allclose(y.coords, 1.0)
+    assert np.allclose(y, 1.0)
     assert MultilinearEvaluator(f).value(y) == pytest.approx(f.eval([0, 1, 2, 3]))
 
 
@@ -157,17 +157,17 @@ def test_symmetric_variant_complements_the_run_for_n_minus_k(seed, sampled):
     f = random_graph_cut(n, seed, edge_prob=0.4)
     y, traj = run_dmcg(f, k, cfg)
     y_low, traj_low = run_dmcg(f, n - k, cfg)
-    assert (1.0 - y_low.coords).tobytes() == y.coords.tobytes()
+    assert (1.0 - y_low).tobytes() == y.tobytes()
     assert (traj.T, len(traj.steps)) == (traj_low.T, len(traj_low.steps))
     assert all(a.ys[0].tobytes() == b.ys[0].tobytes() for a, b in zip(traj.steps, traj_low.steps))
-    assert y.mass() == pytest.approx(k, abs=1e-9)
+    assert y.sum() == pytest.approx(k, abs=1e-9)
 
 
 @pytest.mark.parametrize("n", [2, 3, 7])
 def test_symmetric_variant_at_k_equal_n_takes_everything_in_no_step(n):
     f = random_graph_cut(n, seed=n)
     y, traj = run_dmcg(f, n, AscentConfig(steps=40))
-    assert y.coords.tolist() == [1.0] * n
+    assert y.tolist() == [1.0] * n
     assert traj.steps == [] and traj.T == 0.0 and traj.theoretical_regime
     assert check_y_properties(traj, 0).passed
     with pytest.raises(ValueError):  # the schedule is checked all the same
@@ -212,13 +212,13 @@ def test_coarse_steps_bracket_k(variant, seed):
     steps = int(rng.integers(1, 31))
     y, traj = run_dmcg(random_graph_cut(n, seed, edge_prob=0.3), k, AscentConfig(steps=steps), variant)
     assert check_y_properties(traj, k).passed, check_y_properties(traj, k).details
-    assert y.mass() == pytest.approx(k, abs=1e-9)
+    assert y.sum() == pytest.approx(k, abs=1e-9)
 
 
 @pytest.mark.parametrize("n, k, steps", [(40, 10, 4), (300, 75, 50)])
 def test_symmetric_variant_brackets_k_where_the_continuous_horizon_overshot(n, k, steps):
     y, traj = run_dmcg(random_graph_cut(n, seed=0), k, AscentConfig(steps=steps))
-    assert check_y_properties(traj, k).passed and y.mass() == pytest.approx(k, abs=1e-9)
+    assert check_y_properties(traj, k).passed and y.sum() == pytest.approx(k, abs=1e-9)
 
 
 def test_y_properties_hold_per_step():
@@ -300,7 +300,7 @@ def test_determinism():
     cfg = AscentConfig(steps=120)
     ya, ta = run_dmcg(f, 2, cfg, "symmetric")
     yb, tb = run_dmcg(f, 2, cfg, "symmetric")
-    assert np.array_equal(ya.coords, yb.coords)
+    assert np.array_equal(ya, yb)
     for a, b in zip(ta.steps, tb.steps):
         assert a.note.lam == b.note.lam and a.note.objective == b.note.objective
 

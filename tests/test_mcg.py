@@ -3,11 +3,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import POLYTOPE_KINDS, random_coverage, random_polytope, single_edge_cut, triangle_cut
+from conftest import POLYTOPE_KINDS, indicator, random_coverage, random_polytope, single_edge_cut, triangle_cut
 from lemmas import box_vertex_max
 from submax.fixtures import random_graph_cut
 from submax.mcg import AscentConfig, check_feasibility_invariants, run_mcg, trajectory_csv
-from submax.multilinear import Estimator, MultilinearEvaluator, Point
+from submax.multilinear import Estimator, MultilinearEvaluator
 from submax.oracle import brute_polytope_integral
 from submax.polytope import CardinalityPolytope, KnapsackPolytope, PartitionPolytope, horizon, preprocess_reduction1
 from submax.rng import substream
@@ -17,7 +17,7 @@ from submax.setfn import restrict_function
 def test_zero_budget_returns_origin():
     f = single_edge_cut()
     y, traj = run_mcg(f, CardinalityPolytope(2, 0), AscentConfig(T=1.0, steps=50))
-    assert np.allclose(y.coords, 0.0)
+    assert np.allclose(y, 0.0)
     assert traj.last.values[0] == f.eval(0)
 
 
@@ -27,7 +27,7 @@ def test_single_edge_guarantee():
     y, traj = run_mcg(f, P, AscentConfig(T=1.0, steps=2000))
     value = MultilinearEvaluator(f).value(y)
     assert value >= 0.432 * 1.0  # OPT = 1 by brute force
-    assert P.membership(y.coords)
+    assert P.membership(y)
 
 
 def test_triangle_at_horizon():
@@ -38,7 +38,7 @@ def test_triangle_at_horizon():
     _, opt = brute_polytope_integral(f, P)
     assert opt == 2.0
     assert value >= 0.432 * opt
-    assert P.membership(y.coords)
+    assert P.membership(y)
 
 
 def test_feasibility_invariants_across_polytopes():
@@ -77,7 +77,7 @@ def test_default_horizon_keeps_coarse_runs_inside_the_polytope(kind, seed):
         return
     f = restrict_function(random_graph_cut(n, seed), list(red.kept))
     y, traj = run_mcg(f, red.polytope, AscentConfig(steps=int(rng.integers(1, 17))))
-    assert red.polytope.membership(y.coords)
+    assert red.polytope.membership(y)
     assert check_feasibility_invariants(traj, red.polytope).passed
 
 
@@ -111,7 +111,7 @@ def test_step_improvement_bound():
     _, traj = run_mcg(f, P, cfg)
     opt_mask, opt_val = brute_polytope_integral(f, P)
     ev = MultilinearEvaluator(f)
-    opt_vec = Point.indicator(opt_mask, 7).coords
+    opt_vec = indicator(opt_mask, 7)
     budget = 7**3 * traj.delta**2 * opt_val
     prev_y = traj.start.ys[0]
     prev_val = traj.start.values[0]
@@ -147,7 +147,7 @@ def test_determinism_exact_and_sampled():
         cfg = AscentConfig(T=1.0, steps=60, estimator=est)
         y1, t1 = run_mcg(f, P, cfg)
         y2, t2 = run_mcg(f, P, cfg)
-        assert np.array_equal(y1.coords, y2.coords)
+        assert np.array_equal(y1, y2)
         for a, b in zip(t1.steps, t2.steps):
             assert np.array_equal(a.ys[0], b.ys[0])
             assert a.values[0] == b.values[0]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import complement_function, per_mask, random_coverage, single_edge_cut, triangle_cut
+from conftest import complement_function, indicator, per_mask, random_coverage, single_edge_cut, triangle_cut
 from lemmas import (
     box_vertex_values,
     check_correlated_marginals_bound,
@@ -15,35 +15,10 @@ from lemmas import (
     check_union_bound_symmetric,
 )
 from submax.fixtures import random_graph_cut, random_hypergraph_cut
-from submax.multilinear import Estimator, MultilinearEvaluator, Point
+from submax.multilinear import Estimator, MultilinearEvaluator
 from submax.rng import substream
 from submax.setfn import SetFunction, hardness_instance
 from submax.subsets import popcount_array
-
-
-# ---------------------------------------------------------------------------
-# Point
-# ---------------------------------------------------------------------------
-
-
-def test_point_algebra():
-    x = Point([0.2, 0.8])
-    assert x.n == 2
-    assert x.mass() == pytest.approx(1.0)
-
-
-def test_point_clamps_noise_but_rejects_garbage():
-    p = Point([1.0 + 5e-13, -5e-13])
-    assert p.coords[0] == 1.0 and p.coords[1] == 0.0
-    with pytest.raises(ValueError):
-        Point([1.1, 0.0])
-    with pytest.raises(ValueError):
-        Point([[0.1, 0.2]])
-
-
-def test_point_indicator_and_support():
-    p = Point.indicator([0, 2], 3)
-    assert np.allclose(p.coords, [1, 0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -57,8 +32,8 @@ def _sampled_sets(x, samples, seed):
 
 
 def test_sample_set_degenerate_points():
-    assert (_sampled_sets(Point.ones(4).coords, 100, seed=0) == 0b1111).all()
-    assert (_sampled_sets(Point.zeros(4).coords, 100, seed=0) == 0).all()
+    assert (_sampled_sets(np.ones(4), 100, seed=0) == 0b1111).all()
+    assert (_sampled_sets(np.zeros(4), 100, seed=0) == 0).all()
 
 
 def test_sample_set_binomial_mean():
@@ -80,7 +55,7 @@ def test_eval_exact_single_edge():
 @given(mask=st.integers(min_value=0, max_value=7))
 def test_eval_exact_agrees_on_vertices(mask):
     f = triangle_cut()
-    x = Point.indicator(mask, 3)
+    x = indicator(mask, 3)
     assert MultilinearEvaluator(f).value(x) == pytest.approx(f.eval(mask), abs=1e-12)
 
 
@@ -97,7 +72,7 @@ def test_eval_exact_hardness_closed_form():
 def test_evaluate_sampled_close_to_exact():
     f = single_edge_cut()
     est = Estimator(samples=1_000_000, seed=11)
-    got = MultilinearEvaluator(f, est).value(Point([0.5, 0.5]))
+    got = MultilinearEvaluator(f, est).value(np.array([0.5, 0.5]))
     assert abs(got - 0.5) <= 0.002  # 4 sigma at sigma = 0.5/sqrt(samples)
 
 
@@ -105,7 +80,7 @@ def test_evaluate_integral_points_short_circuit():
     f = triangle_cut()
     est = Estimator(samples=1000, seed=0)
     before = f.query_count
-    got = MultilinearEvaluator(f, est).value(Point.indicator([0], 3))
+    got = MultilinearEvaluator(f, est).value(indicator([0], 3))
     assert got == f.eval([0])
     assert f.query_count == before + 2  # one short-circuit call + the reference eval
 
@@ -120,7 +95,7 @@ def test_sampled_estimates_match_exact_within_4_sigma():
         ev = MultilinearEvaluator(f, est)
         got = ev.value(x, stream=(0,))
         # bound the deviation by 4 sigma of the empirical draw
-        masks = ev._sample_masks(np.asarray(x), ev._thresholds((0,), samples))
+        masks = ev._sample_masks(np.asarray(x, dtype=float), ev._thresholds((0,), samples))
         sigma = float(f.eval_many(masks).std(ddof=1)) / math.sqrt(samples)
         assert abs(got - exact) <= 4 * sigma + 1e-12
 
@@ -143,7 +118,7 @@ def test_partial_derivative_single_edge():
 @given(mask=st.integers(min_value=0, max_value=7), u=st.integers(min_value=0, max_value=2))
 def test_partial_derivative_vertex_marginals(mask, u):
     f = triangle_cut()
-    x = Point.indicator(mask, 3)
+    x = indicator(mask, 3)
     expected = f.eval(mask | (1 << u)) - f.eval(mask & ~(1 << u))
     assert partial(f, x, u) == pytest.approx(expected, abs=1e-12)
 
@@ -282,24 +257,24 @@ def test_shift_inequality_trivial_at_origin():
 
 def test_union_bound_examples():
     f = single_edge_cut()
-    rep = check_union_bound_symmetric(f, Point([0.5, 0.0]), [0])
+    rep = check_union_bound_symmetric(f, np.array([0.5, 0.0]), [0])
     assert rep.passed and rep.status == "ok"
     # x = 0 reduces to f(S) >= f(S) - f(empty)
-    rep0 = check_union_bound_symmetric(triangle_cut(), Point.zeros(3), [0, 1])
+    rep0 = check_union_bound_symmetric(triangle_cut(), np.zeros(3), [0, 1])
     assert rep0.passed and rep0.status == "ok"
 
 
 def test_union_bound_reports_unmet_precondition():
     # x = (0.5, 1): the vertex (0, 1) of its box has F = 1 > F(x) = 0.5
     f = single_edge_cut()
-    rep = check_union_bound_symmetric(f, Point([0.5, 1.0]), [0])
+    rep = check_union_bound_symmetric(f, np.array([0.5, 1.0]), [0])
     assert rep.status == "precondition_unmet"
     assert rep.passed  # unmet precondition is not a failure
 
 
 def test_union_bound_requires_symmetric_flag():
     with pytest.raises(ValueError):
-        check_union_bound_symmetric(random_coverage(4, seed=0), Point.zeros(4), [0])
+        check_union_bound_symmetric(random_coverage(4, seed=0), np.zeros(4), [0])
 
 
 def test_linearization_bound_on_fixtures():

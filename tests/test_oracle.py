@@ -12,8 +12,6 @@ from submax.oracle import brute_cardinality, brute_polytope_integral, brute_unco
 from submax.polytope import CardinalityPolytope, KnapsackPolytope, PartitionPolytope, Polytope
 from submax.rng import substream
 from submax.setfn import (
-    GraphCutInstance,
-    HypergraphCutInstance,
     SetFunction,
     graph_cut_function,
     hardness_instance,
@@ -125,7 +123,7 @@ def integer_cut(n, seed):
     S and N \\ S tie, usually in different mask blocks."""
     rng = substream(seed, 0xB10C)
     edges = [(u, v, float(rng.integers(1, 4))) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
-    return graph_cut_function(GraphCutInstance(n=n, edges=tuple(edges)))
+    return graph_cut_function(n, edges)
 
 
 def reference_argmax(table, feasible):
@@ -172,7 +170,7 @@ def integer_hypergraph_cut(n, seed):
     for _ in range(n if n >= 2 else 0):
         verts = rng.choice(n, size=int(rng.integers(2, min(4, n) + 1)), replace=False)
         hyperedges.append((frozenset(int(v) for v in verts), float(rng.integers(1, 4))))
-    return hypergraph_cut_function(HypergraphCutInstance(n=n, hyperedges=tuple(hyperedges)))
+    return hypergraph_cut_function(n, hyperedges)
 
 
 SYMMETRIC_FAMILIES = {
@@ -254,7 +252,7 @@ def test_brute_unconstrained_memory_stays_at_one_block():
     # 20 vertices, 40 edges: evaluated in one 2^20-mask batch, the kernel's
     # (2^20, 40) int64 temporaries alone would take hundreds of MB
     edges = tuple((u, (u + d) % 20, 1.0 + (u % 3)) for d in (1, 7) for u in range(20))
-    f = graph_cut_function(GraphCutInstance(n=20, edges=edges))
+    f = graph_cut_function(20, edges)
     tracemalloc.start()
     try:
         brute_unconstrained(f)

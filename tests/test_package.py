@@ -16,7 +16,15 @@ import pytest
 import submax
 from submax import dmcg, fixtures, oracle, pipage, polytope
 from submax.multilinear import Estimator
-from submax.setfn import SetFunction, audit_symmetry, restrict_function
+from submax.setfn import (
+    SetFunction,
+    audit_symmetry,
+    coverage_function,
+    graph_cut_function,
+    hardness_instance,
+    hypergraph_cut_function,
+    restrict_function,
+)
 from submax.twosided import run_two_sided
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -32,7 +40,10 @@ RUN_TIME_INVARIANTS = {
 # trace writers and the check serializer, kept for the run to report and write
 AWAITING_A_CALLER = RUN_TIME_INVARIANTS | {"trajectory_csv", "trace_csv", "CheckReport.to_json"}
 TEST_ONLY = {"box_vertex_values", "box_vertex_max", "sample_set", "cut_eval", "random_assign",
-             "audit_submodularity", "audit_nonnegativity"}
+             "audit_submodularity", "audit_nonnegativity", "tight_instance"}
+# a set function is built straight from its rows and a point is a float
+# array: no instance record or point type wraps them
+NO_WRAPPERS = {"GraphCutInstance", "HypergraphCutInstance", "CoverageInstance", "Point"}
 
 
 def test_library_defines_only_the_run_time_checks():
@@ -49,6 +60,7 @@ def test_library_defines_only_the_run_time_checks():
     checks = {name for name in defined if name.startswith("check_")}
     assert checks == RUN_TIME_INVARIANTS
     assert not TEST_ONLY & defined.keys(), {name: defined[name] for name in TEST_ONLY & defined.keys()}
+    assert not NO_WRAPPERS & defined.keys(), {name: defined[name] for name in NO_WRAPPERS & defined.keys()}
 
 
 def _methods(stmt: ast.stmt) -> set[str]:
@@ -100,7 +112,11 @@ def test_every_public_library_name_has_a_caller_outside_the_tests():
 # every parameter of these; an option that only tests set, or that the code
 # can derive from its inputs, is a constant or a derived value instead
 PARAMETERS = {
-    SetFunction: ["n", "eval_many_masks", "symmetric", "kind", "source", "multilinear"],
+    SetFunction: ["n", "eval_many_masks", "symmetric", "kind", "multilinear"],
+    graph_cut_function: ["n", "edges"],
+    hypergraph_cut_function: ["n", "hyperedges"],
+    coverage_function: ["n", "universe_weights", "membership"],
+    hardness_instance: ["p", "q"],
     audit_symmetry: ["f"],
     restrict_function: ["f", "kept"],
     run_two_sided: ["f"],

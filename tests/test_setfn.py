@@ -11,6 +11,7 @@ from conftest import (
     reference_kernel,
     single_edge_cut,
     sum_functions,
+    tight_instance,
     triangle_cut,
 )
 from lemmas import audit_nonnegativity, audit_submodularity
@@ -19,9 +20,6 @@ from submax.multilinear import MultilinearEvaluator
 from submax.rng import substream
 from submax.setfn import (
     TABLE_LIMIT,
-    CoverageInstance,
-    GraphCutInstance,
-    HypergraphCutInstance,
     SetFunction,
     audit_symmetry,
     coverage_function,
@@ -42,7 +40,6 @@ from submax.subsets import (
     popcount_array,
     word,
 )
-from submax.welfare import tight_instance
 
 
 def square_cardinality(n):
@@ -56,40 +53,70 @@ def square_cardinality(n):
 
 
 def test_cut_eval_triangle():
-    f = graph_cut_function(GraphCutInstance(n=3, edges=((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0))))
+    f = graph_cut_function(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
     assert f.eval([]) == 0.0
     assert f.eval([0]) == 2.0
 
 
 def test_cut_eval_single_edge_all_subsets():
-    f = graph_cut_function(GraphCutInstance(n=2, edges=((0, 1, 1.0),)))
+    f = graph_cut_function(2, [(0, 1, 1.0)])
     values = {0b00: 0.0, 0b01: 1.0, 0b10: 1.0, 0b11: 0.0}
     for mask, expected in values.items():
         assert f.eval(mask) == expected
 
 
-def test_graph_cut_rejects_bad_edges():
-    with pytest.raises(ValueError):
-        GraphCutInstance(n=2, edges=((0, 0, 1.0),))
-    with pytest.raises(ValueError):
-        GraphCutInstance(n=2, edges=((0, 1, -0.5),))
-    with pytest.raises(ValueError):
-        GraphCutInstance(n=2, edges=((0, 2, 1.0),))
-
-
 @pytest.mark.parametrize(
-    "make",
+    "build, args, message",
     [
-        lambda n: GraphCutInstance(n=n, edges=()),
-        lambda n: HypergraphCutInstance(n=n, hyperedges=()),
-        lambda n: CoverageInstance(n=n, universe_weights=(), membership=()),
+        (graph_cut_function, (-1, []), "n must be non-negative"),
+        (graph_cut_function, (2, [(0, 2, 1.0)]), r"row 0 is \(0, 2\): .* range\(2\)"),
+        (graph_cut_function, (2, [(0, 1, 1.0), (-1, 1, 1.0)]), r"row 1 is \(-1, 1\)"),
+        (graph_cut_function, (2, [(0, 2**70, 1.0)]), r"row 0 is \(0, 1180591620717411303424\)"),
+        (graph_cut_function, (2, [(0, 1, 1.0), (1, 1, 1.0)]), r"row 1 is \(1, 1\): .* distinct"),
+        (graph_cut_function, (2, [(0, 1, -0.5)]), "weight -0.5"),
+        (hypergraph_cut_function, (-1, []), "n must be non-negative"),
+        (hypergraph_cut_function, (3, [((0, 3), 1.0)]), r"row 0 is \(0, 3\)"),
+        (hypergraph_cut_function, (3, [((0, 1), 1.0), ([2, 0, 0], 1.0)]), r"row 1 is \(0, 0, 2\)"),
+        (hypergraph_cut_function, (3, [({1}, 1.0)]), r"row 0 is \(1,\): .* at least 2"),
+        (hypergraph_cut_function, (3, [((0, 1), -1.0)]), "weight -1.0"),
+        (coverage_function, (-1, [], []), "n must be non-negative"),
+        (coverage_function, (2, [1.0], [[0]]), "each of the n = 2 elements, got 1"),
+        (coverage_function, (2, [1.0], [[0], [0], [0]]), r"row 0 is \(0, 1, 2\)"),
+        (coverage_function, (2, [1.0], [[0], [1]]), "covers item 1, outside the 1 universe items"),
+        (coverage_function, (1, [-2.0], [[0]]), "weight -2.0"),
+        (hardness_instance, (0, 1), "positive"),
+        (hardness_instance, (2, 2), "p < q"),
+    ],
+    ids=["cut-negative-n", "cut-out-of-range", "cut-negative-element", "cut-beyond-int64", "cut-repeated",
+         "cut-negative-weight", "hyper-negative-n", "hyper-out-of-range", "hyper-repeated", "hyper-one-vertex", "hyper-negative-weight",
+         "cover-negative-n", "cover-short-membership", "cover-long-membership", "cover-item-out-of-range",
+         "cover-negative-weight", "hardness-p-0", "hardness-p-equals-q"],
+)
+def test_builders_reject_malformed_rows(build, args, message):
+    with pytest.raises(ValueError, match=message):
+        build(*args)
+
+
+def test_builders_take_an_empty_ground_set_and_coverage_reads_items_as_sets():
+    assert graph_cut_function(0, []).n == hypergraph_cut_function(0, []).n == coverage_function(0, [], []).n == 0
+    once, twice = coverage_function(2, [1.0, 2.0], [[0], [1]]), coverage_function(2, [1.0, 2.0], [[0, 0], [1]])
+    assert np.array_equal(once.table(), twice.table())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (graph_cut_function, lambda w: (2, [(0, 1, w)])),
+        (hypergraph_cut_function, lambda w: (3, [((0, 1, 2), w)])),
+        (coverage_function, lambda w: (1, [w], [[0]])),
     ],
     ids=["graph_cut", "hypergraph_cut", "coverage"],
 )
-def test_instances_reject_a_negative_ground_set_size(make):
-    with pytest.raises(ValueError, match="non-negative"):
-        make(-1)
-    assert make(0).n == 0
+def test_builders_reject_non_finite_weights(build, args, bad):
+    # a NaN weight would make every value NaN, and an infinite one f(empty) = 0 * inf = NaN
+    with pytest.raises(ValueError, match=f"row 0 has weight {bad!r}: weights must be finite"):
+        build(*args(bad))
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +133,7 @@ def test_complement_agrees_with_symmetric_function():
 
 
 def test_complement_of_coverage():
-    inst = CoverageInstance(n=3, universe_weights=(1.0, 2.0), membership=((0,), (1,), (0, 1)))
-    f = coverage_function(inst)
+    f = coverage_function(3, [1.0, 2.0], [[0], [1], [0, 1]])
     fbar = complement_function(f)
     assert fbar.eval([0]) == f.eval([1, 2])
     assert not fbar.symmetric
@@ -389,10 +415,9 @@ def test_batch_matches_scalar_above_bit_44():
 
 def test_batches_reject_ground_sets_beyond_int64_masks():
     n = 70
-    cut = graph_cut_function(GraphCutInstance(n=n, edges=((0, 69, 1.0), (3, 64, 2.0), (5, 6, 0.5))))
-    hyper = hypergraph_cut_function(HypergraphCutInstance(n=n, hyperedges=((frozenset({1, 63, 68}), 1.5),)))
-    membership = ((0,),) + ((1,),) * (n - 1)
-    cover = coverage_function(CoverageInstance(n=n, universe_weights=(1.0, 2.0), membership=membership))
+    cut = graph_cut_function(n, [(0, 69, 1.0), (3, 64, 2.0), (5, 6, 0.5)])
+    hyper = hypergraph_cut_function(n, [((1, 63, 68), 1.5)])
+    cover = coverage_function(n, [1.0, 2.0], [[0]] + [[1]] * (n - 1))
     for f in (cut, hyper, cover):
         with pytest.raises(ValueError, match="62"):
             f.eval_many(np.array([0, 1]))
@@ -441,27 +466,34 @@ def uniform(rng, size):
 WEIGHTS = {"dyadic": dyadic, "uniform": uniform}
 
 
-def family_function(family, n, rng, weights="dyadic"):
+ROW_BUILDERS = {"graph_cut": graph_cut_function, "hypergraph_cut": hypergraph_cut_function,
+                "coverage": coverage_function}
+
+
+def family_fields(family, n, rng, weights="dyadic"):
+    """Random fields of a graph cut, hypergraph cut or coverage function over
+    n elements: the arguments its builder takes after n."""
     draw = WEIGHTS[weights]
     if family == "graph_cut":
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         picks = rng.choice(len(pairs), size=min(len(pairs), 16), replace=False)
-        edges = tuple((*pairs[i], float(w)) for i, w in zip(picks, draw(rng, picks.size)))
-        return graph_cut_function(GraphCutInstance(n=n, edges=edges))
+        return ([(*pairs[i], float(w)) for i, w in zip(picks, draw(rng, picks.size))],)
     if family == "hypergraph_cut":
         weights = draw(rng, int(rng.integers(1, 12)))
         arities = rng.integers(2, min(n, 6) + 1, size=weights.size)
-        verts = [frozenset(int(v) for v in rng.choice(n, size=a, replace=False)) for a in arities]
-        hes = tuple((vs, float(w)) for vs, w in zip(verts, weights))
-        return hypergraph_cut_function(HypergraphCutInstance(n=n, hyperedges=hes))
-    if family == "coverage":
-        items = int(rng.integers(1, 12))
-        sizes = rng.integers(0, min(items, 2) + 1, size=n)
-        membership = tuple(tuple(int(j) for j in rng.choice(items, size=int(s), replace=False)) for s in sizes)
-        weights = tuple(float(w) for w in draw(rng, items))
-        return coverage_function(CoverageInstance(n=n, universe_weights=weights, membership=membership))
+        verts = [rng.choice(n, size=a, replace=False).tolist() for a in arities]
+        return (list(zip(verts, map(float, weights))),)
+    items = int(rng.integers(1, 12))
+    sizes = rng.integers(0, min(items, 2) + 1, size=n)
+    membership = [rng.choice(items, size=int(s), replace=False).tolist() for s in sizes]
+    return list(map(float, draw(rng, items))), membership
+
+
+def family_function(family, n, rng, weights="dyadic"):
+    if family in ROW_BUILDERS:
+        return ROW_BUILDERS[family](n, *family_fields(family, n, rng, weights))
     if family == "modular":
-        return modular_function(n, draw(rng, n))
+        return modular_function(n, WEIGHTS[weights](rng, n))
     if family == "tight":
         return tight_instance(n).utility
     if family == "sum":
@@ -508,16 +540,19 @@ def test_batch_matches_scalar_for_every_family(family, n, seed, rows, weights):
     assert np.array_equal(batch, scalar)
 
 
-def definition_value(f, mask):
-    """f(mask) from the instance definition, one edge or item at a time: the
-    reference the batch kernels are checked against."""
-    inst = f.source
-    if f.kind == "graph_cut":
-        return sum(w for u, v, w in inst.edges if ((mask >> u) ^ (mask >> v)) & 1)
-    if f.kind == "hypergraph_cut":
-        return sum(w for verts, w in inst.hyperedges if 0 < sum((mask >> v) & 1 for v in verts) < len(verts))
-    covered = {j for i in range(inst.n) if (mask >> i) & 1 for j in inst.membership[i]}
-    return sum(w for j, w in enumerate(inst.universe_weights) if j in covered)
+def definition_value(family, fields, mask):
+    """f(mask) from the definition of the family, one edge or item at a time,
+    on the fields its builder took: the reference the batch kernels are
+    checked against."""
+    if family == "graph_cut":
+        (edges,) = fields
+        return sum(w for u, v, w in edges if ((mask >> u) ^ (mask >> v)) & 1)
+    if family == "hypergraph_cut":
+        (hyperedges,) = fields
+        return sum(w for verts, w in hyperedges if 0 < sum((mask >> v) & 1 for v in verts) < len(verts))
+    universe_weights, membership = fields
+    covered = {j for i, items in enumerate(membership) if (mask >> i) & 1 for j in items}
+    return sum(w for j, w in enumerate(universe_weights) if j in covered)
 
 
 @pytest.mark.parametrize("n", [8, 9, 12, 16, 17, 32, 33, 62, 70])
@@ -526,10 +561,11 @@ def test_family_kernels_match_their_definitions(n):
     masks = [0, (1 << n) - 1] + [sum(1 << u for u in range(n) if rng.random() < 0.5) for _ in range(200)]
     coeffs = uniform(rng, n)
     modular = modular_function(n, coeffs)
-    for family in ("graph_cut", "hypergraph_cut", "coverage"):
-        f = family_function(family, n, rng, "uniform")
+    for family, build in ROW_BUILDERS.items():
+        fields = family_fields(family, n, rng, "uniform")
+        f = build(n, *fields)
         for mask in masks:
-            assert f.eval(mask) == pytest.approx(definition_value(f, mask), rel=1e-12, abs=1e-12)
+            assert f.eval(mask) == pytest.approx(definition_value(family, fields, mask), rel=1e-12, abs=1e-12)
     for mask in masks:
         assert modular.eval(mask) == pytest.approx(sum(coeffs[u] for u in indices(mask)), rel=1e-12)
     if n <= MAX_MASK_BITS:  # the tight utility counts int64 masks (k <= 62)
@@ -549,17 +585,16 @@ def boundary_functions(n, rng):
     if n > 1:
         pairs = [(0, top)] + [tuple(int(u) for u in rng.choice(n, 2, replace=False)) for _ in range(23)]
         arities = rng.integers(2, min(n, 6) + 1, size=11)
-        verts = [frozenset({0, top})] + [frozenset(int(v) for v in rng.choice(n, a, replace=False)) for a in arities]
-    cut = GraphCutInstance(n, tuple((u, v, float(w)) for (u, v), w in zip(pairs, uniform(rng, len(pairs)))))
-    hyper = HypergraphCutInstance(n, tuple(zip(verts, map(float, uniform(rng, len(verts))))))
-    membership = [tuple(int(j) for j in rng.choice(10, int(rng.integers(0, 3)), replace=False)) for _ in range(n)]
-    membership[top] = tuple(sorted({0, *membership[top]}))
-    cover = CoverageInstance(n, tuple(map(float, uniform(rng, 10))), tuple(membership))
-    return {
-        "graph_cut": (graph_cut_function(cut), reference_kernel(cut)),
-        "hypergraph_cut": (hypergraph_cut_function(hyper), reference_kernel(hyper)),
-        "coverage": (coverage_function(cover), reference_kernel(cover)),
+        verts = [[0, top]] + [rng.choice(n, a, replace=False).tolist() for a in arities]
+    fields = {
+        "graph_cut": ([(u, v, float(w)) for (u, v), w in zip(pairs, uniform(rng, len(pairs)))],),
+        "hypergraph_cut": (list(zip(verts, map(float, uniform(rng, len(verts))))),),
     }
+    membership = [rng.choice(10, int(rng.integers(0, 3)), replace=False).tolist() for _ in range(n)]
+    membership[top] = sorted({0, *membership[top]})
+    fields["coverage"] = (list(map(float, uniform(rng, 10))), membership)
+    return {family: (ROW_BUILDERS[family](n, *args), reference_kernel(family, n, *args))
+            for family, args in fields.items()}
 
 
 def boundary_wrappers(n, rng, kernels):
@@ -602,13 +637,12 @@ def ragged_rows(n, rule, rng, weights):
     draw = WEIGHTS[weights]
     if rule == "cut":
         arities = rng.integers(2, min(n, 6) + 1, size=int(rng.integers(1, 16)))
-        verts = [frozenset(int(v) for v in rng.choice(n, size=a, replace=False)) for a in arities]
-        hyper = HypergraphCutInstance(n, tuple(zip(verts, map(float, draw(rng, len(verts))))))
-        return hypergraph_cut_function(hyper)
+        verts = [rng.choice(n, size=a, replace=False).tolist() for a in arities]
+        return hypergraph_cut_function(n, list(zip(verts, map(float, draw(rng, len(verts))))))
     items = int(rng.integers(1, 16))
     coverers = [rng.choice(n, size=int(rng.integers(0, min(n, 3) + 1)), replace=False) for _ in range(items)]
-    membership = tuple(tuple(j for j in range(items) if u in coverers[j]) for u in range(n))
-    return coverage_function(CoverageInstance(n, tuple(map(float, draw(rng, items))), membership))
+    membership = [[j for j in range(items) if u in coverers[j]] for u in range(n)]
+    return coverage_function(n, list(map(float, draw(rng, items))), membership)
 
 
 @settings(max_examples=60, deadline=None)

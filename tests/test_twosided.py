@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from conftest import per_mask, random_coverage, single_edge_cut, triangle_cut
 from submax.fixtures import random_graph_cut
 from submax.oracle import brute_unconstrained
-from submax.setfn import GraphCutInstance, SetFunction, graph_cut_function, restrict_function
+from submax.setfn import SetFunction, graph_cut_function, restrict_function
 from submax.subsets import indices
 from submax.twosided import check_loss_gain, run_two_sided, trace_csv
 
@@ -99,7 +99,7 @@ def test_edge_order_cannot_decide_a_tie():
     edges = [[0, 4, 0.7], [0, 5, 0.3], [2, 5, 0.2], [2, 4, 0.7], [1, 4, 0.2], [0, 3, 0.3], [1, 2, 0.2]]
     outs = set()
     for listed in (edges, edges[::-1]):
-        out, trace = run_two_sided(graph_cut_function(GraphCutInstance(6, tuple(map(tuple, listed)))))
+        out, trace = run_two_sided(graph_cut_function(6, listed))
         assert trace.steps[1].branch == "X"
         outs.add(out)
     assert outs == {0b0011}

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import modular_function, random_coverage, simulate_by_draws, single_edge_cut
+from conftest import modular_function, random_coverage, simulate_by_draws, single_edge_cut, tight_instance
 from lemmas import (
     allocation_total,
     audit_nonnegativity,
@@ -21,7 +21,6 @@ from submax.welfare import (
     WelfareInstance,
     brute_force_welfare,
     simulate_random_assign,
-    tight_instance,
     welfare_ratio,
 )
 
@@ -67,6 +66,17 @@ def test_tight_instance_matches_ratio_curve(k):
     sigma = totals.std(ddof=1) / math.sqrt(totals.size)
     expect = k * welfare_ratio(k)
     assert abs(totals.mean() - expect) <= 4 * sigma
+
+
+@pytest.mark.parametrize("k", range(2, 17))
+def test_tight_instance_meets_the_ratio_exactly(k):
+    # random assignment gives each player a bundle distributed as R((1/k) 1),
+    # so its expected total is k F((1/k) 1); on this instance OPT = k and the
+    # guarantee holds with equality
+    inst = tight_instance(k)
+    ev = MultilinearEvaluator(inst.utility)
+    assert ev.backend == "table"
+    assert k * ev.value(np.full(k, 1.0 / k)) == pytest.approx(k * welfare_ratio(k), rel=1e-12, abs=0.0)
 
 
 def test_two_player_equivalence_with_unconstrained():
