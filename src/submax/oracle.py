@@ -12,6 +12,10 @@ shipped families set when they are built and ``audit_symmetry`` sets for a
 restriction.  The cut kernels give S and N \\ S bit-identical values (an edge
 crosses S exactly when it crosses N \\ S), so the half search returns the
 full search's set and value exactly.
+
+A monotone f (``f.monotone``, trusted likewise) is not scanned: its maximizers,
+the sets of value f(N), are closed upward, so a descent from N that drops
+u = n - 1, ..., 0 while f(N) stays ends at the smallest in n + 1 oracle calls.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 
 from .polytope import Polytope
 from .setfn import SetFunction
-from .subsets import MASK_BLOCK, popcount_array
+from .subsets import MASK_BLOCK, full_mask, popcount_array
 
 MAX_BRUTE_N = 22
 
@@ -57,11 +61,17 @@ def _argmax_blocks(
 
 
 def brute_unconstrained(f: SetFunction) -> tuple[int, float]:
-    """argmax of f over all 2^n subsets: 2^n oracle calls, or 2^(n-1) over
-    the masks without element n - 1 when f is flagged symmetric (see the
-    module docstring; the flag is trusted, not checked)."""
+    """argmax of f over all 2^n subsets: 2^n oracle calls, 2^(n-1) when f is
+    flagged symmetric and n + 1 when it is flagged monotone (see the module
+    docstring; the flags are trusted, not checked)."""
     n = _ground_size(f)
-    return _argmax_blocks(f, max(n - 1, 0) if f.symmetric else n)
+    if not f.monotone:
+        return _argmax_blocks(f, max(n - 1, 0) if f.symmetric else n)
+    mask, best = full_mask(n), f.eval(full_mask(n))
+    for u in reversed(range(n)):
+        if f.eval(mask ^ 1 << u) == best:
+            mask ^= 1 << u
+    return mask, best
 
 
 def brute_cardinality(f: SetFunction, k: int) -> tuple[int, float]:

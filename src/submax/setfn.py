@@ -1,8 +1,8 @@
 """Set-function value oracles and the shipped instance families.
 
 Every objective is wrapped in a :class:`SetFunction`: a value oracle over
-bitmask subsets with a declared (audited, not enforced) symmetry flag and a
-thread-safe query counter.  Every set function has exactly one oracle, a
+bitmask subsets with declared (not enforced) symmetry and monotonicity flags
+and a thread-safe query counter.  Every set function has exactly one oracle, a
 batch kernel over mask arrays.  ``eval`` is that kernel on a one-mask batch,
 so a set has one value whether an algorithm, a value table or a brute-force
 search asks for it.  Masks are int64 up to 62 elements at the API; above
@@ -59,7 +59,7 @@ class _Counter:
 
 
 class SetFunction:
-    """Value oracle f: 2^N -> R with a symmetry claim and a query counter.
+    """Value oracle f: 2^N -> R with symmetry and monotone claims and a query counter.
 
     The oracle is one batch kernel, ``eval_many_masks`` (mask array -> float
     array of the same shape), the one argument every set function needs.
@@ -74,6 +74,9 @@ class SetFunction:
     symmetry audit all read that one array.  An optional
     ``multilinear`` hook returns the exact extension and its gradient,
     ``(F(x), grad F(x))``, without querying the oracle.
+    ``symmetric`` (f(S) = f(N\\S)) and ``monotone`` (f(S) <= f(S + u)) are
+    exact claims the brute force trusts: the row family sets them by its row
+    rule, a restriction keeps ``monotone``, other oracles default to neither.
     """
 
     def __init__(
@@ -82,11 +85,13 @@ class SetFunction:
         eval_many_masks: Callable[[np.ndarray], np.ndarray],
         *,
         symmetric: bool = False,
+        monotone: bool = False,
         kind: str = "custom",
         multilinear: Multilinear | None = None,
     ):
         self.n = int(n)
         self.symmetric = bool(symmetric)
+        self.monotone = bool(monotone)
         self._eval_many = eval_many_masks
         self.kind = kind
         self.multilinear = multilinear
@@ -155,19 +160,21 @@ def _weighted_count(hits: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def _leave_one_out(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row products, and for each entry the product of the other entries of
-    its row, from prefix and suffix products (no division: entries may be 0)."""
-    rows, width = vals.shape
-    prefix = np.ones((rows, width + 1))
-    np.cumprod(vals, axis=1, out=prefix[:, 1:])
-    suffix = np.ones((rows, width + 1))
-    np.cumprod(vals[:, ::-1], axis=1, out=suffix[:, -2::-1])
-    return prefix[:, -1], prefix[:, :-1] * suffix[:, 1:]
+    """Products over the last axis, and for each entry the product of the others
+    along it, from prefix and suffix products (no division: entries may be 0)."""
+    shape = (*vals.shape[:-1], vals.shape[-1] + 1)
+    prefix = np.ones(shape)
+    np.cumprod(vals, axis=-1, out=prefix[..., 1:])
+    suffix = np.ones(shape)
+    np.cumprod(vals[..., ::-1], axis=-1, out=suffix[..., -2::-1])
+    return prefix[..., -1], prefix[..., :-1] * suffix[..., 1:]
 
 
 def _row_family(n: int, rows: list, weights, *, cut: bool, kind: str) -> SetFunction:
     """f(S) = total weight of the rows S meets, and under the cut rule
-    (``cut``) does not contain; cut rows make f symmetric.  This is the one
+    (``cut``) does not contain.  Cut rows make f symmetric, the others
+    monotone (bit for bit: the kernel sums non-negative terms in a fixed
+    order).  This is the one
     check of every family's input: n >= 0, each row lists distinct elements
     of range(n), a cut row at least 2, and each weight is finite and
     non-negative.  The rows are held as an incidence matrix as wide as the
@@ -246,17 +253,18 @@ def _row_family(n: int, rows: list, weights, *, cut: bool, kind: str) -> SetFunc
             grad = np.bincount(u, weights * (1.0 - c * xv), n + 1)
             grad += np.bincount(v, weights * (1.0 - c * xu), n + 1)
             return float(weights @ (xu + xv - c * xu * xv)), grad[:n]
-        # Pr[row pays] = 1 - prod (1 - x) [- prod x under the cut rule]
-        outside, others = _leave_one_out(np.append(1.0 - x, 1.0)[incidence])
+        # Pr[row pays] = 1 - prod (1 - x) [- prod x under the cut rule], in one pass
+        sides = np.ones((1 + cut, n + 1))
+        sides[0, :n], sides[1:, :n] = 1.0 - x, x
+        products, others = _leave_one_out(sides[:, incidence])
         if cut:
-            inside, inside_others = _leave_one_out(np.append(x, 1.0)[incidence])
-            pays, others = 1.0 - inside - outside, others - inside_others
+            pays, others = 1.0 - products[1] - products[0], others[0] - others[1]
         else:
-            pays = 1.0 - outside
+            pays, others = 1.0 - products[0], others[0]
         grad = np.bincount(incidence.ravel(), (weights[:, None] * others).ravel(), n + 1)
         return float(weights @ pays), grad[:n]
 
-    return SetFunction(n, many, symmetric=cut, kind=kind, multilinear=multilinear)
+    return SetFunction(n, many, symmetric=cut, monotone=not cut, kind=kind, multilinear=multilinear)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +326,8 @@ def restrict_function(f: SetFunction, kept: list[int]) -> SetFunction:
 
     Restriction preserves submodularity but generally breaks symmetry, so the
     flag of a symmetric f is re-audited exhaustively when at most
-    ``RESTRICT_AUDIT_LIMIT`` elements are kept, and dropped otherwise.
+    ``RESTRICT_AUDIT_LIMIT`` elements are kept, and dropped otherwise.  The
+    ``monotone`` flag passes on unchanged: an embedding keeps inclusion.
     """
     kept = [int(u) for u in kept]
     n_new = len(kept)
@@ -345,6 +354,7 @@ def restrict_function(f: SetFunction, kept: list[int]) -> SetFunction:
     g = SetFunction(
         n_new,
         symmetric=False,
+        monotone=f.monotone,
         eval_many_masks=many,
         kind=f"restrict({f.kind})",
         multilinear=multilinear if f.multilinear is not None else None,

@@ -5,11 +5,12 @@ terms, sums, complements), and reference solvers the library must match."""
 from itertools import combinations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from submax.fixtures import random_graph_cut, random_hypergraph_cut
 from submax.polytope import CardinalityPolytope, KnapsackPolytope, PartitionPolytope
 from submax.rng import WELFARE_STREAM, substream
-from submax.setfn import SetFunction, coverage_function, graph_cut_function
+from submax.setfn import SetFunction, coverage_function, graph_cut_function, restrict_function
 from submax.subsets import MAX_MASK_BITS, as_mask, bits_from_masks, full_mask, mask_array, masks_from_bits, popcount_array
 from submax.welfare import WelfareInstance
 
@@ -115,6 +116,28 @@ def random_coverage(n, seed):
         size = int(rng.integers(1, max(2, universe // 2)))
         membership.append(tuple(int(j) for j in rng.choice(universe, size=size, replace=False)))
     return coverage_function(n, weights, membership)
+
+
+# coverage weights at the ends of the float range as well as in between: a
+# weight of 1e-300 vanishes beside 1e300, so sets of unequal cover tie
+EXTREME_WEIGHTS = st.one_of(st.sampled_from([0.0, 1e-300, 1.0, 1e300]),
+                            st.floats(min_value=0.0, max_value=1e300))
+
+
+@st.composite
+def coverage_instances(draw, n):
+    """A coverage function on n elements, or a restriction of one on up to
+    three more to n of them, with extreme weights and elements that cover
+    nothing."""
+    extra = draw(st.integers(min_value=0, max_value=3)) if draw(st.booleans()) else None
+    size = n + (extra or 0)
+    items = draw(st.integers(min_value=0, max_value=2 * size + 2))
+    weights = draw(st.lists(EXTREME_WEIGHTS, min_size=items, max_size=items))
+    covers = st.lists(st.integers(min_value=0, max_value=max(items - 1, 0)), max_size=min(items, 4), unique=True)
+    f = coverage_function(size, weights, [draw(covers) for _ in range(size)])
+    if extra is None:
+        return f
+    return restrict_function(f, draw(st.permutations(range(size)))[:n])
 
 
 def random_offset_cut(n, seed):

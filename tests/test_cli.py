@@ -364,6 +364,27 @@ def test_generated_examples_run(tmp_path):
         assert "oracle_opt" in _read_report(out)["report"]
 
 
+def test_brute_force_on_the_coverage_example_descends_from_the_full_set(tmp_path):
+    # coverage is monotone: the optimum check asks for f(N) and then drops
+    # each element in turn, 5 sets instead of 16; {0, 2} and {1, 3} both
+    # cover everything, and the smaller mask is reported
+    script = Path(__file__).resolve().parents[1] / "scripts" / "generate_instances.py"
+    subprocess.run([sys.executable, str(script), "--dir", str(tmp_path)], check=True, capture_output=True)
+    instance = {"n": 4, "symmetric": False, "type": "coverage"}
+    expected = {
+        "two-sided": {"achieved_ratio": 1.0, "achieved_set": [0, 1, 2, 3], "achieved_value": 5.0,
+                      "algorithm": "two-sided", "instance": instance, "oracle_calls": 16, "oracle_opt": 5.0,
+                      "oracle_opt_set": [0, 2], "seed": 0, "theoretical_ratio": 1 / 3, "theoretical_regime": True},
+        "brute-unconstrained": {"achieved_ratio": 1.0, "achieved_set": [0, 2], "achieved_value": 5.0,
+                                "algorithm": "brute-unconstrained", "instance": instance, "oracle_calls": 5,
+                                "oracle_opt": 5.0, "seed": 0, "theoretical_ratio": 1.0, "theoretical_regime": True},
+    }
+    out = tmp_path / "r.json"
+    for algorithm, report in expected.items():
+        assert main(["--instance", str(tmp_path / "coverage.json"), "--algorithm", algorithm, "--out", str(out)]) == 0
+        assert _read_report(out)["report"] == report
+
+
 def _chain_file(tmp_path, n, welfare_k=None):
     chain = {"type": "graph_cut", "n": n, "edges": [[u, u + 1, 1.0] for u in range(n - 1)]}
     obj = chain if welfare_k is None else {"type": "welfare", "k": welfare_k, "utility": chain}

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complement_function, per_mask, sum_functions, triangle_cut
-from submax.fixtures import random_graph_cut
+from conftest import complement_function, coverage_instances, per_mask, random_coverage, sum_functions, triangle_cut
+from submax.fixtures import random_graph_cut, random_hypergraph_cut
 from submax.oracle import brute_cardinality, brute_polytope_integral, brute_unconstrained
 from submax.polytope import CardinalityPolytope, KnapsackPolytope, PartitionPolytope, Polytope
 from submax.rng import substream
 from submax.setfn import (
     SetFunction,
+    coverage_function,
     graph_cut_function,
     hardness_instance,
     hypergraph_cut_function,
@@ -201,6 +202,45 @@ def test_symmetric_search_scans_half_the_cube_and_matches_a_full_pass(n, seed, f
     plain = SetFunction(n, eval_many_masks=f._values)
     assert brute_unconstrained(plain) == got
     assert plain.query_count == 1 << n
+
+
+@pytest.mark.parametrize("n", range(15))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_monotone_search_descends_from_the_full_set_and_matches_a_full_pass(n, data):
+    f = data.draw(coverage_instances(n))
+    assert f.monotone
+    got = brute_unconstrained(f)
+    assert f.query_count == n + 1
+    table = f.eval_many(np.arange(1 << n, dtype=np.int64))
+    assert got == reference_argmax(table, lambda m: True)
+    # the same oracle without the flag reads the whole cube to the same answer
+    plain = SetFunction(n, eval_many_masks=f._values)
+    assert brute_unconstrained(plain) == got
+    assert plain.query_count == 1 << n
+
+
+def test_monotone_search_leaves_out_what_adds_nothing():
+    # elements 3 and 4, the top bits, cover nothing, and of elements 0 and 2
+    # (both cover item 0) the smaller mask keeps 0
+    f = coverage_function(5, [1.0, 2.0, 0.5], [[0], [1, 2], [0, 2], [], []])
+    g = restrict_function(f, [4, 0, 1, 2, 3])  # element 0 of g covers nothing
+    zero = coverage_function(4, [0.0, 0.0], [[0], [1], [0, 1], []])
+    for h, expected in ((f, (0b00011, 3.5)), (g, (0b00110, 3.5)), (zero, (0, 0.0))):
+        assert brute_unconstrained(h) == expected
+        assert h.query_count == h.n + 1
+        assert brute_unconstrained(SetFunction(h.n, eval_many_masks=h._values)) == expected
+
+
+def test_only_coverage_and_its_restrictions_are_flagged_monotone():
+    cover = random_coverage(6, seed=1)
+    assert cover.monotone
+    assert restrict_function(cover, [4, 0, 2]).monotone and restrict_function(cover, list(range(6))).monotone
+    cut = random_graph_cut(6, seed=1)
+    assert not any(f.monotone for f in (
+        cut, restrict_function(cut, [0, 1]), random_hypergraph_cut(6, seed=2), hardness_instance(1, 2),
+        SetFunction(3, per_mask(float)),  # monotone values, but no claim
+    ))
 
 
 def test_streamed_brute_force_ties_go_to_the_smallest_mask():

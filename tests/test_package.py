@@ -112,7 +112,7 @@ def test_every_public_library_name_has_a_caller_outside_the_tests():
 # every parameter of these; an option that only tests set, or that the code
 # can derive from its inputs, is a constant or a derived value instead
 PARAMETERS = {
-    SetFunction: ["n", "eval_many_masks", "symmetric", "kind", "multilinear"],
+    SetFunction: ["n", "eval_many_masks", "symmetric", "monotone", "kind", "multilinear"],
     graph_cut_function: ["n", "edges"],
     hypergraph_cut_function: ["n", "hyperedges"],
     coverage_function: ["n", "universe_weights", "membership"],

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     complement_function,
+    coverage_instances,
     embed_by_bit_rows,
     modular_function,
     per_mask,
@@ -336,6 +337,19 @@ def test_sum_is_flagged_symmetric_iff_every_summand_is():
     assert both.symmetric and audit_symmetry(both) and both.kind == "sum"
     offset = sum_functions([cut, hyper, modular_function(6, np.ones(6))])  # f(S) = |S| is not symmetric
     assert not offset.symmetric and not audit_symmetry(offset)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=0, max_value=14))
+def test_coverage_and_its_restrictions_are_monotone_bit_for_bit(data, n):
+    # the brute-force descent trusts the flag: adding an element never lowers
+    # a value, also where weights of 1e-300 and 1e300 round in one sum
+    f = data.draw(coverage_instances(n))
+    assert f.monotone and f.n == n
+    masks = np.arange(1 << n, dtype=np.int64)
+    values = f.eval_many(masks)
+    for u in range(n):
+        assert (values <= f.eval_many(masks | 1 << u)).all(), u
 
 
 # ---------------------------------------------------------------------------
