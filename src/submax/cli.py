@@ -276,7 +276,9 @@ def _check(args, f, P, welfare_inst) -> _Job:
         low = 1 if algorithm.startswith("dmcg-") else 0
         if not low <= k <= n:
             raise FlagError(f"--k must be between {low} and n = {n}")
-    unverifiable = None if n <= MAX_BRUTE_N else f"n = {n} exceeds the brute-force limit {MAX_BRUTE_N}"
+    # the descent on a monotone f has no size limit (oracle.brute_unconstrained)
+    descent = algorithm in ("two-sided", "brute-unconstrained") and f.monotone
+    unverifiable = None if n <= MAX_BRUTE_N or descent else f"n = {n} exceeds the brute-force limit {MAX_BRUTE_N}"
 
     if welfare:
         k = welfare_inst.k

@@ -8,13 +8,16 @@ gradient.  Both come from one of three backends, picked by :func:`backend`
 in this order:
 
 * ``"sampled"`` when the estimator sets ``samples``: f is averaged over that
-  many seeded draws R, with common random numbers for coupled queries; a
-  gradient reads R and each R with one element flipped, one
-  (n + 1, samples) oracle batch.  Each query names its stream, a path under
-  the estimator's seed that each caller leads with its own tag from
-  ``rng``.  The ascent evaluates one gradient per side at the start, after
-  each step's update and after each reset, and the next step reads the
-  latest (see ``mcg.ascend``);
+  many seeded draws R, with common random numbers for coupled queries.  The
+  oracle is asked for each distinct draw once and its value is scattered
+  back to every draw of it, so the estimates are those over all the draws,
+  bit for bit; a gradient reads each distinct R and it with one element
+  flipped, one (n + 1, distinct draws) oracle batch, so n + 1 queries at a
+  vertex of the cube, where every draw is one set.  Each query names its
+  stream, a path under the estimator's seed that each caller leads with its
+  own tag from ``rng``.  The ascent evaluates one gradient per side at the
+  start, after each step's update and after each reset, and the next step
+  reads the latest (see ``mcg.ascend``);
 * ``"closed_form"`` when F is exact (``samples`` is None) and f carries a
   ``multilinear`` hook (graph and hypergraph cuts, coverage, and their
   restrictions): exact F and gradient in time polynomial in the instance
@@ -136,21 +139,29 @@ class MultilinearEvaluator:
     def _sample_masks(self, x: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
         return masks_from_bits(thresholds < x[None, :])
 
+    def _draws(self, x: np.ndarray, stream: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct sets among the ``samples`` draws R on ``stream``,
+        ascending, and for each draw the index of its set: the oracle is
+        asked for each distinct set once and its value scattered back, so
+        every mean and spread is the one over all the draws, bit for bit."""
+        return np.unique(self._sample_masks(x, self._thresholds(stream, self.est.samples)), return_inverse=True)
+
     def _value_sampled(self, x: np.ndarray, stream: tuple[int, ...]) -> float:
         if np.all(np.minimum(x, 1.0 - x) <= _INTEGRAL_TOL):
             # integral point: F(1_S) = f(S), no sampling needed
             return self.f.eval(int(masks_from_bits(x > 0.5)))
-        masks = self._sample_masks(x, self._thresholds(stream, self.est.samples))
-        return float(self.f.eval_many(masks).mean())
+        base, draw = self._draws(x, stream)
+        return float(self.f.eval_many(base)[draw].mean())
 
     def _grad_sampled(self, x: np.ndarray, stream: tuple[int, ...]) -> tuple[float, np.ndarray, np.ndarray]:
         """F and dF/dx_u = mean f(R + u) - f(R - u) over the sampled sets R; one of
-        the two is R, so one (n + 1, samples) batch holds R and R with u flipped in row u."""
+        the two is R, so one (n + 1, distinct draws) batch holds each distinct R
+        and it with u flipped in row u: (n + 1) x (distinct draws) queries."""
         n, samples = self.n, self.est.samples
-        base = self._sample_masks(x, self._thresholds(stream, samples))
+        base, draw = self._draws(x, stream)
         unit = masks_from_bits(np.eye(n, dtype=bool))[:, None]  # row u is the set {u}
-        vals = self.f.eval_many(np.concatenate([base[None, :], base ^ unit]))
-        diffs = np.where((base & unit) != 0, vals[0] - vals[1:], vals[1:] - vals[0])  # a set has one value
+        vals = self.f.eval_many(np.concatenate([base[None, :], base ^ unit]))[:, draw]
+        diffs = np.where((base[draw] & unit) != 0, vals[0] - vals[1:], vals[1:] - vals[0])  # a set has one value
         sigma = diffs.std(axis=1, ddof=1) / math.sqrt(samples) if samples > 1 else np.zeros(n)
         return float(vals[0].mean()), diffs.mean(axis=1), sigma
 

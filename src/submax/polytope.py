@@ -4,9 +4,10 @@ and the density that governs how long the continuous ascent may run.
 Three kinds ship: the partition matroid, cardinality (its one-part case) and
 the single knapsack.  A kind plugs in through :class:`Polytope`: ``n``,
 ``kind``, ``density``, ``membership``, ``linear_maximize``, and for
-Reduction 1 ``singleton_feasible`` and ``restrict``; ``integral`` (the
-brute-force filter) and ``parts`` (pipage's) have defaults.  All tie-breaking
-is by lowest element index so trajectories are deterministic.
+Reduction 1 ``singleton_feasible`` and ``restrict``; ``size_limit`` and
+``integral`` (the brute force's size range and filter) and ``parts``
+(pipage's) have defaults.  All tie-breaking is by lowest element index so
+trajectories are deterministic.
 """
 
 from __future__ import annotations
@@ -45,6 +46,12 @@ class Polytope:
     def restrict(self, kept: list[int]) -> "Polytope":
         """The polytope over the kept elements (indices remapped in order)."""
         raise NotImplementedError
+
+    def size_limit(self) -> tuple[int, bool]:
+        """(r, exact): no integral point of P has more than r elements, and
+        when ``exact`` every set of at most r elements is one, so the size
+        alone decides.  The default bounds nothing: (n, False)."""
+        return self.n, False
 
     def integral(self, masks: np.ndarray) -> np.ndarray:
         """Which int64 bitmasks S have 1_S in P, by one membership test each."""
@@ -113,6 +120,12 @@ class PartitionPolytope(Polytope):
                 parts.append(new_part)
                 bounds.append(b)
         return PartitionPolytope(parts, bounds)
+
+    def size_limit(self) -> tuple[int, bool]:
+        """The rank sum_i min(b_i, |part_i|); it decides membership when no
+        part bounds a set of that size, as with one part or no binding bound."""
+        rank = sum(min(b, len(part)) for part, b in zip(self.parts, self.bounds))
+        return rank, all(min(rank, len(part)) <= b for part, b in zip(self.parts, self.bounds))
 
     def integral(self, masks: np.ndarray) -> np.ndarray:
         ok = np.ones(masks.size, dtype=bool)

@@ -31,6 +31,20 @@ def per_mask(value):
     return many
 
 
+def record_batches(f):
+    """Wrap f's ``eval_many`` so that each batch it is asked for is appended
+    to the returned list."""
+    batches = []
+    ask = f.eval_many
+
+    def recording(masks):
+        batches.append(np.array(masks))
+        return ask(masks)
+
+    f.eval_many = recording
+    return batches
+
+
 def indicator(subset, n):
     """The point 1_S of [0,1]^n of a set S (bitmask or iterable of indices)."""
     return bits_from_masks(as_mask(subset, n), n).astype(float)

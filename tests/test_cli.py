@@ -542,6 +542,23 @@ def test_exit_code_oracle_unavailable(tmp_path):
     assert "oracle_opt" not in _read_report(out)["report"]
 
 
+def test_monotone_unconstrained_jobs_are_verified_beyond_the_brute_force_limit(tmp_path):
+    # on a coverage f the unconstrained optimum is the descent from N, n + 1
+    # oracle calls at any n; constrained searches keep the limit
+    n = 30
+    membership = [[u % 7, 7 + (3 * u) % 11] for u in range(n)]
+    path = tmp_path / "coverage.json"
+    path.write_text(json.dumps({"type": "coverage", "n": n, "universe_weights": [1.0] * 18, "membership": membership}))
+    out = tmp_path / "r.json"
+    assert main(["--instance", str(path), "--algorithm", "two-sided", "--require-oracle", "--out", str(out)]) == 0
+    report = _read_report(out)["report"]
+    assert report["oracle_opt"] == 18.0 and report["achieved_ratio"] == report["achieved_value"] / 18.0
+    assert main(["--instance", str(path), "--algorithm", "brute-unconstrained", "--out", str(out)]) == 0
+    report = _read_report(out)["report"]
+    assert report["achieved_value"] == report["oracle_opt"] == 18.0 and report["oracle_calls"] == n + 1
+    assert main(["--instance", str(path), "--algorithm", "brute-cardinality-eq", "--k", "2"]) == 3
+
+
 ASCENT_KEYS = {"config", "fractional_value", "fractional_point", "theoretical_ratio", "theoretical_regime"}
 VERIFIED_KEYS = {"algorithm", "seed", "instance", "achieved_value", "oracle_opt", "achieved_ratio", "oracle_calls"}
 REPORT_KEYS = {
@@ -737,9 +754,10 @@ def test_report_names_the_estimator_backend(triangle_file, tmp_path):
         else:
             # 2 sides x (1 + 50 steps) gradients (at the start and after each
             # update) plus 1 after the one reset the cleanup makes, each one
-            # batch of (n + 1) x 64 sets, plus 134 calls outside the ascent
-            # (rounding, brute-force check); the fractional value is exact
-            assert report["oracle_calls"] == (2 * (1 + 50) + 1) * 4 * 64 + 134
+            # batch of (n + 1) x (its distinct draws of 64) sets, 634 draws
+            # in all, plus 134 calls outside the ascent (rounding,
+            # brute-force check); the fractional value is exact
+            assert report["oracle_calls"] == 4 * 634 + 134
 
 
 @pytest.mark.parametrize("algorithm", ["mcg", "dmcg-symmetric", "dmcg-general"])

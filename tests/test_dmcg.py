@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bisect_direction, brute_direction_value, random_coverage, random_offset_cut, single_edge_cut
+from conftest import (
+    bisect_direction,
+    brute_direction_value,
+    random_coverage,
+    random_offset_cut,
+    record_batches,
+    single_edge_cut,
+)
 from lemmas import check_concave_segment
 from submax.dmcg import (
     check_max_y,
@@ -306,14 +313,21 @@ def test_determinism():
 
 
 def test_sampled_general_variant_spends_one_gradient_per_side_and_step():
-    # each side draws one (n + 1) x samples gradient batch at the start and
-    # after every update but the last, which the next step reads; after the
-    # last update only F (samples masks), since no cleanup reads a gradient
+    # each side draws one gradient batch at the start and after every update
+    # but the last, which the next step reads; after the last update only F,
+    # since no cleanup reads a gradient.  A gradient batch is (n + 1) x its
+    # distinct draws (1 at the start, where every draw is the empty set) and
+    # F's batch is its distinct draws: 77 gradient columns and 27 sets of F
     n, steps, samples = 6, 5, 32
     f = random_graph_cut(n, seed=1)
+    batches = record_batches(f)
     est = Estimator(samples=samples, seed=3)
     run_dmcg(f, 2, AscentConfig(steps=steps, estimator=est), "general")
-    assert f.query_count == 2 * (steps * (n + 1) * samples + samples)
+    grads = [masks for masks in batches if masks.ndim == 2]
+    assert len(grads) == 2 * steps and len(batches) == 2 * steps + 2
+    assert all(masks.shape[0] == n + 1 and masks.shape[1] <= samples for masks in grads)
+    assert [masks.shape[1] for masks in grads[:2]] == [1, 1]
+    assert f.query_count == (n + 1) * 77 + 27
 
 
 def test_dual_trajectory_csv():

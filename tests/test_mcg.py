@@ -3,7 +3,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import POLYTOPE_KINDS, indicator, random_coverage, random_polytope, single_edge_cut, triangle_cut
+from conftest import (
+    POLYTOPE_KINDS,
+    indicator,
+    random_coverage,
+    random_polytope,
+    record_batches,
+    single_edge_cut,
+    triangle_cut,
+)
 from lemmas import box_vertex_max
 from submax.fixtures import random_graph_cut
 from submax.mcg import AscentConfig, check_feasibility_invariants, run_mcg, trajectory_csv
@@ -154,16 +162,20 @@ def test_determinism_exact_and_sampled():
 
 
 def test_sampled_cleanup_run_spends_one_gradient_per_step_and_reset():
-    # one (n + 1) x samples gradient batch at the start, one after each
-    # update and one after each of the cleanup's resets; each step's
-    # direction reads the last of them instead of drawing its own
+    # one gradient batch at the start, one after each update and one after
+    # each of the cleanup's resets; each step's direction reads the last of
+    # them instead of drawing its own.  A batch is (n + 1) x its distinct
+    # draws, here 628 of the 45 x 64 drawn
     n, steps, samples = 8, 40, 64
     f = random_graph_cut(n, seed=5)
+    batches = record_batches(f)
     cfg = AscentConfig(T=2.0, steps=steps, estimator=Estimator(samples=samples, seed=5))
     _, traj = run_mcg(f, CardinalityPolytope(n, 4), cfg)
     resets = sum(s.zeroed for s in traj.steps)
     assert resets == 4
-    assert f.query_count == (1 + steps + resets) * (n + 1) * samples
+    assert len(batches) == 1 + steps + resets
+    assert all(masks.shape[0] == n + 1 and masks.shape[1] <= samples for masks in batches)
+    assert f.query_count == (n + 1) * 628
 
 
 def test_nonsymmetric_objective_warns():

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import complement_function, indicator, per_mask, random_coverage, single_edge_cut, triangle_cut
+from conftest import (
+    complement_function,
+    indicator,
+    per_mask,
+    random_coverage,
+    record_batches,
+    single_edge_cut,
+    triangle_cut,
+)
 from lemmas import (
     box_vertex_values,
     check_correlated_marginals_bound,
@@ -200,10 +208,40 @@ def test_sampled_gradient_matches_plus_minus_reference_bit_for_bit(make, pinned,
     reference = float(f.eval_many(base).mean()), diffs.mean(axis=1), sigma
     before = f.query_count
     value, grad, got_sigma = ev.value_and_partials(x, stream=stream)
-    assert f.query_count - before == (n + 1) * samples
+    assert f.query_count - before == (n + 1) * np.unique(base).size  # each distinct draw once
     assert value == reference[0]
     assert np.array_equal(grad, reference[1])
     assert np.array_equal(got_sigma, reference[2])
+
+
+@pytest.mark.parametrize("corner", [0.0, 1.0])
+def test_sampled_gradient_at_a_vertex_of_the_cube_asks_n_plus_one_sets(corner):
+    # every draw at x = 0 is the empty set and every draw at x = 1 is N, so
+    # the batch holds that one set and its n flips, however many samples
+    f = random_graph_cut(7, seed=3)
+    ev = MultilinearEvaluator(f, Estimator(samples=500, seed=2))
+    ev.value_and_partials(np.full(7, corner), stream=(1,))
+    assert f.query_count == 7 + 1
+
+
+@pytest.mark.parametrize("samples", [1, 64, 600])
+def test_no_sampled_batch_asks_for_a_draw_twice(samples):
+    # F's batch is the distinct draws R, ascending; the gradient's is those
+    # and, in row u, each of them with u flipped, so no row repeats a set
+    # (a flipped R may still be another draw, which its own row asks for)
+    f = random_coverage(6, seed=9)
+    batches = record_batches(f)
+    ev = MultilinearEvaluator(f, Estimator(samples=samples, seed=5))
+    x = substream(12, 6).random(6)
+    x[[0, 2]] = 0.0
+    ev.value(x, stream=(2,))
+    ev.value_and_partials(x, stream=(2,))
+    value_batch, grad_batch = batches
+    assert np.array_equal(value_batch, np.unique(ev._sample_masks(x, ev._thresholds((2,), samples))))
+    assert np.array_equal(grad_batch[0], value_batch)
+    assert grad_batch.shape == (6 + 1, value_batch.size)
+    for row in grad_batch:
+        assert np.unique(row).size == row.size
 
 
 def test_sampled_partial_uses_common_random_numbers():

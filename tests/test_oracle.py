@@ -19,7 +19,7 @@ from submax.setfn import (
     hypergraph_cut_function,
     restrict_function,
 )
-from submax.subsets import MASK_BLOCK, indices
+from submax.subsets import MASK_BLOCK, full_mask, indices
 from submax.welfare import WelfareInstance, brute_force_welfare
 
 
@@ -232,6 +232,31 @@ def test_monotone_search_leaves_out_what_adds_nothing():
         assert brute_unconstrained(SetFunction(h.n, eval_many_masks=h._values)) == expected
 
 
+def test_monotone_descent_runs_beyond_the_brute_force_limit():
+    # 70 elements: a mask above bit 62 is a Python int, and only the descent
+    # runs; items of weight 0 and elements that cover nothing are left out,
+    # and element 69 alone covers the last item
+    n, items = 70, 40
+    rng = substream(70, 0xDE5)
+    weights = [float(w) for w in rng.integers(0, 3, size=items)] + [1.0]
+    membership = [rng.choice(items, size=int(rng.integers(0, 4)), replace=False).tolist() for _ in range(n - 1)]
+    membership.append([items])
+    f = coverage_function(n, weights, membership)
+    got = brute_unconstrained(f)
+    assert f.query_count == n + 1
+    # the descent's definition on the sets: drop u = n - 1, ..., 0 while the
+    # rest still covers every item of positive weight that N covers
+    needed = {j for cover in membership for j in cover if weights[j] > 0}
+    kept = set(range(n))
+    for u in reversed(range(n)):
+        if needed <= {j for v in kept - {u} for j in membership[v]}:
+            kept.discard(u)
+    assert got == (sum(1 << u for u in kept), f.eval(full_mask(n)))
+    assert got[0] >> 69 == 1
+    with pytest.raises(ValueError, match="limited"):
+        brute_cardinality(f, 2)
+
+
 def test_only_coverage_and_its_restrictions_are_flagged_monotone():
     cover = random_coverage(6, seed=1)
     assert cover.monotone
@@ -257,6 +282,90 @@ def test_streamed_brute_force_ties_go_to_the_smallest_mask():
     assert brute_polytope_integral(f, CardinalityPolytope(n, 3)) == (8195, 1.0)
     assert brute_polytope_integral(f, CardinalityPolytope(n, 4)) == (4103, 1.0)
     assert brute_polytope_integral(f, KnapsackPolytope(np.ones(n), 3.0)) == (8195, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# size-bounded walk: a constrained search builds only sets of a size it admits
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def dyadic_functions(draw, n):
+    """f on n elements whose values are sums of powers of two (a coverage) or
+    quarters (a drawn table): every sum is exact, so ties are common and
+    each must go to the smallest mask."""
+    rng = substream(draw(st.integers(min_value=0, max_value=10_000)), 0xD7AD)
+    if draw(st.booleans()):
+        table = rng.integers(0, 4, size=1 << n) / 4.0
+        return SetFunction(n, lambda masks: table[masks])
+    weights = [2.0 ** int(e) for e in rng.integers(-2, 2, size=n + 1)]
+    membership = [rng.choice(n + 1, size=int(rng.integers(0, 3)), replace=False).tolist() for _ in range(n)]
+    return coverage_function(n, weights, membership)
+
+
+@st.composite
+def partitions(draw, n):
+    """Up to three parts of range(n), each bounded by 0, below, at or above its size."""
+    labels = draw(st.lists(st.integers(min_value=0, max_value=2), min_size=n, max_size=n))
+    parts = [part for part in ([u for u in range(n) if labels[u] == p] for p in range(3)) if part]
+    return parts, [len(part) + draw(st.sampled_from([-len(part), -1, 0, 1])) for part in parts]
+
+
+def spy_integral(P):
+    """Record every mask batch that P's brute-force filter is asked about."""
+    seen = []
+    integral = P.integral
+
+    def recording(masks):
+        seen.append(np.array(masks))
+        return integral(masks)
+
+    P.integral = recording
+    return seen
+
+
+@pytest.mark.parametrize("n", range(15))
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_size_bounded_walk_matches_a_full_filtered_scan(n, data):
+    f = data.draw(dyadic_functions(n))
+    table = f.eval_many(np.arange(1 << n, dtype=np.int64))
+    rows = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    size = rows.sum(axis=1)
+
+    def check(search, admissible):
+        # a full ascending scan of the admissible masks; the walk asks for
+        # each admissible set once and for no other
+        masks = np.flatnonzero(admissible)
+        i = int(np.argmax(table[masks]))
+        before = f.query_count
+        assert search() == (int(masks[i]), float(table[masks[i]]))
+        assert f.query_count - before == masks.size
+
+    for k in range(n + 1):
+        check(lambda: brute_cardinality(f, k), size == k)
+        P = CardinalityPolytope(n, k)
+        filtered = spy_integral(P)
+        check(lambda: brute_polytope_integral(f, P), size <= k)
+        assert P.size_limit() == (k, True) and filtered == []  # the size decides
+    parts, bounds = data.draw(partitions(n))
+    P = PartitionPolytope(parts, bounds)
+    admissible = np.ones(1 << n, dtype=bool)
+    for part, b in zip(parts, bounds):
+        admissible &= rows[:, part].sum(axis=1) <= b
+    rank, exact = P.size_limit()
+    assert rank == size[admissible].max() and exact == np.array_equal(admissible, size <= rank)
+    filtered = spy_integral(P)
+    check(lambda: brute_polytope_integral(f, P), admissible)
+    assert all((rows[masks].sum(axis=1) <= rank).all() for masks in filtered)
+    assert not (exact and filtered)
+    if n:
+        rng = substream(n, 0x4A9)
+        a = 2.0 ** rng.integers(-1, 3, size=n)
+        b = float(2.0 ** rng.integers(0, 4))
+        P = KnapsackPolytope(a, b)
+        assert P.size_limit() == (n, False)  # a knapsack bounds no size
+        check(lambda: brute_polytope_integral(f, P), rows @ a <= b + 1e-9)
 
 
 @pytest.mark.parametrize("k, n", [(2, 13), (3, 9), (4, 7), (5, 6)])
@@ -288,15 +397,36 @@ def test_welfare_search_queries_each_set_once(k, n):
         assert alloc.parts == ((1 << n) - 1,)
 
 
-def test_brute_unconstrained_memory_stays_at_one_block():
-    # 20 vertices, 40 edges: evaluated in one 2^20-mask batch, the kernel's
-    # (2^20, 40) int64 temporaries alone would take hundreds of MB
+def ring_cut_20():
+    """20 vertices, 40 edges: evaluated in one 2^20-mask batch, the kernel's
+    (2^20, 40) int64 temporaries alone would take hundreds of MB."""
     edges = tuple((u, (u + d) % 20, 1.0 + (u % 3)) for d in (1, 7) for u in range(20))
-    f = graph_cut_function(20, edges)
+    return graph_cut_function(20, edges)
+
+
+def peak_traced_bytes(search):
     tracemalloc.start()
     try:
-        brute_unconstrained(f)
-        _, peak = tracemalloc.get_traced_memory()
+        search()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+
+
+def test_brute_unconstrained_memory_stays_at_one_block():
+    f = ring_cut_20()
+    assert peak_traced_bytes(lambda: brute_unconstrained(f)) < 16 * 2**20
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda f: brute_cardinality(f, 5),
+        lambda f: brute_polytope_integral(f, CardinalityPolytope(20, 5)),
+        lambda f: brute_polytope_integral(f, PartitionPolytope([list(range(0, 20, 2)), list(range(1, 20, 2))], [3, 2])),
+    ],
+    ids=["cardinality", "cardinality-polytope", "partition"],
+)
+def test_constrained_brute_force_memory_stays_at_one_block(search):
+    f = ring_cut_20()
+    assert peak_traced_bytes(lambda: search(f)) < 16 * 2**20
