@@ -12,6 +12,7 @@ trajectories are deterministic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -214,7 +215,19 @@ class KnapsackPolytope(Polytope):
         return KnapsackPolytope(a, self.b) if a.sum() > 0 else CardinalityPolytope(a.size, a.size)
 
     def integral(self, masks: np.ndarray) -> np.ndarray:
-        return bits_from_masks(masks, self.n) @ self.a <= self.b + SLACK
+        """a(S) <= b + SLACK, with a(S) summed from one table per byte of the
+        mask: 3 lookups per mask at the brute force's n <= 22."""
+        load = np.zeros(masks.shape)
+        for byte, table in enumerate(self._byte_loads):
+            load += table[(masks >> 8 * byte) & 255]
+        return load <= self.b + SLACK
+
+    @functools.cached_property
+    def _byte_loads(self) -> list[np.ndarray]:
+        """Table per byte of a mask: entry v is a(S) for the elements v's
+        bits name in that byte."""
+        bits = bits_from_masks(np.arange(256), 8).astype(float)
+        return [bits[:, : len(chunk)] @ chunk for chunk in (self.a[i : i + 8] for i in range(0, self.n, 8))]
 
     def __repr__(self):
         return f"KnapsackPolytope(a={self.a.tolist()}, b={self.b})"

@@ -118,14 +118,19 @@ class SetFunction:
 
     def table(self) -> np.ndarray:
         """f on every set, entry m the value of mask m: the first call asks
-        the oracle for all 2^n sets in one ``eval_many`` batch, later calls
-        return the same read-only array and ask for nothing.  The table is
-        kept for f's lifetime (8 * 2^n bytes, so n <= ``TABLE_LIMIT``).
-        Entries are the values ``eval`` and ``eval_many`` give, bit for bit."""
+        the oracle for all 2^n sets, one ``eval_many`` batch of ``MASK_BLOCK``
+        consecutive masks at a time, so building it holds the table and one
+        block of masks; later calls return the same read-only array and ask
+        for nothing.  The table is kept for f's lifetime (8 * 2^n bytes, so
+        n <= ``TABLE_LIMIT``).  Entries are the values ``eval`` and
+        ``eval_many`` give, bit for bit."""
         if self.n > TABLE_LIMIT:
             raise ValueError(f"the value table holds all 2^n sets: n must be <= {TABLE_LIMIT}, got {self.n}")
         if self._table is None:
-            table = self.eval_many(np.arange(1 << self.n, dtype=np.int64))
+            table = np.empty(1 << self.n)
+            for start in range(0, table.size, MASK_BLOCK):
+                stop = min(start + MASK_BLOCK, table.size)
+                table[start:stop] = self.eval_many(np.arange(start, stop, dtype=np.int64))
             table.flags.writeable = False
             self._table = table
         return self._table

@@ -6,9 +6,10 @@ subsets, whose values the utility tabulates once (``SetFunction.table``:
 lookups in that table, ties going to the smallest assignment code; the
 simulation looks its k * trials bundles up in it too whenever there are
 more of them than subsets, so a simulation and a search on one utility ask
-the oracle for each subset once between them.  The n items are the ground
-set of the shared utility; ``cli`` reads an instance from a ``welfare``
-instance file.
+the oracle for each subset once between them.  The simulation walks its
+trials in blocks of ``MASK_BLOCK``, so besides the table it holds only its
+totals and one block.  The n items are the ground set of the shared
+utility; ``cli`` reads an instance from a ``welfare`` instance file.
 """
 
 from __future__ import annotations
@@ -64,18 +65,27 @@ def simulate_random_assign(inst: WelfareInstance, trials: int, seed: int = 0) ->
     a uniformly random player); row t of the seeded (trials, n) player draw
     is trial t's assignment, and a total sums its bundles in player order.
 
-    The k * trials bundles are valued by lookups in the utility's table when
-    2^n < k * trials and n <= ``TABLE_LIMIT`` (2^n oracle calls, once per
-    utility; the table is then smaller than the bundles), and else through
-    the batch oracle (k * trials calls).  A set has one value whichever way
-    it is read, so the totals are the same bit for bit either way."""
+    The trials are walked in consecutive blocks of ``MASK_BLOCK``: a block
+    draws its rows of the player draw (consecutive draws from one generator
+    are the one-shot draw), packs the k bundles of each of its trials into
+    masks in one pass and adds their values into its totals.  So memory is
+    the totals plus one block, plus the value table when it is read.  The
+    bundles are valued by lookups in the utility's table when 2^n < k * trials
+    and n <= ``TABLE_LIMIT`` (2^n oracle calls, once per utility; the table
+    is then smaller than the bundles), and else through the batch oracle
+    (k * trials calls).  A set has one value whichever way it is read, so
+    the totals are the same bit for bit either way."""
     n, k, f = inst.utility.n, inst.k, inst.utility
     rng = substream(seed, WELFARE_STREAM)
-    choice = rng.integers(0, k, size=(trials, n))
     value = f.table().__getitem__ if n <= TABLE_LIMIT and (1 << n) < k * trials else f.eval_many
+    players = np.arange(k)
     totals = np.zeros(trials)
-    for player in range(k):
-        totals += value(masks_from_bits(choice == player))
+    for start in range(0, trials, MASK_BLOCK):
+        block = totals[start : start + MASK_BLOCK]
+        choice = rng.integers(0, k, size=(block.size, n))
+        bundles = value(masks_from_bits(choice[:, None, :] == players[None, :, None]))  # (block, k)
+        for player in range(k):
+            block += bundles[:, player]
     return totals
 
 
@@ -87,7 +97,7 @@ def brute_force_welfare(inst: WelfareInstance) -> tuple[Allocation, float]:
     the utility's value table (``SetFunction.table``): 2^n oracle calls,
     none if a simulation or an earlier search already built it, and 8 * 2^n
     bytes kept as long as the utility (64 MB at the largest admitted case,
-    k = 2, n = 23; building it holds as many bytes again for the masks).
+    k = 2, n = 23; it is built one block of masks at a time).
     The k^n codes are then walked in ascending blocks of table lookups,
     which is the search's time.  A code's total is the sum of its bundles'
     values in player order, and a later block wins only on a strictly larger

@@ -2,6 +2,7 @@
 the sweep's two families, the oracle wrappers that build them (modular
 terms, sums, complements), and reference solvers the library must match."""
 
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from submax.fixtures import random_graph_cut, random_hypergraph_cut
 from submax.polytope import CardinalityPolytope, KnapsackPolytope, PartitionPolytope
 from submax.rng import WELFARE_STREAM, substream
-from submax.setfn import SetFunction, coverage_function, graph_cut_function, restrict_function
+from submax.setfn import TABLE_LIMIT, SetFunction, coverage_function, graph_cut_function, restrict_function
 from submax.subsets import MAX_MASK_BITS, as_mask, bits_from_masks, full_mask, mask_array, masks_from_bits, popcount_array
 from submax.welfare import WelfareInstance
 
@@ -287,16 +288,52 @@ def embed_by_bit_rows(masks, kept, n):
     return masks_from_bits(bits)
 
 
-def simulate_by_draws(inst, trials, seed):
+def simulate_by_draws(inst, trials, seed, value=None):
     """Reference random assignment: the seeded (trials, n) player draw of
-    ``simulate_random_assign``, with every bundle of every trial valued by
-    the batch oracle (k * trials queries).  ``simulate_random_assign`` must
-    return these totals bit for bit, whether it reads the table or not."""
+    ``simulate_random_assign`` drawn at once, with every bundle of every
+    trial valued by ``value`` (a mask array to its values), the batch oracle
+    (k * trials queries) unless given, in one packing pass per player.
+    ``simulate_random_assign`` must return these totals bit for bit, whether
+    it reads the table or not."""
     choice = substream(seed, WELFARE_STREAM).integers(0, inst.k, size=(trials, inst.utility.n))
+    value = inst.utility.eval_many if value is None else value
     totals = np.zeros(trials)
     for player in range(inst.k):
-        totals += inst.utility.eval_many(masks_from_bits(choice == player))
+        totals += value(masks_from_bits(choice == player))
     return totals
+
+
+def simulate_in_one_draw(inst, trials, seed):
+    """:func:`simulate_by_draws` reading the utility's table by the rule of
+    ``simulate_random_assign`` (2^n < k * trials and n <= ``TABLE_LIMIT``):
+    the whole-draw simulation the blockwise one must equal in its totals,
+    bit for bit, and in the sets it asks the oracle for."""
+    f = inst.utility
+    reads_table = f.n <= TABLE_LIMIT and (1 << f.n) < inst.k * trials
+    return simulate_by_draws(inst, trials, seed, f.table().__getitem__ if reads_table else None)
+
+
+# ---------------------------------------------------------------------------
+# memory
+# ---------------------------------------------------------------------------
+
+
+def ring_cut_20():
+    """20 vertices, 40 edges: evaluated in one 2^20-mask batch, the kernel's
+    (2^20, 40) int64 temporaries alone would take hundreds of MB."""
+    edges = tuple((u, (u + d) % 20, 1.0 + (u % 3)) for d in (1, 7) for u in range(20))
+    return graph_cut_function(20, edges)
+
+
+def peak_traced_bytes(run):
+    """Peak bytes ``tracemalloc`` traces while ``run()`` runs (numpy's
+    arrays included)."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_polytope(n, rng, kind=None):

@@ -1,12 +1,20 @@
 import functools
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complement_function, coverage_instances, per_mask, random_coverage, sum_functions, triangle_cut
+from conftest import (
+    complement_function,
+    coverage_instances,
+    peak_traced_bytes,
+    per_mask,
+    random_coverage,
+    ring_cut_20,
+    sum_functions,
+    triangle_cut,
+)
 from submax.fixtures import random_graph_cut, random_hypergraph_cut
 from submax.oracle import brute_cardinality, brute_polytope_integral, brute_unconstrained
 from submax.polytope import CardinalityPolytope, KnapsackPolytope, PartitionPolytope, Polytope
@@ -395,22 +403,6 @@ def test_welfare_search_queries_each_set_once(k, n):
     assert f.query_count == (1 if k == 1 else 2**n)
     if k == 1:
         assert alloc.parts == ((1 << n) - 1,)
-
-
-def ring_cut_20():
-    """20 vertices, 40 edges: evaluated in one 2^20-mask batch, the kernel's
-    (2^20, 40) int64 temporaries alone would take hundreds of MB."""
-    edges = tuple((u, (u + d) % 20, 1.0 + (u % 3)) for d in (1, 7) for u in range(20))
-    return graph_cut_function(20, edges)
-
-
-def peak_traced_bytes(search):
-    tracemalloc.start()
-    try:
-        search()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_brute_unconstrained_memory_stays_at_one_block():

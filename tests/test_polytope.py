@@ -261,3 +261,28 @@ def test_knapsack_integral_and_singletons_share_the_membership_slack():
     P = KnapsackPolytope([0.1, 0.2, 0.30000000000000004], 0.3)
     assert P.integral(np.array([0b011, 0b100, 0b101], dtype=np.int64)).tolist() == [True, True, False]
     assert P.singleton_feasible(2) and P.membership([0.0, 0.0, 1.0]) and P.membership([1.0, 1.0, 0.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=1, max_value=22), whole=st.booleans())
+def test_knapsack_integral_equals_the_bit_matrix_product(data, n, whole):
+    # the byte tables sum a(S) in another order than the product does: equal
+    # on integer coefficients, and on fractional ones away from the threshold;
+    # from b = 2^24 on, b + SLACK rounds to b, so an attained b is the threshold
+    masks = st.integers(min_value=0, max_value=(1 << n) - 1)
+    if whole:
+        a = np.array(data.draw(st.lists(st.integers(0, 2**30), min_size=n, max_size=n)), dtype=float)
+    else:
+        a = np.array(data.draw(st.lists(st.floats(0.0, 1e6), min_size=n, max_size=n)))
+    if a.sum() <= 0:
+        a[data.draw(st.integers(0, n - 1))] = 1.0
+    attained = data.draw(masks)
+    b = float(bits_from_masks(attained, n) @ a) + data.draw(st.sampled_from([0.0, 0.0, -1.0, 1.0, 0.5]))
+    P = KnapsackPolytope(a, max(b, 0.0))
+    drawn = np.array(data.draw(st.lists(masks, max_size=300)) + [attained, 0, (1 << n) - 1], dtype=np.int64)
+    load = bits_from_masks(drawn, n) @ a
+    expected = load <= P.b + 1e-9
+    near = np.abs(load - (P.b + 1e-9)) <= 1e-12 * a.sum()
+    got = P.integral(drawn)
+    assert got.dtype == bool and got.shape == drawn.shape
+    assert (got == expected)[~near | whole].all()

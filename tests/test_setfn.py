@@ -8,8 +8,10 @@ from conftest import (
     coverage_instances,
     embed_by_bit_rows,
     modular_function,
+    peak_traced_bytes,
     per_mask,
     reference_kernel,
+    ring_cut_20,
     single_edge_cut,
     sum_functions,
     tight_instance,
@@ -322,6 +324,13 @@ def test_a_restriction_audit_and_its_exact_values_share_one_table():
     assert ev.backend == "table"
     ev.value(np.full(10, 0.5))
     assert g.query_count == 2**10
+
+
+def test_the_table_is_built_one_block_at_a_time():
+    f = ring_cut_20()
+    assert peak_traced_bytes(f.table) < 12 * 2**20  # the table itself is 8 MiB
+    assert f.query_count == 2**20
+    assert f.table().tobytes() == f.eval_many(np.arange(2**20)).tobytes()
 
 
 def test_the_table_refuses_a_ground_set_above_its_limit():

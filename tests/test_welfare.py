@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import modular_function, random_coverage, simulate_by_draws, single_edge_cut, tight_instance
+from conftest import (
+    modular_function,
+    peak_traced_bytes,
+    random_coverage,
+    simulate_by_draws,
+    simulate_in_one_draw,
+    single_edge_cut,
+    tight_instance,
+)
 from lemmas import (
     allocation_total,
     audit_nonnegativity,
@@ -15,6 +23,8 @@ from lemmas import (
 )
 from submax.fixtures import random_graph_cut, random_hypergraph_cut
 from submax.multilinear import MultilinearEvaluator
+from submax.rng import WELFARE_STREAM, substream
+from submax.subsets import MASK_BLOCK
 from submax import welfare
 from submax.welfare import (
     Allocation,
@@ -149,6 +159,43 @@ def test_simulation_draws_above_the_table_limit(monkeypatch):
     assert f.query_count == 2 * 100
     reference = simulate_by_draws(WelfareInstance(2, random_hypergraph_cut(4, seed=1)), 100, seed=2)
     assert totals.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("n", [12, 30, 62])
+@pytest.mark.parametrize("k", range(1, 6))
+@pytest.mark.parametrize("trials", [1, MASK_BLOCK - 1, MASK_BLOCK, MASK_BLOCK + 1, 3 * MASK_BLOCK + 5])
+def test_the_block_walk_equals_the_whole_draw(n, k, trials):
+    # n = 12 reads the table once 2^12 < k * trials; n = 30 and n = 62 always ask the batch oracle
+    f, g = random_hypergraph_cut(n, seed=n), random_hypergraph_cut(n, seed=n)
+    totals = simulate_random_assign(WelfareInstance(k, f), trials, seed=k)
+    reference = simulate_in_one_draw(WelfareInstance(k, g), trials, seed=k)
+    assert totals.tobytes() == reference.tobytes()
+    assert f.query_count == g.query_count == (2**n if n == 12 and 2**n < k * trials else k * trials)
+
+
+@pytest.mark.parametrize("block", [1, 37, 100])
+def test_small_blocks_equal_the_whole_draw(monkeypatch, block):
+    monkeypatch.setattr(welfare, "MASK_BLOCK", block)
+    for k, n, trials in [(3, 13, 1000), (5, 7, 1001), (2, 13, 999)]:
+        totals = simulate_random_assign(WelfareInstance(k, random_coverage(n, seed=k)), trials, seed=4)
+        reference = simulate_in_one_draw(WelfareInstance(k, random_coverage(n, seed=k)), trials, seed=4)
+        assert totals.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("trials, n, k, block", [(100_000, 12, 3, 4096), (1001, 7, 5, 100), (999, 13, 2, 37),
+                                                 (1000, 13, 3, 1)])
+def test_consecutive_draws_are_the_one_shot_draw(trials, n, k, block):
+    whole = substream(9, WELFARE_STREAM).integers(0, k, size=(trials, n))
+    rng = substream(9, WELFARE_STREAM)
+    blocks = [rng.integers(0, k, size=(min(block, trials - start), n)) for start in range(0, trials, block)]
+    assert np.array_equal(np.concatenate(blocks), whole)
+
+
+def test_simulation_memory_stays_at_one_block():
+    # the whole (100000, 40) draw alone is 32 MB, and each packing pass copies
+    # it; 40 hyperedges keep the kernel's own (block, rows) temporaries small
+    f = random_hypergraph_cut(40, seed=2)
+    assert peak_traced_bytes(lambda: simulate_random_assign(WelfareInstance(3, f), 100_000, seed=1)) < 12 * 2**20
 
 
 def test_a_second_table_makes_no_query():
