@@ -23,7 +23,6 @@ from .polytope import (
 )
 from .setfn import (
     SetFunction,
-    audit_symmetry,
     graph_cut_function,
     hardness_instance,
     restrict_function,

@@ -233,7 +233,7 @@ class _Job:
     brute-force oracle is out of reach, and is None when it is not."""
 
     instance: dict
-    oracle: SetFunction  # its query count is the report's oracle_calls
+    oracles: tuple[SetFunction, ...]  # their query counts sum to the report's oracle_calls
     unverifiable: str | None
     solve: Callable[[], Solved]
 
@@ -285,8 +285,9 @@ def _check(args, f, P, welfare_inst) -> _Job:
         if unverifiable is None and k**n > MAX_WELFARE_SEARCH:
             unverifiable = f"welfare search space k^n = {k**n} exceeds {MAX_WELFARE_SEARCH}"
         solve = partial(_solve_welfare, welfare_inst, 100_000 if samples is None else samples, seed)
-        return _Job({"type": "welfare", "n": n, "k": k}, welfare_inst.utility, unverifiable, solve)
+        return _Job({"type": "welfare", "n": n, "k": k}, (welfare_inst.utility,), unverifiable, solve)
 
+    oracles = (f,)
     if algorithm == "brute-cardinality-le" or (takes_polytope and P is None):
         P = CardinalityPolytope(n, k)
     if algorithm == "two-sided":
@@ -300,6 +301,7 @@ def _check(args, f, P, welfare_inst) -> _Job:
     elif algorithm == "mcg":
         red = preprocess_reduction1(P)
         f_run = f if len(red.kept) == n else restrict_function(f, list(red.kept))
+        oracles = (f,) if f_run is f else (f, f_run)
         cfg = AscentConfig(args.T, args.steps, Estimator(samples, seed))
         _check_schedule(cfg, f_run.n, red.polytope)
         solve = partial(_solve_mcg, f, P, red, f_run, cfg)
@@ -313,7 +315,7 @@ def _check(args, f, P, welfare_inst) -> _Job:
         low = min(k, n - k)
         _check_schedule(cfg, n, CardinalityPolytope(n, low) if low else None)
         solve = partial(_solve_dmcg, f, k, cfg, algorithm[5:])
-    return _Job({"type": f.kind, "n": n, "symmetric": f.symmetric}, f, unverifiable, solve)
+    return _Job({"type": f.kind, "n": n, "symmetric": f.symmetric}, oracles, unverifiable, solve)
 
 
 def _solve_welfare(inst, trials: int, seed: int) -> Solved:
@@ -426,7 +428,7 @@ def _report(args, job: _Job) -> dict:
         report.update(optimum())
         opt = report["oracle_opt"]
         report["achieved_ratio"] = measured / opt if opt > 0 else None
-    report["oracle_calls"] = job.oracle.query_count
+    report["oracle_calls"] = sum(g.query_count for g in job.oracles)
     return report
 
 

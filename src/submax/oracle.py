@@ -11,8 +11,8 @@ A symmetric f (``f.symmetric``) is searched over the masks without element
 n - 1 only, half the cube.  Its maximizers are closed under complement, and
 of S and N \\ S the one without element n - 1 is the smaller mask, so the
 smallest maximizer lies in that half.  The search trusts the flag, which the
-shipped families set when they are built and ``audit_symmetry`` sets for a
-restriction.  The cut kernels give S and N \\ S bit-identical values (an edge
+shipped families set when they are built and a restriction sets from its
+relabelled rows.  The cut kernels give S and N \\ S bit-identical values (an edge
 crosses S exactly when it crosses N \\ S), so the half search returns the
 full search's set and value exactly.
 

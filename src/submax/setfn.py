@@ -17,8 +17,9 @@ them, and turns them into rows.  One builder checks every family's rows and
 weights and gives them one kernel, which narrows int64 masks to
 ``subsets.word(n)`` and counts the members of each row of a Python-int mask
 (a set above 62 elements) from its bit vector, and one closed-form
-multilinear extension (``multilinear``), which ``restrict_function`` passes
-on by composition.
+multilinear extension (``multilinear``).  A restriction of a row family to
+some of its elements (``restrict_function``) is a row family again, of f's
+rows relabelled.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from collections.abc import Callable, Iterable
 
 import numpy as np
 
-from .subsets import MASK_BLOCK, MAX_MASK_BITS, as_mask, bits_from_masks, full_mask, mask_array, word
+from .subsets import MASK_BLOCK, MAX_MASK_BITS, as_mask, mask_array, word
 
 # x -> (F(x), grad F(x)) for x in [0,1]^n
 Multilinear = Callable[[np.ndarray], tuple[float, np.ndarray]]
@@ -36,10 +37,6 @@ Multilinear = Callable[[np.ndarray], tuple[float, np.ndarray]]
 # largest n whose value table SetFunction.table builds: 2^23 float64 values,
 # 64 MB, the welfare search's largest case (k = 2 players, k^n <= 10^7)
 TABLE_LIMIT = 23
-# largest n whose 2^n sets the symmetry audit evaluates
-SYMMETRY_AUDIT_LIMIT = 14
-# largest restricted ground set whose symmetry flag restrict_function re-audits
-RESTRICT_AUDIT_LIMIT = 12
 
 
 class _Counter:
@@ -70,13 +67,14 @@ class SetFunction:
     latter.  A kernel may narrow int64 masks internally (the row family
     casts them to ``subsets.word(n)``).  The counter increases by exactly
     one per evaluated set.  ``table`` holds f's value on every set once it has been asked for:
-    the exact table fold, the welfare search, the welfare simulation and the
-    symmetry audit all read that one array.  An optional
+    the exact table fold, the welfare search and the welfare simulation all
+    read that one array.  An optional
     ``multilinear`` hook returns the exact extension and its gradient,
     ``(F(x), grad F(x))``, without querying the oracle.
     ``symmetric`` (f(S) = f(N\\S)) and ``monotone`` (f(S) <= f(S + u)) are
     exact claims the brute force trusts: the row family sets them by its row
-    rule, a restriction keeps ``monotone``, other oracles default to neither.
+    rule and a restriction from its relabelled rows, other oracles default
+    to neither.
     """
 
     def __init__(
@@ -97,6 +95,7 @@ class SetFunction:
         self.multilinear = multilinear
         self._queries = _Counter()
         self._table: np.ndarray | None = None
+        self._rows: tuple[np.ndarray, np.ndarray, bool] | None = None  # a row family's (incidence, weights, cut)
 
     @property
     def query_count(self) -> int:
@@ -183,16 +182,7 @@ def _row_family(n: int, rows: list, weights, *, cut: bool, kind: str) -> SetFunc
     check of every family's input: n >= 0, each row lists distinct elements
     of range(n), a cut row at least 2, and each weight is finite and
     non-negative.  The rows are held as an incidence matrix as wide as the
-    longest row but at least 2, short rows padded with n.
-
-    The oracle is one kernel: int64 masks are narrowed to ``word(n)`` and
-    ANDed with the row masks, and a Python-int mask (a set above 62
-    elements) is unpacked to a bit vector whose members are counted per
-    row, one gather per incidence column.  Both sum the same hits in
-    ``_weighted_count``, so they agree bit for bit.  The closed form is
-    ``x_u + x_v - c x_u x_v`` (c = 2 cut, 1 meets, padding x = 0) when rows
-    hold at most two elements, and else 1 - prod(1 - x), less prod(x) for a
-    cut, with leave-one-out products for the gradient."""
+    longest row but at least 2, short rows padded with n."""
     if n < 0:
         raise ValueError(f"the ground set size n must be non-negative, got {n}")
     weights = np.asarray(weights, dtype=float)
@@ -219,14 +209,44 @@ def _row_family(n: int, rows: list, weights, *, cut: bool, kind: str) -> SetFunc
     bad |= ((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] < n)).any(axis=1)
     if bad.any():
         raise malformed(int(np.argmax(bad)))
+    return _row_oracle(n, incidence, weights, cut, kind)
+
+
+def _row_oracle(n: int, incidence: np.ndarray, weights: np.ndarray, cut: bool, kind: str) -> SetFunction:
+    """The set function of checked rows, kept on it as ``f._rows``:
+    ``incidence`` lists each row's members (elements of range(n)), padded
+    with n, and with n + 1 for an absent member, one no set holds (a
+    restriction dropped it).  An absent member counts towards its row's size
+    but never towards its hits, so that row is never contained: a cut row
+    that has one pays when S meets it, as a meets row does.  So f(empty) = 0
+    and f(N) is the weight of such rows, and a cut family is flagged
+    symmetric exactly when none of them has a positive weight and a member.
+    Meets rows are flagged monotone.
+
+    The oracle is one kernel: int64 masks are narrowed to ``word(n)`` and
+    ANDed with the row masks, and a Python-int mask (a set above 62
+    elements) is unpacked to a bit vector whose members are counted per
+    row, one gather per incidence column.  Both sum the same hits in
+    ``_weighted_count``, so they agree bit for bit.  The closed form is
+    ``x_u + x_v - c x_u x_v`` (c = 2 cut, 1 meets; padding and absent
+    members read x = 0) when rows hold at most two entries, and else
+    1 - prod(1 - x), less prod(x) for a cut, with leave-one-out products
+    for the gradient."""
+    width = incidence.shape[1]
+    sizes = (incidence != n).sum(axis=1)  # an absent member counts, so its row is never contained
+    lost = (incidence > n).any(axis=1)
+    symmetric = cut and not (lost & (incidence < n).any(axis=1) & (weights > 0)).any()
     columns = list(incidence.T.copy())  # contiguous columns gather faster
     if n <= MAX_MASK_BITS:  # the only ground sets whose masks come as int64 arrays
         bit = np.where(incidence < n, np.int64(1) << incidence, 0)
         row_masks = np.bitwise_or.reduce(bit, axis=1).astype(word(n))
+        # a set contains its row when the AND gives the row's mask; a row with
+        # an absent member is compared with 0, which a set that meets it is not
+        whole = np.where(lost, 0, row_masks).astype(row_masks.dtype)
     count_type = np.min_scalar_type(width)
 
     def value_of_int(mask: int) -> float:
-        member = np.zeros(n + 1, dtype=count_type)  # member[n] = 0 reads the padding
+        member = np.zeros(n + 2, dtype=count_type)  # member[n] = member[n + 1] = 0 reads padding and absence
         member[:n] = np.unpackbits(np.frombuffer(mask.to_bytes(-(-n // 8), "little"), np.uint8), count=n,
                                    bitorder="little")
         count = member[columns[0]]
@@ -243,7 +263,7 @@ def _row_family(n: int, rows: list, weights, *, cut: bool, kind: str) -> SetFunc
         inter = masks.astype(row_masks.dtype, copy=False)[..., None] & row_masks
         hits = inter != 0
         if cut:
-            hits &= inter != row_masks
+            hits &= inter != whole
         return _weighted_count(hits, weights)
 
     c = 2.0 if cut else 1.0
@@ -252,24 +272,27 @@ def _row_family(n: int, rows: list, weights, *, cut: bool, kind: str) -> SetFunc
         if width == 2:
             # Pr[row uv pays] = x_u + x_v - c x_u x_v
             u, v = columns
-            xp = np.zeros(n + 1)
+            xp = np.zeros(n + 2)
             xp[:n] = x
             xu, xv = xp[u], xp[v]
-            grad = np.bincount(u, weights * (1.0 - c * xv), n + 1)
-            grad += np.bincount(v, weights * (1.0 - c * xu), n + 1)
+            grad = np.bincount(u, weights * (1.0 - c * xv), n + 2)
+            grad += np.bincount(v, weights * (1.0 - c * xu), n + 2)
             return float(weights @ (xu + xv - c * xu * xv)), grad[:n]
-        # Pr[row pays] = 1 - prod (1 - x) [- prod x under the cut rule], in one pass
-        sides = np.ones((1 + cut, n + 1))
-        sides[0, :n], sides[1:, :n] = 1.0 - x, x
+        # Pr[row pays] = 1 - prod (1 - x) [- prod x under the cut rule], in one
+        # pass; padding reads 1 in both products, an absent member x = 0
+        sides = np.ones((1 + cut, n + 2))
+        sides[0, :n], sides[1:, :n], sides[1:, n + 1] = 1.0 - x, x, 0.0
         products, others = _leave_one_out(sides[:, incidence])
         if cut:
             pays, others = 1.0 - products[1] - products[0], others[0] - others[1]
         else:
             pays, others = 1.0 - products[0], others[0]
-        grad = np.bincount(incidence.ravel(), (weights[:, None] * others).ravel(), n + 1)
+        grad = np.bincount(incidence.ravel(), (weights[:, None] * others).ravel(), n + 2)
         return float(weights @ pays), grad[:n]
 
-    return SetFunction(n, many, symmetric=cut, monotone=not cut, kind=kind, multilinear=multilinear)
+    f = SetFunction(n, many, symmetric=symmetric, monotone=not cut, kind=kind, multilinear=multilinear)
+    f._rows = (incidence, weights, cut)
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -327,60 +350,21 @@ def hardness_instance(p: int, q: int) -> SetFunction:
 
 
 def restrict_function(f: SetFunction, kept: list[int]) -> SetFunction:
-    """Restriction of f to a sub-ground-set (subsets embed into the original N).
-
-    Restriction preserves submodularity but generally breaks symmetry, so the
-    flag of a symmetric f is re-audited exhaustively when at most
-    ``RESTRICT_AUDIT_LIMIT`` elements are kept, and dropped otherwise.  The
-    ``monotone`` flag passes on unchanged: an embedding keeps inclusion.
+    """The row family f on its distinct elements ``kept``, element i of
+    the restriction being kept[i] of f: f's rows relabelled.  Each row keeps
+    its place and its width: a kept member takes its new index, padding
+    stays padding, and a dropped member becomes absent (``_row_oracle``), so
+    values, F and grad F are f's at the embedded set and the zero-padded
+    point, bit for bit, and the symmetric flag is exact at every size.
     """
-    kept = [int(u) for u in kept]
-    n_new = len(kept)
-    kept_arr = np.array(kept, dtype=np.int64)
-    # bit i of a mask moves to bit kept[i] of a mask over f's ground set: table
-    # b maps byte b of a mask to the embedded mask of the elements it holds
-    byte_bits = bits_from_masks(np.arange(256), 8)
-    tables = [byte_bits[:, : len(chunk)] @ mask_array([1 << u for u in chunk], f.n)
-              for chunk in (kept[b : b + 8] for b in range(0, n_new, 8))]
-    dtype = mask_array([], f.n).dtype
-
-    def many(masks: np.ndarray) -> np.ndarray:
-        embedded = np.zeros(masks.shape, dtype=dtype)
-        for b, table in enumerate(tables):
-            embedded |= table[((masks >> 8 * b) & 255).astype(np.intp, copy=False)]
-        return f._values(embedded)
-
-    def multilinear(x: np.ndarray) -> tuple[float, np.ndarray]:
-        full = np.zeros(f.n)
-        full[kept_arr] = x
-        value, grad = f.multilinear(full)
-        return value, grad[kept_arr]
-
-    g = SetFunction(
-        n_new,
-        symmetric=False,
-        monotone=f.monotone,
-        eval_many_masks=many,
-        kind=f"restrict({f.kind})",
-        multilinear=multilinear if f.multilinear is not None else None,
-    )
-    if n_new == f.n:
-        g.symmetric = f.symmetric
-    elif f.symmetric and 1 <= n_new <= RESTRICT_AUDIT_LIMIT:
-        g.symmetric = audit_symmetry(g)
-    return g
-
-
-# ---------------------------------------------------------------------------
-# symmetry audit
-# ---------------------------------------------------------------------------
-
-
-def audit_symmetry(f: SetFunction) -> bool:
-    """True iff f(S) = f(N\\S) exactly on every set S: it reads f's value
-    table (``SetFunction.table``), so n <= ``SYMMETRY_AUDIT_LIMIT``."""
-    n = f.n
-    if n > SYMMETRY_AUDIT_LIMIT:
-        raise ValueError(f"the symmetry audit reads all 2^n sets: n must be <= {SYMMETRY_AUDIT_LIMIT}, got {n}")
-    table = f.table()
-    return bool(np.array_equal(table, table[np.arange(1 << n, dtype=np.int64) ^ np.int64(full_mask(n))]))
+    if f._rows is None:
+        raise TypeError(f"restrict_function relabels the rows of a row family; a {f.kind} function has none")
+    m = len(kept)
+    label = np.full(f.n + 2, m + 1, dtype=np.int64)  # a dropped element is absent, as an absent one stays
+    label[f.n] = m  # padding stays padding
+    for i, u in enumerate(kept):
+        if not isinstance(u, (int, np.integer)) or not 0 <= u < f.n or label[u] != m + 1:
+            raise ValueError(f"kept entry {i} is {u!r}: kept lists distinct elements of range({f.n})")
+        label[u] = i
+    incidence, weights, cut = f._rows
+    return _row_oracle(m, label[incidence], weights, cut, f"restrict({f.kind})")

@@ -44,8 +44,9 @@ class GreedyTrace:
 
 def run_two_sided(f: SetFunction) -> tuple[int, GreedyTrace]:
     """Run the greedy over the elements 0, ..., n-1 of f's ground set;
-    returns (X_n bitmask, trace).  To walk another order, relabel f first
-    (``restrict_function(f, order)`` keeping all n elements)."""
+    returns (X_n bitmask, trace).  To walk a row family in another order,
+    relabel its rows first (``restrict_function(f, order)`` keeping all n
+    elements)."""
     n = f.n
     x_mask = 0
     y_mask = full_mask(n)

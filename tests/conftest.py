@@ -281,11 +281,42 @@ def reference_kernel(family, n, *fields):
 def embed_by_bit_rows(masks, kept, n):
     """Reference embedding of masks over len(kept) elements into masks over
     n: unpack each mask into a bit row, move column i to column kept[i] and
-    pack the row again.  ``restrict_function`` must hand its inner function
-    exactly these masks."""
+    pack the row again.  ``restrict_by_embedding`` must hand f exactly these
+    masks."""
     bits = np.zeros((*masks.shape, n), dtype=np.int64)
     bits[..., list(kept)] = bits_from_masks(masks, len(kept))
     return masks_from_bits(bits)
+
+
+def restrict_by_embedding(f, kept):
+    """Reference restriction of any f to the elements ``kept`` (element i
+    being kept[i] of f), by composition: each mask is embedded into f's
+    ground set through per-byte tables and handed to f's kernel, counted on
+    f, and the closed form is f's on the zero-padded point.  The flags are
+    not set.  ``restrict_function``'s relabelled rows must give its values
+    bit for bit."""
+    kept = [int(u) for u in kept]
+    kept_arr = np.array(kept, dtype=np.int64)
+    # table b maps byte b of a mask to the embedded mask of the elements it holds
+    byte_bits = bits_from_masks(np.arange(256), 8)
+    tables = [byte_bits[:, : len(chunk)] @ mask_array([1 << u for u in chunk], f.n)
+              for chunk in (kept[b : b + 8] for b in range(0, len(kept), 8))]
+    dtype = mask_array([], f.n).dtype
+
+    def many(masks):
+        embedded = np.zeros(masks.shape, dtype=dtype)
+        for b, table in enumerate(tables):
+            embedded |= table[((masks >> 8 * b) & 255).astype(np.intp, copy=False)]
+        return f._values(embedded)
+
+    def multilinear(x):
+        full = np.zeros(f.n)
+        full[kept_arr] = x
+        value, grad = f.multilinear(full)
+        return value, grad[kept_arr]
+
+    return SetFunction(len(kept), many, kind=f"embed({f.kind})",
+                       multilinear=multilinear if f.multilinear is not None else None)
 
 
 def simulate_by_draws(inst, trials, seed, value=None):

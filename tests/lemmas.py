@@ -7,7 +7,8 @@ facts the guarantees rest on, each returning a :class:`CheckReport`.
   the concavity of F along a nonnegative direction (the segment between the
   two points of a DMCG run);
 * welfare: the subsampled prefix-union bounds and the union-sampling bounds;
-* oracle audits: submodularity and non-negativity, exhaustive at desk scale.
+* oracle audits: submodularity, non-negativity and symmetry, exhaustive at
+  desk scale.
 
 None of these runs at run time; the invariants a run can afford
 (``check_feasibility_invariants``, ``check_y_properties``, ``check_max_y``,
@@ -28,6 +29,9 @@ from submax.rng import substream
 from submax.setfn import SetFunction
 from submax.subsets import as_mask, bits_from_masks, full_mask, masks_from_bits
 from submax.welfare import Allocation, WelfareInstance
+
+# largest n whose 2^n sets the symmetry audit evaluates
+SYMMETRY_AUDIT_LIMIT = 14
 
 # ---------------------------------------------------------------------------
 # box vertices of the multilinear extension
@@ -385,6 +389,16 @@ def audit_submodularity(
         if f.eval(a) + f.eval(b) + tol < f.eval(a | b) + f.eval(a & b):
             return False
     return True
+
+
+def audit_symmetry(f: SetFunction) -> bool:
+    """True iff f(S) = f(N\\S) exactly on every set S: it reads f's value
+    table (``SetFunction.table``), so n <= ``SYMMETRY_AUDIT_LIMIT``."""
+    n = f.n
+    if n > SYMMETRY_AUDIT_LIMIT:
+        raise ValueError(f"the symmetry audit reads all 2^n sets: n must be <= {SYMMETRY_AUDIT_LIMIT}, got {n}")
+    table = f.table()
+    return bool(np.array_equal(table, table[np.arange(1 << n, dtype=np.int64) ^ np.int64(full_mask(n))]))
 
 
 def audit_nonnegativity(

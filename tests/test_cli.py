@@ -12,7 +12,7 @@ from submax import cli, multilinear
 from submax.cli import main
 from submax.polytope import CardinalityPolytope, KnapsackPolytope, PartitionPolytope, horizon
 from submax.rng import substream
-from submax.setfn import graph_cut_function
+from submax.setfn import graph_cut_function, restrict_function
 from submax.welfare import WelfareInstance
 
 
@@ -643,6 +643,39 @@ def test_knapsack_singleton_within_the_tolerance_is_kept(tmp_path):
         assert main(["--instance", str(path), "--algorithm", *flags, "--out", str(out)]) == 0
         opts.append(_read_report(out)["report"]["oracle_opt"])
     assert opts == [2.0, 2.0]
+
+
+REDUCED_PROBLEMS = {
+    # a zero-bound part drops elements 0-2 of a symmetric f
+    "cut": ({"type": "graph_cut", "n": 6, "edges": [[u, v, 1.0 + 0.1 * u] for u in range(6) for v in range(u + 1, 6)]},
+            {"type": "partition", "parts": [[0, 1, 2], [3, 4, 5]], "bounds": [0, 2]}, 8),
+    # a knapsack coefficient above the capacity drops elements 1 and 4
+    "coverage": ({"type": "coverage", "n": 6, "universe_weights": [1.0, 2.0, 0.5, 1.5],
+                  "membership": [[0], [0, 1], [1, 2], [3], [2, 3], [0, 3]]},
+                 {"type": "knapsack", "a": [1, 5, 1, 1, 5, 1], "b": 2}, 11),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REDUCED_PROBLEMS))
+def test_oracle_calls_count_f_and_its_restriction(name, monkeypatch, tmp_path):
+    # mcg runs on the restriction g of f to the elements Reduction 1 keeps:
+    # the report counts f's queries and g's, and no 2^|kept| table of a
+    # symmetry audit (the cut once counted 16 = 8 + 2^3)
+    function, polytope, calls = REDUCED_PROBLEMS[name]
+    made = []
+
+    def restrict(f, kept):
+        made.append((f, restrict_function(f, kept)))
+        return made[-1][1]
+
+    monkeypatch.setattr(cli, "restrict_function", restrict)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(_problem(polytope, function)))
+    out = tmp_path / "r.json"
+    assert main(["--instance", str(path), "--algorithm", "mcg", "--steps", "100", "--out", str(out)]) == 0
+    ((f, g),) = made
+    assert 0 < g.n < f.n and g.query_count > 0
+    assert _read_report(out)["report"]["oracle_calls"] == f.query_count + g.query_count == calls
 
 
 def test_mcg_embeds_the_reduced_point_and_set(tmp_path):

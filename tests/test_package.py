@@ -18,7 +18,6 @@ from submax import dmcg, fixtures, oracle, pipage, polytope
 from submax.multilinear import Estimator
 from submax.setfn import (
     SetFunction,
-    audit_symmetry,
     coverage_function,
     graph_cut_function,
     hardness_instance,
@@ -40,7 +39,8 @@ RUN_TIME_INVARIANTS = {
 # trace writers and the check serializer, kept for the run to report and write
 AWAITING_A_CALLER = RUN_TIME_INVARIANTS | {"trajectory_csv", "trace_csv", "CheckReport.to_json"}
 TEST_ONLY = {"box_vertex_values", "box_vertex_max", "sample_set", "cut_eval", "random_assign",
-             "audit_submodularity", "audit_nonnegativity", "tight_instance"}
+             "audit_submodularity", "audit_nonnegativity", "audit_symmetry", "restrict_by_embedding",
+             "tight_instance"}
 # a set function is built straight from its rows and a point is a float
 # array: no instance record or point type wraps them
 NO_WRAPPERS = {"GraphCutInstance", "HypergraphCutInstance", "CoverageInstance", "Point"}
@@ -117,7 +117,6 @@ PARAMETERS = {
     hypergraph_cut_function: ["n", "hyperedges"],
     coverage_function: ["n", "universe_weights", "membership"],
     hardness_instance: ["p", "q"],
-    audit_symmetry: ["f"],
     restrict_function: ["f", "kept"],
     run_two_sided: ["f"],
     fixtures.random_graph_cut: ["n", "seed", "edge_prob"],

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,20 +13,21 @@ from conftest import (
     peak_traced_bytes,
     per_mask,
     reference_kernel,
+    restrict_by_embedding,
     ring_cut_20,
     single_edge_cut,
     sum_functions,
     tight_instance,
     triangle_cut,
 )
-from lemmas import audit_nonnegativity, audit_submodularity
+from lemmas import audit_nonnegativity, audit_submodularity, audit_symmetry
 from submax.fixtures import random_graph_cut, random_hypergraph_cut
-from submax.multilinear import MultilinearEvaluator
+from submax.mcg import AscentConfig, run_mcg
+from submax.polytope import CardinalityPolytope
 from submax.rng import substream
 from submax.setfn import (
     TABLE_LIMIT,
     SetFunction,
-    audit_symmetry,
     coverage_function,
     graph_cut_function,
     hardness_instance,
@@ -279,11 +282,27 @@ def test_restriction_embeds_subsets():
     assert g.eval([0, 1]) == f.eval([0, 2])
 
 
+@pytest.mark.parametrize("kept, entry", [([0, 0], "entry 1 is 0"), ([0, 5], "entry 1 is 5"),
+                                         ([-1, 1], "entry 0 is -1"), ([0, 1.0], "entry 1 is 1.0")])
+def test_a_restriction_keeps_distinct_elements_of_the_ground_set(kept, entry):
+    # a repeated element once gave an oracle whose mean over the 4 sets at
+    # x = (1/2, 1/2) was 3.25 while its closed form said 2.5; an element out
+    # of range raised an IndexError or a "negative shift count"
+    with pytest.raises(ValueError, match=f"kept {entry}: kept lists distinct elements of range\\(3\\)"):
+        restrict_function(triangle_cut(), kept)
+
+
+def test_only_a_row_family_restricts():
+    with pytest.raises(TypeError, match="row family"):
+        restrict_function(modular_function(3, np.ones(3)), [0, 1])
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 8, 9, 12, 20, 33, 62])
-def test_restriction_embeds_masks_like_the_bit_row_reference(n):
-    # f receives exactly the masks of the bit-row embedding: every mask of
-    # up to 12 kept elements, random ones (and the extremes) above, with
-    # kept sets at the low end, the high end and both ends of f's ground set
+def test_the_embedding_reference_hands_f_the_bit_row_masks(n):
+    # the reference restriction gives f exactly the masks of the bit-row
+    # embedding: every mask of up to 12 kept elements, random ones (and the
+    # extremes) above, with kept sets at the low end, the high end and both
+    # ends of f's ground set
     rng = substream(n, 0xE3B)
     seen = []
 
@@ -302,28 +321,17 @@ def test_restriction_embeds_masks_like_the_bit_row_reference(n):
             masks = rng.integers(0, 1 << m, size=MASK_BLOCK + 5, dtype=np.int64)
             masks[:3] = [0, full_mask(m), 1 << (m - 1)]
         seen.clear()
-        restrict_function(f, kept).eval_many(masks)
+        restrict_by_embedding(f, kept).eval_many(masks)
         assert np.array_equal(np.concatenate(seen), embed_by_bit_rows(masks, kept, n)), kept
 
 
-def test_restriction_reaudits_symmetry():
+def test_restriction_flags_symmetry_from_its_rows():
     f = single_edge_cut(n=3)  # edge (0,1) plus isolated node 2
     g = restrict_function(f, [0, 1])  # restriction is the pure single edge
     assert g.symmetric
     h = restrict_function(f, [0, 2])  # edge endpoint + isolated: not symmetric
     assert not h.symmetric
-
-
-def test_a_restriction_audit_and_its_exact_values_share_one_table():
-    # a symmetric oracle with no closed form, so the exact backend reads the table
-    cut = random_hypergraph_cut(12, seed=5)
-    f = SetFunction(12, symmetric=True, eval_many_masks=cut.eval_many, kind="opaque")
-    g = restrict_function(f, list(range(10)))
-    assert g.query_count == 2**10  # the audit built g's table
-    ev = MultilinearEvaluator(g)
-    assert ev.backend == "table"
-    ev.value(np.full(10, 0.5))
-    assert g.query_count == 2**10
+    assert restrict_function(f, []).symmetric and restrict_function(f, [2]).symmetric  # f = 0
 
 
 def test_the_table_is_built_one_block_at_a_time():
@@ -486,7 +494,13 @@ def uniform(rng, size):
     return rng.uniform(0.1, 4.0, size=size)
 
 
-WEIGHTS = {"dyadic": dyadic, "uniform": uniform}
+def extremes(rng, size):
+    """Weights of 0, 1e-300, 1 and 1e300: rows that never pay, and sums in
+    which a small weight vanishes beside a large one."""
+    return rng.choice([0.0, 1e-300, 1.0, 1e300], size=size)
+
+
+WEIGHTS = {"dyadic": dyadic, "uniform": uniform, "extremes": extremes}
 
 
 ROW_BUILDERS = {"graph_cut": graph_cut_function, "hypergraph_cut": hypergraph_cut_function,
@@ -524,14 +538,14 @@ def family_function(family, n, rng, weights="dyadic"):
         return sum_functions(parts)
     if family == "complement":
         return complement_function(family_function("coverage", n, rng, weights))
-    if family == "restrict":
-        base = family_function("hypergraph_cut", n, rng, weights)
-        kept = sorted(int(u) for u in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
-        return restrict_function(base, kept)
+    if family.startswith("restrict("):
+        base = family_function(family[9:-1], n, rng, weights)
+        return restrict_function(base, rng.permutation(n)[: int(rng.integers(1, n + 1))].tolist())
     raise AssertionError(family)
 
 
-FAMILIES = ("graph_cut", "hypergraph_cut", "coverage", "modular", "tight", "sum", "complement", "restrict")
+FAMILIES = ("graph_cut", "hypergraph_cut", "coverage", "modular", "tight", "sum", "complement",
+            *(f"restrict({family})" for family in ROW_BUILDERS))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -621,15 +635,19 @@ def boundary_functions(n, rng):
 
 
 def boundary_wrappers(n, rng, kernels):
-    """The sum, complement and restrict wrappers over ``boundary_functions``,
-    with the reference kernels composed the same way."""
+    """The sum and complement wrappers and the restrictions of the row
+    families over ``boundary_functions``, with the reference kernels
+    composed the same way (a restriction's through the bit-row embedding)."""
     (cut, cut_ref), (hyper, hyper_ref), (cover, cover_ref) = kernels.values()
     kept = sorted({0, n - 1, *(int(u) for u in rng.choice(n, int(rng.integers(0, n + 1)), replace=False))})
+
+    def restricted(ref):
+        return lambda masks: ref(embed_by_bit_rows(masks, kept, n))
 
     return {
         "sum": (sum_functions([cut, hyper, cover]), lambda masks: cut_ref(masks) + hyper_ref(masks) + cover_ref(masks)),
         "complement": (complement_function(cover), lambda masks: cover_ref(masks ^ full_mask(n))),
-        "restrict": (restrict_function(hyper, kept), lambda masks: hyper_ref(embed_by_bit_rows(masks, kept, n))),
+        **{f"restrict({family})": (restrict_function(f, kept), restricted(ref)) for family, (f, ref) in kernels.items()},
     }
 
 
@@ -701,3 +719,96 @@ def test_eval_many_feeds_the_kernel_one_block_at_a_time():
     seen.clear()
     f.eval_many(np.arange(MASK_BLOCK, dtype=np.int64))
     assert seen == [MASK_BLOCK]
+
+
+# ---------------------------------------------------------------------------
+# restriction: relabelled rows against the embedding reference
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 8, 9, 16, 17, 32, 33, 62, 63, 70])
+def test_a_restriction_equals_the_embedding_reference_bit_for_bit(n):
+    # the relabelled rows against f's kernel on embedded masks and f's closed
+    # form on the zero-padded point: == on non-dyadic weights, on kept sets
+    # that are empty, whole, reversed and random of each word size, so the
+    # batch kernel runs at each word boundary, the Python-int path on
+    # restrictions wider than 62 and on kept elements above bit 62, and the
+    # closed form on width-2 rows (graph cut) and wider ones
+    rng = substream(n, 0xD1F)
+    sizes = [m for m in (1, 8, 9, 16, 17, 32, 33, 62, 63, n - 1) if 0 < m < n]
+    kepts = [[], list(range(n)), list(range(n))[::-1]] + [rng.permutation(n)[:m].tolist() for m in sizes]
+    for family, (f, _) in boundary_functions(n, rng).items():
+        for kept in kepts:
+            g, ref = restrict_function(f, kept), restrict_by_embedding(f, kept)
+            m = len(kept)
+            assert g.n == m and g.monotone == f.monotone and g.kind == f"restrict({family})"
+            special = [0, full_mask(m), full_mask(m) >> 1, full_mask(m) ^ (full_mask(m) >> 1)]
+            if m <= MAX_MASK_BITS:
+                count = 2 * MASK_BLOCK + 7 if n <= MAX_MASK_BITS else 60  # f's kernel counts Python ints above
+                masks = rng.integers(0, 1 << m, size=count, dtype=np.int64)
+                masks[: len(special)] = special
+                values = ref.eval_many(masks)
+                assert g.eval_many(masks).tobytes() == values.tobytes(), (family, kept)
+                masks, values = masks[:40], values[:40]
+            else:
+                masks = special + [sum(1 << u for u in range(m) if rng.random() < 0.5) for _ in range(36)]
+                values = ref._values(mask_array(masks, m))
+            as_ints = np.array([int(mask) for mask in masks], dtype=object)
+            assert g._values(as_ints).tobytes() == values.tobytes(), (family, kept)
+            for x in (rng.random(m), (rng.random(m) < 0.5).astype(float), np.full(m, 0.5)):
+                value, grad = g.multilinear(x)
+                ref_value, ref_grad = ref.multilinear(x)
+                assert value == ref_value and grad.tobytes() == ref_grad.tobytes(), (family, kept)
+
+
+def test_restricting_twice_restricts_f_to_the_composed_elements():
+    # an absent member stays absent when a restriction is restricted again
+    f = random_hypergraph_cut(12, seed=3)
+    outer, inner = [11, 0, 5, 3, 7, 2, 9], [6, 1, 3, 0]
+    twice, once = restrict_function(restrict_function(f, outer), inner), restrict_function(f, [outer[i] for i in inner])
+    assert twice.eval_many(np.arange(16)).tobytes() == once.eval_many(np.arange(16)).tobytes()
+    x = substream(12, 0x2E5).random(4)
+    value, grad = twice.multilinear(x)
+    assert value == once.multilinear(x)[0] and grad.tobytes() == once.multilinear(x)[1].tobytes()
+    assert twice.symmetric == once.symmetric == audit_symmetry(once)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=14),
+    seed=st.integers(min_value=0, max_value=2**16),
+    family=st.sampled_from(sorted(ROW_BUILDERS)),
+)
+def test_a_restriction_is_flagged_symmetric_exactly_when_it_is(n, seed, family):
+    # the flag equals the exhaustive audit on restrictions of up to 12 kept
+    # elements (every one at n <= 6) of instances with zero weights among
+    # theirs; a coverage function is never flagged
+    rng = substream(seed, 0x5E3)
+    f = ROW_BUILDERS[family](n, *family_fields(family, n, rng, "extremes"))
+    if n <= 6:
+        kepts = [indices(mask) for mask in range(1 << n)]
+    else:
+        kepts = [rng.permutation(n)[: int(rng.integers(0, 13))].tolist() for _ in range(8)]
+    for kept in kepts:
+        g = restrict_function(f, kept)
+        assert g.symmetric == (f.symmetric and audit_symmetry(g)), kept
+
+
+def test_a_wide_restriction_is_flagged_symmetric_when_it_is():
+    # 40 vertices: positive edges among 0-29, zero-weight edges from 30-34
+    # into them, 35-39 isolated; keeping 0-29 (in another order) drops only
+    # isolated vertices and members of zero-weight rows
+    rng = substream(40, 0x5E4)
+    edges = [(u, v, float(rng.uniform(0.5, 2.0))) for u in range(30) for v in range(u + 1, 30) if rng.random() < 0.2]
+    edges += [(30 + i, int(rng.integers(0, 30)), 0.0) for i in range(5)]
+    f = graph_cut_function(40, edges)
+    kept = rng.permutation(30).tolist()
+    g = restrict_function(f, kept)
+    assert g.symmetric and g.n == 30
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_mcg(g, CardinalityPolytope(30, 5), AscentConfig(steps=20))
+    # dropping vertex 29 splits its positive edges: the restriction pays on
+    # the kept set, and not on the empty one
+    split = restrict_function(f, [u for u in kept if u != 29])
+    assert not split.symmetric and split.eval(full_mask(29)) > split.eval(0) == 0.0
