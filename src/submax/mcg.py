@@ -120,12 +120,14 @@ def ascend(f: SetFunction, cfg: AscentConfig, starts: tuple[int, ...], choose: C
     alone, since nothing reads that gradient.  Sampled, side j of m draws
     stream (``ASCENT_STREAM``, 0, j) at its start, (``ASCENT_STREAM``,
     i + 1, j) after step i's update and (``ASCENT_STREAM``, i + 1, m + j, u)
-    after resetting coordinate u in step i.  A sampled gradient asks for
-    n + 1 sets per distinct draw and F for one (n + 1 and 1 at a vertex of
-    the cube), so a cleanup run costs at most (1 + steps + resets) (n + 1)
-    samples oracle queries per side, and a run without cleanup at most
-    steps (n + 1) samples + samples.  Raises ``ValueError`` for T <= 0,
-    steps < 1 or T/steps > 1."""
+    after resetting coordinate u in step i.  A sampled gradient looks up
+    n + 1 sets per distinct draw and F one (n + 1 and 1 at a vertex of the
+    cube), and the evaluator's memo asks the oracle only for the sets it
+    does not hold, so a cleanup run costs at most (1 + steps + resets)
+    (n + 1) samples oracle queries per side, and a run without cleanup at
+    most steps (n + 1) samples + samples; up to n = 16 a run asks for no set
+    twice, so also at most 2^n.  Raises ``ValueError`` for T <= 0, steps < 1
+    or T/steps > 1."""
     T, steps, delta, regime = schedule(f.n, cfg.T, cfg.steps, P)
     ev = MultilinearEvaluator(f, cfg.estimator)
     m = len(starts)

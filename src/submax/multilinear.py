@@ -8,16 +8,20 @@ gradient.  Both come from one of three backends, picked by :func:`backend`
 in this order:
 
 * ``"sampled"`` when the estimator sets ``samples``: f is averaged over that
-  many seeded draws R, with common random numbers for coupled queries.  The
-  oracle is asked for each distinct draw once and its value is scattered
-  back to every draw of it, so the estimates are those over all the draws,
-  bit for bit; a gradient reads each distinct R and it with one element
-  flipped, one (n + 1, distinct draws) oracle batch, so n + 1 queries at a
-  vertex of the cube, where every draw is one set.  Each query names its
-  stream, a path under the estimator's seed that each caller leads with its
-  own tag from ``rng``.  The ascent evaluates one gradient per side at the
-  start, after each step's update and after each reset, and the next step
-  reads the latest (see ``mcg.ascend``);
+  many seeded draws R, with common random numbers for coupled queries.  A
+  gradient reads each distinct R and it with one element flipped, an
+  (n + 1, distinct draws) batch.  Every set goes through the evaluator's
+  memo, a direct-mapped table of 2^min(n, 16) slots (at most 1 MB whatever
+  the run's length): the oracle is asked only for the sets whose slot holds
+  another, each once per batch.  Up to n = 16 the slot is the mask itself,
+  so an evaluator never asks for a set twice; above, it is the top 16 bits
+  of a Fibonacci hash and a colliding set evicts the older one.  A set has
+  one value in any batch, so every F, gradient and spread is the one over
+  all the draws, bit for bit, and only the oracle call count depends on the
+  memo.  Each query names its stream, a path under the estimator's seed that
+  each caller leads with its own tag from ``rng``.  The ascent evaluates one
+  gradient per side at the start, after each step's update and after each
+  reset, and the next step reads the latest (see ``mcg.ascend``);
 * ``"closed_form"`` when F is exact (``samples`` is None) and f carries a
   ``multilinear`` hook (graph and hypergraph cuts, coverage, and their
   restrictions): exact F and gradient in time polynomial in the instance
@@ -36,13 +40,20 @@ import numpy as np
 
 from .rng import substream
 from .setfn import SetFunction
-from .subsets import masks_from_bits
+from .subsets import MAX_MASK_BITS, masks_from_bits
 
 # a point whose every coordinate lies this close to 0 or 1 is a set
 _INTEGRAL_TOL = 1e-12
 
 # largest n whose 2^n value table the exact backend builds
 EXACT_TABLE_LIMIT = 16
+
+# a sampled evaluator's memo has 2^min(n, _MEMO_BITS) slots: at most 1 MB of
+# keys and values, whatever the number of steps
+_MEMO_BITS = 16
+# Fibonacci hashing: above _MEMO_BITS elements a mask's slot is the top bits
+# of mask * 2^64 / golden ratio (mod 2^64), which spreads nearby masks apart
+_FIB = np.uint64(0x9E3779B97F4A7C15)
 
 
 @dataclass(frozen=True)
@@ -82,7 +93,9 @@ class MultilinearEvaluator:
     backward sweep.  ``table`` returns that table on any backend
     (n <= EXACT_TABLE_LIMIT), for callers that need every value of f.
     The sampled backend derives all draws from counter-indexed substreams of
-    the estimator seed, on the path the caller passes as ``stream``.
+    the estimator seed, on the path the caller passes as ``stream``, and asks
+    the oracle through the evaluator's memo (see the module docstring), so
+    it needs int64 masks: n <= MAX_MASK_BITS.
     """
 
     def __init__(self, f: SetFunction, est: Estimator | None = None):
@@ -92,6 +105,15 @@ class MultilinearEvaluator:
         self.backend = backend(f, self.est)
         if self.backend == "table":
             self._check_table_size()
+        if self.backend == "sampled":
+            if self.n > MAX_MASK_BITS:
+                raise ValueError(
+                    f"sampled estimates pack sets into int64 masks: n must be <= {MAX_MASK_BITS}, got {self.n}"
+                )
+            slots = 1 << min(self.n, _MEMO_BITS)
+            self._keys = np.full(slots, -1, dtype=np.int64)  # -1: empty
+            self._vals = np.empty(slots)
+            self._flips = masks_from_bits(np.eye(self.n, dtype=bool))[:, None]  # row u is the set {u}
 
     # -- exact kernels ------------------------------------------------------
     def _check_table_size(self) -> None:
@@ -139,29 +161,52 @@ class MultilinearEvaluator:
     def _sample_masks(self, x: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
         return masks_from_bits(thresholds < x[None, :])
 
+    def _slots(self, masks: np.ndarray) -> np.ndarray:
+        if self.n <= _MEMO_BITS:
+            return masks
+        return ((masks.astype(np.uint64) * _FIB) >> np.uint64(64 - _MEMO_BITS)).astype(np.intp)
+
+    def _ask(self, masks: np.ndarray) -> np.ndarray:
+        """f on an int64 mask array of any shape, through the memo: the sets
+        whose slot holds another go to the oracle in one batch, each once, and
+        then take their slots (of colliding new sets, one keeps the slot)."""
+        slots = self._slots(masks)
+        out = self._vals[slots]
+        miss = self._keys[slots] != masks
+        if miss.any():
+            new, where = np.unique(masks[miss], return_inverse=True)
+            vals = self.f.eval_many(new)
+            out[miss] = vals[where]
+            at = self._slots(new)
+            self._keys[at] = new
+            kept = self._keys[at] == new
+            self._vals[at[kept]] = vals[kept]
+        return out
+
     def _draws(self, x: np.ndarray, stream: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
         """The distinct sets among the ``samples`` draws R on ``stream``,
-        ascending, and for each draw the index of its set: the oracle is
-        asked for each distinct set once and its value scattered back, so
-        every mean and spread is the one over all the draws, bit for bit."""
+        ascending, and for each draw the index of its set: each distinct set
+        is looked up once and its value scattered back, so every mean and
+        spread is the one over all the draws, bit for bit."""
         return np.unique(self._sample_masks(x, self._thresholds(stream, self.est.samples)), return_inverse=True)
 
     def _value_sampled(self, x: np.ndarray, stream: tuple[int, ...]) -> float:
         if np.all(np.minimum(x, 1.0 - x) <= _INTEGRAL_TOL):
             # integral point: F(1_S) = f(S), no sampling needed
-            return self.f.eval(int(masks_from_bits(x > 0.5)))
+            return float(self._ask(np.array([masks_from_bits(x > 0.5)]))[0])
         base, draw = self._draws(x, stream)
-        return float(self.f.eval_many(base)[draw].mean())
+        return float(self._ask(base)[draw].mean())
 
     def _grad_sampled(self, x: np.ndarray, stream: tuple[int, ...]) -> tuple[float, np.ndarray, np.ndarray]:
         """F and dF/dx_u = mean f(R + u) - f(R - u) over the sampled sets R; one of
         the two is R, so one (n + 1, distinct draws) batch holds each distinct R
-        and it with u flipped in row u: (n + 1) x (distinct draws) queries."""
+        and it with u flipped in row u.  The memo asks the oracle for the sets
+        of that batch it does not hold, each once: at most (n + 1) x (distinct
+        draws) queries, and none for a batch it holds whole."""
         n, samples = self.n, self.est.samples
         base, draw = self._draws(x, stream)
-        unit = masks_from_bits(np.eye(n, dtype=bool))[:, None]  # row u is the set {u}
-        vals = self.f.eval_many(np.concatenate([base[None, :], base ^ unit]))[:, draw]
-        diffs = np.where((base[draw] & unit) != 0, vals[0] - vals[1:], vals[1:] - vals[0])  # a set has one value
+        vals = self._ask(np.concatenate([base[None, :], base ^ self._flips]))[:, draw]
+        diffs = np.where((base[draw] & self._flips) != 0, vals[0] - vals[1:], vals[1:] - vals[0])  # a set has one value
         sigma = diffs.std(axis=1, ddof=1) / math.sqrt(samples) if samples > 1 else np.zeros(n)
         return float(vals[0].mean()), diffs.mean(axis=1), sigma
 

@@ -9,6 +9,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from submax.fixtures import random_graph_cut, random_hypergraph_cut
+from submax.multilinear import MultilinearEvaluator
 from submax.polytope import CardinalityPolytope, KnapsackPolytope, PartitionPolytope
 from submax.rng import WELFARE_STREAM, substream
 from submax.setfn import TABLE_LIMIT, SetFunction, coverage_function, graph_cut_function, restrict_function
@@ -44,6 +45,26 @@ def record_batches(f):
 
     f.eval_many = recording
     return batches
+
+
+def record_lookups(monkeypatch):
+    """Record, per sampled evaluator, every mask array it looks up in its
+    memo; ``distinct_lookups`` counts the sets each evaluator looked up."""
+    lookups = {}
+    ask = MultilinearEvaluator._ask
+
+    def recording(ev, masks):
+        lookups.setdefault(ev, []).append(np.array(masks))
+        return ask(ev, masks)
+
+    monkeypatch.setattr(MultilinearEvaluator, "_ask", recording)
+    return lookups
+
+
+def distinct_lookups(lookups):
+    """The sets the recorded evaluators looked up, each counted once per
+    evaluator: the oracle calls of memos that never evict (n <= 16)."""
+    return sum(np.unique(np.concatenate([m.ravel() for m in masks])).size for masks in lookups.values())
 
 
 def indicator(subset, n):

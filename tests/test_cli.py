@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import distinct_lookups, record_lookups
 from submax import cli, multilinear
 from submax.cli import main
 from submax.polytope import CardinalityPolytope, KnapsackPolytope, PartitionPolytope, horizon
@@ -762,7 +763,7 @@ def test_removed_self_check_options_are_rejected(flags, triangle_file, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_report_names_the_estimator_backend(triangle_file, tmp_path):
+def test_report_names_the_estimator_backend(triangle_file, tmp_path, monkeypatch):
     coverage = tmp_path / "coverage.json"
     coverage.write_text(
         json.dumps(
@@ -776,6 +777,7 @@ def test_report_names_the_estimator_backend(triangle_file, tmp_path):
         (triangle_file, ["--algorithm", "dmcg-symmetric", "--k", "1", "--steps", "50", "--samples", "64"], "sampled"),
     ]
     out = tmp_path / "r.json"
+    lookups = record_lookups(monkeypatch)  # only the sampled job looks sets up
     for instance, flags, expected in jobs:
         assert main(["--instance", instance, *flags, "--out", str(out)]) == 0
         report = _read_report(out)["report"]
@@ -786,11 +788,15 @@ def test_report_names_the_estimator_backend(triangle_file, tmp_path):
             assert report["oracle_calls"] <= 2 * 2 ** report["instance"]["n"]
         else:
             # 2 sides x (1 + 50 steps) gradients (at the start and after each
-            # update) plus 1 after the one reset the cleanup makes, each one
-            # batch of (n + 1) x (its distinct draws of 64) sets, 634 draws
-            # in all, plus 134 calls outside the ascent (rounding,
-            # brute-force check); the fractional value is exact
-            assert report["oracle_calls"] == 4 * 634 + 134
+            # update) plus 1 after the one reset the cleanup makes, and
+            # pipage rounding's 4 values, each looked up in its evaluator's
+            # memo; each evaluator asks once for each set it looks up, 14 in
+            # all.  Outside them, the brute-force check asks for the 3 sets of
+            # size 1 and the report for the achieved set; the fractional
+            # value is exact
+            ascent, rounding = lookups.values()
+            assert [len(ascent), len(rounding)] == [2 * (1 + 50) + 1, 4]
+            assert report["oracle_calls"] == distinct_lookups(lookups) + 3 + 1 == 18
 
 
 @pytest.mark.parametrize("algorithm", ["mcg", "dmcg-symmetric", "dmcg-general"])

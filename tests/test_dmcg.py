@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from conftest import (
     bisect_direction,
     brute_direction_value,
+    distinct_lookups,
     random_coverage,
     random_offset_cut,
-    record_batches,
+    record_lookups,
     single_edge_cut,
 )
 from lemmas import check_concave_segment
@@ -312,22 +313,24 @@ def test_determinism():
         assert a.note.lam == b.note.lam and a.note.objective == b.note.objective
 
 
-def test_sampled_general_variant_spends_one_gradient_per_side_and_step():
-    # each side draws one gradient batch at the start and after every update
-    # but the last, which the next step reads; after the last update only F,
-    # since no cleanup reads a gradient.  A gradient batch is (n + 1) x its
-    # distinct draws (1 at the start, where every draw is the empty set) and
-    # F's batch is its distinct draws: 77 gradient columns and 27 sets of F
+def test_sampled_general_variant_spends_one_gradient_per_side_and_step(monkeypatch):
+    # each side draws one gradient at the start and after every update but
+    # the last, which the next step reads; after the last update only F,
+    # since no cleanup reads a gradient.  A gradient looks up (n + 1) x its
+    # distinct draws in the memo (1 at the start, where every draw is the
+    # empty set) and F its distinct draws; the oracle is asked once for each
+    # set looked up
     n, steps, samples = 6, 5, 32
     f = random_graph_cut(n, seed=1)
-    batches = record_batches(f)
+    lookups = record_lookups(monkeypatch)
     est = Estimator(samples=samples, seed=3)
     run_dmcg(f, 2, AscentConfig(steps=steps, estimator=est), "general")
-    grads = [masks for masks in batches if masks.ndim == 2]
-    assert len(grads) == 2 * steps and len(batches) == 2 * steps + 2
+    (asked,) = lookups.values()
+    grads = [masks for masks in asked if masks.ndim == 2]
+    assert len(grads) == 2 * steps and len(asked) == 2 * steps + 2
     assert all(masks.shape[0] == n + 1 and masks.shape[1] <= samples for masks in grads)
     assert [masks.shape[1] for masks in grads[:2]] == [1, 1]
-    assert f.query_count == (n + 1) * 77 + 27
+    assert f.query_count == distinct_lookups(lookups) == 58
 
 
 def test_dual_trajectory_csv():

@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 
 from conftest import (
     POLYTOPE_KINDS,
+    distinct_lookups,
     indicator,
     random_coverage,
     random_polytope,
-    record_batches,
+    record_lookups,
     single_edge_cut,
     triangle_cut,
 )
@@ -161,21 +162,22 @@ def test_determinism_exact_and_sampled():
             assert a.values[0] == b.values[0]
 
 
-def test_sampled_cleanup_run_spends_one_gradient_per_step_and_reset():
-    # one gradient batch at the start, one after each update and one after
-    # each of the cleanup's resets; each step's direction reads the last of
-    # them instead of drawing its own.  A batch is (n + 1) x its distinct
-    # draws, here 628 of the 45 x 64 drawn
+def test_sampled_cleanup_run_spends_one_gradient_per_step_and_reset(monkeypatch):
+    # one gradient at the start, one after each update and one after each of
+    # the cleanup's resets; each step's direction reads the last of them
+    # instead of drawing its own.  A gradient looks up (n + 1) x its distinct
+    # draws in the memo, and the oracle is asked once for each set looked up
     n, steps, samples = 8, 40, 64
     f = random_graph_cut(n, seed=5)
-    batches = record_batches(f)
+    lookups = record_lookups(monkeypatch)
     cfg = AscentConfig(T=2.0, steps=steps, estimator=Estimator(samples=samples, seed=5))
     _, traj = run_mcg(f, CardinalityPolytope(n, 4), cfg)
     resets = sum(s.zeroed for s in traj.steps)
     assert resets == 4
-    assert len(batches) == 1 + steps + resets
-    assert all(masks.shape[0] == n + 1 and masks.shape[1] <= samples for masks in batches)
-    assert f.query_count == (n + 1) * 628
+    (grads,) = lookups.values()
+    assert len(grads) == 1 + steps + resets
+    assert all(masks.shape[0] == n + 1 and masks.shape[1] <= samples for masks in grads)
+    assert f.query_count == distinct_lookups(lookups) == 172
 
 
 def test_nonsymmetric_objective_warns():

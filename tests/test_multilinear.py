@@ -22,7 +22,9 @@ from lemmas import (
     check_random_subset_bound,
     check_union_bound_symmetric,
 )
+from submax.dmcg import run_dmcg
 from submax.fixtures import random_graph_cut, random_hypergraph_cut
+from submax.mcg import AscentConfig
 from submax.multilinear import Estimator, MultilinearEvaluator
 from submax.rng import substream
 from submax.setfn import SetFunction, hardness_instance
@@ -208,7 +210,7 @@ def test_sampled_gradient_matches_plus_minus_reference_bit_for_bit(make, pinned,
     reference = float(f.eval_many(base).mean()), diffs.mean(axis=1), sigma
     before = f.query_count
     value, grad, got_sigma = ev.value_and_partials(x, stream=stream)
-    assert f.query_count - before == (n + 1) * np.unique(base).size  # each distinct draw once
+    assert f.query_count - before == np.union1d(base | unit, base & ~unit).size  # each distinct set once
     assert value == reference[0]
     assert np.array_equal(grad, reference[1])
     assert np.array_equal(got_sigma, reference[2])
@@ -226,9 +228,9 @@ def test_sampled_gradient_at_a_vertex_of_the_cube_asks_n_plus_one_sets(corner):
 
 @pytest.mark.parametrize("samples", [1, 64, 600])
 def test_no_sampled_batch_asks_for_a_draw_twice(samples):
-    # F's batch is the distinct draws R, ascending; the gradient's is those
-    # and, in row u, each of them with u flipped, so no row repeats a set
-    # (a flipped R may still be another draw, which its own row asks for)
+    # F's batch is the distinct draws R, ascending; the gradient's layout is
+    # those and, in row u, each of them with u flipped, and the memo sends
+    # only the sets of it that F's batch did not hold, each once
     f = random_coverage(6, seed=9)
     batches = record_batches(f)
     ev = MultilinearEvaluator(f, Estimator(samples=samples, seed=5))
@@ -237,11 +239,62 @@ def test_no_sampled_batch_asks_for_a_draw_twice(samples):
     ev.value(x, stream=(2,))
     ev.value_and_partials(x, stream=(2,))
     value_batch, grad_batch = batches
-    assert np.array_equal(value_batch, np.unique(ev._sample_masks(x, ev._thresholds((2,), samples))))
-    assert np.array_equal(grad_batch[0], value_batch)
-    assert grad_batch.shape == (6 + 1, value_batch.size)
-    for row in grad_batch:
-        assert np.unique(row).size == row.size
+    draws = np.unique(ev._sample_masks(x, ev._thresholds((2,), samples)))
+    assert np.array_equal(value_batch, draws)
+    layout = np.concatenate([draws[None, :], draws ^ ev._flips])
+    assert layout.shape == (6 + 1, draws.size)
+    assert np.array_equal(grad_batch, np.setdiff1d(layout, value_batch))
+    for batch in batches:
+        assert np.unique(batch).size == batch.size
+
+
+def test_a_sampled_ascent_asks_for_no_set_twice():
+    # up to n = 16 the memo has a slot for every set, so across the whole
+    # run, both sides and every reset, the oracle sees each set once
+    f = random_graph_cut(8, seed=5)
+    batches = record_batches(f)
+    run_dmcg(f, 2, AscentConfig(steps=40, estimator=Estimator(samples=64, seed=5)), "symmetric")
+    asked = np.concatenate([masks.ravel() for masks in batches])
+    assert np.unique(asked).size == asked.size == f.query_count
+
+
+def _colliding_sets(n: int) -> tuple[int, int]:
+    """Two masks over n > 16 elements that share a memo slot: the top 16 bits
+    of mask * 0x9E3779B97F4A7C15 mod 2^64."""
+    seen = {}
+    for mask in substream(3, n).integers(0, 1 << n, size=4096).tolist():
+        slot = (mask * 0x9E3779B97F4A7C15) % 2**64 >> 48
+        if seen.setdefault(slot, mask) != mask:
+            return seen[slot], mask
+    raise AssertionError("no two masks share a slot")
+
+
+def test_colliding_sets_keep_their_own_values():
+    n = 40
+    f = random_hypergraph_cut(n, seed=2)
+    a, b = _colliding_sets(n)
+    truth = {m: f.eval(m) for m in (a, b)}
+    ev = MultilinearEvaluator(f, Estimator(samples=8, seed=1))
+    assert ev._slots(np.array([a])) == ev._slots(np.array([b]))
+    for m, asks in ((a, 1), (b, 1), (a, 1), (a, 0)):  # b evicts a, and a evicts b
+        before = f.query_count
+        assert ev.value(indicator(m, n)) == truth[m]
+        assert f.query_count - before == asks
+    # both new in one batch: each is asked once, and one of them keeps the slot
+    ev = MultilinearEvaluator(f, Estimator(samples=8, seed=1))
+    before = f.query_count
+    assert ev._ask(np.array([a, b, a])).tolist() == [truth[a], truth[b], truth[a]]
+    assert f.query_count - before == 2
+    held = int(ev._keys[ev._slots(np.array([a]))[0]])
+    for m, asks in ((held, 0), (a + b - held, 1)):
+        before = f.query_count
+        assert ev.value(indicator(m, n)) == truth[m]
+        assert f.query_count - before == asks
+
+
+def test_sampled_evaluator_needs_int64_masks():
+    with pytest.raises(ValueError, match="n must be <= 62"):
+        MultilinearEvaluator(single_edge_cut(63), Estimator(samples=4))
 
 
 def test_sampled_partial_uses_common_random_numbers():

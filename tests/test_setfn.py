@@ -23,6 +23,7 @@ from conftest import (
 from lemmas import audit_nonnegativity, audit_submodularity, audit_symmetry
 from submax.fixtures import random_graph_cut, random_hypergraph_cut
 from submax.mcg import AscentConfig, run_mcg
+from submax.multilinear import Estimator, MultilinearEvaluator
 from submax.polytope import CardinalityPolytope
 from submax.rng import substream
 from submax.setfn import (
@@ -575,6 +576,36 @@ def test_batch_matches_scalar_for_every_family(family, n, seed, rows, weights):
     assert batch.shape == masks.shape
     scalar = np.array([f.eval(int(m)) for m in masks.ravel()]).reshape(masks.shape)
     assert np.array_equal(batch, scalar)
+
+
+@pytest.mark.parametrize("family", (*FAMILIES, "scalar"))
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.sampled_from([6, 17, 24]),  # both memo regimes: a slot per set up to 16 elements, hashed above
+    seed=st.integers(min_value=0, max_value=2**16),
+    samples=st.sampled_from([1, 5, 40]),
+    calls=st.lists(st.tuples(st.booleans(), st.integers(0, 3), st.integers(0, 2)), min_size=1, max_size=10),
+)
+def test_sampled_memo_gives_the_estimates_of_a_fresh_evaluator(family, n, seed, samples, calls):
+    # a sampled evaluator remembers the sets it has asked for, and one built
+    # for each call has nothing to remember: F, the gradient and sigma must
+    # agree bit for bit over any sequence of calls, points and streams
+    rng = substream(seed, 0x3E30)
+    f = family_function("hypergraph_cut" if family == "scalar" else family, n, rng, "uniform")
+    if family == "scalar":  # the oracle asked one set at a time
+        f = SetFunction(f.n, per_mask(f.eval))
+    m = f.n
+    pinned = np.where(rng.random(m) < 0.7, rng.integers(0, 2, size=m), rng.random(m))
+    points = [rng.integers(0, 2, size=m).astype(float), pinned, 0.2 * rng.random(m), rng.random(m)]
+    est = Estimator(samples=samples, seed=seed)
+    memo = MultilinearEvaluator(f, est)
+    for gradient, point, stream in calls:
+        x, fresh = points[point], MultilinearEvaluator(f, est)
+        if gradient:
+            (value, grad, sigma), want = memo.value_and_partials(x, (stream,)), fresh.value_and_partials(x, (stream,))
+            assert value == want[0] and np.array_equal(grad, want[1]) and np.array_equal(sigma, want[2])
+        else:
+            assert memo.value(x, (stream,)) == fresh.value(x, (stream,))
 
 
 def definition_value(family, fields, mask):
