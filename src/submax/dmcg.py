@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mcg import AscentConfig, AscentStep, Trajectory, ascend, schedule
-from .polytope import CardinalityPolytope
+from .polytope import SLACK, CardinalityPolytope
 from .reports import CheckReport
 from .setfn import SetFunction
 from .subsets import full_mask
@@ -201,34 +201,35 @@ def run_dmcg(f: SetFunction, k: int, cfg: AscentConfig | None = None,
 # ---------------------------------------------------------------------------
 
 
-def check_y_properties(traj: Trajectory, k: int, tol: float = 1e-9) -> CheckReport:
+def check_y_properties(traj: Trajectory, k: int) -> CheckReport:
     """Coupled-state invariants of a :func:`run_dmcg` trajectory: both points
     stay in the cube, y1 <= y2 at every step, and at t = T the masses
-    bracket k."""
+    bracket k, each within SLACK."""
     bad: dict[str, float] = {}
     for step in traj.steps:
         y1, y2 = step.ys
-        if y1.min() < -tol or y1.max() > 1 + tol:
+        if y1.min() < -SLACK or y1.max() > 1 + SLACK:
             bad.setdefault("y1_outside_cube_t", step.t_end)
-        if y2.min() < -tol or y2.max() > 1 + tol:
+        if y2.min() < -SLACK or y2.max() > 1 + SLACK:
             bad.setdefault("y2_outside_cube_t", step.t_end)
-        if (y1 > y2 + tol).any():
+        if (y1 > y2 + SLACK).any():
             bad.setdefault("ordering_violated_t", step.t_end)
     y1, y2 = traj.last.ys
     m1, m2 = float(y1.sum()), float(y2.sum())
-    if m1 > k + tol:
+    if m1 > k + SLACK:
         bad["final_mass1"] = m1
-    if m2 < k - tol:
+    if m2 < k - SLACK:
         bad["final_mass2"] = m2
     return CheckReport("dual state invariants", not bad, details=bad)
 
 
-def check_max_y(traj: Trajectory, tol: float = 1e-9) -> CheckReport:
-    """Per-coordinate cap max(y1_u, 1 - y2_u) <= 1 - (1 - delta)^(t/delta)."""
+def check_max_y(traj: Trajectory) -> CheckReport:
+    """Per-coordinate cap max(y1_u, 1 - y2_u) <= 1 - (1 - delta)^(t/delta),
+    within SLACK."""
     worst = -math.inf
     for idx, step in enumerate(traj.steps, start=1):
         cap = 1.0 - (1.0 - traj.delta) ** idx
         y1, y2 = step.ys
         reach = max(float(y1.max()), float(1.0 - y2.min()))
         worst = max(worst, reach - cap)
-    return CheckReport("coordinate growth cap", worst <= tol, details={"worst_excess": worst})
+    return CheckReport("coordinate growth cap", worst <= SLACK, details={"worst_excess": worst})

@@ -121,9 +121,9 @@ def ascend(f: SetFunction, cfg: AscentConfig, starts: tuple[int, ...], choose: C
     stream (``ASCENT_STREAM``, 0, j) at its start, (``ASCENT_STREAM``,
     i + 1, j) after step i's update and (``ASCENT_STREAM``, i + 1, m + j, u)
     after resetting coordinate u in step i.  A sampled gradient looks up
-    n + 1 sets per distinct draw and F one (n + 1 and 1 at a vertex of the
-    cube), and the evaluator's memo asks the oracle only for the sets it
-    does not hold, so a cleanup run costs at most (1 + steps + resets)
+    each draw and its n one-element flips, (n + 1) samples sets, and F each
+    draw, and the evaluator's memo asks the oracle only for the distinct
+    sets it does not hold, so a cleanup run costs at most (1 + steps + resets)
     (n + 1) samples oracle queries per side, and a run without cleanup at
     most steps (n + 1) samples + samples; up to n = 16 a run asks for no set
     twice, so also at most 2^n.  Raises ``ValueError`` for T <= 0, steps < 1
@@ -177,9 +177,7 @@ def run_mcg(f: SetFunction, P: Polytope, cfg: AscentConfig | None = None) -> tup
     return np.clip(traj.last.ys[0], 0.0, 1.0), traj
 
 
-def check_feasibility_invariants(
-    traj: Trajectory, P: Polytope, T: float | None = None, tol: float = 1e-9
-) -> CheckReport:
+def check_feasibility_invariants(traj: Trajectory, P: Polytope) -> CheckReport:
     """Scaled membership y(t)/t in P at every recorded step, plus plain
     membership y(t) in P after step i whenever t <= horizon(P, i), the
     discrete horizon of i steps (steps of width delta <= horizon(P, i) / i
@@ -187,14 +185,14 @@ def check_feasibility_invariants(
     bad: dict[str, float] = {}
     for i, step in enumerate(traj.steps, start=1):
         t = step.t_end
-        if not P.membership(step.ys[0] / t, tol):
+        if not P.membership(step.ys[0] / t):
             bad.setdefault("scaled_membership_t", t)
-        if t <= horizon(P, i) + 1e-15 and not P.membership(step.ys[0], tol):
+        if t <= horizon(P, i) + 1e-15 and not P.membership(step.ys[0]):
             bad.setdefault("membership_t", t)
     return CheckReport(
         "trajectory feasibility",
         not bad,
-        details={"horizon": horizon(P, len(traj.steps)), "T": T if T is not None else traj.T, **bad},
+        details={"horizon": horizon(P, len(traj.steps)), "T": traj.T, **bad},
     )
 
 

@@ -8,20 +8,21 @@ gradient.  Both come from one of three backends, picked by :func:`backend`
 in this order:
 
 * ``"sampled"`` when the estimator sets ``samples``: f is averaged over that
-  many seeded draws R, with common random numbers for coupled queries.  A
-  gradient reads each distinct R and it with one element flipped, an
-  (n + 1, distinct draws) batch.  Every set goes through the evaluator's
-  memo, a direct-mapped table of 2^min(n, 16) slots (at most 1 MB whatever
-  the run's length): the oracle is asked only for the sets whose slot holds
-  another, each once per batch.  Up to n = 16 the slot is the mask itself,
-  so an evaluator never asks for a set twice; above, it is the top 16 bits
-  of a Fibonacci hash and a colliding set evicts the older one.  A set has
-  one value in any batch, so every F, gradient and spread is the one over
-  all the draws, bit for bit, and only the oracle call count depends on the
-  memo.  Each query names its stream, a path under the estimator's seed that
-  each caller leads with its own tag from ``rng``.  The ascent evaluates one
-  gradient per side at the start, after each step's update and after each
-  reset, and the next step reads the latest (see ``mcg.ascend``);
+  many seeded draws R, with common random numbers for coupled queries.  F
+  looks up the draws, and a gradient the draws and each R with one element
+  flipped, an (n + 1, samples) lookup.  Every lookup goes through the
+  evaluator's memo, a direct-mapped table of 2^min(n, 16) slots (at most
+  1 MB whatever the run's length): the oracle is asked only for the sets
+  whose slot holds another, each once per lookup.  Up to n = 16 the slot is
+  the mask itself, so an evaluator never asks for a set twice; above, it is
+  the top 16 bits of a Fibonacci hash and a colliding set evicts the older
+  one.  A set has one value in any lookup, so every F, gradient and spread
+  is the one over all the draws, bit for bit, and only the oracle call count
+  depends on the memo.  Each query names its stream, a path under the
+  estimator's seed that each caller leads with its own tag from ``rng``.
+  The ascent evaluates one gradient per side at the start, after each
+  step's update and after each reset, and the next step reads the latest
+  (see ``mcg.ascend``);
 * ``"closed_form"`` when F is exact (``samples`` is None) and f carries a
   ``multilinear`` hook (graph and hypergraph cuts, coverage, and their
   restrictions): exact F and gradient in time polynomial in the instance
@@ -33,11 +34,11 @@ in this order:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .reports import mean_and_sigma
 from .rng import substream
 from .setfn import SetFunction
 from .subsets import MAX_MASK_BITS, masks_from_bits
@@ -115,7 +116,7 @@ class MultilinearEvaluator:
             self._vals = np.empty(slots)
             self._flips = masks_from_bits(np.eye(self.n, dtype=bool))[:, None]  # row u is the set {u}
 
-    # -- exact kernels ------------------------------------------------------
+    # -- table kernels ------------------------------------------------------
     def _check_table_size(self) -> None:
         if self.n > EXACT_TABLE_LIMIT:
             raise ValueError(f"the exact value table supports n <= {EXACT_TABLE_LIMIT}, got n={self.n}")
@@ -124,7 +125,7 @@ class MultilinearEvaluator:
         self._check_table_size()
         return self.f.table()
 
-    def _value_exact(self, x: np.ndarray, stages: list | None = None) -> float:
+    def _value_table(self, x: np.ndarray, stages: list | None = None) -> float:
         """F(x) by folding the value table one coordinate at a time; each
         intermediate table is appended to ``stages`` when given."""
         t = self.table()
@@ -135,14 +136,12 @@ class MultilinearEvaluator:
             t = t2[:, 0] * (1.0 - xu) + t2[:, 1] * xu
         return float(t[0])
 
-    def _value_and_grad_exact(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        if self.backend == "closed_form":
-            return self.f.multilinear(x)
+    def _value_and_grad_table(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         # forward fold keeps each intermediate table, backward pass is the
         # adjoint of the fold; together they give F and the full gradient in
         # O(2^n) arithmetic.
         stages: list[np.ndarray] = []
-        value = self._value_exact(x, stages)
+        value = self._value_table(x, stages)
         grad = np.empty(self.n)
         adj = np.ones(1)
         for u in range(self.n - 1, -1, -1):
@@ -155,11 +154,9 @@ class MultilinearEvaluator:
         return value, grad
 
     # -- sampled kernels ----------------------------------------------------
-    def _thresholds(self, stream: tuple[int, ...], samples: int) -> np.ndarray:
-        return substream(self.est.seed, *stream).random((samples, self.n))
-
-    def _sample_masks(self, x: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-        return masks_from_bits(thresholds < x[None, :])
+    def _sample(self, x: np.ndarray, stream: tuple[int, ...]) -> np.ndarray:
+        """The ``samples`` draws R(x) on ``stream``, as int64 masks."""
+        return masks_from_bits(substream(self.est.seed, *stream).random((self.est.samples, self.n)) < x)
 
     def _slots(self, masks: np.ndarray) -> np.ndarray:
         if self.n <= _MEMO_BITS:
@@ -168,8 +165,9 @@ class MultilinearEvaluator:
 
     def _ask(self, masks: np.ndarray) -> np.ndarray:
         """f on an int64 mask array of any shape, through the memo: the sets
-        whose slot holds another go to the oracle in one batch, each once, and
-        then take their slots (of colliding new sets, one keeps the slot)."""
+        whose slot holds another go to the oracle in one ascending batch, each
+        once, and then take their slots (of colliding new sets, one keeps the
+        slot)."""
         slots = self._slots(masks)
         out = self._vals[slots]
         miss = self._keys[slots] != masks
@@ -183,32 +181,22 @@ class MultilinearEvaluator:
             self._vals[at[kept]] = vals[kept]
         return out
 
-    def _draws(self, x: np.ndarray, stream: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct sets among the ``samples`` draws R on ``stream``,
-        ascending, and for each draw the index of its set: each distinct set
-        is looked up once and its value scattered back, so every mean and
-        spread is the one over all the draws, bit for bit."""
-        return np.unique(self._sample_masks(x, self._thresholds(stream, self.est.samples)), return_inverse=True)
-
     def _value_sampled(self, x: np.ndarray, stream: tuple[int, ...]) -> float:
         if np.all(np.minimum(x, 1.0 - x) <= _INTEGRAL_TOL):
             # integral point: F(1_S) = f(S), no sampling needed
             return float(self._ask(np.array([masks_from_bits(x > 0.5)]))[0])
-        base, draw = self._draws(x, stream)
-        return float(self._ask(base)[draw].mean())
+        return float(self._ask(self._sample(x, stream)).mean())
 
     def _grad_sampled(self, x: np.ndarray, stream: tuple[int, ...]) -> tuple[float, np.ndarray, np.ndarray]:
         """F and dF/dx_u = mean f(R + u) - f(R - u) over the sampled sets R; one of
-        the two is R, so one (n + 1, distinct draws) batch holds each distinct R
-        and it with u flipped in row u.  The memo asks the oracle for the sets
-        of that batch it does not hold, each once: at most (n + 1) x (distinct
-        draws) queries, and none for a batch it holds whole."""
-        n, samples = self.n, self.est.samples
-        base, draw = self._draws(x, stream)
-        vals = self._ask(np.concatenate([base[None, :], base ^ self._flips]))[:, draw]
-        diffs = np.where((base[draw] & self._flips) != 0, vals[0] - vals[1:], vals[1:] - vals[0])  # a set has one value
-        sigma = diffs.std(axis=1, ddof=1) / math.sqrt(samples) if samples > 1 else np.zeros(n)
-        return float(vals[0].mean()), diffs.mean(axis=1), sigma
+        the two is R, so one (n + 1, samples) lookup holds each draw R and, in
+        row u, R with u flipped.  The memo asks the oracle for the sets of it
+        that it does not hold, each once: at most (n + 1) x samples queries,
+        and none for a lookup it holds whole."""
+        draws = self._sample(x, stream)
+        vals = self._ask(np.concatenate([draws[None, :], draws ^ self._flips]))
+        diffs = np.where((draws & self._flips) != 0, vals[0] - vals[1:], vals[1:] - vals[0])  # R is R + u or R - u
+        return float(vals[0].mean()), *mean_and_sigma(diffs)
 
     # -- public -------------------------------------------------------------
     def value(self, x, stream: tuple[int, ...] = ()) -> float:
@@ -218,7 +206,7 @@ class MultilinearEvaluator:
             return self._value_sampled(x, stream)
         if self.backend == "closed_form":
             return self.f.multilinear(x)[0]
-        return self._value_exact(x)
+        return self._value_table(x)
 
     def value_and_partials(self, x, stream: tuple[int, ...] = ()):
         """(F(x), gradient, sigma) where sigma is None when F is exact and the
@@ -226,5 +214,6 @@ class MultilinearEvaluator:
         x = np.asarray(x, dtype=float)
         if self.backend == "sampled":
             return self._grad_sampled(x, stream)
-        value, grad = self._value_and_grad_exact(x)
-        return value, grad, None
+        if self.backend == "closed_form":
+            return *self.f.multilinear(x), None
+        return *self._value_and_grad_table(x), None

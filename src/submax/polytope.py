@@ -20,7 +20,7 @@ import numpy as np
 
 from .subsets import as_mask, bits_from_masks, popcount_array
 
-SLACK = 1e-9  # of every feasibility test: membership, a knapsack's singletons and its integral points
+SLACK = 1e-9  # of every feasibility test: membership, a knapsack's singletons and its integral points, the trajectory checks
 
 
 class Polytope:

@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
 
 @dataclass
 class CheckReport:
@@ -30,12 +32,11 @@ class CheckReport:
         return json.dumps(asdict(self), sort_keys=True, default=float)
 
 
-def mean_and_sigma(samples) -> tuple[float, float]:
-    """Sample mean and the standard error of the mean."""
-    import numpy as np
-
+def mean_and_sigma(samples):
+    """Sample mean and the standard error of the mean over the last axis:
+    two floats for a 1-D sample, one entry per row for a 2-D one."""
     arr = np.asarray(samples, dtype=float)
-    m = float(arr.mean())
-    if arr.size < 2:
-        return m, 0.0
-    return m, float(arr.std(ddof=1) / math.sqrt(arr.size))
+    size = arr.shape[-1]
+    mean = arr.mean(axis=-1)
+    sigma = arr.std(axis=-1, ddof=1) / math.sqrt(size) if size > 1 else np.zeros_like(mean)
+    return (float(mean), float(sigma)) if arr.ndim == 1 else (mean, sigma)

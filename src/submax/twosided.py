@@ -31,9 +31,7 @@ class GreedyStep:
     i: int  # the step's element is i - 1
     a: float
     b: float
-    branch: str  # "X" or "Y"
-    x_mask: int
-    y_mask: int
+    branch: str  # "X": u_i joined X; "Y": it left Y
 
 
 @dataclass
@@ -68,7 +66,7 @@ def run_two_sided(f: SetFunction) -> tuple[int, GreedyTrace]:
             y_mask &= ~bit
             fy = fyu
             branch = "Y"
-        trace.steps.append(GreedyStep(u + 1, a, b, branch, x_mask, y_mask))
+        trace.steps.append(GreedyStep(u + 1, a, b, branch))
     return x_mask, trace
 
 
@@ -76,8 +74,9 @@ def check_loss_gain(f: SetFunction, trace: GreedyTrace, opt) -> CheckReport:
     """Per-iteration ledger behind the 1/2 guarantee: with
     OPT_i = (OPT | X_i) & Y_i and the complement analogue, the loss
     [f(OPT_{i-1}) - f(OPT_i)] + [f(cOPT_{i-1}) - f(cOPT_i)] never exceeds the
-    gain [f(X_i) - f(X_{i-1})] + [f(Y_i) - f(Y_{i-1})].  Also pins the
-    endpoints OPT_0 = OPT and OPT_n = X_n."""
+    gain [f(X_i) - f(X_{i-1})] + [f(Y_i) - f(Y_{i-1})].  X_i and Y_i are
+    rebuilt from the trace's branches.  Also pins the endpoints OPT_0 = OPT
+    and OPT_n = X_n."""
     n = trace.n
     fm = full_mask(n)
     opt_mask = as_mask(opt, n)
@@ -92,7 +91,8 @@ def check_loss_gain(f: SetFunction, trace: GreedyTrace, opt) -> CheckReport:
     fx_prev, fy_prev = f.eval(x_prev), f.eval(y_prev)
     f_opt_prev, f_copt_prev = f.eval(opt_prev), f.eval(copt_prev)
     for step in trace.steps:
-        x_cur, y_cur = step.x_mask, step.y_mask
+        bit = 1 << (step.i - 1)
+        x_cur, y_cur = (x_prev | bit, y_prev) if step.branch == "X" else (x_prev, y_prev & ~bit)
         opt_cur = (opt_mask | x_cur) & y_cur
         copt_cur = (copt_mask | x_cur) & y_cur
         fx_cur, fy_cur = f.eval(x_cur), f.eval(y_cur)

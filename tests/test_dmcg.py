@@ -316,10 +316,10 @@ def test_determinism():
 def test_sampled_general_variant_spends_one_gradient_per_side_and_step(monkeypatch):
     # each side draws one gradient at the start and after every update but
     # the last, which the next step reads; after the last update only F,
-    # since no cleanup reads a gradient.  A gradient looks up (n + 1) x its
-    # distinct draws in the memo (1 at the start, where every draw is the
-    # empty set) and F its distinct draws; the oracle is asked once for each
-    # set looked up
+    # since no cleanup reads a gradient.  A gradient looks up its draws and
+    # their one-element flips, (n + 1) x samples sets, in the memo and F its
+    # draws; the oracle is asked once for each set looked up, so the start,
+    # where every draw is the empty set, costs n + 1 calls per side
     n, steps, samples = 6, 5, 32
     f = random_graph_cut(n, seed=1)
     lookups = record_lookups(monkeypatch)
@@ -327,9 +327,11 @@ def test_sampled_general_variant_spends_one_gradient_per_side_and_step(monkeypat
     run_dmcg(f, 2, AscentConfig(steps=steps, estimator=est), "general")
     (asked,) = lookups.values()
     grads = [masks for masks in asked if masks.ndim == 2]
-    assert len(grads) == 2 * steps and len(asked) == 2 * steps + 2
-    assert all(masks.shape[0] == n + 1 and masks.shape[1] <= samples for masks in grads)
-    assert [masks.shape[1] for masks in grads[:2]] == [1, 1]
+    values = [masks for masks in asked if masks.ndim == 1]
+    assert len(grads) == 2 * steps and len(values) == 2 and len(asked) == 2 * steps + 2
+    assert all(masks.shape == (n + 1, samples) for masks in grads)
+    assert all(masks.shape == (samples,) for masks in values)
+    assert all(np.unique(masks[0]).size == 1 for masks in grads[:2])
     assert f.query_count == distinct_lookups(lookups) == 58
 
 

@@ -165,8 +165,9 @@ def test_determinism_exact_and_sampled():
 def test_sampled_cleanup_run_spends_one_gradient_per_step_and_reset(monkeypatch):
     # one gradient at the start, one after each update and one after each of
     # the cleanup's resets; each step's direction reads the last of them
-    # instead of drawing its own.  A gradient looks up (n + 1) x its distinct
-    # draws in the memo, and the oracle is asked once for each set looked up
+    # instead of drawing its own.  A gradient looks up its draws and their
+    # one-element flips, (n + 1) x samples sets, in the memo, and the oracle
+    # is asked once for each set looked up
     n, steps, samples = 8, 40, 64
     f = random_graph_cut(n, seed=5)
     lookups = record_lookups(monkeypatch)
@@ -176,7 +177,7 @@ def test_sampled_cleanup_run_spends_one_gradient_per_step_and_reset(monkeypatch)
     assert resets == 4
     (grads,) = lookups.values()
     assert len(grads) == 1 + steps + resets
-    assert all(masks.shape[0] == n + 1 and masks.shape[1] <= samples for masks in grads)
+    assert all(masks.shape == (n + 1, samples) for masks in grads)
     assert f.query_count == distinct_lookups(lookups) == 172
 
 

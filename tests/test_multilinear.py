@@ -11,6 +11,7 @@ from conftest import (
     per_mask,
     random_coverage,
     record_batches,
+    record_lookups,
     single_edge_cut,
     triangle_cut,
 )
@@ -38,7 +39,7 @@ from submax.subsets import popcount_array
 
 def _sampled_sets(x, samples, seed):
     ev = MultilinearEvaluator(single_edge_cut(len(x)), Estimator(samples, seed))
-    return ev._sample_masks(np.asarray(x, dtype=float), ev._thresholds((), samples))
+    return ev._sample(np.asarray(x, dtype=float), ())
 
 
 def test_sample_set_degenerate_points():
@@ -105,7 +106,7 @@ def test_sampled_estimates_match_exact_within_4_sigma():
         ev = MultilinearEvaluator(f, est)
         got = ev.value(x, stream=(0,))
         # bound the deviation by 4 sigma of the empirical draw
-        masks = ev._sample_masks(np.asarray(x, dtype=float), ev._thresholds((0,), samples))
+        masks = ev._sample(np.asarray(x, dtype=float), (0,))
         sigma = float(f.eval_many(masks).std(ddof=1)) / math.sqrt(samples)
         assert abs(got - exact) <= 4 * sigma + 1e-12
 
@@ -203,7 +204,7 @@ def test_sampled_gradient_matches_plus_minus_reference_bit_for_bit(make, pinned,
         x[[0, 3]], x[[1, 5]] = 0.0, 1.0
     ev = MultilinearEvaluator(f, Estimator(samples=samples, seed=17))
     stream = (4, 1)
-    base = ev._sample_masks(x, ev._thresholds(stream, samples))
+    base = ev._sample(x, stream)
     unit = (np.int64(1) << np.arange(n, dtype=np.int64))[:, None]
     diffs = f.eval_many(base | unit) - f.eval_many(base & ~unit)
     sigma = diffs.std(axis=1, ddof=1) / math.sqrt(samples) if samples > 1 else np.zeros(n)
@@ -227,22 +228,26 @@ def test_sampled_gradient_at_a_vertex_of_the_cube_asks_n_plus_one_sets(corner):
 
 
 @pytest.mark.parametrize("samples", [1, 64, 600])
-def test_no_sampled_batch_asks_for_a_draw_twice(samples):
-    # F's batch is the distinct draws R, ascending; the gradient's layout is
-    # those and, in row u, each of them with u flipped, and the memo sends
-    # only the sets of it that F's batch did not hold, each once
+def test_no_sampled_batch_asks_for_a_draw_twice(samples, monkeypatch):
+    # F looks up the draws R and the gradient those and, in row u, each of
+    # them with u flipped; the memo sends the oracle the distinct sets of a
+    # lookup it does not hold, ascending, so F's batch is the distinct draws
+    # and the gradient's the sets of its layout that F's batch did not hold
     f = random_coverage(6, seed=9)
     batches = record_batches(f)
+    lookups = record_lookups(monkeypatch)
     ev = MultilinearEvaluator(f, Estimator(samples=samples, seed=5))
     x = substream(12, 6).random(6)
     x[[0, 2]] = 0.0
     ev.value(x, stream=(2,))
     ev.value_and_partials(x, stream=(2,))
-    value_batch, grad_batch = batches
-    draws = np.unique(ev._sample_masks(x, ev._thresholds((2,), samples)))
-    assert np.array_equal(value_batch, draws)
+    draws = ev._sample(x, (2,))
     layout = np.concatenate([draws[None, :], draws ^ ev._flips])
-    assert layout.shape == (6 + 1, draws.size)
+    (value_lookup, grad_lookup), = lookups.values()
+    assert np.array_equal(value_lookup, draws) and draws.shape == (samples,)
+    assert np.array_equal(grad_lookup, layout) and layout.shape == (6 + 1, samples)
+    value_batch, grad_batch = batches
+    assert np.array_equal(value_batch, np.unique(draws))
     assert np.array_equal(grad_batch, np.setdiff1d(layout, value_batch))
     for batch in batches:
         assert np.unique(batch).size == batch.size

@@ -14,8 +14,8 @@ from pathlib import Path
 import pytest
 
 import submax
-from submax import dmcg, fixtures, oracle, pipage, polytope
-from submax.multilinear import Estimator
+from submax import dmcg, fixtures, mcg, oracle, pipage, polytope
+from submax.multilinear import Estimator, MultilinearEvaluator
 from submax.setfn import (
     SetFunction,
     coverage_function,
@@ -119,6 +119,11 @@ PARAMETERS = {
     hardness_instance: ["p", "q"],
     restrict_function: ["f", "kept"],
     run_two_sided: ["f"],
+    MultilinearEvaluator: ["f", "est"],
+    pipage.pipage_round: ["f", "x", "P", "est"],
+    mcg.check_feasibility_invariants: ["traj", "P"],
+    dmcg.check_y_properties: ["traj", "k"],
+    dmcg.check_max_y: ["traj"],
     fixtures.random_graph_cut: ["n", "seed", "edge_prob"],
     fixtures.random_hypergraph_cut: ["n", "seed"],
 }

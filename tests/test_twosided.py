@@ -56,14 +56,17 @@ def test_ground_set_comes_from_f():
 
 
 def test_trace_nesting_invariants():
+    # the trace keeps each step's branch, not its sets: rebuilding X_i and Y_i
+    # from the branches keeps X_i subseteq Y_i and ends at X_n = Y_n = output
     f = random_graph_cut(8, seed=2)
     out, trace = run_two_sided(f)
-    x_prev, y_prev = 0, (1 << 8) - 1
+    assert [s.i for s in trace.steps] == list(range(1, 9))
+    x, y = 0, (1 << 8) - 1
     for s in trace.steps:
-        assert s.x_mask & ~s.y_mask == 0  # X_i subseteq Y_i
-        assert s.x_mask & ~x_prev in (0, 1 << (s.i - 1))
-        x_prev, y_prev = s.x_mask, s.y_mask
-    assert trace.steps[-1].x_mask == trace.steps[-1].y_mask == out
+        bit = 1 << (s.i - 1)
+        x, y = (x | bit, y) if s.branch == "X" else (x, y & ~bit)
+        assert x & ~y == 0  # X_i subseteq Y_i
+    assert x == y == out
 
 
 @settings(max_examples=40, deadline=None)
