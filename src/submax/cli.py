@@ -7,9 +7,11 @@ whole file before any flag is checked.  Every algorithm then takes one path:
 :func:`_check` validates all flags before any work starts and binds the
 algorithm's solver, and :func:`_report` runs it and verifies the result
 against the brute-force optimum.  Each ``submax sweep`` row is one
-``dmcg-symmetric`` job on that path.  An ascent's report gives F(y) exactly,
-whichever backend the ascent used: every family an instance file names has a
-closed form, so the achieved ratio carries no sampling noise.
+``dmcg-symmetric`` job on that path.  An ascent's solver builds one
+``MultilinearEvaluator`` from the flags, which the ascent and the rounding
+share; its report gives F(y) exactly, whichever backend that evaluator used:
+every family an instance file names has a closed form, so the achieved ratio
+carries no sampling noise.
 
 Reports are JSON with a deterministic ``report`` block (hashed) and a
 ``metadata`` block (timestamp, wall time, host) excluded from determinism;
@@ -40,7 +42,7 @@ from . import mcg
 from .dmcg import run_dmcg
 from .fixtures import random_graph_cut, random_hypergraph_cut
 from .mcg import AscentConfig, run_mcg
-from .multilinear import Estimator, MultilinearEvaluator, backend
+from .multilinear import Estimator, MultilinearEvaluator
 from .oracle import MAX_BRUTE_N, brute_cardinality, brute_polytope_integral, brute_unconstrained
 from .pipage import pipage_round
 from .polytope import CardinalityPolytope, KnapsackPolytope, PartitionPolytope, Polytope, horizon, preprocess_reduction1
@@ -302,19 +304,19 @@ def _check(args, f, P, welfare_inst) -> _Job:
         red = preprocess_reduction1(P)
         f_run = f if len(red.kept) == n else restrict_function(f, list(red.kept))
         oracles = (f,) if f_run is f else (f, f_run)
-        cfg = AscentConfig(args.T, args.steps, Estimator(samples, seed))
+        cfg = AscentConfig(args.T, args.steps)
         _check_schedule(cfg, f_run.n, red.polytope)
-        solve = partial(_solve_mcg, f, P, red, f_run, cfg)
+        solve = partial(_solve_mcg, f, P, red, f_run, cfg, Estimator(samples, seed))
     else:
         if algorithm == "dmcg-symmetric" and not f.symmetric:
             raise FlagError("dmcg-symmetric requires a symmetric instance")
-        cfg = AscentConfig(args.T, args.steps, Estimator(samples, seed))
+        cfg = AscentConfig(args.T, args.steps)
         # the symmetric pair runs under |S| <= min(k, n - k) (Reduction 2), and
         # the general pair keeps y1 under |S| <= k and 1 - y2 under
         # |S| <= n - k, the tighter of which is min(k, n - k); at k = n no limit applies
         low = min(k, n - k)
         _check_schedule(cfg, n, CardinalityPolytope(n, low) if low else None)
-        solve = partial(_solve_dmcg, f, k, cfg, algorithm[5:])
+        solve = partial(_solve_dmcg, f, k, cfg, Estimator(samples, seed), algorithm[5:])
     return _Job({"type": f.kind, "n": n, "symmetric": f.symmetric}, oracles, unverifiable, solve)
 
 
@@ -354,11 +356,13 @@ def _solve_brute(search: Callable[..., tuple[int, float]], *args) -> Solved:
     return fields, opt, lambda: {"oracle_opt": opt}
 
 
-def _solve_mcg(f, P, red, f_run, cfg: AscentConfig) -> Solved:
-    """MCG on the Reduction 1 problem; the point and the rounded set (on a
-    polytope with parts) are embedded back into f's ground set.  T, steps
-    and the regime are the trajectory's; with no element kept, no ascent
-    runs and they are the schedule of an empty ground set."""
+def _solve_mcg(f, P, red, f_run, cfg: AscentConfig, est: Estimator) -> Solved:
+    """MCG on the Reduction 1 problem, with one evaluator of f_run for the
+    ascent and the rounding; the point and the rounded set (on a polytope
+    with parts) are embedded back into f's ground set.  T, steps and the
+    regime are the trajectory's; with no element kept, no ascent runs and
+    they are the schedule of an empty ground set."""
+    ev = MultilinearEvaluator(f_run, est)
     fields = {"reduction1_warning": red.warning} if red.warning else {}
     kept = np.array(red.kept, dtype=np.int64)
     y = np.zeros(f.n)
@@ -366,18 +370,19 @@ def _solve_mcg(f, P, red, f_run, cfg: AscentConfig) -> Solved:
         T, steps, _, regime = mcg.schedule(0, cfg.T, cfg.steps)
         frac = achieved = f.eval(0)
     else:
-        y_run, traj = run_mcg(f_run, red.polytope, cfg)
+        y_run, traj = run_mcg(ev, red.polytope, cfg)
         T, steps, regime = traj.T, len(traj.steps), traj.theoretical_regime
         y[kept] = y_run
+        # an exact evaluator of its own: a sampled ev would only estimate F(y)
         frac = achieved = MultilinearEvaluator(f_run).value(y_run)
         if red.polytope.parts is not None:
-            local = pipage_round(f_run, y_run, red.polytope, cfg.estimator)
+            local = pipage_round(ev, y_run, red.polytope)
             mask = as_mask(kept[indices(local)], f.n)
             achieved = f.eval(mask)
             fields["achieved_set"] = indices(mask)
     fields.update(
         {
-            "config": {"T": T, "steps": steps, "estimator": backend(f_run, cfg.estimator)},
+            "config": {"T": T, "steps": steps, "estimator": ev.backend},
             "fractional_value": frac,
             "fractional_point": y.tolist(),
             "theoretical_ratio": 0.5 * (1.0 - math.exp(-2.0 * T)),
@@ -389,15 +394,17 @@ def _solve_mcg(f, P, red, f_run, cfg: AscentConfig) -> Solved:
     return fields, frac, lambda: {"oracle_opt": brute_polytope_integral(f_opt, P_opt)[1]}
 
 
-def _solve_dmcg(f, k: int, cfg: AscentConfig, variant: str) -> Solved:
+def _solve_dmcg(f, k: int, cfg: AscentConfig, est: Estimator, variant: str) -> Solved:
     """DMCG's point of mass k (``run_dmcg`` applies Reduction 2), rounded
-    onto |S| = k; T, steps and the regime are its trajectory's."""
-    n, est = f.n, cfg.estimator
-    y, traj = run_dmcg(f, k, cfg, variant)
+    onto |S| = k with the ascent's evaluator; T, steps and the regime are
+    its trajectory's."""
+    n, ev = f.n, MultilinearEvaluator(f, est)
+    y, traj = run_dmcg(ev, k, cfg, variant)
+    # an exact evaluator of its own: a sampled ev would only estimate F(y)
     frac = MultilinearEvaluator(f).value(y)
-    mask = pipage_round(f, y, CardinalityPolytope(n, k), est)
+    mask = pipage_round(ev, y, CardinalityPolytope(n, k))
     fields = {
-        "config": {"k": k, "T": traj.T, "steps": len(traj.steps), "estimator": backend(f, est)},
+        "config": {"k": k, "T": traj.T, "steps": len(traj.steps), "estimator": ev.backend},
         "fractional_value": frac,
         "fractional_mass": float(y.sum()),
         "fractional_point": y.tolist(),

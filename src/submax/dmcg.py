@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mcg import AscentConfig, AscentStep, Trajectory, ascend, schedule
+from .multilinear import MultilinearEvaluator
 from .polytope import SLACK, CardinalityPolytope
 from .reports import CheckReport
-from .setfn import SetFunction
 from .subsets import full_mask
 
 
@@ -135,18 +135,19 @@ def solve_direction(
     return finish(theta * I_hi + (1.0 - theta) * I_lo, lam)
 
 
-def run_dmcg(f: SetFunction, k: int, cfg: AscentConfig | None = None,
+def run_dmcg(ev: MultilinearEvaluator, k: int, cfg: AscentConfig | None = None,
              variant: str = "symmetric") -> tuple[np.ndarray, Trajectory]:
-    """Run the coupled ascent/descent pair and return (y, trajectory) with
-    |y| = k, for any 1 <= k <= n; y is a new float array, clipped to [0,1]
-    against rounding.  Side 0 is y1, side 1 is y2, and each step's note is
-    the direction solver's :class:`DirectionInfo`.
+    """Run the coupled ascent/descent pair on F of ``ev.f`` and return
+    (y, trajectory) with |y| = k, for any 1 <= k <= n; y is a new float
+    array, clipped to [0,1] against rounding.  Side 0 is y1, side 1 is y2,
+    and each step's note is the direction solver's :class:`DirectionInfo`.
 
     Variant "symmetric" runs Algorithm-2 style (coeff 2, cleanup, T the
     discrete horizon of |S| <= k) for 2k <= n.  For 2k > n it applies
     Reduction 2: a symmetric f has the same optimum at k and at n - k, so it
-    runs the pair for n - k and returns 1 - y with that run's trajectory; at
-    k = n that is 1_N with a trajectory of no steps (T = 0).
+    runs the pair for n - k on the same ``ev`` and returns 1 - y with that
+    run's trajectory; at k = n that is 1_N with a trajectory of no steps
+    (T = 0).
     Variant "general" runs the general-objective twin (coeff 1, no cleanup,
     T = 1).  Raises ``ValueError`` for an unknown variant, a k outside
     [1, n], a symmetric variant on an f not flagged symmetric, and a bad
@@ -154,7 +155,7 @@ def run_dmcg(f: SetFunction, k: int, cfg: AscentConfig | None = None,
     """
     if variant not in ("symmetric", "general"):
         raise ValueError("variant must be 'symmetric' or 'general'")
-    n = f.n
+    f, n = ev.f, ev.n
     if not 1 <= k <= n:
         raise ValueError("requires 1 <= k <= n")
     symmetric = variant == "symmetric"
@@ -162,7 +163,7 @@ def run_dmcg(f: SetFunction, k: int, cfg: AscentConfig | None = None,
         raise ValueError("symmetric variant requires an objective flagged symmetric")
     if symmetric and 2 * k > n:
         if k < n:
-            y, traj = run_dmcg(f, n - k, cfg, variant)
+            y, traj = run_dmcg(ev, n - k, cfg, variant)
         else:  # the empty set is the one set of size n - k = 0: no step runs
             cfg = cfg or AscentConfig()
             schedule(n, cfg.T, cfg.steps)  # a bad schedule raises all the same
@@ -177,7 +178,7 @@ def run_dmcg(f: SetFunction, k: int, cfg: AscentConfig | None = None,
         return (i1, i2), info
 
     bound = CardinalityPolytope(n, k) if symmetric else None
-    traj = ascend(f, cfg or AscentConfig(), (0, 1), max_min, symmetric, bound)
+    traj = ascend(ev, cfg or AscentConfig(), (0, 1), max_min, symmetric, bound)
     y1, y2 = traj.last.ys
     m1 = float(y1.sum())
     m2 = float(y2.sum())

@@ -11,10 +11,11 @@ increase F and restores the "nothing below y is better" condition the
 symmetric value analysis leans on.  The gradient a step weighs is the one
 evaluated after the previous step's update and cleanup, at the point the
 step moves from, so a side pays one gradient per step plus one per reset
-(see :func:`ascend` for the sampled streams).  One :class:`AscentConfig`
-sets T, steps and the estimator of every ascent, and every ascent records one
-:class:`Trajectory` of :class:`AscentStep` (one point and one F per side),
-which :func:`trajectory_csv` writes.  :func:`run_mcg` is one side from 0
+(see :func:`ascend` for the sampled streams).  Every ascent reads F through
+the ``MultilinearEvaluator`` its caller built, takes T and steps from one
+:class:`AscentConfig`, and records one :class:`Trajectory` of
+:class:`AscentStep` (one point and one F per side), which
+:func:`trajectory_csv` writes.  :func:`run_mcg` is one side from 0
 along the best vertex of P, with cleanup; ``dmcg.run_dmcg`` is the coupled
 pair.
 """
@@ -28,11 +29,10 @@ from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .multilinear import Estimator, MultilinearEvaluator
+from .multilinear import MultilinearEvaluator
 from .polytope import Polytope, horizon
 from .reports import CheckReport
 from .rng import ASCENT_STREAM
-from .setfn import SetFunction
 
 # strict-negativity margin for the cleanup test when F is exact; the sampled
 # backend compares against -2 sigma of the derivative estimate instead, so
@@ -73,7 +73,6 @@ class AscentConfig:
 
     T: float | None = None
     steps: int | None = None
-    estimator: Estimator = field(default_factory=Estimator)
 
 
 @dataclass(frozen=True)
@@ -105,12 +104,13 @@ class Trajectory:
         return self.steps[-1] if self.steps else self.start
 
 
-def ascend(f: SetFunction, cfg: AscentConfig, starts: tuple[int, ...], choose: Callable, cleanup: bool,
+def ascend(ev: MultilinearEvaluator, cfg: AscentConfig, starts: tuple[int, ...], choose: Callable, cleanup: bool,
            P: Polytope | None = None) -> Trajectory:
     """Run the sides that start at ``starts`` on the schedule of ``cfg`` over
-    P (see :func:`schedule`).  ``choose(weights, values)`` gets one weight
-    vector and one F(y) per side and returns one direction per side plus a
-    note.  Recorded arrays are never written again.
+    P (see :func:`schedule`), reading F through ``ev``.
+    ``choose(weights, values)`` gets one weight vector and one F(y) per side
+    and returns one direction per side plus a note.  Recorded arrays are
+    never written again.
 
     Every side evaluates F and its gradient once at its start, once after
     each update and once after each reset, on every backend, and the next
@@ -128,8 +128,7 @@ def ascend(f: SetFunction, cfg: AscentConfig, starts: tuple[int, ...], choose: C
     most steps (n + 1) samples + samples; up to n = 16 a run asks for no set
     twice, so also at most 2^n.  Raises ``ValueError`` for T <= 0, steps < 1
     or T/steps > 1."""
-    T, steps, delta, regime = schedule(f.n, cfg.T, cfg.steps, P)
-    ev = MultilinearEvaluator(f, cfg.estimator)
+    T, steps, delta, regime = schedule(ev.n, cfg.T, cfg.steps, P)
     m = len(starts)
     ys = [np.full(ev.n, float(s)) for s in starts]
     evals = [ev.value_and_partials(y, stream=(ASCENT_STREAM, 0, j)) for j, y in enumerate(ys)]
@@ -158,22 +157,22 @@ def ascend(f: SetFunction, cfg: AscentConfig, starts: tuple[int, ...], choose: C
     return traj
 
 
-def run_mcg(f: SetFunction, P: Polytope, cfg: AscentConfig | None = None) -> tuple[np.ndarray, Trajectory]:
-    """Run the ascent and return (y(T), trajectory); y(T) is a new float
-    array, clipped to [0,1] against rounding.
+def run_mcg(ev: MultilinearEvaluator, P: Polytope, cfg: AscentConfig | None = None) -> tuple[np.ndarray, Trajectory]:
+    """Run the ascent on F of ``ev.f`` and return (y(T), trajectory); y(T)
+    is a new float array, clipped to [0,1] against rounding.
 
     Expects the singleton-feasibility reduction to have been applied (drop
     every u with 1_u not in P) -- see ``preprocess_reduction1``.  A
     non-symmetric objective only voids the value guarantee, so it warns and
     proceeds.  Raises ``ValueError`` for T <= 0, steps < 1 or T/steps > 1.
     """
-    if not f.symmetric:
+    if not ev.f.symmetric:
         warnings.warn("objective not flagged symmetric: the value guarantee is void", stacklevel=2)
 
     def best_vertex(weights, _values):
         return (P.linear_maximize(weights[0]),), None
 
-    traj = ascend(f, cfg or AscentConfig(), (0,), best_vertex, True, P)
+    traj = ascend(ev, cfg or AscentConfig(), (0,), best_vertex, True, P)
     return np.clip(traj.last.ys[0], 0.0, 1.0), traj
 
 

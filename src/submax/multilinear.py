@@ -1,11 +1,12 @@
-"""Multilinear extension F(x) = E[f(R(x))]: exact evaluation, seeded sampling
+"""Multilinear extension F(x) = E[f(R(x))]: seeded sampling, the closed form
 and partial derivatives.
 
 R(x) includes each element u independently with probability x_u; a point x
 is a plain float array of length n.  :class:`MultilinearEvaluator` is the
-one entry point: ``value`` for F and ``value_and_partials`` for F with its
-gradient.  Both come from one of three backends, picked by :func:`backend`
-in this order:
+one object through which a run reads F: the caller builds it once from f
+and an :class:`Estimator` and hands it to the ascent and to pipage
+rounding.  ``value`` gives F and ``value_and_partials`` F with its gradient,
+both from one of two backends, which the constructor picks:
 
 * ``"sampled"`` when the estimator sets ``samples``: f is averaged over that
   many seeded draws R, with common random numbers for coupled queries.  F
@@ -23,13 +24,11 @@ in this order:
   The ascent evaluates one gradient per side at the start, after each
   step's update and after each reset, and the next step reads the latest
   (see ``mcg.ascend``);
-* ``"closed_form"`` when F is exact (``samples`` is None) and f carries a
+* ``"closed_form"`` when F is exact (``samples`` is None): f's
   ``multilinear`` hook (graph and hypergraph cuts, coverage, and their
-  restrictions): exact F and gradient in time polynomial in the instance
-  size, with no oracle queries;
-* ``"table"`` otherwise when F is exact: f's value table
-  (``SetFunction.table``, 2^n oracle calls once per set function, so
-  n <= ``EXACT_TABLE_LIMIT``) is folded one coordinate at a time.
+  restrictions) gives exact F and gradient in time polynomial in the
+  instance size, with no oracle queries.  An f without the hook has no
+  exact backend and needs ``samples``.
 """
 
 from __future__ import annotations
@@ -46,9 +45,6 @@ from .subsets import MAX_MASK_BITS, masks_from_bits
 # a point whose every coordinate lies this close to 0 or 1 is a set
 _INTEGRAL_TOL = 1e-12
 
-# largest n whose 2^n value table the exact backend builds
-EXACT_TABLE_LIMIT = 16
-
 # a sampled evaluator's memo has 2^min(n, _MEMO_BITS) slots: at most 1 MB of
 # keys and values, whatever the number of steps
 _MEMO_BITS = 16
@@ -59,10 +55,9 @@ _FIB = np.uint64(0x9E3779B97F4A7C15)
 
 @dataclass(frozen=True)
 class Estimator:
-    """How to evaluate F: exactly when ``samples`` is None (closed form, or a
-    value table for n <= EXACT_TABLE_LIMIT), else as the mean of f over
-    ``samples`` draws seeded by ``seed``.  The paper leaves the sample
-    schedule open, so the caller sets it."""
+    """How to evaluate F: exactly when ``samples`` is None (f's closed form),
+    else as the mean of f over ``samples`` draws seeded by ``seed``.  The
+    paper leaves the sample schedule open, so the caller sets it."""
 
     samples: int | None = None
     seed: int = 0
@@ -72,86 +67,38 @@ class Estimator:
             raise ValueError("samples must be at least 1")
 
 
-def backend(f: SetFunction, est: Estimator) -> str:
-    """The backend that evaluates F for f under est: "sampled" if est sets
-    ``samples``, else "closed_form" if f has a multilinear hook, else "table"
-    (the 2^n value-table fold).  This is the one place that reads
-    ``est.samples`` to choose."""
-    if est.samples is not None:
-        return "sampled"
-    return "closed_form" if f.multilinear is not None else "table"
-
-
 class MultilinearEvaluator:
     """Evaluates F, its gradient, and coupled quantities for one set function.
 
-    ``backend`` names how (see :func:`backend`).  The closed form queries no
-    oracle, so a run on a family that has one counts no 2^n table in its
-    oracle calls.  The table backend reads f's value table (2^n oracle calls,
-    paid once per set function, only when first needed, and shared with every
-    other evaluator and search on f) and computes F(x) in O(2^n) arithmetic by
-    folding one coordinate at a time; the gradient comes from one extra
-    backward sweep.  ``table`` returns that table on any backend
-    (n <= EXACT_TABLE_LIMIT), for callers that need every value of f.
-    The sampled backend derives all draws from counter-indexed substreams of
-    the estimator seed, on the path the caller passes as ``stream``, and asks
-    the oracle through the evaluator's memo (see the module docstring), so
-    it needs int64 masks: n <= MAX_MASK_BITS.
+    ``backend`` names how (see the module docstring).  The closed form
+    queries no oracle.  The sampled backend derives all draws from
+    counter-indexed substreams of the estimator seed, on the path the caller
+    passes as ``stream``, and asks the oracle through the evaluator's memo,
+    so it needs int64 masks: n <= MAX_MASK_BITS.  An f with no
+    ``multilinear`` hook and no ``samples`` is a ValueError.
     """
 
     def __init__(self, f: SetFunction, est: Estimator | None = None):
         self.f = f
         self.est = est or Estimator()
         self.n = f.n
-        self.backend = backend(f, self.est)
-        if self.backend == "table":
-            self._check_table_size()
-        if self.backend == "sampled":
-            if self.n > MAX_MASK_BITS:
-                raise ValueError(
-                    f"sampled estimates pack sets into int64 masks: n must be <= {MAX_MASK_BITS}, got {self.n}"
-                )
-            slots = 1 << min(self.n, _MEMO_BITS)
-            self._keys = np.full(slots, -1, dtype=np.int64)  # -1: empty
-            self._vals = np.empty(slots)
-            self._flips = masks_from_bits(np.eye(self.n, dtype=bool))[:, None]  # row u is the set {u}
-
-    # -- table kernels ------------------------------------------------------
-    def _check_table_size(self) -> None:
-        if self.n > EXACT_TABLE_LIMIT:
-            raise ValueError(f"the exact value table supports n <= {EXACT_TABLE_LIMIT}, got n={self.n}")
+        if self.est.samples is None:
+            if f.multilinear is None:
+                raise ValueError(f"F of this {f.kind} function has no exact backend: give f a multilinear hook "
+                                 "(closed-form F and gradient), or sample F with Estimator(samples=...)")
+            self.backend = "closed_form"
+            return
+        self.backend = "sampled"
+        if self.n > MAX_MASK_BITS:
+            raise ValueError(f"sampled estimates pack sets into int64 masks: n must be <= {MAX_MASK_BITS}, got {self.n}")
+        slots = 1 << min(self.n, _MEMO_BITS)
+        self._keys = np.full(slots, -1, dtype=np.int64)  # -1: empty
+        self._vals = np.empty(slots)
+        self._flips = masks_from_bits(np.eye(self.n, dtype=bool))[:, None]  # row u is the set {u}
 
     def table(self) -> np.ndarray:
-        self._check_table_size()
+        """f's value table (``SetFunction.table``)."""
         return self.f.table()
-
-    def _value_table(self, x: np.ndarray, stages: list | None = None) -> float:
-        """F(x) by folding the value table one coordinate at a time; each
-        intermediate table is appended to ``stages`` when given."""
-        t = self.table()
-        for xu in x:
-            if stages is not None:
-                stages.append(t)
-            t2 = t.reshape(-1, 2)
-            t = t2[:, 0] * (1.0 - xu) + t2[:, 1] * xu
-        return float(t[0])
-
-    def _value_and_grad_table(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        # forward fold keeps each intermediate table, backward pass is the
-        # adjoint of the fold; together they give F and the full gradient in
-        # O(2^n) arithmetic.
-        stages: list[np.ndarray] = []
-        value = self._value_table(x, stages)
-        grad = np.empty(self.n)
-        adj = np.ones(1)
-        for u in range(self.n - 1, -1, -1):
-            tu = stages[u].reshape(-1, 2)
-            grad[u] = float(adj @ (tu[:, 1] - tu[:, 0]))
-            nxt = np.empty((adj.size, 2))
-            nxt[:, 0] = adj * (1.0 - x[u])
-            nxt[:, 1] = adj * x[u]
-            adj = nxt.reshape(-1)
-        return value, grad
 
     # -- sampled kernels ----------------------------------------------------
     def _sample(self, x: np.ndarray, stream: tuple[int, ...]) -> np.ndarray:
@@ -204,9 +151,7 @@ class MultilinearEvaluator:
         x = np.asarray(x, dtype=float)
         if self.backend == "sampled":
             return self._value_sampled(x, stream)
-        if self.backend == "closed_form":
-            return self.f.multilinear(x)[0]
-        return self._value_table(x)
+        return self.f.multilinear(x)[0]
 
     def value_and_partials(self, x, stream: tuple[int, ...] = ()):
         """(F(x), gradient, sigma) where sigma is None when F is exact and the
@@ -214,6 +159,4 @@ class MultilinearEvaluator:
         x = np.asarray(x, dtype=float)
         if self.backend == "sampled":
             return self._grad_sampled(x, stream)
-        if self.backend == "closed_form":
-            return *self.f.multilinear(x), None
-        return *self._value_and_grad_table(x), None
+        return *self.f.multilinear(x), None

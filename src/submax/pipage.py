@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .multilinear import Estimator, MultilinearEvaluator
+from .multilinear import MultilinearEvaluator
 from .polytope import Polytope
 from .rng import PIPAGE_STREAM
-from .setfn import SetFunction
 from .subsets import masks_from_bits
 
 _FRAC_TOL = 1e-9
@@ -27,14 +26,10 @@ def _fractional(y: np.ndarray, part: list[int]) -> list[int]:
     return [u for u in part if _FRAC_TOL < y[u] < 1.0 - _FRAC_TOL]
 
 
-def pipage_round(
-    f: SetFunction,
-    x: np.ndarray,
-    P: Polytope,
-    est: Estimator | None = None,
-) -> int:
+def pipage_round(ev: MultilinearEvaluator, x: np.ndarray, P: Polytope) -> int:
     """Round a point x of P (a float array) to a set S with f(S) >= F(x)
-    (F exact); returns a bitmask.  A point outside P is a ValueError.
+    (F exact), reading F of f = ``ev.f`` through ``ev``, the evaluator of the
+    run that found x; returns a bitmask.  A point outside P is a ValueError.
 
     Repeatedly takes the two lowest-indexed fractional coordinates sharing a
     part of ``P.parts`` and pushes their sum-preserving direction to the better
@@ -42,12 +37,12 @@ def pipage_round(
     part's constraint is slack), it is rounded to the better feasible bound.
     On the sampled backend endpoint comparisons share one threshold stream
     per move (common random numbers), (``PIPAGE_STREAM``, move) of the
-    estimator's seed, and the curvature audit is skipped."""
+    estimator's seed, and the curvature audit is skipped; ``ev``'s memo
+    answers the sets the run already asked for."""
     if P.parts is None:
         raise ValueError(f"pipage rounding needs a polytope with parts (cardinality, partition), not {P.kind!r}")
     if not P.membership(x):
         raise ValueError("point is not inside the polytope")
-    ev = MultilinearEvaluator(f, est)
     exact = ev.backend != "sampled"
     y = np.array(x, dtype=float)
     move = 0

@@ -188,7 +188,10 @@ def random_offset_cut(n, seed):
 def tight_instance(k):
     """The k-item welfare instance on which random assignment is exactly
     tight: utility 1 - (|S| - 1)/(k - 1) for non-empty S, 0 for the empty
-    set.  The utility counts int64 masks, so k <= ``MAX_MASK_BITS``."""
+    set.  The utility counts int64 masks, so k <= ``MAX_MASK_BITS``; it has
+    no closed form, so its exact F is the table fold (k <= ``TABLE_LIMIT``)."""
+    from lemmas import table_fold  # lemmas imports this module
+
     if not 2 <= k <= MAX_MASK_BITS:
         raise ValueError(f"requires 2 <= k <= {MAX_MASK_BITS}, got {k}")
 
@@ -197,6 +200,7 @@ def tight_instance(k):
         return np.where(sizes > 0, 1.0 - (sizes - 1.0) / (k - 1.0), 0.0)
 
     utility = SetFunction(k, lambda masks: value_of_size(popcount_array(masks)), kind="welfare_tight")
+    utility.multilinear = table_fold(utility)
     return WelfareInstance(k, utility)
 
 

@@ -1,7 +1,10 @@
 """Executable lemma checks for the test suites: the structural and statistical
 facts the guarantees rest on, each returning a :class:`CheckReport`.
 
-* multilinear extension: complement and shift identities, the symmetric
+* multilinear extension: the 2^n table fold (:func:`table_fold`), the
+  reference hook that the closed forms are checked against and that
+  test-only oracles without a closed form evaluate F with; complement and
+  shift identities, the symmetric
   union bound (with its down-box precondition checked at the box vertices),
   the first-order linearization bound, the random-subset sampling bounds, and
   the concavity of F along a nonnegative direction (the segment between the
@@ -34,6 +37,40 @@ from submax.welfare import Allocation, WelfareInstance
 SYMMETRY_AUDIT_LIMIT = 14
 
 # ---------------------------------------------------------------------------
+# the table fold: exact F from the value table
+# ---------------------------------------------------------------------------
+
+
+def table_fold(f: SetFunction):
+    """A ``multilinear`` hook for f read off its value table
+    (``SetFunction.table``: 2^n oracle calls once, so n <= ``TABLE_LIMIT``):
+    F(x) folds the table one coordinate at a time, and the gradient is one
+    backward sweep, the adjoint of the fold, in O(2^n) arithmetic.  Attach
+    it with ``f.multilinear = table_fold(f)``."""
+
+    def multilinear(x):
+        x = np.asarray(x, dtype=float)
+        stages = []  # the table before each coordinate's fold
+        t = f.table()
+        for xu in x:
+            stages.append(t)
+            t2 = t.reshape(-1, 2)
+            t = t2[:, 0] * (1.0 - xu) + t2[:, 1] * xu
+        grad = np.empty(f.n)
+        adj = np.ones(1)
+        for u in range(f.n - 1, -1, -1):
+            tu = stages[u].reshape(-1, 2)
+            grad[u] = float(adj @ (tu[:, 1] - tu[:, 0]))
+            nxt = np.empty((adj.size, 2))
+            nxt[:, 0] = adj * (1.0 - x[u])
+            nxt[:, 1] = adj * x[u]
+            adj = nxt.reshape(-1)
+        return float(t[0]), grad
+
+    return multilinear
+
+
+# ---------------------------------------------------------------------------
 # box vertices of the multilinear extension
 # ---------------------------------------------------------------------------
 
@@ -41,12 +78,12 @@ SYMMETRY_AUDIT_LIMIT = 14
 def box_vertex_values(f: SetFunction, x) -> np.ndarray:
     """F at every vertex of the box {y : y <= x}; entry S is F(x * 1_S).
 
-    Built from the exact value table of f (so n <= EXACT_TABLE_LIMIT).  The
+    Built from the exact value table of f (so n <= TABLE_LIMIT).  The
     transform consumes one mask bit and emits one choice bit per coordinate,
     so the table stays at 2^n entries.
     """
     xa = np.asarray(x, dtype=float)
-    t = MultilinearEvaluator(f).table()
+    t = f.table()
     for u in range(f.n):
         low = 1 << u
         t3 = t.reshape(-1, 2, low)
@@ -372,7 +409,7 @@ def audit_submodularity(
     """
     n = f.n
     if n <= exhaustive_limit:
-        table = MultilinearEvaluator(f).table()
+        table = f.table()
         all_masks = np.arange(1 << n, dtype=np.int64)
         for u, v in combinations(range(n), 2):
             bu, bv = 1 << u, 1 << v
@@ -411,6 +448,6 @@ def audit_nonnegativity(
 ) -> bool:
     n = f.n
     if n <= exhaustive_limit:
-        return bool(MultilinearEvaluator(f).table().min() >= -tol)
+        return bool(f.table().min() >= -tol)
     rng = substream(seed, 0x2B3F)
     return all(f.eval(int(rng.integers(0, 1 << n))) >= -tol for _ in range(trials))

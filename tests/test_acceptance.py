@@ -120,9 +120,10 @@ def test_criterion_3_mcg_ratio_and_feasibility():
             f = random_symmetric_instance(n, 300 + i)
             P = _mcg_polytopes(n, i)
             T = min(1.0, horizon(P))
-            y, traj = run_mcg(f, P, AscentConfig(T=T, steps=2000))
+            ev = MultilinearEvaluator(f)
+            y, traj = run_mcg(ev, P, AscentConfig(T=T, steps=2000))
             _, opt = brute_polytope_integral(f, P)
-            value = MultilinearEvaluator(f).value(y)
+            value = ev.value(y)
             bound = (0.5 * (1.0 - math.exp(-2.0 * T)) - 0.02) * opt
             assert value >= bound - EXACT_TOL, (i, value, bound)
             rep = check_feasibility_invariants(traj, P)
@@ -142,13 +143,14 @@ def test_criterion_4_dmcg_symmetric():
             n = 4 + (i % 7)
             k = 1 + i % max(1, n // 2)
             f = random_symmetric_instance(n, 400 + i)
-            y, _ = run_dmcg(f, k, AscentConfig(steps=2000), "symmetric")
+            ev = MultilinearEvaluator(f)
+            y, _ = run_dmcg(ev, k, AscentConfig(steps=2000), "symmetric")
             assert abs(y.sum() - k) <= EXACT_TOL, (i, y.sum(), k)
-            value = MultilinearEvaluator(f).value(y)
+            value = ev.value(y)
             _, opt = brute_cardinality(f, k)
             curve = 0.5 * (1.0 - (1.0 - k / n) ** (2 * n / k))
             assert value >= (curve - 0.02) * opt - EXACT_TOL, (i, value, curve * opt)
-            mask = pipage_round(f, y, CardinalityPolytope(n, k))
+            mask = pipage_round(ev, y, CardinalityPolytope(n, k))
             assert int(popcount_array(np.array([mask]))[0]) == k
             assert f.eval(mask) >= value - EXACT_TOL
 
@@ -164,9 +166,10 @@ def test_criterion_5_dmcg_general():
             n = 4 + (i % 7)
             k = 1 + i % (n - 1)
             f = random_coverage(n, 500 + i) if i % 2 == 0 else random_offset_cut(n, 500 + i)
-            y, _ = run_dmcg(f, k, AscentConfig(steps=2000), "general")
+            ev = MultilinearEvaluator(f)
+            y, _ = run_dmcg(ev, k, AscentConfig(steps=2000), "general")
             assert abs(y.sum() - k) <= EXACT_TOL, (i, y.sum(), k)
-            value = MultilinearEvaluator(f).value(y)
+            value = ev.value(y)
             _, opt = brute_cardinality(f, k)
             assert value >= (math.exp(-1.0) - 0.02) * opt - EXACT_TOL, (i, value / opt)
 
@@ -227,13 +230,13 @@ def test_criterion_8_lemma_suite():
         assert check_union_bound_symmetric(edge, np.array([0.5, 0.0]), [0]).passed
         tri = triangle_cut()
         opt_mask, _ = brute_unconstrained(tri)
-        y_mid, _ = run_mcg(tri, CardinalityPolytope(3, 1), AscentConfig(T=0.6, steps=500))
+        y_mid, _ = run_mcg(MultilinearEvaluator(tri), CardinalityPolytope(3, 1), AscentConfig(T=0.6, steps=500))
         rep = check_union_bound_symmetric(tri, y_mid, opt_mask)
         assert rep.passed and rep.status == "ok", rep.details
         for seed in range(4):
             f = random_graph_cut(7, seed=810 + seed)
             P = CardinalityPolytope(7, 3)
-            y, _ = run_mcg(f, P, AscentConfig(T=1.0, steps=600))
+            y, _ = run_mcg(MultilinearEvaluator(f), P, AscentConfig(T=1.0, steps=600))
             om, _ = brute_polytope_integral(f, P)
             rep = check_union_bound_symmetric(f, y, om)
             assert rep.passed and rep.status == "ok", rep.details
@@ -251,13 +254,13 @@ def test_criterion_8_lemma_suite():
         # dual-state invariants, segment concavity, coordinate caps
         for seed in range(3):
             f = random_graph_cut(8, seed=820 + seed)
-            _, traj = run_dmcg(f, 2 + seed, AscentConfig(steps=1200), "symmetric")
+            _, traj = run_dmcg(MultilinearEvaluator(f), 2 + seed, AscentConfig(steps=1200), "symmetric")
             assert check_y_properties(traj, 2 + seed).passed, check_y_properties(traj, 2 + seed).details
             last = traj.steps[-1]
             assert check_concave_segment(f, last.ys[0], last.ys[1]).passed
         for seed in range(3):
             f = random_offset_cut(7, seed=830 + seed)
-            _, traj = run_dmcg(f, 3, AscentConfig(steps=1200), "general")
+            _, traj = run_dmcg(MultilinearEvaluator(f), 3, AscentConfig(steps=1200), "general")
             assert check_max_y(traj).passed
 
         # statistical sampling bounds at 1e5 trials / 4 sigma
@@ -323,8 +326,8 @@ def test_criterion_10_determinism(tmp_path):
         # direct API double-run with the sampled estimator
         f = random_graph_cut(6, seed=1001)
         est = Estimator(samples=300, seed=99)
-        cfg = AscentConfig(steps=80, estimator=est)
-        ya, ta = run_dmcg(f, 2, cfg, "symmetric")
-        yb, tb = run_dmcg(f, 2, cfg, "symmetric")
+        cfg = AscentConfig(steps=80)
+        ya, ta = run_dmcg(MultilinearEvaluator(f, est), 2, cfg, "symmetric")
+        yb, tb = run_dmcg(MultilinearEvaluator(f, est), 2, cfg, "symmetric")
         assert np.array_equal(ya, yb)
         assert all(np.array_equal(a.ys[0], b.ys[0]) for a, b in zip(ta.steps, tb.steps))

@@ -20,7 +20,7 @@ from submax.dmcg import run_dmcg
 from conftest import random_coverage
 from submax.fixtures import random_graph_cut
 from submax.mcg import AscentConfig, run_mcg, schedule
-from submax.multilinear import Estimator
+from submax.multilinear import Estimator, MultilinearEvaluator
 from submax.polytope import CardinalityPolytope, horizon
 
 SAMPLED = Estimator(samples=64, seed=5)
@@ -66,12 +66,12 @@ def _run(solver: str, mode: str):
     """(final point, final values, trajectory) of one pinned case."""
     est = ESTIMATORS[mode]
     if solver == "mcg":
-        y, traj = run_mcg(random_graph_cut(8, seed=5), CardinalityPolytope(8, 4),
-                          AscentConfig(T=2.0, steps=40, estimator=est))
+        y, traj = run_mcg(MultilinearEvaluator(random_graph_cut(8, seed=5), est), CardinalityPolytope(8, 4),
+                          AscentConfig(T=2.0, steps=40))
         return y, (traj.last.values[0],), traj
     f, k = (random_graph_cut(7, seed=7), 2) if solver == "symmetric" else (random_coverage(7, seed=3), 3)
     T = SYMMETRIC_T if solver == "symmetric" else 1.0
-    y, traj = run_dmcg(f, k, AscentConfig(T=T, steps=40, estimator=est), solver)
+    y, traj = run_dmcg(MultilinearEvaluator(f, est), k, AscentConfig(T=T, steps=40), solver)
     last = traj.steps[-1]
     return y, (last.values[0], last.values[1]), traj
 
@@ -104,7 +104,7 @@ def test_a_step_of_width_1_stays_in_the_cube():
     assert schedule(4, 1.0, 1) == (1.0, 1, 1.0, False)
     assert schedule(4, 400.0, None) == (400.0, 400, 1.0, False)
     assert schedule(0, 5.0, None) == (5.0, 1, 5.0, True)  # no element, so no update can leave the cube
-    y, traj = run_dmcg(random_graph_cut(4, seed=2), 1, AscentConfig(T=2.0, steps=2), "general")
+    y, traj = run_dmcg(MultilinearEvaluator(random_graph_cut(4, seed=2)), 1, AscentConfig(T=2.0, steps=2), "general")
     assert all(0.0 <= side.min() and side.max() <= 1.0 for step in traj.steps for side in step.ys)
 
 

@@ -788,15 +788,15 @@ def test_report_names_the_estimator_backend(triangle_file, tmp_path, monkeypatch
             assert report["oracle_calls"] <= 2 * 2 ** report["instance"]["n"]
         else:
             # 2 sides x (1 + 50 steps) gradients (at the start and after each
-            # update) plus 1 after the one reset the cleanup makes, and
-            # pipage rounding's 4 values, each looked up in its evaluator's
-            # memo; each evaluator asks once for each set it looks up, 14 in
-            # all.  Outside them, the brute-force check asks for the 3 sets of
+            # update) plus 1 after the one reset the cleanup makes, then
+            # pipage rounding's 4 values, all looked up in the run's one
+            # evaluator, whose memo asks once for each set it looks up: all 8
+            # sets of the triangle.  Outside it, the brute-force check asks for the 3 sets of
             # size 1 and the report for the achieved set; the fractional
             # value is exact
-            ascent, rounding = lookups.values()
-            assert [len(ascent), len(rounding)] == [2 * (1 + 50) + 1, 4]
-            assert report["oracle_calls"] == distinct_lookups(lookups) + 3 + 1 == 18
+            (asked,) = lookups.values()
+            assert len(asked) == 2 * (1 + 50) + 1 + 4
+            assert report["oracle_calls"] == distinct_lookups(lookups) + 3 + 1 == 12
 
 
 @pytest.mark.parametrize("algorithm", ["mcg", "dmcg-symmetric", "dmcg-general"])

@@ -1,18 +1,20 @@
 """Differential tests of the closed-form multilinear backend.
 
 The closed form of every family and wrapper must match the 2^n table fold
-within 1e-12 (value and gradient), and the seeded sampled estimator within
-4 sigma at a size the table cannot reach.
+(``lemmas.table_fold``) within 1e-12 (value and gradient), and the seeded
+sampled estimator within 4 sigma at a size the table cannot reach.
 """
 
 import numpy as np
 import pytest
 
 from conftest import complement_function, modular_function, random_coverage, random_offset_cut, sum_functions
+from lemmas import table_fold
 from submax.fixtures import random_graph_cut, random_hypergraph_cut
-from submax.multilinear import Estimator, MultilinearEvaluator, backend
+from submax.multilinear import Estimator, MultilinearEvaluator
 from submax.rng import substream
 from submax.setfn import (
+    TABLE_LIMIT,
     SetFunction,
     coverage_function,
     hardness_instance,
@@ -23,9 +25,16 @@ from submax.setfn import (
 TOL = 1e-12
 
 
-def _table_reference(f: SetFunction) -> SetFunction:
-    """The same oracle with no multilinear hook, so exact F folds the table."""
+def _hookless(f: SetFunction) -> SetFunction:
+    """The same oracle with no multilinear hook."""
     return SetFunction(f.n, f.eval_many, symmetric=f.symmetric)
+
+
+def _table_reference(f: SetFunction) -> SetFunction:
+    """The same oracle whose exact F folds its value table."""
+    ref = _hookless(f)
+    ref.multilinear = table_fold(ref)
+    return ref
 
 
 def _all_arities(n: int, seed: int) -> SetFunction:
@@ -114,7 +123,7 @@ def test_closed_form_matches_table_fold(name):
     assert f.n <= 12 and f.multilinear is not None
     closed = MultilinearEvaluator(f)
     table = MultilinearEvaluator(_table_reference(f))
-    assert (closed.backend, table.backend) == ("closed_form", "table")
+    assert closed.backend == table.backend == "closed_form"
     for x in _points(f.n, seed=len(name)):
         value, grad, sigma = closed.value_and_partials(x)
         ref_value, ref_grad, _ = table.value_and_partials(x)
@@ -134,25 +143,33 @@ def test_closed_form_queries_no_oracle():
 
 def test_backend_choice():
     cut = random_graph_cut(6, seed=0)
-    no_hook = _table_reference(cut)
-    assert backend(cut, Estimator()) == "closed_form"
-    assert backend(no_hook, Estimator()) == "table"
-    assert backend(cut, Estimator(samples=1)) == "sampled"
+    no_hook = _hookless(cut)
+    assert MultilinearEvaluator(cut).backend == "closed_form"
+    assert MultilinearEvaluator(cut, Estimator(samples=1)).backend == "sampled"
+    assert MultilinearEvaluator(no_hook, Estimator(samples=1)).backend == "sampled"
     # a sum keeps the closed form only when every summand has one
     assert sum_functions([cut, no_hook]).multilinear is None
 
 
+@pytest.mark.parametrize("n", [3, 20])
+def test_hookless_exact_evaluator_names_both_remedies(n):
+    f = _hookless(random_graph_cut(n, seed=n))
+    with pytest.raises(ValueError, match="multilinear hook.*Estimator\\(samples="):
+        MultilinearEvaluator(f)
+    assert f.query_count == 0
+
+
 def test_table_limit_binds_only_the_table():
     f = random_graph_cut(20, seed=9)
-    ev = MultilinearEvaluator(f)  # closed form: no table, so n > 16 is fine
+    ev = MultilinearEvaluator(f)  # closed form: no table, so F and its gradient need no 2^n sets
     value, grad, _ = ev.value_and_partials(np.full(20, 0.5))
     # F(1/2) = half the total weight, and the singleton cuts count each edge twice
     assert value == pytest.approx(0.25 * sum(f.eval([u]) for u in range(20)), abs=1e-12)
     assert np.allclose(grad, 0.0)
+    with pytest.raises(ValueError, match=f"n must be <= {TABLE_LIMIT}"):
+        MultilinearEvaluator(random_graph_cut(TABLE_LIMIT + 1, seed=9)).table()
     with pytest.raises(ValueError):
-        ev.table()
-    with pytest.raises(ValueError):
-        MultilinearEvaluator(_table_reference(f))
+        MultilinearEvaluator(_hookless(f))
 
 
 @pytest.mark.parametrize(

@@ -132,7 +132,7 @@ def test_solve_direction_mixes_the_vertices_left_and_right_of_an_all_way_tie():
 
 def test_symmetric_single_edge_guarantee():
     f = single_edge_cut()
-    y, traj = run_dmcg(f, 1, AscentConfig(steps=2000), "symmetric")
+    y, traj = run_dmcg(MultilinearEvaluator(f), 1, AscentConfig(steps=2000), "symmetric")
     assert abs(y.sum() - 1.0) <= 1e-9
     value = MultilinearEvaluator(f).value(y)
     assert value >= 0.5 * (1 - 0.5**4) - 0.01  # OPT = 1, k/n = 1/2 curve
@@ -140,7 +140,7 @@ def test_symmetric_single_edge_guarantee():
 
 def test_general_hardness_guarantee():
     f = hardness_instance(1, 2)
-    y, traj = run_dmcg(f, 2, AscentConfig(steps=2000), "general")
+    y, traj = run_dmcg(MultilinearEvaluator(f), 2, AscentConfig(steps=2000), "general")
     assert abs(y.sum() - 2.0) <= 1e-9
     value = MultilinearEvaluator(f).value(y)
     assert value >= math.exp(-1) - 0.01  # OPT = 1
@@ -148,7 +148,7 @@ def test_general_hardness_guarantee():
 
 def test_general_full_cardinality_returns_everything():
     f = random_coverage(4, seed=3)
-    y, _ = run_dmcg(f, 4, AscentConfig(steps=500), "general")
+    y, _ = run_dmcg(MultilinearEvaluator(f), 4, AscentConfig(steps=500), "general")
     assert np.allclose(y, 1.0)
     assert MultilinearEvaluator(f).value(y) == pytest.approx(f.eval([0, 1, 2, 3]))
 
@@ -161,10 +161,10 @@ def test_symmetric_variant_complements_the_run_for_n_minus_k(seed, sampled):
     rng = substream(seed, 0x2ED)
     n = int(rng.integers(3, 13))
     k = int(rng.integers(n // 2 + 1, n))
-    cfg = AscentConfig(steps=int(rng.integers(1, 60)), estimator=Estimator(32 if sampled else None, seed))
+    cfg, est = AscentConfig(steps=int(rng.integers(1, 60))), Estimator(32 if sampled else None, seed)
     f = random_graph_cut(n, seed, edge_prob=0.4)
-    y, traj = run_dmcg(f, k, cfg)
-    y_low, traj_low = run_dmcg(f, n - k, cfg)
+    y, traj = run_dmcg(MultilinearEvaluator(f, est), k, cfg)
+    y_low, traj_low = run_dmcg(MultilinearEvaluator(f, est), n - k, cfg)
     assert (1.0 - y_low).tobytes() == y.tobytes()
     assert (traj.T, len(traj.steps)) == (traj_low.T, len(traj_low.steps))
     assert all(a.ys[0].tobytes() == b.ys[0].tobytes() for a, b in zip(traj.steps, traj_low.steps))
@@ -174,30 +174,30 @@ def test_symmetric_variant_complements_the_run_for_n_minus_k(seed, sampled):
 @pytest.mark.parametrize("n", [2, 3, 7])
 def test_symmetric_variant_at_k_equal_n_takes_everything_in_no_step(n):
     f = random_graph_cut(n, seed=n)
-    y, traj = run_dmcg(f, n, AscentConfig(steps=40))
+    y, traj = run_dmcg(MultilinearEvaluator(f), n, AscentConfig(steps=40))
     assert y.tolist() == [1.0] * n
     assert traj.steps == [] and traj.T == 0.0 and traj.theoretical_regime
     assert check_y_properties(traj, 0).passed
     with pytest.raises(ValueError):  # the schedule is checked all the same
-        run_dmcg(f, n, AscentConfig(T=3.0, steps=2))
+        run_dmcg(MultilinearEvaluator(f), n, AscentConfig(T=3.0, steps=2))
 
 
 @pytest.mark.parametrize("variant", ["symmetric", "general"])
 @pytest.mark.parametrize("k", [0, 5, -1])
 def test_run_rejects_k_outside_1_to_n(variant, k):
     with pytest.raises(ValueError, match="1 <= k <= n"):
-        run_dmcg(random_graph_cut(4, seed=0), k, AscentConfig(steps=10), variant)
+        run_dmcg(MultilinearEvaluator(random_graph_cut(4, seed=0)), k, AscentConfig(steps=10), variant)
 
 
 def test_symmetric_variant_requires_symmetric_objective():
     f = random_coverage(4, seed=4)
     with pytest.raises(ValueError):
-        run_dmcg(f, 2, AscentConfig(steps=10), "symmetric")
+        run_dmcg(MultilinearEvaluator(f), 2, AscentConfig(steps=10), "symmetric")
 
 
 def test_run_rejects_unknown_variant():
     with pytest.raises(ValueError, match="variant"):
-        run_dmcg(random_graph_cut(4, seed=4), 2, AscentConfig(steps=10), "asymmetric")
+        run_dmcg(MultilinearEvaluator(random_graph_cut(4, seed=4)), 2, AscentConfig(steps=10), "asymmetric")
 
 
 @pytest.mark.parametrize("variant", ["symmetric", "general"])
@@ -205,7 +205,7 @@ def test_run_rejects_unknown_variant():
 def test_run_rejects_empty_schedule(variant, steps, T):
     f = random_graph_cut(4, seed=4)
     with pytest.raises(ValueError):
-        run_dmcg(f, 2, AscentConfig(T=T, steps=steps), variant)
+        run_dmcg(MultilinearEvaluator(f), 2, AscentConfig(T=T, steps=steps), variant)
 
 
 @pytest.mark.parametrize("variant", ["symmetric", "general"])
@@ -218,14 +218,14 @@ def test_coarse_steps_bracket_k(variant, seed):
     n = int(rng.integers(4, 41))
     k = int(rng.integers(1, n // 2 + 1))
     steps = int(rng.integers(1, 31))
-    y, traj = run_dmcg(random_graph_cut(n, seed, edge_prob=0.3), k, AscentConfig(steps=steps), variant)
+    y, traj = run_dmcg(MultilinearEvaluator(random_graph_cut(n, seed, edge_prob=0.3)), k, AscentConfig(steps=steps), variant)
     assert check_y_properties(traj, k).passed, check_y_properties(traj, k).details
     assert y.sum() == pytest.approx(k, abs=1e-9)
 
 
 @pytest.mark.parametrize("n, k, steps", [(40, 10, 4), (300, 75, 50)])
 def test_symmetric_variant_brackets_k_where_the_continuous_horizon_overshot(n, k, steps):
-    y, traj = run_dmcg(random_graph_cut(n, seed=0), k, AscentConfig(steps=steps))
+    y, traj = run_dmcg(MultilinearEvaluator(random_graph_cut(n, seed=0)), k, AscentConfig(steps=steps))
     assert check_y_properties(traj, k).passed and y.sum() == pytest.approx(k, abs=1e-9)
 
 
@@ -233,13 +233,13 @@ def test_y_properties_hold_per_step():
     for seed in range(4):
         f = random_graph_cut(7, seed=seed)
         k = 1 + seed % 3
-        _, traj = run_dmcg(f, k, AscentConfig(steps=800), "symmetric")
+        _, traj = run_dmcg(MultilinearEvaluator(f), k, AscentConfig(steps=800), "symmetric")
         assert check_y_properties(traj, k).passed, check_y_properties(traj, k).details
 
 
 def test_y_properties_flag_swapped_sides():
     f = random_graph_cut(6, seed=3)
-    _, traj = run_dmcg(f, 2, AscentConfig(steps=50), "symmetric")
+    _, traj = run_dmcg(MultilinearEvaluator(f), 2, AscentConfig(steps=50), "symmetric")
     assert check_y_properties(traj, 2).passed
     step = traj.steps[4]
     traj.steps[4] = replace(step, ys=step.ys[::-1])
@@ -250,7 +250,7 @@ def test_y_properties_flag_swapped_sides():
 
 def test_max_y_flags_a_coordinate_past_the_growth_cap():
     f = random_offset_cut(6, seed=5)
-    _, traj = run_dmcg(f, 3, AscentConfig(steps=50), "general")
+    _, traj = run_dmcg(MultilinearEvaluator(f), 3, AscentConfig(steps=50), "general")
     assert check_max_y(traj).passed
     traj.steps[0].ys[0][1] = 0.5  # the cap after one step is delta = 1/50
     rep = check_max_y(traj)
@@ -260,7 +260,7 @@ def test_max_y_flags_a_coordinate_past_the_growth_cap():
 
 def test_max_y_cap_general_variant():
     f = random_offset_cut(6, seed=5)
-    _, traj = run_dmcg(f, 3, AscentConfig(steps=600), "general")
+    _, traj = run_dmcg(MultilinearEvaluator(f), 3, AscentConfig(steps=600), "general")
     rep = check_max_y(traj)
     assert rep.passed, rep.details
 
@@ -271,7 +271,7 @@ def test_step_bound_symmetric_variant():
     f = random_graph_cut(6, seed=6)
     k = 2
     cfg = AscentConfig(steps=400)
-    _, traj = run_dmcg(f, k, cfg, "symmetric")
+    _, traj = run_dmcg(MultilinearEvaluator(f), k, cfg, "symmetric")
     _, opt = brute_cardinality(f, k)
     budget = 6**3 * traj.delta**2 * opt + 1e-9
     prev1 = prev2 = None
@@ -297,7 +297,7 @@ def test_concave_segment_checks():
 def test_concave_segment_on_terminal_states():
     for seed in range(3):
         f = random_graph_cut(6, seed=20 + seed)
-        _, traj = run_dmcg(f, 2, AscentConfig(steps=500), "symmetric")
+        _, traj = run_dmcg(MultilinearEvaluator(f), 2, AscentConfig(steps=500), "symmetric")
         last = traj.steps[-1]
         rep = check_concave_segment(f, last.ys[0], last.ys[1])
         assert rep.passed, rep.details
@@ -306,8 +306,8 @@ def test_concave_segment_on_terminal_states():
 def test_determinism():
     f = random_graph_cut(6, seed=8)
     cfg = AscentConfig(steps=120)
-    ya, ta = run_dmcg(f, 2, cfg, "symmetric")
-    yb, tb = run_dmcg(f, 2, cfg, "symmetric")
+    ya, ta = run_dmcg(MultilinearEvaluator(f), 2, cfg, "symmetric")
+    yb, tb = run_dmcg(MultilinearEvaluator(f), 2, cfg, "symmetric")
     assert np.array_equal(ya, yb)
     for a, b in zip(ta.steps, tb.steps):
         assert a.note.lam == b.note.lam and a.note.objective == b.note.objective
@@ -324,7 +324,7 @@ def test_sampled_general_variant_spends_one_gradient_per_side_and_step(monkeypat
     f = random_graph_cut(n, seed=1)
     lookups = record_lookups(monkeypatch)
     est = Estimator(samples=samples, seed=3)
-    run_dmcg(f, 2, AscentConfig(steps=steps, estimator=est), "general")
+    run_dmcg(MultilinearEvaluator(f, est), 2, AscentConfig(steps=steps), "general")
     (asked,) = lookups.values()
     grads = [masks for masks in asked if masks.ndim == 2]
     values = [masks for masks in asked if masks.ndim == 1]
@@ -337,7 +337,7 @@ def test_sampled_general_variant_spends_one_gradient_per_side_and_step(monkeypat
 
 def test_dual_trajectory_csv():
     f = single_edge_cut()
-    _, traj = run_dmcg(f, 1, AscentConfig(steps=4), "symmetric")
+    _, traj = run_dmcg(MultilinearEvaluator(f), 1, AscentConfig(steps=4), "symmetric")
     lines = trajectory_csv(traj).strip().split("\n")
     assert lines[0] == "t,mass0,mass1,F0,F1,zeroed,lam,objective"
     assert len(lines) == 6  # header + t=0 row + 4 steps

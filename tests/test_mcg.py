@@ -25,7 +25,7 @@ from submax.setfn import restrict_function
 
 def test_zero_budget_returns_origin():
     f = single_edge_cut()
-    y, traj = run_mcg(f, CardinalityPolytope(2, 0), AscentConfig(T=1.0, steps=50))
+    y, traj = run_mcg(MultilinearEvaluator(f), CardinalityPolytope(2, 0), AscentConfig(T=1.0, steps=50))
     assert np.allclose(y, 0.0)
     assert traj.last.values[0] == f.eval(0)
 
@@ -33,7 +33,7 @@ def test_zero_budget_returns_origin():
 def test_single_edge_guarantee():
     f = single_edge_cut()
     P = CardinalityPolytope(2, 1)
-    y, traj = run_mcg(f, P, AscentConfig(T=1.0, steps=2000))
+    y, traj = run_mcg(MultilinearEvaluator(f), P, AscentConfig(T=1.0, steps=2000))
     value = MultilinearEvaluator(f).value(y)
     assert value >= 0.432 * 1.0  # OPT = 1 by brute force
     assert P.membership(y)
@@ -42,7 +42,7 @@ def test_single_edge_guarantee():
 def test_triangle_at_horizon():
     f = triangle_cut()
     P = CardinalityPolytope(3, 1)
-    y, traj = run_mcg(f, P, AscentConfig(T=horizon(P), steps=5000))
+    y, traj = run_mcg(MultilinearEvaluator(f), P, AscentConfig(T=horizon(P), steps=5000))
     value = MultilinearEvaluator(f).value(y)
     _, opt = brute_polytope_integral(f, P)
     assert opt == 2.0
@@ -56,13 +56,13 @@ def test_feasibility_invariants_across_polytopes():
         CardinalityPolytope(6, 2),
         PartitionPolytope([[0, 1, 2], [3, 4, 5]], [1, 2]),
     ):
-        _, traj = run_mcg(f, P, AscentConfig(T=min(1.0, horizon(P)), steps=400))
+        _, traj = run_mcg(MultilinearEvaluator(f), P, AscentConfig(T=min(1.0, horizon(P)), steps=400))
         assert check_feasibility_invariants(traj, P).passed
 
 
 def test_feasibility_check_flags_a_point_outside_the_polytope():
     P = CardinalityPolytope(3, 1)
-    _, traj = run_mcg(triangle_cut(), P, AscentConfig(T=1.0, steps=20))
+    _, traj = run_mcg(MultilinearEvaluator(triangle_cut()), P, AscentConfig(T=1.0, steps=20))
     assert check_feasibility_invariants(traj, P).passed
     traj.steps[2].ys[0][:] = 1.0  # mass 3 under |S| <= 1, well inside the horizon
     rep = check_feasibility_invariants(traj, P)
@@ -85,7 +85,7 @@ def test_default_horizon_keeps_coarse_runs_inside_the_polytope(kind, seed):
     if not red.kept:
         return
     f = restrict_function(random_graph_cut(n, seed), list(red.kept))
-    y, traj = run_mcg(f, red.polytope, AscentConfig(steps=int(rng.integers(1, 17))))
+    y, traj = run_mcg(MultilinearEvaluator(f), red.polytope, AscentConfig(steps=int(rng.integers(1, 17))))
     assert red.polytope.membership(y)
     assert check_feasibility_invariants(traj, red.polytope).passed
 
@@ -95,7 +95,7 @@ def test_scaled_membership_holds_beyond_horizon():
     f = random_graph_cut(5, seed=3)
     P = CardinalityPolytope(5, 2)
     T = horizon(P) * 1.5
-    _, traj = run_mcg(f, P, AscentConfig(T=T, steps=500))
+    _, traj = run_mcg(MultilinearEvaluator(f), P, AscentConfig(T=T, steps=500))
     for step in traj.steps:
         assert P.membership(step.ys[0] / step.t_end)
 
@@ -103,7 +103,7 @@ def test_scaled_membership_holds_beyond_horizon():
 def test_single_step_trajectory():
     f = single_edge_cut()
     P = CardinalityPolytope(2, 1)
-    y, traj = run_mcg(f, P, AscentConfig(T=1.0, steps=1))
+    y, traj = run_mcg(MultilinearEvaluator(f), P, AscentConfig(T=1.0, steps=1))
     assert len(traj.steps) == 1
     step = traj.steps[0]
     # one step of width delta = T: y = delta * I(0) unless cleanup zeroed it
@@ -117,7 +117,7 @@ def test_step_improvement_bound():
     f = random_graph_cut(7, seed=5)
     P = CardinalityPolytope(7, 3)
     cfg = AscentConfig(T=1.0, steps=300)
-    _, traj = run_mcg(f, P, cfg)
+    _, traj = run_mcg(MultilinearEvaluator(f), P, cfg)
     opt_mask, opt_val = brute_polytope_integral(f, P)
     ev = MultilinearEvaluator(f)
     opt_vec = indicator(opt_mask, 7)
@@ -135,7 +135,7 @@ def test_downward_box_property_along_trajectory():
     # cleanup keeps y dominant over its whole down-box at every recorded step
     f = random_graph_cut(6, seed=7)
     P = CardinalityPolytope(6, 3)
-    _, traj = run_mcg(f, P, AscentConfig(T=1.0, steps=300))
+    _, traj = run_mcg(MultilinearEvaluator(f), P, AscentConfig(T=1.0, steps=300))
     ev = MultilinearEvaluator(f)
     for step in traj.steps[::10]:
         assert box_vertex_max(f, step.ys[0]) <= step.values[0] + 1e-9
@@ -144,7 +144,7 @@ def test_downward_box_property_along_trajectory():
 def test_coordinates_stay_in_cube():
     f = random_graph_cut(6, seed=11)
     P = CardinalityPolytope(6, 3)
-    _, traj = run_mcg(f, P, AscentConfig(T=2.0, steps=400))
+    _, traj = run_mcg(MultilinearEvaluator(f), P, AscentConfig(T=2.0, steps=400))
     for step in traj.steps:
         assert step.ys[0].min() >= 0.0 and step.ys[0].max() <= 1.0
 
@@ -153,9 +153,9 @@ def test_determinism_exact_and_sampled():
     f = random_graph_cut(5, seed=13)
     P = CardinalityPolytope(5, 2)
     for est in (Estimator(), Estimator(samples=300, seed=42)):
-        cfg = AscentConfig(T=1.0, steps=60, estimator=est)
-        y1, t1 = run_mcg(f, P, cfg)
-        y2, t2 = run_mcg(f, P, cfg)
+        cfg = AscentConfig(T=1.0, steps=60)
+        y1, t1 = run_mcg(MultilinearEvaluator(f, est), P, cfg)
+        y2, t2 = run_mcg(MultilinearEvaluator(f, est), P, cfg)
         assert np.array_equal(y1, y2)
         for a, b in zip(t1.steps, t2.steps):
             assert np.array_equal(a.ys[0], b.ys[0])
@@ -171,8 +171,8 @@ def test_sampled_cleanup_run_spends_one_gradient_per_step_and_reset(monkeypatch)
     n, steps, samples = 8, 40, 64
     f = random_graph_cut(n, seed=5)
     lookups = record_lookups(monkeypatch)
-    cfg = AscentConfig(T=2.0, steps=steps, estimator=Estimator(samples=samples, seed=5))
-    _, traj = run_mcg(f, CardinalityPolytope(n, 4), cfg)
+    ev = MultilinearEvaluator(f, Estimator(samples=samples, seed=5))
+    _, traj = run_mcg(ev, CardinalityPolytope(n, 4), AscentConfig(T=2.0, steps=steps))
     resets = sum(s.zeroed for s in traj.steps)
     assert resets == 4
     (grads,) = lookups.values()
@@ -184,15 +184,15 @@ def test_sampled_cleanup_run_spends_one_gradient_per_step_and_reset(monkeypatch)
 def test_nonsymmetric_objective_warns():
     f = random_coverage(4, seed=1)
     with pytest.warns(UserWarning):
-        run_mcg(f, CardinalityPolytope(4, 2), AscentConfig(T=1.0, steps=20))
+        run_mcg(MultilinearEvaluator(f), CardinalityPolytope(4, 2), AscentConfig(T=1.0, steps=20))
 
 
 def test_theoretical_regime_flag():
     f = single_edge_cut()
     P = CardinalityPolytope(2, 1)
-    _, coarse = run_mcg(f, P, AscentConfig(T=1.0, steps=8))
+    _, coarse = run_mcg(MultilinearEvaluator(f), P, AscentConfig(T=1.0, steps=8))
     assert not coarse.theoretical_regime  # delta = 1/8 > n^-5 = 1/32
-    _, fine = run_mcg(f, P, AscentConfig(T=1.0, steps=64))
+    _, fine = run_mcg(MultilinearEvaluator(f), P, AscentConfig(T=1.0, steps=64))
     assert fine.theoretical_regime  # delta = 1/64 <= 1/32
 
 
@@ -206,14 +206,14 @@ def test_reduction_pipeline_with_knapsack():
     red = preprocess_reduction1(P)
     assert red.kept == (0, 1)
     g = restrict_function(f, list(red.kept))
-    y, traj = run_mcg(g, red.polytope, AscentConfig(T=1.0, steps=400))
+    y, traj = run_mcg(MultilinearEvaluator(g), red.polytope, AscentConfig(T=1.0, steps=400))
     assert MultilinearEvaluator(g).value(y) >= 0.432
 
 
 def test_trajectory_timestamps_strictly_increase_to_T():
     f = random_graph_cut(5, seed=17)
     T = 1.3
-    _, traj = run_mcg(f, CardinalityPolytope(5, 2), AscentConfig(T=T, steps=130))
+    _, traj = run_mcg(MultilinearEvaluator(f), CardinalityPolytope(5, 2), AscentConfig(T=T, steps=130))
     times = [0.0] + [s.t_end for s in traj.steps]
     assert all(b > a for a, b in zip(times, times[1:]))
     assert times[-1] == pytest.approx(T, abs=1e-12)
@@ -221,7 +221,7 @@ def test_trajectory_timestamps_strictly_increase_to_T():
 
 def test_trajectory_csv_format():
     f = single_edge_cut()
-    _, traj = run_mcg(f, CardinalityPolytope(2, 1), AscentConfig(T=1.0, steps=5))
+    _, traj = run_mcg(MultilinearEvaluator(f), CardinalityPolytope(2, 1), AscentConfig(T=1.0, steps=5))
     text = trajectory_csv(traj)
     lines = text.strip().split("\n")
     assert lines[0] == "t,mass0,F0,zeroed"

@@ -258,7 +258,7 @@ def test_a_sampled_ascent_asks_for_no_set_twice():
     # run, both sides and every reset, the oracle sees each set once
     f = random_graph_cut(8, seed=5)
     batches = record_batches(f)
-    run_dmcg(f, 2, AscentConfig(steps=40, estimator=Estimator(samples=64, seed=5)), "symmetric")
+    run_dmcg(MultilinearEvaluator(f, Estimator(samples=64, seed=5)), 2, AscentConfig(steps=40), "symmetric")
     asked = np.concatenate([masks.ravel() for masks in batches])
     assert np.unique(asked).size == asked.size == f.query_count
 

@@ -120,7 +120,10 @@ PARAMETERS = {
     restrict_function: ["f", "kept"],
     run_two_sided: ["f"],
     MultilinearEvaluator: ["f", "est"],
-    pipage.pipage_round: ["f", "x", "P", "est"],
+    pipage.pipage_round: ["ev", "x", "P"],
+    mcg.ascend: ["ev", "cfg", "starts", "choose", "cleanup", "P"],
+    mcg.run_mcg: ["ev", "P", "cfg"],
+    dmcg.run_dmcg: ["ev", "k", "cfg", "variant"],
     mcg.check_feasibility_invariants: ["traj", "P"],
     dmcg.check_y_properties: ["traj", "k"],
     dmcg.check_max_y: ["traj"],
@@ -132,6 +135,8 @@ PARAMETERS = {
 def test_library_takes_only_the_options_its_callers_set():
     # F is exact when samples is None: no second field says so
     assert [field.name for field in dataclasses.fields(Estimator)] == ["samples", "seed"]
+    # the estimator is the evaluator's, which the caller builds once per run
+    assert [field.name for field in dataclasses.fields(mcg.AscentConfig)] == ["T", "steps"]
     for fn, names in PARAMETERS.items():
         assert list(inspect.signature(fn).parameters) == names, fn.__name__
 

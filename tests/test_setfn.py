@@ -838,7 +838,7 @@ def test_a_wide_restriction_is_flagged_symmetric_when_it_is():
     assert g.symmetric and g.n == 30
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        run_mcg(g, CardinalityPolytope(30, 5), AscentConfig(steps=20))
+        run_mcg(MultilinearEvaluator(g), CardinalityPolytope(30, 5), AscentConfig(steps=20))
     # dropping vertex 29 splits its positive edges: the restriction pays on
     # the kept set, and not on the empty one
     split = restrict_function(f, [u for u in kept if u != 29])

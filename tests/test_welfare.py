@@ -84,8 +84,8 @@ def test_tight_instance_meets_the_ratio_exactly(k):
     # so its expected total is k F((1/k) 1); on this instance OPT = k and the
     # guarantee holds with equality
     inst = tight_instance(k)
-    ev = MultilinearEvaluator(inst.utility)
-    assert ev.backend == "table"
+    ev = MultilinearEvaluator(inst.utility)  # the table fold of tests/lemmas.py
+    assert ev.backend == "closed_form"
     assert k * ev.value(np.full(k, 1.0 / k)) == pytest.approx(k * welfare_ratio(k), rel=1e-12, abs=0.0)
 
 
