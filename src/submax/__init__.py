@@ -8,7 +8,7 @@ oracles that make every guarantee checkable at desk scale.
 """
 
 from .dmcg import run_dmcg, solve_direction
-from .mcg import AscentConfig, Trajectory, check_feasibility_invariants, run_mcg, trajectory_csv
+from .mcg import AscentConfig, Trajectory, check_feasibility_invariants, run_mcg
 from .reports import CheckReport
 from .multilinear import Estimator, MultilinearEvaluator
 from .oracle import brute_cardinality, brute_polytope_integral, brute_unconstrained
@@ -27,7 +27,7 @@ from .setfn import (
     hardness_instance,
     restrict_function,
 )
-from .twosided import check_loss_gain, run_two_sided, trace_csv
+from .twosided import check_loss_gain, run_two_sided
 from .welfare import (
     Allocation,
     WelfareInstance,

@@ -306,7 +306,7 @@ def _check(args, f, P, welfare_inst) -> _Job:
         oracles = (f,) if f_run is f else (f, f_run)
         cfg = AscentConfig(args.T, args.steps)
         _check_schedule(cfg, f_run.n, red.polytope)
-        solve = partial(_solve_mcg, f, P, red, f_run, cfg, Estimator(samples, seed))
+        solve = partial(_solve_mcg, f, red, f_run, cfg, Estimator(samples, seed))
     else:
         if algorithm == "dmcg-symmetric" and not f.symmetric:
             raise FlagError("dmcg-symmetric requires a symmetric instance")
@@ -356,42 +356,36 @@ def _solve_brute(search: Callable[..., tuple[int, float]], *args) -> Solved:
     return fields, opt, lambda: {"oracle_opt": opt}
 
 
-def _solve_mcg(f, P, red, f_run, cfg: AscentConfig, est: Estimator) -> Solved:
+def _solve_mcg(f, red, f_run, cfg: AscentConfig, est: Estimator) -> Solved:
     """MCG on the Reduction 1 problem, with one evaluator of f_run for the
     ascent and the rounding; the point and the rounded set (on a polytope
     with parts) are embedded back into f's ground set.  T, steps and the
-    regime are the trajectory's; with no element kept, no ascent runs and
-    they are the schedule of an empty ground set."""
+    regime are the trajectory's.  With no element kept, both run on the
+    empty ground set."""
     ev = MultilinearEvaluator(f_run, est)
     fields = {"reduction1_warning": red.warning} if red.warning else {}
     kept = np.array(red.kept, dtype=np.int64)
+    y_run, traj = run_mcg(ev, red.polytope, cfg)
     y = np.zeros(f.n)
-    if kept.size == 0:
-        T, steps, _, regime = mcg.schedule(0, cfg.T, cfg.steps)
-        frac = achieved = f.eval(0)
-    else:
-        y_run, traj = run_mcg(ev, red.polytope, cfg)
-        T, steps, regime = traj.T, len(traj.steps), traj.theoretical_regime
-        y[kept] = y_run
-        # an exact evaluator of its own: a sampled ev would only estimate F(y)
-        frac = achieved = MultilinearEvaluator(f_run).value(y_run)
-        if red.polytope.parts is not None:
-            local = pipage_round(ev, y_run, red.polytope)
-            mask = as_mask(kept[indices(local)], f.n)
-            achieved = f.eval(mask)
-            fields["achieved_set"] = indices(mask)
+    y[kept] = y_run
+    # an exact evaluator of its own: a sampled ev would only estimate F(y)
+    frac = achieved = MultilinearEvaluator(f_run).value(y_run)
+    if red.polytope.parts is not None:
+        local = pipage_round(ev, y_run, red.polytope)
+        mask = as_mask(kept[indices(local)], f.n)
+        achieved = f.eval(mask)
+        fields["achieved_set"] = indices(mask)
     fields.update(
         {
-            "config": {"T": T, "steps": steps, "estimator": ev.backend},
+            "config": {"T": traj.T, "steps": len(traj.steps), "estimator": ev.backend},
             "fractional_value": frac,
             "fractional_point": y.tolist(),
-            "theoretical_ratio": 0.5 * (1.0 - math.exp(-2.0 * T)),
-            "theoretical_regime": regime,
+            "theoretical_ratio": 0.5 * (1.0 - math.exp(-2.0 * traj.T)),
+            "theoretical_regime": traj.theoretical_regime,
             "achieved_value": achieved,
         }
     )
-    f_opt, P_opt = (f_run, red.polytope) if kept.size else (f, P)
-    return fields, frac, lambda: {"oracle_opt": brute_polytope_integral(f_opt, P_opt)[1]}
+    return fields, frac, lambda: {"oracle_opt": brute_polytope_integral(f_run, red.polytope)[1]}
 
 
 def _solve_dmcg(f, k: int, cfg: AscentConfig, est: Estimator, variant: str) -> Solved:

@@ -14,10 +14,9 @@ step moves from, so a side pays one gradient per step plus one per reset
 (see :func:`ascend` for the sampled streams).  Every ascent reads F through
 the ``MultilinearEvaluator`` its caller built, takes T and steps from one
 :class:`AscentConfig`, and records one :class:`Trajectory` of
-:class:`AscentStep` (one point and one F per side), which
-:func:`trajectory_csv` writes.  :func:`run_mcg` is one side from 0
-along the best vertex of P, with cleanup; ``dmcg.run_dmcg`` is the coupled
-pair.
+:class:`AscentStep` (one point and one F per side).  :func:`run_mcg` is
+one side from 0 along the best vertex of P, with cleanup; ``dmcg.run_dmcg``
+is the coupled pair.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -194,17 +193,3 @@ def check_feasibility_invariants(traj: Trajectory, P: Polytope) -> CheckReport:
         details={"horizon": horizon(P, len(traj.steps)), "T": traj.T, **bad},
     )
 
-
-def trajectory_csv(traj: Trajectory) -> str:
-    """One row per recorded point, the start first: t, each side's mass and
-    F, how many coordinates the cleanup reset, and the numeric fields of the
-    direction rule's note (empty at t = 0)."""
-    sides = range(len(traj.start.ys))
-    notes = [f.name for f in fields(traj.last.note)] if is_dataclass(traj.last.note) else []
-    rows = [",".join(["t", *(f"mass{j}" for j in sides), *(f"F{j}" for j in sides), "zeroed", *notes])]
-    for s in (traj.start, *traj.steps):
-        cells = [repr(float(v)) for v in (s.t_end, *(y.sum() for y in s.ys), *s.values)]
-        cells.append(str(s.zeroed))
-        cells += ["" if s.note is None else repr(float(getattr(s.note, name))) for name in notes]
-        rows.append(",".join(cells))
-    return "\n".join(rows) + "\n"

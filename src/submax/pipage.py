@@ -5,7 +5,8 @@ set without losing multilinear value.
 Along the direction 1_u - 1_v the multilinear extension is a quadratic whose
 curvature is -2 d2F/du dv >= 0 by submodularity, so one of the two endpoint
 moves cannot decrease F.  The curvature is not assumed here: when F is
-exact every move audits it from three evaluations and fails loudly on
+exact every move audits it from F at both endpoints and at the point it
+moves from, which the previous move carries, and fails loudly on
 non-submodular inputs.
 """
 
@@ -22,8 +23,21 @@ _FRAC_TOL = 1e-9
 _AUDIT_RTOL = 1e-9  # of the curvature audit, relative to the scale of F
 
 
-def _fractional(y: np.ndarray, part: list[int]) -> list[int]:
-    return [u for u in part if _FRAC_TOL < y[u] < 1.0 - _FRAC_TOL]
+def _is_fractional(t: float) -> bool:
+    return _FRAC_TOL < t < 1.0 - _FRAC_TOL
+
+
+def _push(y: np.ndarray, gain: int, lose: int) -> np.ndarray:
+    """y moved along 1_gain - 1_lose, keeping y_gain + y_lose, until gain
+    reaches 1 or lose reaches 0, whichever comes first (a new array)."""
+    out = y.copy()
+    if 1.0 - y[gain] <= y[lose]:
+        out[gain] = 1.0
+        out[lose] = y[lose] - (1.0 - y[gain])
+    else:
+        out[lose] = 0.0
+        out[gain] = y[gain] + y[lose]
+    return out
 
 
 def pipage_round(ev: MultilinearEvaluator, x: np.ndarray, P: Polytope) -> int:
@@ -31,74 +45,65 @@ def pipage_round(ev: MultilinearEvaluator, x: np.ndarray, P: Polytope) -> int:
     (F exact), reading F of f = ``ev.f`` through ``ev``, the evaluator of the
     run that found x; returns a bitmask.  A point outside P is a ValueError.
 
-    Repeatedly takes the two lowest-indexed fractional coordinates sharing a
-    part of ``P.parts`` and pushes their sum-preserving direction to the better
-    endpoint.  When a single fractional coordinate is left in a part (the
-    part's constraint is slack), it is rounded to the better feasible bound.
-    On the sampled backend endpoint comparisons share one threshold stream
-    per move (common random numbers), (``PIPAGE_STREAM``, move) of the
-    estimator's seed, and the curvature audit is skipped; ``ev``'s memo
-    answers the sets the run already asked for."""
+    Walks each part of ``P.parts`` once, in index order, carrying its one
+    fractional coordinate u: each next fractional v is paired with u, their
+    sum-preserving direction is pushed to the better endpoint (one of the two
+    becomes integral), and the one still fractional is carried on.  A
+    coordinate left over at the end of a part (the part's constraint is
+    slack) is rounded to the better feasible bound.  On the exact backend a
+    rounding with m pair moves asks F 2m + 1 times, plus once or twice per
+    leftover: F at the point a move starts from is the chosen endpoint's of
+    the move before.  On the sampled backend endpoint comparisons share one
+    threshold stream per move (common random numbers), (``PIPAGE_STREAM``,
+    move) of the estimator's seed, and the curvature audit is skipped;
+    ``ev``'s memo answers the sets the run already asked for."""
     if P.parts is None:
         raise ValueError(f"pipage rounding needs a polytope with parts (cardinality, partition), not {P.kind!r}")
     if not P.membership(x):
         raise ValueError("point is not inside the polytope")
     exact = ev.backend != "sampled"
     y = np.array(x, dtype=float)
+    f_y = None  # F(y), once the audit has asked for it
     move = 0
 
     for part in P.parts:
-        while True:
-            frac = _fractional(y, part)
-            if len(frac) < 2:
-                break
-            u, v = frac[0], frac[1]
-            up = y.copy()  # push u toward 1, v toward 0
-            if 1.0 - y[u] <= y[v]:
-                up[u] = 1.0
-                up[v] = y[v] - (1.0 - y[u])
-            else:
-                up[v] = 0.0
-                up[u] = y[u] + y[v]
-            down = y.copy()  # push u toward 0, v toward 1
-            if y[u] <= 1.0 - y[v]:
-                down[u] = 0.0
-                down[v] = y[v] + y[u]
-            else:
-                down[v] = 1.0
-                down[u] = y[u] - (1.0 - y[v])
+        u = None  # the one fractional coordinate of the part walked so far
+        for v in part:
+            if not _is_fractional(y[v]):
+                continue
+            if u is None:
+                u = v
+                continue
+            up, down = _push(y, u, v), _push(y, v, u)
             f_up = ev.value(up, stream=(PIPAGE_STREAM, move))
             f_down = ev.value(down, stream=(PIPAGE_STREAM, move))
             if exact:
                 # direction-convexity audit: F at the interior point must not
                 # exceed the chord between the two endpoints, up to rounding
                 # relative to the largest |F| of the three points
+                f_y = ev.value(y) if f_y is None else f_y
                 eps_up = up[u] - y[u]
                 eps_down = y[u] - down[u]
                 chord = (f_up * eps_down + f_down * eps_up) / (eps_up + eps_down)
-                f_y = ev.value(y)
                 if f_y > chord + _AUDIT_RTOL * max(abs(f_up), abs(f_down), abs(f_y)):
                     raise ArithmeticError(
                         f"direction ({u},{v}) is concave: the objective is not submodular"
                     )
-            y = up if f_up >= f_down else down
+            y, f_y = (up, f_up) if f_up >= f_down else (down, f_down)
+            u = u if _is_fractional(y[u]) else v if _is_fractional(y[v]) else None
             move += 1
-        frac = _fractional(y, part)
-        if frac:
-            (u,) = frac
-            up = y.copy()
-            up[u] = 1.0
-            down = y.copy()
-            down[u] = 0.0
+        if u is not None:
+            up, down = y.copy(), y.copy()
+            up[u], down[u] = 1.0, 0.0
             candidates = [down]  # rounding down is always feasible (down-monotone)
             if P.membership(up):
                 candidates.append(up)
             vals = [ev.value(c, stream=(PIPAGE_STREAM, move)) for c in candidates]
-            y = candidates[int(np.argmax(vals))]
+            best = int(np.argmax(vals))
+            y, f_y = candidates[best], vals[best]
             move += 1
 
-    off = np.minimum(y, 1.0 - y)
-    if off.max() > _FRAC_TOL:
+    if (np.minimum(y, 1.0 - y) > _FRAC_TOL).any():
         raise ArithmeticError("rounding left a fractional coordinate")
     chosen = y > 0.5
     if not P.membership(chosen):

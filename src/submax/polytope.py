@@ -34,7 +34,7 @@ class Polytope:
     def density(self) -> float:
         raise NotImplementedError
 
-    def membership(self, x, tol: float = SLACK) -> bool:
+    def membership(self, x) -> bool:
         raise NotImplementedError
 
     def linear_maximize(self, w) -> np.ndarray:
@@ -58,8 +58,8 @@ class Polytope:
         """Which int64 bitmasks S have 1_S in P, by one membership test each."""
         return np.array([self.membership(x) for x in bits_from_masks(masks, self.n).astype(float)], dtype=bool)
 
-    def _box_ok(self, x: np.ndarray, tol: float) -> bool:
-        return bool((x >= -tol).all() and (x <= 1.0 + tol).all())
+    def _box_ok(self, x: np.ndarray) -> bool:
+        return bool((x >= -SLACK).all() and (x <= 1.0 + SLACK).all())
 
 
 class PartitionPolytope(Polytope):
@@ -90,11 +90,11 @@ class PartitionPolytope(Polytope):
     def density(self) -> float:
         return min((b / len(part) for part, b in zip(self.parts, self.bounds)), default=0.0)
 
-    def membership(self, x, tol: float = SLACK) -> bool:
+    def membership(self, x) -> bool:
         xa = np.asarray(x, dtype=float)
-        if not self._box_ok(xa, tol):
+        if not self._box_ok(xa):
             return False
-        return all(float(xa[part].sum()) <= b + tol for part, b in zip(self.parts, self.bounds))
+        return all(float(xa[part].sum()) <= b + SLACK for part, b in zip(self.parts, self.bounds))
 
     def linear_maximize(self, w) -> np.ndarray:
         wa = np.asarray(w, dtype=float)
@@ -182,9 +182,9 @@ class KnapsackPolytope(Polytope):
     def density(self) -> float:
         return self.b / float(self.a.sum())
 
-    def membership(self, x, tol: float = SLACK) -> bool:
+    def membership(self, x) -> bool:
         xa = np.asarray(x, dtype=float)
-        return self._box_ok(xa, tol) and float(self.a @ xa) <= self.b + tol
+        return self._box_ok(xa) and float(self.a @ xa) <= self.b + SLACK
 
     def linear_maximize(self, w) -> np.ndarray:
         # fractional-knapsack optimum of the LP relaxation: zero-cost items

@@ -13,7 +13,6 @@ non-negative submodular objectives it is 1/3.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,11 +114,3 @@ def check_loss_gain(f: SetFunction, trace: GreedyTrace, opt) -> CheckReport:
         },
     )
 
-
-def trace_csv(trace: GreedyTrace) -> str:
-    """Columns: i, a_i, b_i, branch."""
-    buf = io.StringIO()
-    buf.write("i,a,b,branch\n")
-    for s in trace.steps:
-        buf.write(f"{s.i},{s.a!r},{s.b!r},{s.branch}\n")
-    return buf.getvalue()

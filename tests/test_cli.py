@@ -447,10 +447,14 @@ def test_a_step_of_width_1_runs(triangle_file, tmp_path):
     argv = ["--instance", triangle_file, "--algorithm", "mcg", "--k", "1", "--T", "1", "--steps", "1"]
     assert main([*argv, "--out", str(out)]) == 0
     assert _read_report(out)["report"]["config"] == {"T": 1.0, "steps": 1, "estimator": "closed_form"}
-    # when Reduction 1 keeps no element no step runs, and the report keeps the given T
+    # when Reduction 1 keeps no element, the ascent takes its one default
+    # step on the empty ground set (a step of width 5 leaves no cube there)
+    # and the rounding returns the empty set
     argv = ["--instance", triangle_file, "--algorithm", "mcg", "--k", "0", "--T", "5"]
     assert main([*argv, "--out", str(out)]) == 0
-    assert _read_report(out)["report"]["config"] == {"T": 5.0, "steps": 1, "estimator": "closed_form"}
+    report = _read_report(out)["report"]
+    assert report["config"] == {"T": 5.0, "steps": 1, "estimator": "closed_form"}
+    assert report["achieved_set"] == []
 
 
 FOUR_CYCLE = {"type": "graph_cut", "n": 4, "edges": [[0, 1, 1.0], [1, 2, 1.0], [2, 3, 1.0], [0, 3, 1.0]]}

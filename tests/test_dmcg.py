@@ -23,7 +23,7 @@ from submax.dmcg import (
     solve_direction,
 )
 from submax.fixtures import random_graph_cut
-from submax.mcg import AscentConfig, trajectory_csv
+from submax.mcg import AscentConfig
 from submax.multilinear import Estimator, MultilinearEvaluator
 from submax.oracle import brute_cardinality
 from submax.rng import substream
@@ -334,10 +334,3 @@ def test_sampled_general_variant_spends_one_gradient_per_side_and_step(monkeypat
     assert all(np.unique(masks[0]).size == 1 for masks in grads[:2])
     assert f.query_count == distinct_lookups(lookups) == 58
 
-
-def test_dual_trajectory_csv():
-    f = single_edge_cut()
-    _, traj = run_dmcg(MultilinearEvaluator(f), 1, AscentConfig(steps=4), "symmetric")
-    lines = trajectory_csv(traj).strip().split("\n")
-    assert lines[0] == "t,mass0,mass1,F0,F1,zeroed,lam,objective"
-    assert len(lines) == 6  # header + t=0 row + 4 steps

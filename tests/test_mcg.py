@@ -15,7 +15,7 @@ from conftest import (
 )
 from lemmas import box_vertex_max
 from submax.fixtures import random_graph_cut
-from submax.mcg import AscentConfig, check_feasibility_invariants, run_mcg, trajectory_csv
+from submax.mcg import AscentConfig, check_feasibility_invariants, run_mcg
 from submax.multilinear import Estimator, MultilinearEvaluator
 from submax.oracle import brute_polytope_integral
 from submax.polytope import CardinalityPolytope, KnapsackPolytope, PartitionPolytope, horizon, preprocess_reduction1
@@ -218,12 +218,3 @@ def test_trajectory_timestamps_strictly_increase_to_T():
     assert all(b > a for a, b in zip(times, times[1:]))
     assert times[-1] == pytest.approx(T, abs=1e-12)
 
-
-def test_trajectory_csv_format():
-    f = single_edge_cut()
-    _, traj = run_mcg(MultilinearEvaluator(f), CardinalityPolytope(2, 1), AscentConfig(T=1.0, steps=5))
-    text = trajectory_csv(traj)
-    lines = text.strip().split("\n")
-    assert lines[0] == "t,mass0,F0,zeroed"
-    assert len(lines) == 7  # header + t=0 row + 5 steps
-    assert lines[1].startswith("0.0,")

@@ -123,8 +123,8 @@ class BudgetPolytope(Polytope):
         self.budget = float(budget)
         self.n = self.costs.size
 
-    def membership(self, x, tol: float = 1e-9) -> bool:
-        return bool(np.asarray(x, dtype=float) @ self.costs <= self.budget + tol)
+    def membership(self, x) -> bool:
+        return bool(np.asarray(x, dtype=float) @ self.costs <= self.budget + 1e-9)
 
 
 def integer_cut(n, seed):

@@ -35,9 +35,9 @@ RUN_TIME_INVARIANTS = {
     "check_max_y",
     "check_loss_gain",
 }
-# public names no run calls yet: the run-time invariants, the per-step
-# trace writers and the check serializer, kept for the run to report and write
-AWAITING_A_CALLER = RUN_TIME_INVARIANTS | {"trajectory_csv", "trace_csv", "CheckReport.to_json"}
+# public names no run calls yet: the run-time invariants and the check
+# serializer, kept for the run to report
+AWAITING_A_CALLER = RUN_TIME_INVARIANTS | {"CheckReport.to_json"}
 TEST_ONLY = {"box_vertex_values", "box_vertex_max", "sample_set", "cut_eval", "random_assign",
              "audit_submodularity", "audit_nonnegativity", "audit_symmetry", "restrict_by_embedding",
              "tight_instance"}
@@ -127,6 +127,10 @@ PARAMETERS = {
     mcg.check_feasibility_invariants: ["traj", "P"],
     dmcg.check_y_properties: ["traj", "k"],
     dmcg.check_max_y: ["traj"],
+    # every feasibility test uses polytope.SLACK
+    polytope.Polytope.membership: ["self", "x"],
+    polytope.PartitionPolytope.membership: ["self", "x"],
+    polytope.KnapsackPolytope.membership: ["self", "x"],
     fixtures.random_graph_cut: ["n", "seed", "edge_prob"],
     fixtures.random_hypergraph_cut: ["n", "seed"],
 }

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,8 @@ from submax.mcg import AscentConfig, run_mcg
 from submax.multilinear import Estimator, MultilinearEvaluator
 from submax.pipage import pipage_round
 from submax.polytope import CardinalityPolytope, KnapsackPolytope, PartitionPolytope
-from submax.rng import substream
-from submax.setfn import SetFunction
+from submax.rng import PIPAGE_STREAM, substream
+from submax.setfn import SetFunction, graph_cut_function, restrict_function
 from submax.subsets import popcount_array
 
 
@@ -158,3 +160,86 @@ def test_rounding_on_the_runs_evaluator_matches_a_fresh_one(solver):
     fresh_calls, before = f.query_count - before, f.query_count
     assert pipage_round(ev, y, P) == fresh
     assert f.query_count - before < fresh_calls  # the run's memo answered some of the rounding's sets
+
+
+@pytest.mark.parametrize("est", [None, Estimator(samples=8, seed=0)], ids=["exact", "sampled"])
+def test_an_empty_ground_set_rounds_to_the_empty_set(est):
+    # what Reduction 1 leaves when it keeps no element
+    f = restrict_function(triangle_cut(), [])
+    assert pipage_round(MultilinearEvaluator(f, est), np.zeros(0), CardinalityPolytope(0, 0)) == 0
+
+
+def _recording(ev: MultilinearEvaluator) -> list:
+    """Record (stream, point) of every ``ev.value`` call in the returned list."""
+    calls = []
+    ask = ev.value
+
+    def value(x, stream=()):
+        calls.append((stream, np.array(x, dtype=float)))
+        return ask(x, stream)
+
+    ev.value = value
+    return calls
+
+
+@pytest.mark.parametrize(
+    "f, x, P, moves, leftover_calls",
+    [
+        # mass exactly k: each move makes one coordinate integral, and the
+        # last makes both, so no coordinate is left over
+        (random_graph_cut(5, seed=2), [0.3, 0.5, 0.4, 0.6, 0.2], CardinalityPolytope(5, 2), 4, 0),
+        # each part keeps one coordinate of value 0.9, which may round up
+        (random_graph_cut(6, seed=9), [0.4, 0.3, 0.2, 0.9, 0.6, 0.4],
+         PartitionPolytope([[0, 1, 2], [3, 4, 5]], [1, 2]), 4, 2 + 2),
+    ],
+    ids=["cardinality", "partition"],
+)
+def test_exact_rounding_asks_F_twice_per_move_and_once_at_the_start(f, x, P, moves, leftover_calls):
+    # both endpoints per move; F at the point a move starts from is the
+    # chosen endpoint of the move before, so only the first move asks for it
+    ev = MultilinearEvaluator(f)
+    calls = _recording(ev)
+    pipage_round(ev, np.array(x), P)
+    assert len(calls) == 2 * moves + 1 + leftover_calls
+    assert [stream for stream, _ in calls].count(()) == 1  # the one audit point
+
+
+def test_a_1000_element_rounding_walks_the_part_once():
+    # 999 pair moves over 1,000 fractional coordinates of mass 250
+    rng = substream(0, 1000)
+    n, k = 1000, 250
+    f = graph_cut_function(n, [(int(u), int(v), 1.0) for u, v in rng.integers(0, n, (3000, 2)) if u != v])
+    x = rng.uniform(0.05, 0.45, n)
+    x *= k / x.sum()
+    ev = MultilinearEvaluator(f)
+    calls = _recording(ev)
+    mask = pipage_round(ev, x, CardinalityPolytope(n, k))
+    streams = [stream for stream, _ in calls]
+    assert len(streams) == 2 * (n - 1) + 1
+    assert streams[2] == ()  # the audit point, at the first move
+    assert [s for s in streams if s] == [(PIPAGE_STREAM, move) for move in range(n - 1) for _ in range(2)]
+    assert mask.bit_count() == k
+
+
+EIGHT = graph_cut_function(
+    8, [(u, v, float(1 + (3 * u + v) % 4)) for u in range(8) for v in range(u + 1, 8) if (u * v + u + v) % 3]
+)
+
+
+def test_sampled_rounding_asks_the_pinned_sequence_of_points():
+    # every (stream, point) the sampled rounding asks F for, in order: the
+    # memo's evictions follow these lookups, so a change in the moves, their
+    # order or their streams changes a sampled run's oracle calls
+    digest = hashlib.sha256()
+    masks = []
+    for P, x in [
+        (CardinalityPolytope(8, 3), [0.375, 0.5, 0.25, 0.625, 0.125, 0.75, 0.25, 0.125]),
+        (PartitionPolytope([[0, 1, 2, 3], [4, 5, 6, 7]], [2, 1]), [0.5, 0.25, 0.625, 0.375, 0.25, 0.125, 0.375, 0.0]),
+    ]:
+        ev = MultilinearEvaluator(EIGHT, Estimator(samples=64, seed=3))
+        calls = _recording(ev)
+        masks.append(pipage_round(ev, np.array(x), P))
+        for stream, point in calls:
+            digest.update(repr(stream).encode() + point.tobytes())
+    assert masks == [97, 76]
+    assert digest.hexdigest() == "a8b0df9a02a76fa7b55b92c7163080196bd413a66b183deb076d928278baf040"

@@ -7,7 +7,7 @@ from submax.fixtures import random_graph_cut
 from submax.oracle import brute_unconstrained
 from submax.setfn import SetFunction, graph_cut_function, restrict_function
 from submax.subsets import indices
-from submax.twosided import check_loss_gain, run_two_sided, trace_csv
+from submax.twosided import check_loss_gain, run_two_sided
 
 
 def zero_function(n):
@@ -141,10 +141,3 @@ def test_loss_gain_ledger_random_instances(n, seed):
     rep = check_loss_gain(f, trace, opt_mask)
     assert rep.passed, rep.details
 
-
-def test_trace_csv():
-    f = single_edge_cut()
-    _, trace = run_two_sided(f)
-    lines = trace_csv(trace).strip().split("\n")
-    assert lines[0] == "i,a,b,branch"
-    assert lines[1] == "1,1.0,1.0,X"
