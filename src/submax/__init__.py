@@ -8,7 +8,7 @@ oracles that make every guarantee checkable at desk scale.
 """
 
 from .dmcg import run_dmcg, solve_direction
-from .mcg import AscentConfig, Trajectory, check_feasibility_invariants, run_mcg
+from .mcg import AscentConfig, Trajectory, run_mcg
 from .reports import CheckReport
 from .multilinear import Estimator, MultilinearEvaluator
 from .oracle import brute_cardinality, brute_polytope_integral, brute_unconstrained

@@ -18,7 +18,8 @@ Reports are JSON with a deterministic ``report`` block (hashed) and a
 ``--format csv`` writes a flat projection of the report block.  Exit codes:
 0 success, 1 instance parse error, 2 inconsistent flags (a welfare or problem
 file under an algorithm that cannot take it among them), 3 oracle required (by
---require-oracle, or by a brute-force algorithm) but unavailable.
+--require-oracle, or by a brute-force algorithm) but unavailable, 4 a crash:
+an uncaught exception, whose traceback goes to stderr.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import math
 import platform
 import sys
 import time
+import traceback
 from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -560,7 +562,14 @@ def _run_sweep(argv: list[str]) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    try:
+        return _main(list(sys.argv[1:] if argv is None else argv))
+    except Exception:  # a crash, not a bad file: exit 1 is the parse error's
+        traceback.print_exc()
+        return 4
+
+
+def _main(argv: list[str]) -> int:
     if argv and argv[0] == "sweep":
         return _run_sweep(argv[1:])
     if argv and argv[0] == "run":

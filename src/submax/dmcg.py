@@ -8,33 +8,27 @@ solves a max-min LP over the hypersimplex, which :func:`solve_direction`
 answers exactly by cutting planes on the dual lines.  The symmetric variant
 turns on the kernel's derivative cleanup on both sides and runs to the
 cardinality horizon; the general variant runs to T = 1 with no cleanup.  The run is recorded as an
-``mcg.Trajectory`` whose sides are (y1, y2) and whose step notes are the
-solver's :class:`DirectionInfo`.  The final point is y1, y2, or the unique
-convex combination of the two with mass exactly k.  For 2k > n the symmetric
-variant runs the pair for n - k and complements its point (Reduction 2).
-The trajectory invariants a run can check, :func:`check_y_properties` and
-:func:`check_max_y`, live here; the segment-concavity lemma is checked with
-the other lemmas in ``tests/lemmas.py``.
+``mcg.Trajectory`` whose sides are (y1, y2).  The final point is y1, y2, or
+the unique convex combination of the two with mass exactly k.  For 2k > n
+the symmetric variant runs the pair for n - k and complements its point
+(Reduction 2).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .mcg import AscentConfig, AscentStep, Trajectory, ascend, schedule
 from .multilinear import MultilinearEvaluator
-from .polytope import SLACK, CardinalityPolytope
-from .reports import CheckReport
+from .polytope import CardinalityPolytope
 from .subsets import full_mask
 
 
 @dataclass(frozen=True)
 class DirectionInfo:
-    """The direction solver's lambda and max-min objective: the note of
-    every DMCG step."""
+    """The direction solver's lambda and max-min objective."""
 
     lam: float
     objective: float
@@ -139,8 +133,7 @@ def run_dmcg(ev: MultilinearEvaluator, k: int, cfg: AscentConfig | None = None,
              variant: str = "symmetric") -> tuple[np.ndarray, Trajectory]:
     """Run the coupled ascent/descent pair on F of ``ev.f`` and return
     (y, trajectory) with |y| = k, for any 1 <= k <= n; y is a new float
-    array, clipped to [0,1] against rounding.  Side 0 is y1, side 1 is y2,
-    and each step's note is the direction solver's :class:`DirectionInfo`.
+    array, clipped to [0,1] against rounding.  Side 0 is y1, side 1 is y2.
 
     Variant "symmetric" runs Algorithm-2 style (coeff 2, cleanup, T the
     discrete horizon of |S| <= k) for 2k <= n.  For 2k > n it applies
@@ -168,18 +161,16 @@ def run_dmcg(ev: MultilinearEvaluator, k: int, cfg: AscentConfig | None = None,
             cfg = cfg or AscentConfig()
             schedule(n, cfg.T, cfg.steps)  # a bad schedule raises all the same
             F = f.eval(full_mask(n))  # = f(empty set), as f is symmetric
-            start = AscentStep(0.0, (np.zeros(n), np.ones(n)), (F, F))
-            y, traj = np.zeros(n), Trajectory(0.0, 0.0, True, start)
+            y, traj = np.zeros(n), Trajectory(0.0, 0.0, True, AscentStep(0.0, (F, F)), (np.zeros(n), np.ones(n)))
         return np.clip(1.0 - y, 0.0, 1.0), traj
     coeff = 2.0 if symmetric else 1.0
 
     def max_min(weights, values):
-        i1, i2, info = solve_direction(weights[0], weights[1], values[0], values[1], k, coeff)
-        return (i1, i2), info
+        return solve_direction(weights[0], weights[1], values[0], values[1], k, coeff)[:2]
 
     bound = CardinalityPolytope(n, k) if symmetric else None
     traj = ascend(ev, cfg or AscentConfig(), (0, 1), max_min, symmetric, bound)
-    y1, y2 = traj.last.ys
+    y1, y2 = traj.ys
     m1 = float(y1.sum())
     m2 = float(y2.sum())
     if abs(m2 - m1) <= 1e-12:
@@ -195,42 +186,3 @@ def run_dmcg(ev: MultilinearEvaluator, k: int, cfg: AscentConfig | None = None,
             f"mass invariant violated: |y1| = {m1!r}, |y2| = {m2!r} do not bracket k = {k}"
         )
     return np.clip(alpha * y1 + beta * y2, 0.0, 1.0), traj
-
-
-# ---------------------------------------------------------------------------
-# executable checks
-# ---------------------------------------------------------------------------
-
-
-def check_y_properties(traj: Trajectory, k: int) -> CheckReport:
-    """Coupled-state invariants of a :func:`run_dmcg` trajectory: both points
-    stay in the cube, y1 <= y2 at every step, and at t = T the masses
-    bracket k, each within SLACK."""
-    bad: dict[str, float] = {}
-    for step in traj.steps:
-        y1, y2 = step.ys
-        if y1.min() < -SLACK or y1.max() > 1 + SLACK:
-            bad.setdefault("y1_outside_cube_t", step.t_end)
-        if y2.min() < -SLACK or y2.max() > 1 + SLACK:
-            bad.setdefault("y2_outside_cube_t", step.t_end)
-        if (y1 > y2 + SLACK).any():
-            bad.setdefault("ordering_violated_t", step.t_end)
-    y1, y2 = traj.last.ys
-    m1, m2 = float(y1.sum()), float(y2.sum())
-    if m1 > k + SLACK:
-        bad["final_mass1"] = m1
-    if m2 < k - SLACK:
-        bad["final_mass2"] = m2
-    return CheckReport("dual state invariants", not bad, details=bad)
-
-
-def check_max_y(traj: Trajectory) -> CheckReport:
-    """Per-coordinate cap max(y1_u, 1 - y2_u) <= 1 - (1 - delta)^(t/delta),
-    within SLACK."""
-    worst = -math.inf
-    for idx, step in enumerate(traj.steps, start=1):
-        cap = 1.0 - (1.0 - traj.delta) ** idx
-        y1, y2 = step.ys
-        reach = max(float(y1.max()), float(1.0 - y2.min()))
-        worst = max(worst, reach - cap)
-    return CheckReport("coordinate growth cap", worst <= SLACK, details={"worst_excess": worst})

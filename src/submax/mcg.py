@@ -13,10 +13,12 @@ evaluated after the previous step's update and cleanup, at the point the
 step moves from, so a side pays one gradient per step plus one per reset
 (see :func:`ascend` for the sampled streams).  Every ascent reads F through
 the ``MultilinearEvaluator`` its caller built, takes T and steps from one
-:class:`AscentConfig`, and records one :class:`Trajectory` of
-:class:`AscentStep` (one point and one F per side).  :func:`run_mcg` is
-one side from 0 along the best vertex of P, with cleanup; ``dmcg.run_dmcg``
-is the coupled pair.
+:class:`AscentConfig`, and records one :class:`Trajectory`: scalars per step
+(:class:`AscentStep`: t, one F per side, resets) and every side's final
+point, so its memory is O(n + steps) whatever the step count.  The points
+in between are not kept; they are the ones the ascent reads F at, on the
+streams :func:`ascend` names.  :func:`run_mcg` is one side from 0 along the
+best vertex of P, with cleanup; ``dmcg.run_dmcg`` is the coupled pair.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import numpy as np
 
 from .multilinear import MultilinearEvaluator
 from .polytope import Polytope, horizon
-from .reports import CheckReport
 from .rng import ASCENT_STREAM
 
 # strict-negativity margin for the cleanup test when F is exact; the sampled
@@ -76,31 +77,25 @@ class AscentConfig:
 
 @dataclass(frozen=True)
 class AscentStep:
-    """Every side's point and F after one step's update and cleanup at t_end,
-    how many coordinates the cleanup reset, and the direction rule's note
-    (None at the start and for MCG)."""
+    """Every side's F after one step's update and cleanup at t_end, and how
+    many coordinates the cleanup reset."""
 
     t_end: float
-    ys: tuple[np.ndarray, ...]
     values: tuple[float, ...]
     zeroed: int = 0
-    note: object = None
 
 
 @dataclass
 class Trajectory:
-    """One ascent: its resolved schedule, the start at t = 0, and the record
-    of every step."""
+    """One ascent: its resolved schedule, the start at t = 0, the record of
+    every step, and every side's final point ``ys``."""
 
     T: float
     delta: float
     theoretical_regime: bool
     start: AscentStep
+    ys: tuple[np.ndarray, ...]
     steps: list[AscentStep] = field(default_factory=list)
-
-    @property
-    def last(self) -> AscentStep:
-        return self.steps[-1] if self.steps else self.start
 
 
 def ascend(ev: MultilinearEvaluator, cfg: AscentConfig, starts: tuple[int, ...], choose: Callable, cleanup: bool,
@@ -108,8 +103,7 @@ def ascend(ev: MultilinearEvaluator, cfg: AscentConfig, starts: tuple[int, ...],
     """Run the sides that start at ``starts`` on the schedule of ``cfg`` over
     P (see :func:`schedule`), reading F through ``ev``.
     ``choose(weights, values)`` gets one weight vector and one F(y) per side
-    and returns one direction per side plus a note.  Recorded arrays are
-    never written again.
+    and returns one direction per side.  The final points are new arrays.
 
     Every side evaluates F and its gradient once at its start, once after
     each update and once after each reset, on every backend, and the next
@@ -131,10 +125,11 @@ def ascend(ev: MultilinearEvaluator, cfg: AscentConfig, starts: tuple[int, ...],
     m = len(starts)
     ys = [np.full(ev.n, float(s)) for s in starts]
     evals = [ev.value_and_partials(y, stream=(ASCENT_STREAM, 0, j)) for j, y in enumerate(ys)]
-    traj = Trajectory(T, delta, regime, AscentStep(0.0, tuple(ys), tuple(e[0] for e in evals)))
+    start = AscentStep(0.0, tuple(e[0] for e in evals))
+    record = []
     for i in range(steps):
         weights = [(1.0 - s - y) * e[1] for s, y, e in zip(starts, ys, evals)]
-        directions, note = choose(weights, [e[0] for e in evals])
+        directions = choose(weights, [e[0] for e in evals])
         ys = [y + delta * d * (1.0 - s - y) for s, y, d in zip(starts, ys, directions)]
         # the next step or the cleanup reads this gradient; after the last update without cleanup, nothing does
         value_only = not cleanup and i == steps - 1
@@ -152,8 +147,8 @@ def ascend(ev: MultilinearEvaluator, cfg: AscentConfig, starts: tuple[int, ...],
                     resets += 1
                     # the reset moves y, so later coordinates and the next step see fresh derivatives
                     _, grad, sigma = evals[j] = ev.value_and_partials(y, stream=(ASCENT_STREAM, i + 1, m + j, u))
-        traj.steps.append(AscentStep(delta * (i + 1), tuple(ys), tuple(e[0] for e in evals), resets, note))
-    return traj
+        record.append(AscentStep(delta * (i + 1), tuple(e[0] for e in evals), resets))
+    return Trajectory(T, delta, regime, start, tuple(ys), record)
 
 
 def run_mcg(ev: MultilinearEvaluator, P: Polytope, cfg: AscentConfig | None = None) -> tuple[np.ndarray, Trajectory]:
@@ -169,27 +164,8 @@ def run_mcg(ev: MultilinearEvaluator, P: Polytope, cfg: AscentConfig | None = No
         warnings.warn("objective not flagged symmetric: the value guarantee is void", stacklevel=2)
 
     def best_vertex(weights, _values):
-        return (P.linear_maximize(weights[0]),), None
+        return (P.linear_maximize(weights[0]),)
 
     traj = ascend(ev, cfg or AscentConfig(), (0,), best_vertex, True, P)
-    return np.clip(traj.last.ys[0], 0.0, 1.0), traj
-
-
-def check_feasibility_invariants(traj: Trajectory, P: Polytope) -> CheckReport:
-    """Scaled membership y(t)/t in P at every recorded step, plus plain
-    membership y(t) in P after step i whenever t <= horizon(P, i), the
-    discrete horizon of i steps (steps of width delta <= horizon(P, i) / i
-    keep y inside P)."""
-    bad: dict[str, float] = {}
-    for i, step in enumerate(traj.steps, start=1):
-        t = step.t_end
-        if not P.membership(step.ys[0] / t):
-            bad.setdefault("scaled_membership_t", t)
-        if t <= horizon(P, i) + 1e-15 and not P.membership(step.ys[0]):
-            bad.setdefault("membership_t", t)
-    return CheckReport(
-        "trajectory feasibility",
-        not bad,
-        details={"horizon": horizon(P, len(traj.steps)), "T": traj.T, **bad},
-    )
+    return np.clip(traj.ys[0], 0.0, 1.0), traj
 

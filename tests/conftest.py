@@ -1,7 +1,9 @@
 """Shared helpers for the test suites: small and random instances beyond
 the sweep's two families, the oracle wrappers that build them (modular
-terms, sums, complements), and reference solvers the library must match."""
+terms, sums, complements), an evaluator that records the points an ascent
+passes through, and reference solvers the library must match."""
 
+import math
 import tracemalloc
 from itertools import combinations
 
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from submax.fixtures import random_graph_cut, random_hypergraph_cut
 from submax.multilinear import MultilinearEvaluator
 from submax.polytope import CardinalityPolytope, KnapsackPolytope, PartitionPolytope
-from submax.rng import WELFARE_STREAM, substream
+from submax.rng import ASCENT_STREAM, WELFARE_STREAM, substream
 from submax.setfn import TABLE_LIMIT, SetFunction, coverage_function, graph_cut_function, restrict_function
 from submax.subsets import MAX_MASK_BITS, as_mask, bits_from_masks, full_mask, mask_array, masks_from_bits, popcount_array
 from submax.welfare import WelfareInstance
@@ -65,6 +67,52 @@ def distinct_lookups(lookups):
     """The sets the recorded evaluators looked up, each counted once per
     evaluator: the oracle calls of memos that never evict (n <= 16)."""
     return sum(np.unique(np.concatenate([m.ravel() for m in masks])).size for masks in lookups.values())
+
+
+class RecordingEvaluator(MultilinearEvaluator):
+    """A ``MultilinearEvaluator`` that keeps a copy of every point an ascent
+    reads F at, the points a trajectory does not keep.  ``mcg.ascend`` reads
+    F on side j of m at its start, on stream (``ASCENT_STREAM``, 0, j), after
+    the update of step i, on (``ASCENT_STREAM``, i + 1, j), and after each
+    reset of a coordinate u in step i, on (``ASCENT_STREAM``, i + 1, m + j,
+    u); so the last point read for step i and side j is that step's point.
+    A reset writes y in place, hence the copies.  ``start`` is every side's
+    start and ``steps[i]`` every side's point after step i, of the last
+    ascent run on this evaluator."""
+
+    def __init__(self, f, est=None):
+        super().__init__(f, est)
+        self._points = {}  # (i + 1, j): side j's point after step i; (0, j): its start
+        self._sides = 1
+
+    def _record(self, x, stream):
+        if stream[:1] == (ASCENT_STREAM,):
+            i, j = stream[1], stream[2]
+            if (i, j) == (0, 0):  # a new ascent
+                self._points = {}
+            if i == 0:
+                self._sides = j + 1
+            self._points[i, j % self._sides] = np.array(x, dtype=float)
+
+    def value(self, x, stream=()):
+        self._record(x, stream)
+        return super().value(x, stream)
+
+    def value_and_partials(self, x, stream=()):
+        self._record(x, stream)
+        return super().value_and_partials(x, stream)
+
+    def _at(self, i):
+        return tuple(self._points[i, j] for j in range(self._sides))
+
+    @property
+    def start(self):
+        return self._at(0)
+
+    @property
+    def steps(self):
+        """A new list of one tuple of every side's point per step."""
+        return [self._at(i) for i in range(1, max((i for i, _ in self._points), default=0) + 1)]
 
 
 def indicator(subset, n):
@@ -276,6 +324,41 @@ def bisect_direction(w1, w2, c1, c2, k, coeff=2.0):
     theta = -d_lo / (d_hi - d_lo)
     I = theta * I_hi + (1.0 - theta) * I_lo
     return I, gap(I)[1]
+
+
+def top_k_vertex(w, k):
+    """Reference vertex of the cardinality polytope maximizing w . x: the k
+    largest positive weights, ties to the lowest index.  Matroid
+    ``linear_maximize`` must return it bit for bit."""
+    wa = np.asarray(w, dtype=float)
+    out = np.zeros(wa.size)
+    order = np.argsort(-wa, kind="stable")
+    out[[u for u in order[:k] if wa[u] > 0.0]] = 1.0
+    return out
+
+
+def per_part_vertex(parts, bounds, w):
+    """Reference vertex of a partition polytope maximizing w . x: per part,
+    the b largest positive weights of its elements, ties to the lowest index."""
+    wa = np.asarray(w, dtype=float)
+    out = np.zeros(wa.size)
+    for part, b in zip(parts, bounds):
+        part_arr = np.array(part)
+        order = np.argsort(-wa[part_arr], kind="stable")
+        out[[part_arr[i] for i in order[:b] if wa[part_arr[i]] > 0.0]] = 1.0
+    return out
+
+
+def plain_mean_and_sigma(samples):
+    """Reference ``reports.mean_and_sigma``: the mean and numpy's std with
+    ddof 1 over sqrt(size), on the samples as they are.  Its squares overflow
+    near the top of the float range; elsewhere the shipped one, which scales
+    the deviations first, must equal it bit for bit."""
+    arr = np.asarray(samples, dtype=float)
+    size = arr.shape[-1]
+    mean = arr.mean(axis=-1)
+    sigma = arr.std(axis=-1, ddof=1) / math.sqrt(size) if size > 1 else np.zeros_like(mean)
+    return (float(mean), float(sigma)) if arr.ndim == 1 else (mean, sigma)
 
 
 def reference_kernel(family, n, *fields):

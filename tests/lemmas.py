@@ -9,13 +9,16 @@ facts the guarantees rest on, each returning a :class:`CheckReport`.
   the first-order linearization bound, the random-subset sampling bounds, and
   the concavity of F along a nonnegative direction (the segment between the
   two points of a DMCG run);
+* ascent trajectories: feasibility under P, the coupled state of a DMCG
+  run and its coordinate growth cap, read post hoc from the points a
+  ``RecordingEvaluator`` kept (a run keeps only its final points); they are
+  the reference for online checks a run may one day make;
 * welfare: the subsampled prefix-union bounds and the union-sampling bounds;
 * oracle audits: submodularity, non-negativity and symmetry, exhaustive at
   desk scale.
 
-None of these runs at run time; the invariants a run can afford
-(``check_feasibility_invariants``, ``check_y_properties``, ``check_max_y``,
-``check_loss_gain``) stay in the library.
+None of these runs at run time; ``twosided.check_loss_gain`` is the one
+invariant check the library keeps.
 """
 
 from __future__ import annotations
@@ -26,7 +29,9 @@ from itertools import combinations
 import numpy as np
 
 from conftest import complement_function, indicator
+from submax.mcg import Trajectory
 from submax.multilinear import MultilinearEvaluator
+from submax.polytope import SLACK, Polytope, horizon
 from submax.reports import CheckReport, mean_and_sigma
 from submax.rng import substream
 from submax.setfn import SetFunction
@@ -252,6 +257,69 @@ def check_concave_segment(f: SetFunction, y1, y2, grid: int = 101, tol: float = 
             "min_vs_endpoints": float((r - floor).min()),
         },
     )
+
+
+# ---------------------------------------------------------------------------
+# trajectory invariants
+# ---------------------------------------------------------------------------
+
+
+def _with_points(traj: Trajectory, ys: list) -> zip:
+    """The steps of ``traj`` paired with ``ys``, every side's point after
+    each step (``RecordingEvaluator.steps``), one entry per step."""
+    if len(ys) != len(traj.steps):
+        raise ValueError(f"{len(ys)} recorded points for {len(traj.steps)} steps")
+    return zip(traj.steps, ys)
+
+
+def check_feasibility_invariants(traj: Trajectory, ys: list, P: Polytope) -> CheckReport:
+    """Scaled membership y(t)/t in P at every step, plus plain membership
+    y(t) in P after step i whenever t <= horizon(P, i), the discrete horizon
+    of i steps (steps of width delta <= horizon(P, i) / i keep y inside P)."""
+    bad: dict[str, float] = {}
+    for i, (step, (y,)) in enumerate(_with_points(traj, ys), start=1):
+        t = step.t_end
+        if not P.membership(y / t):
+            bad.setdefault("scaled_membership_t", t)
+        if t <= horizon(P, i) + 1e-15 and not P.membership(y):
+            bad.setdefault("membership_t", t)
+    return CheckReport(
+        "trajectory feasibility",
+        not bad,
+        details={"horizon": horizon(P, len(traj.steps)), "T": traj.T, **bad},
+    )
+
+
+def check_y_properties(traj: Trajectory, ys: list, k: int) -> CheckReport:
+    """Coupled-state invariants of a ``run_dmcg`` trajectory: both points
+    stay in the cube, y1 <= y2 at every step, and at t = T the masses of the
+    final points bracket k, each within SLACK."""
+    bad: dict[str, float] = {}
+    for step, (y1, y2) in _with_points(traj, ys):
+        if y1.min() < -SLACK or y1.max() > 1 + SLACK:
+            bad.setdefault("y1_outside_cube_t", step.t_end)
+        if y2.min() < -SLACK or y2.max() > 1 + SLACK:
+            bad.setdefault("y2_outside_cube_t", step.t_end)
+        if (y1 > y2 + SLACK).any():
+            bad.setdefault("ordering_violated_t", step.t_end)
+    y1, y2 = traj.ys
+    m1, m2 = float(y1.sum()), float(y2.sum())
+    if m1 > k + SLACK:
+        bad["final_mass1"] = m1
+    if m2 < k - SLACK:
+        bad["final_mass2"] = m2
+    return CheckReport("dual state invariants", not bad, details=bad)
+
+
+def check_max_y(traj: Trajectory, ys: list) -> CheckReport:
+    """Per-coordinate cap max(y1_u, 1 - y2_u) <= 1 - (1 - delta)^(t/delta),
+    within SLACK."""
+    worst = -math.inf
+    for idx, (_, (y1, y2)) in enumerate(_with_points(traj, ys), start=1):
+        cap = 1.0 - (1.0 - traj.delta) ** idx
+        reach = max(float(y1.max()), float(1.0 - y2.min()))
+        worst = max(worst, reach - cap)
+    return CheckReport("coordinate growth cap", worst <= SLACK, details={"worst_excess": worst})
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from conftest import (
+    RecordingEvaluator,
     brute_direction_value,
     random_coverage,
     random_offset_cut,
@@ -21,20 +22,18 @@ from conftest import (
 from lemmas import (
     check_concave_segment,
     check_disjoint_unions,
+    check_feasibility_invariants,
     check_lemma_general_properties,
     check_linearization_bound,
+    check_max_y,
     check_repeated_subsample_union,
     check_union_bound_symmetric,
+    check_y_properties,
 )
 from submax.cli import main as cli_main
-from submax.dmcg import (
-    check_max_y,
-    check_y_properties,
-    run_dmcg,
-    solve_direction,
-)
+from submax.dmcg import run_dmcg, solve_direction
 from submax.fixtures import random_graph_cut
-from submax.mcg import AscentConfig, check_feasibility_invariants, run_mcg
+from submax.mcg import AscentConfig, run_mcg
 from submax.multilinear import Estimator, MultilinearEvaluator
 from submax.oracle import brute_cardinality, brute_polytope_integral, brute_unconstrained
 from submax.pipage import pipage_round
@@ -120,13 +119,13 @@ def test_criterion_3_mcg_ratio_and_feasibility():
             f = random_symmetric_instance(n, 300 + i)
             P = _mcg_polytopes(n, i)
             T = min(1.0, horizon(P))
-            ev = MultilinearEvaluator(f)
+            ev = RecordingEvaluator(f)
             y, traj = run_mcg(ev, P, AscentConfig(T=T, steps=2000))
             _, opt = brute_polytope_integral(f, P)
             value = ev.value(y)
             bound = (0.5 * (1.0 - math.exp(-2.0 * T)) - 0.02) * opt
             assert value >= bound - EXACT_TOL, (i, value, bound)
-            rep = check_feasibility_invariants(traj, P)
+            rep = check_feasibility_invariants(traj, ev.steps, P)
             assert rep.passed, (i, rep.details)
         elapsed = time.perf_counter() - start
         assert elapsed < 120.0, f"took {elapsed:.1f}s"
@@ -254,14 +253,16 @@ def test_criterion_8_lemma_suite():
         # dual-state invariants, segment concavity, coordinate caps
         for seed in range(3):
             f = random_graph_cut(8, seed=820 + seed)
-            _, traj = run_dmcg(MultilinearEvaluator(f), 2 + seed, AscentConfig(steps=1200), "symmetric")
-            assert check_y_properties(traj, 2 + seed).passed, check_y_properties(traj, 2 + seed).details
-            last = traj.steps[-1]
-            assert check_concave_segment(f, last.ys[0], last.ys[1]).passed
+            ev = RecordingEvaluator(f)
+            _, traj = run_dmcg(ev, 2 + seed, AscentConfig(steps=1200), "symmetric")
+            rep = check_y_properties(traj, ev.steps, 2 + seed)
+            assert rep.passed, rep.details
+            assert check_concave_segment(f, *traj.ys).passed
         for seed in range(3):
             f = random_offset_cut(7, seed=830 + seed)
-            _, traj = run_dmcg(MultilinearEvaluator(f), 3, AscentConfig(steps=1200), "general")
-            assert check_max_y(traj).passed
+            ev = RecordingEvaluator(f)
+            _, traj = run_dmcg(ev, 3, AscentConfig(steps=1200), "general")
+            assert check_max_y(traj, ev.steps).passed
 
         # statistical sampling bounds at 1e5 trials / 4 sigma
         f = random_graph_cut(10, seed=840)
@@ -327,7 +328,8 @@ def test_criterion_10_determinism(tmp_path):
         f = random_graph_cut(6, seed=1001)
         est = Estimator(samples=300, seed=99)
         cfg = AscentConfig(steps=80)
-        ya, ta = run_dmcg(MultilinearEvaluator(f, est), 2, cfg, "symmetric")
-        yb, tb = run_dmcg(MultilinearEvaluator(f, est), 2, cfg, "symmetric")
+        eva, evb = RecordingEvaluator(f, est), RecordingEvaluator(f, est)
+        ya, _ = run_dmcg(eva, 2, cfg, "symmetric")
+        yb, _ = run_dmcg(evb, 2, cfg, "symmetric")
         assert np.array_equal(ya, yb)
-        assert all(np.array_equal(a.ys[0], b.ys[0]) for a, b in zip(ta.steps, tb.steps))
+        assert all(np.array_equal(a[0], b[0]) for a, b in zip(eva.steps, evb.steps, strict=True))

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from submax.dmcg import run_dmcg
-from conftest import random_coverage
+from conftest import RecordingEvaluator, random_coverage
 from submax.fixtures import random_graph_cut
 from submax.mcg import AscentConfig, run_mcg, schedule
 from submax.multilinear import Estimator, MultilinearEvaluator
@@ -62,16 +62,17 @@ PINNED = {
 }
 
 
-def _run(solver: str, mode: str):
-    """(final point, final values, trajectory) of one pinned case."""
+def _run(solver: str, mode: str, evaluator=MultilinearEvaluator):
+    """(final point, final values, trajectory) of one pinned case, whose F
+    is read through an ``evaluator`` of f."""
     est = ESTIMATORS[mode]
     if solver == "mcg":
-        y, traj = run_mcg(MultilinearEvaluator(random_graph_cut(8, seed=5), est), CardinalityPolytope(8, 4),
+        y, traj = run_mcg(evaluator(random_graph_cut(8, seed=5), est), CardinalityPolytope(8, 4),
                           AscentConfig(T=2.0, steps=40))
-        return y, (traj.last.values[0],), traj
+        return y, (traj.steps[-1].values[0],), traj
     f, k = (random_graph_cut(7, seed=7), 2) if solver == "symmetric" else (random_coverage(7, seed=3), 3)
     T = SYMMETRIC_T if solver == "symmetric" else 1.0
-    y, traj = run_dmcg(MultilinearEvaluator(f, est), k, AscentConfig(T=T, steps=40), solver)
+    y, traj = run_dmcg(evaluator(f, est), k, AscentConfig(T=T, steps=40), solver)
     last = traj.steps[-1]
     return y, (last.values[0], last.values[1]), traj
 
@@ -84,6 +85,28 @@ def test_seeded_ascent_matches_pinned_outputs(solver, mode):
     assert np.allclose(got_values, values, rtol=0.0, atol=1e-12)
     assert len(traj.steps) == steps
     assert sum(s.zeroed for s in traj.steps) == resets
+
+
+@pytest.mark.parametrize("solver", ["mcg", "symmetric", "general"])
+def test_F_at_the_recorded_points_is_what_the_trajectory_records(solver):
+    # F at every point a RecordingEvaluator kept is the F the trajectory
+    # records for that step and side, bit for bit, also where the cleanup
+    # reset coordinates; and the last points are the run's final points
+    recorders = []
+
+    def recording(f, est):
+        recorders.append(RecordingEvaluator(f, est))
+        return recorders[-1]
+
+    _, _, traj = _run(solver, "exact", recording)
+    (rec,) = recorders
+    ev = MultilinearEvaluator(rec.f)
+    assert [ev.value(y) for y in rec.start] == list(traj.start.values)
+    assert len(rec.steps) == len(traj.steps) == 40
+    for step, ys in zip(traj.steps, rec.steps):
+        assert [ev.value(y) for y in ys] == list(step.values)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(rec.steps[-1], traj.ys, strict=True))
+    assert (sum(s.zeroed for s in traj.steps) > 0) == (solver != "general")
 
 
 @pytest.mark.parametrize("T, steps", [(0.0, None), (-1.0, None), (float("nan"), None), (float("inf"), None),
@@ -104,8 +127,10 @@ def test_a_step_of_width_1_stays_in_the_cube():
     assert schedule(4, 1.0, 1) == (1.0, 1, 1.0, False)
     assert schedule(4, 400.0, None) == (400.0, 400, 1.0, False)
     assert schedule(0, 5.0, None) == (5.0, 1, 5.0, True)  # no element, so no update can leave the cube
-    y, traj = run_dmcg(MultilinearEvaluator(random_graph_cut(4, seed=2)), 1, AscentConfig(T=2.0, steps=2), "general")
-    assert all(0.0 <= side.min() and side.max() <= 1.0 for step in traj.steps for side in step.ys)
+    ev = RecordingEvaluator(random_graph_cut(4, seed=2))
+    y, traj = run_dmcg(ev, 1, AscentConfig(T=2.0, steps=2), "general")
+    assert len(ev.steps) == len(traj.steps) == 2
+    assert all(0.0 <= side.min() and side.max() <= 1.0 for step in ev.steps for side in step)
 
 
 def test_schedule_defaults():

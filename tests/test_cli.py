@@ -131,6 +131,23 @@ def test_exit_code_parse_error(tmp_path):
     assert main(["--instance", str(short), "--algorithm", "brute-polytope"]) == 1
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_a_crash_exits_4_with_its_traceback(command, triangle_file, tmp_path, monkeypatch, capsys):
+    # exit 1 says the instance file is bad; an exception the run did not
+    # expect is a crash of its own
+    def crash(*args, **kwargs):
+        raise RuntimeError("the solver crashed")
+
+    monkeypatch.setattr(cli, "run_dmcg", crash)
+    out = str(tmp_path / "out.json")
+    argv = (["run", "--instance", triangle_file, "--algorithm", "dmcg-symmetric", "--k", "1", "--out", out]
+            if command == "run" else ["sweep", "--n", "4", "--kn", "1/4", "--count", "1", "--out", out])
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and "RuntimeError: the solver crashed" in err
+    assert not (tmp_path / "out.json").exists()
+
+
 TRIANGLE = {"type": "graph_cut", "n": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0], [0, 2, 1.0]]}
 
 

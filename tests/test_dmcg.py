@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,21 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    RecordingEvaluator,
     bisect_direction,
     brute_direction_value,
     distinct_lookups,
+    peak_traced_bytes,
     random_coverage,
     random_offset_cut,
     record_lookups,
     single_edge_cut,
 )
-from lemmas import check_concave_segment
-from submax.dmcg import (
-    check_max_y,
-    check_y_properties,
-    run_dmcg,
-    solve_direction,
-)
+from lemmas import check_concave_segment, check_max_y, check_y_properties
+from submax import dmcg
+from submax.dmcg import run_dmcg, solve_direction
 from submax.fixtures import random_graph_cut
 from submax.mcg import AscentConfig
 from submax.multilinear import Estimator, MultilinearEvaluator
@@ -163,11 +160,12 @@ def test_symmetric_variant_complements_the_run_for_n_minus_k(seed, sampled):
     k = int(rng.integers(n // 2 + 1, n))
     cfg, est = AscentConfig(steps=int(rng.integers(1, 60))), Estimator(32 if sampled else None, seed)
     f = random_graph_cut(n, seed, edge_prob=0.4)
-    y, traj = run_dmcg(MultilinearEvaluator(f, est), k, cfg)
-    y_low, traj_low = run_dmcg(MultilinearEvaluator(f, est), n - k, cfg)
+    ev, ev_low = RecordingEvaluator(f, est), RecordingEvaluator(f, est)
+    y, traj = run_dmcg(ev, k, cfg)
+    y_low, traj_low = run_dmcg(ev_low, n - k, cfg)
     assert (1.0 - y_low).tobytes() == y.tobytes()
     assert (traj.T, len(traj.steps)) == (traj_low.T, len(traj_low.steps))
-    assert all(a.ys[0].tobytes() == b.ys[0].tobytes() for a, b in zip(traj.steps, traj_low.steps))
+    assert all(a[0].tobytes() == b[0].tobytes() for a, b in zip(ev.steps, ev_low.steps, strict=True))
     assert y.sum() == pytest.approx(k, abs=1e-9)
 
 
@@ -177,7 +175,7 @@ def test_symmetric_variant_at_k_equal_n_takes_everything_in_no_step(n):
     y, traj = run_dmcg(MultilinearEvaluator(f), n, AscentConfig(steps=40))
     assert y.tolist() == [1.0] * n
     assert traj.steps == [] and traj.T == 0.0 and traj.theoretical_regime
-    assert check_y_properties(traj, 0).passed
+    assert check_y_properties(traj, [], 0).passed
     with pytest.raises(ValueError):  # the schedule is checked all the same
         run_dmcg(MultilinearEvaluator(f), n, AscentConfig(T=3.0, steps=2))
 
@@ -218,50 +216,59 @@ def test_coarse_steps_bracket_k(variant, seed):
     n = int(rng.integers(4, 41))
     k = int(rng.integers(1, n // 2 + 1))
     steps = int(rng.integers(1, 31))
-    y, traj = run_dmcg(MultilinearEvaluator(random_graph_cut(n, seed, edge_prob=0.3)), k, AscentConfig(steps=steps), variant)
-    assert check_y_properties(traj, k).passed, check_y_properties(traj, k).details
+    ev = RecordingEvaluator(random_graph_cut(n, seed, edge_prob=0.3))
+    y, traj = run_dmcg(ev, k, AscentConfig(steps=steps), variant)
+    rep = check_y_properties(traj, ev.steps, k)
+    assert rep.passed, rep.details
     assert y.sum() == pytest.approx(k, abs=1e-9)
 
 
 @pytest.mark.parametrize("n, k, steps", [(40, 10, 4), (300, 75, 50)])
 def test_symmetric_variant_brackets_k_where_the_continuous_horizon_overshot(n, k, steps):
-    y, traj = run_dmcg(MultilinearEvaluator(random_graph_cut(n, seed=0)), k, AscentConfig(steps=steps))
-    assert check_y_properties(traj, k).passed and y.sum() == pytest.approx(k, abs=1e-9)
+    ev = RecordingEvaluator(random_graph_cut(n, seed=0))
+    y, traj = run_dmcg(ev, k, AscentConfig(steps=steps))
+    assert check_y_properties(traj, ev.steps, k).passed and y.sum() == pytest.approx(k, abs=1e-9)
 
 
 def test_y_properties_hold_per_step():
     for seed in range(4):
         f = random_graph_cut(7, seed=seed)
         k = 1 + seed % 3
-        _, traj = run_dmcg(MultilinearEvaluator(f), k, AscentConfig(steps=800), "symmetric")
-        assert check_y_properties(traj, k).passed, check_y_properties(traj, k).details
+        ev = RecordingEvaluator(f)
+        _, traj = run_dmcg(ev, k, AscentConfig(steps=800), "symmetric")
+        rep = check_y_properties(traj, ev.steps, k)
+        assert rep.passed, rep.details
 
 
 def test_y_properties_flag_swapped_sides():
     f = random_graph_cut(6, seed=3)
-    _, traj = run_dmcg(MultilinearEvaluator(f), 2, AscentConfig(steps=50), "symmetric")
-    assert check_y_properties(traj, 2).passed
-    step = traj.steps[4]
-    traj.steps[4] = replace(step, ys=step.ys[::-1])
-    rep = check_y_properties(traj, 2)
+    ev = RecordingEvaluator(f)
+    _, traj = run_dmcg(ev, 2, AscentConfig(steps=50), "symmetric")
+    ys = ev.steps
+    assert check_y_properties(traj, ys, 2).passed
+    ys[4] = ys[4][::-1]
+    rep = check_y_properties(traj, ys, 2)
     assert rep.passed is False
-    assert rep.details["ordering_violated_t"] == step.t_end
+    assert rep.details["ordering_violated_t"] == traj.steps[4].t_end
 
 
 def test_max_y_flags_a_coordinate_past_the_growth_cap():
     f = random_offset_cut(6, seed=5)
-    _, traj = run_dmcg(MultilinearEvaluator(f), 3, AscentConfig(steps=50), "general")
-    assert check_max_y(traj).passed
-    traj.steps[0].ys[0][1] = 0.5  # the cap after one step is delta = 1/50
-    rep = check_max_y(traj)
+    ev = RecordingEvaluator(f)
+    _, traj = run_dmcg(ev, 3, AscentConfig(steps=50), "general")
+    ys = ev.steps
+    assert check_max_y(traj, ys).passed
+    ys[0][0][1] = 0.5  # the cap after one step is delta = 1/50
+    rep = check_max_y(traj, ys)
     assert rep.passed is False
     assert rep.details["worst_excess"] > 0
 
 
 def test_max_y_cap_general_variant():
     f = random_offset_cut(6, seed=5)
-    _, traj = run_dmcg(MultilinearEvaluator(f), 3, AscentConfig(steps=600), "general")
-    rep = check_max_y(traj)
+    ev = RecordingEvaluator(f)
+    _, traj = run_dmcg(ev, 3, AscentConfig(steps=600), "general")
+    rep = check_max_y(traj, ev.steps)
     assert rep.passed, rep.details
 
 
@@ -298,19 +305,40 @@ def test_concave_segment_on_terminal_states():
     for seed in range(3):
         f = random_graph_cut(6, seed=20 + seed)
         _, traj = run_dmcg(MultilinearEvaluator(f), 2, AscentConfig(steps=500), "symmetric")
-        last = traj.steps[-1]
-        rep = check_concave_segment(f, last.ys[0], last.ys[1])
+        rep = check_concave_segment(f, *traj.ys)
         assert rep.passed, rep.details
 
 
-def test_determinism():
+def test_determinism(monkeypatch):
+    # each step's direction solver answers the same lambda and objective
+    infos = []
+
+    def recording(*args):
+        i1, i2, info = solve_direction(*args)
+        infos.append(info)
+        return i1, i2, info
+
+    monkeypatch.setattr(dmcg, "solve_direction", recording)
     f = random_graph_cut(6, seed=8)
     cfg = AscentConfig(steps=120)
-    ya, ta = run_dmcg(MultilinearEvaluator(f), 2, cfg, "symmetric")
-    yb, tb = run_dmcg(MultilinearEvaluator(f), 2, cfg, "symmetric")
+    ya, _ = run_dmcg(MultilinearEvaluator(f), 2, cfg, "symmetric")
+    yb, _ = run_dmcg(MultilinearEvaluator(f), 2, cfg, "symmetric")
     assert np.array_equal(ya, yb)
-    for a, b in zip(ta.steps, tb.steps):
-        assert a.note.lam == b.note.lam and a.note.objective == b.note.objective
+    assert len(infos) == 2 * 120
+    for a, b in zip(infos[:120], infos[120:]):
+        assert a.lam == b.lam and a.objective == b.objective
+
+
+def test_a_run_holds_its_current_points_not_its_history():
+    # a trajectory records scalars per step: ten times the steps cost less
+    # than 1 MB more at n = 300, where keeping both sides' points at every
+    # step held about 5 KB per step
+    f = random_graph_cut(300, seed=1, edge_prob=0.02)
+
+    def peak(steps):
+        return peak_traced_bytes(lambda: run_dmcg(MultilinearEvaluator(f), 75, AscentConfig(steps=steps), "general"))
+
+    assert abs(peak(2000) - peak(200)) < 1 << 20
 
 
 def test_sampled_general_variant_spends_one_gradient_per_side_and_step(monkeypatch):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     POLYTOPE_KINDS,
+    RecordingEvaluator,
     distinct_lookups,
     indicator,
     random_coverage,
@@ -13,9 +14,9 @@ from conftest import (
     single_edge_cut,
     triangle_cut,
 )
-from lemmas import box_vertex_max
+from lemmas import box_vertex_max, check_feasibility_invariants
 from submax.fixtures import random_graph_cut
-from submax.mcg import AscentConfig, check_feasibility_invariants, run_mcg
+from submax.mcg import AscentConfig, run_mcg
 from submax.multilinear import Estimator, MultilinearEvaluator
 from submax.oracle import brute_polytope_integral
 from submax.polytope import CardinalityPolytope, KnapsackPolytope, PartitionPolytope, horizon, preprocess_reduction1
@@ -27,7 +28,7 @@ def test_zero_budget_returns_origin():
     f = single_edge_cut()
     y, traj = run_mcg(MultilinearEvaluator(f), CardinalityPolytope(2, 0), AscentConfig(T=1.0, steps=50))
     assert np.allclose(y, 0.0)
-    assert traj.last.values[0] == f.eval(0)
+    assert traj.steps[-1].values[0] == f.eval(0)
 
 
 def test_single_edge_guarantee():
@@ -56,16 +57,19 @@ def test_feasibility_invariants_across_polytopes():
         CardinalityPolytope(6, 2),
         PartitionPolytope([[0, 1, 2], [3, 4, 5]], [1, 2]),
     ):
-        _, traj = run_mcg(MultilinearEvaluator(f), P, AscentConfig(T=min(1.0, horizon(P)), steps=400))
-        assert check_feasibility_invariants(traj, P).passed
+        ev = RecordingEvaluator(f)
+        _, traj = run_mcg(ev, P, AscentConfig(T=min(1.0, horizon(P)), steps=400))
+        assert check_feasibility_invariants(traj, ev.steps, P).passed
 
 
 def test_feasibility_check_flags_a_point_outside_the_polytope():
     P = CardinalityPolytope(3, 1)
-    _, traj = run_mcg(MultilinearEvaluator(triangle_cut()), P, AscentConfig(T=1.0, steps=20))
-    assert check_feasibility_invariants(traj, P).passed
-    traj.steps[2].ys[0][:] = 1.0  # mass 3 under |S| <= 1, well inside the horizon
-    rep = check_feasibility_invariants(traj, P)
+    ev = RecordingEvaluator(triangle_cut())
+    _, traj = run_mcg(ev, P, AscentConfig(T=1.0, steps=20))
+    ys = ev.steps
+    assert check_feasibility_invariants(traj, ys, P).passed
+    ys[2][0][:] = 1.0  # mass 3 under |S| <= 1, well inside the horizon
+    rep = check_feasibility_invariants(traj, ys, P)
     assert rep.passed is False
     assert rep.details["membership_t"] == traj.steps[2].t_end
 
@@ -85,9 +89,10 @@ def test_default_horizon_keeps_coarse_runs_inside_the_polytope(kind, seed):
     if not red.kept:
         return
     f = restrict_function(random_graph_cut(n, seed), list(red.kept))
-    y, traj = run_mcg(MultilinearEvaluator(f), red.polytope, AscentConfig(steps=int(rng.integers(1, 17))))
+    ev = RecordingEvaluator(f)
+    y, traj = run_mcg(ev, red.polytope, AscentConfig(steps=int(rng.integers(1, 17))))
     assert red.polytope.membership(y)
-    assert check_feasibility_invariants(traj, red.polytope).passed
+    assert check_feasibility_invariants(traj, ev.steps, red.polytope).passed
 
 
 def test_scaled_membership_holds_beyond_horizon():
@@ -95,20 +100,22 @@ def test_scaled_membership_holds_beyond_horizon():
     f = random_graph_cut(5, seed=3)
     P = CardinalityPolytope(5, 2)
     T = horizon(P) * 1.5
-    _, traj = run_mcg(MultilinearEvaluator(f), P, AscentConfig(T=T, steps=500))
-    for step in traj.steps:
-        assert P.membership(step.ys[0] / step.t_end)
+    ev = RecordingEvaluator(f)
+    _, traj = run_mcg(ev, P, AscentConfig(T=T, steps=500))
+    for step, (y,) in zip(traj.steps, ev.steps, strict=True):
+        assert P.membership(y / step.t_end)
 
 
 def test_single_step_trajectory():
     f = single_edge_cut()
     P = CardinalityPolytope(2, 1)
-    y, traj = run_mcg(MultilinearEvaluator(f), P, AscentConfig(T=1.0, steps=1))
+    ev = RecordingEvaluator(f)
+    y, traj = run_mcg(ev, P, AscentConfig(T=1.0, steps=1))
     assert len(traj.steps) == 1
     step = traj.steps[0]
     # one step of width delta = T: y = delta * I(0) unless cleanup zeroed it
     if step.zeroed == 0:
-        assert P.membership(step.ys[0] / step.t_end)
+        assert P.membership(ev.steps[0][0] / step.t_end)
 
 
 def test_step_improvement_bound():
@@ -117,36 +124,39 @@ def test_step_improvement_bound():
     f = random_graph_cut(7, seed=5)
     P = CardinalityPolytope(7, 3)
     cfg = AscentConfig(T=1.0, steps=300)
-    _, traj = run_mcg(MultilinearEvaluator(f), P, cfg)
+    rec = RecordingEvaluator(f)
+    _, traj = run_mcg(rec, P, cfg)
     opt_mask, opt_val = brute_polytope_integral(f, P)
     ev = MultilinearEvaluator(f)
     opt_vec = indicator(opt_mask, 7)
     budget = 7**3 * traj.delta**2 * opt_val
-    prev_y = traj.start.ys[0]
+    (prev_y,) = rec.start
     prev_val = traj.start.values[0]
-    for step in traj.steps:
+    for step, (y,) in zip(traj.steps, rec.steps, strict=True):
         target = ev.value(np.maximum(prev_y, opt_vec)) - prev_val
         gain = step.values[0] - prev_val
         assert gain >= traj.delta * target - budget - 1e-9
-        prev_y, prev_val = step.ys[0], step.values[0]
+        prev_y, prev_val = y, step.values[0]
 
 
 def test_downward_box_property_along_trajectory():
     # cleanup keeps y dominant over its whole down-box at every recorded step
     f = random_graph_cut(6, seed=7)
     P = CardinalityPolytope(6, 3)
-    _, traj = run_mcg(MultilinearEvaluator(f), P, AscentConfig(T=1.0, steps=300))
-    ev = MultilinearEvaluator(f)
-    for step in traj.steps[::10]:
-        assert box_vertex_max(f, step.ys[0]) <= step.values[0] + 1e-9
+    ev = RecordingEvaluator(f)
+    _, traj = run_mcg(ev, P, AscentConfig(T=1.0, steps=300))
+    for step, (y,) in list(zip(traj.steps, ev.steps, strict=True))[::10]:
+        assert box_vertex_max(f, y) <= step.values[0] + 1e-9
 
 
 def test_coordinates_stay_in_cube():
     f = random_graph_cut(6, seed=11)
     P = CardinalityPolytope(6, 3)
-    _, traj = run_mcg(MultilinearEvaluator(f), P, AscentConfig(T=2.0, steps=400))
-    for step in traj.steps:
-        assert step.ys[0].min() >= 0.0 and step.ys[0].max() <= 1.0
+    ev = RecordingEvaluator(f)
+    _, traj = run_mcg(ev, P, AscentConfig(T=2.0, steps=400))
+    assert len(ev.steps) == len(traj.steps)
+    for (y,) in ev.steps:
+        assert y.min() >= 0.0 and y.max() <= 1.0
 
 
 def test_determinism_exact_and_sampled():
@@ -154,11 +164,13 @@ def test_determinism_exact_and_sampled():
     P = CardinalityPolytope(5, 2)
     for est in (Estimator(), Estimator(samples=300, seed=42)):
         cfg = AscentConfig(T=1.0, steps=60)
-        y1, t1 = run_mcg(MultilinearEvaluator(f, est), P, cfg)
-        y2, t2 = run_mcg(MultilinearEvaluator(f, est), P, cfg)
+        ev1, ev2 = RecordingEvaluator(f, est), RecordingEvaluator(f, est)
+        y1, t1 = run_mcg(ev1, P, cfg)
+        y2, t2 = run_mcg(ev2, P, cfg)
         assert np.array_equal(y1, y2)
+        for a, b in zip(ev1.steps, ev2.steps, strict=True):
+            assert np.array_equal(a[0], b[0])
         for a, b in zip(t1.steps, t2.steps):
-            assert np.array_equal(a.ys[0], b.ys[0])
             assert a.values[0] == b.values[0]
 
 

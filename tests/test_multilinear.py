@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     complement_function,
     indicator,
     per_mask,
+    plain_mean_and_sigma,
     random_coverage,
     record_batches,
     record_lookups,
@@ -27,8 +28,9 @@ from submax.dmcg import run_dmcg
 from submax.fixtures import random_graph_cut, random_hypergraph_cut
 from submax.mcg import AscentConfig
 from submax.multilinear import Estimator, MultilinearEvaluator
+from submax.reports import mean_and_sigma
 from submax.rng import substream
-from submax.setfn import SetFunction, hardness_instance
+from submax.setfn import SetFunction, graph_cut_function, hardness_instance
 from submax.subsets import popcount_array
 
 
@@ -207,8 +209,7 @@ def test_sampled_gradient_matches_plus_minus_reference_bit_for_bit(make, pinned,
     base = ev._sample(x, stream)
     unit = (np.int64(1) << np.arange(n, dtype=np.int64))[:, None]
     diffs = f.eval_many(base | unit) - f.eval_many(base & ~unit)
-    sigma = diffs.std(axis=1, ddof=1) / math.sqrt(samples) if samples > 1 else np.zeros(n)
-    reference = float(f.eval_many(base).mean()), diffs.mean(axis=1), sigma
+    reference = float(f.eval_many(base).mean()), *plain_mean_and_sigma(diffs)
     before = f.query_count
     value, grad, got_sigma = ev.value_and_partials(x, stream=stream)
     assert f.query_count - before == np.union1d(base | unit, base & ~unit).size  # each distinct set once
@@ -389,3 +390,38 @@ def test_statistical_subset_bounds():
 def test_estimator_validation():
     with pytest.raises(ValueError):
         Estimator(samples=0)
+
+
+# ---------------------------------------------------------------------------
+# the spread of a sampled estimate
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.filterwarnings("error")
+def test_sampled_sigma_stays_finite_at_weights_near_1e300():
+    # squaring the deviations overflowed: sigma read inf, and the cleanup's
+    # -2 sigma margin could never fire
+    f = graph_cut_function(4, [(0, 1, 1e300), (1, 2, 1e300), (2, 3, 1.0)])
+    _, _, sigma = MultilinearEvaluator(f, Estimator(64, 1)).value_and_partials(np.full(4, 0.5), stream=(0,))
+    assert np.isfinite(sigma).all()
+    assert sigma[:3].min() > 1e299 and 0.0 < sigma[3] < 1.0
+
+
+# samples whose squared deviations neither overflow nor underflow: 0, or
+# magnitudes from 1e-100 to 1e100 of either sign
+_SAMPLE = st.one_of(st.just(0.0), st.floats(min_value=1e-100, max_value=1e100),
+                    st.floats(min_value=-1e100, max_value=-1e-100))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.integers(min_value=0, max_value=4), size=st.integers(min_value=1, max_value=40), data=st.data())
+def test_mean_and_sigma_match_the_plain_formula(rows, size, data):
+    # scaling by a power of two is exact, so away from overflow the scaled
+    # spread is the plain one bit for bit
+    shape = (rows, size) if rows else (size,)
+    samples = np.array(data.draw(st.lists(_SAMPLE, min_size=rows * size or size, max_size=rows * size or size)))
+    samples = samples.reshape(shape)
+    mean, sigma = mean_and_sigma(samples)
+    ref_mean, ref_sigma = plain_mean_and_sigma(samples)
+    assert np.asarray(mean).tobytes() == np.asarray(ref_mean).tobytes()
+    assert np.asarray(sigma).tobytes() == np.asarray(ref_sigma).tobytes()

@@ -29,13 +29,10 @@ from submax.twosided import run_two_sided
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path(submax.__file__).resolve().parent
 
-RUN_TIME_INVARIANTS = {
-    "check_feasibility_invariants",
-    "check_y_properties",
-    "check_max_y",
-    "check_loss_gain",
-}
-# public names no run calls yet: the run-time invariants and the check
+# the trajectory checks are post-hoc references in tests/lemmas.py: a run
+# keeps only its final points
+RUN_TIME_INVARIANTS = {"check_loss_gain"}
+# public names no run calls yet: the run-time invariant and the check
 # serializer, kept for the run to report
 AWAITING_A_CALLER = RUN_TIME_INVARIANTS | {"CheckReport.to_json"}
 TEST_ONLY = {"box_vertex_values", "box_vertex_max", "sample_set", "cut_eval", "random_assign",
@@ -124,9 +121,6 @@ PARAMETERS = {
     mcg.ascend: ["ev", "cfg", "starts", "choose", "cleanup", "P"],
     mcg.run_mcg: ["ev", "P", "cfg"],
     dmcg.run_dmcg: ["ev", "k", "cfg", "variant"],
-    mcg.check_feasibility_invariants: ["traj", "P"],
-    dmcg.check_y_properties: ["traj", "k"],
-    dmcg.check_max_y: ["traj"],
     # every feasibility test uses polytope.SLACK
     polytope.Polytope.membership: ["self", "x"],
     polytope.PartitionPolytope.membership: ["self", "x"],

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import POLYTOPE_KINDS, random_polytope
+from conftest import POLYTOPE_KINDS, per_part_vertex, random_polytope, top_k_vertex
 from submax.polytope import (
     CardinalityPolytope,
     KnapsackPolytope,
@@ -236,6 +236,28 @@ def test_cardinality_agrees_with_the_one_part_partition(n, seed):
         assert np.array_equal(card.linear_maximize(w), part.linear_maximize(w))
         x = rng.uniform(0, 1, size=n) * rng.uniform(0, 2 * k / n if k else 0.01)
         assert card.membership(x) == part.membership(x)
+
+
+# weights with ties and zeros, and now and then a sign flip
+_VERTEX_WEIGHTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.0, -1.0]),
+                            st.floats(min_value=-3.0, max_value=3.0, allow_nan=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=0, max_value=12))
+def test_matroid_vertices_match_the_per_kind_references(data, n):
+    # the one matroid linear_maximize returns the vertices the cardinality
+    # and partition kinds returned with a body each
+    w = np.array(data.draw(st.lists(_VERTEX_WEIGHTS, min_size=n, max_size=n)), dtype=float)
+    k = data.draw(st.integers(min_value=0, max_value=n))
+    assert np.array_equal(CardinalityPolytope(n, k).linear_maximize(w), top_k_vertex(w, k))
+    if n:
+        order = data.draw(st.permutations(range(n)))
+        cuts = sorted(data.draw(st.sets(st.integers(min_value=1, max_value=n - 1), max_size=3)) if n > 1 else [])
+        parts = [order[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+        bounds = [data.draw(st.integers(min_value=0, max_value=len(part) + 1)) for part in parts]
+        P = PartitionPolytope(parts, bounds)
+        assert np.array_equal(P.linear_maximize(w), per_part_vertex(P.parts, P.bounds, w))
 
 
 def test_empty_cardinality_polytope_has_no_part():
