@@ -84,49 +84,51 @@ def solve_direction(
     base1 = coeff * c1
     base2 = coeff * c2 + float(w2.sum())
 
-    def vertex(scores: np.ndarray) -> np.ndarray:
+    def lowest(keys: np.ndarray) -> np.ndarray:
+        """The vertex of the k lowest keys, ties to the lowest index."""
         out = np.zeros(n)
-        out[np.argsort(-scores, kind="stable")[:k]] = 1.0
+        out[np.argsort(keys, kind="stable")[:k]] = 1.0
         return out
 
     def objectives(I: np.ndarray) -> tuple[float, float]:
         return base1 + float(w1 @ I), base2 - float(w2 @ I)
 
-    def line(I: np.ndarray) -> tuple[float, float]:
-        """The dual line B + lam*(A - B) of I, as (B, A - B)."""
+    def line(I: np.ndarray) -> tuple[float, float, float]:
+        """The dual line B + lam*(A - B) of I, as (B, A - B), and min(A, B)."""
         a, b = objectives(I)
-        return b, a - b
+        return b, a - b, min(a, b)
 
-    def finish(I: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray, DirectionInfo]:
-        return I, 1.0 - I, DirectionInfo(lam, min(objectives(I)))
+    def finish(I: np.ndarray, lam: float, objective: float) -> tuple[np.ndarray, np.ndarray, DirectionInfo]:
+        return I, 1.0 - I, DirectionInfo(lam, objective)
 
-    I_lo = vertex(-w2)
-    b_lo, d_lo = line(I_lo)
+    I_lo = lowest(w2)
+    b_lo, d_lo, objective = line(I_lo)
     if d_lo >= 0.0:
         # the best-for-side-2 vertex already favors side 1
-        return finish(I_lo, 0.0)
-    I_hi = vertex(w1)
-    b_hi, d_hi = line(I_hi)
+        return finish(I_lo, 0.0, objective)
+    I_hi = lowest(-w1)
+    b_hi, d_hi, objective = line(I_hi)
     if d_hi <= 0.0:
-        return finish(I_hi, 1.0)
+        return finish(I_hi, 1.0, objective)
 
     while True:
         lam = (b_lo - b_hi) / (d_hi - d_lo)
         scores = lam * w1 - (1.0 - lam) * w2
-        I = vertex(scores)
-        b, d = line(I)
+        I = lowest(-scores)
+        b, d, objective = line(I)
         rise = min(scores @ (I - I_lo), scores @ (I - I_hi))
         if rise <= 0.0 or not d_lo < d < d_hi:
             break
         if d == 0.0:
-            return finish(I, lam)
+            return finish(I, lam, objective)
         if d < 0.0:
             I_lo, b_lo, d_lo = I, b, d
         else:
             I_hi, b_hi, d_hi = I, b, d
 
     theta = -d_lo / (d_hi - d_lo)
-    return finish(theta * I_hi + (1.0 - theta) * I_lo, lam)
+    I = theta * I_hi + (1.0 - theta) * I_lo
+    return finish(I, lam, min(objectives(I)))
 
 
 def run_dmcg(ev: MultilinearEvaluator, k: int, cfg: AscentConfig | None = None,

@@ -10,8 +10,9 @@ signed derivative (1 - 2s) dF/dy_u has turned negative.  A reset can only
 increase F and restores the "nothing below y is better" condition the
 symmetric value analysis leans on.  The gradient a step weighs is the one
 evaluated after the previous step's update and cleanup, at the point the
-step moves from, so a side pays one gradient per step plus one per reset
-(see :func:`ascend` for the sampled streams).  Every ascent reads F through
+step moves from, so an ascent pays one evaluation of all its sides per
+step, as one stack of points, plus one of one side per reset (see
+:func:`ascend` for the sampled streams).  Every ascent reads F through
 the ``MultilinearEvaluator`` its caller built, takes T and steps from one
 :class:`AscentConfig`, and records one :class:`Trajectory`: scalars per step
 (:class:`AscentStep`: t, one F per side, resets) and every side's final
@@ -102,18 +103,25 @@ def ascend(ev: MultilinearEvaluator, cfg: AscentConfig, starts: tuple[int, ...],
            P: Polytope | None = None) -> Trajectory:
     """Run the sides that start at ``starts`` on the schedule of ``cfg`` over
     P (see :func:`schedule`), reading F through ``ev``.
-    ``choose(weights, values)`` gets one weight vector and one F(y) per side
-    and returns one direction per side.  The final points are new arrays.
+    ``choose(weights, values)`` gets the weights as an (m, n) array, row j
+    side j's, and one F(y) per side, and returns one direction per side, as
+    an (m, n) array or a sequence of m arrays.
+    The m sides are held as one (m, n) array, so a step weighs, updates and
+    evaluates all of them at once.  The final points are new arrays.
 
-    Every side evaluates F and its gradient once at its start, once after
-    each update and once after each reset, on every backend, and the next
-    step's direction reads the latest of them: the gradient after a step's
-    update and cleanup is the one at the point the next step moves from.
-    Only after the last update of a run without cleanup is F evaluated
-    alone, since nothing reads that gradient.  Sampled, side j of m draws
+    The sides' F and gradients are evaluated at once at the start and after
+    each update, as one stack, and one side's after each of its resets, on
+    every backend, and the next step's direction reads the latest of them:
+    the gradient after a step's update and cleanup is the one at the point
+    the next step moves from.  Only after the last update of a run without
+    cleanup is F evaluated alone, since nothing reads that gradient.  The
+    cleanup resets a side's coordinates in index order, each with the
+    gradient after the resets before it.  Sampled, side j of m draws
     stream (``ASCENT_STREAM``, 0, j) at its start, (``ASCENT_STREAM``,
-    i + 1, j) after step i's update and (``ASCENT_STREAM``, i + 1, m + j, u)
-    after resetting coordinate u in step i.  A sampled gradient looks up
+    i + 1, j) after step i's update (row j of the stacks evaluated on
+    (``ASCENT_STREAM``, 0) and (``ASCENT_STREAM``, i + 1)) and
+    (``ASCENT_STREAM``, i + 1, m + j, u) after resetting coordinate u in
+    step i.  A sampled gradient looks up
     each draw and its n one-element flips, (n + 1) samples sets, and F each
     draw, and the evaluator's memo asks the oracle only for the distinct
     sets it does not hold, so a cleanup run costs at most (1 + steps + resets)
@@ -123,31 +131,43 @@ def ascend(ev: MultilinearEvaluator, cfg: AscentConfig, starts: tuple[int, ...],
     or T/steps > 1."""
     T, steps, delta, regime = schedule(ev.n, cfg.T, cfg.steps, P)
     m = len(starts)
-    ys = [np.full(ev.n, float(s)) for s in starts]
-    evals = [ev.value_and_partials(y, stream=(ASCENT_STREAM, 0, j)) for j, y in enumerate(ys)]
-    start = AscentStep(0.0, tuple(e[0] for e in evals))
+    s = np.array(starts, dtype=float)[:, None]
+    target, sign = 1.0 - s, 1.0 - 2.0 * s
+
+    def resettable(start, sign, y, grad, sigma):
+        """y_u has moved off its start, and moving it further loses value."""
+        noise = EXACT_NEGATIVE_MARGIN if sigma is None else 2.0 * sigma
+        return (sign * (y - start) > 0.0) & (sign * grad < -noise)
+
+    ys = np.repeat(s, ev.n, axis=1)
+    values, grads, sigma = ev.value_and_partials(ys, stream=(ASCENT_STREAM, 0))
+    F = values.tolist()
+    start = AscentStep(0.0, tuple(F))
     record = []
     for i in range(steps):
-        weights = [(1.0 - s - y) * e[1] for s, y, e in zip(starts, ys, evals)]
-        directions = choose(weights, [e[0] for e in evals])
-        ys = [y + delta * d * (1.0 - s - y) for s, y, d in zip(starts, ys, directions)]
+        gap = target - ys
+        directions = choose(gap * grads, F)
+        ys = ys + delta * np.asarray(directions) * gap
         # the next step or the cleanup reads this gradient; after the last update without cleanup, nothing does
-        value_only = not cleanup and i == steps - 1
-        evals = [(ev.value(y, stream=(ASCENT_STREAM, i + 1, j)),) if value_only
-                 else ev.value_and_partials(y, stream=(ASCENT_STREAM, i + 1, j)) for j, y in enumerate(ys)]
+        if not cleanup and i == steps - 1:
+            values = ev.value(ys, stream=(ASCENT_STREAM, i + 1))
+        else:
+            values, grads, sigma = ev.value_and_partials(ys, stream=(ASCENT_STREAM, i + 1))
         resets = 0
-        for j in range(m if cleanup else 0):
-            s, y, sign = starts[j], ys[j], 1.0 - 2.0 * starts[j]
-            _, grad, sigma = evals[j]
-            for u, y_u in enumerate(y.tolist()):  # a reset at u changes no later y_u
-                noise = EXACT_NEGATIVE_MARGIN if sigma is None else 2.0 * sigma[u]
-                # y_u has moved off s, and moving it further loses value
-                if sign * (y_u - s) > 0.0 and sign * grad[u] < -noise:
-                    y[u] = s
+        if cleanup and resettable(s, sign, ys, grads, sigma).any():
+            for j in range(m):
+                # a reset at u moves y, so the coordinates after u are tested on fresh derivatives
+                u = -1
+                while (hit := resettable(s[j], sign[j], ys[j, u + 1 :], grads[j, u + 1 :],
+                                         None if sigma is None else sigma[j, u + 1 :])).any():
+                    u += 1 + int(hit.argmax())
+                    ys[j, u] = s[j, 0]
                     resets += 1
-                    # the reset moves y, so later coordinates and the next step see fresh derivatives
-                    _, grad, sigma = evals[j] = ev.value_and_partials(y, stream=(ASCENT_STREAM, i + 1, m + j, u))
-        record.append(AscentStep(delta * (i + 1), tuple(e[0] for e in evals), resets))
+                    values[j], grads[j], sigma_j = ev.value_and_partials(ys[j], stream=(ASCENT_STREAM, i + 1, m + j, u))
+                    if sigma is not None:
+                        sigma[j] = sigma_j
+        F = values.tolist()
+        record.append(AscentStep(delta * (i + 1), tuple(F), resets))
     return Trajectory(T, delta, regime, start, tuple(ys), record)
 
 
@@ -164,7 +184,7 @@ def run_mcg(ev: MultilinearEvaluator, P: Polytope, cfg: AscentConfig | None = No
         warnings.warn("objective not flagged symmetric: the value guarantee is void", stacklevel=2)
 
     def best_vertex(weights, _values):
-        return (P.linear_maximize(weights[0]),)
+        return P.linear_maximize(weights[0])[None]
 
     traj = ascend(ev, cfg or AscentConfig(), (0,), best_vertex, True, P)
     return np.clip(traj.ys[0], 0.0, 1.0), traj

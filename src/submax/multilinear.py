@@ -6,7 +6,8 @@ is a plain float array of length n.  :class:`MultilinearEvaluator` is the
 one object through which a run reads F: the caller builds it once from f
 and an :class:`Estimator` and hands it to the ascent and to pipage
 rounding.  ``value`` gives F and ``value_and_partials`` F with its gradient,
-both from one of two backends, which the constructor picks:
+at one point or at each row of a stack of points, both from one of two
+backends, which the constructor picks:
 
 * ``"sampled"`` when the estimator sets ``samples``: f is averaged over that
   many seeded draws R, with common random numbers for coupled queries.  F
@@ -20,15 +21,17 @@ both from one of two backends, which the constructor picks:
   one.  A set has one value in any lookup, so every F, gradient and spread
   is the one over all the draws, bit for bit, and only the oracle call count
   depends on the memo.  Each query names its stream, a path under the
-  estimator's seed that each caller leads with its own tag from ``rng``.
-  The ascent evaluates one gradient per side at the start, after each
-  step's update and after each reset, and the next step reads the latest
-  (see ``mcg.ascend``);
+  estimator's seed that each caller leads with its own tag from ``rng``,
+  and row j of a stack of points reads stream (*stream, j).  The ascent
+  evaluates every side's gradient at the start and after each step's
+  update, as one stack, and one side's after each reset, and the next step
+  reads the latest (see ``mcg.ascend``);
 * ``"closed_form"`` when F is exact (``samples`` is None): f's
   ``multilinear`` hook (graph and hypergraph cuts, coverage, and their
   restrictions) gives exact F and gradient in time polynomial in the
-  instance size, with no oracle queries.  An f without the hook has no
-  exact backend and needs ``samples``.
+  instance size, with no oracle queries, for a whole stack of points in
+  one call; a single point is a stack of one.  An f without the hook has
+  no exact backend and needs ``samples``.
 """
 
 from __future__ import annotations
@@ -146,17 +149,29 @@ class MultilinearEvaluator:
         return float(vals[0].mean()), *mean_and_sigma(diffs)
 
     # -- public -------------------------------------------------------------
-    def value(self, x, stream: tuple[int, ...] = ()) -> float:
-        """F(x) at a point x of [0,1]^n (an array or a sequence)."""
+    def value(self, x, stream: tuple[int, ...] = ()):
+        """F(x) at a point x of [0,1]^n (an array or a sequence), or, for a
+        stack x of shape (s, n), the array of F at each of its rows."""
         x = np.asarray(x, dtype=float)
-        if self.backend == "sampled":
+        if self.backend == "closed_form":
+            values = self.f.multilinear(x[None] if x.ndim == 1 else x)[0]
+            return float(values[0]) if x.ndim == 1 else values
+        if x.ndim == 1:
             return self._value_sampled(x, stream)
-        return self.f.multilinear(x)[0]
+        return np.array([self._value_sampled(row, (*stream, j)) for j, row in enumerate(x)])
 
     def value_and_partials(self, x, stream: tuple[int, ...] = ()):
         """(F(x), gradient, sigma) where sigma is None when F is exact and the
-        per-coordinate standard error of the gradient estimate otherwise."""
+        per-coordinate standard error of the gradient estimate otherwise; for
+        a stack x of shape (s, n), the same of each row, stacked: F of shape
+        (s,) and the gradient and sigma of shape (s, n)."""
         x = np.asarray(x, dtype=float)
-        if self.backend == "sampled":
+        if self.backend == "closed_form":
+            values, grads = self.f.multilinear(x[None] if x.ndim == 1 else x)
+            return (float(values[0]), grads[0], None) if x.ndim == 1 else (values, grads, None)
+        if x.ndim == 1:
             return self._grad_sampled(x, stream)
-        return *self.f.multilinear(x), None
+        values, grads, sigmas = np.empty(len(x)), np.empty(x.shape), np.empty(x.shape)
+        for j, row in enumerate(x):
+            values[j], grads[j], sigmas[j] = self._grad_sampled(row, (*stream, j))
+        return values, grads, sigmas

@@ -17,7 +17,8 @@ them, and turns them into rows.  One builder checks every family's rows and
 weights and gives them one kernel, which narrows int64 masks to
 ``subsets.word(n)`` and counts the members of each row of a Python-int mask
 (a set above 62 elements) from its bit vector, and one closed-form
-multilinear extension (``multilinear``).  A restriction of a row family to
+multilinear extension (``multilinear``), which reads F and grad F at a
+stack of points in one call.  A restriction of a row family to
 some of its elements (``restrict_function``) is a row family again, of f's
 rows relabelled.
 """
@@ -31,8 +32,9 @@ import numpy as np
 
 from .subsets import MASK_BLOCK, MAX_MASK_BITS, as_mask, mask_array, word
 
-# x -> (F(x), grad F(x)) for x in [0,1]^n
-Multilinear = Callable[[np.ndarray], tuple[float, np.ndarray]]
+# a stack X of s points of [0,1]^n, shape (s, n) -> (F of each point, shape
+# (s,); grad F of each point, shape (s, n))
+Multilinear = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 # largest n whose value table SetFunction.table builds: 2^23 float64 values,
 # 64 MB, the welfare search's largest case (k = 2 players, k^n <= 10^7)
@@ -69,8 +71,11 @@ class SetFunction:
     one per evaluated set.  ``table`` holds f's value on every set once it has been asked for:
     the exact table fold, the welfare search and the welfare simulation all
     read that one array.  An optional
-    ``multilinear`` hook returns the exact extension and its gradient,
-    ``(F(x), grad F(x))``, without querying the oracle.
+    ``multilinear`` hook returns the exact extension and its gradient
+    without querying the oracle, for a stack of points at once: given X of
+    shape (s, n) it returns (F of each row, shape (s,); grad F of each row,
+    shape (s, n)), and row j's F and gradient are the same bit for bit
+    whatever else the stack holds.
     ``symmetric`` (f(S) = f(N\\S)) and ``monotone`` (f(S) <= f(S + u)) are
     exact claims the brute force trusts: the row family sets them by its row
     rule and a restriction from its relabelled rows, other oracles default
@@ -163,17 +168,6 @@ def _weighted_count(hits: np.ndarray, weights: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _leave_one_out(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Products over the last axis, and for each entry the product of the others
-    along it, from prefix and suffix products (no division: entries may be 0)."""
-    shape = (*vals.shape[:-1], vals.shape[-1] + 1)
-    prefix = np.ones(shape)
-    np.cumprod(vals, axis=-1, out=prefix[..., 1:])
-    suffix = np.ones(shape)
-    np.cumprod(vals[..., ::-1], axis=-1, out=suffix[..., -2::-1])
-    return prefix[..., -1], prefix[..., :-1] * suffix[..., 1:]
-
-
 def _row_family(n: int, rows: list, weights, *, cut: bool, kind: str) -> SetFunction:
     """f(S) = total weight of the rows S meets, and under the cut rule
     (``cut``) does not contain.  Cut rows make f symmetric, the others
@@ -227,11 +221,19 @@ def _row_oracle(n: int, incidence: np.ndarray, weights: np.ndarray, cut: bool, k
     ANDed with the row masks, and a Python-int mask (a set above 62
     elements) is unpacked to a bit vector whose members are counted per
     row, one gather per incidence column.  Both sum the same hits in
-    ``_weighted_count``, so they agree bit for bit.  The closed form is
-    ``x_u + x_v - c x_u x_v`` (c = 2 cut, 1 meets; padding and absent
-    members read x = 0) when rows hold at most two entries, and else
-    1 - prod(1 - x), less prod(x) for a cut, with leave-one-out products
-    for the gradient."""
+    ``_weighted_count``, so they agree bit for bit.  The closed form takes a
+    stack of s points: it is ``x_u + x_v - c x_u x_v`` (c = 2 cut, 1 meets;
+    padding and absent members read x = 0) when rows hold at most two
+    entries, and else 1 - prod(1 - x), less prod(x) for a cut, whose
+    gradient takes each member's product of the others, a prefix product
+    times a suffix product.  Every point's sides are read in one gather,
+    of each row's members forward and reversed after a padding index that
+    reads 1, and the running products along them hold the prefix and suffix
+    products, the last one the row's product.  The gradient is one
+    ``bincount`` into per-point bins, F one dot product per point, so each
+    point's F and gradient are what a stack of that point alone gives, bit
+    for bit.  The gather indices and the padded sides are built once per
+    stack height."""
     width = incidence.shape[1]
     sizes = (incidence != n).sum(axis=1)  # an absent member counts, so its row is never contained
     lost = (incidence > n).any(axis=1)
@@ -267,28 +269,75 @@ def _row_oracle(n: int, incidence: np.ndarray, weights: np.ndarray, cut: bool, k
         return _weighted_count(hits, weights)
 
     c = 2.0 if cut else 1.0
+    # point j of a stack owns entries j (n + 2) to j (n + 2) + n + 1 of each
+    # padded side and of the gradient, so one gather reads every point and one
+    # bincount sums each point's gradient in bins of its own, each in row order
+    if width > 2:
+        # the members of each row forward and reversed, each after a leading
+        # padding index: their running products are the prefix and the suffix
+        # products, both starting from 1
+        ends = np.empty((width + 1, 2, len(incidence)), dtype=np.int64)
+        ends[0] = n
+        ends[1:, 0] = incidence.T
+        ends[1:, 1] = incidence.T[::-1]
+    plans = {}  # stack height -> (padded sides, gather index, gradient bins, row weights of every point)
 
-    def multilinear(x: np.ndarray) -> tuple[float, np.ndarray]:
+    def plan(s: int) -> tuple:
         if width == 2:
-            # Pr[row uv pays] = x_u + x_v - c x_u x_v
-            u, v = columns
-            xp = np.zeros(n + 2)
-            xp[:n] = x
-            xu, xv = xp[u], xp[v]
-            grad = np.bincount(u, weights * (1.0 - c * xv), n + 2)
-            grad += np.bincount(v, weights * (1.0 - c * xu), n + 2)
-            return float(weights @ (xu + xv - c * xu * xv)), grad[:n]
-        # Pr[row pays] = 1 - prod (1 - x) [- prod x under the cut rule], in one
-        # pass; padding reads 1 in both products, an absent member x = 0
-        sides = np.ones((1 + cut, n + 2))
-        sides[0, :n], sides[1:, :n], sides[1:, n + 1] = 1.0 - x, x, 0.0
-        products, others = _leave_one_out(sides[:, incidence])
-        if cut:
-            pays, others = 1.0 - products[1] - products[0], others[0] - others[1]
+            at = (np.array(columns)[:, None, :] + (n + 2) * np.arange(s)[:, None]).reshape(2, -1)  # u and v
+            return np.zeros((s, n + 2)), at, tuple(at), np.tile(weights, (2, s))
+        # sides 0..s-1 read 1 - x, sides s..2s-1 (a cut's) x; padding reads 1
+        # on both and an absent member x = 0
+        sides = np.ones(((1 + cut) * s, n + 2))
+        sides[s:, n + 1] = 0.0
+        at = ends[:, :, None, :] + (n + 2) * np.arange(len(sides))[:, None]  # (width + 1, 2, sides, rows)
+        bins = (incidence + (n + 2) * np.arange(s)[:, None, None]).ravel()  # (points, rows, width)
+        return sides, at, bins, weights
+
+    def multilinear(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        s = len(X)
+        sides, at, bins, row_weights = plans.get(s) or plans.setdefault(s, plan(s))
+        sides = sides.copy()
+        # the arithmetic works in place where it can: at n = 1,000 a fresh
+        # temporary of a few hundred kB costs more in page faults than in flops
+        if width == 2:
+            # Pr[row uv pays] = x_u + x_v - c x_u x_v, and d/dx_u = w (1 - c x_v)
+            sides[:, :n] = X
+            xu, xv = read = sides.ravel()[at]
+            pays, uv = xu + xv, c * xu
+            uv *= xv
+            pays -= uv
+            pays = pays.reshape(s, len(weights))
+            terms = np.multiply(read, c, out=read)
+            np.subtract(1.0, terms, out=terms)
+            terms *= row_weights
+            (bins_u, bins_v), (terms_u, terms_v) = bins, terms
+            grad = np.bincount(bins_u, terms_v, s * (n + 2))
+            grad += np.bincount(bins_v, terms_u, s * (n + 2))
         else:
-            pays, others = 1.0 - products[0], others[0]
-        grad = np.bincount(incidence.ravel(), (weights[:, None] * others).ravel(), n + 2)
-        return float(weights @ pays), grad[:n]
+            # Pr[row pays] = 1 - prod (1 - x) [- prod x under the cut rule], and
+            # d/dx_u from the product of the others, prefix times suffix
+            np.subtract(1.0, X, out=sides[:s, :n])
+            if cut:
+                sides[s:, :n] = X
+            run = sides.ravel()[at]
+            # running products in place, a slab of all sides and rows per step:
+            # np.cumprod's products in its order, several times faster at n = 1,000
+            for i in range(2, width + 1):
+                np.multiply(run[i], run[i - 1], out=run[i])
+            products, others = run[width, 0], run[:width, 0] * run[width - 1 :: -1, 1]
+            if cut:
+                pays = 1.0 - products[s:] - products[:s]
+                others = np.subtract(others[:, :s], others[:, s:], out=others[:, :s])
+            else:
+                pays = 1.0 - products
+            # written as (points, rows, width), the order of the bins, so each
+            # bin sums its terms in row order
+            terms = np.empty((s, len(weights), width))
+            np.multiply(others, row_weights, out=terms.transpose(2, 0, 1))
+            grad = np.bincount(bins, terms.ravel(), s * (n + 2))
+        # one dot product per point: a matrix-vector product rounds each differently
+        return np.fromiter(map(weights.dot, pays), float, s), grad.reshape(s, n + 2)[:, :n]
 
     f = SetFunction(n, many, symmetric=symmetric, monotone=not cut, kind=kind, multilinear=multilinear)
     f._rows = (incidence, weights, cut)

@@ -76,9 +76,12 @@ class RecordingEvaluator(MultilinearEvaluator):
     the update of step i, on (``ASCENT_STREAM``, i + 1, j), and after each
     reset of a coordinate u in step i, on (``ASCENT_STREAM``, i + 1, m + j,
     u); so the last point read for step i and side j is that step's point.
-    A reset writes y in place, hence the copies.  ``start`` is every side's
-    start and ``steps[i]`` every side's point after step i, of the last
-    ascent run on this evaluator."""
+    The start and each update are read as one stack of the m sides on
+    stream (``ASCENT_STREAM``, i), whose row j is read on (*stream, j), so
+    each row is recorded as a point of its own on that stream.  A reset
+    writes y in place, hence the copies.  ``start`` is every side's start
+    and ``steps[i]`` every side's point after step i, of the last ascent run
+    on this evaluator."""
 
     def __init__(self, f, est=None):
         super().__init__(f, est)
@@ -94,12 +97,20 @@ class RecordingEvaluator(MultilinearEvaluator):
                 self._sides = j + 1
             self._points[i, j % self._sides] = np.array(x, dtype=float)
 
+    def _record_rows(self, x, stream):
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            self._record(x, stream)
+        else:
+            for j, row in enumerate(x):
+                self._record(row, (*stream, j))
+
     def value(self, x, stream=()):
-        self._record(x, stream)
+        self._record_rows(x, stream)
         return super().value(x, stream)
 
     def value_and_partials(self, x, stream=()):
-        self._record(x, stream)
+        self._record_rows(x, stream)
         return super().value_and_partials(x, stream)
 
     def _at(self, i):
@@ -129,7 +140,7 @@ def modular_function(n, coeffs):
         n,
         lambda masks: np.einsum("...j,j->...", bits_from_masks(masks, n), c),
         kind="modular",
-        multilinear=lambda x: (float(c @ x), c.copy()),
+        multilinear=lambda X: (np.array([c @ x for x in X]), np.tile(c, (len(X), 1))),
     )
 
 
@@ -141,8 +152,8 @@ def sum_functions(fs):
     if any(g.n != n for g in fs):
         raise ValueError("summands must share a ground set")
 
-    def multilinear(x):
-        parts = [g.multilinear(x) for g in fs]
+    def multilinear(X):
+        parts = [g.multilinear(X) for g in fs]
         return sum(v for v, _ in parts), np.sum([grad for _, grad in parts], axis=0)
 
     return SetFunction(
@@ -158,9 +169,9 @@ def complement_function(f):
     """Oracle for S -> f(N \\ S); preserves submodularity and the symmetry flag."""
     fm = full_mask(f.n)
 
-    def multilinear(x):
-        value, grad = f.multilinear(1.0 - x)
-        return value, -grad
+    def multilinear(X):
+        values, grads = f.multilinear(1.0 - X)
+        return values, -grads
 
     return SetFunction(
         f.n,
@@ -417,11 +428,11 @@ def restrict_by_embedding(f, kept):
             embedded |= table[((masks >> 8 * b) & 255).astype(np.intp, copy=False)]
         return f._values(embedded)
 
-    def multilinear(x):
-        full = np.zeros(f.n)
-        full[kept_arr] = x
-        value, grad = f.multilinear(full)
-        return value, grad[kept_arr]
+    def multilinear(X):
+        full = np.zeros((len(X), f.n))
+        full[:, kept_arr] = X
+        values, grads = f.multilinear(full)
+        return values, grads[:, kept_arr]
 
     return SetFunction(len(kept), many, kind=f"embed({f.kind})",
                        multilinear=multilinear if f.multilinear is not None else None)

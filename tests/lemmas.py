@@ -3,7 +3,10 @@ facts the guarantees rest on, each returning a :class:`CheckReport`.
 
 * multilinear extension: the 2^n table fold (:func:`table_fold`), the
   reference hook that the closed forms are checked against and that
-  test-only oracles without a closed form evaluate F with; complement and
+  test-only oracles without a closed form evaluate F with; the row
+  family's closed form one point at a time
+  (:func:`point_by_point_closed_form`), the reference of its stacked reads;
+  the scaled spread of a sample (:func:`scaled_mean_and_sigma`); complement and
   shift identities, the symmetric
   union bound (with its down-box precondition checked at the box vertices),
   the first-order linearization bound, the random-subset sampling bounds, and
@@ -50,11 +53,15 @@ def table_fold(f: SetFunction):
     """A ``multilinear`` hook for f read off its value table
     (``SetFunction.table``: 2^n oracle calls once, so n <= ``TABLE_LIMIT``):
     F(x) folds the table one coordinate at a time, and the gradient is one
-    backward sweep, the adjoint of the fold, in O(2^n) arithmetic.  Attach
-    it with ``f.multilinear = table_fold(f)``."""
+    backward sweep, the adjoint of the fold, in O(2^n) arithmetic, at each
+    point of the stack the hook is given.  Attach it with
+    ``f.multilinear = table_fold(f)``."""
 
-    def multilinear(x):
-        x = np.asarray(x, dtype=float)
+    def multilinear(X):
+        folds = [fold(x) for x in np.asarray(X, dtype=float)]
+        return np.array([value for value, _ in folds]), np.array([grad for _, grad in folds]).reshape(len(X), f.n)
+
+    def fold(x):
         stages = []  # the table before each coordinate's fold
         t = f.table()
         for xu in x:
@@ -73,6 +80,67 @@ def table_fold(f: SetFunction):
         return float(t[0]), grad
 
     return multilinear
+
+
+def point_by_point_closed_form(f: SetFunction):
+    """A ``multilinear`` hook for a row family f that reads one point at a
+    time with leave-one-out products, a prefix and a suffix ``cumprod`` per
+    point: the closed form before it read stacks.  f's own hook must give
+    each point's F and gradient bit for bit."""
+    incidence, weights, cut = f._rows
+    n, c = f.n, 2.0 if cut else 1.0
+
+    def leave_one_out(vals):
+        shape = (*vals.shape[:-1], vals.shape[-1] + 1)
+        prefix = np.ones(shape)
+        np.cumprod(vals, axis=-1, out=prefix[..., 1:])
+        suffix = np.ones(shape)
+        np.cumprod(vals[..., ::-1], axis=-1, out=suffix[..., -2::-1])
+        return prefix[..., -1], prefix[..., :-1] * suffix[..., 1:]
+
+    def point(x):
+        if incidence.shape[1] == 2:
+            u, v = incidence.T.copy()
+            xp = np.zeros(n + 2)
+            xp[:n] = x
+            xu, xv = xp[u], xp[v]
+            grad = np.bincount(u, weights * (1.0 - c * xv), n + 2)
+            grad += np.bincount(v, weights * (1.0 - c * xu), n + 2)
+            return float(weights @ (xu + xv - c * xu * xv)), grad[:n]
+        sides = np.ones((1 + cut, n + 2))
+        sides[0, :n], sides[1:, :n], sides[1:, n + 1] = 1.0 - x, x, 0.0
+        products, others = leave_one_out(sides[:, incidence])
+        if cut:
+            pays, others = 1.0 - products[1] - products[0], others[0] - others[1]
+        else:
+            pays, others = 1.0 - products[0], others[0]
+        grad = np.bincount(incidence.ravel(), (weights[:, None] * others).ravel(), n + 2)
+        return float(weights @ pays), grad[:n]
+
+    def multilinear(X):
+        points = [point(x) for x in np.asarray(X, dtype=float)]
+        return np.array([value for value, _ in points]), np.array([grad for _, grad in points]).reshape(len(X), n)
+
+    return multilinear
+
+
+def scaled_mean_and_sigma(samples):
+    """Reference ``reports.mean_and_sigma``: every row's deviations are
+    divided by the power of two 2^(e - 1) <= m < 2^e of its largest |x| = m
+    before they are squared, and the standard deviation is multiplied back.
+    The shipped one takes the plain formula where that gives the same bits
+    and must equal this one everywhere."""
+    arr = np.asarray(samples, dtype=float)
+    size = arr.shape[-1]
+    mean = arr.mean(axis=-1)
+    if size > 1:
+        scale = np.ldexp(1.0, np.frexp(np.maximum(arr.max(axis=-1), -arr.min(axis=-1)))[1] - 1)
+        dev = arr - mean[..., None]
+        dev /= scale[..., None]
+        sigma = np.sqrt(np.square(dev, out=dev).sum(axis=-1) / (size - 1)) / math.sqrt(size) * scale
+    else:
+        sigma = np.zeros_like(mean)
+    return (float(mean), float(sigma)) if arr.ndim == 1 else (mean, sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,29 @@ def test_F_at_the_recorded_points_is_what_the_trajectory_records(solver):
     assert (sum(s.zeroed for s in traj.steps) > 0) == (solver != "general")
 
 
+@pytest.mark.parametrize("solver", ["mcg", "symmetric", "general"])
+def test_an_exact_ascent_reads_the_closed_form_once_per_step_and_per_reset(solver):
+    # all m sides at the start and after each update, as one stack of m
+    # points, and one side after each reset
+    heights = []
+
+    def counting(f, est):
+        hook = f.multilinear
+
+        def multilinear(X):
+            heights.append(len(X))
+            return hook(X)
+
+        f.multilinear = multilinear
+        return MultilinearEvaluator(f, est)
+
+    _, _, traj = _run(solver, "exact", counting)
+    m = len(traj.ys)
+    resets = sum(s.zeroed for s in traj.steps)
+    assert (resets > 0) == (solver != "general")
+    assert sorted(heights) == sorted([m] * (1 + len(traj.steps)) + [1] * resets)
+
+
 @pytest.mark.parametrize("T, steps", [(0.0, None), (-1.0, None), (float("nan"), None), (float("inf"), None),
                                       (1.0, 0), (1.0, -3)])
 def test_schedule_rejects_empty_or_degenerate_runs(T, steps):

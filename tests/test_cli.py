@@ -859,7 +859,7 @@ def test_a_sampled_run_reports_the_exact_fractional_value(algorithm, tmp_path):
     point = np.array(report["fractional_point"])
     assert np.minimum(point, 1.0 - point).max() > 0.0  # an interior point, where sampling would differ
     f = graph_cut_function(8, edges)
-    assert report["fractional_value"] == f.multilinear(point)[0]
+    assert report["fractional_value"] == f.multilinear(point[None])[0][0]
     assert report["achieved_ratio"] == report["fractional_value"] / report["oracle_opt"]
 
 

@@ -2,14 +2,19 @@
 
 The closed form of every family and wrapper must match the 2^n table fold
 (``lemmas.table_fold``) within 1e-12 (value and gradient), and the seeded
-sampled estimator within 4 sigma at a size the table cannot reach.
+sampled estimator within 4 sigma at a size the table cannot reach.  A stack
+of points must give each point's F and gradient bit for bit as a stack of
+that point alone, and as the closed form that read one point at a time
+(``lemmas.point_by_point_closed_form``).
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import complement_function, modular_function, random_coverage, random_offset_cut, sum_functions
-from lemmas import table_fold
+from lemmas import point_by_point_closed_form, table_fold
 from submax.fixtures import random_graph_cut, random_hypergraph_cut
 from submax.multilinear import Estimator, MultilinearEvaluator
 from submax.rng import substream
@@ -17,6 +22,7 @@ from submax.setfn import (
     TABLE_LIMIT,
     SetFunction,
     coverage_function,
+    graph_cut_function,
     hardness_instance,
     hypergraph_cut_function,
     restrict_function,
@@ -186,3 +192,58 @@ def test_closed_form_within_4_sigma_of_sampled(f):
     sampled = MultilinearEvaluator(f, Estimator(samples=2000, seed=25))
     _, est, sigma = sampled.value_and_partials(x)
     assert np.all(np.abs(est - grad) <= 4.0 * sigma + TOL)
+
+
+# row families for the stacked reads: width-2 cut rows, wider cut rows,
+# coverage and ragged coverage rows, restrictions with absent members, the
+# hardness fixture, no rows, and no elements
+_STACKED = {
+    "graph_cut": random_graph_cut(9, seed=31),
+    "hypergraph_cut": _all_arities(8, seed=32),
+    "coverage": random_coverage(9, seed=33),
+    "ragged_coverage": _ragged_coverage(),
+    "restrict_cut": restrict_function(random_graph_cut(9, seed=34), [8, 0, 3, 5]),
+    "restrict_hyper": restrict_function(_all_arities(8, seed=35), [1, 2, 6]),
+    "restrict_coverage": restrict_function(random_coverage(9, seed=36), [4, 7, 0, 2, 8]),
+    "hardness": hardness_instance(2, 4),
+    "no_rows": graph_cut_function(5, []),
+    "no_elements": coverage_function(0, [0.5, 1.5], []),
+}
+_COORDINATE = st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(_STACKED)), s=st.integers(min_value=1, max_value=3), data=st.data())
+def test_a_stacked_read_gives_each_point_what_a_read_of_it_alone_gives(name, s, data):
+    f = _STACKED[name]
+    X = np.array(data.draw(st.lists(_COORDINATE, min_size=s * f.n, max_size=s * f.n)), dtype=float).reshape(s, f.n)
+    values, grads = f.multilinear(X)
+    assert values.shape == (s,) and grads.shape == (s, f.n)
+    ref_values, ref_grads = point_by_point_closed_form(f)(X)
+    assert values.tobytes() == ref_values.tobytes() and grads.tobytes() == ref_grads.tobytes()
+    ev = MultilinearEvaluator(f)
+    stacked_values, stacked_grads, sigma = ev.value_and_partials(X)
+    assert sigma is None and stacked_values.tobytes() == values.tobytes() and stacked_grads.tobytes() == grads.tobytes()
+    assert ev.value(X).tobytes() == values.tobytes()
+    for j, x in enumerate(X):
+        alone_values, alone_grads = f.multilinear(X[j : j + 1])
+        assert alone_values.tobytes() == values[j : j + 1].tobytes()
+        assert alone_grads.tobytes() == grads[j : j + 1].tobytes()
+        value, grad, _ = ev.value_and_partials(x)
+        assert value == ev.value(x) == values[j] and grad.tobytes() == grads[j].tobytes()
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_a_sampled_stack_reads_row_j_on_its_own_stream(s):
+    # row j of a stack is the point alone on stream (*stream, j), bit for bit
+    f = random_hypergraph_cut(10, seed=37)
+    X = substream(38, s).random((s, f.n))
+    X[:, 0] = 1.0
+    est = Estimator(samples=48, seed=39)
+    values, grads, sigmas = MultilinearEvaluator(f, est).value_and_partials(X, stream=(4, 7))
+    stacked = MultilinearEvaluator(f, est).value(X, stream=(4, 7))
+    alone = MultilinearEvaluator(f, est)
+    for j, x in enumerate(X):
+        value, grad, sigma = alone.value_and_partials(x, stream=(4, 7, j))
+        assert value == values[j] and grad.tobytes() == grads[j].tobytes() and sigma.tobytes() == sigmas[j].tobytes()
+        assert alone.value(x, stream=(4, 7, j)) == stacked[j]

@@ -18,6 +18,7 @@ from conftest import (
 )
 from lemmas import (
     box_vertex_values,
+    scaled_mean_and_sigma,
     check_correlated_marginals_bound,
     check_lemma_general_properties,
     check_linearization_bound,
@@ -425,3 +426,50 @@ def test_mean_and_sigma_match_the_plain_formula(rows, size, data):
     ref_mean, ref_sigma = plain_mean_and_sigma(samples)
     assert np.asarray(mean).tobytes() == np.asarray(ref_mean).tobytes()
     assert np.asarray(sigma).tobytes() == np.asarray(ref_sigma).tobytes()
+
+
+# samples across the float range: 0, the extremes 1e-300 and 1e300 that
+# weights can reach, and magnitudes in between of either sign
+_WIDE_SAMPLE = st.one_of(st.just(0.0), st.sampled_from([1e-300, -1e-300, 1e300, -1e300]),
+                         st.floats(min_value=1e-300, max_value=1e300), st.floats(min_value=-1e300, max_value=-1e-300))
+
+
+@st.composite
+def _wide_samples(draw, count):
+    """``count`` samples, spread across the float range or clustered a few
+    ulps around one value, whose deviations from the mean are tiny."""
+    if draw(st.booleans()):
+        return draw(st.lists(_WIDE_SAMPLE, min_size=count, max_size=count))
+    center = draw(_WIDE_SAMPLE)
+    steps = draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=count, max_size=count))
+    return [center * (1.0 + k * 2.0**-52) for k in steps]
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=st.integers(min_value=0, max_value=4), size=st.integers(min_value=1, max_value=40), data=st.data())
+def test_mean_and_sigma_match_the_scaled_reference_bit_for_bit(rows, size, data):
+    # the plain formula where it gives the same bits, the scaled one elsewhere
+    shape = (rows, size) if rows else (size,)
+    samples = np.array(data.draw(_wide_samples(rows * size or size))).reshape(shape)
+    mean, sigma = mean_and_sigma(samples)
+    ref_mean, ref_sigma = scaled_mean_and_sigma(samples)
+    assert type(mean) is type(ref_mean) and type(sigma) is type(ref_sigma)
+    assert np.asarray(mean).tobytes() == np.asarray(ref_mean).tobytes()
+    assert np.asarray(sigma).tobytes() == np.asarray(ref_sigma).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("samples", [
+    [1e300, -1e300, 1e300, 0.0],  # squares overflow: scaled
+    [1e-300, 3e-300, 2e-300],  # squares underflow: scaled
+    [1.0, -1.0, 1e-300, 1e-300],  # the mean cancels to nearly 0: scaled
+    [0.25, 0.5, 4.0],  # plain
+    [7.0],  # one sample: sigma 0
+    [[1e300, 1e300, -1e300], [0.5, 0.75, 1.0], [0.0, 0.0, 0.0], [1e-300, 0.0, -1e-300]],
+])
+def test_mean_and_sigma_at_the_ends_of_the_float_range(samples):
+    mean, sigma = mean_and_sigma(samples)
+    ref_mean, ref_sigma = scaled_mean_and_sigma(samples)
+    assert np.asarray(mean).tobytes() == np.asarray(ref_mean).tobytes()
+    assert np.asarray(sigma).tobytes() == np.asarray(ref_sigma).tobytes()
+    assert np.isfinite(sigma).all()

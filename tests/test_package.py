@@ -117,6 +117,9 @@ PARAMETERS = {
     restrict_function: ["f", "kept"],
     run_two_sided: ["f"],
     MultilinearEvaluator: ["f", "est"],
+    # one point or a stack of points, and the stream of the point or the stack
+    MultilinearEvaluator.value: ["self", "x", "stream"],
+    MultilinearEvaluator.value_and_partials: ["self", "x", "stream"],
     pipage.pipage_round: ["ev", "x", "P"],
     mcg.ascend: ["ev", "cfg", "starts", "choose", "cleanup", "P"],
     mcg.run_mcg: ["ev", "P", "cfg"],

@@ -457,8 +457,8 @@ def test_batches_reject_ground_sets_beyond_int64_masks():
     assert cut.eval({0, 64}) == 3.0
     assert hyper.eval({63}) == 1.5 and hyper.eval({1, 63, 68}) == 0.0
     assert cover.eval({69}) == 2.0 and cover.eval({0, 69}) == 3.0
-    value, grad = cut.multilinear(np.full(n, 0.5))
-    assert value == pytest.approx(1.75, abs=1e-12) and grad.shape == (n,)
+    (value,), grads = cut.multilinear(np.full((1, n), 0.5))
+    assert value == pytest.approx(1.75, abs=1e-12) and grads.shape == (1, n)
     # so do the wrappers and the other families, through the same kernels
     modular = modular_function(n, np.arange(n) / 4.0)
     assert modular.eval({1, 64, 69}) == 33.5
@@ -786,10 +786,10 @@ def test_a_restriction_equals_the_embedding_reference_bit_for_bit(n):
                 values = ref._values(mask_array(masks, m))
             as_ints = np.array([int(mask) for mask in masks], dtype=object)
             assert g._values(as_ints).tobytes() == values.tobytes(), (family, kept)
-            for x in (rng.random(m), (rng.random(m) < 0.5).astype(float), np.full(m, 0.5)):
-                value, grad = g.multilinear(x)
-                ref_value, ref_grad = ref.multilinear(x)
-                assert value == ref_value and grad.tobytes() == ref_grad.tobytes(), (family, kept)
+            X = np.array([rng.random(m), (rng.random(m) < 0.5).astype(float), np.full(m, 0.5)])
+            values, grads = g.multilinear(X)
+            ref_values, ref_grads = ref.multilinear(X)
+            assert values.tobytes() == ref_values.tobytes() and grads.tobytes() == ref_grads.tobytes(), (family, kept)
 
 
 def test_restricting_twice_restricts_f_to_the_composed_elements():
@@ -798,9 +798,9 @@ def test_restricting_twice_restricts_f_to_the_composed_elements():
     outer, inner = [11, 0, 5, 3, 7, 2, 9], [6, 1, 3, 0]
     twice, once = restrict_function(restrict_function(f, outer), inner), restrict_function(f, [outer[i] for i in inner])
     assert twice.eval_many(np.arange(16)).tobytes() == once.eval_many(np.arange(16)).tobytes()
-    x = substream(12, 0x2E5).random(4)
-    value, grad = twice.multilinear(x)
-    assert value == once.multilinear(x)[0] and grad.tobytes() == once.multilinear(x)[1].tobytes()
+    X = substream(12, 0x2E5).random((1, 4))
+    values, grads = twice.multilinear(X)
+    assert values.tobytes() == once.multilinear(X)[0].tobytes() and grads.tobytes() == once.multilinear(X)[1].tobytes()
     assert twice.symmetric == once.symmetric == audit_symmetry(once)
 
 
