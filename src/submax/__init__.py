@@ -9,7 +9,6 @@ oracles that make every guarantee checkable at desk scale.
 
 from .dmcg import run_dmcg, solve_direction
 from .mcg import AscentConfig, Trajectory, run_mcg
-from .reports import CheckReport
 from .multilinear import Estimator, MultilinearEvaluator
 from .oracle import brute_cardinality, brute_polytope_integral, brute_unconstrained
 from .pipage import pipage_round
@@ -27,7 +26,7 @@ from .setfn import (
     hardness_instance,
     restrict_function,
 )
-from .twosided import check_loss_gain, run_two_sided
+from .twosided import run_two_sided
 from .welfare import (
     Allocation,
     WelfareInstance,

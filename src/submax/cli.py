@@ -335,7 +335,7 @@ def _solve_welfare(inst, trials: int, seed: int) -> Solved:
 
 
 def _solve_two_sided(f: SetFunction) -> Solved:
-    out, _ = run_two_sided(f)
+    out = run_two_sided(f)
     value = f.eval(out)
     fields = {
         "achieved_value": value,

@@ -20,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mcg import AscentConfig, AscentStep, Trajectory, ascend, schedule
+from .mcg import AscentConfig, Trajectory, ascend, schedule
 from .multilinear import MultilinearEvaluator
 from .polytope import CardinalityPolytope
-from .subsets import full_mask
 
 
 @dataclass(frozen=True)
@@ -162,8 +161,7 @@ def run_dmcg(ev: MultilinearEvaluator, k: int, cfg: AscentConfig | None = None,
         else:  # the empty set is the one set of size n - k = 0: no step runs
             cfg = cfg or AscentConfig()
             schedule(n, cfg.T, cfg.steps)  # a bad schedule raises all the same
-            F = f.eval(full_mask(n))  # = f(empty set), as f is symmetric
-            y, traj = np.zeros(n), Trajectory(0.0, 0.0, True, AscentStep(0.0, (F, F)), (np.zeros(n), np.ones(n)))
+            y, traj = np.zeros(n), Trajectory(0.0, 0.0, True, (np.zeros(n), np.ones(n)))
         return np.clip(1.0 - y, 0.0, 1.0), traj
     coeff = 2.0 if symmetric else 1.0
 

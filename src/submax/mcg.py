@@ -88,13 +88,12 @@ class AscentStep:
 
 @dataclass
 class Trajectory:
-    """One ascent: its resolved schedule, the start at t = 0, the record of
-    every step, and every side's final point ``ys``."""
+    """One ascent: its resolved schedule, the record of every step, and
+    every side's final point ``ys``."""
 
     T: float
     delta: float
     theoretical_regime: bool
-    start: AscentStep
     ys: tuple[np.ndarray, ...]
     steps: list[AscentStep] = field(default_factory=list)
 
@@ -142,7 +141,6 @@ def ascend(ev: MultilinearEvaluator, cfg: AscentConfig, starts: tuple[int, ...],
     ys = np.repeat(s, ev.n, axis=1)
     values, grads, sigma = ev.value_and_partials(ys, stream=(ASCENT_STREAM, 0))
     F = values.tolist()
-    start = AscentStep(0.0, tuple(F))
     record = []
     for i in range(steps):
         gap = target - ys
@@ -168,7 +166,7 @@ def ascend(ev: MultilinearEvaluator, cfg: AscentConfig, starts: tuple[int, ...],
                         sigma[j] = sigma_j
         F = values.tolist()
         record.append(AscentStep(delta * (i + 1), tuple(F), resets))
-    return Trajectory(T, delta, regime, start, tuple(ys), record)
+    return Trajectory(T, delta, regime, tuple(ys), record)
 
 
 def run_mcg(ev: MultilinearEvaluator, P: Polytope, cfg: AscentConfig | None = None) -> tuple[np.ndarray, Trajectory]:

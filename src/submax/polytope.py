@@ -20,7 +20,9 @@ import numpy as np
 
 from .subsets import as_mask, bits_from_masks, popcount_array
 
-SLACK = 1e-9  # of every feasibility test: membership, a knapsack's singletons and its integral points, the trajectory checks
+# of every feasibility test: membership, a knapsack's singletons and its
+# integral points, the trajectory checks; relative to b for a knapsack's load
+SLACK = 1e-9
 
 
 class Polytope:
@@ -158,7 +160,9 @@ class CardinalityPolytope(PartitionPolytope):
 
 
 class KnapsackPolytope(Polytope):
-    """Single knapsack {x in [0,1]^n : a . x <= b} with a >= 0."""
+    """Single knapsack {x in [0,1]^n : a . x <= b} with a >= 0.  A load
+    passes when it is at most b (1 + SLACK), so scaling a and b by one
+    factor keeps every verdict, and b = 0 admits exactly the zero loads."""
 
     kind = "knapsack"
 
@@ -179,7 +183,7 @@ class KnapsackPolytope(Polytope):
 
     def membership(self, x) -> bool:
         xa = np.asarray(x, dtype=float)
-        return self._box_ok(xa) and float(self.a @ xa) <= self.b + SLACK
+        return self._box_ok(xa) and float(self.a @ xa) <= self.b * (1.0 + SLACK)
 
     def linear_maximize(self, w) -> np.ndarray:
         # fractional-knapsack optimum of the LP relaxation: zero-cost items
@@ -201,7 +205,7 @@ class KnapsackPolytope(Polytope):
         return out
 
     def singleton_feasible(self, u: int) -> bool:
-        return self.a[u] <= self.b + SLACK
+        return self.a[u] <= self.b * (1.0 + SLACK)
 
     def restrict(self, kept: list[int]) -> Polytope:
         """The knapsack over the kept items; if all their coefficients are 0
@@ -210,12 +214,12 @@ class KnapsackPolytope(Polytope):
         return KnapsackPolytope(a, self.b) if a.sum() > 0 else CardinalityPolytope(a.size, a.size)
 
     def integral(self, masks: np.ndarray) -> np.ndarray:
-        """a(S) <= b + SLACK, with a(S) summed from one table per byte of the
+        """a(S) <= b (1 + SLACK), with a(S) summed from one table per byte of the
         mask: 3 lookups per mask at the brute force's n <= 22."""
         load = np.zeros(masks.shape)
         for byte, table in enumerate(self._byte_loads):
             load += table[(masks >> 8 * byte) & 255]
-        return load <= self.b + SLACK
+        return load <= self.b * (1.0 + SLACK)
 
     @functools.cached_property
     def _byte_loads(self) -> list[np.ndarray]:

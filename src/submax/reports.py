@@ -1,35 +1,10 @@
-"""Shared result type for the executable invariant and lemma checks."""
+"""The mean and standard error of a sample, finite at any float scale."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
-
-
-@dataclass
-class CheckReport:
-    """Outcome of one executable check.
-
-    ``status`` is "ok" for a completed check, or a short tag such as
-    "precondition_unmet" when the check could not be asserted.
-    """
-
-    name: str
-    passed: bool
-    status: str = "ok"
-    details: dict[str, Any] = field(default_factory=dict)
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-    def to_json(self) -> str:
-        import json
-        from dataclasses import asdict
-
-        return json.dumps(asdict(self), sort_keys=True, default=float)
 
 
 # the rows whose mean m and sum of squared deviations q satisfy 2^-200 <=

@@ -2,7 +2,7 @@
 
 Every objective is wrapped in a :class:`SetFunction`: a value oracle over
 bitmask subsets with declared (not enforced) symmetry and monotonicity flags
-and a thread-safe query counter.  Every set function has exactly one oracle, a
+and a query counter.  Every set function has exactly one oracle, a
 batch kernel over mask arrays.  ``eval`` is that kernel on a one-mask batch,
 so a set has one value whether an algorithm, a value table or a brute-force
 search asks for it.  Masks are int64 up to 62 elements at the API; above
@@ -25,7 +25,6 @@ rows relabelled.
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Callable, Iterable
 
 import numpy as np
@@ -39,22 +38,6 @@ Multilinear = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 # largest n whose value table SetFunction.table builds: 2^23 float64 values,
 # 64 MB, the welfare search's largest case (k = 2 players, k^n <= 10^7)
 TABLE_LIMIT = 23
-
-
-class _Counter:
-    """Thread-safe monotone counter (oracle calls may come from workers)."""
-
-    def __init__(self):
-        self._value = 0
-        self._lock = threading.Lock()
-
-    def add(self, k: int) -> None:
-        with self._lock:
-            self._value += k
-
-    @property
-    def value(self) -> int:
-        return self._value
 
 
 class SetFunction:
@@ -98,13 +81,9 @@ class SetFunction:
         self._eval_many = eval_many_masks
         self.kind = kind
         self.multilinear = multilinear
-        self._queries = _Counter()
+        self.query_count = 0  # sets evaluated so far
         self._table: np.ndarray | None = None
         self._rows: tuple[np.ndarray, np.ndarray, bool] | None = None  # a row family's (incidence, weights, cut)
-
-    @property
-    def query_count(self) -> int:
-        return self._queries.value
 
     def eval(self, subset: int | Iterable[int]) -> float:
         """Oracle value of one subset (bitmask or iterable of indices): the
@@ -145,7 +124,7 @@ class SetFunction:
         consecutive blocks of that many, so its temporaries stay cache-sized
         however large the batch; each mask's value does not depend on the
         others."""
-        self._queries.add(int(masks.size))
+        self.query_count += int(masks.size)
         if masks.size <= MASK_BLOCK:
             return np.asarray(self._eval_many(masks), dtype=float)
         flat = masks.ravel()

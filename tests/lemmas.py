@@ -12,6 +12,9 @@ facts the guarantees rest on, each returning a :class:`CheckReport`.
   the first-order linearization bound, the random-subset sampling bounds, and
   the concavity of F along a nonnegative direction (the segment between the
   two points of a DMCG run);
+* two-sided greedy: the per-step loss-gain ledger behind its 1/2
+  guarantee and its decision rule, replayed from the output set
+  (:func:`check_loss_gain`);
 * ascent trajectories: feasibility under P, the coupled state of a DMCG
   run and its coordinate growth cap, read post hoc from the points a
   ``RecordingEvaluator`` kept (a run keeps only its final points); they are
@@ -20,14 +23,17 @@ facts the guarantees rest on, each returning a :class:`CheckReport`.
 * oracle audits: submodularity, non-negativity and symmetry, exhaustive at
   desk scale.
 
-None of these runs at run time; ``twosided.check_loss_gain`` is the one
-invariant check the library keeps.
+None of these runs at run time: a run reads none of them, so the library
+ships none.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
+from typing import Any
 
 import numpy as np
 
@@ -35,14 +41,38 @@ from conftest import complement_function, indicator
 from submax.mcg import Trajectory
 from submax.multilinear import MultilinearEvaluator
 from submax.polytope import SLACK, Polytope, horizon
-from submax.reports import CheckReport, mean_and_sigma
+from submax.reports import mean_and_sigma
 from submax.rng import substream
 from submax.setfn import SetFunction
 from submax.subsets import as_mask, bits_from_masks, full_mask, masks_from_bits
+from submax.twosided import TIE_TOL
 from submax.welfare import Allocation, WelfareInstance
 
 # largest n whose 2^n sets the symmetry audit evaluates
 SYMMETRY_AUDIT_LIMIT = 14
+# the loss-gain ledger's tolerance, relative to the largest |f| it reads
+LEDGER_TOL = 1e-12
+
+
+@dataclass
+class CheckReport:
+    """Outcome of one executable check.
+
+    ``status`` is "ok" for a completed check, or a short tag such as
+    "precondition_unmet" when the check could not be asserted.
+    """
+
+    name: str
+    passed: bool
+    status: str = "ok"
+    details: dict[str, Any] = field(default_factory=dict)
+
+    def __bool__(self) -> bool:
+        return self.passed
+
+    def to_json(self) -> str:
+        return json.dumps(asdict(self), sort_keys=True, default=float)
+
 
 # ---------------------------------------------------------------------------
 # the table fold: exact F from the value table
@@ -323,6 +353,66 @@ def check_concave_segment(f: SetFunction, y1, y2, grid: int = 101, tol: float = 
         details={
             "max_second_difference": float(second.max()) if grid >= 3 else 0.0,
             "min_vs_endpoints": float((r - floor).min()),
+        },
+    )
+
+
+# ---------------------------------------------------------------------------
+# two-sided greedy
+# ---------------------------------------------------------------------------
+
+
+def check_loss_gain(f: SetFunction, out: int, opt) -> CheckReport:
+    """Per-step ledger behind two-sided greedy's 1/2 guarantee, replayed
+    from its output ``out`` = X_n: u_i took the X branch exactly when it is
+    in X_n, so X_i is X_n's share of the first i elements and Y_i is X_i
+    plus every element after them.  With OPT_i = (OPT | X_i) & Y_i and the
+    complement analogue, the loss [f(OPT_{i-1}) - f(OPT_i)] +
+    [f(cOPT_{i-1}) - f(cOPT_i)] never exceeds the gain [f(X_i) - f(X_{i-1})]
+    + [f(Y_i) - f(Y_{i-1})], within ``LEDGER_TOL`` times the largest |f| the
+    check read (``details["tolerance"]``), so scaling f keeps the verdict.
+    Also pins the endpoint OPT_n = cOPT_n = X_n = Y_n = out (OPT_0 = OPT, as
+    OPT lies in N), and the decision rule: u_i is in out exactly when
+    a_i >= b_i - TIE_TOL times the largest of the four values they come
+    from, where a_i = f(X_{i-1} + u_i) - f(X_{i-1}) and
+    b_i = f(Y_{i-1} - u_i) - f(Y_{i-1}).  ``details["steps"]`` lists every
+    (a_i, b_i)."""
+    n = f.n
+    fm = full_mask(n)
+    opt_mask = as_mask(opt, n)
+    copt_mask = fm ^ opt_mask
+    x, y = 0, fm
+    fx, fy, f_opt, f_copt = (f.eval(m) for m in (x, y, opt_mask, copt_mask))
+    largest = max(abs(fx), abs(fy), abs(f_opt), abs(f_copt))
+    worst = -math.inf
+    steps, rule_ok = [], True
+    for u in range(n):
+        bit = 1 << u
+        fxu, fyu = f.eval(x | bit), f.eval(y & ~bit)
+        a, b = fxu - fx, fyu - fy
+        steps.append((a, b))
+        took_x = bool(out & bit)
+        rule_ok &= took_x == (a >= b - TIE_TOL * max(abs(fx), abs(fy), abs(fxu), abs(fyu)))
+        if took_x:
+            x, fx = x | bit, fxu
+        else:
+            y, fy = y & ~bit, fyu
+        f_opt_cur, f_copt_cur = f.eval((opt_mask | x) & y), f.eval((copt_mask | x) & y)
+        loss = (f_opt - f_opt_cur) + (f_copt - f_copt_cur)
+        worst = max(worst, loss - (a if took_x else b))  # one side moved, so the gain is a or b
+        f_opt, f_copt = f_opt_cur, f_copt_cur
+        largest = max(largest, abs(fxu), abs(fyu), abs(f_opt), abs(f_copt))
+    endpoints_ok = x == y == out and (opt_mask | x) & y == (copt_mask | x) & y == x
+    tolerance = LEDGER_TOL * largest
+    return CheckReport(
+        "loss-gain ledger",
+        bool(worst <= tolerance) and endpoints_ok and rule_ok,
+        details={
+            "worst_loss_minus_gain": float(worst),
+            "tolerance": tolerance,
+            "endpoints_ok": endpoints_ok,
+            "rule_ok": rule_ok,
+            "steps": steps,
         },
     )
 

@@ -91,7 +91,8 @@ def test_seeded_ascent_matches_pinned_outputs(solver, mode):
 def test_F_at_the_recorded_points_is_what_the_trajectory_records(solver):
     # F at every point a RecordingEvaluator kept is the F the trajectory
     # records for that step and side, bit for bit, also where the cleanup
-    # reset coordinates; and the last points are the run's final points
+    # reset coordinates; side j starts at the constant vector j; and the
+    # last points are the run's final points
     recorders = []
 
     def recording(f, est):
@@ -101,7 +102,7 @@ def test_F_at_the_recorded_points_is_what_the_trajectory_records(solver):
     _, _, traj = _run(solver, "exact", recording)
     (rec,) = recorders
     ev = MultilinearEvaluator(rec.f)
-    assert [ev.value(y) for y in rec.start] == list(traj.start.values)
+    assert [y.tolist() for y in rec.start] == [[float(side)] * rec.n for side in range(len(rec.start))]
     assert len(rec.steps) == len(traj.steps) == 40
     for step, ys in zip(traj.steps, rec.steps):
         assert [ev.value(y) for y in ys] == list(step.values)

@@ -173,7 +173,7 @@ def test_symmetric_variant_complements_the_run_for_n_minus_k(seed, sampled):
 def test_symmetric_variant_at_k_equal_n_takes_everything_in_no_step(n):
     f = random_graph_cut(n, seed=n)
     y, traj = run_dmcg(MultilinearEvaluator(f), n, AscentConfig(steps=40))
-    assert y.tolist() == [1.0] * n
+    assert y.tolist() == [1.0] * n and f.query_count == 0  # nothing to read F for
     assert traj.steps == [] and traj.T == 0.0 and traj.theoretical_regime
     assert check_y_properties(traj, [], 0).passed
     with pytest.raises(ValueError):  # the schedule is checked all the same

@@ -131,7 +131,7 @@ def test_step_improvement_bound():
     opt_vec = indicator(opt_mask, 7)
     budget = 7**3 * traj.delta**2 * opt_val
     (prev_y,) = rec.start
-    prev_val = traj.start.values[0]
+    prev_val = ev.value(prev_y)
     for step, (y,) in zip(traj.steps, rec.steps, strict=True):
         target = ev.value(np.maximum(prev_y, opt_vec)) - prev_val
         gain = step.values[0] - prev_val

@@ -1,4 +1,6 @@
 import functools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -63,6 +65,22 @@ def test_brute_polytope_examples():
     # and |S| <= 1 on the triangle peaks at the |S| = 1 optimum
     P_k = CardinalityPolytope(3, 1)
     assert brute_polytope_integral(tri, P_k) == brute_cardinality(tri, 1)
+
+
+@pytest.mark.parametrize("e", [-30, -40])
+def test_brute_knapsack_optimum_is_feasible_at_every_scale(e):
+    # a and b times 2^e pose the same problem, exactly in floating point; an
+    # absolute slack of 1e-9 made the optimum of 19 of these 20 knapsacks an
+    # infeasible set, using up to 1.56 (e = -30) and 2.23 (e = -40) times b
+    for seed in range(20):
+        rng = substream(seed, 0x5CA1E)
+        f = random_graph_cut(10, seed)
+        a = rng.uniform(0.1, 1.0, size=10)
+        b = 0.3 * float(a.sum())
+        mask, value = brute_polytope_integral(f, KnapsackPolytope(a, b))
+        a_e, b_e = np.ldexp(a, e), math.ldexp(b, e)
+        assert brute_polytope_integral(f, KnapsackPolytope(a_e, b_e)) == (mask, value)
+        assert sum(Fraction(a_e[u]) for u in indices(mask)) <= Fraction(b_e)
 
 
 @settings(max_examples=25, deadline=None)

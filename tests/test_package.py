@@ -1,8 +1,9 @@
-"""Layout guard: the library ships what a run, the benchmark or a script
-calls, plus the invariants a run can check; the lemma checks, oracle audits,
-instances and wrappers that only tests call live in ``tests/``; the library
-takes no option that no caller sets; and each decision lives in the module
-that owns it (polytope kinds in ``polytope``, Reduction 2 in ``run_dmcg``)."""
+"""Layout guard: the library ships only what a run, the benchmark or a
+script calls; the checks and their report type, the lemma checks, oracle
+audits, instances and wrappers that only tests call live in ``tests/``; the
+library starts no thread, so it guards nothing with a lock; it takes no
+option that no caller sets; and each decision lives in the module that owns
+it (polytope kinds in ``polytope``, Reduction 2 in ``run_dmcg``)."""
 
 import ast
 import dataclasses
@@ -29,12 +30,11 @@ from submax.twosided import run_two_sided
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path(submax.__file__).resolve().parent
 
-# the trajectory checks are post-hoc references in tests/lemmas.py: a run
-# keeps only its final points
-RUN_TIME_INVARIANTS = {"check_loss_gain"}
-# public names no run calls yet: the run-time invariant and the check
-# serializer, kept for the run to report
-AWAITING_A_CALLER = RUN_TIME_INVARIANTS | {"CheckReport.to_json"}
+# the checks' report and the two-sided greedy's per-step record: the output
+# set names every branch, and tests/lemmas.py replays the ledger from it
+CHECK_TYPES = {"CheckReport", "GreedyTrace", "GreedyStep"}
+# no code starts a thread, so the library imports none of these
+THREADING = {"threading", "_thread", "concurrent"}
 TEST_ONLY = {"box_vertex_values", "box_vertex_max", "sample_set", "cut_eval", "random_assign",
              "audit_submodularity", "audit_nonnegativity", "audit_symmetry", "restrict_by_embedding",
              "tight_instance"}
@@ -43,7 +43,7 @@ TEST_ONLY = {"box_vertex_values", "box_vertex_max", "sample_set", "cut_eval", "r
 NO_WRAPPERS = {"GraphCutInstance", "HypergraphCutInstance", "CoverageInstance", "Point"}
 
 
-def test_library_defines_only_the_run_time_checks():
+def test_library_defines_no_check_and_no_test_only_name():
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("submax.selfcheck")
     defined = {}
@@ -54,10 +54,21 @@ def test_library_defines_only_the_run_time_checks():
                 defined[name] = module.__name__
                 for attr in vars(obj) if inspect.isclass(obj) else ():
                     defined[attr] = f"{module.__name__}.{name}"
-    checks = {name for name in defined if name.startswith("check_")}
-    assert checks == RUN_TIME_INVARIANTS
+    checks = {name: module for name, module in defined.items() if name.startswith("check_")}
+    assert not checks, checks
+    assert not CHECK_TYPES & defined.keys(), {name: defined[name] for name in CHECK_TYPES & defined.keys()}
     assert not TEST_ONLY & defined.keys(), {name: defined[name] for name in TEST_ONLY & defined.keys()}
     assert not NO_WRAPPERS & defined.keys(), {name: defined[name] for name in NO_WRAPPERS & defined.keys()}
+
+
+def test_library_imports_no_threading():
+    found = []
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            found += [(path.stem, name) for name in names if name.partition(".")[0] in THREADING]
+    assert not found, found
 
 
 def _methods(stmt: ast.stmt) -> set[str]:
@@ -103,7 +114,7 @@ def test_every_public_library_name_has_a_caller_outside_the_tests():
         for stmt in ast.parse(path.read_text()).body:
             used |= _reads(stmt) - _defines(stmt)  # a recursive call is no caller
     unused = {name: module for name, module in defined.items() if name.rpartition(".")[2] not in used}
-    assert unused.keys() == AWAITING_A_CALLER, unused
+    assert not unused, unused
 
 
 # every parameter of these; an option that only tests set, or that the code

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import POLYTOPE_KINDS, per_part_vertex, random_polytope, top_k_vertex
 from submax.polytope import (
+    SLACK,
     CardinalityPolytope,
     KnapsackPolytope,
     PartitionPolytope,
@@ -289,8 +290,7 @@ def test_knapsack_integral_and_singletons_share_the_membership_slack():
 @given(data=st.data(), n=st.integers(min_value=1, max_value=22), whole=st.booleans())
 def test_knapsack_integral_equals_the_bit_matrix_product(data, n, whole):
     # the byte tables sum a(S) in another order than the product does: equal
-    # on integer coefficients, and on fractional ones away from the threshold;
-    # from b = 2^24 on, b + SLACK rounds to b, so an attained b is the threshold
+    # on integer coefficients, and on fractional ones away from the threshold
     masks = st.integers(min_value=0, max_value=(1 << n) - 1)
     if whole:
         a = np.array(data.draw(st.lists(st.integers(0, 2**30), min_size=n, max_size=n)), dtype=float)
@@ -303,8 +303,8 @@ def test_knapsack_integral_equals_the_bit_matrix_product(data, n, whole):
     P = KnapsackPolytope(a, max(b, 0.0))
     drawn = np.array(data.draw(st.lists(masks, max_size=300)) + [attained, 0, (1 << n) - 1], dtype=np.int64)
     load = bits_from_masks(drawn, n) @ a
-    expected = load <= P.b + 1e-9
-    near = np.abs(load - (P.b + 1e-9)) <= 1e-12 * a.sum()
+    expected = load <= P.b * (1.0 + SLACK)
+    near = np.abs(load - P.b * (1.0 + SLACK)) <= 1e-12 * a.sum()
     got = P.integral(drawn)
     assert got.dtype == bool and got.shape == drawn.shape
     assert (got == expected)[~near | whole].all()

@@ -243,23 +243,6 @@ def test_query_count_increments_once_per_eval():
     assert f.query_count == before + 10
 
 
-def test_query_count_is_thread_safe():
-    import threading
-
-    f = triangle_cut()
-
-    def worker():
-        for _ in range(500):
-            f.eval(0b101)
-
-    threads = [threading.Thread(target=worker) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert f.query_count == 2000
-
-
 def test_eval_accepts_masks_and_index_iterables():
     f = triangle_cut()
     assert f.eval(0b101) == f.eval([0, 2]) == f.eval((2, 0))
