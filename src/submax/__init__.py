@@ -8,8 +8,8 @@ oracles that make every guarantee checkable at desk scale.
 """
 
 from .dmcg import run_dmcg, solve_direction
-from .mcg import AscentConfig, Trajectory, run_mcg
-from .multilinear import Estimator, MultilinearEvaluator
+from .mcg import Trajectory, run_mcg
+from .multilinear import MultilinearEvaluator
 from .oracle import brute_cardinality, brute_polytope_integral, brute_unconstrained
 from .pipage import pipage_round
 from .polytope import (
@@ -28,7 +28,6 @@ from .setfn import (
 )
 from .twosided import run_two_sided
 from .welfare import (
-    Allocation,
     WelfareInstance,
     brute_force_welfare,
     simulate_random_assign,

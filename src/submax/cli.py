@@ -43,8 +43,8 @@ import numpy as np
 from . import mcg
 from .dmcg import run_dmcg
 from .fixtures import random_graph_cut, random_hypergraph_cut
-from .mcg import AscentConfig, run_mcg
-from .multilinear import Estimator, MultilinearEvaluator
+from .mcg import run_mcg
+from .multilinear import MultilinearEvaluator
 from .oracle import MAX_BRUTE_N, brute_cardinality, brute_polytope_integral, brute_unconstrained
 from .pipage import pipage_round
 from .polytope import CardinalityPolytope, KnapsackPolytope, PartitionPolytope, Polytope, horizon, preprocess_reduction1
@@ -212,12 +212,12 @@ def _theoretical_curve(k: int, n: int) -> float:
     return 0.5 * (1.0 - (1.0 - kk / n) ** (2 * n / kk))
 
 
-def _check_schedule(cfg: AscentConfig, n: int, P: Polytope | None = None) -> None:
+def _check_schedule(T: float | None, steps: int | None, n: int, P: Polytope | None = None) -> None:
     """A --T or --steps that ``mcg.schedule`` rejects is a flag error, and so
     is a --T beyond max(1, horizon(P, steps)) over the n elements of the
     polytope P the ascent must stay in: past that T its point may leave P."""
     try:
-        T, steps, _, _ = mcg.schedule(n, cfg.T, cfg.steps, P)
+        T, steps, _, _ = mcg.schedule(n, T, steps, P)
         limit = max(1.0, horizon(P, steps)) if P is not None and n else math.inf
     except ValueError as exc:
         raise FlagError(str(exc)) from exc
@@ -303,22 +303,20 @@ def _check(args, f, P, welfare_inst) -> _Job:
     elif algorithm.startswith("brute-"):  # brute-polytope, brute-cardinality-le
         solve = partial(_solve_brute, brute_polytope_integral, f, P)
     elif algorithm == "mcg":
-        red = preprocess_reduction1(P)
-        f_run = f if len(red.kept) == n else restrict_function(f, list(red.kept))
+        P_run, kept = preprocess_reduction1(P)
+        f_run = f if len(kept) == n else restrict_function(f, list(kept))
         oracles = (f,) if f_run is f else (f, f_run)
-        cfg = AscentConfig(args.T, args.steps)
-        _check_schedule(cfg, f_run.n, red.polytope)
-        solve = partial(_solve_mcg, f, red, f_run, cfg, Estimator(samples, seed))
+        _check_schedule(args.T, args.steps, f_run.n, P_run)
+        solve = partial(_solve_mcg, f, P_run, kept, f_run, args.T, args.steps, MultilinearEvaluator(f_run, samples, seed))
     else:
         if algorithm == "dmcg-symmetric" and not f.symmetric:
             raise FlagError("dmcg-symmetric requires a symmetric instance")
-        cfg = AscentConfig(args.T, args.steps)
         # the symmetric pair runs under |S| <= min(k, n - k) (Reduction 2), and
         # the general pair keeps y1 under |S| <= k and 1 - y2 under
         # |S| <= n - k, the tighter of which is min(k, n - k); at k = n no limit applies
         low = min(k, n - k)
-        _check_schedule(cfg, n, CardinalityPolytope(n, low) if low else None)
-        solve = partial(_solve_dmcg, f, k, cfg, Estimator(samples, seed), algorithm[5:])
+        _check_schedule(args.T, args.steps, n, CardinalityPolytope(n, low) if low else None)
+        solve = partial(_solve_dmcg, f, k, args.T, args.steps, MultilinearEvaluator(f, samples, seed), algorithm[5:])
     return _Job({"type": f.kind, "n": n, "symmetric": f.symmetric}, oracles, unverifiable, solve)
 
 
@@ -358,22 +356,21 @@ def _solve_brute(search: Callable[..., tuple[int, float]], *args) -> Solved:
     return fields, opt, lambda: {"oracle_opt": opt}
 
 
-def _solve_mcg(f, red, f_run, cfg: AscentConfig, est: Estimator) -> Solved:
-    """MCG on the Reduction 1 problem, with one evaluator of f_run for the
-    ascent and the rounding; the point and the rounded set (on a polytope
-    with parts) are embedded back into f's ground set.  T, steps and the
-    regime are the trajectory's.  With no element kept, both run on the
-    empty ground set."""
-    ev = MultilinearEvaluator(f_run, est)
-    fields = {"reduction1_warning": red.warning} if red.warning else {}
-    kept = np.array(red.kept, dtype=np.int64)
-    y_run, traj = run_mcg(ev, red.polytope, cfg)
+def _solve_mcg(f, P_run, kept, f_run, T, steps, ev: MultilinearEvaluator) -> Solved:
+    """MCG on the Reduction 1 problem (P_run over the kept elements), with
+    one evaluator ``ev`` of f_run for the ascent and the rounding; the point
+    and the rounded set (on a polytope with parts) are embedded back into
+    f's ground set.  T, steps and the regime are the trajectory's.  With no
+    element kept, both run on the empty ground set."""
+    fields = {"reduction1_warning": "all singletons infeasible; ground set is empty"} if f.n and not kept else {}
+    kept = np.array(kept, dtype=np.int64)
+    y_run, traj = run_mcg(ev, P_run, T=T, steps=steps)
     y = np.zeros(f.n)
     y[kept] = y_run
     # an exact evaluator of its own: a sampled ev would only estimate F(y)
     frac = achieved = MultilinearEvaluator(f_run).value(y_run)
-    if red.polytope.parts is not None:
-        local = pipage_round(ev, y_run, red.polytope)
+    if P_run.parts is not None:
+        local = pipage_round(ev, y_run, P_run)
         mask = as_mask(kept[indices(local)], f.n)
         achieved = f.eval(mask)
         fields["achieved_set"] = indices(mask)
@@ -387,15 +384,15 @@ def _solve_mcg(f, red, f_run, cfg: AscentConfig, est: Estimator) -> Solved:
             "achieved_value": achieved,
         }
     )
-    return fields, frac, lambda: {"oracle_opt": brute_polytope_integral(f_run, red.polytope)[1]}
+    return fields, frac, lambda: {"oracle_opt": brute_polytope_integral(f_run, P_run)[1]}
 
 
-def _solve_dmcg(f, k: int, cfg: AscentConfig, est: Estimator, variant: str) -> Solved:
+def _solve_dmcg(f, k: int, T, steps, ev: MultilinearEvaluator, variant: str) -> Solved:
     """DMCG's point of mass k (``run_dmcg`` applies Reduction 2), rounded
-    onto |S| = k with the ascent's evaluator; T, steps and the regime are
-    its trajectory's."""
-    n, ev = f.n, MultilinearEvaluator(f, est)
-    y, traj = run_dmcg(ev, k, cfg, variant)
+    onto |S| = k with the ascent's evaluator ``ev``; T, steps and the regime
+    are its trajectory's."""
+    n = f.n
+    y, traj = run_dmcg(ev, k, variant, T=T, steps=steps)
     # an exact evaluator of its own: a sampled ev would only estimate F(y)
     frac = MultilinearEvaluator(f).value(y)
     mask = pipage_round(ev, y, CardinalityPolytope(n, k))

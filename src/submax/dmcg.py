@@ -4,8 +4,8 @@
 coupled sides in lockstep: y1 grows from the empty set under sum(x) <= k, y2
 shrinks from the full set under sum(1 - x) <= n - k, and the shared direction
 pair (I1, I2 = 1 - I1) protects whichever side is currently worse off: it
-solves a max-min LP over the hypersimplex, which :func:`solve_direction`
-answers exactly by cutting planes on the dual lines.  The symmetric variant
+solves a max-min LP over the hypersimplex, whose I1 :func:`solve_direction`
+finds exactly by cutting planes on the dual lines.  The symmetric variant
 turns on the kernel's derivative cleanup on both sides and runs to the
 cardinality horizon; the general variant runs to T = 1 with no cleanup.  The run is recorded as an
 ``mcg.Trajectory`` whose sides are (y1, y2).  The final point is y1, y2, or
@@ -16,33 +16,16 @@ the symmetric variant runs the pair for n - k and complements its point
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .mcg import AscentConfig, Trajectory, ascend, schedule
+from .mcg import Trajectory, ascend, schedule
 from .multilinear import MultilinearEvaluator
 from .polytope import CardinalityPolytope
 
 
-@dataclass(frozen=True)
-class DirectionInfo:
-    """The direction solver's lambda and max-min objective."""
-
-    lam: float
-    objective: float
-
-
-def solve_direction(
-    w1: np.ndarray,
-    w2: np.ndarray,
-    c1: float,
-    c2: float,
-    k: int,
-    coeff: float = 2.0,
-) -> tuple[np.ndarray, np.ndarray, DirectionInfo]:
-    """Maximize min(A, B), A = w1 . I1 + coeff*c1 and B = w2 . I2 + coeff*c2,
-    over I1 in [0,1]^n with |I1| = k and I2 = 1 - I1.
+def solve_direction(w1: np.ndarray, w2: np.ndarray, c1: float, c2: float, k: int, coeff: float) -> np.ndarray:
+    """The I1 that maximizes min(A, B), A = w1 . I1 + coeff*c1 and
+    B = w2 . I2 + coeff*c2, over I1 in [0,1]^n with |I1| = k and I2 = 1 - I1.
 
     Solved exactly through the dual parametric form, by cutting planes
     (Eisner & Severance 1976).  A vertex I of the hypersimplex has the dual
@@ -62,8 +45,7 @@ def solve_direction(
     - else if its d is exactly 0, I is the answer;
     - else I replaces the bracket end whose d has its sign.
     Each cut raises d_lo or lowers d_hi, so the search ends after at most one
-    cut per breakpoint of the envelope.  ``DirectionInfo.lam`` is the lam of
-    the answer: 0, 1 or the last lam_x.
+    cut per breakpoint of the envelope.
 
     Ties: a vertex that only ties with the bracket lines at lam_x never
     replaces an end.  So when several vertices are optimal at the minimum,
@@ -89,52 +71,46 @@ def solve_direction(
         out[np.argsort(keys, kind="stable")[:k]] = 1.0
         return out
 
-    def objectives(I: np.ndarray) -> tuple[float, float]:
-        return base1 + float(w1 @ I), base2 - float(w2 @ I)
-
-    def line(I: np.ndarray) -> tuple[float, float, float]:
-        """The dual line B + lam*(A - B) of I, as (B, A - B), and min(A, B)."""
-        a, b = objectives(I)
-        return b, a - b, min(a, b)
-
-    def finish(I: np.ndarray, lam: float, objective: float) -> tuple[np.ndarray, np.ndarray, DirectionInfo]:
-        return I, 1.0 - I, DirectionInfo(lam, objective)
+    def line(I: np.ndarray) -> tuple[float, float]:
+        """The dual line B + lam*(A - B) of I, as (B, A - B)."""
+        b = base2 - float(w2 @ I)
+        return b, base1 + float(w1 @ I) - b
 
     I_lo = lowest(w2)
-    b_lo, d_lo, objective = line(I_lo)
+    b_lo, d_lo = line(I_lo)
     if d_lo >= 0.0:
         # the best-for-side-2 vertex already favors side 1
-        return finish(I_lo, 0.0, objective)
+        return I_lo
     I_hi = lowest(-w1)
-    b_hi, d_hi, objective = line(I_hi)
+    b_hi, d_hi = line(I_hi)
     if d_hi <= 0.0:
-        return finish(I_hi, 1.0, objective)
+        return I_hi
 
     while True:
         lam = (b_lo - b_hi) / (d_hi - d_lo)
         scores = lam * w1 - (1.0 - lam) * w2
         I = lowest(-scores)
-        b, d, objective = line(I)
+        b, d = line(I)
         rise = min(scores @ (I - I_lo), scores @ (I - I_hi))
         if rise <= 0.0 or not d_lo < d < d_hi:
             break
         if d == 0.0:
-            return finish(I, lam, objective)
+            return I
         if d < 0.0:
             I_lo, b_lo, d_lo = I, b, d
         else:
             I_hi, b_hi, d_hi = I, b, d
 
     theta = -d_lo / (d_hi - d_lo)
-    I = theta * I_hi + (1.0 - theta) * I_lo
-    return finish(I, lam, min(objectives(I)))
+    return theta * I_hi + (1.0 - theta) * I_lo
 
 
-def run_dmcg(ev: MultilinearEvaluator, k: int, cfg: AscentConfig | None = None,
-             variant: str = "symmetric") -> tuple[np.ndarray, Trajectory]:
-    """Run the coupled ascent/descent pair on F of ``ev.f`` and return
-    (y, trajectory) with |y| = k, for any 1 <= k <= n; y is a new float
-    array, clipped to [0,1] against rounding.  Side 0 is y1, side 1 is y2.
+def run_dmcg(ev: MultilinearEvaluator, k: int, variant: str = "symmetric", *, T: float | None = None,
+             steps: int | None = None) -> tuple[np.ndarray, Trajectory]:
+    """Run the coupled ascent/descent pair on F of ``ev.f`` for time T in
+    ``steps`` steps (see ``mcg.schedule``) and return (y, trajectory) with
+    |y| = k, for any 1 <= k <= n; y is a new float array, clipped to [0,1]
+    against rounding.  Side 0 is y1, side 1 is y2.
 
     Variant "symmetric" runs Algorithm-2 style (coeff 2, cleanup, T the
     discrete horizon of |S| <= k) for 2k <= n.  For 2k > n it applies
@@ -157,19 +133,19 @@ def run_dmcg(ev: MultilinearEvaluator, k: int, cfg: AscentConfig | None = None,
         raise ValueError("symmetric variant requires an objective flagged symmetric")
     if symmetric and 2 * k > n:
         if k < n:
-            y, traj = run_dmcg(ev, n - k, cfg, variant)
+            y, traj = run_dmcg(ev, n - k, variant, T=T, steps=steps)
         else:  # the empty set is the one set of size n - k = 0: no step runs
-            cfg = cfg or AscentConfig()
-            schedule(n, cfg.T, cfg.steps)  # a bad schedule raises all the same
+            schedule(n, T, steps)  # a bad schedule raises all the same
             y, traj = np.zeros(n), Trajectory(0.0, 0.0, True, (np.zeros(n), np.ones(n)))
         return np.clip(1.0 - y, 0.0, 1.0), traj
     coeff = 2.0 if symmetric else 1.0
 
     def max_min(weights, values):
-        return solve_direction(weights[0], weights[1], values[0], values[1], k, coeff)[:2]
+        I1 = solve_direction(weights[0], weights[1], values[0], values[1], k, coeff)
+        return np.array((I1, 1.0 - I1))
 
     bound = CardinalityPolytope(n, k) if symmetric else None
-    traj = ascend(ev, cfg or AscentConfig(), (0, 1), max_min, symmetric, bound)
+    traj = ascend(ev, (0, 1), max_min, symmetric, bound, T=T, steps=steps)
     y1, y2 = traj.ys
     m1 = float(y1.sum())
     m2 = float(y2.sum())

@@ -6,8 +6,11 @@ from __future__ import annotations
 from .rng import substream
 from .setfn import SetFunction, graph_cut_function, hypergraph_cut_function
 
+# each pair of vertices is an edge with this probability
+EDGE_PROB = 0.6
 
-def random_graph_cut(n: int, seed: int, edge_prob: float = 0.6) -> SetFunction:
+
+def random_graph_cut(n: int, seed: int) -> SetFunction:
     """Random weighted graph with at least one edge (so OPT > 0)."""
     if n < 2:
         raise ValueError(f"random_graph_cut needs n >= 2 for an edge, got n = {n}")
@@ -15,7 +18,7 @@ def random_graph_cut(n: int, seed: int, edge_prob: float = 0.6) -> SetFunction:
     edges = []
     for u in range(n):
         for v in range(u + 1, n):
-            if rng.random() < edge_prob:
+            if rng.random() < EDGE_PROB:
                 edges.append((u, v, float(rng.uniform(0.1, 1.0))))
     if not edges:
         u, v = sorted(rng.choice(n, size=2, replace=False).tolist())

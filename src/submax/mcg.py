@@ -13,8 +13,8 @@ evaluated after the previous step's update and cleanup, at the point the
 step moves from, so an ascent pays one evaluation of all its sides per
 step, as one stack of points, plus one of one side per reset (see
 :func:`ascend` for the sampled streams).  Every ascent reads F through
-the ``MultilinearEvaluator`` its caller built, takes T and steps from one
-:class:`AscentConfig`, and records one :class:`Trajectory`: scalars per step
+the ``MultilinearEvaluator`` its caller built, takes T and steps as keywords
+(see :func:`schedule`), and records one :class:`Trajectory`: scalars per step
 (:class:`AscentStep`: t, one F per side, resets) and every side's final
 point, so its memory is O(n + steps) whatever the step count.  The points
 in between are not kept; they are the ones the ascent reads F at, on the
@@ -35,9 +35,10 @@ from .multilinear import MultilinearEvaluator
 from .polytope import Polytope, horizon
 from .rng import ASCENT_STREAM
 
-# strict-negativity margin for the cleanup test when F is exact; the sampled
-# backend compares against -2 sigma of the derivative estimate instead, so
-# that noise alone cannot reset a coordinate
+# strict-negativity margin for the cleanup test when F is exact, relative to
+# the largest |F| of the step's sides, so that scaling f scales it too; the
+# sampled backend compares against -2 sigma of the derivative estimate
+# instead, so that noise alone cannot reset a coordinate
 EXACT_NEGATIVE_MARGIN = 1e-12
 
 
@@ -67,16 +68,6 @@ def schedule(n: int, T: float | None, steps: int | None, P: Polytope | None = No
 
 
 @dataclass(frozen=True)
-class AscentConfig:
-    """T defaults to the discrete horizon of the run's polytope but never
-    below 1 (the value bound needs T >= 1); steps defaults to 100 n.  See
-    :func:`schedule`."""
-
-    T: float | None = None
-    steps: int | None = None
-
-
-@dataclass(frozen=True)
 class AscentStep:
     """Every side's F after one step's update and cleanup at t_end, and how
     many coordinates the cleanup reset."""
@@ -98,13 +89,13 @@ class Trajectory:
     steps: list[AscentStep] = field(default_factory=list)
 
 
-def ascend(ev: MultilinearEvaluator, cfg: AscentConfig, starts: tuple[int, ...], choose: Callable, cleanup: bool,
-           P: Polytope | None = None) -> Trajectory:
-    """Run the sides that start at ``starts`` on the schedule of ``cfg`` over
-    P (see :func:`schedule`), reading F through ``ev``.
+def ascend(ev: MultilinearEvaluator, starts: tuple[int, ...], choose: Callable, cleanup: bool,
+           P: Polytope | None = None, *, T: float | None = None, steps: int | None = None) -> Trajectory:
+    """Run the sides that start at ``starts`` for time T in ``steps`` steps
+    over P (see :func:`schedule` for the defaults), reading F through ``ev``.
     ``choose(weights, values)`` gets the weights as an (m, n) array, row j
     side j's, and one F(y) per side, and returns one direction per side, as
-    an (m, n) array or a sequence of m arrays.
+    an (m, n) array.
     The m sides are held as one (m, n) array, so a step weighs, updates and
     evaluates all of them at once.  The final points are new arrays.
 
@@ -115,7 +106,10 @@ def ascend(ev: MultilinearEvaluator, cfg: AscentConfig, starts: tuple[int, ...],
     the next step moves from.  Only after the last update of a run without
     cleanup is F evaluated alone, since nothing reads that gradient.  The
     cleanup resets a side's coordinates in index order, each with the
-    gradient after the resets before it.  Sampled, side j of m draws
+    gradient after the resets before it.  With F exact, a signed derivative
+    must fall below -``EXACT_NEGATIVE_MARGIN`` times the largest |F| of the
+    sides after the step's update, so the verdicts do not change when f is
+    scaled.  Sampled, side j of m draws
     stream (``ASCENT_STREAM``, 0, j) at its start, (``ASCENT_STREAM``,
     i + 1, j) after step i's update (row j of the stacks evaluated on
     (``ASCENT_STREAM``, 0) and (``ASCENT_STREAM``, i + 1)) and
@@ -128,14 +122,13 @@ def ascend(ev: MultilinearEvaluator, cfg: AscentConfig, starts: tuple[int, ...],
     most steps (n + 1) samples + samples; up to n = 16 a run asks for no set
     twice, so also at most 2^n.  Raises ``ValueError`` for T <= 0, steps < 1
     or T/steps > 1."""
-    T, steps, delta, regime = schedule(ev.n, cfg.T, cfg.steps, P)
+    T, steps, delta, regime = schedule(ev.n, T, steps, P)
     m = len(starts)
     s = np.array(starts, dtype=float)[:, None]
     target, sign = 1.0 - s, 1.0 - 2.0 * s
 
-    def resettable(start, sign, y, grad, sigma):
+    def resettable(start, sign, y, grad, noise):
         """y_u has moved off its start, and moving it further loses value."""
-        noise = EXACT_NEGATIVE_MARGIN if sigma is None else 2.0 * sigma
         return (sign * (y - start) > 0.0) & (sign * grad < -noise)
 
     ys = np.repeat(s, ev.n, axis=1)
@@ -144,34 +137,37 @@ def ascend(ev: MultilinearEvaluator, cfg: AscentConfig, starts: tuple[int, ...],
     record = []
     for i in range(steps):
         gap = target - ys
-        directions = choose(gap * grads, F)
-        ys = ys + delta * np.asarray(directions) * gap
+        ys = ys + delta * choose(gap * grads, F) * gap
         # the next step or the cleanup reads this gradient; after the last update without cleanup, nothing does
         if not cleanup and i == steps - 1:
             values = ev.value(ys, stream=(ASCENT_STREAM, i + 1))
         else:
             values, grads, sigma = ev.value_and_partials(ys, stream=(ASCENT_STREAM, i + 1))
         resets = 0
-        if cleanup and resettable(s, sign, ys, grads, sigma).any():
+        if cleanup:
+            noise = EXACT_NEGATIVE_MARGIN * max(map(abs, values.tolist())) if sigma is None else 2.0 * sigma
+        if cleanup and resettable(s, sign, ys, grads, noise).any():
             for j in range(m):
                 # a reset at u moves y, so the coordinates after u are tested on fresh derivatives
                 u = -1
                 while (hit := resettable(s[j], sign[j], ys[j, u + 1 :], grads[j, u + 1 :],
-                                         None if sigma is None else sigma[j, u + 1 :])).any():
+                                         noise if sigma is None else noise[j, u + 1 :])).any():
                     u += 1 + int(hit.argmax())
                     ys[j, u] = s[j, 0]
                     resets += 1
                     values[j], grads[j], sigma_j = ev.value_and_partials(ys[j], stream=(ASCENT_STREAM, i + 1, m + j, u))
                     if sigma is not None:
-                        sigma[j] = sigma_j
+                        noise[j] = 2.0 * sigma_j
         F = values.tolist()
         record.append(AscentStep(delta * (i + 1), tuple(F), resets))
     return Trajectory(T, delta, regime, tuple(ys), record)
 
 
-def run_mcg(ev: MultilinearEvaluator, P: Polytope, cfg: AscentConfig | None = None) -> tuple[np.ndarray, Trajectory]:
-    """Run the ascent on F of ``ev.f`` and return (y(T), trajectory); y(T)
-    is a new float array, clipped to [0,1] against rounding.
+def run_mcg(ev: MultilinearEvaluator, P: Polytope, *, T: float | None = None,
+            steps: int | None = None) -> tuple[np.ndarray, Trajectory]:
+    """Run the ascent on F of ``ev.f`` for time T in ``steps`` steps (see
+    ``schedule``) and return (y(T), trajectory); y(T) is a new float array,
+    clipped to [0,1] against rounding.
 
     Expects the singleton-feasibility reduction to have been applied (drop
     every u with 1_u not in P) -- see ``preprocess_reduction1``.  A
@@ -184,6 +180,6 @@ def run_mcg(ev: MultilinearEvaluator, P: Polytope, cfg: AscentConfig | None = No
     def best_vertex(weights, _values):
         return P.linear_maximize(weights[0])[None]
 
-    traj = ascend(ev, cfg or AscentConfig(), (0,), best_vertex, True, P)
+    traj = ascend(ev, (0,), best_vertex, True, P, T=T, steps=steps)
     return np.clip(traj.ys[0], 0.0, 1.0), traj
 

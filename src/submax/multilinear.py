@@ -3,13 +3,13 @@ and partial derivatives.
 
 R(x) includes each element u independently with probability x_u; a point x
 is a plain float array of length n.  :class:`MultilinearEvaluator` is the
-one object through which a run reads F: the caller builds it once from f
-and an :class:`Estimator` and hands it to the ascent and to pipage
+one object through which a run reads F: the caller builds it once from f,
+a sample count and a seed, and hands it to the ascent and to pipage
 rounding.  ``value`` gives F and ``value_and_partials`` F with its gradient,
 at one point or at each row of a stack of points, both from one of two
 backends, which the constructor picks:
 
-* ``"sampled"`` when the estimator sets ``samples``: f is averaged over that
+* ``"sampled"`` when the caller sets ``samples``: f is averaged over that
   many seeded draws R, with common random numbers for coupled queries.  F
   looks up the draws, and a gradient the draws and each R with one element
   flipped, an (n + 1, samples) lookup.  Every lookup goes through the
@@ -21,7 +21,7 @@ backends, which the constructor picks:
   one.  A set has one value in any lookup, so every F, gradient and spread
   is the one over all the draws, bit for bit, and only the oracle call count
   depends on the memo.  Each query names its stream, a path under the
-  estimator's seed that each caller leads with its own tag from ``rng``,
+  evaluator's seed that each caller leads with its own tag from ``rng``,
   and row j of a stack of points reads stream (*stream, j).  The ascent
   evaluates every side's gradient at the start and after each step's
   update, as one stack, and one side's after each reset, and the next step
@@ -35,8 +35,6 @@ backends, which the constructor picks:
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,39 +54,31 @@ _MEMO_BITS = 16
 _FIB = np.uint64(0x9E3779B97F4A7C15)
 
 
-@dataclass(frozen=True)
-class Estimator:
-    """How to evaluate F: exactly when ``samples`` is None (f's closed form),
-    else as the mean of f over ``samples`` draws seeded by ``seed``.  The
-    paper leaves the sample schedule open, so the caller sets it."""
-
-    samples: int | None = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.samples is not None and self.samples < 1:
-            raise ValueError("samples must be at least 1")
-
-
 class MultilinearEvaluator:
     """Evaluates F, its gradient, and coupled quantities for one set function.
 
-    ``backend`` names how (see the module docstring).  The closed form
-    queries no oracle.  The sampled backend derives all draws from
-    counter-indexed substreams of the estimator seed, on the path the caller
-    passes as ``stream``, and asks the oracle through the evaluator's memo,
-    so it needs int64 masks: n <= MAX_MASK_BITS.  An f with no
-    ``multilinear`` hook and no ``samples`` is a ValueError.
+    F is exact when ``samples`` is None (f's closed form), else the mean of f
+    over ``samples`` draws seeded by ``seed``; the paper leaves the sample
+    schedule open, so the caller sets it.  ``backend`` names how (see the
+    module docstring).  The closed form queries no oracle.  The sampled
+    backend derives all draws from counter-indexed substreams of ``seed``,
+    on the path the caller passes as ``stream``, and asks the oracle through
+    the evaluator's memo, so it needs int64 masks: n <= MAX_MASK_BITS.
+    ``samples`` below 1, a negative ``seed``, and an f with no
+    ``multilinear`` hook and no ``samples`` are each a ValueError.
     """
 
-    def __init__(self, f: SetFunction, est: Estimator | None = None):
-        self.f = f
-        self.est = est or Estimator()
+    def __init__(self, f: SetFunction, samples: int | None = None, seed: int = 0):
+        if samples is not None and samples < 1:
+            raise ValueError(f"samples must be at least 1, got {samples}")
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
+        self.f, self.samples, self.seed = f, samples, seed
         self.n = f.n
-        if self.est.samples is None:
+        if samples is None:
             if f.multilinear is None:
                 raise ValueError(f"F of this {f.kind} function has no exact backend: give f a multilinear hook "
-                                 "(closed-form F and gradient), or sample F with Estimator(samples=...)")
+                                 "(closed-form F and gradient), or sample F with samples=...")
             self.backend = "closed_form"
             return
         self.backend = "sampled"
@@ -106,7 +96,7 @@ class MultilinearEvaluator:
     # -- sampled kernels ----------------------------------------------------
     def _sample(self, x: np.ndarray, stream: tuple[int, ...]) -> np.ndarray:
         """The ``samples`` draws R(x) on ``stream``, as int64 masks."""
-        return masks_from_bits(substream(self.est.seed, *stream).random((self.est.samples, self.n)) < x)
+        return masks_from_bits(substream(self.seed, *stream).random((self.samples, self.n)) < x)
 
     def _slots(self, masks: np.ndarray) -> np.ndarray:
         if self.n <= _MEMO_BITS:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,8 +81,8 @@ class PartitionPolytope(Polytope):
                 seen.add(u)
         if seen != set(range(len(seen))):
             raise ValueError("parts must cover 0..n-1")
-        if any(b < 0 for b in bounds):
-            raise ValueError("bounds must be non-negative")
+        if any(b < 0 or b % 1 for b in bounds):  # b % 1 is NaN at inf and NaN
+            raise ValueError(f"bounds must be non-negative integers, got {bounds}")
         self.parts = [sorted(int(u) for u in part) for part in parts]
         self.bounds = [int(b) for b in bounds]
         self.n = len(seen)
@@ -168,11 +167,13 @@ class KnapsackPolytope(Polytope):
 
     def __init__(self, a, b: float):
         self.a = np.asarray(a, dtype=float)
+        self.b = float(b)
+        if not (np.isfinite(self.a).all() and math.isfinite(self.b)):
+            raise ValueError("knapsack coefficients and capacity must be finite")
         if (self.a < 0).any():
             raise ValueError("knapsack coefficients must be non-negative")
         if self.a.sum() <= 0:
             raise ValueError("at least one coefficient must be positive")
-        self.b = float(b)
         if self.b < 0:
             raise ValueError("capacity must be non-negative")
         self.n = self.a.size
@@ -248,20 +249,12 @@ def horizon(P: Polytope, steps: int | None = None) -> float:
     return -log_slack / d if steps is None else -steps * math.expm1(log_slack / (d * steps))
 
 
-@dataclass(frozen=True)
-class Reduction1Result:
-    polytope: Polytope
-    kept: tuple[int, ...]
-    warning: str | None = None
-
-
-def preprocess_reduction1(P: Polytope) -> Reduction1Result:
-    """Drop every element whose singleton is infeasible: such elements appear
-    in no integral solution, and removing them can only raise the density."""
+def preprocess_reduction1(P: Polytope) -> tuple[Polytope, tuple[int, ...]]:
+    """(the polytope over the kept elements, the kept elements): drop every
+    element whose singleton is infeasible, since such elements appear in no
+    integral solution and removing them can only raise the density.  With
+    none kept, the polytope is the one over the empty ground set."""
     kept = tuple(u for u in range(P.n) if P.singleton_feasible(u))
     if len(kept) == P.n:
-        return Reduction1Result(P, kept)
-    if not kept:
-        empty = CardinalityPolytope(0, 0)
-        return Reduction1Result(empty, kept, "all singletons infeasible; ground set is empty")
-    return Reduction1Result(P.restrict(list(kept)), kept, None)
+        return P, kept
+    return (P.restrict(list(kept)) if kept else CardinalityPolytope(0, 0)), kept

@@ -1,7 +1,8 @@
 """Submodular welfare with k identical utilities: the random-assignment
 algorithm behind the 1 - (1 - 1/k)^(k-1) guarantee and an exhaustive
-solver.  Identical utilities make every bundle one of the 2^n
-subsets, whose values the utility tabulates once (``SetFunction.table``:
+solver, which returns the best bundles as plain masks.  Identical utilities
+make every bundle one of the 2^n subsets, whose values the utility
+tabulates once (``SetFunction.table``:
 2^n oracle calls, 8 * 2^n bytes).  The solver walks the k^n assignments as
 lookups in that table, ties going to the smallest assignment code; the
 simulation looks its k * trials bundles up in it too whenever there are
@@ -43,23 +44,6 @@ class WelfareInstance:
             raise ValueError("at least one player required")
 
 
-@dataclass(frozen=True)
-class Allocation:
-    """Disjoint player bundles covering all items (bitmasks, one per player)."""
-
-    parts: tuple[int, ...]
-    instance: WelfareInstance
-
-    def __post_init__(self):
-        union = 0
-        for part in self.parts:
-            if union & part:
-                raise ValueError("player bundles must be disjoint")
-            union |= part
-        if union != full_mask(self.instance.utility.n):
-            raise ValueError("player bundles must cover every item")
-
-
 def simulate_random_assign(inst: WelfareInstance, trials: int, seed: int = 0) -> np.ndarray:
     """Totals of ``trials`` independent runs of random assignment (each item to
     a uniformly random player); row t of the seeded (trials, n) player draw
@@ -89,9 +73,11 @@ def simulate_random_assign(inst: WelfareInstance, trials: int, seed: int = 0) ->
     return totals
 
 
-def brute_force_welfare(inst: WelfareInstance) -> tuple[Allocation, float]:
-    """Exhaustive search over all k^n assignments; ties go to the smallest
-    assignment code (player index per item, item 0 least significant).
+def brute_force_welfare(inst: WelfareInstance) -> tuple[tuple[int, ...], float]:
+    """Exhaustive search over all k^n assignments: the best one's k disjoint
+    bundles covering the items (bitmasks, in player order) and its total.
+    Ties go to the smallest assignment code (player index per item, item 0
+    least significant).
 
     Every bundle is one of the 2^n subsets, so for k >= 2 the search reads
     the utility's value table (``SetFunction.table``): 2^n oracle calls,
@@ -107,7 +93,7 @@ def brute_force_welfare(inst: WelfareInstance) -> tuple[Allocation, float]:
     n, k, f = inst.utility.n, inst.k, inst.utility
     if k == 1:
         everything = full_mask(n)
-        return Allocation((everything,), inst), 0.0 + f.eval(everything)  # summed from 0.0, as below
+        return (everything,), 0.0 + f.eval(everything)  # summed from 0.0, as below
     if k**n > MAX_WELFARE_SEARCH:
         raise ValueError(f"search space k^n = {k**n} exceeds {MAX_WELFARE_SEARCH}")
     table = f.table()
@@ -127,8 +113,7 @@ def brute_force_welfare(inst: WelfareInstance) -> tuple[Allocation, float]:
         if totals[i] > best_total:
             best_total, best_code = float(totals[i]), start * width + i
     hi, lo = divmod(best_code, width)
-    parts = tuple(int(high[p, hi] | low[p, lo]) for p in range(k))
-    return Allocation(parts, inst), best_total
+    return tuple(int(high[p, hi] | low[p, lo]) for p in range(k)), best_total
 
 
 def _bundle_masks(k: int, items: int, shift: int) -> np.ndarray:

@@ -6,10 +6,12 @@ passes through, and reference solvers the library must match."""
 import math
 import tracemalloc
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 from hypothesis import strategies as st
 
+from submax import fixtures
 from submax.fixtures import random_graph_cut, random_hypergraph_cut
 from submax.multilinear import MultilinearEvaluator
 from submax.polytope import CardinalityPolytope, KnapsackPolytope, PartitionPolytope
@@ -83,8 +85,8 @@ class RecordingEvaluator(MultilinearEvaluator):
     and ``steps[i]`` every side's point after step i, of the last ascent run
     on this evaluator."""
 
-    def __init__(self, f, est=None):
-        super().__init__(f, est)
+    def __init__(self, f, samples=None, seed=0):
+        super().__init__(f, samples, seed)
         self._points = {}  # (i + 1, j): side j's point after step i; (0, j): its start
         self._sides = 1
 
@@ -195,6 +197,14 @@ def triangle_cut():
     return graph_cut_function(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
 
 
+def sparse_graph_cut(n, seed, edge_prob):
+    """``fixtures.random_graph_cut`` with each pair of vertices an edge with
+    probability ``edge_prob`` instead of ``fixtures.EDGE_PROB``, on the same
+    draws."""
+    with mock.patch.object(fixtures, "EDGE_PROB", edge_prob):
+        return random_graph_cut(n, seed)
+
+
 def random_symmetric_instance(n, seed):
     """Mix of graph and hypergraph cuts, all symmetric submodular."""
     if seed % 3 == 2 and n >= 3:
@@ -292,11 +302,19 @@ def brute_direction_value(w1, w2, c1, c2, k, coeff):
     return best
 
 
+def direction_value(w1, w2, c1, c2, coeff, i1):
+    """min(A, B), A = w1 . I1 + coeff*c1 and B = w2 . I2 + coeff*c2, at the
+    direction I1 = i1, I2 = 1 - i1, with B summed as the direction solver
+    sums it."""
+    w1, w2 = np.asarray(w1, dtype=float), np.asarray(w2, dtype=float)
+    return min(coeff * c1 + float(w1 @ i1), coeff * c2 + float(w2.sum()) - float(w2 @ i1))
+
+
 def bisect_direction(w1, w2, c1, c2, k, coeff=2.0):
     """Reference max-min direction solver: bisects the dual parameter lam to
     a gap of 1e-12 and mixes the two bracketing vertices so that A = B.
-    Returns (I1, objective); ``dmcg.solve_direction`` must match its
-    objective."""
+    Returns (I1, objective); the I1 of ``dmcg.solve_direction`` must attain
+    that objective."""
     w1 = np.asarray(w1, dtype=float)
     w2 = np.asarray(w2, dtype=float)
     n = w1.size

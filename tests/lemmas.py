@@ -46,7 +46,7 @@ from submax.rng import substream
 from submax.setfn import SetFunction
 from submax.subsets import as_mask, bits_from_masks, full_mask, masks_from_bits
 from submax.twosided import TIE_TOL
-from submax.welfare import Allocation, WelfareInstance
+from submax.welfare import WelfareInstance
 
 # largest n whose 2^n sets the symmetry audit evaluates
 SYMMETRY_AUDIT_LIMIT = 14
@@ -485,14 +485,15 @@ def check_max_y(traj: Trajectory, ys: list) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def allocation_total(allocation: Allocation) -> float:
-    """Sum of the players' utilities, one oracle call per bundle."""
-    return float(sum(allocation.instance.utility.eval(p) for p in allocation.parts))
+def allocation_total(f, parts: tuple[int, ...]) -> float:
+    """Sum of the players' utilities f of their bundles ``parts`` (bitmasks),
+    one oracle call per bundle."""
+    return float(sum(f.eval(p) for p in parts))
 
 
 def check_partial_union_bounds(
     inst: WelfareInstance,
-    optimal: Allocation,
+    optimal: tuple[int, ...],
     trials: int = 100_000,
     seed: int = 0,
 ) -> CheckReport:
@@ -503,9 +504,9 @@ def check_partial_union_bounds(
     n, k = inst.utility.n, inst.k
     if k < 2:
         raise ValueError("requires k >= 2")
-    opt_value = allocation_total(optimal)
+    opt_value = allocation_total(inst.utility, optimal)
     # player owning each item under the optimal allocation
-    owner = np.argmax(bits_from_masks(optimal.parts, n), axis=0)
+    owner = np.argmax(bits_from_masks(optimal, n), axis=0)
     rng = substream(seed, 0x9C)
     ranks = np.argsort(rng.random((trials, k)), axis=1).argsort(axis=1)  # rank of each player
     keep = rng.random((trials, n)) < (1.0 / k)

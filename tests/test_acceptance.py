@@ -12,6 +12,7 @@ import numpy as np
 from conftest import (
     RecordingEvaluator,
     brute_direction_value,
+    direction_value,
     random_coverage,
     random_offset_cut,
     random_symmetric_instance,
@@ -34,8 +35,8 @@ from lemmas import (
 from submax.cli import main as cli_main
 from submax.dmcg import run_dmcg, solve_direction
 from submax.fixtures import random_graph_cut
-from submax.mcg import AscentConfig, run_mcg
-from submax.multilinear import Estimator, MultilinearEvaluator
+from submax.mcg import run_mcg
+from submax.multilinear import MultilinearEvaluator
 from submax.oracle import brute_cardinality, brute_polytope_integral, brute_unconstrained
 from submax.pipage import pipage_round
 from submax.polytope import CardinalityPolytope, PartitionPolytope, horizon
@@ -121,7 +122,7 @@ def test_criterion_3_mcg_ratio_and_feasibility():
             P = _mcg_polytopes(n, i)
             T = min(1.0, horizon(P))
             ev = RecordingEvaluator(f)
-            y, traj = run_mcg(ev, P, AscentConfig(T=T, steps=2000))
+            y, traj = run_mcg(ev, P, T=T, steps=2000)
             _, opt = brute_polytope_integral(f, P)
             value = ev.value(y)
             bound = (0.5 * (1.0 - math.exp(-2.0 * T)) - 0.02) * opt
@@ -144,7 +145,7 @@ def test_criterion_4_dmcg_symmetric():
             k = 1 + i % max(1, n // 2)
             f = random_symmetric_instance(n, 400 + i)
             ev = MultilinearEvaluator(f)
-            y, _ = run_dmcg(ev, k, AscentConfig(steps=2000), "symmetric")
+            y, _ = run_dmcg(ev, k, "symmetric", steps=2000)
             assert abs(y.sum() - k) <= EXACT_TOL, (i, y.sum(), k)
             value = ev.value(y)
             _, opt = brute_cardinality(f, k)
@@ -167,7 +168,7 @@ def test_criterion_5_dmcg_general():
             k = 1 + i % (n - 1)
             f = random_coverage(n, 500 + i) if i % 2 == 0 else random_offset_cut(n, 500 + i)
             ev = MultilinearEvaluator(f)
-            y, _ = run_dmcg(ev, k, AscentConfig(steps=2000), "general")
+            y, _ = run_dmcg(ev, k, "general", steps=2000)
             assert abs(y.sum() - k) <= EXACT_TOL, (i, y.sum(), k)
             value = ev.value(y)
             _, opt = brute_cardinality(f, k)
@@ -189,9 +190,9 @@ def test_criterion_6_direction_solver_exactness():
             w2 = rng.uniform(-3, 3, size=n)
             c1, c2 = rng.uniform(0, 3, size=2)
             coeff = 2.0 if case % 2 == 0 else 1.0
-            _, _, info = solve_direction(w1, w2, c1, c2, k, coeff)
+            objective = direction_value(w1, w2, c1, c2, coeff, solve_direction(w1, w2, c1, c2, k, coeff))
             expected = brute_direction_value(w1, w2, c1, c2, k, coeff)
-            assert abs(info.objective - expected) <= EXACT_TOL, (case, info.objective, expected)
+            assert abs(objective - expected) <= EXACT_TOL, (case, objective, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -230,13 +231,13 @@ def test_criterion_8_lemma_suite():
         assert check_union_bound_symmetric(edge, np.array([0.5, 0.0]), [0]).passed
         tri = triangle_cut()
         opt_mask, _ = brute_unconstrained(tri)
-        y_mid, _ = run_mcg(MultilinearEvaluator(tri), CardinalityPolytope(3, 1), AscentConfig(T=0.6, steps=500))
+        y_mid, _ = run_mcg(MultilinearEvaluator(tri), CardinalityPolytope(3, 1), T=0.6, steps=500)
         rep = check_union_bound_symmetric(tri, y_mid, opt_mask)
         assert rep.passed and rep.status == "ok", rep.details
         for seed in range(4):
             f = random_graph_cut(7, seed=810 + seed)
             P = CardinalityPolytope(7, 3)
-            y, _ = run_mcg(MultilinearEvaluator(f), P, AscentConfig(T=1.0, steps=600))
+            y, _ = run_mcg(MultilinearEvaluator(f), P, T=1.0, steps=600)
             om, _ = brute_polytope_integral(f, P)
             rep = check_union_bound_symmetric(f, y, om)
             assert rep.passed and rep.status == "ok", rep.details
@@ -255,14 +256,14 @@ def test_criterion_8_lemma_suite():
         for seed in range(3):
             f = random_graph_cut(8, seed=820 + seed)
             ev = RecordingEvaluator(f)
-            _, traj = run_dmcg(ev, 2 + seed, AscentConfig(steps=1200), "symmetric")
+            _, traj = run_dmcg(ev, 2 + seed, "symmetric", steps=1200)
             rep = check_y_properties(traj, ev.steps, 2 + seed)
             assert rep.passed, rep.details
             assert check_concave_segment(f, *traj.ys).passed
         for seed in range(3):
             f = random_offset_cut(7, seed=830 + seed)
             ev = RecordingEvaluator(f)
-            _, traj = run_dmcg(ev, 3, AscentConfig(steps=1200), "general")
+            _, traj = run_dmcg(ev, 3, "general", steps=1200)
             assert check_max_y(traj, ev.steps).passed
 
         # statistical sampling bounds at 1e5 trials / 4 sigma
@@ -327,10 +328,8 @@ def test_criterion_10_determinism(tmp_path):
 
         # direct API double-run with the sampled estimator
         f = random_graph_cut(6, seed=1001)
-        est = Estimator(samples=300, seed=99)
-        cfg = AscentConfig(steps=80)
-        eva, evb = RecordingEvaluator(f, est), RecordingEvaluator(f, est)
-        ya, _ = run_dmcg(eva, 2, cfg, "symmetric")
-        yb, _ = run_dmcg(evb, 2, cfg, "symmetric")
+        eva, evb = RecordingEvaluator(f, 300, seed=99), RecordingEvaluator(f, 300, seed=99)
+        ya, _ = run_dmcg(eva, 2, "symmetric", steps=80)
+        yb, _ = run_dmcg(evb, 2, "symmetric", steps=80)
         assert np.array_equal(ya, yb)
         assert all(np.array_equal(a[0], b[0]) for a, b in zip(eva.steps, evb.steps, strict=True))

@@ -19,12 +19,12 @@ import pytest
 from submax.dmcg import run_dmcg
 from conftest import RecordingEvaluator, random_coverage
 from submax.fixtures import random_graph_cut
-from submax.mcg import AscentConfig, run_mcg, schedule
-from submax.multilinear import Estimator, MultilinearEvaluator
+from submax.mcg import run_mcg, schedule
+from submax.multilinear import MultilinearEvaluator
 from submax.polytope import CardinalityPolytope, horizon
 
-SAMPLED = Estimator(samples=64, seed=5)
-ESTIMATORS = {"exact": Estimator(), "sampled": SAMPLED}
+SAMPLED = dict(samples=64, seed=5)
+ESTIMATORS = {"exact": {}, "sampled": SAMPLED}
 
 # the symmetric cases run to the continuous horizon of |S| <= 2 over 7 elements
 SYMMETRIC_T = -(7 / 2) * math.log(1.0 - 2 / 7 + 7**-4.0)
@@ -67,12 +67,11 @@ def _run(solver: str, mode: str, evaluator=MultilinearEvaluator):
     is read through an ``evaluator`` of f."""
     est = ESTIMATORS[mode]
     if solver == "mcg":
-        y, traj = run_mcg(evaluator(random_graph_cut(8, seed=5), est), CardinalityPolytope(8, 4),
-                          AscentConfig(T=2.0, steps=40))
+        y, traj = run_mcg(evaluator(random_graph_cut(8, seed=5), **est), CardinalityPolytope(8, 4), T=2.0, steps=40)
         return y, (traj.steps[-1].values[0],), traj
     f, k = (random_graph_cut(7, seed=7), 2) if solver == "symmetric" else (random_coverage(7, seed=3), 3)
     T = SYMMETRIC_T if solver == "symmetric" else 1.0
-    y, traj = run_dmcg(evaluator(f, est), k, AscentConfig(T=T, steps=40), solver)
+    y, traj = run_dmcg(evaluator(f, **est), k, solver, T=T, steps=40)
     last = traj.steps[-1]
     return y, (last.values[0], last.values[1]), traj
 
@@ -95,8 +94,8 @@ def test_F_at_the_recorded_points_is_what_the_trajectory_records(solver):
     # last points are the run's final points
     recorders = []
 
-    def recording(f, est):
-        recorders.append(RecordingEvaluator(f, est))
+    def recording(f, **est):
+        recorders.append(RecordingEvaluator(f, **est))
         return recorders[-1]
 
     _, _, traj = _run(solver, "exact", recording)
@@ -116,7 +115,7 @@ def test_an_exact_ascent_reads_the_closed_form_once_per_step_and_per_reset(solve
     # points, and one side after each reset
     heights = []
 
-    def counting(f, est):
+    def counting(f, **est):
         hook = f.multilinear
 
         def multilinear(X):
@@ -124,7 +123,7 @@ def test_an_exact_ascent_reads_the_closed_form_once_per_step_and_per_reset(solve
             return hook(X)
 
         f.multilinear = multilinear
-        return MultilinearEvaluator(f, est)
+        return MultilinearEvaluator(f, **est)
 
     _, _, traj = _run(solver, "exact", counting)
     m = len(traj.ys)
@@ -152,7 +151,7 @@ def test_a_step_of_width_1_stays_in_the_cube():
     assert schedule(4, 400.0, None) == (400.0, 400, 1.0, False)
     assert schedule(0, 5.0, None) == (5.0, 1, 5.0, True)  # no element, so no update can leave the cube
     ev = RecordingEvaluator(random_graph_cut(4, seed=2))
-    y, traj = run_dmcg(ev, 1, AscentConfig(T=2.0, steps=2), "general")
+    y, traj = run_dmcg(ev, 1, "general", T=2.0, steps=2)
     assert len(ev.steps) == len(traj.steps) == 2
     assert all(0.0 <= side.min() and side.max() <= 1.0 for step in ev.steps for side in step)
 

@@ -464,14 +464,16 @@ def test_a_step_of_width_1_runs(triangle_file, tmp_path):
     argv = ["--instance", triangle_file, "--algorithm", "mcg", "--k", "1", "--T", "1", "--steps", "1"]
     assert main([*argv, "--out", str(out)]) == 0
     assert _read_report(out)["report"]["config"] == {"T": 1.0, "steps": 1, "estimator": "closed_form"}
+    assert "reduction1_warning" not in _read_report(out)["report"]
     # when Reduction 1 keeps no element, the ascent takes its one default
-    # step on the empty ground set (a step of width 5 leaves no cube there)
-    # and the rounding returns the empty set
+    # step on the empty ground set (a step of width 5 leaves no cube there),
+    # the rounding returns the empty set, and the report says why
     argv = ["--instance", triangle_file, "--algorithm", "mcg", "--k", "0", "--T", "5"]
     assert main([*argv, "--out", str(out)]) == 0
     report = _read_report(out)["report"]
     assert report["config"] == {"T": 5.0, "steps": 1, "estimator": "closed_form"}
     assert report["achieved_set"] == []
+    assert report["reduction1_warning"] == "all singletons infeasible; ground set is empty"
 
 
 FOUR_CYCLE = {"type": "graph_cut", "n": 4, "edges": [[0, 1, 1.0], [1, 2, 1.0], [2, 3, 1.0], [0, 3, 1.0]]}
@@ -536,6 +538,74 @@ def test_the_pipage_audit_is_relative_to_the_scale_of_f(tmp_path):
     assert main(["--instance", str(path), "--algorithm", "dmcg-general", "--k", "2", "--out", str(out)]) == 0
     report = _read_report(out)["report"]
     assert len(report["achieved_set"]) == 2 and report["achieved_value"] == report["oracle_opt"] == 1e300
+
+
+# report fields in the units of f: the rest has no units
+_VALUE_FIELDS = ("fractional_value", "achieved_value", "achieved_sigma", "oracle_opt")
+# every algorithm, with the polytope of a problem file where it takes one
+_SCALED_RUNS = {
+    "mcg-cardinality": ("mcg", None, ["--k", "3"]),
+    "mcg-partition": ("mcg", "partition", []),
+    "mcg-knapsack": ("mcg", "knapsack", []),
+    "dmcg-symmetric": ("dmcg-symmetric", None, ["--k", "3"]),
+    "dmcg-general": ("dmcg-general", None, ["--k", "3"]),
+    "two-sided": ("two-sided", None, []),
+    "welfare-random": ("welfare-random", "welfare", ["--samples", "2000"]),
+    "brute-unconstrained": ("brute-unconstrained", None, []),
+    "brute-cardinality-eq": ("brute-cardinality-eq", None, ["--k", "3"]),
+    "brute-cardinality-le": ("brute-cardinality-le", None, ["--k", "3"]),
+    "brute-polytope": ("brute-polytope", "knapsack", []),
+}
+
+
+def _scaled_report(run: str, family: str, seed: int, e: int, tmp_path) -> dict:
+    """The report of one of ``_SCALED_RUNS`` on a random 10-element instance
+    of ``family`` with every weight (and a knapsack's a and b) times 2^e."""
+    algorithm, wrapper, flags = _SCALED_RUNS[run]
+    rng = substream(seed, 0x5CA1E)
+    n = 10
+    weights = rng.uniform(0.1, 1.0, size=2 * n)
+    scaled = np.ldexp(weights, e).tolist()
+    if family == "cut":
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3][: 2 * n]
+        obj = {"type": "graph_cut", "n": n, "edges": [[u, v, w] for (u, v), w in zip(pairs, scaled)]}
+    elif family == "hypergraph_cut":
+        rows = [sorted(rng.choice(n, size=int(rng.integers(2, 5)), replace=False).tolist()) for _ in range(2 * n)]
+        obj = {"type": "hypergraph_cut", "n": n, "hyperedges": [[row, w] for row, w in zip(rows, scaled)]}
+    else:
+        rows = [sorted(rng.choice(2 * n, size=3, replace=False).tolist()) for _ in range(n)]
+        obj = {"type": "coverage", "n": n, "universe_weights": scaled, "membership": rows}
+    if wrapper == "knapsack":
+        a = rng.uniform(0.1, 1.0, size=n)
+        obj = _problem({"type": "knapsack", "a": np.ldexp(a, e).tolist(), "b": math.ldexp(0.3 * float(a.sum()), e)}, obj)
+    elif wrapper == "partition":
+        obj = _problem({"type": "partition", "parts": [[0, 1, 2, 3], [4, 5, 6, 7, 8, 9]], "bounds": [1, 2]}, obj)
+    elif wrapper == "welfare":
+        obj = {"type": "welfare", "k": 3, "utility": obj}
+    path, out = tmp_path / f"scaled{seed}_{e}.json", tmp_path / f"report{seed}_{e}.json"
+    path.write_text(json.dumps(obj))
+    assert main(["--instance", str(path), "--algorithm", algorithm, *flags, "--steps", "200", "--out", str(out)]
+                if algorithm.startswith(("mcg", "dmcg")) else
+                ["--instance", str(path), "--algorithm", algorithm, *flags, "--out", str(out)]) == 0
+    return _read_report(out)["report"]
+
+
+@pytest.mark.filterwarnings("ignore:objective not flagged symmetric")  # mcg on coverage
+@pytest.mark.parametrize("e", [-60, -40, 40, 60])
+@pytest.mark.parametrize("run", sorted(_SCALED_RUNS))
+def test_a_report_scales_with_the_weights(run, e, tmp_path):
+    # weights (and a knapsack's a and b) times 2^e pose the same problem,
+    # exactly in floating point: every value scales by 2^e, bit for bit, and
+    # points, sets and ratios stay.  With an absolute cleanup margin of
+    # 1e-12, a symmetric run at e = -40 hardly reset a coordinate
+    families = ("cut", "hypergraph_cut") if run == "dmcg-symmetric" else ("cut", "hypergraph_cut", "coverage")
+    for family in families:
+        for seed in range(2):
+            plain, scaled = _scaled_report(run, family, seed, 0, tmp_path), _scaled_report(run, family, seed, e, tmp_path)
+            for field in _VALUE_FIELDS:
+                if field in plain:
+                    assert scaled.pop(field) == math.ldexp(plain.pop(field), e), (family, seed, field)
+            assert scaled == plain, (family, seed)
 
 
 @pytest.mark.parametrize("samples", [None, "16"])

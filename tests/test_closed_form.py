@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from conftest import complement_function, modular_function, random_coverage, random_offset_cut, sum_functions
 from lemmas import point_by_point_closed_form, table_fold
 from submax.fixtures import random_graph_cut, random_hypergraph_cut
-from submax.multilinear import Estimator, MultilinearEvaluator
+from submax.multilinear import MultilinearEvaluator
 from submax.rng import substream
 from submax.setfn import (
     TABLE_LIMIT,
@@ -151,8 +151,8 @@ def test_backend_choice():
     cut = random_graph_cut(6, seed=0)
     no_hook = _hookless(cut)
     assert MultilinearEvaluator(cut).backend == "closed_form"
-    assert MultilinearEvaluator(cut, Estimator(samples=1)).backend == "sampled"
-    assert MultilinearEvaluator(no_hook, Estimator(samples=1)).backend == "sampled"
+    assert MultilinearEvaluator(cut, samples=1).backend == "sampled"
+    assert MultilinearEvaluator(no_hook, samples=1).backend == "sampled"
     # a sum keeps the closed form only when every summand has one
     assert sum_functions([cut, no_hook]).multilinear is None
 
@@ -160,7 +160,7 @@ def test_backend_choice():
 @pytest.mark.parametrize("n", [3, 20])
 def test_hookless_exact_evaluator_names_both_remedies(n):
     f = _hookless(random_graph_cut(n, seed=n))
-    with pytest.raises(ValueError, match="multilinear hook.*Estimator\\(samples="):
+    with pytest.raises(ValueError, match="multilinear hook.*samples="):
         MultilinearEvaluator(f)
     assert f.query_count == 0
 
@@ -189,7 +189,7 @@ def test_closed_form_within_4_sigma_of_sampled(f):
     # sigma is exactly 0 only for an element no edge or item touches
     x = substream(24, f.n).uniform(0.05, 0.35, size=f.n)
     _, grad, _ = MultilinearEvaluator(f).value_and_partials(x)
-    sampled = MultilinearEvaluator(f, Estimator(samples=2000, seed=25))
+    sampled = MultilinearEvaluator(f, samples=2000, seed=25)
     _, est, sigma = sampled.value_and_partials(x)
     assert np.all(np.abs(est - grad) <= 4.0 * sigma + TOL)
 
@@ -239,10 +239,10 @@ def test_a_sampled_stack_reads_row_j_on_its_own_stream(s):
     f = random_hypergraph_cut(10, seed=37)
     X = substream(38, s).random((s, f.n))
     X[:, 0] = 1.0
-    est = Estimator(samples=48, seed=39)
-    values, grads, sigmas = MultilinearEvaluator(f, est).value_and_partials(X, stream=(4, 7))
-    stacked = MultilinearEvaluator(f, est).value(X, stream=(4, 7))
-    alone = MultilinearEvaluator(f, est)
+    est = dict(samples=48, seed=39)
+    values, grads, sigmas = MultilinearEvaluator(f, **est).value_and_partials(X, stream=(4, 7))
+    stacked = MultilinearEvaluator(f, **est).value(X, stream=(4, 7))
+    alone = MultilinearEvaluator(f, **est)
     for j, x in enumerate(X):
         value, grad, sigma = alone.value_and_partials(x, stream=(4, 7, j))
         assert value == values[j] and grad.tobytes() == grads[j].tobytes() and sigma.tobytes() == sigmas[j].tobytes()

@@ -9,19 +9,20 @@ from conftest import (
     RecordingEvaluator,
     bisect_direction,
     brute_direction_value,
+    direction_value,
     distinct_lookups,
     peak_traced_bytes,
     random_coverage,
     random_offset_cut,
     record_lookups,
     single_edge_cut,
+    sparse_graph_cut,
 )
 from lemmas import check_concave_segment, check_max_y, check_y_properties
 from submax import dmcg
 from submax.dmcg import run_dmcg, solve_direction
 from submax.fixtures import random_graph_cut
-from submax.mcg import AscentConfig
-from submax.multilinear import Estimator, MultilinearEvaluator
+from submax.multilinear import MultilinearEvaluator
 from submax.oracle import brute_cardinality
 from submax.rng import substream
 from submax.setfn import hardness_instance
@@ -34,27 +35,28 @@ from submax.setfn import hardness_instance
 
 def test_solve_direction_constant_objectives():
     w = np.zeros(3)
-    i1, i2, info = solve_direction(w, w, 1.5, 0.5, 2, coeff=2.0)
-    assert info.objective == pytest.approx(min(3.0, 1.0))
+    i1 = solve_direction(w, w, 1.5, 0.5, 2, 2.0)
+    assert direction_value(w, w, 1.5, 0.5, 2.0, i1) == pytest.approx(min(3.0, 1.0))
     assert i1.sum() == pytest.approx(2.0)
-    assert np.allclose(i1 + i2, 1.0)
 
 
 def test_solve_direction_two_element_example():
-    i1, _, info = solve_direction(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.0, 0.0, 1)
+    w1, w2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    i1 = solve_direction(w1, w2, 0.0, 0.0, 1, 2.0)
     assert np.allclose(i1, [1.0, 0.0])
-    assert info.objective == pytest.approx(1.0)
+    assert direction_value(w1, w2, 0.0, 0.0, 2.0, i1) == pytest.approx(1.0)
 
 
 def test_solve_direction_three_element_example():
-    i1, _, info = solve_direction(np.array([2.0, 0.0, 0.0]), np.array([0.0, 1.0, 1.0]), 0.0, 0.0, 1)
+    w1, w2 = np.array([2.0, 0.0, 0.0]), np.array([0.0, 1.0, 1.0])
+    i1 = solve_direction(w1, w2, 0.0, 0.0, 1, 2.0)
     assert np.allclose(i1, [1.0, 0.0, 0.0])
-    assert info.objective == pytest.approx(2.0)
+    assert direction_value(w1, w2, 0.0, 0.0, 2.0, i1) == pytest.approx(2.0)
 
 
 def test_solve_direction_rejects_k_above_n():
     with pytest.raises(ValueError):
-        solve_direction(np.zeros(2), np.zeros(2), 0.0, 0.0, 3)
+        solve_direction(np.zeros(2), np.zeros(2), 0.0, 0.0, 3, 2.0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -67,16 +69,14 @@ def test_solve_direction_matches_enumeration(seed):
     w2 = rng.uniform(-2, 2, size=n)
     c1, c2 = rng.uniform(0, 2, size=2)
     coeff = 2.0 if seed % 2 == 0 else 1.0
-    i1, i2, info = solve_direction(w1, w2, c1, c2, k, coeff)
+    i1 = solve_direction(w1, w2, c1, c2, k, coeff)
     assert abs(i1.sum() - k) <= 1e-9
-    assert np.allclose(i1 + i2, 1.0)
     assert i1.min() >= -1e-12 and i1.max() <= 1 + 1e-12
     expected = brute_direction_value(w1, w2, c1, c2, k, coeff)
-    assert info.objective == pytest.approx(expected, abs=1e-9)
-    # the returned point attains its reported objective
+    # the returned point attains the max-min, with I2 = 1 - I1 summed plainly
     a = coeff * c1 + float(w1 @ i1)
-    b = coeff * c2 + float(w2 @ i2)
-    assert min(a, b) == pytest.approx(info.objective, abs=1e-9)
+    b = coeff * c2 + float(w2 @ (1.0 - i1))
+    assert min(a, b) == pytest.approx(expected, abs=1e-9)
 
 
 # weights drawn as floats or as small integers, so that breakpoints of the
@@ -101,12 +101,12 @@ def _direction_problems(draw):
 @given(problem=_direction_problems())
 def test_solve_direction_matches_bisection_and_enumeration(problem):
     w1, w2, c1, c2, k, coeff = problem
-    i1, i2, info = solve_direction(w1, w2, c1, c2, k, coeff)
-    assert abs(info.objective - bisect_direction(w1, w2, c1, c2, k, coeff)[1]) <= 1e-12
-    assert abs(info.objective - brute_direction_value(w1, w2, c1, c2, k, coeff)) <= 1e-12
+    i1 = solve_direction(w1, w2, c1, c2, k, coeff)
+    objective = direction_value(w1, w2, c1, c2, coeff, i1)
+    assert abs(objective - bisect_direction(w1, w2, c1, c2, k, coeff)[1]) <= 1e-12
+    assert abs(objective - brute_direction_value(w1, w2, c1, c2, k, coeff)) <= 1e-12
     assert abs(i1.sum() - k) <= 1e-12
     assert i1.min() >= -1e-12 and i1.max() <= 1.0 + 1e-12
-    assert np.array_equal(i2, 1.0 - i1)
 
 
 def test_solve_direction_mixes_the_vertices_left_and_right_of_an_all_way_tie():
@@ -115,11 +115,10 @@ def test_solve_direction_mixes_the_vertices_left_and_right_of_an_all_way_tie():
     # bottom-2 vertex {1, 2} of w (d = -7.5) with the top-2 vertex {0, 4}
     # (d = 3.5), so that A = B = sum(w) / 2
     w = np.array([3.0, 1.0, 0.5, 2.0, 4.0])
-    i1, _, info = solve_direction(w, w, 0.0, 0.0, 2)
+    i1 = solve_direction(w, w, 0.0, 0.0, 2, 2.0)
     theta = 7.5 / 11.0
-    assert info.lam == 0.5
     assert np.allclose(i1, [theta, 1 - theta, 1 - theta, 0.0, theta], rtol=0.0, atol=1e-15)
-    assert info.objective == pytest.approx(w.sum() / 2, abs=1e-12)
+    assert direction_value(w, w, 0.0, 0.0, 2.0, i1) == pytest.approx(w.sum() / 2, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +128,7 @@ def test_solve_direction_mixes_the_vertices_left_and_right_of_an_all_way_tie():
 
 def test_symmetric_single_edge_guarantee():
     f = single_edge_cut()
-    y, traj = run_dmcg(MultilinearEvaluator(f), 1, AscentConfig(steps=2000), "symmetric")
+    y, traj = run_dmcg(MultilinearEvaluator(f), 1, "symmetric", steps=2000)
     assert abs(y.sum() - 1.0) <= 1e-9
     value = MultilinearEvaluator(f).value(y)
     assert value >= 0.5 * (1 - 0.5**4) - 0.01  # OPT = 1, k/n = 1/2 curve
@@ -137,7 +136,7 @@ def test_symmetric_single_edge_guarantee():
 
 def test_general_hardness_guarantee():
     f = hardness_instance(1, 2)
-    y, traj = run_dmcg(MultilinearEvaluator(f), 2, AscentConfig(steps=2000), "general")
+    y, traj = run_dmcg(MultilinearEvaluator(f), 2, "general", steps=2000)
     assert abs(y.sum() - 2.0) <= 1e-9
     value = MultilinearEvaluator(f).value(y)
     assert value >= math.exp(-1) - 0.01  # OPT = 1
@@ -145,7 +144,7 @@ def test_general_hardness_guarantee():
 
 def test_general_full_cardinality_returns_everything():
     f = random_coverage(4, seed=3)
-    y, _ = run_dmcg(MultilinearEvaluator(f), 4, AscentConfig(steps=500), "general")
+    y, _ = run_dmcg(MultilinearEvaluator(f), 4, "general", steps=500)
     assert np.allclose(y, 1.0)
     assert MultilinearEvaluator(f).value(y) == pytest.approx(f.eval([0, 1, 2, 3]))
 
@@ -158,11 +157,11 @@ def test_symmetric_variant_complements_the_run_for_n_minus_k(seed, sampled):
     rng = substream(seed, 0x2ED)
     n = int(rng.integers(3, 13))
     k = int(rng.integers(n // 2 + 1, n))
-    cfg, est = AscentConfig(steps=int(rng.integers(1, 60))), Estimator(32 if sampled else None, seed)
-    f = random_graph_cut(n, seed, edge_prob=0.4)
-    ev, ev_low = RecordingEvaluator(f, est), RecordingEvaluator(f, est)
-    y, traj = run_dmcg(ev, k, cfg)
-    y_low, traj_low = run_dmcg(ev_low, n - k, cfg)
+    steps, samples = int(rng.integers(1, 60)), 32 if sampled else None
+    f = sparse_graph_cut(n, seed, edge_prob=0.4)
+    ev, ev_low = RecordingEvaluator(f, samples, seed), RecordingEvaluator(f, samples, seed)
+    y, traj = run_dmcg(ev, k, steps=steps)
+    y_low, traj_low = run_dmcg(ev_low, n - k, steps=steps)
     assert (1.0 - y_low).tobytes() == y.tobytes()
     assert (traj.T, len(traj.steps)) == (traj_low.T, len(traj_low.steps))
     assert all(a[0].tobytes() == b[0].tobytes() for a, b in zip(ev.steps, ev_low.steps, strict=True))
@@ -172,30 +171,30 @@ def test_symmetric_variant_complements_the_run_for_n_minus_k(seed, sampled):
 @pytest.mark.parametrize("n", [2, 3, 7])
 def test_symmetric_variant_at_k_equal_n_takes_everything_in_no_step(n):
     f = random_graph_cut(n, seed=n)
-    y, traj = run_dmcg(MultilinearEvaluator(f), n, AscentConfig(steps=40))
+    y, traj = run_dmcg(MultilinearEvaluator(f), n, steps=40)
     assert y.tolist() == [1.0] * n and f.query_count == 0  # nothing to read F for
     assert traj.steps == [] and traj.T == 0.0 and traj.theoretical_regime
     assert check_y_properties(traj, [], 0).passed
     with pytest.raises(ValueError):  # the schedule is checked all the same
-        run_dmcg(MultilinearEvaluator(f), n, AscentConfig(T=3.0, steps=2))
+        run_dmcg(MultilinearEvaluator(f), n, T=3.0, steps=2)
 
 
 @pytest.mark.parametrize("variant", ["symmetric", "general"])
 @pytest.mark.parametrize("k", [0, 5, -1])
 def test_run_rejects_k_outside_1_to_n(variant, k):
     with pytest.raises(ValueError, match="1 <= k <= n"):
-        run_dmcg(MultilinearEvaluator(random_graph_cut(4, seed=0)), k, AscentConfig(steps=10), variant)
+        run_dmcg(MultilinearEvaluator(random_graph_cut(4, seed=0)), k, variant, steps=10)
 
 
 def test_symmetric_variant_requires_symmetric_objective():
     f = random_coverage(4, seed=4)
     with pytest.raises(ValueError):
-        run_dmcg(MultilinearEvaluator(f), 2, AscentConfig(steps=10), "symmetric")
+        run_dmcg(MultilinearEvaluator(f), 2, "symmetric", steps=10)
 
 
 def test_run_rejects_unknown_variant():
     with pytest.raises(ValueError, match="variant"):
-        run_dmcg(MultilinearEvaluator(random_graph_cut(4, seed=4)), 2, AscentConfig(steps=10), "asymmetric")
+        run_dmcg(MultilinearEvaluator(random_graph_cut(4, seed=4)), 2, "asymmetric", steps=10)
 
 
 @pytest.mark.parametrize("variant", ["symmetric", "general"])
@@ -203,7 +202,7 @@ def test_run_rejects_unknown_variant():
 def test_run_rejects_empty_schedule(variant, steps, T):
     f = random_graph_cut(4, seed=4)
     with pytest.raises(ValueError):
-        run_dmcg(MultilinearEvaluator(f), 2, AscentConfig(T=T, steps=steps), variant)
+        run_dmcg(MultilinearEvaluator(f), 2, variant, T=T, steps=steps)
 
 
 @pytest.mark.parametrize("variant", ["symmetric", "general"])
@@ -216,8 +215,8 @@ def test_coarse_steps_bracket_k(variant, seed):
     n = int(rng.integers(4, 41))
     k = int(rng.integers(1, n // 2 + 1))
     steps = int(rng.integers(1, 31))
-    ev = RecordingEvaluator(random_graph_cut(n, seed, edge_prob=0.3))
-    y, traj = run_dmcg(ev, k, AscentConfig(steps=steps), variant)
+    ev = RecordingEvaluator(sparse_graph_cut(n, seed, edge_prob=0.3))
+    y, traj = run_dmcg(ev, k, variant, steps=steps)
     rep = check_y_properties(traj, ev.steps, k)
     assert rep.passed, rep.details
     assert y.sum() == pytest.approx(k, abs=1e-9)
@@ -226,7 +225,7 @@ def test_coarse_steps_bracket_k(variant, seed):
 @pytest.mark.parametrize("n, k, steps", [(40, 10, 4), (300, 75, 50)])
 def test_symmetric_variant_brackets_k_where_the_continuous_horizon_overshot(n, k, steps):
     ev = RecordingEvaluator(random_graph_cut(n, seed=0))
-    y, traj = run_dmcg(ev, k, AscentConfig(steps=steps))
+    y, traj = run_dmcg(ev, k, steps=steps)
     assert check_y_properties(traj, ev.steps, k).passed and y.sum() == pytest.approx(k, abs=1e-9)
 
 
@@ -235,7 +234,7 @@ def test_y_properties_hold_per_step():
         f = random_graph_cut(7, seed=seed)
         k = 1 + seed % 3
         ev = RecordingEvaluator(f)
-        _, traj = run_dmcg(ev, k, AscentConfig(steps=800), "symmetric")
+        _, traj = run_dmcg(ev, k, "symmetric", steps=800)
         rep = check_y_properties(traj, ev.steps, k)
         assert rep.passed, rep.details
 
@@ -243,7 +242,7 @@ def test_y_properties_hold_per_step():
 def test_y_properties_flag_swapped_sides():
     f = random_graph_cut(6, seed=3)
     ev = RecordingEvaluator(f)
-    _, traj = run_dmcg(ev, 2, AscentConfig(steps=50), "symmetric")
+    _, traj = run_dmcg(ev, 2, "symmetric", steps=50)
     ys = ev.steps
     assert check_y_properties(traj, ys, 2).passed
     ys[4] = ys[4][::-1]
@@ -255,7 +254,7 @@ def test_y_properties_flag_swapped_sides():
 def test_max_y_flags_a_coordinate_past_the_growth_cap():
     f = random_offset_cut(6, seed=5)
     ev = RecordingEvaluator(f)
-    _, traj = run_dmcg(ev, 3, AscentConfig(steps=50), "general")
+    _, traj = run_dmcg(ev, 3, "general", steps=50)
     ys = ev.steps
     assert check_max_y(traj, ys).passed
     ys[0][0][1] = 0.5  # the cap after one step is delta = 1/50
@@ -267,7 +266,7 @@ def test_max_y_flags_a_coordinate_past_the_growth_cap():
 def test_max_y_cap_general_variant():
     f = random_offset_cut(6, seed=5)
     ev = RecordingEvaluator(f)
-    _, traj = run_dmcg(ev, 3, AscentConfig(steps=600), "general")
+    _, traj = run_dmcg(ev, 3, "general", steps=600)
     rep = check_max_y(traj, ev.steps)
     assert rep.passed, rep.details
 
@@ -277,8 +276,7 @@ def test_step_bound_symmetric_variant():
     # n^3 delta^2 second-order budget (c = 1)
     f = random_graph_cut(6, seed=6)
     k = 2
-    cfg = AscentConfig(steps=400)
-    _, traj = run_dmcg(MultilinearEvaluator(f), k, cfg, "symmetric")
+    _, traj = run_dmcg(MultilinearEvaluator(f), k, "symmetric", steps=400)
     _, opt = brute_cardinality(f, k)
     budget = 6**3 * traj.delta**2 * opt + 1e-9
     prev1 = prev2 = None
@@ -304,39 +302,37 @@ def test_concave_segment_checks():
 def test_concave_segment_on_terminal_states():
     for seed in range(3):
         f = random_graph_cut(6, seed=20 + seed)
-        _, traj = run_dmcg(MultilinearEvaluator(f), 2, AscentConfig(steps=500), "symmetric")
+        _, traj = run_dmcg(MultilinearEvaluator(f), 2, "symmetric", steps=500)
         rep = check_concave_segment(f, *traj.ys)
         assert rep.passed, rep.details
 
 
 def test_determinism(monkeypatch):
-    # each step's direction solver answers the same lambda and objective
-    infos = []
+    # each step's direction solver answers the same I1, bit for bit
+    directions = []
 
     def recording(*args):
-        i1, i2, info = solve_direction(*args)
-        infos.append(info)
-        return i1, i2, info
+        i1 = solve_direction(*args)
+        directions.append(i1.tobytes())
+        return i1
 
     monkeypatch.setattr(dmcg, "solve_direction", recording)
     f = random_graph_cut(6, seed=8)
-    cfg = AscentConfig(steps=120)
-    ya, _ = run_dmcg(MultilinearEvaluator(f), 2, cfg, "symmetric")
-    yb, _ = run_dmcg(MultilinearEvaluator(f), 2, cfg, "symmetric")
+    ya, _ = run_dmcg(MultilinearEvaluator(f), 2, "symmetric", steps=120)
+    yb, _ = run_dmcg(MultilinearEvaluator(f), 2, "symmetric", steps=120)
     assert np.array_equal(ya, yb)
-    assert len(infos) == 2 * 120
-    for a, b in zip(infos[:120], infos[120:]):
-        assert a.lam == b.lam and a.objective == b.objective
+    assert len(directions) == 2 * 120
+    assert directions[:120] == directions[120:]
 
 
 def test_a_run_holds_its_current_points_not_its_history():
     # a trajectory records scalars per step: ten times the steps cost less
     # than 1 MB more at n = 300, where keeping both sides' points at every
     # step held about 5 KB per step
-    f = random_graph_cut(300, seed=1, edge_prob=0.02)
+    f = sparse_graph_cut(300, seed=1, edge_prob=0.02)
 
     def peak(steps):
-        return peak_traced_bytes(lambda: run_dmcg(MultilinearEvaluator(f), 75, AscentConfig(steps=steps), "general"))
+        return peak_traced_bytes(lambda: run_dmcg(MultilinearEvaluator(f), 75, "general", steps=steps))
 
     assert abs(peak(2000) - peak(200)) < 1 << 20
 
@@ -351,8 +347,7 @@ def test_sampled_general_variant_spends_one_gradient_per_side_and_step(monkeypat
     n, steps, samples = 6, 5, 32
     f = random_graph_cut(n, seed=1)
     lookups = record_lookups(monkeypatch)
-    est = Estimator(samples=samples, seed=3)
-    run_dmcg(MultilinearEvaluator(f, est), 2, AscentConfig(steps=steps), "general")
+    run_dmcg(MultilinearEvaluator(f, samples, seed=3), 2, "general", steps=steps)
     (asked,) = lookups.values()
     grads = [masks for masks in asked if masks.ndim == 2]
     values = [masks for masks in asked if masks.ndim == 1]

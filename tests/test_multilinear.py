@@ -27,8 +27,7 @@ from lemmas import (
 )
 from submax.dmcg import run_dmcg
 from submax.fixtures import random_graph_cut, random_hypergraph_cut
-from submax.mcg import AscentConfig
-from submax.multilinear import Estimator, MultilinearEvaluator
+from submax.multilinear import MultilinearEvaluator
 from submax.reports import mean_and_sigma
 from submax.rng import substream
 from submax.setfn import SetFunction, graph_cut_function, hardness_instance
@@ -41,7 +40,7 @@ from submax.subsets import popcount_array
 
 
 def _sampled_sets(x, samples, seed):
-    ev = MultilinearEvaluator(single_edge_cut(len(x)), Estimator(samples, seed))
+    ev = MultilinearEvaluator(single_edge_cut(len(x)), samples, seed)
     return ev._sample(np.asarray(x, dtype=float), ())
 
 
@@ -85,16 +84,14 @@ def test_eval_exact_hardness_closed_form():
 
 def test_evaluate_sampled_close_to_exact():
     f = single_edge_cut()
-    est = Estimator(samples=1_000_000, seed=11)
-    got = MultilinearEvaluator(f, est).value(np.array([0.5, 0.5]))
+    got = MultilinearEvaluator(f, samples=1_000_000, seed=11).value(np.array([0.5, 0.5]))
     assert abs(got - 0.5) <= 0.002  # 4 sigma at sigma = 0.5/sqrt(samples)
 
 
 def test_evaluate_integral_points_short_circuit():
     f = triangle_cut()
-    est = Estimator(samples=1000, seed=0)
     before = f.query_count
-    got = MultilinearEvaluator(f, est).value(indicator([0], 3))
+    got = MultilinearEvaluator(f, samples=1000, seed=0).value(indicator([0], 3))
     assert got == f.eval([0])
     assert f.query_count == before + 2  # one short-circuit call + the reference eval
 
@@ -105,8 +102,7 @@ def test_sampled_estimates_match_exact_within_4_sigma():
         x = rng.random(f.n)
         exact = MultilinearEvaluator(f).value(x)
         samples = 100_000
-        est = Estimator(samples=samples, seed=21)
-        ev = MultilinearEvaluator(f, est)
+        ev = MultilinearEvaluator(f, samples=samples, seed=21)
         got = ev.value(x, stream=(0,))
         # bound the deviation by 4 sigma of the empirical draw
         masks = ev._sample(np.asarray(x, dtype=float), (0,))
@@ -119,8 +115,8 @@ def test_sampled_estimates_match_exact_within_4_sigma():
 # ---------------------------------------------------------------------------
 
 
-def partial(f, x, u, est=None, stream=()):
-    return MultilinearEvaluator(f, est).value_and_partials(x, stream)[1][u]
+def partial(f, x, u, samples=None, stream=()):
+    return MultilinearEvaluator(f, samples, seed=3).value_and_partials(x, stream)[1][u]
 
 
 def test_partial_derivative_single_edge():
@@ -205,7 +201,7 @@ def test_sampled_gradient_matches_plus_minus_reference_bit_for_bit(make, pinned,
     x = substream(11, n).random(n)
     if pinned:
         x[[0, 3]], x[[1, 5]] = 0.0, 1.0
-    ev = MultilinearEvaluator(f, Estimator(samples=samples, seed=17))
+    ev = MultilinearEvaluator(f, samples=samples, seed=17)
     stream = (4, 1)
     base = ev._sample(x, stream)
     unit = (np.int64(1) << np.arange(n, dtype=np.int64))[:, None]
@@ -224,7 +220,7 @@ def test_sampled_gradient_at_a_vertex_of_the_cube_asks_n_plus_one_sets(corner):
     # every draw at x = 0 is the empty set and every draw at x = 1 is N, so
     # the batch holds that one set and its n flips, however many samples
     f = random_graph_cut(7, seed=3)
-    ev = MultilinearEvaluator(f, Estimator(samples=500, seed=2))
+    ev = MultilinearEvaluator(f, samples=500, seed=2)
     ev.value_and_partials(np.full(7, corner), stream=(1,))
     assert f.query_count == 7 + 1
 
@@ -238,7 +234,7 @@ def test_no_sampled_batch_asks_for_a_draw_twice(samples, monkeypatch):
     f = random_coverage(6, seed=9)
     batches = record_batches(f)
     lookups = record_lookups(monkeypatch)
-    ev = MultilinearEvaluator(f, Estimator(samples=samples, seed=5))
+    ev = MultilinearEvaluator(f, samples=samples, seed=5)
     x = substream(12, 6).random(6)
     x[[0, 2]] = 0.0
     ev.value(x, stream=(2,))
@@ -260,7 +256,7 @@ def test_a_sampled_ascent_asks_for_no_set_twice():
     # run, both sides and every reset, the oracle sees each set once
     f = random_graph_cut(8, seed=5)
     batches = record_batches(f)
-    run_dmcg(MultilinearEvaluator(f, Estimator(samples=64, seed=5)), 2, AscentConfig(steps=40), "symmetric")
+    run_dmcg(MultilinearEvaluator(f, samples=64, seed=5), 2, "symmetric", steps=40)
     asked = np.concatenate([masks.ravel() for masks in batches])
     assert np.unique(asked).size == asked.size == f.query_count
 
@@ -281,14 +277,14 @@ def test_colliding_sets_keep_their_own_values():
     f = random_hypergraph_cut(n, seed=2)
     a, b = _colliding_sets(n)
     truth = {m: f.eval(m) for m in (a, b)}
-    ev = MultilinearEvaluator(f, Estimator(samples=8, seed=1))
+    ev = MultilinearEvaluator(f, samples=8, seed=1)
     assert ev._slots(np.array([a])) == ev._slots(np.array([b]))
     for m, asks in ((a, 1), (b, 1), (a, 1), (a, 0)):  # b evicts a, and a evicts b
         before = f.query_count
         assert ev.value(indicator(m, n)) == truth[m]
         assert f.query_count - before == asks
     # both new in one batch: each is asked once, and one of them keeps the slot
-    ev = MultilinearEvaluator(f, Estimator(samples=8, seed=1))
+    ev = MultilinearEvaluator(f, samples=8, seed=1)
     before = f.query_count
     assert ev._ask(np.array([a, b, a])).tolist() == [truth[a], truth[b], truth[a]]
     assert f.query_count - before == 2
@@ -301,15 +297,14 @@ def test_colliding_sets_keep_their_own_values():
 
 def test_sampled_evaluator_needs_int64_masks():
     with pytest.raises(ValueError, match="n must be <= 62"):
-        MultilinearEvaluator(single_edge_cut(63), Estimator(samples=4))
+        MultilinearEvaluator(single_edge_cut(63), samples=4)
 
 
 def test_sampled_partial_uses_common_random_numbers():
     # with CRN the u-derivative of the single edge is exactly 1 - 2 b1 per
     # draw; the estimate must land within 4 sigma of 1 - 2 x1
     f = single_edge_cut()
-    est = Estimator(samples=40_000, seed=3)
-    got = partial(f, [0.2, 0.3], 0, est)
+    got = partial(f, [0.2, 0.3], 0, samples=40_000)
     sigma = 1.0 / math.sqrt(40_000)
     assert abs(got - 0.4) <= 4 * sigma
 
@@ -389,8 +384,16 @@ def test_statistical_subset_bounds():
 
 
 def test_estimator_validation():
-    with pytest.raises(ValueError):
-        Estimator(samples=0)
+    with pytest.raises(ValueError, match="samples must be at least 1, got 0"):
+        MultilinearEvaluator(single_edge_cut(), samples=0)
+
+
+@pytest.mark.parametrize("samples", [None, 8])
+def test_a_negative_seed_fails_when_the_evaluator_is_built(samples):
+    # accepted, a sampled evaluator raised numpy's "expected non-negative
+    # integer" at its first draw, deep inside a run
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        MultilinearEvaluator(single_edge_cut(), samples, seed=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +406,7 @@ def test_sampled_sigma_stays_finite_at_weights_near_1e300():
     # squaring the deviations overflowed: sigma read inf, and the cleanup's
     # -2 sigma margin could never fire
     f = graph_cut_function(4, [(0, 1, 1e300), (1, 2, 1e300), (2, 3, 1.0)])
-    _, _, sigma = MultilinearEvaluator(f, Estimator(64, 1)).value_and_partials(np.full(4, 0.5), stream=(0,))
+    _, _, sigma = MultilinearEvaluator(f, 64, 1).value_and_partials(np.full(4, 0.5), stream=(0,))
     assert np.isfinite(sigma).all()
     assert sigma[:3].min() > 1e299 and 0.0 < sigma[3] < 1.0
 

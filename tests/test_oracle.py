@@ -405,10 +405,10 @@ def test_streamed_welfare_search_matches_a_single_pass(k, n):
         total = sum(value(sum(1 << u for u in range(n) if digits[u] == p)) for p in range(k))
         if total > best:
             best, best_code = total, code
-    alloc, opt = brute_force_welfare(inst)
+    parts, opt = brute_force_welfare(inst)
     assert k**n > MASK_BLOCK
     assert np.float64(opt).tobytes() == np.float64(best).tobytes()
-    assert alloc.parts == tuple(
+    assert parts == tuple(
         sum(1 << u for u in range(n) if (best_code // k**u) % k == p) for p in range(k)
     )
 
@@ -417,10 +417,10 @@ def test_streamed_welfare_search_matches_a_single_pass(k, n):
 def test_welfare_search_queries_each_set_once(k, n):
     # k = 1 asks for f(N) alone, so n = 40 builds no 2^40 table
     f = integer_cut(n, seed=5)
-    alloc, _ = brute_force_welfare(WelfareInstance(k, f))
+    parts, _ = brute_force_welfare(WelfareInstance(k, f))
     assert f.query_count == (1 if k == 1 else 2**n)
     if k == 1:
-        assert alloc.parts == ((1 << n) - 1,)
+        assert parts == ((1 << n) - 1,)
 
 
 def test_brute_unconstrained_memory_stays_at_one_block():

@@ -6,7 +6,6 @@ option that no caller sets; and each decision lives in the module that owns
 it (polytope kinds in ``polytope``, Reduction 2 in ``run_dmcg``)."""
 
 import ast
-import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -15,8 +14,8 @@ from pathlib import Path
 import pytest
 
 import submax
-from submax import dmcg, fixtures, mcg, oracle, pipage, polytope
-from submax.multilinear import Estimator, MultilinearEvaluator
+from submax import dmcg, fixtures, mcg, oracle, pipage, polytope, welfare
+from submax.multilinear import MultilinearEvaluator
 from submax.setfn import (
     SetFunction,
     coverage_function,
@@ -39,8 +38,12 @@ TEST_ONLY = {"box_vertex_values", "box_vertex_max", "sample_set", "cut_eval", "r
              "audit_submodularity", "audit_nonnegativity", "audit_symmetry", "restrict_by_embedding",
              "tight_instance"}
 # a set function is built straight from its rows and a point is a float
-# array: no instance record or point type wraps them
-NO_WRAPPERS = {"GraphCutInstance", "HypergraphCutInstance", "CoverageInstance", "Point"}
+# array: no instance record or point type wraps them; a run's settings are
+# its arguments and its results plain values, so no record holds the
+# schedule, the estimate's samples and seed, the direction, an allocation or
+# Reduction 1's output
+NO_WRAPPERS = {"GraphCutInstance", "HypergraphCutInstance", "CoverageInstance", "Point", "AscentConfig",
+               "Estimator", "DirectionInfo", "Allocation", "Reduction1Result"}
 
 
 def test_library_defines_no_check_and_no_test_only_name():
@@ -127,28 +130,35 @@ PARAMETERS = {
     hardness_instance: ["p", "q"],
     restrict_function: ["f", "kept"],
     run_two_sided: ["f"],
-    MultilinearEvaluator: ["f", "est"],
+    MultilinearEvaluator: ["f", "samples", "seed"],
     # one point or a stack of points, and the stream of the point or the stack
     MultilinearEvaluator.value: ["self", "x", "stream"],
     MultilinearEvaluator.value_and_partials: ["self", "x", "stream"],
     pipage.pipage_round: ["ev", "x", "P"],
-    mcg.ascend: ["ev", "cfg", "starts", "choose", "cleanup", "P"],
-    mcg.run_mcg: ["ev", "P", "cfg"],
-    dmcg.run_dmcg: ["ev", "k", "cfg", "variant"],
+    mcg.ascend: ["ev", "starts", "choose", "cleanup", "P", "T", "steps"],
+    mcg.run_mcg: ["ev", "P", "T", "steps"],
+    dmcg.run_dmcg: ["ev", "k", "variant", "T", "steps"],
+    dmcg.solve_direction: ["w1", "w2", "c1", "c2", "k", "coeff"],
+    polytope.preprocess_reduction1: ["P"],
+    welfare.brute_force_welfare: ["inst"],
     # every feasibility test uses polytope.SLACK
     polytope.Polytope.membership: ["self", "x"],
     polytope.PartitionPolytope.membership: ["self", "x"],
     polytope.KnapsackPolytope.membership: ["self", "x"],
-    fixtures.random_graph_cut: ["n", "seed", "edge_prob"],
+    fixtures.random_graph_cut: ["n", "seed"],
     fixtures.random_hypergraph_cut: ["n", "seed"],
 }
 
 
 def test_library_takes_only_the_options_its_callers_set():
-    # F is exact when samples is None: no second field says so
-    assert [field.name for field in dataclasses.fields(Estimator)] == ["samples", "seed"]
-    # the estimator is the evaluator's, which the caller builds once per run
-    assert [field.name for field in dataclasses.fields(mcg.AscentConfig)] == ["T", "steps"]
+    # F is exact when samples is None: no second parameter says so
+    assert inspect.signature(MultilinearEvaluator).parameters["samples"].default is None
+    # T and steps set the schedule, by name, and default to schedule's choice
+    for fn in (mcg.ascend, mcg.run_mcg, dmcg.run_dmcg):
+        params = inspect.signature(fn).parameters.values()
+        assert [(p.name, p.default) for p in params if p.kind is p.KEYWORD_ONLY] == [("T", None), ("steps", None)]
+    # every caller gives the direction solver its coefficient
+    assert inspect.signature(dmcg.solve_direction).parameters["coeff"].default is inspect.Parameter.empty
     for fn, names in PARAMETERS.items():
         assert list(inspect.signature(fn).parameters) == names, fn.__name__
 

@@ -9,8 +9,8 @@ from conftest import indicator, per_mask, random_coverage, record_batches, singl
 from lemmas import table_fold
 from submax.dmcg import run_dmcg
 from submax.fixtures import random_graph_cut
-from submax.mcg import AscentConfig, run_mcg
-from submax.multilinear import Estimator, MultilinearEvaluator
+from submax.mcg import run_mcg
+from submax.multilinear import MultilinearEvaluator
 from submax.pipage import pipage_round
 from submax.polytope import CardinalityPolytope, KnapsackPolytope, PartitionPolytope
 from submax.rng import PIPAGE_STREAM, substream
@@ -114,9 +114,9 @@ def test_sampled_mode_rounds_with_common_random_numbers():
     P = CardinalityPolytope(6, 3)
     rng = substream(1, 5)
     x = np.array(_random_point_in_cardinality(rng, 6, 3))
-    est = Estimator(samples=4000, seed=7)
-    mask_a = pipage_round(MultilinearEvaluator(f, est), x, P)
-    mask_b = pipage_round(MultilinearEvaluator(f, est), x, P)
+    est = dict(samples=4000, seed=7)
+    mask_a = pipage_round(MultilinearEvaluator(f, **est), x, P)
+    mask_b = pipage_round(MultilinearEvaluator(f, **est), x, P)
     assert mask_a == mask_b  # deterministic given the seed
     assert int(popcount_array(np.array([mask_a]))[0]) == 3
 
@@ -126,10 +126,10 @@ def _sampled_run(solver: str, ev: MultilinearEvaluator):
     rounded in."""
     if solver == "mcg":
         P = PartitionPolytope([[0, 1, 2, 3], [4, 5, 6, 7, 8, 9]], [2, 3])
-        y, _ = run_mcg(ev, P, AscentConfig(T=1.0, steps=20))
+        y, _ = run_mcg(ev, P, T=1.0, steps=20)
     else:
         P = CardinalityPolytope(10, 4)
-        y, _ = run_dmcg(ev, 4, AscentConfig(steps=20), solver)
+        y, _ = run_dmcg(ev, 4, solver, steps=20)
     assert ((y > 1e-9) & (y < 1.0 - 1e-9)).any()  # the rounding has moves to make
     return y, P
 
@@ -140,7 +140,7 @@ def test_rounding_on_the_runs_evaluator_asks_for_no_set_twice(solver):
     # the oracle only for sets the ascent never looked up
     f = random_graph_cut(10, seed=31)
     batches = record_batches(f)
-    ev = MultilinearEvaluator(f, Estimator(samples=64, seed=4))
+    ev = MultilinearEvaluator(f, samples=64, seed=4)
     y, P = _sampled_run(solver, ev)
     pipage_round(ev, y, P)
     asked = np.concatenate([masks.ravel() for masks in batches])
@@ -152,21 +152,21 @@ def test_rounding_on_the_runs_evaluator_matches_a_fresh_one(solver):
     # the memo changes what the oracle is asked, never a value, so the
     # rounding takes the same moves on either evaluator
     f = random_graph_cut(10, seed=31)
-    est = Estimator(samples=64, seed=4)
-    ev = MultilinearEvaluator(f, est)
+    est = dict(samples=64, seed=4)
+    ev = MultilinearEvaluator(f, **est)
     y, P = _sampled_run(solver, ev)
     before = f.query_count
-    fresh = pipage_round(MultilinearEvaluator(f, est), y, P)
+    fresh = pipage_round(MultilinearEvaluator(f, **est), y, P)
     fresh_calls, before = f.query_count - before, f.query_count
     assert pipage_round(ev, y, P) == fresh
     assert f.query_count - before < fresh_calls  # the run's memo answered some of the rounding's sets
 
 
-@pytest.mark.parametrize("est", [None, Estimator(samples=8, seed=0)], ids=["exact", "sampled"])
-def test_an_empty_ground_set_rounds_to_the_empty_set(est):
+@pytest.mark.parametrize("samples", [None, 8], ids=["exact", "sampled"])
+def test_an_empty_ground_set_rounds_to_the_empty_set(samples):
     # what Reduction 1 leaves when it keeps no element
     f = restrict_function(triangle_cut(), [])
-    assert pipage_round(MultilinearEvaluator(f, est), np.zeros(0), CardinalityPolytope(0, 0)) == 0
+    assert pipage_round(MultilinearEvaluator(f, samples), np.zeros(0), CardinalityPolytope(0, 0)) == 0
 
 
 def _recording(ev: MultilinearEvaluator) -> list:
@@ -236,7 +236,7 @@ def test_sampled_rounding_asks_the_pinned_sequence_of_points():
         (CardinalityPolytope(8, 3), [0.375, 0.5, 0.25, 0.625, 0.125, 0.75, 0.25, 0.125]),
         (PartitionPolytope([[0, 1, 2, 3], [4, 5, 6, 7]], [2, 1]), [0.5, 0.25, 0.625, 0.375, 0.25, 0.125, 0.375, 0.0]),
     ]:
-        ev = MultilinearEvaluator(EIGHT, Estimator(samples=64, seed=3))
+        ev = MultilinearEvaluator(EIGHT, samples=64, seed=3)
         calls = _recording(ev)
         masks.append(pipage_round(ev, np.array(x), P))
         for stream, point in calls:

@@ -129,35 +129,32 @@ def test_horizon_requires_positive_density():
 
 def test_reduction1_identity_for_cardinality():
     P = CardinalityPolytope(4, 2)
-    red = preprocess_reduction1(P)
-    assert red.kept == (0, 1, 2, 3)
-    assert red.polytope is P
-    assert red.warning is None
+    P_run, kept = preprocess_reduction1(P)
+    assert kept == (0, 1, 2, 3)
+    assert P_run is P
 
 
 def test_reduction1_drops_oversized_knapsack_items():
     P = KnapsackPolytope([1.0, 5.0], 2.0)
-    red = preprocess_reduction1(P)
-    assert red.kept == (0,)
-    assert red.polytope.n == 1
-    assert red.polytope.membership([1.0])
+    P_run, kept = preprocess_reduction1(P)
+    assert kept == (0,)
+    assert P_run.n == 1
+    assert P_run.membership([1.0])
 
 
 @pytest.mark.parametrize("a, b", [([0.0, 5.0], 1.0), ([0.0, 1.0, 0.0], 0.0)])
 def test_reduction1_to_zero_coefficients_leaves_the_cube(a, b):
-    red = preprocess_reduction1(KnapsackPolytope(a, b))
-    kept = [u for u, a_u in enumerate(a) if a_u == 0.0]
-    assert red.kept == tuple(kept)
-    assert red.polytope.density == 1.0 and red.polytope.membership(np.ones(len(kept)))
-    assert red.polytope.linear_maximize(np.ones(len(kept))).tolist() == [1.0] * len(kept)
+    P_run, kept = preprocess_reduction1(KnapsackPolytope(a, b))
+    assert kept == tuple(u for u, a_u in enumerate(a) if a_u == 0.0)
+    assert P_run.density == 1.0 and P_run.membership(np.ones(len(kept)))
+    assert P_run.linear_maximize(np.ones(len(kept))).tolist() == [1.0] * len(kept)
 
 
 def test_reduction1_degenerate_empty():
     P = KnapsackPolytope([5.0, 7.0], 2.0)
-    red = preprocess_reduction1(P)
-    assert red.kept == ()
-    assert red.warning is not None
-    assert red.polytope.n == 0
+    P_run, kept = preprocess_reduction1(P)
+    assert kept == ()
+    assert P_run.n == 0
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +211,32 @@ def test_partition_validation():
         PartitionPolytope([[0, 2]], [1])  # gap
     with pytest.raises(ValueError):
         PartitionPolytope([[0], []], [1, 1])  # empty part
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: KnapsackPolytope([math.nan, 1.0], 1.0),
+        lambda: KnapsackPolytope([math.inf, 1.0], 1.0),
+        lambda: KnapsackPolytope([1.0, 1.0], math.inf),
+        lambda: KnapsackPolytope([1.0, 1.0], math.nan),
+        lambda: PartitionPolytope([[0, 1], [2, 3]], [1.5, 1]),
+        lambda: PartitionPolytope([[0, 1], [2, 3]], [1, math.inf]),
+        lambda: PartitionPolytope([[0, 1], [2, 3]], [1, math.nan]),
+        lambda: CardinalityPolytope(4, 1.5),
+    ],
+    ids=["knapsack-nan-a", "knapsack-inf-a", "knapsack-inf-b", "knapsack-nan-b", "partition-fractional-bound",
+         "partition-inf-bound", "partition-nan-bound", "cardinality-fractional-k"],
+)
+def test_a_polytope_rejects_non_finite_and_fractional_input(build):
+    # accepted, each would test membership against a NaN or a truncated bound
+    with pytest.raises(ValueError, match="finite|integers"):
+        build()
+
+
+def test_integral_floats_are_integer_bounds():
+    assert PartitionPolytope([[0, 1], [2]], [2.0, 0.0]).bounds == [2, 0]
+    assert CardinalityPolytope(4, 2.0).k == 2
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from conftest import (
 )
 from lemmas import audit_nonnegativity, audit_submodularity, audit_symmetry
 from submax.fixtures import random_graph_cut, random_hypergraph_cut
-from submax.mcg import AscentConfig, run_mcg
-from submax.multilinear import Estimator, MultilinearEvaluator
+from submax.mcg import run_mcg
+from submax.multilinear import MultilinearEvaluator
 from submax.polytope import CardinalityPolytope
 from submax.rng import substream
 from submax.setfn import (
@@ -580,10 +580,10 @@ def test_sampled_memo_gives_the_estimates_of_a_fresh_evaluator(family, n, seed, 
     m = f.n
     pinned = np.where(rng.random(m) < 0.7, rng.integers(0, 2, size=m), rng.random(m))
     points = [rng.integers(0, 2, size=m).astype(float), pinned, 0.2 * rng.random(m), rng.random(m)]
-    est = Estimator(samples=samples, seed=seed)
-    memo = MultilinearEvaluator(f, est)
+    est = dict(samples=samples, seed=seed)
+    memo = MultilinearEvaluator(f, **est)
     for gradient, point, stream in calls:
-        x, fresh = points[point], MultilinearEvaluator(f, est)
+        x, fresh = points[point], MultilinearEvaluator(f, **est)
         if gradient:
             (value, grad, sigma), want = memo.value_and_partials(x, (stream,)), fresh.value_and_partials(x, (stream,))
             assert value == want[0] and np.array_equal(grad, want[1]) and np.array_equal(sigma, want[2])
@@ -821,7 +821,7 @@ def test_a_wide_restriction_is_flagged_symmetric_when_it_is():
     assert g.symmetric and g.n == 30
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        run_mcg(MultilinearEvaluator(g), CardinalityPolytope(30, 5), AscentConfig(steps=20))
+        run_mcg(MultilinearEvaluator(g), CardinalityPolytope(30, 5), steps=20)
     # dropping vertex 29 splits its positive edges: the restriction pays on
     # the kept set, and not on the empty one
     split = restrict_function(f, [u for u in kept if u != 29])

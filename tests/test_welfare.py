@@ -27,7 +27,6 @@ from submax.rng import WELFARE_STREAM, substream
 from submax.subsets import MASK_BLOCK
 from submax import welfare
 from submax.welfare import (
-    Allocation,
     WelfareInstance,
     brute_force_welfare,
     simulate_random_assign,
@@ -57,9 +56,9 @@ def test_tight_instance_values():
 
 def test_tight_instance_optimum_is_one_item_per_player():
     inst = tight_instance(3)
-    alloc, opt = brute_force_welfare(inst)
+    parts, opt = brute_force_welfare(inst)
     assert opt == 3.0
-    assert sorted(alloc.parts) == [0b001, 0b010, 0b100]
+    assert sorted(parts) == [0b001, 0b010, 0b100]
 
 
 def test_tight_instance_expected_total_k2():
@@ -208,14 +207,18 @@ def test_a_second_table_makes_no_query():
     assert table.tobytes() == np.array([f.eval(m) for m in range(2**9)]).tobytes()
 
 
-def test_allocation_invariants():
-    inst = tight_instance(3)
-    with pytest.raises(ValueError):
-        Allocation((0b011, 0b110, 0b000), inst)  # overlap
-    with pytest.raises(ValueError):
-        Allocation((0b001, 0b010, 0b000), inst)  # does not cover
-    alloc = Allocation((0b001, 0b010, 0b100), inst)
-    assert allocation_total(alloc) == 3.0
+@pytest.mark.parametrize("k, n", [(1, 5), (2, 9), (3, 7), (4, 5)])
+def test_brute_force_welfare_parts_partition_the_items(k, n):
+    for seed in range(3):
+        f = random_graph_cut(n, seed=60 + seed)
+        parts, opt = brute_force_welfare(WelfareInstance(k, f))
+        assert len(parts) == k
+        union = 0
+        for part in parts:
+            assert not union & part  # disjoint
+            union |= part
+        assert union == (1 << n) - 1  # every item goes to a player
+        assert allocation_total(f, parts) == opt
 
 
 def test_random_assign_is_seed_deterministic():
@@ -229,8 +232,8 @@ def test_random_assign_is_seed_deterministic():
 
 def test_partial_union_bounds_tight_instance():
     inst = tight_instance(3)
-    alloc, opt = brute_force_welfare(inst)
-    rep = check_partial_union_bounds(inst, alloc, trials=40_000, seed=2)
+    parts, opt = brute_force_welfare(inst)
+    rep = check_partial_union_bounds(inst, parts, trials=40_000, seed=2)
     assert rep.passed, rep.details
     assert rep.details["i=0"]["bound"] == pytest.approx(0.0)  # vanishing bracket
     # the i = k bound equals the welfare guarantee over k
@@ -241,8 +244,8 @@ def test_partial_union_bounds_tight_instance():
 def test_partial_union_bounds_cut_instance():
     f = random_graph_cut(6, seed=4)
     inst = WelfareInstance(3, f)
-    alloc, _ = brute_force_welfare(inst)
-    rep = check_partial_union_bounds(inst, alloc, trials=40_000, seed=3)
+    parts, _ = brute_force_welfare(inst)
+    rep = check_partial_union_bounds(inst, parts, trials=40_000, seed=3)
     assert rep.passed, rep.details
 
 
@@ -281,8 +284,8 @@ def test_check_reports_serialize_to_json():
     import json
 
     inst = tight_instance(3)
-    alloc, _ = brute_force_welfare(inst)
-    rep = check_partial_union_bounds(inst, alloc, trials=5000, seed=0)
+    parts, _ = brute_force_welfare(inst)
+    rep = check_partial_union_bounds(inst, parts, trials=5000, seed=0)
     decoded = json.loads(rep.to_json())
     assert decoded["passed"] is True
     assert "estimate" in decoded["details"]["i=1"]
